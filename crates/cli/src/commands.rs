@@ -2014,8 +2014,10 @@ mod tests {
         let server = std::thread::spawn({
             let pf = pf.to_str().unwrap().to_string();
             move || {
+                // Twice the loadgen's four connections: the audit dials
+                // while the server may not have reaped those four yet.
                 call(&[
-                    "serve", "8", "--audit", "1", "--audit-sample", "4", "--max-conns", "4",
+                    "serve", "8", "--audit", "1", "--audit-sample", "4", "--max-conns", "8",
                     "--port-file", &pf,
                 ])
             }
@@ -2196,10 +2198,13 @@ mod tests {
 
     #[test]
     fn audit_reports_fractions_and_family() {
+        // Two threads on two CPUs may genuinely overtake (the paper's
+        // phenomenon): the report is then the error. Its shape is the
+        // subject here, not its verdict.
         let out = call(&[
             "audit", "4", "--family", "periodic", "--threads", "2", "--ops", "200",
         ])
-        .unwrap();
+        .unwrap_or_else(|report| report);
         assert!(out.contains("backend=compiled family=periodic w=4, 2 threads x 200 ops"));
         assert!(out.contains("events recorded:         400"));
         assert!(out.contains("F_nl  ="));

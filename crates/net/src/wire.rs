@@ -40,7 +40,7 @@
 //! | `0x86` | ← server  | [`Response::Error`] | `code: u8` ([`ErrorCode`]) |
 //! | `0x87` | ← server  | [`Response::NodeInfo`] | 4 × `u32 LE`, `head: u16 LE + UTF-8` |
 //! | `0x88` | ← server  | [`Response::Trace`] | `n: u32 LE`, `n ×` [`TraceEvent`] (28 B) |
-//! | `0x89` | ← server  | [`Response::Frontier`] | [`FRONTIER_HEADER_LEN`] B header, `n ×` ops (28 B) |
+//! | `0x89` | ← server  | [`Response::Frontier`] | 49 B header ([`FRONTIER_HEADER_LEN`]), `n ×` ops (28 B) |
 //!
 //! Integers are little-endian throughout. Decoding is strict: unknown
 //! versions and opcodes, truncated bodies, and trailing bytes are all
@@ -243,9 +243,9 @@ pub const MAX_TRACE_EVENTS: u32 = 1 << 14;
 
 /// Wire size of a [`Response::Frontier`] body before its ops: `shard:
 /// u32`, `flags: u8` (bit 0 = finished, bit 1 = watermark present),
-/// `watermark`, `dropped`, `skipped`, `candidate_non_lin`, `non_sc`,
-/// `qqc_floor`, `candidate_qqc_max` (seven `u64`s), `n: u32`.
-pub const FRONTIER_HEADER_LEN: usize = 4 + 1 + 7 * 8 + 4;
+/// `watermark`, `dropped`, `skipped`, `candidate_non_lin`, `non_sc` (five
+/// `u64`s), `n: u32`.
+pub const FRONTIER_HEADER_LEN: usize = 4 + 1 + 5 * 8 + 4;
 
 /// Wire size of one frontier op: `process: u32`, then three `u64`s.
 pub const FRONTIER_OP_LEN: usize = 28;
@@ -662,8 +662,6 @@ impl Response {
                 out.extend_from_slice(&f.skipped.to_le_bytes());
                 out.extend_from_slice(&(f.candidate_non_lin as u64).to_le_bytes());
                 out.extend_from_slice(&(f.non_sc as u64).to_le_bytes());
-                out.extend_from_slice(&f.qqc_floor.to_le_bytes());
-                out.extend_from_slice(&f.candidate_qqc_max.to_le_bytes());
                 out.extend_from_slice(&(f.ops.len() as u32).to_le_bytes());
                 for op in &f.ops {
                     out.extend_from_slice(&(op.process as u32).to_le_bytes());
@@ -809,8 +807,6 @@ impl Response {
                         skipped: u64_at(21),
                         candidate_non_lin: u64_at(29) as usize,
                         non_sc: u64_at(37) as usize,
-                        qqc_floor: u64_at(45),
-                        candidate_qqc_max: u64_at(53),
                     },
                 }
             }
@@ -1028,8 +1024,6 @@ mod tests {
                     skipped: 40,
                     candidate_non_lin: 1,
                     non_sc: 1,
-                    qqc_floor: 4,
-                    candidate_qqc_max: 2,
                 },
             },
         ]
@@ -1187,6 +1181,32 @@ mod tests {
             Response::decode(&p),
             Err(WireError::Truncated { opcode: 0x82, .. })
         ));
+    }
+
+    #[test]
+    fn frontier_frames_with_the_seven_word_header_are_rejected() {
+        // A node built before the header dropped its two local-lateness
+        // words sends 16 more bytes ahead of `n`. A mixed cluster must fail
+        // closed: such a frame is an error, whatever those words held (the
+        // first of them lands where `n` is read now), never a frontier
+        // read at wrong offsets. It cannot decode: the bytes after the
+        // misread `n` are 16 off a multiple of `FRONTIER_OP_LEN`.
+        for (ops, sixth_word) in [(0u32, 0u64), (2, 4), (3, 1), (1, u64::MAX)] {
+            let mut body = Vec::new();
+            body.extend_from_slice(&5u32.to_le_bytes()); // shard
+            body.push(0b11); // finished, watermark present
+            for word in [15u64, 2, 40, 1, 1, sixth_word, 2] {
+                body.extend_from_slice(&word.to_le_bytes());
+            }
+            body.extend_from_slice(&ops.to_le_bytes());
+            body.resize(body.len() + FRONTIER_OP_LEN * ops as usize, 0);
+            assert_eq!(body.len(), 65 + FRONTIER_OP_LEN * ops as usize);
+            let mut frame = Vec::new();
+            put_header(&mut frame, VERSION, 0x89, 7, body.len());
+            frame.extend_from_slice(&body);
+            let got = Response::decode(payload(&frame));
+            assert!(got.is_err(), "ops={ops} sixth_word={sixth_word}: decoded as {got:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! executions produced by the Theorem 3.2 transformation
 //! (`cnet_sim::transform::desequentialize`).
 //!
+//! Since the auditor became a one-pass kernel of its own, the same file
+//! holds its contract: on any enter-ordered stream, `StreamingAuditor`
+//! reports exactly what the four standalone monitors report side by side.
+//!
 //! Failing seeds are logged by the harness; replay with
 //! `CNET_PROPTEST_SEED=<seed>`.
 
@@ -18,7 +22,9 @@ use cnet_core::fractions::{
     non_sequentially_consistent_ops,
 };
 use cnet_core::op::Op;
-use cnet_core::trace::{enter_order, stream_execution};
+use cnet_core::trace::{
+    enter_order, stream_execution, EventMerger, OpEvent, RawOp, StreamingQqcMeter,
+};
 use cnet_core::{StreamingAuditor, StreamingFractionMeter, StreamingLinMonitor, StreamingScMonitor};
 use cnet_sim::engine::run;
 use cnet_sim::transform::desequentialize;
@@ -292,5 +298,117 @@ proptest! {
         let local_nl: usize =
             merged.shard_stats().iter().map(|st| st.candidate_non_lin).sum();
         prop_assert!(local_nl <= audited.non_linearizable());
+    }
+}
+
+/// How far a value may run ahead of its operation's place in enter order:
+/// 1 keeps the stream in order (a clean run), the last scatters values over
+/// more than the stream's length (a wild shuffle). Any spread above 1 makes
+/// duplicate values common.
+const VALUE_SPREADS: [u64; 6] = [1, 2, 4, 16, 64, 4096];
+
+/// Process ids as they come off the wire: a few small ones, and the
+/// extremes of the `u32` the frontier codec carries them in.
+const PROCESS_IDS: [usize; 6] = [0, 1, 2, 7, 1 << 20, u32::MAX as usize];
+
+/// Shards the raw operations are dealt onto before the merge.
+const MERGE_SHARDS: usize = 3;
+
+/// One raw operation's draw: nanoseconds since the previous enter, duration
+/// in nanoseconds, value noise, index into [`PROCESS_IDS`], merge shard.
+type RawDraw = (u64, u64, u64, usize, usize);
+
+/// Raw draws with stamps a few nanoseconds apart, so equal-nanosecond
+/// enters and exits are common. (Kept unmapped so a failing case shrinks.)
+fn random_raw_draws() -> impl Strategy<Value = Vec<RawDraw>> {
+    prop::collection::vec(
+        (0u64..3, 0u64..6, 0u64..1 << 16, 0usize..PROCESS_IDS.len(), 0usize..MERGE_SHARDS),
+        0..200,
+    )
+}
+
+/// Builds the merged stream the way production builds it: the raw
+/// operations, in nondecreasing enter order, are dealt onto shards and
+/// released by an [`EventMerger`], which assigns the sequence numbers and
+/// with them the rule that a tie reads as overlap.
+fn merged_stream(spread: u64, draws: &[RawDraw]) -> Vec<OpEvent> {
+    let mut merger = EventMerger::new(MERGE_SHARDS);
+    let mut t = 0u64;
+    for (k, &(delta, duration, noise, process, shard)) in draws.iter().enumerate() {
+        t += delta;
+        let op = RawOp {
+            process: PROCESS_IDS[process],
+            enter_ns: t,
+            exit_ns: t + duration,
+            value: k as u64 + noise % spread,
+        };
+        merger.push(shard, op);
+    }
+    (0..MERGE_SHARDS).for_each(|shard| merger.finish(shard));
+    let mut events: Vec<OpEvent> = Vec::new();
+    merger.drain_into(&mut events);
+    events
+}
+
+/// The four standalone monitors side by side: what `StreamingAuditor` was
+/// before it became one pass, and the reference it is held to.
+#[derive(Default)]
+struct Composition {
+    lin: StreamingLinMonitor,
+    sc: StreamingScMonitor,
+    meter: StreamingFractionMeter,
+    qqc: StreamingQqcMeter,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass kernel is the four-monitor composition, bit for bit:
+    /// the same flags on every event, the same first witnesses, the same
+    /// counts, fractions and lateness profile (compared as bits, not
+    /// within a tolerance). The verdict line renders exactly these fields
+    /// (its format is pinned in `trace.rs`, `auditor_verdict_and_summary`),
+    /// so it is equal too.
+    #[test]
+    fn auditor_kernel_matches_the_four_monitor_composition(
+        spread in 0usize..VALUE_SPREADS.len(),
+        draws in random_raw_draws(),
+    ) {
+        let events = merged_stream(VALUE_SPREADS[spread], &draws);
+        let mut kernel = StreamingAuditor::new();
+        let mut reference = Composition::default();
+        for (k, ev) in events.iter().enumerate() {
+            let flags = kernel.push(ev);
+            reference.lin.push(ev);
+            reference.sc.push(ev);
+            let lateness = reference.qqc.push(ev);
+            prop_assert_eq!(flags, reference.meter.push(ev), "event {}: {:?}", k, ev);
+            // The equivalence that lets the kernel skip the lateness query
+            // on unflagged events.
+            prop_assert_eq!(flags.non_linearizable, lateness > 0, "event {}: {:?}", k, ev);
+            prop_assert_eq!(kernel.qqc_max(), reference.qqc.qqc_max(), "event {}: {:?}", k, ev);
+        }
+        prop_assert_eq!(kernel.operations(), events.len());
+        prop_assert_eq!(kernel.linearizability_violation(), reference.lin.first_violation());
+        prop_assert_eq!(kernel.sequential_consistency_violation(), reference.sc.first_violation());
+        prop_assert_eq!(kernel.is_linearizable(), reference.lin.is_linearizable());
+        prop_assert_eq!(
+            kernel.is_sequentially_consistent(),
+            reference.sc.is_sequentially_consistent()
+        );
+        prop_assert_eq!(kernel.non_linearizable(), reference.meter.non_linearizable());
+        prop_assert_eq!(kernel.non_linearizable(), reference.qqc.late_ops());
+        prop_assert_eq!(
+            kernel.non_sequentially_consistent(),
+            reference.meter.non_sequentially_consistent()
+        );
+        prop_assert_eq!(kernel.f_nl().to_bits(), reference.meter.f_nl().to_bits());
+        prop_assert_eq!(kernel.f_nsc().to_bits(), reference.meter.f_nsc().to_bits());
+        prop_assert_eq!(kernel.qqc_mean().to_bits(), reference.qqc.qqc_mean().to_bits());
+        prop_assert_eq!(kernel.qqc_p99(), reference.qqc.qqc_p99());
+        prop_assert_eq!(
+            kernel.is_clean(),
+            reference.lin.is_linearizable() && reference.sc.is_sequentially_consistent()
+        );
     }
 }
