@@ -15,7 +15,7 @@
 
 use crate::report::Table;
 use cnet_core::trace::{OpEvent, OpSink, StreamingAuditor};
-use cnet_runtime::recorder::{drain_remaining, drive_audited_parallel, Traced};
+use cnet_runtime::recorder::{drain_remaining, drive_audited, Traced};
 use cnet_runtime::{
     CombiningFunnel, DiffractingTree, EliminationCounter, FetchAddCounter, GraphWalkCounter,
     LockCounter, ProcessCounter, RelaxedCounter, SharedNetworkCounter, TraceRecorder, Workload,
@@ -435,8 +435,7 @@ fn measure_audited_at<C: ProcessCounter, P: ProcessCounter>(
             } else {
                 let workload = Workload { threads, increments_per_thread: cfg.ops_per_thread };
                 let start = Instant::now();
-                let run =
-                    drive_audited_parallel(&counter, &recorder, workload, audit_threads, |_| {});
+                let run = drive_audited(&counter, &recorder, workload, audit_threads, |_| {});
                 let seconds = start.elapsed().as_secs_f64();
                 black_box(run.auditor.is_clean());
                 seconds
@@ -610,15 +609,17 @@ pub fn run_consistency_sweep(cfg: &ThroughputConfig, sub_counters: usize) -> Vec
         ));
         measurements.push(measure_consistency(
             ("compiled", "bitonic"),
-            |rec| SharedNetworkCounter::with_recorder(&net, rec),
+            |rec| Traced::new(SharedNetworkCounter::new(&net), rec),
             threads,
             cfg,
         ));
         measurements.push(measure_consistency(
             ("diffracting", "tree"),
             |rec| {
-                DiffractingTree::with_recorder(cfg.fan, PRISM_WIDTH, rec)
-                    .expect("power-of-two fan")
+                Traced::new(
+                    DiffractingTree::new(cfg.fan, PRISM_WIDTH).expect("power-of-two fan"),
+                    rec,
+                )
             },
             threads,
             cfg,
@@ -636,13 +637,13 @@ pub fn run_consistency_sweep(cfg: &ThroughputConfig, sub_counters: usize) -> Vec
         ));
         measurements.push(measure_consistency(
             ("relaxed", "-"),
-            |rec| RelaxedCounter::with_recorder(sub_counters, rec),
+            |rec| Traced::new(RelaxedCounter::new(sub_counters), rec),
             threads,
             cfg,
         ));
         measurements.push(measure_consistency(
             ("elimination", "bitonic"),
-            |rec| EliminationCounter::with_recorder(&net, sub_counters, rec),
+            |rec| Traced::new(EliminationCounter::new(&net, sub_counters), rec),
             threads,
             cfg,
         ));
@@ -684,7 +685,7 @@ pub fn run_audit_sweep(cfg: &ThroughputConfig, sub_counters: usize) -> Vec<Measu
         for (audit_threads, sample_k) in AUDIT_SWEEP_POINTS {
             measurements.push(measure_audited_at(
                 ("compiled", "bitonic"),
-                |rec| SharedNetworkCounter::with_recorder(&net, rec),
+                |rec| Traced::new(SharedNetworkCounter::new(&net), rec),
                 || SharedNetworkCounter::new(&net),
                 threads,
                 audit_threads,
@@ -700,7 +701,7 @@ pub fn run_audit_sweep(cfg: &ThroughputConfig, sub_counters: usize) -> Vec<Measu
         ));
         measurements.push(measure_audited(
             ("relaxed", "-"),
-            |rec| RelaxedCounter::with_recorder(sub_counters, rec),
+            |rec| Traced::new(RelaxedCounter::new(sub_counters), rec),
             || RelaxedCounter::new(sub_counters),
             threads,
             cfg,
@@ -713,7 +714,7 @@ pub fn run_audit_sweep(cfg: &ThroughputConfig, sub_counters: usize) -> Vec<Measu
         ));
         measurements.push(measure_audited(
             ("elimination", "bitonic"),
-            |rec| EliminationCounter::with_recorder(&net, sub_counters, rec),
+            |rec| Traced::new(EliminationCounter::new(&net, sub_counters), rec),
             || EliminationCounter::new(&net, sub_counters),
             threads,
             cfg,
@@ -801,7 +802,7 @@ pub fn run_throughput_sweep(cfg: &ThroughputConfig) -> ThroughputReport {
         for (family, net) in &nets {
             measurements.push(measure_audited(
                 ("compiled", family),
-                |rec| SharedNetworkCounter::with_recorder(net, rec),
+                |rec| Traced::new(SharedNetworkCounter::new(net), rec),
                 || SharedNetworkCounter::new(net),
                 threads,
                 cfg,
@@ -810,8 +811,10 @@ pub fn run_throughput_sweep(cfg: &ThroughputConfig) -> ThroughputReport {
         measurements.push(measure_audited(
             ("diffracting", "tree"),
             |rec| {
-                DiffractingTree::with_recorder(cfg.fan, PRISM_WIDTH, rec)
-                    .expect("power-of-two fan")
+                Traced::new(
+                    DiffractingTree::new(cfg.fan, PRISM_WIDTH).expect("power-of-two fan"),
+                    rec,
+                )
             },
             || DiffractingTree::new(cfg.fan, PRISM_WIDTH).expect("power-of-two fan"),
             threads,

@@ -5,21 +5,27 @@ use crate::artifact::ScheduleArtifact;
 use cnet_core::audit::audit;
 use cnet_core::conditions::TimingCondition;
 use cnet_core::op::Op;
+use cnet_core::trace::{ShardFrontier, StreamingAuditor};
 use cnet_sim::adversary::{holding_race, three_wave};
 use cnet_sim::engine::run;
 use cnet_sim::timing::TimingParams;
 use cnet_sim::validate::validate;
 use cnet_sim::workload::{generate, WorkloadConfig};
-use cnet_runtime::{drive_audited, AuditedRun, ProcessCounter, TraceRecorder, Traced, Workload};
+use cnet_runtime::{
+    drive_audited, AuditedRun, Backend, ProcessCounter, ShardStealer, TraceRecorder, Traced,
+    Workload,
+};
 use cnet_topology::analysis::split::split_sequence;
 use cnet_topology::analysis::{influence_radius, Valencies};
 use cnet_topology::Network;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The tool's usage text.
 pub fn usage() -> String {
-    "usage: cnet <command> <family> <w> [--flag value ...]\n\
+    format!(
+        "usage: cnet <command> <family> <w> [--flag value ...]\n\
      \x20      cnet bench <w> [--flag value ...]\n\
      \x20      cnet audit <w> [--flag value ...]\n\
      \n\
@@ -42,18 +48,18 @@ pub fn usage() -> String {
      \x20           off-path drain, live shard stealers, 1-in-k sampling)\n\
      \x20           --sub-counters K (relaxed bank / elimination slot count)\n\
      \x20 audit     threaded run through the trace recorder with live online\n\
-     \x20           consistency monitors; flags: --backend compiled|graph_walk|\n\
-     \x20           combining|diffracting|fetch_add|lock|relaxed|elimination|\n\
-     \x20           remote|cluster --family --threads --ops --sub-counters K\n\
+     \x20           consistency monitors; flags: --backend\n\
+     \x20           {audit_list}\n\
+     \x20           --family --threads --ops --sub-counters K\n\
      \x20           --addr HOST:PORT (backend remote audits a live serve;\n\
      \x20           backend cluster fetches and merges every node's trace\n\
      \x20           shards, --addr ADDR1,ADDR2,...); exits nonzero on a\n\
      \x20           violations verdict, except for the deliberately relaxed\n\
      \x20           backends, whose measured QQC lateness is the report\n\
      \x20 serve     counting service on a TCP socket; blocks until a client\n\
-     \x20           sends Shutdown; flags: --backend compiled|fetch_add|lock|\n\
-     \x20           diffracting|combining|relaxed|elimination --family\n\
-     \x20           --sub-counters K --addr 127.0.0.1:0 --max-conns\n\
+     \x20           sends Shutdown; flags: --backend\n\
+     \x20           {serve_list}\n\
+     \x20           --family --sub-counters K --addr 127.0.0.1:0 --max-conns\n\
      \x20           --processes --reactors N (0 = one per core) --backpressure\n\
      \x20           reject|block --audit 0/1 --port-file <file>\n\
      \x20           --cluster K/N --peers ADDR (serve layer range K of an N-node\n\
@@ -66,8 +72,26 @@ pub fn usage() -> String {
      \x20           (--ops 0 --shutdown 1 sends only the shutdown handshake —\n\
      \x20           the way to drain a relay/tail node that serves no clients)\n\
      \n\
-     families: bitonic (b), periodic (p), tree (t), block (l), merger (m)\n"
-        .to_string()
+     families: bitonic (b), periodic (p), tree (t), block (l), merger (m)\n",
+        audit_list = backend_names(&["remote", "cluster"], "|"),
+        serve_list = backend_names(&[], "|"),
+    )
+}
+
+/// The registry's backend names followed by `extra`, joined by `sep`:
+/// every usage and error list is generated, none hand-kept.
+fn backend_names(extra: &[&str], sep: &str) -> String {
+    let names: Vec<&str> =
+        Backend::ALL.iter().map(|b| b.name()).chain(extra.iter().copied()).collect();
+    names.join(sep)
+}
+
+/// Resolves a `--backend` name through the registry; the error lists the
+/// registry's names plus the caller's CLI-level `extra` ones.
+fn parse_backend(name: &str, extra: &[&str]) -> Result<Backend, String> {
+    Backend::parse(name).ok_or_else(|| {
+        format!("unknown backend '{name}' (expected one of: {})", backend_names(extra, ", "))
+    })
 }
 
 /// Executes an argument vector, returning the rendered output.
@@ -651,41 +675,6 @@ fn cmd_bench_consistency(
     Ok(out)
 }
 
-/// Builds the serveable backend named by `--backend`.
-fn serve_backend(
-    backend: &str,
-    family: &str,
-    w: &str,
-    fan: usize,
-    sub_counters: usize,
-) -> Result<Arc<dyn ProcessCounter + Send + Sync>, String> {
-    match backend {
-        "compiled" => {
-            let net = parse_network(family, w)?;
-            Ok(Arc::new(cnet_runtime::SharedNetworkCounter::new(&net)))
-        }
-        "fetch_add" => Ok(Arc::new(cnet_runtime::FetchAddCounter::new())),
-        "lock" => Ok(Arc::new(cnet_runtime::LockCounter::new())),
-        "diffracting" => Ok(Arc::new(cnet_runtime::DiffractingTree::new(fan, 4)?)),
-        "combining" => {
-            let net = parse_network(family, w)?;
-            Ok(Arc::new(cnet_runtime::CombiningFunnel::new(
-                cnet_runtime::SharedNetworkCounter::new(&net),
-                fan,
-            )))
-        }
-        "relaxed" => Ok(Arc::new(cnet_runtime::RelaxedCounter::new(sub_counters))),
-        "elimination" => {
-            let net = parse_network(family, w)?;
-            Ok(Arc::new(cnet_runtime::EliminationCounter::new(&net, sub_counters)))
-        }
-        other => Err(format!(
-            "unknown backend '{other}' (expected compiled, fetch_add, lock, diffracting, \
-             combining, relaxed, or elimination)"
-        )),
-    }
-}
-
 /// Parses a `--cluster K/N` position: node K (0-based) of an N-node chain.
 fn parse_cluster_position(spec: &str) -> Result<(usize, usize), String> {
     let err = || format!("--cluster expects K/N (e.g. 0/2), got '{spec}'");
@@ -696,6 +685,46 @@ fn parse_cluster_position(spec: &str) -> Result<(usize, usize), String> {
         return Err(format!("--cluster {spec}: node index must be below the node count"));
     }
     Ok((k, n))
+}
+
+/// `cnet serve --audit-threads N`: N workers (at most one per shard) steal
+/// the recorder's shards *while the server runs*, each shard through its
+/// own [`ShardStealer`]. A worker stops at the first dry pass after `stop`
+/// is raised and returns its shards' final frontiers and how many events
+/// it stole; merging those frontiers gives the verdict a sequential drain
+/// of the same streams would.
+fn spawn_audit_workers(
+    rec: &Arc<TraceRecorder>,
+    workers: usize,
+    stop: &Arc<AtomicBool>,
+) -> Vec<std::thread::JoinHandle<(Vec<ShardFrontier>, usize)>> {
+    let stride = workers.min(rec.shards());
+    (0..stride)
+        .map(|worker| {
+            let rec = Arc::clone(rec);
+            let stop = Arc::clone(stop);
+            std::thread::spawn(move || {
+                let mut mine: Vec<ShardStealer> =
+                    (worker..rec.shards()).step_by(stride).map(ShardStealer::new).collect();
+                let mut stolen = 0usize;
+                loop {
+                    // Read the flag *before* pulling: when it is set the
+                    // final flush already happened, so a dry pass after
+                    // seeing it means the shards are truly drained.
+                    let stopped = stop.load(Ordering::Acquire);
+                    let moved: usize = mine.iter_mut().map(|st| st.steal(&rec)).sum();
+                    stolen += moved;
+                    if moved == 0 {
+                        if stopped {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
+                (mine.iter_mut().map(|st| st.take_frontier(true)).collect(), stolen)
+            })
+        })
+        .collect()
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, String> {
@@ -726,7 +755,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         "peers",
         "sub-counters",
     ])?;
-    let backend_name = opts.get("backend").unwrap_or("compiled").to_string();
+    let backend = parse_backend(opts.get("backend").unwrap_or("compiled"), &[])?;
     let family = opts.get("family").unwrap_or("bitonic").to_string();
     let addr = opts.get("addr").unwrap_or("127.0.0.1:0").to_string();
     let max_connections = opts.usize_or("max-conns", 64)?.max(1);
@@ -750,71 +779,15 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     }
     let recorder =
         audit.then(|| Arc::new(TraceRecorder::with_sampling(max_connections, 1 << 16, sample_k)));
-    // The parallel audit pipeline: `--audit-threads N` workers steal ring
-    // shards *while the server runs*, folding each shard into its own
-    // `ShardMonitor`. The exact global verdict is assembled lazily after
-    // shutdown by merging the final frontiers — the verdict is
-    // bit-identical to the sequential drain on the same streams.
-    let audit_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let audit_workers: Vec<_> = match &recorder {
-        Some(rec) if audit_threads > 0 => (0..audit_threads.min(rec.shards()))
-            .map(|worker| {
-                let rec = Arc::clone(rec);
-                let stop = Arc::clone(&audit_stop);
-                let stride = audit_threads.min(rec.shards());
-                std::thread::spawn(move || {
-                    use cnet_core::trace::{RawOp, ShardMonitor};
-                    let shards: Vec<usize> =
-                        (worker..rec.shards()).step_by(stride).collect();
-                    let mut monitors: Vec<ShardMonitor> =
-                        shards.iter().map(|&s| ShardMonitor::new(s)).collect();
-                    let mut seen = vec![(0u64, 0u64); shards.len()];
-                    let mut stolen = 0usize;
-                    loop {
-                        // Read the flag *before* pulling: when it is set the
-                        // final flush already happened, so a dry pass after
-                        // seeing it means the shard is truly drained.
-                        let stopped = stop.load(std::sync::atomic::Ordering::Acquire);
-                        let mut moved = 0usize;
-                        for (i, &sh) in shards.iter().enumerate() {
-                            let mon = &mut monitors[i];
-                            moved += rec.pull_shard(sh, |enter_ns, exit_ns, value| {
-                                mon.observe(RawOp {
-                                    process: sh,
-                                    enter_ns,
-                                    exit_ns,
-                                    value,
-                                });
-                            });
-                            let (d, k) = (rec.dropped_on(sh), rec.skipped_on(sh));
-                            mon.add_dropped(d - seen[i].0);
-                            mon.add_skipped(k - seen[i].1);
-                            seen[i] = (d, k);
-                        }
-                        stolen += moved;
-                        if moved == 0 {
-                            if stopped {
-                                break;
-                            }
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        }
-                    }
-                    let frontiers: Vec<_> =
-                        monitors.iter_mut().map(|m| m.take_frontier(true)).collect();
-                    (frontiers, stolen)
-                })
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
     let mut server = match cluster_position {
         Some((node, nodes)) => {
             // A cluster node *is* a partition of the compiled network — the
             // scalar backends have no layers to split.
-            if backend_name != "compiled" {
+            if backend != Backend::Compiled {
                 return Err(format!(
-                    "--cluster partitions the compiled network; backend '{backend_name}' \
-                     cannot be partitioned"
+                    "--cluster partitions the compiled network; backend '{}' cannot be \
+                     partitioned",
+                    backend.name()
                 ));
             }
             let peers: Vec<String> = opts
@@ -835,17 +808,17 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             if opts.get("peers").is_some() {
                 return Err("--peers only makes sense with --cluster K/N".to_string());
             }
-            let sub_counters =
-                opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?.max(1);
-            let backend = serve_backend(&backend_name, &family, w, fan, sub_counters)?;
+            let sub_counters = opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?;
+            let net = backend.uses_network().then(|| parse_network(&family, w)).transpose()?;
+            let counter = backend.build(net.as_ref(), fan, fan, sub_counters)?;
             match &recorder {
                 Some(rec) => cnet_net::server::CounterServer::with_recorder(
                     &addr as &str,
-                    backend,
+                    counter,
                     Arc::clone(rec),
                     cfg,
                 ),
-                None => cnet_net::server::CounterServer::start(&addr as &str, backend, cfg),
+                None => cnet_net::server::CounterServer::start(&addr as &str, counter, cfg),
             }
         }
     }
@@ -857,11 +830,19 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         Some((node, nodes)) => {
             eprintln!("cnet serve: cluster node {node}/{nodes} listening on {bound}");
         }
-        None => eprintln!("cnet serve: backend={backend_name} listening on {bound}"),
+        None => eprintln!("cnet serve: backend={} listening on {bound}", backend.name()),
     }
     if let Some(path) = opts.get("port-file") {
         std::fs::write(path, bound.to_string()).map_err(|e| format!("write {path}: {e}"))?;
     }
+    // Only now — the server is up and nothing below returns early — do the
+    // `--audit-threads` workers start: spawned any sooner, a failed start
+    // would leave them polling for the life of the process.
+    let audit_stop = Arc::new(AtomicBool::new(false));
+    let audit_workers = match &recorder {
+        Some(rec) => spawn_audit_workers(rec, audit_threads, &audit_stop),
+        None => Vec::new(),
+    };
     server.wait_for_shutdown_request();
     server.shutdown();
     let stats = server.stats();
@@ -892,7 +873,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             for sh in 0..rec.shards() {
                 rec.flush(sh);
             }
-            audit_stop.store(true, std::sync::atomic::Ordering::Release);
+            audit_stop.store(true, Ordering::Release);
             let mut merged = cnet_core::trace::MergeAuditor::new(rec.shards());
             let mut stolen = 0usize;
             for handle in audit_workers {
@@ -1090,97 +1071,77 @@ fn merge_net_row(
     cnet_bench::write_json(path, &report).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
-/// The common shape of a serial or parallel audited run, as rendered by
-/// `cnet audit`: the exact global auditor plus the coverage accounting
-/// (recorded / ring-dropped / sampling-skipped, and per-shard drops so a
-/// hot shard can be named).
-struct CliAuditRun {
-    auditor: cnet_core::trace::StreamingAuditor,
-    recorded: usize,
-    dropped: u64,
-    skipped: u64,
-    per_shard_dropped: Vec<u64>,
-}
-
-/// Drives an audited run, collecting a bounded set of "live" lines each
-/// time the in-flight auditor's violation counts grow. With
-/// `audit_threads > 0` the run goes through the sharded steal pipeline
-/// ([`cnet_runtime::drive_audited_parallel`]); the merged verdict is
-/// bit-identical to the serial drain on the same streams.
+/// Drives an audited run through [`drive_audited`], collecting a bounded
+/// set of "live" lines each time the in-flight auditor's violation counts
+/// grow. Returns the run and how many progress reports it made.
 fn audit_workload<C: ProcessCounter>(
     counter: &C,
     recorder: &TraceRecorder,
     workload: Workload,
     audit_threads: usize,
     live: &mut Vec<String>,
-) -> (CliAuditRun, usize) {
+) -> (AuditedRun, usize) {
     let mut batches = 0usize;
     let mut seen = (0usize, 0usize);
-    let mut live_line = |ops: usize, nl: usize, nsc: usize, f_nl: f64, f_nsc: f64| {
-        let now = (nl, nsc);
+    let run = drive_audited(counter, recorder, workload, audit_threads, |m| {
+        batches += 1;
+        let a = m.auditor();
+        let now = (a.non_linearizable(), a.non_sequentially_consistent());
         if now > seen && live.len() < 8 {
             live.push(format!(
-                "  [live @ {ops} ops] non-linearizable: {nl}  non-SC: {nsc}  \
-                 F_nl={f_nl:.4} F_nsc={f_nsc:.4}"
+                "  [live @ {} ops] non-linearizable: {}  non-SC: {}  F_nl={:.4} F_nsc={:.4}",
+                a.operations(),
+                now.0,
+                now.1,
+                a.f_nl(),
+                a.f_nsc()
             ));
             seen = now;
         }
-    };
-    if audit_threads == 0 {
-        let run: AuditedRun = drive_audited(counter, recorder, workload, |a| {
-            batches += 1;
-            live_line(
-                a.operations(),
-                a.non_linearizable(),
-                a.non_sequentially_consistent(),
-                a.f_nl(),
-                a.f_nsc(),
-            );
-        });
-        let per_shard_dropped =
-            (0..recorder.shards()).map(|s| recorder.dropped_on(s)).collect();
-        (
-            CliAuditRun {
-                auditor: run.auditor,
-                recorded: run.recorded,
-                dropped: run.dropped,
-                skipped: recorder.skipped(),
-                per_shard_dropped,
-            },
-            batches,
-        )
-    } else {
-        let run = cnet_runtime::drive_audited_parallel(
-            counter,
-            recorder,
-            workload,
-            audit_threads,
-            |m| {
-                batches += 1;
-                let a = m.auditor();
-                live_line(
-                    a.operations(),
-                    a.non_linearizable(),
-                    a.non_sequentially_consistent(),
-                    a.f_nl(),
-                    a.f_nsc(),
-                );
-            },
-        );
-        let mut merged = run.auditor;
-        merged.merge();
-        let per_shard_dropped = merged.shard_stats().iter().map(|s| s.dropped).collect();
-        (
-            CliAuditRun {
-                auditor: merged.auditor().clone(),
-                recorded: run.recorded,
-                dropped: run.dropped,
-                skipped: run.skipped,
-                per_shard_dropped,
-            },
-            batches,
-        )
+    });
+    (run, batches)
+}
+
+/// The verdict block every audit report ends with: the Section 2.4
+/// conditions with their first witnesses, the Section 5.1 fractions, the
+/// QQC lateness profile, and the one-line verdict. With `enforce` off (the
+/// deliberately relaxed backends) violations read as a measurement. The
+/// caller fails the process when `!a.is_clean() && enforce` — CI gates
+/// read the exit code, not the transcript.
+fn render_verdict(a: &StreamingAuditor, enforce: bool) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "linearizable:            {}", a.is_linearizable());
+    if let Some(v) = a.linearizability_violation() {
+        let _ = writeln!(out, "  first lin violation:   op #{} -> op #{}", v.earlier, v.later);
     }
+    let _ = writeln!(out, "sequentially consistent: {}", a.is_sequentially_consistent());
+    if let Some(v) = a.sequential_consistency_violation() {
+        let _ = writeln!(out, "  first SC violation:    op #{} -> op #{}", v.earlier, v.later);
+    }
+    let _ = writeln!(out, "F_nl  = {:.4}", a.f_nl());
+    let _ = writeln!(out, "F_nsc = {:.4}", a.f_nsc());
+    let _ = writeln!(
+        out,
+        "qqc lateness: max {} mean {:.2} p99 {}",
+        a.qqc_max(),
+        a.qqc_mean(),
+        a.qqc_p99()
+    );
+    let _ = writeln!(
+        out,
+        "\naudit verdict: {}",
+        if a.is_clean() {
+            "clean (0 violations)".to_string()
+        } else if enforce {
+            "violations detected".to_string()
+        } else {
+            format!(
+                "relaxed backend: reordering measured, qqc_max {} (not a failure)",
+                a.qqc_max()
+            )
+        }
+    );
+    out
 }
 
 /// Fetches every node's recorded trace shards over the wire, remaps them
@@ -1191,8 +1152,6 @@ fn audit_workload<C: ProcessCounter>(
 /// All nodes must share one machine clock for the merged verdict to be
 /// meaningful — the trace stamps are node-local monotonic nanoseconds.
 fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
-    use cnet_core::trace::ShardFrontier;
-
     let inject: Option<u64> = opts
         .get("inject")
         .map(|s| s.parse().map_err(|_| format!("--inject expects a numeric seed, got '{s}'")))
@@ -1369,25 +1328,8 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
             collector.merged().skipped()
         );
     }
-    let _ = writeln!(out, "linearizable:            {}", auditor.is_linearizable());
-    if let Some(v) = auditor.linearizability_violation() {
-        let _ = writeln!(out, "  first lin violation:   op #{} -> op #{}", v.earlier, v.later);
-    }
-    let _ = writeln!(out, "sequentially consistent: {}", auditor.is_sequentially_consistent());
-    if let Some(v) = auditor.sequential_consistency_violation() {
-        let _ = writeln!(out, "  first SC violation:    op #{} -> op #{}", v.earlier, v.later);
-    }
-    let _ = writeln!(out, "F_nl  = {:.4}", auditor.f_nl());
-    let _ = writeln!(out, "F_nsc = {:.4}", auditor.f_nsc());
-    let clean = auditor.is_clean();
-    let _ = writeln!(
-        out,
-        "\naudit verdict: {}",
-        if clean { "clean (0 violations)" } else { "violations detected" }
-    );
-    // A violations verdict is a failed audit: surface it through the exit
-    // code so scripts and CI gates fail closed.
-    if clean {
+    out.push_str(&render_verdict(auditor, true));
+    if auditor.is_clean() {
         Ok(out)
     } else {
         Err(out)
@@ -1397,11 +1339,12 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
 fn cmd_audit(args: &[String]) -> Result<String, String> {
     let [w, flags @ ..] = args else {
         return Err(
-            "expected: cnet audit <w> [--backend compiled|graph_walk|diffracting|fetch_add|lock|\
-             relaxed|elimination|remote|cluster] [--family F] [--threads N] [--ops N] \
-             [--sub-counters K] [--addr HOST:PORT] [--audit-threads N] [--audit-sample k] \
-             [--inject SEED (cluster only)]"
-                .to_string(),
+            format!(
+                "expected: cnet audit <w> [--backend {}] [--family F] [--threads N] [--ops N] \
+                 [--sub-counters K] [--addr HOST:PORT] [--audit-threads N] [--audit-sample k] \
+                 [--inject SEED (cluster only)]",
+                backend_names(&["remote", "cluster"], "|")
+            ),
         );
     };
     let fan: usize = w.parse().map_err(|_| format!("'{w}' is not a valid width"))?;
@@ -1417,7 +1360,7 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
         "audit-sample",
         "inject",
     ])?;
-    let backend = opts.get("backend").unwrap_or("compiled").to_string();
+    let backend = opts.get("backend").unwrap_or("compiled");
     if backend == "cluster" {
         return cmd_audit_cluster(&opts);
     }
@@ -1435,86 +1378,30 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
     // `--audit-sample k`, exactly the 1-in-k sound sample of it).
     let recorder = Arc::new(TraceRecorder::with_sampling(threads, ops, sample_k));
     let mut live: Vec<String> = Vec::new();
-    let (run, batches) = match backend.as_str() {
-        "compiled" => {
-            let net = parse_network(&family, w)?;
-            let counter =
-                cnet_runtime::SharedNetworkCounter::with_recorder(&net, Arc::clone(&recorder));
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        "graph_walk" => {
-            let net = parse_network(&family, w)?;
-            let counter =
-                Traced::new(cnet_runtime::GraphWalkCounter::new(&net), Arc::clone(&recorder));
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        "combining" => {
-            let net = parse_network(&family, w)?;
-            let counter = Traced::new(
-                cnet_runtime::CombiningFunnel::new(
-                    cnet_runtime::SharedNetworkCounter::new(&net),
-                    threads,
-                ),
-                Arc::clone(&recorder),
-            );
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        "diffracting" => {
-            let counter =
-                cnet_runtime::DiffractingTree::with_recorder(fan, 4, Arc::clone(&recorder))?;
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        "fetch_add" => {
-            let counter =
-                Traced::new(cnet_runtime::FetchAddCounter::new(), Arc::clone(&recorder));
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        "lock" => {
-            let counter = Traced::new(cnet_runtime::LockCounter::new(), Arc::clone(&recorder));
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        "relaxed" => {
-            let sub =
-                opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?.max(1);
-            let counter = cnet_runtime::RelaxedCounter::with_recorder(sub, Arc::clone(&recorder));
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        "elimination" => {
-            let sub =
-                opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?.max(1);
-            let net = parse_network(&family, w)?;
-            let counter =
-                cnet_runtime::EliminationCounter::with_recorder(&net, sub, Arc::clone(&recorder));
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        // Audits a *live socket*: each audit thread drives its own pooled
-        // connection to a running `cnet serve`, and the recorded intervals
-        // are the client-observed ones (network delay included).
-        "remote" => {
-            let addr = opts.get("addr").ok_or("backend remote needs --addr HOST:PORT")?;
-            let remote = cnet_net::RemoteCounter::connect(addr, threads)
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-            let counter = Traced::new(remote, Arc::clone(&recorder));
-            audit_workload(&counter, &recorder, workload, audit_threads, &mut live)
-        }
-        other => {
-            return Err(format!(
-                "unknown backend '{other}' (expected compiled, graph_walk, combining, \
-                 diffracting, fetch_add, lock, relaxed, elimination, remote, or cluster)"
-            ))
-        }
-    };
-    let a = &run.auditor;
-    let clean = a.is_linearizable() && a.is_sequentially_consistent();
-    // The relaxed backends trade ordering for throughput *on purpose*:
-    // reordering is their contract, so a non-linearizable verdict is a
-    // measurement (reported as QQC lateness), not a failure. Every other
-    // backend still fails the process on violations.
-    let enforce = !matches!(backend.as_str(), "relaxed" | "elimination");
-    let shown_family = match backend.as_str() {
-        "compiled" | "graph_walk" | "combining" | "elimination" => family.as_str(),
-        _ => "-",
-    };
+    // `enforce`: a violations verdict fails the process, except for the
+    // backends whose contract is the reordering itself.
+    let (counter, enforce, shown_family): (Arc<dyn ProcessCounter + Send + Sync>, _, _) =
+        match backend {
+            // Audits a *live socket*: each audit thread drives its own pooled
+            // connection to a running `cnet serve`, and the recorded intervals
+            // are the client-observed ones (network delay included).
+            "remote" => {
+                let addr = opts.get("addr").ok_or("backend remote needs --addr HOST:PORT")?;
+                let remote = cnet_net::RemoteCounter::connect(addr, threads)
+                    .map_err(|e| format!("connect {addr}: {e}"))?;
+                (Arc::new(remote), true, "-")
+            }
+            name => {
+                let b = parse_backend(name, &["remote", "cluster"])?;
+                let sub = opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?;
+                let net = b.uses_network().then(|| parse_network(&family, w)).transpose()?;
+                let shown = if b.uses_network() { family.as_str() } else { "-" };
+                (b.build(net.as_ref(), fan, threads, sub)?, b.enforces_order(), shown)
+            }
+        };
+    let counter = Traced::new(counter, Arc::clone(&recorder));
+    let (run, batches) = audit_workload(&counter, &recorder, workload, audit_threads, &mut live);
+    let a = run.auditor.auditor();
     let mut out = format!(
         "== cnet audit: backend={backend} family={shown_family} w={fan}, \
          {threads} threads x {ops} ops ==\n\n"
@@ -1544,11 +1431,12 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
     // shard and anything past 0.1% of the workload is called out loud.
     if run.dropped > 0 {
         let shards: Vec<String> = run
-            .per_shard_dropped
+            .auditor
+            .shard_stats()
             .iter()
             .enumerate()
-            .filter(|(_, &d)| d > 0)
-            .map(|(s, &d)| format!("shard {s}: {d}"))
+            .filter(|(_, st)| st.dropped > 0)
+            .map(|(s, st)| format!("shard {s}: {}", st.dropped))
             .collect();
         let _ = writeln!(out, "  per-shard drops:       {}", shards.join(", "));
         let total_ops = (threads * ops) as u64;
@@ -1562,42 +1450,8 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
         }
     }
     let _ = writeln!(out, "operations audited:      {}", a.operations());
-    let _ = writeln!(out, "linearizable:            {}", a.is_linearizable());
-    if let Some(v) = a.linearizability_violation() {
-        let _ = writeln!(out, "  first lin violation:   op #{} -> op #{}", v.earlier, v.later);
-    }
-    let _ = writeln!(out, "sequentially consistent: {}", a.is_sequentially_consistent());
-    if let Some(v) = a.sequential_consistency_violation() {
-        let _ = writeln!(out, "  first SC violation:    op #{} -> op #{}", v.earlier, v.later);
-    }
-    let _ = writeln!(out, "F_nl  = {:.4}", a.f_nl());
-    let _ = writeln!(out, "F_nsc = {:.4}", a.f_nsc());
-    let _ = writeln!(
-        out,
-        "qqc lateness: max {} mean {:.2} p99 {}",
-        a.qqc_max(),
-        a.qqc_mean(),
-        a.qqc_p99()
-    );
-    let _ = writeln!(
-        out,
-        "\naudit verdict: {}",
-        if clean {
-            "clean (0 violations)".to_string()
-        } else if enforce {
-            "violations detected".to_string()
-        } else {
-            format!(
-                "relaxed backend: reordering measured, qqc_max {} (not a failure)",
-                a.qqc_max()
-            )
-        }
-    );
-    // A violations verdict must fail the process (nonzero exit), not just
-    // print — CI gates read the exit code, not the transcript. The
-    // deliberately relaxed backends are exempt: for them the audit is a
-    // meter, not a gate.
-    if clean || !enforce {
+    out.push_str(&render_verdict(a, enforce));
+    if a.is_clean() || !enforce {
         Ok(out)
     } else {
         Err(out)
@@ -2158,16 +2012,7 @@ mod tests {
         // One thread: operations are totally ordered in real time and the
         // values strictly increase, so every backend must audit clean —
         // this is the deterministic smoke `scripts/verify.sh` relies on.
-        for backend in [
-            "compiled",
-            "graph_walk",
-            "combining",
-            "diffracting",
-            "fetch_add",
-            "lock",
-            "relaxed",
-            "elimination",
-        ] {
+        for backend in Backend::ALL.map(Backend::name) {
             let out =
                 call(&["audit", "8", "--backend", backend, "--ops", "300"]).unwrap();
             assert!(out.contains("events recorded:         300"), "{backend}: {out}");
@@ -2175,6 +2020,39 @@ mod tests {
             assert!(out.contains("linearizable:            true"), "{backend}: {out}");
             assert!(out.contains("qqc lateness: max 0"), "{backend}: {out}");
             assert!(out.contains("audit verdict: clean (0 violations)"), "{backend}: {out}");
+        }
+    }
+
+    /// Every registry backend is serveable: boot it, count through the
+    /// socket, drain.
+    #[test]
+    fn serve_builds_and_serves_every_backend() {
+        for backend in Backend::ALL.map(Backend::name) {
+            let port_file =
+                std::env::temp_dir().join(format!("cnet_cli_test_serve_{backend}.port"));
+            let _ = std::fs::remove_file(&port_file);
+            let pf = port_file.to_str().unwrap().to_string();
+            let server = std::thread::spawn(move || {
+                call(&["serve", "4", "--backend", backend, "--port-file", &pf])
+            });
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            let addr = loop {
+                if let Ok(addr) = std::fs::read_to_string(&port_file) {
+                    if !addr.is_empty() {
+                        break addr;
+                    }
+                }
+                assert!(std::time::Instant::now() < deadline, "{backend}: no port file");
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            };
+            let out = call(&[
+                "loadgen", "--addr", &addr, "--threads", "2", "--ops", "400", "--shutdown", "1",
+            ])
+            .unwrap();
+            assert!(out.contains("permutation 0..400: true"), "{backend}: {out}");
+            let served = server.join().unwrap().unwrap();
+            assert!(served.contains("increments:  400"), "{backend}: {served}");
+            let _ = std::fs::remove_file(&port_file);
         }
     }
 
@@ -2254,9 +2132,14 @@ mod tests {
     fn audit_rejects_bad_arguments() {
         assert!(call(&["audit"]).unwrap_err().contains("cnet audit <w>"));
         assert!(call(&["audit", "six"]).unwrap_err().contains("not a valid width"));
-        assert!(call(&["audit", "8", "--backend", "quantum"])
-            .unwrap_err()
-            .contains("unknown backend"));
+        // The error lists the registry's names and the two CLI-level ones;
+        // `serve` lists the registry alone.
+        let err = call(&["audit", "8", "--backend", "quantum"]).unwrap_err();
+        assert!(err.contains("unknown backend") && err.contains("combining"), "{err}");
+        assert!(err.ends_with("elimination, remote, cluster)"), "{err}");
+        let err = call(&["serve", "8", "--backend", "remote"]).unwrap_err();
+        assert!(err.ends_with("relaxed, elimination)"), "{err}");
+        assert!(usage().contains("graph_walk|combining|"));
         assert!(call(&["audit", "8", "--bogus", "1"]).unwrap_err().contains("unknown flag"));
         assert!(call(&["audit", "6"]).is_err()); // not a power of two
     }

@@ -16,9 +16,10 @@
 //!   batch functions in [`crate::consistency`] and [`crate::fractions`]
 //!   are thin wrappers over these cores.
 //! * [`StreamingQqcMeter`] — the lateness behind each Section 5.1 flag, as
-//!   a monitor of its own. Nothing wraps it and no audit surface runs it:
-//!   it is the plain statement of the measure, kept as the reference the
-//!   auditor's lateness profile is tested against.
+//!   a monitor of its own. Unlike the three above it is not a wrapper
+//!   core: nothing wraps it and no audit surface runs it. It is the
+//!   kernel's test reference only — the plain statement of the measure
+//!   that [`StreamingAuditor`]'s lateness profile is tested against.
 //! * [`StreamingAuditor`] — the same four answers from **one pass**: the
 //!   kernel every audit surface runs. An event costs `O(log c)` in the
 //!   concurrency `c` (one push and one pop on a single heap of pending

@@ -357,23 +357,11 @@ impl RemoteCounter {
         })
     }
 
-    /// Fetches one chunk of recorded trace events for the cluster-wide
-    /// audit; an empty chunk means the server's recorder is drained.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, or a non-`Trace` answer.
-    pub fn fetch_trace(&self, max: u32) -> io::Result<Vec<crate::wire::TraceEvent>> {
-        self.with_conn(0, |conn| match conn.call(&Request::Trace { max })? {
-            Response::Trace { events } => Ok(events),
-            other => Err(response_error(&other)),
-        })
-    }
-
     /// Fetches one shard's audit frontier — up to `max` buffered events
     /// plus the serving node's partial verdict — for the cluster-wide
     /// merged audit. An empty `ops` list means the shard is currently
-    /// dry (re-poll until it settles, like [`fetch_trace`](Self::fetch_trace)).
+    /// dry (re-poll until it settles: the server's close-time flush is
+    /// asynchronous).
     ///
     /// # Errors
     ///

@@ -77,11 +77,11 @@
 use crate::router::ClusterNode;
 use crate::wire::{
     write_response, ErrorCode, FrameDecoder, NodeInfo, Request, Response, StatsSnapshot,
-    TraceEvent, MAX_BATCH, MAX_FRONTIER_OPS, MAX_TRACE_EVENTS,
+    MAX_BATCH, MAX_FRONTIER_OPS,
 };
-use cnet_core::trace::{RawOp, ShardMonitor};
+use cnet_core::trace::RawOp;
 use cnet_runtime::drain::Drain;
-use cnet_runtime::{ProcessCounter, TraceRecorder};
+use cnet_runtime::{ProcessCounter, ShardStealer, TraceRecorder};
 use cnet_util::poll::{Interest, Poller, Waker};
 use cnet_util::sync::{CachePadded, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -147,25 +147,18 @@ struct Gate {
 }
 
 /// One recorder shard's server-side audit state for the frontier protocol
-/// ([`Request::Frontier`]): the node-local monitor (partial verdict), the
-/// buffered tail a `max`-bounded response could not carry, and the
-/// lifetime drop/skip totals already folded into the monitor.
+/// ([`Request::Frontier`]): the shard's stealer (node-local partial
+/// verdict) and the buffered tail a `max`-bounded response could not
+/// carry.
 #[derive(Debug)]
 struct AuditShard {
-    monitor: ShardMonitor,
+    stealer: ShardStealer,
     pending: VecDeque<RawOp>,
-    seen_dropped: u64,
-    seen_skipped: u64,
 }
 
 impl AuditShard {
     fn new(shard: usize) -> AuditShard {
-        AuditShard {
-            monitor: ShardMonitor::new(shard),
-            pending: VecDeque::new(),
-            seen_dropped: 0,
-            seen_skipped: 0,
-        }
+        AuditShard { stealer: ShardStealer::new(shard), pending: VecDeque::new() }
     }
 }
 
@@ -190,9 +183,6 @@ struct Shared {
     cluster: Option<Arc<ClusterNode>>,
     /// This server's own client-facing address (learned at bind).
     advertise: String,
-    /// Recorder events drained but not yet shipped by a [`Request::Trace`]
-    /// conversation; the lock serializes drains (single-drainer contract).
-    trace_pending: Mutex<VecDeque<TraceEvent>>,
     /// Per-shard monitors for the frontier protocol ([`Request::Frontier`]);
     /// one entry per recorder shard (empty when auditing is off). Each
     /// shard's lock serializes its pullers (the recorder's
@@ -368,7 +358,6 @@ impl CounterServer {
             recorder,
             cluster,
             advertise: addr.to_string(),
-            trace_pending: Mutex::new(VecDeque::new()),
             audit_shards,
             cfg,
             stop: AtomicBool::new(false),
@@ -932,52 +921,18 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
             }
             Response::Pong.encode_versioned(seq, version, &mut conn.out);
         }
-        Request::Trace { max } => {
-            let mut events = Vec::new();
-            if let Some(rec) = &shared.recorder {
-                let mut pending = shared.trace_pending.lock();
-                if pending.is_empty() {
-                    // Drain published events only: shards of closed
-                    // connections were flushed in `close_conn`, and a live
-                    // shard must not be flushed from this thread (the
-                    // recorder's single-writer contract). Audit after the
-                    // load-generating clients have disconnected.
-                    rec.drain_each(|shard, enter_ns, exit_ns, value| {
-                        pending.push_back(TraceEvent {
-                            shard: shard as u32,
-                            enter_ns,
-                            exit_ns,
-                            value,
-                        });
-                    });
-                }
-                let take = (max.min(MAX_TRACE_EVENTS) as usize).min(pending.len());
-                events.extend(pending.drain(..take));
-            }
-            Response::Trace { events }.encode_versioned(seq, version, &mut conn.out);
-        }
         Request::Frontier { shard, max } => {
             let resp = match &shared.recorder {
                 Some(rec) if (shard as usize) < shared.audit_shards.len() => {
                     let sh = shard as usize;
                     let state = &mut *shared.audit_shards[sh].lock();
-                    // Pull published events only — shards of closed
+                    // Steals published events only — shards of closed
                     // connections were flushed in `close_conn`, a live
-                    // shard's partial batch arrives on a later pull.
-                    rec.pull_shard(sh, |enter_ns, exit_ns, value| {
-                        state.monitor.observe(RawOp {
-                            process: sh,
-                            enter_ns,
-                            exit_ns,
-                            value,
-                        });
-                    });
-                    let (dropped, skipped) = (rec.dropped_on(sh), rec.skipped_on(sh));
-                    state.monitor.add_dropped(dropped - state.seen_dropped);
-                    state.monitor.add_skipped(skipped - state.seen_skipped);
-                    state.seen_dropped = dropped;
-                    state.seen_skipped = skipped;
-                    let mut f = state.monitor.take_frontier(false);
+                    // shard's partial batch arrives on a later pull (a
+                    // live shard must not be flushed from this thread:
+                    // the recorder's single-writer contract).
+                    state.stealer.steal(rec);
+                    let mut f = state.stealer.take_frontier(false);
                     state.pending.extend(f.ops.drain(..));
                     let take =
                         (max.min(MAX_FRONTIER_OPS) as usize).min(state.pending.len());
@@ -1258,18 +1213,21 @@ mod tests {
     fn malformed_frames_get_an_error_and_a_close() {
         use std::io::Read as _;
         let server = fetch_add_server(ServerConfig::default());
-        let mut c = Raw::connect(server.local_addr());
-        // A syntactically valid frame with a bogus opcode.
-        let mut frame = Vec::new();
-        Request::Ping.encode(3, &mut frame);
-        frame[5] = 0x6f; // corrupt the opcode byte (len(4) + version(1))
-        c.stream.write_all(&frame).unwrap();
-        let (_, resp) = c.recv();
-        assert_eq!(resp, Response::Error(ErrorCode::Malformed));
-        // The server closed the connection after the error.
-        let mut rest = Vec::new();
-        c.stream.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty());
+        // A syntactically valid frame with a bogus opcode: never assigned
+        // (0x6f), or the retired Trace request (0x0A).
+        for opcode in [0x6f, 0x0A] {
+            let mut c = Raw::connect(server.local_addr());
+            let mut frame = Vec::new();
+            Request::NextBatch { n: 4 }.encode(3, &mut frame);
+            frame[5] = opcode; // the opcode byte (len(4) + version(1))
+            c.stream.write_all(&frame).unwrap();
+            let (_, resp) = c.recv();
+            assert_eq!(resp, Response::Error(ErrorCode::Malformed));
+            // The server closed the connection after the error.
+            let mut rest = Vec::new();
+            c.stream.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty());
+        }
     }
 
     #[test]
@@ -1435,49 +1393,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_chunks_drain_the_recorder_over_the_wire() {
-        let recorder = Arc::new(TraceRecorder::new(4, 1024));
-        let server = CounterServer::with_recorder(
-            "127.0.0.1:0",
-            Arc::new(FetchAddCounter::new()),
-            Arc::clone(&recorder),
-            ServerConfig { max_connections: 4, ..ServerConfig::default() },
-        )
-        .unwrap();
-        let addr = server.local_addr();
-        {
-            let mut c = Raw::connect(addr);
-            c.send(&Request::NextBatch { n: 10 });
-            c.recv();
-        } // disconnect flushes the slot's shard
-        // Poll until the reactor has processed the close (the flush runs
-        // in close_conn on the reactor thread).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut got = Vec::new();
-        while got.len() < 10 && std::time::Instant::now() < deadline {
-            let mut c = Raw::connect(addr);
-            // Chunked fetch: 4 events at a time.
-            loop {
-                c.send(&Request::Trace { max: 4 });
-                let (_, resp) = c.recv();
-                let Response::Trace { events } = resp else { panic!("{resp:?}") };
-                if events.is_empty() {
-                    break;
-                }
-                assert!(events.len() <= 4);
-                got.extend(events);
-            }
-            if got.len() < 10 {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        let mut values: Vec<u64> = got.iter().map(|e| e.value).collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..10).collect::<Vec<_>>());
-        assert!(got.iter().all(|e| e.exit_ns >= e.enter_ns));
-    }
-
-    #[test]
     fn frontier_chunks_carry_the_partial_verdict_over_the_wire() {
         // Sampling on (1-in-2): the frontier must carry skip accounting.
         let recorder = Arc::new(TraceRecorder::with_sampling(4, 1024, 2));
@@ -1526,6 +1441,7 @@ mod tests {
         let mut values: Vec<u64> = ops.iter().map(|op| op.value).collect();
         values.sort_unstable();
         assert_eq!(values, (0..20).filter(|v| v % 2 == 1).collect::<Vec<u64>>());
+        assert!(ops.iter().all(|op| op.exit_ns >= op.enter_ns));
         assert_eq!(skipped, 10);
         // Out-of-range shard on an audited server is refused.
         let mut c = Raw::connect(addr);

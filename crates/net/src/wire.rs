@@ -30,7 +30,6 @@
 //! | `0x07` | → peer    | [`Request::ForwardBatch`] | `token: u64`, `port: u32`, `node_seq: u32`, `n: u32` |
 //! | `0x08` | → server  | [`Request::NodeInfo`] | — |
 //! | `0x09` | → peer    | [`Request::Announce`] | `node: u32`, `head: u16 LE + UTF-8` |
-//! | `0x0A` | → server  | [`Request::Trace`] | `max: u32` |
 //! | `0x0B` | → server  | [`Request::Frontier`] | `shard: u32`, `max: u32` |
 //! | `0x81` | ← server  | [`Response::Value`] | `value: u64 LE` |
 //! | `0x82` | ← server  | [`Response::Batch`] | `n: u32 LE`, `n × u64 LE` |
@@ -39,7 +38,6 @@
 //! | `0x85` | ← server  | [`Response::Bye`] | — |
 //! | `0x86` | ← server  | [`Response::Error`] | `code: u8` ([`ErrorCode`]) |
 //! | `0x87` | ← server  | [`Response::NodeInfo`] | 4 × `u32 LE`, `head: u16 LE + UTF-8` |
-//! | `0x88` | ← server  | [`Response::Trace`] | `n: u32 LE`, `n ×` [`TraceEvent`] (28 B) |
 //! | `0x89` | ← server  | [`Response::Frontier`] | 49 B header ([`FRONTIER_HEADER_LEN`]), `n ×` ops (28 B) |
 //!
 //! Integers are little-endian throughout. Decoding is strict: unknown
@@ -49,7 +47,9 @@
 //!
 //! # Version negotiation
 //!
-//! Version 2 added the cluster opcodes (`0x06`–`0x0A`, `0x87`–`0x88`).
+//! Version 2 added the cluster opcodes (`0x06`–`0x0B`, `0x87`–`0x89`;
+//! `0x0A`/`0x88`, the raw trace fetch that `Frontier` superseded, are
+//! retired and decode as unknown opcodes).
 //! Decoding still accepts version-1 frames for the version-1 opcode set,
 //! and a server echoes the request's version in its response
 //! ([`Response::encode_versioned`]), so a v1 client's `Ping` is answered
@@ -138,20 +138,12 @@ pub enum Request {
         /// announcer knows it; empty if not yet known.
         head: String,
     },
-    /// Fetches a chunk of recorded trace events for the cluster-wide
-    /// audit; answered with [`Response::Trace`]. Repeated requests drain
-    /// the recorder; an empty response means fully drained.
-    Trace {
-        /// Upper bound on events returned in one response frame.
-        max: u32,
-    },
     /// Fetches one recorder shard's audit frontier — buffered events plus
     /// the node-local [`ShardMonitor`](cnet_core::trace::ShardMonitor)'s
     /// partial verdict and drop/skip accounting — for the cluster-wide
     /// merged audit; answered with [`Response::Frontier`]. Repeated
     /// requests drain the shard; an empty-`ops` frontier means the shard
-    /// is currently dry. An audit session should use either `Frontier` or
-    /// [`Trace`](Self::Trace), not both: both consume the same recorder.
+    /// is currently dry.
     Frontier {
         /// The node-local recorder shard to pull.
         shard: u32,
@@ -184,12 +176,6 @@ pub enum Response {
     Error(ErrorCode),
     /// Who the server is in the cluster (answer to [`Request::NodeInfo`]).
     NodeInfo(NodeInfo),
-    /// A chunk of recorded trace events (answer to [`Request::Trace`]);
-    /// empty when the server's recorder is fully drained.
-    Trace {
-        /// The drained events, in per-shard record order.
-        events: Vec<TraceEvent>,
-    },
     /// One shard's audit frontier (answer to [`Request::Frontier`]): a
     /// chunk of buffered events in shard order plus the serving node's
     /// lifetime partial verdict for the shard. Shipping frontiers instead
@@ -211,35 +197,13 @@ pub struct NodeInfo {
     pub nodes: u32,
     /// The network fan `w` — the width of every partition cut.
     pub fan: u32,
-    /// Recorder shards this node can serve via [`Request::Trace`]
+    /// Recorder shards this node can serve via [`Request::Frontier`]
     /// (`0` when auditing is off).
     pub shards: u32,
     /// Client-facing address of the head node; empty if unknown (head not
     /// yet announced down the chain) — the head itself always knows it.
     pub head: String,
 }
-
-/// One recorded operation interval, as carried by [`Response::Trace`]
-/// (28 bytes on the wire: `shard: u32`, then three `u64`s).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The recorder shard (node-local) the event came from; events within
-    /// one shard arrive in nondecreasing `enter_ns` order.
-    pub shard: u32,
-    /// Operation start, integer nanoseconds on the serving node's clock.
-    pub enter_ns: u64,
-    /// Operation end, same clock, `>= enter_ns`.
-    pub exit_ns: u64,
-    /// The counter value the operation returned.
-    pub value: u64,
-}
-
-/// Wire size of one [`TraceEvent`].
-pub const TRACE_EVENT_LEN: usize = 28;
-
-/// Hard cap on events per [`Response::Trace`] frame (keeps the frame
-/// comfortably under [`MAX_FRAME`]).
-pub const MAX_TRACE_EVENTS: u32 = 1 << 14;
 
 /// Wire size of a [`Response::Frontier`] body before its ops: `shard:
 /// u32`, `flags: u8` (bit 0 = finished, bit 1 = watermark present),
@@ -464,10 +428,6 @@ impl Request {
                 out.extend_from_slice(&node.to_le_bytes());
                 put_string(out, head);
             }
-            Request::Trace { max } => {
-                put_header(out, VERSION, 0x0A, seq, 4);
-                out.extend_from_slice(&max.to_le_bytes());
-            }
             Request::Frontier { shard, max } => {
                 put_header(out, VERSION, 0x0B, seq, 8);
                 out.extend_from_slice(&shard.to_le_bytes());
@@ -554,10 +514,6 @@ impl Request {
                 }
                 Request::Announce { node, head }
             }
-            0x0A => {
-                body_exactly(opcode, body, 4)?;
-                Request::Trace { max: u32::from_le_bytes(body.try_into().expect("4 bytes")) }
-            }
             0x0B => {
                 body_exactly(opcode, body, 8)?;
                 Request::Frontier {
@@ -590,10 +546,7 @@ impl Response {
     pub fn encode_versioned(&self, seq: u32, version: u8, out: &mut Vec<u8>) {
         debug_assert!(
             version >= 2
-                || !matches!(
-                    self,
-                    Response::NodeInfo(_) | Response::Trace { .. } | Response::Frontier { .. }
-                ),
+                || !matches!(self, Response::NodeInfo(_) | Response::Frontier { .. }),
             "cluster response in a v{version} frame"
         );
         match self {
@@ -636,16 +589,6 @@ impl Response {
                     out.extend_from_slice(&word.to_le_bytes());
                 }
                 put_string(out, &info.head);
-            }
-            Response::Trace { events } => {
-                put_header(out, version, 0x88, seq, 4 + TRACE_EVENT_LEN * events.len());
-                out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-                for e in events {
-                    out.extend_from_slice(&e.shard.to_le_bytes());
-                    out.extend_from_slice(&e.enter_ns.to_le_bytes());
-                    out.extend_from_slice(&e.exit_ns.to_le_bytes());
-                    out.extend_from_slice(&e.value.to_le_bytes());
-                }
             }
             Response::Frontier { frontier: f } => {
                 put_header(
@@ -750,23 +693,6 @@ impl Response {
                     shards: word(3),
                     head,
                 })
-            }
-            0x88 => {
-                if body.len() < 4 {
-                    return Err(WireError::Truncated { opcode, got: body.len(), want: 4 });
-                }
-                let n = u32::from_le_bytes(body[..4].try_into().expect("4 bytes")) as usize;
-                body_exactly(opcode, &body[4..], TRACE_EVENT_LEN * n)?;
-                let events = body[4..]
-                    .chunks_exact(TRACE_EVENT_LEN)
-                    .map(|c| TraceEvent {
-                        shard: u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
-                        enter_ns: u64::from_le_bytes(c[4..12].try_into().expect("8 bytes")),
-                        exit_ns: u64::from_le_bytes(c[12..20].try_into().expect("8 bytes")),
-                        value: u64::from_le_bytes(c[20..28].try_into().expect("8 bytes")),
-                    })
-                    .collect();
-                Response::Trace { events }
             }
             0x89 => {
                 if body.len() < FRONTIER_HEADER_LEN {
@@ -969,7 +895,6 @@ mod tests {
             Request::NodeInfo,
             Request::Announce { node: 0, head: String::new() },
             Request::Announce { node: 1, head: "127.0.0.1:4040".to_string() },
-            Request::Trace { max: MAX_TRACE_EVENTS },
             Request::Frontier { shard: 3, max: MAX_FRONTIER_OPS },
         ]
     }
@@ -1003,13 +928,6 @@ mod tests {
                 head: "127.0.0.1:9000".to_string(),
             }),
             Response::NodeInfo(NodeInfo::default()),
-            Response::Trace { events: vec![] },
-            Response::Trace {
-                events: vec![
-                    TraceEvent { shard: 0, enter_ns: 10, exit_ns: 20, value: 0 },
-                    TraceEvent { shard: 3, enter_ns: 15, exit_ns: 35, value: 1 },
-                ],
-            },
             Response::Frontier { frontier: ShardFrontier::default() },
             Response::Frontier {
                 frontier: ShardFrontier {
@@ -1088,8 +1006,13 @@ mod tests {
         p[0] = 99; // version
         assert_eq!(Request::decode(&p), Err(WireError::BadVersion(99)));
         p[0] = VERSION;
-        p[1] = 0x7f; // opcode
-        assert_eq!(Request::decode(&p), Err(WireError::BadOpcode(0x7f)));
+        // 0x7f was never assigned; 0x0A / 0x88 are the retired Trace pair.
+        for opcode in [0x7f, 0x0A] {
+            p[1] = opcode;
+            assert_eq!(Request::decode(&p), Err(WireError::BadOpcode(opcode)));
+        }
+        p[1] = 0x88;
+        assert_eq!(Response::decode(&p), Err(WireError::BadOpcode(0x88)));
         // A request opcode is not a response and vice versa.
         p[1] = 0x01;
         assert_eq!(Response::decode(&p), Err(WireError::BadOpcode(0x01)));
@@ -1138,8 +1061,8 @@ mod tests {
             Err(WireError::BadOpcode(0x08))
         );
         assert_eq!(
-            Response::decode(&v1_payload(0x88, 1, &0u32.to_le_bytes())),
-            Err(WireError::BadOpcode(0x88))
+            Response::decode(&v1_payload(0x89, 1, &[0u8; FRONTIER_HEADER_LEN])),
+            Err(WireError::BadOpcode(0x89))
         );
     }
 

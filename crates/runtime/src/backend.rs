@@ -1,0 +1,140 @@
+//! The one place a backend name becomes a counter.
+//!
+//! `cnet serve` and `cnet audit` both construct their counter through
+//! [`Backend::build`], and every usage and error list is generated from
+//! [`Backend::ALL`] — so a backend cannot be added without being listed,
+//! served and audited. (`remote` and `cluster` are not here: they wrap a
+//! socket, which this crate does not know about.)
+
+use crate::{
+    CombiningFunnel, DiffractingTree, EliminationCounter, FetchAddCounter, GraphWalkCounter,
+    LockCounter, ProcessCounter, RelaxedCounter, SharedNetworkCounter,
+};
+use cnet_topology::Network;
+use std::sync::Arc;
+
+/// Prism slots per diffracting-tree node.
+const PRISM_WIDTH: usize = 4;
+
+/// An in-process counter backend, by name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// [`SharedNetworkCounter`]: the compiled traversal.
+    Compiled,
+    /// [`GraphWalkCounter`]: the pre-compilation reference traversal.
+    GraphWalk,
+    /// [`CombiningFunnel`] over the compiled traversal.
+    Combining,
+    /// [`DiffractingTree`].
+    Diffracting,
+    /// [`FetchAddCounter`]: one fetch-and-increment word.
+    FetchAdd,
+    /// [`LockCounter`].
+    Lock,
+    /// [`RelaxedCounter`].
+    Relaxed,
+    /// [`EliminationCounter`] over the compiled traversal.
+    Elimination,
+}
+
+impl Backend {
+    /// Every backend, in the order usage texts list them.
+    pub const ALL: [Backend; 8] = [
+        Backend::Compiled,
+        Backend::GraphWalk,
+        Backend::Combining,
+        Backend::Diffracting,
+        Backend::FetchAdd,
+        Backend::Lock,
+        Backend::Relaxed,
+        Backend::Elimination,
+    ];
+
+    /// The backend called `name`, if any.
+    pub fn parse(name: &str) -> Option<Backend> {
+        Backend::ALL.into_iter().find(|b| b.name() == name)
+    }
+
+    /// The name [`parse`](Self::parse) accepts.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Compiled => "compiled",
+            Backend::GraphWalk => "graph_walk",
+            Backend::Combining => "combining",
+            Backend::Diffracting => "diffracting",
+            Backend::FetchAdd => "fetch_add",
+            Backend::Lock => "lock",
+            Backend::Relaxed => "relaxed",
+            Backend::Elimination => "elimination",
+        }
+    }
+
+    /// Whether [`build`](Self::build) needs a [`Network`] to lay out.
+    pub fn uses_network(self) -> bool {
+        matches!(
+            self,
+            Backend::Compiled | Backend::GraphWalk | Backend::Combining | Backend::Elimination
+        )
+    }
+
+    /// Whether an audit of this backend must come back clean. The relaxed
+    /// backends trade ordering for throughput *on purpose*: reordering is
+    /// their contract, so for them a non-linearizable verdict is a
+    /// measurement (reported as QQC lateness), not a failure.
+    pub fn enforces_order(self) -> bool {
+        !matches!(self, Backend::Relaxed | Backend::Elimination)
+    }
+
+    /// Constructs the backend: over `net` when it
+    /// [`uses_network`](Self::uses_network), with `fan` diffracting-tree
+    /// leaves, `width` combining-funnel slots, and `sub_counters` relaxed
+    /// banks or elimination slots (0 is treated as 1).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the backend needs a network and `net` is
+    /// `None`, or if `fan` is not a valid diffracting-tree width.
+    pub fn build(
+        self,
+        net: Option<&Network>,
+        fan: usize,
+        width: usize,
+        sub_counters: usize,
+    ) -> Result<Arc<dyn ProcessCounter + Send + Sync>, String> {
+        let net = || net.ok_or_else(|| format!("backend {} needs a network", self.name()));
+        let sub_counters = sub_counters.max(1);
+        Ok(match self {
+            Backend::Compiled => Arc::new(SharedNetworkCounter::new(net()?)),
+            Backend::GraphWalk => Arc::new(GraphWalkCounter::new(net()?)),
+            Backend::Combining => {
+                Arc::new(CombiningFunnel::new(SharedNetworkCounter::new(net()?), width))
+            }
+            Backend::Diffracting => Arc::new(DiffractingTree::new(fan, PRISM_WIDTH)?),
+            Backend::FetchAdd => Arc::new(FetchAddCounter::new()),
+            Backend::Lock => Arc::new(LockCounter::new()),
+            Backend::Relaxed => Arc::new(RelaxedCounter::new(sub_counters)),
+            Backend::Elimination => Arc::new(EliminationCounter::new(net()?, sub_counters)),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cnet_topology::construct::bitonic;
+
+    #[test]
+    fn every_backend_parses_builds_and_counts() {
+        let net = bitonic(4).unwrap();
+        for b in Backend::ALL {
+            assert_eq!(Backend::parse(b.name()), Some(b));
+            let counter = b.build(Some(&net), 4, 2, 3).unwrap();
+            let mut values: Vec<u64> = (0..12).map(|p| counter.next_for(p % 2)).collect();
+            values.sort_unstable();
+            assert_eq!(values, (0..12).collect::<Vec<_>>(), "{}", b.name());
+            assert_eq!(b.build(None, 4, 2, 3).is_err(), b.uses_network(), "{}", b.name());
+        }
+        assert_eq!(Backend::parse("remote"), None);
+        assert!(Backend::Diffracting.build(None, 6, 2, 3).is_err());
+    }
+}

@@ -14,14 +14,12 @@
 //!   traversals against each other.
 
 use crate::compiled::CompiledNetwork;
-use crate::recorder::TraceRecorder;
 use crate::ProcessCounter;
 use cnet_topology::ids::SourceId;
 use cnet_topology::network::WireEnd;
 use cnet_topology::Network;
 use cnet_util::sync::CachePadded;
 use cnet_util::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// A counting network laid out in shared memory: one atomic round-robin
 /// word per balancer, one atomic counter per output wire — every word on
@@ -66,9 +64,6 @@ pub struct SharedNetworkCounter {
     /// Next value handed out by each counter; counter `j` starts at `j` and
     /// strides by the fan-out. One cache line each.
     counters: Box<[CachePadded<AtomicU64>]>,
-    /// When present, [`ProcessCounter::next_for`] records every traversal
-    /// into the recorder's per-process shard (batched boundary stamps).
-    recorder: Option<Arc<TraceRecorder>>,
 }
 
 impl SharedNetworkCounter {
@@ -85,16 +80,7 @@ impl SharedNetworkCounter {
         let counters = (0..engine.fan_out())
             .map(|j| CachePadded::new(AtomicU64::new(j as u64)))
             .collect();
-        SharedNetworkCounter { engine, balancers, counters, recorder: None }
-    }
-
-    /// Like [`new`](Self::new), with every [`ProcessCounter::next_for`]
-    /// operation recorded into `recorder` (process `p` writes shard `p`, so
-    /// process ids must stay below [`TraceRecorder::shards`]).
-    pub fn with_recorder(net: &Network, recorder: Arc<TraceRecorder>) -> Self {
-        let mut counter = SharedNetworkCounter::new(net);
-        counter.recorder = Some(recorder);
-        counter
+        SharedNetworkCounter { engine, balancers, counters }
     }
 
     /// The compiled routing tables this counter traverses.
@@ -165,22 +151,12 @@ impl SharedNetworkCounter {
 impl ProcessCounter for SharedNetworkCounter {
     #[inline]
     fn next_for(&self, process: usize) -> u64 {
-        match &self.recorder {
-            None => self.increment_from(process % self.engine.fan_in()),
-            Some(rec) => {
-                let value = self.increment_from(process % self.engine.fan_in());
-                rec.record(process, value);
-                value
-            }
-        }
+        self.increment_from(process % self.engine.fan_in())
     }
 
     fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
         let mut values = Vec::with_capacity(n);
         self.increment_batch_from(process % self.engine.fan_in(), n, &mut values);
-        if let Some(rec) = &self.recorder {
-            rec.record_batch(process, &values);
-        }
         values
     }
 }

@@ -19,11 +19,9 @@
 //! * a waiter that times out retracts (`WAITING → EMPTY`); if the
 //!   retraction CAS fails, a partner just signaled — the collision counts.
 
-use crate::recorder::TraceRecorder;
 use crate::ProcessCounter;
 use cnet_util::sync::CachePadded;
 use cnet_util::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 const EMPTY: usize = 0;
 const WAITING: usize = 1;
@@ -149,9 +147,6 @@ pub struct DiffractingTree {
     salt: CachePadded<AtomicU64>,
     width: usize,
     depth: usize,
-    /// When present, [`ProcessCounter::next_for`] records every increment
-    /// into the recorder's per-process shard (batched boundary stamps).
-    recorder: Option<Arc<TraceRecorder>>,
 }
 
 impl DiffractingTree {
@@ -175,25 +170,7 @@ impl DiffractingTree {
             salt: CachePadded::new(AtomicU64::new(0)),
             width,
             depth,
-            recorder: None,
         })
-    }
-
-    /// Like [`new`](Self::new), with every [`ProcessCounter::next_for`]
-    /// operation recorded into `recorder` (process `p` writes shard `p`, so
-    /// process ids must stay below [`TraceRecorder::shards`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if `width` is not a power of two at least 2.
-    pub fn with_recorder(
-        width: usize,
-        prism_width: usize,
-        recorder: Arc<TraceRecorder>,
-    ) -> Result<DiffractingTree, String> {
-        let mut tree = DiffractingTree::new(width, prism_width)?;
-        tree.recorder = Some(recorder);
-        Ok(tree)
     }
 
     /// The number of leaf counters.
@@ -245,14 +222,7 @@ impl ProcessCounter for DiffractingTree {
         // number so successive operations probe different prism slots.
         let salt = self.salt.fetch_add(1, Ordering::Relaxed) as usize;
         let entropy = process.wrapping_mul(0x9e37_79b9).wrapping_add(salt);
-        match &self.recorder {
-            None => self.increment(entropy),
-            Some(rec) => {
-                let value = self.increment(entropy);
-                rec.record(process, value);
-                value
-            }
-        }
+        self.increment(entropy)
     }
 }
 

@@ -29,7 +29,8 @@
 //! * [`recorder`] — the always-on observability path: per-thread sharded
 //!   ring buffers ([`recorder::TraceRecorder`]) capture every increment at
 //!   a few nanoseconds apiece and [`recorder::drive_audited`] streams them
-//!   through `cnet-core`'s online monitors *while the run executes*.
+//!   through `cnet-core`'s online monitors *while the run executes*;
+//! * [`backend`] — the registry that turns a backend name into a counter.
 //!
 //! # Example
 //!
@@ -49,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod baseline;
 pub mod barrier;
 pub mod combine;
@@ -63,6 +65,7 @@ pub mod recorder;
 pub mod relaxed;
 pub mod stats;
 
+pub use backend::Backend;
 pub use baseline::{FetchAddCounter, LockCounter};
 pub use barrier::CounterBarrier;
 pub use combine::CombiningFunnel;
@@ -72,8 +75,7 @@ pub use diffracting::DiffractingTree;
 pub use drain::Drain;
 pub use history::{drive, RecordedOp, Workload};
 pub use recorder::{
-    drain_remaining, drain_remaining_parallel, drive_audited, drive_audited_parallel, AuditedRun,
-    ParallelAuditedRun, TraceRecorder, Traced,
+    drain_remaining, drive_audited, AuditedRun, ShardStealer, TraceRecorder, Traced,
 };
 pub use message_passing::MessagePassingCounter;
 pub use paced::LocallyPacedCounter;
@@ -115,5 +117,17 @@ pub trait ProcessCounter: Sync {
         let values: Vec<u64> = (0..n).map(|_| self.next_for(process)).collect();
         debug_assert_eq!(values.len(), n, "next_batch_for must return exactly n values");
         values
+    }
+}
+
+/// A shared handle counts as the counter it points to, so wrappers such as
+/// [`Traced`] take what [`Backend::build`] returns.
+impl<C: ProcessCounter + Send + ?Sized> ProcessCounter for std::sync::Arc<C> {
+    fn next_for(&self, process: usize) -> u64 {
+        (**self).next_for(process)
+    }
+
+    fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
+        (**self).next_batch_for(process, n)
     }
 }

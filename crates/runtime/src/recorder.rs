@@ -54,23 +54,19 @@
 //!   one ring with that shard's private cursor, so P audit workers can
 //!   steal from disjoint shards concurrently (the single-writer invariant
 //!   holds per shard on both sides: one recording writer, one pulling
-//!   reader). [`drain_each`](TraceRecorder::drain_each) /
-//!   [`drain_into`](TraceRecorder::drain_into) are the sequential
-//!   all-shards forms built on it.
+//!   reader). [`ShardStealer`] is the live consumer built on it — the
+//!   only code that turns a ring shard into monitor state;
+//!   [`drain_into`](TraceRecorder::drain_into) is the sequential
+//!   all-shards form for post-run draining ([`drain_remaining`]).
 //!
-//! [`drive_audited`] ties it together sequentially; [`drive_audited_parallel`]
-//! is the sharded pipeline: workers hammer a counter wrapped with a
-//! recorder ([`Traced`], or the `with_recorder` constructors on
-//! [`crate::SharedNetworkCounter`] / [`crate::DiffractingTree`]) while
-//! audit workers steal shards in place through [`ShardMonitor`]s and a
-//! [`MergeAuditor`] folds their frontiers at epoch boundaries —
-//! consistency verdicts and Section 5.1 fractions, live, while the run
-//! executes.
+//! [`drive_audited`] ties it together: workers hammer a counter wrapped
+//! in [`Traced`] — the one way to record — while audit workers steal
+//! shards in place through [`ShardStealer`]s and a [`MergeAuditor`] folds
+//! their frontiers at epoch boundaries — consistency verdicts and Section
+//! 5.1 fractions, live, while the run executes.
 
 use crate::{ProcessCounter, Workload};
-use cnet_core::trace::{
-    EventMerger, MergeAuditor, OpSink, RawOp, ShardFrontier, ShardMonitor, StreamingAuditor,
-};
+use cnet_core::trace::{EventMerger, MergeAuditor, OpSink, RawOp, ShardFrontier, ShardMonitor};
 use cnet_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use cnet_util::sync::CachePadded;
 use cnet_util::time::{raw_ticks, Clock};
@@ -531,23 +527,10 @@ impl TraceRecorder {
     ///
     /// Panics if the merger has fewer shards than the recorder.
     pub fn drain_into(&self, merger: &mut EventMerger) -> usize {
-        self.drain_each(|si, enter_ns, exit_ns, value| {
-            merger.push(si, RawOp { process: si, enter_ns, exit_ns, value });
-        })
-    }
-
-    /// Moves every currently-published event out of the rings into a
-    /// callback `(shard, enter_ns, exit_ns, value)`, in per-shard record
-    /// order with nondecreasing enter times per shard — the raw form a
-    /// cluster node serves over the wire so the *fetching* side can do
-    /// the global merge. Returns how many events moved. Call from one
-    /// drainer thread at a time (or use [`pull_shard`](Self::pull_shard)
-    /// for per-shard concurrency).
-    pub fn drain_each(&self, mut f: impl FnMut(usize, u64, u64, u64)) -> usize {
         let mut moved = 0;
         for si in 0..self.shards.len() {
             moved += self.pull_shard(si, |enter_ns, exit_ns, value| {
-                f(si, enter_ns, exit_ns, value);
+                merger.push(si, RawOp { process: si, enter_ns, exit_ns, value });
             });
         }
         moved
@@ -594,23 +577,78 @@ impl<C: ProcessCounter> ProcessCounter for Traced<C> {
     }
 }
 
-/// The outcome of an audited run: the auditor (verdicts, witnesses,
-/// fractions) plus the recording bookkeeping.
+/// One recorder shard's live consumer: a [`ShardMonitor`] fed straight
+/// from the ring, plus the shard's drop/skip totals already folded into
+/// it. Every audit surface steals through this type, because the delta
+/// accounting it hides is the part a hand-written loop gets wrong: a
+/// stealer that forgets it reports a "clean" verdict over events nobody
+/// saw. At most one stealer per shard may exist at a time (the recorder's
+/// one-puller-per-shard contract).
+#[derive(Debug)]
+pub struct ShardStealer {
+    monitor: ShardMonitor,
+    /// The shard's lifetime `(dropped, skipped)` totals as of the last
+    /// [`steal`](Self::steal); the monitor takes deltas.
+    seen: (u64, u64),
+}
+
+impl ShardStealer {
+    /// A stealer for recorder shard `shard` (reported as process `shard`).
+    pub fn new(shard: usize) -> ShardStealer {
+        ShardStealer { monitor: ShardMonitor::new(shard), seen: (0, 0) }
+    }
+
+    /// Moves every currently-published event of the shard into the
+    /// monitor and folds in the drops and sampling skips that happened
+    /// since the last call. Returns how many events moved.
+    pub fn steal(&mut self, recorder: &TraceRecorder) -> usize {
+        let sh = self.monitor.shard();
+        let monitor = &mut self.monitor;
+        let moved = recorder.pull_shard(sh, |enter_ns, exit_ns, value| {
+            monitor.observe(RawOp { process: sh, enter_ns, exit_ns, value });
+        });
+        let totals = (recorder.dropped_on(sh), recorder.skipped_on(sh));
+        self.monitor.add_dropped(totals.0 - self.seen.0);
+        self.monitor.add_skipped(totals.1 - self.seen.1);
+        self.seen = totals;
+        moved
+    }
+
+    /// Events stolen but not yet handed out in a frontier.
+    pub fn buffered(&self) -> usize {
+        self.monitor.buffered()
+    }
+
+    /// The shard's current frontier ([`ShardMonitor::take_frontier`]).
+    pub fn take_frontier(&mut self, finished: bool) -> ShardFrontier {
+        self.monitor.take_frontier(finished)
+    }
+}
+
+/// The outcome of an audited run: the merged auditor (exact global verdict
+/// plus per-shard partial verdicts) and the recording bookkeeping.
 #[derive(Debug)]
 pub struct AuditedRun {
-    /// The auditor after consuming the whole merged stream.
-    pub auditor: StreamingAuditor,
-    /// Events that reached the auditor.
+    /// The merged auditor after every frontier has been folded in.
+    pub auditor: MergeAuditor,
+    /// Events that reached the exact auditor.
     pub recorded: usize,
     /// Events lost to full rings (0 when `capacity ≥ increments per
     /// thread`).
     pub dropped: u64,
+    /// Events skipped by the sampling mode.
+    pub skipped: u64,
 }
 
-/// Runs `workload` against a counter that records into `recorder` (wrap it
-/// with [`Traced`] or build it `with_recorder`), draining the rings into a
-/// [`StreamingAuditor`] **while the workers run**. `on_progress` fires
-/// after each non-empty drain with the auditor's running state.
+/// The audit pipeline: runs `workload` against a counter that records into
+/// `recorder` (wrap it with [`Traced`]) while `audit_threads` workers
+/// (clamped to `1..=shards`) steal ring shards **in place** — each owns a
+/// disjoint set of [`ShardStealer`]s (local partial verdicts, no global
+/// merge on the steal path) and hands frontiers to a shared
+/// [`MergeAuditor`] at epoch boundaries. The merged verdict is exactly
+/// what one sequential pass over the same streams gives, whatever the
+/// worker count. `on_progress` fires from the driving thread as the merged
+/// operation count grows, the last time after the final merge.
 ///
 /// # Panics
 ///
@@ -620,88 +658,9 @@ pub fn drive_audited<C: ProcessCounter>(
     counter: &C,
     recorder: &TraceRecorder,
     workload: Workload,
-    mut on_progress: impl FnMut(&StreamingAuditor),
-) -> AuditedRun {
-    assert!(
-        recorder.shards() >= workload.threads,
-        "recorder has {} shards for {} threads",
-        recorder.shards(),
-        workload.threads
-    );
-    let shards = recorder.shards();
-    let mut merger = EventMerger::new(shards);
-    let mut auditor = StreamingAuditor::new();
-    let finished = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for p in 0..workload.threads {
-            let finished = &finished;
-            s.spawn(move || {
-                for _ in 0..workload.increments_per_thread {
-                    counter.next_for(p);
-                }
-                finished.fetch_add(1, Ordering::Release);
-            });
-        }
-        loop {
-            let done = finished.load(Ordering::Acquire) == workload.threads;
-            if recorder.drain_into(&mut merger) > 0 {
-                merger.drain_into(&mut auditor);
-                on_progress(&auditor);
-            }
-            if done {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    });
-    // Workers are joined: publish every partial batch, collect the stream,
-    // then release the merger's watermarks (finished shards no longer
-    // constrain release).
-    for sh in 0..shards {
-        recorder.flush(sh);
-    }
-    recorder.drain_into(&mut merger);
-    for sh in 0..shards {
-        merger.finish(sh);
-    }
-    merger.drain_into(&mut auditor);
-    let recorded = auditor.operations();
-    AuditedRun { auditor, recorded, dropped: recorder.dropped() }
-}
-
-/// The outcome of a parallel audited run: the merged auditor (exact global
-/// verdict plus per-shard partial verdicts) and the recording bookkeeping.
-#[derive(Debug)]
-pub struct ParallelAuditedRun {
-    /// The merged auditor after every frontier has been folded in.
-    pub auditor: MergeAuditor,
-    /// Events that reached the exact auditor.
-    pub recorded: usize,
-    /// Events lost to full rings.
-    pub dropped: u64,
-    /// Events skipped by the sampling mode.
-    pub skipped: u64,
-}
-
-/// The sharded audit pipeline: runs `workload` against a counter that
-/// records into `recorder` while `audit_threads` workers steal ring shards
-/// **in place** — each owns a disjoint set of shards, consumes them
-/// through per-shard [`ShardMonitor`]s (local partial verdicts, no global
-/// merge on the steal path), and hands frontiers to a shared
-/// [`MergeAuditor`] at epoch boundaries. The merged verdict is exactly the
-/// sequential auditor's. `on_progress` fires from the driving thread as
-/// the merged operation count grows.
-///
-/// # Panics
-///
-/// Panics if the recorder has fewer shards than the workload has threads.
-pub fn drive_audited_parallel<C: ProcessCounter>(
-    counter: &C,
-    recorder: &TraceRecorder,
-    workload: Workload,
     audit_threads: usize,
     mut on_progress: impl FnMut(&MergeAuditor),
-) -> ParallelAuditedRun {
+) -> AuditedRun {
     assert!(
         recorder.shards() >= workload.threads,
         "recorder has {} shards for {} threads",
@@ -713,6 +672,7 @@ pub fn drive_audited_parallel<C: ProcessCounter>(
     let shared = Mutex::new(MergeAuditor::new(shards));
     let writers_done = AtomicUsize::new(0);
     let quiesced = AtomicBool::new(false);
+    let mut last = 0usize;
     std::thread::scope(|s| {
         for p in 0..workload.threads {
             let writers_done = &writers_done;
@@ -730,27 +690,16 @@ pub fn drive_audited_parallel<C: ProcessCounter>(
             let shared = &shared;
             let quiesced = &quiesced;
             s.spawn(move || {
-                let mut mons: Vec<ShardMonitor> =
-                    (t..shards).step_by(stealers).map(ShardMonitor::new).collect();
-                let mut acct = vec![(0u64, 0u64); mons.len()];
+                let mut mine: Vec<ShardStealer> =
+                    (t..shards).step_by(stealers).map(ShardStealer::new).collect();
                 loop {
                     let done = quiesced.load(Ordering::Acquire);
-                    let mut pulled = 0;
-                    for (mon, acct) in mons.iter_mut().zip(acct.iter_mut()) {
-                        let sh = mon.shard();
-                        pulled += recorder.pull_shard(sh, |enter_ns, exit_ns, value| {
-                            mon.observe(RawOp { process: sh, enter_ns, exit_ns, value });
-                        });
-                        let totals = (recorder.dropped_on(sh), recorder.skipped_on(sh));
-                        mon.add_dropped(totals.0 - acct.0);
-                        mon.add_skipped(totals.1 - acct.1);
-                        *acct = totals;
-                    }
+                    let pulled: usize = mine.iter_mut().map(|st| st.steal(recorder)).sum();
                     if pulled > 0 || done {
                         let mut merged = shared.lock().expect("audit mutex");
-                        for mon in &mut mons {
-                            if mon.buffered() > 0 || done {
-                                merged.ingest(mon.take_frontier(done));
+                        for st in &mut mine {
+                            if st.buffered() > 0 || done {
+                                merged.ingest(st.take_frontier(done));
                             }
                         }
                     }
@@ -761,13 +710,7 @@ pub fn drive_audited_parallel<C: ProcessCounter>(
                 }
             });
         }
-        let mut last = 0usize;
-        loop {
-            let done = writers_done.load(Ordering::Acquire) == workload.threads;
-            if done {
-                quiesced.store(true, Ordering::Release);
-                break;
-            }
+        while writers_done.load(Ordering::Acquire) != workload.threads {
             {
                 let merged = shared.lock().expect("audit mutex");
                 if merged.operations() > last {
@@ -777,10 +720,14 @@ pub fn drive_audited_parallel<C: ProcessCounter>(
             }
             std::thread::sleep(Duration::from_micros(500));
         }
+        quiesced.store(true, Ordering::Release);
     });
     let mut auditor = shared.into_inner().expect("audit mutex");
     auditor.merge();
-    ParallelAuditedRun {
+    if auditor.operations() > last {
+        on_progress(&auditor);
+    }
+    AuditedRun {
         recorded: auditor.operations(),
         dropped: auditor.dropped(),
         skipped: auditor.skipped(),
@@ -801,45 +748,6 @@ pub fn drain_remaining(recorder: &TraceRecorder, sink: &mut impl OpSink) -> usiz
         merger.finish(sh);
     }
     merger.drain_into(sink)
-}
-
-/// Flushes and drains whatever remains in `recorder` through `threads`
-/// parallel shard stealers into a [`MergeAuditor`] (all writers must have
-/// quiesced). Each stealer owns a disjoint shard set and builds one
-/// [`ShardFrontier`] per shard; the frontiers fold into the returned
-/// auditor, whose verdict is exactly the sequential one.
-pub fn drain_remaining_parallel(recorder: &TraceRecorder, threads: usize) -> MergeAuditor {
-    let shards = recorder.shards();
-    for sh in 0..shards {
-        recorder.flush(sh);
-    }
-    let threads = threads.clamp(1, shards.max(1));
-    let frontiers: Vec<ShardFrontier> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for sh in (t..shards).step_by(threads) {
-                        let mut mon = ShardMonitor::new(sh);
-                        recorder.pull_shard(sh, |enter_ns, exit_ns, value| {
-                            mon.observe(RawOp { process: sh, enter_ns, exit_ns, value });
-                        });
-                        mon.add_dropped(recorder.dropped_on(sh));
-                        mon.add_skipped(recorder.skipped_on(sh));
-                        out.push(mon.take_frontier(true));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("stealer panicked")).collect()
-    });
-    let mut merged = MergeAuditor::new(shards);
-    for f in frontiers {
-        merged.ingest(f);
-    }
-    merged.merge();
-    merged
 }
 
 #[cfg(test)]
@@ -977,11 +885,40 @@ mod tests {
     }
 
     #[test]
+    fn shard_stealer_folds_every_drop_and_skip_delta_exactly_once() {
+        // 1-in-4 sampling into an 8-slot ring, stolen every 50 ops: each
+        // round samples 12 or 13 ops, so the ring overflows every round and
+        // both totals keep moving between steals.
+        let rec = TraceRecorder::with_sampling(1, 8, 4);
+        let mut stealer = ShardStealer::new(0);
+        let mut shipped = 0usize;
+        for round in 0..80u64 {
+            for i in 0..50 {
+                rec.record(0, round * 50 + i);
+            }
+            stealer.steal(&rec);
+            if round % 3 == 0 {
+                assert!(stealer.buffered() > 0);
+                shipped += stealer.take_frontier(false).ops.len();
+            }
+        }
+        rec.flush(0);
+        stealer.steal(&rec);
+        let last = stealer.take_frontier(true);
+        shipped += last.ops.len();
+        assert_eq!(stealer.buffered(), 0);
+        assert!(last.dropped > 0 && last.skipped > 0, "{last:?}");
+        assert_eq!(shipped as u64 + last.dropped + last.skipped, 4000);
+        assert_eq!(last.dropped, rec.dropped_on(0));
+        assert_eq!(last.skipped, rec.skipped_on(0));
+    }
+
+    #[test]
     fn sampled_audit_is_clean_on_a_fetch_add() {
         let threads = 2;
         let recorder = Arc::new(TraceRecorder::with_sampling(threads, 1024, 8));
         let counter = Traced::new(FetchAddCounter::new(), Arc::clone(&recorder));
-        let run = drive_audited_parallel(
+        let run = drive_audited(
             &counter,
             &recorder,
             Workload { threads, increments_per_thread: 1000 },
@@ -1004,6 +941,7 @@ mod tests {
             &counter,
             &recorder,
             Workload { threads, increments_per_thread: per_thread },
+            1,
             |_| progress_calls += 1,
         );
         assert_eq!(run.recorded, threads * per_thread);
@@ -1013,10 +951,11 @@ mod tests {
         // recorded intervals only widen the true ones, so a recorded
         // precedence is a real-time precedence, which implies the earlier
         // op's fetch_add happened first, hence the smaller value.
-        assert!(run.auditor.is_linearizable());
-        assert!(run.auditor.is_sequentially_consistent());
-        assert_eq!(run.auditor.f_nl(), 0.0);
-        assert_eq!(run.auditor.f_nsc(), 0.0);
+        let aud = run.auditor.auditor();
+        assert!(aud.is_linearizable());
+        assert!(aud.is_sequentially_consistent());
+        assert_eq!(aud.f_nl(), 0.0);
+        assert_eq!(aud.f_nsc(), 0.0);
     }
 
     #[test]
@@ -1025,7 +964,7 @@ mod tests {
         let per_thread = 800;
         let recorder = Arc::new(TraceRecorder::new(threads, per_thread));
         let counter = Traced::new(FetchAddCounter::new(), Arc::clone(&recorder));
-        let run = drive_audited_parallel(
+        let run = drive_audited(
             &counter,
             &recorder,
             Workload { threads, increments_per_thread: per_thread },
@@ -1054,17 +993,18 @@ mod tests {
             &counter,
             &recorder,
             Workload { threads: 2, increments_per_thread: 50 },
+            1,
             |_| {},
         );
         assert_eq!(run.recorded, 100);
-        assert!(run.auditor.is_linearizable());
+        assert!(run.auditor.auditor().is_linearizable());
     }
 
     #[test]
     fn parallel_audit_with_more_stealers_than_shards_clamps() {
         let recorder = Arc::new(TraceRecorder::new(2, 256));
         let counter = Traced::new(FetchAddCounter::new(), Arc::clone(&recorder));
-        let run = drive_audited_parallel(
+        let run = drive_audited(
             &counter,
             &recorder,
             Workload { threads: 2, increments_per_thread: 100 },
@@ -1085,29 +1025,10 @@ mod tests {
             &counter,
             &recorder,
             Workload { threads: 2, increments_per_thread: 2000 },
+            1,
             |_| {},
         );
         assert_eq!(run.recorded as u64 + run.dropped, 4000);
-        assert!(run.auditor.is_sequentially_consistent());
-    }
-
-    #[test]
-    fn drain_remaining_parallel_matches_sequential_verdict() {
-        // Same recorder contents through both finishers: byte-identical
-        // summaries (the MergeAuditor promise).
-        let rec = TraceRecorder::new(3, 256);
-        for i in 0..100u64 {
-            rec.record((i % 3) as usize, i);
-        }
-        // Sequential copy first (drains consume, so replay onto a twin).
-        let twin = TraceRecorder::new(3, 256);
-        for i in 0..100u64 {
-            twin.record((i % 3) as usize, i);
-        }
-        let mut seq = StreamingAuditor::new();
-        drain_remaining(&twin, &mut seq);
-        let mut par = drain_remaining_parallel(&rec, 3);
-        assert_eq!(par.operations(), seq.operations());
-        assert_eq!(par.summary(), seq.summary());
+        assert!(run.auditor.auditor().is_sequentially_consistent());
     }
 }

@@ -58,12 +58,10 @@
 //! the measurement to that bound.
 
 use crate::counter::SharedNetworkCounter;
-use crate::recorder::TraceRecorder;
 use crate::ProcessCounter;
 use cnet_topology::Network;
 use cnet_util::sync::atomic::{AtomicU64, Ordering};
 use cnet_util::sync::{Backoff, CachePadded};
-use std::sync::Arc;
 
 /// Default sub-counter count for the relaxed backends (`--sub-counters`).
 pub const DEFAULT_SUB_COUNTERS: usize = 8;
@@ -77,7 +75,6 @@ pub struct RelaxedCounter {
     tickets: CachePadded<AtomicU64>,
     /// Bank `j` hands out `j, j+k, j+2k, …` in order.
     banks: Box<[CachePadded<AtomicU64>]>,
-    recorder: Option<Arc<TraceRecorder>>,
 }
 
 impl RelaxedCounter {
@@ -91,16 +88,7 @@ impl RelaxedCounter {
         RelaxedCounter {
             tickets: CachePadded::new(AtomicU64::new(0)),
             banks: (0..k).map(|j| CachePadded::new(AtomicU64::new(j as u64))).collect(),
-            recorder: None,
         }
-    }
-
-    /// Like [`new`](Self::new), with every operation recorded into
-    /// `recorder` (process `p` writes shard `p`).
-    pub fn with_recorder(k: usize, recorder: Arc<TraceRecorder>) -> RelaxedCounter {
-        let mut c = RelaxedCounter::new(k);
-        c.recorder = Some(recorder);
-        c
     }
 
     /// Number of sub-counters.
@@ -130,18 +118,11 @@ impl RelaxedCounter {
 }
 
 impl ProcessCounter for RelaxedCounter {
-    fn next_for(&self, process: usize) -> u64 {
-        match &self.recorder {
-            None => self.take(),
-            Some(rec) => {
-                let value = self.take();
-                rec.record(process, value);
-                value
-            }
-        }
+    fn next_for(&self, _process: usize) -> u64 {
+        self.take()
     }
 
-    fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
+    fn next_batch_for(&self, _process: usize, n: usize) -> Vec<u64> {
         if n == 0 {
             return Vec::new();
         }
@@ -165,9 +146,6 @@ impl ProcessCounter for RelaxedCounter {
             let lane = (i as usize) % base.len();
             values.push(base[lane] + k * dealt[lane]);
             dealt[lane] += 1;
-        }
-        if let Some(rec) = &self.recorder {
-            rec.record_batch(process, &values);
         }
         values
     }
@@ -227,7 +205,6 @@ pub struct EliminationCounter {
     fell_through: AtomicU64,
     /// Consecutive collision-less probes (adaptation signal).
     miss_streak: AtomicU64,
-    recorder: Option<Arc<TraceRecorder>>,
 }
 
 impl EliminationCounter {
@@ -246,21 +223,7 @@ impl EliminationCounter {
             eliminated: AtomicU64::new(0),
             fell_through: AtomicU64::new(0),
             miss_streak: AtomicU64::new(0),
-            recorder: None,
         }
-    }
-
-    /// Like [`new`](Self::new), with every operation recorded into
-    /// `recorder`. The recording happens at this counter's boundaries, so
-    /// a waiter's audited interval covers its time parked in the array.
-    pub fn with_recorder(
-        net: &Network,
-        slots: usize,
-        recorder: Arc<TraceRecorder>,
-    ) -> EliminationCounter {
-        let mut c = EliminationCounter::new(net, slots);
-        c.recorder = Some(recorder);
-        c
     }
 
     /// `(eliminated, fell_through)` token counts. Every completed token is
@@ -359,14 +322,7 @@ impl EliminationCounter {
 
 impl ProcessCounter for EliminationCounter {
     fn next_for(&self, process: usize) -> u64 {
-        match &self.recorder {
-            None => self.take(process),
-            Some(rec) => {
-                let value = self.take(process);
-                rec.record(process, value);
-                value
-            }
-        }
+        self.take(process)
     }
 
     fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
@@ -376,11 +332,7 @@ impl ProcessCounter for EliminationCounter {
         // A batch is already a combining structure: it claims the network
         // once for n tokens, which is strictly better than pairing off in
         // the array. Delegate to the inner batched traversal.
-        let values = self.inner.next_batch_for(process, n);
-        if let Some(rec) = &self.recorder {
-            rec.record_batch(process, &values);
-        }
-        values
+        self.inner.next_batch_for(process, n)
     }
 }
 

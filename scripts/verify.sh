@@ -15,7 +15,7 @@ fail=0
 # acceptable only if it is a path dependency ({ path = ... }) or a reference
 # to one ({ workspace = true } resolving to a path entry in the root
 # manifest, which this same scan covers).
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; do
     bad=$(awk '
         /^\[/ {
             in_deps = ($0 ~ /dependencies\]$/ || $0 ~ /^\[workspace\.dependencies\]/)
