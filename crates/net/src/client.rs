@@ -22,8 +22,7 @@
 //! *next* call redials.
 
 use crate::wire::{
-    write_request, ErrorCode, FrameDecoder, NodeInfo, Request, Response, StatsSnapshot,
-    MAX_BATCH,
+    ErrorCode, FrameDecoder, NodeInfo, Request, Response, StatsSnapshot, MAX_BATCH,
 };
 use cnet_runtime::ProcessCounter;
 use cnet_util::sync::{CachePadded, Mutex};
@@ -77,13 +76,14 @@ impl Conn {
         })
     }
 
-    /// Buffers `req` into the outbox, returning the sequence number it was
-    /// stamped with. Nothing hits the wire until [`flush`](Self::flush).
-    fn send(&mut self, req: &Request) -> io::Result<u32> {
+    /// Encodes `req` straight into the outbox, returning the sequence
+    /// number it was stamped with. Nothing hits the wire until
+    /// [`flush`](Self::flush).
+    fn send(&mut self, req: &Request) -> u32 {
         let seq = self.seq;
         self.seq = self.seq.wrapping_add(1);
-        write_request(&mut self.outbox, seq, req)?;
-        Ok(seq)
+        req.encode(seq, &mut self.outbox);
+        seq
     }
 
     /// Writes the buffered request frames in one syscall.
@@ -120,7 +120,7 @@ impl Conn {
 
     /// One round trip: send, flush, receive.
     fn call(&mut self, req: &Request) -> io::Result<Response> {
-        let seq = self.send(req)?;
+        let seq = self.send(req);
         self.flush()?;
         self.recv(seq)
     }
@@ -286,7 +286,7 @@ impl RemoteCounter {
             let mut left = n;
             while left > 0 {
                 let chunk = left.min(MAX_BATCH as usize) as u32;
-                seqs.push((conn.send(&Request::NextBatch { n: chunk })?, chunk));
+                seqs.push((conn.send(&Request::NextBatch { n: chunk }), chunk));
                 left -= chunk as usize;
             }
             conn.flush()?;
@@ -311,24 +311,33 @@ impl RemoteCounter {
 
     /// `k` single increments pipelined on one connection: all requests are
     /// written before any response is read, so the batch costs one flush
-    /// and one round trip instead of `k`.
+    /// and one round trip instead of `k`. `k == 0` returns empty without
+    /// touching (or dialing) the connection.
     ///
     /// # Errors
     ///
     /// I/O failures and server refusals; on error the connection is torn
     /// down (some of the `k` increments may have executed server-side).
     pub fn next_pipelined(&self, process: usize, k: usize) -> io::Result<Vec<u64>> {
+        if k == 0 {
+            return Ok(Vec::new());
+        }
         self.with_conn(process, |conn| {
-            let seqs: Vec<u32> = (0..k)
-                .map(|_| conn.send(&Request::Next))
-                .collect::<io::Result<_>>()?;
+            // The burst's seqs are consecutive from the first, so the
+            // expected echoes need no list of their own.
+            let first = conn.seq;
+            for _ in 0..k {
+                conn.send(&Request::Next);
+            }
             conn.flush()?;
-            seqs.into_iter()
-                .map(|seq| match conn.recv(seq)? {
-                    Response::Value { value } => Ok(value),
-                    other => Err(response_error(&other)),
-                })
-                .collect()
+            let mut values = Vec::with_capacity(k);
+            for i in 0..k {
+                match conn.recv(first.wrapping_add(i as u32))? {
+                    Response::Value { value } => values.push(value),
+                    other => return Err(response_error(&other)),
+                }
+            }
+            Ok(values)
         })
     }
 
@@ -540,5 +549,46 @@ mod tests {
         client.shutdown_server().unwrap();
         server.wait_for_shutdown_request();
         assert!(server.shutdown_requested());
+    }
+
+    #[test]
+    fn an_empty_pipelined_burst_touches_no_socket() {
+        let server = server();
+        let client = RemoteCounter::connect(server.local_addr(), 2).unwrap();
+        client.ping(0).unwrap();
+        // Slot 1 has never been dialed, and stays that way.
+        assert_eq!(client.next_pipelined(1, 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(client.next_pipelined(0, 0).unwrap(), Vec::<u64>::new());
+        let stats = server.stats();
+        assert_eq!((stats.total_connections, stats.requests), (1, 1));
+    }
+
+    #[test]
+    fn a_seq_mismatch_inside_a_pipelined_burst_tears_the_connection_down() {
+        use crate::wire::read_frame;
+        // A peer that answers the third frame of a burst under the wrong
+        // seq, then serves a second connection honestly.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            for bad_at in [Some(2u64), None] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let (mut buf, mut out) = (Vec::new(), Vec::new());
+                for value in 0..4u64 {
+                    let payload = read_frame(&mut stream, &mut buf).unwrap().unwrap();
+                    let (seq, req) = Request::decode(payload).unwrap();
+                    assert_eq!(req, Request::Next);
+                    let seq = if bad_at == Some(value) { seq.wrapping_add(7) } else { seq };
+                    Response::Value { value }.encode(seq, &mut out);
+                }
+                stream.write_all(&out).unwrap();
+            }
+        });
+        let client = RemoteCounter::connect(addr, 1).unwrap();
+        let err = client.next_pipelined(0, 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The next call redials instead of reading the stale responses.
+        assert_eq!(client.next_pipelined(0, 4).unwrap(), [0, 1, 2, 3]);
+        peer.join().unwrap();
     }
 }

@@ -29,7 +29,7 @@
 //! before anything is sent — retries freely.
 
 use crate::client::response_error;
-use crate::wire::{read_frame, write_request, Request, Response};
+use crate::wire::{read_frame, Request, Response};
 use cnet_core::trace::{MergeAuditor, ShardFrontier};
 use cnet_runtime::{CompiledNetwork, ProcessCounter, SharedNetworkCounter};
 use cnet_topology::{Network, Partition, PartitionError};
@@ -84,6 +84,8 @@ impl From<PartitionError> for ClusterError {
 /// One blocking connection to a downstream peer.
 struct PeerConn {
     stream: TcpStream,
+    /// The outgoing burst, encoded in place and reused across calls.
+    out: Vec<u8>,
     buf: Vec<u8>,
     seq: u32,
 }
@@ -95,20 +97,20 @@ impl PeerConn {
         })?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(PeerConn { stream, buf: Vec::new(), seq: 0 })
+        Ok(PeerConn { stream, out: Vec::new(), buf: Vec::new(), seq: 0 })
     }
 
     /// Sends every request, then reads every response, matching sequence
     /// numbers in order — one write burst per hop even when a batched
     /// traversal fans out over several cut positions.
     fn calls(&mut self, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        let mut out = Vec::new();
+        self.out.clear();
         let first = self.seq;
         for req in reqs {
-            write_request(&mut out, self.seq, req)?;
+            req.encode(self.seq, &mut self.out);
             self.seq = self.seq.wrapping_add(1);
         }
-        self.stream.write_all(&out)?;
+        self.stream.write_all(&self.out)?;
         let mut resps = Vec::with_capacity(reqs.len());
         for i in 0..reqs.len() {
             let expect = first.wrapping_add(i as u32);

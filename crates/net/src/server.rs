@@ -2,19 +2,23 @@
 //!
 //! # Threading model
 //!
-//! One **acceptor** thread owns the listening socket (non-blocking, polled
-//! so shutdown is never stuck in `accept`). Accepted connections are
-//! assigned a **slot** — an index below [`ServerConfig::max_connections`]
-//! — switched to nonblocking mode, and handed to one of
 //! [`ServerConfig::reactors`] **reactor** threads (default: one per CPU
-//! core). Reactor `r` owns exactly the connections whose `slot % reactors
-//! == r`: it registers them in its private level-triggered poller
-//! (`cnet_util::poll`, epoll on Linux), sleeps in one `epoll_wait` for
-//! all of them, and serves readiness events single-threadedly. A
-//! thousand idle connections therefore cost a thousand fds and one
-//! sleeping thread — not a thousand sleeping threads, which is what
-//! capped the previous thread-per-connection design at a few hundred
-//! clients.
+//! core) are all the threads there are. Reactor `r` owns exactly the
+//! connections whose `slot % reactors == r`: it registers them in its
+//! private level-triggered poller (`cnet_util::poll`, epoll on Linux),
+//! sleeps in one `epoll_wait` for all of them, and serves readiness
+//! events single-threadedly. A thousand idle connections therefore cost a
+//! thousand fds and one sleeping thread — not a thousand sleeping
+//! threads, which is what capped the previous thread-per-connection
+//! design at a few hundred clients.
+//!
+//! There is no acceptor thread: the (non-blocking) listening socket is
+//! one more source in **reactor 0**'s poller, so a connect raises a
+//! readiness event like any request does and is accepted on it — reactor
+//! 0 accepts until `WouldBlock`, assigns each connection a **slot** (an
+//! index below [`ServerConfig::max_connections`]), switches it to
+//! nonblocking mode, and either adopts it on the spot (a slot it owns) or
+//! pushes it to the owning reactor's inbox and wakes that reactor.
 //!
 //! # Per-connection state machine
 //!
@@ -56,16 +60,40 @@
 //!
 //! # Backpressure
 //!
-//! At the connection limit the acceptor either **rejects** (answers
+//! At the connection limit reactor 0 either **rejects** (answers
 //! [`ErrorCode::Busy`] and closes — the client sees a clean refusal, not a
-//! hang) or **defers the accept** (holds the fresh connection unserved
-//! until a slot frees; counted in
-//! [`StatsSnapshot::deferred_accepts`]), per [`Backpressure`].
+//! hang) or **defers the accept**, per [`Backpressure`]: the one stream it
+//! just accepted waits, unserved, on reactor 0, which also takes the
+//! listener out of its poller's read set so further connects queue in the
+//! kernel's backlog. Whichever reactor next frees a slot wakes reactor 0,
+//! which gives the waiting stream that slot (counted in
+//! [`StatsSnapshot::deferred_accepts`]) and listens again.
+//!
+//! # Run coalescing
+//!
+//! A pipelining client's burst reaches the reactor as many buffered
+//! `Next` frames at once. A run of `k ≥ 2` of them (current version, whole
+//! frames only — [`FrameDecoder::next_run`]) is counted by **one** batched
+//! backend call, the same one a `NextBatch{k}` frame makes: a
+//! counting-network backend pays one atomic per balancer for the run
+//! instead of a full traversal per frame. The `k` values are handed out in
+//! ascending order, one `Value` frame per request, each echoing its own
+//! seq. Only the bytes buffered on the connection decide this; a run of
+//! one, a v1 frame and every other opcode take the per-frame path. Two
+//! arguments make it sound. *Values*: the step property holds for any
+//! interleaving of tokens, so `k` tokens of one process entering together
+//! is a legal execution of the network, the handed-out set is still a
+//! gap-free share of the count, and ascending order keeps the connection's
+//! values monotone within the run (per-process monotone values are what
+//! the paper calls sequential consistency). *Intervals*: the recorder
+//! stamps the run with one widened interval (`TraceRecorder::record_batch`)
+//! that covers every operation in it, so the audit can miss an ordering
+//! inside a run but never fabricate one.
 //!
 //! # Shutdown
 //!
-//! [`CounterServer::shutdown`] (also run on drop) drains gracefully: stop
-//! accepting, wake every reactor, give each connection one final read
+//! [`CounterServer::shutdown`] (also run on drop) drains gracefully: raise
+//! the stop flag, wake every reactor, give each connection one final read
 //! pass so frames already in flight are answered (increments get
 //! [`ErrorCode::ShuttingDown`] once the stop flag is up; `Ping`/`Stats`
 //! still answer), flush with a bounded deadline, then join every thread
@@ -76,8 +104,8 @@
 
 use crate::router::ClusterNode;
 use crate::wire::{
-    write_response, ErrorCode, FrameDecoder, NodeInfo, Request, Response, StatsSnapshot,
-    MAX_BATCH, MAX_FRONTIER_OPS,
+    ErrorCode, FrameDecoder, NodeInfo, Request, Response, StatsSnapshot, HEADER_LEN, MAX_BATCH,
+    MAX_FRONTIER_OPS,
 };
 use cnet_core::trace::RawOp;
 use cnet_runtime::drain::Drain;
@@ -85,13 +113,13 @@ use cnet_runtime::{ProcessCounter, ShardStealer, TraceRecorder};
 use cnet_util::poll::{Interest, Poller, Waker};
 use cnet_util::sync::{CachePadded, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
-/// What the acceptor does when every connection slot is taken.
+/// What the server does when every connection slot is taken.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backpressure {
     /// Answer [`ErrorCode::Busy`] and close the new connection.
@@ -144,6 +172,11 @@ struct SlotStats {
 struct Gate {
     free: Vec<usize>,
     active: usize,
+    /// Reactor 0 holds an accepted stream it could not give a slot
+    /// ([`Backpressure::Block`]); the next release wakes it. Kept under
+    /// the gate's lock so a release can never slip between the failed
+    /// acquire and the park.
+    accept_parked: bool,
 }
 
 /// One recorder shard's server-side audit state for the frontier protocol
@@ -162,12 +195,14 @@ impl AuditShard {
     }
 }
 
-/// The acceptor-facing side of one reactor thread.
+/// The side of one reactor thread that other threads reach.
 struct ReactorShared {
-    /// Interrupts the reactor's `epoll_wait` (new connection, shutdown).
+    /// Interrupts the reactor's `epoll_wait` (new connection, a slot
+    /// freed for a parked accept, shutdown).
     waker: Waker,
-    /// Freshly accepted connections awaiting registration, drained by the
-    /// owning reactor at the top of every loop.
+    /// Connections reactor 0 accepted into a slot this reactor owns,
+    /// awaiting registration; drained by the owner at the top of every
+    /// loop.
     inbox: Mutex<Vec<(usize, TcpStream)>>,
     /// Returns from the readiness wait.
     wakeups: CachePadded<AtomicU64>,
@@ -189,8 +224,7 @@ struct Shared {
     /// one-puller-per-shard contract).
     audit_shards: Box<[Mutex<AuditShard>]>,
     cfg: ServerConfig,
-    /// Stop serving: acceptor and reactors exit, handlers refuse
-    /// increments.
+    /// Stop serving: reactors exit, handlers refuse increments.
     stop: AtomicBool,
     /// A `Shutdown` frame arrived (remote shutdown request).
     shutdown_requested: AtomicBool,
@@ -234,7 +268,6 @@ impl std::fmt::Debug for Shared {
 pub struct CounterServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Drain,
     reactor_threads: Drain,
     down: bool,
 }
@@ -325,7 +358,7 @@ impl CounterServer {
         let addr = listener.local_addr()?;
         // Build the pollers up front so fd exhaustion or an unsupported
         // platform surfaces here, as a start error, not in a thread.
-        let mut pollers = Vec::with_capacity(reactors);
+        let mut pollers: Vec<Poller> = Vec::with_capacity(reactors);
         let mut handles = Vec::with_capacity(reactors);
         for _ in 0..reactors {
             let poller = Poller::new()?;
@@ -338,6 +371,8 @@ impl CounterServer {
                 events: CachePadded::new(AtomicU64::new(0)),
             });
         }
+        // Reactor 0 accepts: the listener is one more source in its poller.
+        pollers[0].register(&listener, LISTEN_TOKEN, Interest::READABLE)?;
         // The head learns its client-facing address at bind time and
         // pushes it down the chain so every node can redirect clients.
         if let Some(c) = &cluster {
@@ -365,6 +400,7 @@ impl CounterServer {
             gate: Mutex::new(Gate {
                 free: (0..cfg.max_connections).rev().collect(),
                 active: 0,
+                accept_parked: false,
             }),
             gate_cv: Condvar::new(),
             reactors: handles.into_boxed_slice(),
@@ -374,14 +410,14 @@ impl CounterServer {
             deferred_accepts: CachePadded::new(AtomicU64::new(0)),
         });
         let mut reactor_threads = Drain::with_capacity(reactors);
+        let mut acceptor = Some(Acceptor { listener, parked: None, armed: true });
         for (r, poller) in pollers.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
-            reactor_threads.push(std::thread::spawn(move || reactor_loop(&shared, r, poller)));
+            let acceptor = acceptor.take();
+            reactor_threads
+                .push(std::thread::spawn(move || reactor_loop(&shared, r, poller, acceptor)));
         }
-        let mut acceptor = Drain::with_capacity(1);
-        let shared2 = Arc::clone(&shared);
-        acceptor.push(std::thread::spawn(move || accept_loop(&shared2, &listener)));
-        Ok(CounterServer { addr, shared, acceptor, reactor_threads, down: false })
+        Ok(CounterServer { addr, shared, reactor_threads, down: false })
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -431,11 +467,16 @@ impl CounterServer {
         self.down = true;
         self.shared.stop.store(true, Ordering::Release);
         self.shared.gate_cv.notify_all();
-        self.acceptor.join_all();
         for r in self.shared.reactors.iter() {
             let _ = r.waker.wake();
         }
         self.reactor_threads.join_all();
+        // Reactor 0 may have accepted into another reactor's inbox after
+        // that reactor's last look at it; with every thread joined nothing
+        // pushes any more.
+        for r in 0..self.shared.reactors.len() {
+            drain_inbox_slots(&self.shared, r);
+        }
     }
 }
 
@@ -481,88 +522,137 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
     s
 }
 
-/// Acquires a connection slot per the backpressure policy; `None` means
-/// the connection should be refused (or the server is stopping). Under
-/// [`Backpressure::Block`] this parks the acceptor — a deferred accept —
-/// and counts the deferral.
+/// Takes a free connection slot. At the limit under
+/// [`Backpressure::Block`] it also marks the accept as parked, under the
+/// same lock, so the release that frees a slot wakes reactor 0.
 fn acquire_slot(shared: &Shared) -> Option<usize> {
     let mut gate = shared.gate.lock();
-    let mut deferred = false;
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return None;
-        }
-        if let Some(slot) = gate.free.pop() {
-            gate.active += 1;
-            if deferred {
-                shared.deferred_accepts.fetch_add(1, Ordering::Relaxed);
-            }
-            return Some(slot);
-        }
-        match shared.cfg.backpressure {
-            Backpressure::Reject => return None,
-            Backpressure::Block => {
-                deferred = true;
-                gate = shared
-                    .gate_cv
-                    .wait_timeout(gate, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-        }
+    let slot = gate.free.pop();
+    match slot {
+        Some(_) => gate.active += 1,
+        None => gate.accept_parked = shared.cfg.backpressure == Backpressure::Block,
     }
+    slot
 }
 
 fn release_slot(shared: &Shared, slot: usize) {
     let mut gate = shared.gate.lock();
     gate.free.push(slot);
     gate.active -= 1;
+    let parked = std::mem::take(&mut gate.accept_parked);
     drop(gate);
-    shared.gate_cv.notify_all();
+    if parked {
+        let _ = shared.reactors[0].waker.wake();
+    }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                match acquire_slot(shared) {
-                    Some(slot) => {
-                        shared.total_connections.fetch_add(1, Ordering::Relaxed);
-                        if stream.set_nonblocking(true).is_err() {
-                            release_slot(shared, slot);
-                            continue;
-                        }
-                        // Hand the connection to its owning reactor. The
-                        // wake is advisory: every reactor also drains its
-                        // inbox on the 50ms timeout safety net.
-                        let r = slot % shared.cfg.reactors;
-                        shared.reactors[r].inbox.lock().push((slot, stream));
-                        let _ = shared.reactors[r].waker.wake();
-                    }
-                    None if shared.stop.load(Ordering::Acquire) => break,
-                    None => {
-                        shared.rejected_connections.fetch_add(1, Ordering::Relaxed);
-                        // Best-effort refusal so the client sees Busy, not
-                        // a silent close (the stream is still blocking
-                        // here, so the small write completes).
-                        let mut w = BufWriter::new(stream);
-                        let _ = write_response(&mut w, 0, &Response::Error(ErrorCode::Busy));
-                        let _ = w.flush();
-                    }
+/// Reactor 0's accepting half: the listener sits in its poller beside the
+/// connections, so a connect is served on the readiness event it raises.
+struct Acceptor {
+    listener: TcpListener,
+    /// Under [`Backpressure::Block`] at the limit: the one accepted stream
+    /// waiting for a slot. While it waits nothing else is accepted — the
+    /// kernel's backlog holds the rest.
+    parked: Option<TcpStream>,
+    /// Whether the poller currently watches the listener.
+    armed: bool,
+}
+
+impl Acceptor {
+    /// Accepts until the backlog is empty (`WouldBlock`) or a stream has
+    /// to be parked. Any other accept error (fd exhaustion, an aborted
+    /// handshake) also ends the pass with the listener disarmed, so a
+    /// persistent one costs one failed `accept` per reactor wakeup instead
+    /// of a level-triggered spin; [`resume`](Self::resume) re-arms.
+    fn accept_ready(
+        &mut self,
+        shared: &Arc<Shared>,
+        poller: &Poller,
+        conns: &mut HashMap<u64, Conn>,
+    ) {
+        while self.parked.is_none() {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    let _ = stream.set_nodelay(true);
+                    self.parked = admit(shared, poller, conns, stream);
                 }
+                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => break,
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+        }
+        self.armed = poller.modify(&self.listener, LISTEN_TOKEN, Interest::NONE).is_err();
+    }
+
+    /// Runs at the top of every pass of reactor 0: gives a parked stream
+    /// the slot a release freed (a deferred accept) and puts a disarmed
+    /// listener back in the poller.
+    fn resume(
+        &mut self,
+        shared: &Arc<Shared>,
+        poller: &Poller,
+        conns: &mut HashMap<u64, Conn>,
+    ) {
+        if let Some(stream) = self.parked.take() {
+            self.parked = admit(shared, poller, conns, stream);
+            if self.parked.is_some() {
+                return;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            shared.deferred_accepts.fetch_add(1, Ordering::Relaxed);
+        }
+        if !self.armed {
+            self.armed =
+                poller.modify(&self.listener, LISTEN_TOKEN, Interest::READABLE).is_ok();
         }
     }
 }
 
-/// Token the per-reactor waker is registered under; distinct from every
-/// slot token (slots are bounded by `max_connections`).
+/// Gives a freshly accepted `stream` a slot and hands it to the reactor
+/// owning that slot — directly when that is reactor 0 itself, otherwise
+/// through the owner's inbox. At the connection limit
+/// [`Backpressure::Reject`] answers `Busy` and drops the stream;
+/// [`Backpressure::Block`] returns it to be parked.
+fn admit(
+    shared: &Arc<Shared>,
+    poller: &Poller,
+    conns: &mut HashMap<u64, Conn>,
+    mut stream: TcpStream,
+) -> Option<TcpStream> {
+    let Some(slot) = acquire_slot(shared) else {
+        if shared.cfg.backpressure == Backpressure::Block {
+            return Some(stream);
+        }
+        shared.rejected_connections.fetch_add(1, Ordering::Relaxed);
+        // Best-effort refusal so the client sees Busy, not a silent close
+        // (the stream is still blocking here, so the small write
+        // completes).
+        let mut frame = Vec::with_capacity(4 + HEADER_LEN + 1);
+        Response::Error(ErrorCode::Busy).encode(0, &mut frame);
+        let _ = stream.write_all(&frame);
+        return None;
+    };
+    shared.total_connections.fetch_add(1, Ordering::Relaxed);
+    if stream.set_nonblocking(true).is_err() {
+        release_slot(shared, slot);
+        return None;
+    }
+    match slot % shared.cfg.reactors {
+        0 => adopt(shared, poller, conns, slot, stream),
+        r => {
+            // The wake is advisory: every reactor also drains its inbox on
+            // the 50ms timeout safety net.
+            shared.reactors[r].inbox.lock().push((slot, stream));
+            let _ = shared.reactors[r].waker.wake();
+        }
+    }
+    None
+}
+
+/// Tokens the per-reactor waker and (on reactor 0) the listener are
+/// registered under; distinct from every slot token (slots are bounded by
+/// `max_connections`).
 const WAKE_TOKEN: u64 = u64::MAX;
+const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
 /// Reactor read chunk and per-event read budget. Level-triggered polling
 /// re-reports a socket that still has bytes after the budget, so a large
@@ -634,7 +724,12 @@ impl Conn {
     }
 }
 
-fn reactor_loop(shared: &Arc<Shared>, r: usize, mut poller: Poller) {
+fn reactor_loop(
+    shared: &Arc<Shared>,
+    r: usize,
+    mut poller: Poller,
+    mut acceptor: Option<Acceptor>,
+) {
     let me = &shared.reactors[r];
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut events = Vec::new();
@@ -654,10 +749,19 @@ fn reactor_loop(shared: &Arc<Shared>, r: usize, mut poller: Poller) {
         me.wakeups.fetch_add(1, Ordering::Relaxed);
         me.events.fetch_add(events.len() as u64, Ordering::Relaxed);
         adopt_inbox(shared, r, &poller, &mut conns);
+        if let Some(acceptor) = &mut acceptor {
+            acceptor.resume(shared, &poller, &mut conns);
+        }
         for i in 0..events.len() {
             let ev = events[i];
             if ev.token == WAKE_TOKEN {
                 me.waker.drain();
+                continue;
+            }
+            if ev.token == LISTEN_TOKEN {
+                if let Some(acceptor) = &mut acceptor {
+                    acceptor.accept_ready(shared, &poller, &mut conns);
+                }
                 continue;
             }
             let Some(conn) = conns.get_mut(&ev.token) else {
@@ -672,10 +776,9 @@ fn reactor_loop(shared: &Arc<Shared>, r: usize, mut poller: Poller) {
         }
     }
     drain_reactor(shared, &poller, conns, &mut scratch);
-    drain_inbox_slots(shared, r);
 }
 
-/// Registers freshly accepted connections pushed by the acceptor.
+/// Registers the connections reactor 0 accepted into this reactor's slots.
 fn adopt_inbox(
     shared: &Arc<Shared>,
     r: usize,
@@ -686,13 +789,24 @@ fn adopt_inbox(
         std::mem::take(&mut *shared.reactors[r].inbox.lock());
     for (slot, stream) in fresh {
         debug_assert_eq!(slot % shared.cfg.reactors, r, "slot routed to wrong reactor");
-        match poller.register(&stream, slot as u64, Interest::READABLE) {
-            Ok(()) => {
-                let process = slot % shared.cfg.processes;
-                conns.insert(slot as u64, Conn::new(slot, process, stream));
-            }
-            Err(_) => release_slot(shared, slot),
+        adopt(shared, poller, conns, slot, stream);
+    }
+}
+
+/// Starts serving `stream` as `slot` on the calling reactor.
+fn adopt(
+    shared: &Shared,
+    poller: &Poller,
+    conns: &mut HashMap<u64, Conn>,
+    slot: usize,
+    stream: TcpStream,
+) {
+    match poller.register(&stream, slot as u64, Interest::READABLE) {
+        Ok(()) => {
+            let process = slot % shared.cfg.processes;
+            conns.insert(slot as u64, Conn::new(slot, process, stream));
         }
+        Err(_) => release_slot(shared, slot),
     }
 }
 
@@ -733,11 +847,18 @@ fn handle_ready(shared: &Shared, conn: &mut Conn, scratch: &mut [u8]) -> bool {
     !(conn.phase == Phase::Closing && !conn.pending_out())
 }
 
-/// Decodes and executes every complete frame buffered on `conn`.
+/// Decodes and executes every complete frame buffered on `conn`, a run of
+/// pipelined `Next` frames as one batched count (module docs, "Run
+/// coalescing").
 fn process_frames(shared: &Shared, conn: &mut Conn) {
     loop {
         if conn.phase == Phase::Closing {
             return;
+        }
+        let run = conn.decoder.next_run(MAX_BATCH as usize);
+        if run >= 2 {
+            execute_run(shared, conn, run);
+            continue;
         }
         // Decode to owned values before touching `conn` again (the
         // payload borrows the decoder's buffer). The frame's protocol
@@ -758,6 +879,76 @@ fn process_frames(shared: &Shared, conn: &mut Conn) {
             }
         }
     }
+}
+
+/// Counts `n` operations for `conn` in one batched backend call — a
+/// counting-network backend pays one atomic per balancer for all of them —
+/// and records them under one widened interval (the recorder's
+/// `record_batch` argument keeps that audit-sound). Both a `NextBatch`
+/// frame and a coalesced run of `Next` frames count through here.
+/// `ascending` sorts the values first: a run hands them to `n` separate
+/// requests in request order, so ascending is the program order the client
+/// sees and the recorder must see the same.
+///
+/// A refusal leaves `conn.phase` at `Closing` when the connection is to be
+/// closed after it. `n` outside `1..=MAX_BATCH` is refused as `BadBatch`
+/// (a `NextBatch` frame can ask for that; a run is capped by its caller).
+fn count_batch(
+    shared: &Shared,
+    conn: &mut Conn,
+    n: usize,
+    ascending: bool,
+) -> Result<Vec<u64>, ErrorCode> {
+    if shared.stop.load(Ordering::Acquire) {
+        conn.phase = Phase::Closing;
+        return Err(ErrorCode::ShuttingDown);
+    }
+    if n == 0 || n > MAX_BATCH as usize {
+        return Err(ErrorCode::BadBatch);
+    }
+    conn.phase = Phase::Executing;
+    // A client increment enters the fabric at the head; on any other
+    // cluster node the entry ports are interior cut positions, so counting
+    // from them is refused.
+    let mut values = match &shared.cluster {
+        None => shared.backend.next_batch_for(conn.process, n),
+        Some(c) if c.is_head() => {
+            c.ingress_batch(conn.slot, conn.process, n).map_err(|_| ErrorCode::Cluster)?
+        }
+        Some(_) => return Err(ErrorCode::Cluster),
+    };
+    if ascending {
+        values.sort_unstable();
+    }
+    if let Some(rec) = &shared.recorder {
+        rec.record_batch(conn.slot, &values);
+    }
+    shared.slot_stats[conn.slot].ops.fetch_add(n as u64, Ordering::Relaxed);
+    Ok(values)
+}
+
+/// Executes the `k` whole `Next` frames at the decoder's cursor as one
+/// batched count and buffers `k` `Value` responses, each echoing its own
+/// request's seq, the values ascending in request order. A refusal is
+/// answered as the per-frame path would: one `ShuttingDown` for the first
+/// frame before the close, one `Cluster` error per frame otherwise.
+fn execute_run(shared: &Shared, conn: &mut Conn, k: usize) {
+    let answered = match count_batch(shared, conn, k, true) {
+        Ok(values) => {
+            for (seq, value) in conn.decoder.take_next_run(k).zip(values) {
+                Response::Value { value }.encode(seq, &mut conn.out);
+            }
+            k
+        }
+        Err(code) => {
+            let answered = if conn.phase == Phase::Closing { 1 } else { k };
+            for seq in conn.decoder.take_next_run(k).take(answered) {
+                Response::Error(code).encode(seq, &mut conn.out);
+            }
+            answered
+        }
+    };
+    shared.slot_stats[conn.slot].requests.fetch_add(answered as u64, Ordering::Relaxed);
 }
 
 /// Runs one decoded request against the backend and buffers the
@@ -798,41 +989,14 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
             }
         }
         Request::NextBatch { n } => {
-            if shared.stop.load(Ordering::Acquire) {
-                Response::Error(ErrorCode::ShuttingDown)
-                    .encode_versioned(seq, version, &mut conn.out);
-                conn.phase = Phase::Closing;
-                return;
-            }
-            if n == 0 || n > MAX_BATCH {
-                Response::Error(ErrorCode::BadBatch)
-                    .encode_versioned(seq, version, &mut conn.out);
-                return;
-            }
-            // One batched backend call — a counting-network backend pays
-            // one atomic per balancer for the whole batch — and one
-            // widened recorder interval covering every value in it (PR 3's
-            // interval stamping keeps that audit-sound).
-            conn.phase = Phase::Executing;
-            let values = match &shared.cluster {
-                None => Ok(shared.backend.next_batch_for(conn.process, n as usize)),
-                Some(c) if c.is_head() => {
-                    c.ingress_batch(conn.slot, conn.process, n as usize).map_err(|_| ())
-                }
-                Some(_) => Err(()),
-            };
-            match values {
+            let resp = match count_batch(shared, conn, n as usize, false) {
                 Ok(values) => {
-                    if let Some(rec) = &shared.recorder {
-                        rec.record_batch(conn.slot, &values);
-                    }
-                    stats.ops.fetch_add(u64::from(n), Ordering::Relaxed);
                     stats.batches.fetch_add(1, Ordering::Relaxed);
-                    Response::Batch { values }.encode_versioned(seq, version, &mut conn.out);
+                    Response::Batch { values }
                 }
-                Err(_) => Response::Error(ErrorCode::Cluster)
-                    .encode_versioned(seq, version, &mut conn.out),
-            }
+                Err(code) => Response::Error(code),
+            };
+            resp.encode_versioned(seq, version, &mut conn.out);
         }
         Request::Forward { token, port, node_seq } => {
             if shared.stop.load(Ordering::Acquire) {
@@ -1061,7 +1225,7 @@ fn drain_reactor(
     }
 }
 
-/// Frees slots of connections the acceptor handed over after the reactor
+/// Frees slots of connections reactor 0 handed over after their reactor
 /// had already stopped (they were never registered, so closing the stream
 /// by drop is all the teardown they need).
 fn drain_inbox_slots(shared: &Shared, r: usize) {
@@ -1075,7 +1239,7 @@ fn drain_inbox_slots(shared: &Shared, r: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, write_request};
+    use crate::wire::{read_frame, VERSION};
     use cnet_runtime::FetchAddCounter;
 
     fn fetch_add_server(cfg: ServerConfig) -> CounterServer {
@@ -1097,7 +1261,9 @@ mod tests {
         fn send(&mut self, req: &Request) -> u32 {
             let seq = self.seq;
             self.seq += 1;
-            write_request(&mut self.stream, seq, req).unwrap();
+            let mut frame = Vec::new();
+            req.encode(seq, &mut frame);
+            self.stream.write_all(&frame).unwrap();
             seq
         }
 
@@ -1261,7 +1427,9 @@ mod tests {
         server.shutdown();
         // Fresh connections are no longer accepted/served.
         if let Ok(mut stream) = TcpStream::connect(server.local_addr()) {
-            let _ = write_request(&mut stream, 0, &Request::Ping);
+            let mut frame = Vec::new();
+            Request::Ping.encode(0, &mut frame);
+            let _ = stream.write_all(&frame);
             let mut rest = Vec::new();
             let _ = stream.read_to_end(&mut rest);
             assert!(rest.is_empty(), "a drained server must not serve");
@@ -1405,8 +1573,8 @@ mod tests {
         .unwrap();
         let addr = server.local_addr();
         {
-            // Singles, not a batch: sampling gates whole batches together,
-            // so only the single path exercises the 1-in-k alternation.
+            // One round trip each, so every frame is a run of one and takes
+            // the single-op `record` path.
             let mut c = Raw::connect(addr);
             for _ in 0..20 {
                 c.send(&Request::Next);
@@ -1569,5 +1737,306 @@ mod tests {
         all.sort_unstable();
         let want: Vec<u64> = (0..u64::from(burst * per)).collect();
         assert_eq!(all, want);
+    }
+
+    /// `[Next×5, Ping, Next×3, NextBatch{2}, Next, Next]` as one byte
+    /// string, the seqs wrapping past `u32::MAX`, and the requests in it.
+    fn mixed_burst() -> (Vec<u8>, Vec<(u32, Request)>) {
+        let mut reqs = vec![Request::Next; 5];
+        reqs.push(Request::Ping);
+        reqs.extend(vec![Request::Next; 3]);
+        reqs.push(Request::NextBatch { n: 2 });
+        reqs.extend(vec![Request::Next; 2]);
+        let mut bytes = Vec::new();
+        let mut sent = Vec::new();
+        for (i, req) in reqs.into_iter().enumerate() {
+            let seq = (u32::MAX - 3).wrapping_add(i as u32);
+            req.encode(seq, &mut bytes);
+            sent.push((seq, req));
+        }
+        (bytes, sent)
+    }
+
+    #[test]
+    fn a_mixed_burst_is_answered_in_order_with_runs_counted_as_one() {
+        let server = fetch_add_server(ServerConfig::default());
+        let mut c = Raw::connect(server.local_addr());
+        let (bytes, sent) = mixed_burst();
+        c.stream.write_all(&bytes).unwrap();
+        let mut all = Vec::new();
+        let mut run: Vec<u64> = Vec::new();
+        for (seq, req) in sent {
+            let (got_seq, resp) = c.recv();
+            assert_eq!(got_seq, seq, "responses come in request order, echoing each seq");
+            match (req, resp) {
+                (Request::Next, Response::Value { value }) => {
+                    assert!(run.last().is_none_or(|&v| v < value), "{run:?} then {value}");
+                    run.push(value);
+                }
+                (Request::Ping, Response::Pong) => all.append(&mut run),
+                (Request::NextBatch { n: 2 }, Response::Batch { values }) => {
+                    all.append(&mut run);
+                    assert_eq!(values.len(), 2);
+                    all.extend(values);
+                }
+                (req, resp) => panic!("{req:?} answered with {resp:?}"),
+            }
+        }
+        all.append(&mut run);
+        all.sort_unstable();
+        assert_eq!(all, (0..12).collect::<Vec<u64>>());
+        let stats = server.stats();
+        // A coalesced run is not a `NextBatch` frame: only that one counts.
+        assert_eq!((stats.requests, stats.ops, stats.batches), (12, 12, 1));
+    }
+
+    /// A connection no reactor owns, so a test decides exactly which bytes
+    /// each `process_frames` pass sees. The peer end keeps it open.
+    fn detached_conn() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (Conn::new(0, 0, stream), peer)
+    }
+
+    /// The response bytes a fresh fetch-add server buffers when `chunks`
+    /// arrive in separate readiness passes.
+    fn respond_to<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+        let server = fetch_add_server(ServerConfig { reactors: 1, ..ServerConfig::default() });
+        let (mut conn, _peer) = detached_conn();
+        for chunk in chunks {
+            conn.decoder.extend(chunk);
+            process_frames(&server.shared, &mut conn);
+        }
+        conn.out
+    }
+
+    #[test]
+    fn responses_do_not_depend_on_where_the_stream_is_split() {
+        let (bytes, _) = mixed_burst();
+        let whole = respond_to([&bytes[..]]);
+        assert_eq!(whole.len(), 10 * 18 + 10 + 30, "ten Values, a Pong, a Batch of 2");
+        // A run cut by a read boundary becomes two shorter runs (or a run
+        // and a single); a partial frame is never counted into one.
+        for cut in 1..bytes.len() {
+            assert_eq!(respond_to([&bytes[..cut], &bytes[cut..]]), whole, "split at byte {cut}");
+        }
+        assert_eq!(respond_to(bytes.chunks(1)), whole, "one byte at a time");
+        // And through a real socket, dribbled.
+        let server = fetch_add_server(ServerConfig::default());
+        let mut c = Raw::connect(server.local_addr());
+        c.stream.set_nodelay(true).unwrap();
+        for byte in bytes.chunks(1) {
+            c.stream.write_all(byte).unwrap();
+        }
+        let mut got = vec![0u8; whole.len()];
+        c.stream.read_exact(&mut got).unwrap();
+        assert_eq!(got, whole);
+    }
+
+    #[test]
+    fn a_v1_next_inside_a_burst_is_answered_in_v1_and_the_rest_still_count() {
+        let server = fetch_add_server(ServerConfig::default());
+        let mut c = Raw::connect(server.local_addr());
+        let mut bytes = Vec::new();
+        for seq in 0..3 {
+            Request::Next.encode(seq, &mut bytes);
+        }
+        bytes.extend(v1_frame(0x01, 3, &[]));
+        for seq in 4..7 {
+            Request::Next.encode(seq, &mut bytes);
+        }
+        c.stream.write_all(&bytes).unwrap();
+        for seq in 0..7u32 {
+            let payload = read_frame(&mut c.stream, &mut c.buf).unwrap().unwrap();
+            assert_eq!(payload[0], if seq == 3 { 1 } else { VERSION }, "frame {seq}");
+            let value = u64::from(seq);
+            assert_eq!(Response::decode(payload).unwrap(), (seq, Response::Value { value }));
+        }
+        assert_eq!(server.stats().ops, 7);
+    }
+
+    #[test]
+    fn a_bad_length_word_after_a_run_answers_the_run_then_closes() {
+        let server = fetch_add_server(ServerConfig::default());
+        let mut c = Raw::connect(server.local_addr());
+        let mut bytes = Vec::new();
+        for seq in 0..4 {
+            Request::Next.encode(seq, &mut bytes);
+        }
+        bytes.extend(2u32.to_le_bytes()); // a length that cannot hold the header
+        c.stream.write_all(&bytes).unwrap();
+        for seq in 0..4u32 {
+            assert_eq!(c.recv(), (seq, Response::Value { value: u64::from(seq) }));
+        }
+        assert_eq!(c.recv().1, Response::Error(ErrorCode::Malformed));
+        let mut rest = Vec::new();
+        c.stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn coalesced_runs_are_recorded_and_audit_clean() {
+        use crate::client::RemoteCounter;
+        // Full recording behind a linearizable backend on two reactors; two
+        // connections (slots 0 and 1, one per reactor) pipeline 64 bursts
+        // of 256 `Next` each.
+        let (bursts, width) = (64usize, 256usize);
+        let recorder = Arc::new(TraceRecorder::new(2, bursts * width));
+        let mut server = CounterServer::with_recorder(
+            "127.0.0.1:0",
+            Arc::new(FetchAddCounter::new()),
+            Arc::clone(&recorder),
+            ServerConfig { max_connections: 2, reactors: 2, ..ServerConfig::default() },
+        )
+        .unwrap();
+        let client = RemoteCounter::connect(server.local_addr(), 2).unwrap();
+        std::thread::scope(|s| {
+            for slot in 0..2 {
+                let client = &client;
+                s.spawn(move || {
+                    for _ in 0..bursts {
+                        let values = client.next_pipelined(slot, width).unwrap();
+                        assert!(values.windows(2).all(|w| w[0] < w[1]), "a burst ascends");
+                    }
+                });
+            }
+        });
+        drop(client);
+        server.shutdown();
+        let served = server.stats().ops;
+        assert_eq!(served, (2 * bursts * width) as u64);
+        assert_eq!(server.stats().batches, 0, "runs are not NextBatch frames");
+        let mut auditor = cnet_core::trace::StreamingAuditor::new();
+        cnet_runtime::recorder::drain_remaining(&recorder, &mut auditor);
+        assert_eq!(auditor.operations() as u64, served);
+        assert_eq!(recorder.dropped(), 0);
+        assert!(auditor.is_clean(), "{}", auditor.summary());
+    }
+
+    #[test]
+    fn a_run_through_a_network_is_handed_out_and_recorded_ascending() {
+        use cnet_runtime::SharedNetworkCounter;
+        use cnet_topology::construct::bitonic;
+        // A batched traversal returns values grouped by output wire; a run
+        // must hand them out ascending (per-process monotone) and the
+        // recorder must see them in that same program order.
+        let recorder = Arc::new(TraceRecorder::new(1, 256));
+        let mut server = CounterServer::with_recorder(
+            "127.0.0.1:0",
+            Arc::new(SharedNetworkCounter::new(&bitonic(8).unwrap())),
+            Arc::clone(&recorder),
+            ServerConfig { max_connections: 1, ..ServerConfig::default() },
+        )
+        .unwrap();
+        let mut c = Raw::connect(server.local_addr());
+        let mut bytes = Vec::new();
+        for seq in 0..64 {
+            Request::Next.encode(seq, &mut bytes);
+        }
+        c.stream.write_all(&bytes).unwrap();
+        let got: Vec<u64> = (0..64u32)
+            .map(|seq| match c.recv() {
+                (s, Response::Value { value }) if s == seq => value,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(got, (0..64).collect::<Vec<u64>>());
+        drop(c);
+        server.shutdown();
+        let mut recorded = Vec::new();
+        recorder.pull_shard(0, |_, _, value| recorded.push(value));
+        assert_eq!(recorded, got);
+    }
+
+    #[test]
+    fn a_run_on_a_stopping_server_gets_one_shutting_down_and_a_close() {
+        let server = fetch_add_server(ServerConfig { reactors: 1, ..ServerConfig::default() });
+        server.shared.stop.store(true, Ordering::Release);
+        let (mut conn, _peer) = detached_conn();
+        let mut bytes = Vec::new();
+        for seq in 40..43 {
+            Request::Next.encode(seq, &mut bytes);
+        }
+        conn.decoder.extend(&bytes);
+        process_frames(&server.shared, &mut conn);
+        let mut want = Vec::new();
+        Response::Error(ErrorCode::ShuttingDown).encode(40, &mut want);
+        assert_eq!(conn.out, want, "the first frame is refused, the rest go unanswered");
+        assert_eq!(conn.phase, Phase::Closing);
+        assert_eq!(server.stats().ops, 0);
+    }
+
+    #[test]
+    fn a_run_refused_by_the_cluster_is_answered_frame_by_frame() {
+        use cnet_topology::construct::bitonic;
+        // A tail node refuses client increments; the connection stays up.
+        let net = bitonic(4).unwrap();
+        let tail = Arc::new(ClusterNode::new(&net, 1, 2, &[], 2).unwrap());
+        let server =
+            CounterServer::start_cluster("127.0.0.1:0", tail, None, ServerConfig::default())
+                .unwrap();
+        let mut c = Raw::connect(server.local_addr());
+        let mut bytes = Vec::new();
+        for seq in 0..3 {
+            Request::Next.encode(seq, &mut bytes);
+        }
+        Request::Ping.encode(3, &mut bytes);
+        c.stream.write_all(&bytes).unwrap();
+        for seq in 0..3u32 {
+            assert_eq!(c.recv(), (seq, Response::Error(ErrorCode::Cluster)));
+        }
+        assert_eq!(c.recv(), (3, Response::Pong));
+    }
+
+    #[test]
+    fn a_connect_is_accepted_on_its_readiness_event() {
+        // Sequential connect → Ping → drop cycles. With the listener in
+        // reactor 0's poller each costs a few wakeups; behind a 2 ms accept
+        // poll 200 of them took about 400 ms.
+        let server = fetch_add_server(ServerConfig {
+            max_connections: 256,
+            reactors: 1,
+            ..ServerConfig::default()
+        });
+        let start = std::time::Instant::now();
+        for _ in 0..200 {
+            let mut c = Raw::connect(server.local_addr());
+            let s = c.send(&Request::Ping);
+            assert_eq!(c.recv(), (s, Response::Pong));
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(200), "200 connect cycles took {took:?}");
+        assert_eq!(server.stats().total_connections, 200);
+    }
+
+    #[test]
+    fn a_slot_freed_on_another_reactor_wakes_the_parked_accept() {
+        let server = fetch_add_server(ServerConfig {
+            max_connections: 2,
+            backpressure: Backpressure::Block,
+            processes: 2,
+            reactors: 2,
+        });
+        let addr = server.local_addr();
+        // Slots 0 and 1, in accept order: the second lives on reactor 1.
+        let mut held: Vec<Raw> = (0..2)
+            .map(|_| {
+                let mut c = Raw::connect(addr);
+                let s = c.send(&Request::Ping);
+                assert_eq!(c.recv(), (s, Response::Pong));
+                c
+            })
+            .collect();
+        let mut third = Raw::connect(addr);
+        let s = third.send(&Request::Ping);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !server.shared.gate.lock().accept_parked {
+            assert!(std::time::Instant::now() < deadline, "the third accept never parked");
+            std::thread::yield_now();
+        }
+        drop(held.pop()); // reactor 1 releases slot 1 and wakes reactor 0
+        assert_eq!(third.recv(), (s, Response::Pong));
+        assert_eq!(server.stats().deferred_accepts, 1);
     }
 }

@@ -59,7 +59,7 @@
 
 use cnet_core::trace::{RawOp, ShardFrontier};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Protocol version stamped on newly encoded frames.
 pub const VERSION: u8 = 2;
@@ -785,6 +785,16 @@ pub fn read_frame<'a>(
 /// ([`WireError::BadLength`]); after an error the stream has no
 /// trustworthy framing left, so callers should drop the connection
 /// (repeated polls keep returning the same error rather than resyncing).
+///
+/// A pipelining client's burst is mostly one frame repeated: a
+/// current-[`VERSION`] [`Request::Next`], ten bytes that differ only in
+/// `seq`. [`FrameDecoder::next_run`] reports how many such
+/// frames sit whole at the cursor and [`FrameDecoder::take_next_run`]
+/// hands out their seqs, so a server can count the run in one batched
+/// backend call instead of decoding and executing frame by frame. The
+/// report looks only at whole buffered frames, so it never depends on
+/// where the stream was split — a frame cut by a read boundary is simply
+/// not in the run yet.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     /// Buffered bytes; `start..` is the unconsumed region.
@@ -795,6 +805,12 @@ pub struct FrameDecoder {
 /// Consumed-prefix size beyond which `next_frame` compacts the buffer on
 /// a partial frame, bounding memory at ~one frame plus this slack.
 const COMPACT_THRESHOLD: usize = 4096;
+
+/// Wire size of a [`Request::Next`] frame: length word, header, no body.
+const NEXT_FRAME_LEN: usize = 4 + HEADER_LEN;
+
+/// Everything of a current-[`VERSION`] `Next` frame but its `seq`.
+const NEXT_FRAME_PREFIX: [u8; 6] = [HEADER_LEN as u8, 0, 0, 0, VERSION, 0x01];
 
 impl FrameDecoder {
     /// An empty decoder.
@@ -842,6 +858,33 @@ impl FrameDecoder {
         Ok(Some(&self.buf[payload_start..payload_start + len]))
     }
 
+    /// How many whole frames at the cursor, up to `max`, are byte for byte
+    /// a current-[`VERSION`] [`Request::Next`]. Anything else at the cursor
+    /// — a v1 frame, another opcode, a bad length word, a frame still
+    /// partly in flight — ends the count and is left for
+    /// [`next_frame`](Self::next_frame).
+    pub fn next_run(&self, max: usize) -> usize {
+        self.buf[self.start..]
+            .chunks_exact(NEXT_FRAME_LEN)
+            .take(max)
+            .take_while(|frame| frame[..NEXT_FRAME_PREFIX.len()] == NEXT_FRAME_PREFIX)
+            .count()
+    }
+
+    /// Consumes the first `k` frames of the run [`next_run`](Self::next_run)
+    /// just reported and yields their sequence numbers in stream order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `k` whole `Next`-sized frames are buffered.
+    pub fn take_next_run(&mut self, k: usize) -> impl Iterator<Item = u32> + '_ {
+        let frames = &self.buf[self.start..self.start + k * NEXT_FRAME_LEN];
+        self.start += frames.len();
+        frames.chunks_exact(NEXT_FRAME_LEN).map(|frame| {
+            u32::from_le_bytes(frame[NEXT_FRAME_PREFIX.len()..].try_into().expect("4 bytes"))
+        })
+    }
+
     /// Reclaims the consumed prefix. Free when everything was consumed
     /// (a truncate); otherwise a copy, paid only past a slack threshold
     /// so steady-state polling stays amortized O(bytes).
@@ -854,28 +897,6 @@ impl FrameDecoder {
             self.start = 0;
         }
     }
-}
-
-/// Encodes and writes one request frame (no flush).
-///
-/// # Errors
-///
-/// I/O failures pass through.
-pub fn write_request(w: &mut impl Write, seq: u32, req: &Request) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + 8);
-    req.encode(seq, &mut frame);
-    w.write_all(&frame)
-}
-
-/// Encodes and writes one response frame (no flush).
-///
-/// # Errors
-///
-/// I/O failures pass through.
-pub fn write_response(w: &mut impl Write, seq: u32, resp: &Response) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + 16);
-    resp.encode(seq, &mut frame);
-    w.write_all(&frame)
 }
 
 #[cfg(test)]
@@ -1262,15 +1283,52 @@ mod tests {
     }
 
     #[test]
-    fn write_helpers_emit_parseable_frames() {
-        let mut out = Vec::new();
-        write_request(&mut out, 5, &Request::Ping).unwrap();
-        write_response(&mut out, 5, &Response::Pong).unwrap();
-        let mut cursor = io::Cursor::new(out);
-        let mut buf = Vec::new();
-        let p = read_frame(&mut cursor, &mut buf).unwrap().unwrap().to_vec();
-        assert_eq!(Request::decode(&p).unwrap(), (5, Request::Ping));
-        let p = read_frame(&mut cursor, &mut buf).unwrap().unwrap().to_vec();
-        assert_eq!(Response::decode(&p).unwrap(), (5, Response::Pong));
+    fn next_run_counts_only_whole_current_version_next_frames() {
+        // Three Next frames whose seqs wrap, then a Ping.
+        let mut stream = Vec::new();
+        for seq in [u32::MAX - 1, u32::MAX, 0] {
+            Request::Next.encode(seq, &mut stream);
+        }
+        Request::Ping.encode(1, &mut stream);
+        assert_eq!(stream.len(), 4 * NEXT_FRAME_LEN);
+        // Fed a byte at a time, the report only ever counts whole frames
+        // and stops at the Ping however many bytes follow.
+        let mut dec = FrameDecoder::new();
+        for (i, byte) in stream.iter().enumerate() {
+            dec.extend(std::slice::from_ref(byte));
+            assert_eq!(dec.next_run(usize::MAX), ((i + 1) / NEXT_FRAME_LEN).min(3), "byte {i}");
+        }
+        assert_eq!(dec.next_run(2), 2, "the cap bounds the report");
+        let seqs: Vec<u32> = dec.take_next_run(3).collect();
+        assert_eq!(seqs, [u32::MAX - 1, u32::MAX, 0]);
+        assert_eq!(dec.next_run(usize::MAX), 0);
+        let p = dec.next_frame().unwrap().unwrap();
+        assert_eq!(Request::decode(p).unwrap(), (1, Request::Ping));
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn next_run_leaves_every_other_shape_to_next_frame() {
+        let mut next = Vec::new();
+        Request::Next.encode(5, &mut next);
+        // A v1-stamped Next, a Next-sized frame with another opcode, and a
+        // length word that is not a Next's each end the run where they sit.
+        let mut v1 = next.clone();
+        v1[4] = 1;
+        let mut stats = Vec::new();
+        Request::Stats.encode(5, &mut stats);
+        let mut batch = Vec::new();
+        Request::NextBatch { n: 1 }.encode(5, &mut batch);
+        let bad_length = 2u32.to_le_bytes().to_vec();
+        for other in [v1, stats, batch, bad_length] {
+            let mut dec = FrameDecoder::new();
+            dec.extend(&next);
+            dec.extend(&next);
+            dec.extend(&other);
+            dec.extend(&next);
+            assert_eq!(dec.next_run(usize::MAX), 2, "{other:?}");
+            assert_eq!(dec.take_next_run(2).collect::<Vec<_>>(), [5, 5]);
+            assert_eq!(dec.next_run(usize::MAX), 0, "{other:?}");
+        }
     }
 }

@@ -36,7 +36,9 @@
 //! * **Sound 1-in-k sampling.** A recorder built
 //!   [`with_sampling`](TraceRecorder::with_sampling) records every k-th
 //!   operation per shard and merely counts the rest
-//!   ([`skipped`](TraceRecorder::skipped)). Sampled operations flow
+//!   ([`skipped`](TraceRecorder::skipped)) — by operation, whether they
+//!   arrive one at a time or as a
+//!   [`record_batch`](TraceRecorder::record_batch). Sampled operations flow
 //!   through the same batched publish as full recording — one stamp pair
 //!   per [`BATCH`] *samples* — and a sampled batch's boundary interval
 //!   `[previous boundary stamp, next boundary stamp]` covers every
@@ -324,8 +326,8 @@ impl TraceRecorder {
     }
 
     /// Settles a sampling window that just ended with `c` skips still
-    /// outstanding (`c == 0` when it ran to its sample; more when a batch
-    /// write or a flush cut it short): credits the `sample_k - 1 - c`
+    /// outstanding (`c == 0` when it ran to its sample; more when a flush
+    /// cut it short): credits the `sample_k - 1 - c`
     /// skips that actually happened and starts a fresh window. Keeping the
     /// accounting here — one store per *window* — lets the per-skip path
     /// in [`record`](Self::record) stay a bare countdown.
@@ -349,10 +351,12 @@ impl TraceRecorder {
 
     /// Records a whole batch of completed operations on `shard` with **one
     /// boundary stamp pair for the entire batch**, publishing immediately.
-    /// Returns how many of the values were recorded (the rest, if the ring
-    /// fills, are counted as drops). Under sampling, whole batches are
-    /// sampled at the same 1-in-`sample_k` *operation* rate (a skipped
-    /// batch counts all its operations as skipped). The caller must be the
+    /// Returns how many of the values were recorded (the rest of the
+    /// sampled ones, if the ring fills, are counted as drops). Sampling is
+    /// by operation, however operations arrive: the shard's 1-in-`sample_k`
+    /// countdown walks through the batch, so exactly the values
+    /// [`record`](Self::record) would have sampled one by one reach the
+    /// ring and the others count as skipped. The caller must be the
     /// shard's only concurrent writer.
     ///
     /// Soundness is the same widening argument as the per-[`BATCH`]
@@ -369,31 +373,41 @@ impl TraceRecorder {
     /// Panics if `shard` is out of range.
     pub fn record_batch(&self, shard: usize, values: &[u64]) -> usize {
         let s = &self.shards[shard];
+        // The countdown (0 when sampling is off) is how many values the
+        // window still skips; from there every `sample_k`-th is sampled.
+        let c = s.wr.sample_ctr.load(Ordering::Relaxed);
+        let sampled = values.iter().skip(c).step_by(self.sample_k);
+        let samples = sampled.len();
         if self.sample_k > 1 {
-            let c = s.wr.sample_ctr.load(Ordering::Relaxed);
-            if values.len() <= c {
+            if samples == 0 {
                 // The whole batch fits in the window's remaining skips.
                 s.wr.sample_ctr.store(c - values.len(), Ordering::Relaxed);
                 return 0;
             }
-            // The batch reaches the window's sample point: record it all
-            // and settle the cut-short window's skip count.
-            self.credit_window(s, c);
+            // Every sample closes a window (`record`'s `credit_window(s,
+            // 0)`, once per sample); the values after the last one open
+            // the next window, settled when it ends or at `flush`.
+            let after_last = values.len() - 1 - (c + (samples - 1) * self.sample_k);
+            s.wr.skipped.store(
+                s.wr.skipped.load(Ordering::Relaxed) + (samples * (self.sample_k - 1)) as u64,
+                Ordering::Relaxed,
+            );
+            s.wr.sample_ctr.store(self.sample_k - 1 - after_last, Ordering::Relaxed);
         }
         let head = s.head.load(Ordering::Relaxed);
         let mut w = s.wr.wcur.load(Ordering::Relaxed);
         let mut tail = s.wr.cached_tail.load(Ordering::Relaxed);
-        if w.wrapping_add(values.len()).wrapping_sub(tail) > self.mask + 1 {
+        if w.wrapping_add(samples).wrapping_sub(tail) > self.mask + 1 {
             tail = s.tail.load(Ordering::Acquire);
             s.wr.cached_tail.store(tail, Ordering::Relaxed);
         }
         let used = w.wrapping_sub(tail);
         let room = (self.mask + 1) - used;
-        let recorded = values.len().min(room);
-        if recorded < values.len() {
-            s.dropped.fetch_add((values.len() - recorded) as u64, Ordering::Relaxed);
+        let recorded = samples.min(room);
+        if recorded < samples {
+            s.dropped.fetch_add((samples - recorded) as u64, Ordering::Relaxed);
         }
-        for &value in &values[..recorded] {
+        for &value in sampled.take(recorded) {
             s.slots[w & self.mask].value.store(value, Ordering::Relaxed);
             w = w.wrapping_add(1);
         }
@@ -882,6 +896,72 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| e.enter_ns == first.enter_ns && e.exit_ns == first.exit_ns));
+    }
+
+    /// Flushes shard 0 and pulls everything published on it.
+    fn flush_and_pull(rec: &TraceRecorder) -> Vec<u64> {
+        rec.flush(0);
+        let mut values = Vec::new();
+        rec.pull_shard(0, |_, _, value| values.push(value));
+        values
+    }
+
+    #[test]
+    fn a_batch_is_sampled_by_operation_not_whole() {
+        let rec = TraceRecorder::with_sampling(1, 256, 4);
+        assert_eq!(rec.record_batch(0, &(0..64).collect::<Vec<u64>>()), 16);
+        let pulled = flush_and_pull(&rec);
+        assert_eq!(pulled, (0..16).map(|i| 4 * i + 3).collect::<Vec<u64>>());
+        assert_eq!(rec.skipped_on(0), 48);
+    }
+
+    #[test]
+    fn sampling_is_the_same_however_operations_arrive() {
+        let stream: Vec<u64> = (0..1000).map(|v| v * 3 + 1).collect();
+        // One value at a time, in batches of 7, and in a mix of both.
+        let singles = TraceRecorder::with_sampling(1, 1024, 4);
+        for &v in &stream {
+            singles.record(0, v);
+        }
+        let batches = TraceRecorder::with_sampling(1, 1024, 4);
+        for chunk in stream.chunks(7) {
+            batches.record_batch(0, chunk);
+        }
+        let mixed = TraceRecorder::with_sampling(1, 1024, 4);
+        let mut rest = &stream[..];
+        for width in [1usize, 5, 0, 2, 64, 3, 1, 1, 9].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at((*width).min(rest.len()));
+            match now {
+                [one] => {
+                    mixed.record(0, *one);
+                }
+                many => {
+                    mixed.record_batch(0, many);
+                }
+            }
+            rest = later;
+        }
+        let expect: Vec<u64> = stream.iter().copied().skip(3).step_by(4).collect();
+        for rec in [&singles, &batches, &mixed] {
+            let pulled = flush_and_pull(rec);
+            assert_eq!(pulled, expect);
+            assert_eq!(rec.skipped_on(0) + pulled.len() as u64, 1000);
+            assert_eq!(rec.dropped_on(0), 0);
+        }
+    }
+
+    #[test]
+    fn a_full_ring_drops_only_sampled_values_of_a_batch() {
+        // 1-in-2 sampling into a 4-slot ring: a batch of 16 samples 8, four
+        // fit, four drop — and the 8 it skipped are skips, not drops.
+        let rec = TraceRecorder::with_sampling(1, 4, 2);
+        assert_eq!(rec.record_batch(0, &(0..16).collect::<Vec<u64>>()), 4);
+        assert_eq!(rec.dropped_on(0), 4);
+        assert_eq!(flush_and_pull(&rec), [1, 3, 5, 7]);
+        assert_eq!(rec.skipped_on(0), 8);
     }
 
     #[test]

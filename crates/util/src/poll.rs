@@ -45,6 +45,10 @@ impl Interest {
     /// Read readiness only — the steady state of an idle connection.
     pub const READABLE: Interest = Interest { readable: true, writable: false };
 
+    /// Neither: the source stays registered but muted (only an error or
+    /// hangup still reports) — a listener that must not accept for now.
+    pub const NONE: Interest = Interest { readable: false, writable: false };
+
     /// Read and write readiness — used while a response is partially
     /// flushed and the connection waits for buffer space.
     pub const READABLE_WRITABLE: Interest = Interest { readable: true, writable: true };

@@ -51,13 +51,18 @@ cargo test -q --offline -p cnet-bench
 # Benchmark gate: `benchmark/` is a package of its own that measures the
 # crates through their public functions, so a crate API change can break
 # it without the workspace noticing. The build is the hard gate. The
-# one-second run of its shortest workload (exit code nonzero when a
-# verdict check fails) needs two CPUs to pin its roles apart, so a host
-# with fewer skips it with a notice instead of failing the whole script.
+# one-second runs (exit code nonzero when a check fails) need two CPUs to
+# pin their roles apart, so a host with fewer skips them with a notice
+# instead of failing the whole script: `audit_replay`, the shortest
+# workload, for its verdict checks, and `tcp_pipeline` because its
+# `values_are_0_to_n` and `served_equals_received` checks cover some ten
+# million operations counted as coalesced runs.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 if [ "$(nproc)" -ge 2 ]; then
-    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-        run --workload audit_replay --seconds 1 | tail -n 8
+    for workload in audit_replay tcp_pipeline; do
+        cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+            run --workload "$workload" --seconds 1 | tail -n 8
+    done
 else
     echo "benchmark gate: built; run skipped (needs 2 CPUs, this host offers $(nproc))"
 fi
@@ -202,6 +207,72 @@ fi
 rm -f "$port_file" "$serve_log"
 echo "parallel-audit smoke: ok (2 stealer workers, 1-in-4 sampling, clean merged verdict)"
 
+# Sampled-run smoke: one client pipelines bursts of 256 `Next` frames at a
+# compiled B(8) server recording 1 in 4. The server counts each burst as
+# coalesced runs (one batched traversal, values handed out and recorded
+# ascending), and sampling is by operation, so the frontier audit must see
+# skips — a run recorded whole would leave none — and, with a single
+# client, a clean verdict: a run recorded in traversal order instead of
+# the order handed out would read as non-SC.
+port_file=$(mktemp)
+rm -f "$port_file"
+cargo run -q --release --offline -p cnet-cli -- \
+    serve 8 --audit 1 --audit-sample 4 --max-conns 8 --port-file "$port_file" &
+serve_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$port_file" ] && break
+    if ! kill -0 "$serve_pid" 2>/dev/null; then
+        echo "error: cnet serve (sampled-run smoke) exited before binding" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+if [ ! -s "$port_file" ]; then
+    echo "error: cnet serve (sampled-run smoke) never wrote its port file" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+addr=$(cat "$port_file")
+run_out=$(cargo run -q --release --offline -p cnet-cli -- \
+    loadgen --addr "$addr" --threads 1 --ops 51200 --mode pipeline --batch 256 --check 1)
+if ! echo "$run_out" | grep -q "permutation 0..51200: true"; then
+    echo "error: sampled-run smoke values were not a permutation of 0..n" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+run_audit=$(cargo run -q --release --offline -p cnet-cli -- \
+    audit 8 --backend cluster --addr "$addr") || {
+    echo "error: sampled-run audit reported violations (nonzero exit)" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
+echo "$run_audit" | tail -n 4
+for line in "sampling skipped:" "audit verdict: clean"; do
+    if ! echo "$run_audit" | grep -q "$line"; then
+        echo "error: sampled-run audit did not print '$line'" >&2
+        kill "$serve_pid" 2>/dev/null || true
+        exit 1
+    fi
+done
+cargo run -q --release --offline -p cnet-cli -- \
+    loadgen --addr "$addr" --ops 0 --shutdown 1 >/dev/null
+drained=0
+for _ in $(seq 1 100); do
+    if ! kill -0 "$serve_pid" 2>/dev/null; then
+        drained=1
+        break
+    fi
+    sleep 0.1
+done
+if [ "$drained" -ne 1 ]; then
+    echo "error: cnet serve (sampled-run smoke) failed to drain" >&2
+    kill -9 "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+wait "$serve_pid" || true
+rm -f "$port_file"
+echo "sampled-run smoke: ok (256-frame runs, 1-in-4 sampling by operation, clean verdict)"
+
 # Reactor smoke: the sharded epoll reactor must hold 256 mostly-idle
 # pooled connections from 4 loadgen workers and still hand out an exact
 # permutation, then report its reactor counters and drain on Shutdown.
@@ -271,10 +342,12 @@ fi
 # peer at startup), drive 100k ops from a 4-thread loadgen pointed at
 # the *tail* (`--cluster 1` makes the NodeInfo handshake re-dial the
 # head), require an exact permutation, then fetch and merge both nodes'
-# trace shards into one cluster-wide audit verdict. The per-token
-# pipeline path on one CPU serializes each slot's tokens through the
-# chain in order, so the merged audit must come back clean; `cnet
-# audit` exits nonzero on violations, so the exit code is the gate.
+# trace shards into one cluster-wide audit verdict. The head counts each
+# run of pipelined `Next` frames as one `ingress_batch` (one
+# `ForwardBatch` burst down the chain per run) and hands the values out
+# ascending; on one CPU each slot's runs go through the chain in order,
+# so the merged audit must come back clean; `cnet audit` exits nonzero
+# on violations, so the exit code is the gate.
 # "On one CPU" is a condition, not a given: with two CPUs the four
 # loadgen threads do overtake each other (F_nsc of 0.1-0.5 %, the
 # paper's subject, not a bug), so both nodes and the loadgen are pinned
