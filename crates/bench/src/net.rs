@@ -123,9 +123,9 @@ fn measure_net(
 /// repetition, best run kept. Rows carry `"nodes": N` (schema v5).
 ///
 /// The load always uses the batched wire mode regardless of
-/// [`NetThroughputConfig::mode`]: one `NextBatch` per burst becomes one
-/// pipelined `ForwardBatch` burst per occupied cut position, which is
-/// the fabric's designed fast path. The per-token `Forward` path pays a
+/// [`NetThroughputConfig::mode`]: one `NextBatch` per burst crosses
+/// every cut as one `ForwardBatch` frame carrying each wire's count, which
+/// is the fabric's designed fast path. The per-token `Forward` path pays a
 /// full peer round trip per increment — that measures the hop latency,
 /// not what the fabric can move.
 fn measure_cluster(

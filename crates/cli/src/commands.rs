@@ -1888,9 +1888,9 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
         };
-        // Pipelined single increments: batched frames are sampled
-        // all-or-nothing per batch, so a 64-op batch would defeat a 1-in-4
-        // stride. Singles exercise the per-op countdown.
+        // Pipelined single increments reach the server as coalesced runs;
+        // `record_batch` samples by operation inside a run, so the 1-in-4
+        // stride skips three values in four however the frames arrive.
         let out = call(&[
             "loadgen", "--addr", &addr, "--threads", "4", "--ops", "2000", "--mode", "pipeline",
         ])

@@ -51,13 +51,15 @@ impl Default for ClientConfig {
     }
 }
 
-/// One pooled connection: a single stream (one file descriptor — a
-/// `BufReader` over a `try_clone` would double the fd cost and halve how
-/// many connections fit under `ulimit -n`), an outgoing byte buffer
-/// flushed once per pipelined burst, an incremental [`FrameDecoder`] for
-/// the inbound side, and the per-connection sequence counter the protocol
-/// stamps on every frame.
-struct Conn {
+/// The crate's one client-side connection — [`RemoteCounter`]'s pool
+/// slots and the cluster's peer lanes ([`crate::router::RemoteNode`]) both
+/// hold it: a single stream (one file descriptor — a `BufReader` over a
+/// `try_clone` would double the fd cost and halve how many connections fit
+/// under `ulimit -n`), an outgoing byte buffer flushed once per pipelined
+/// burst, an incremental [`FrameDecoder`] for the inbound side (a response
+/// is read in one `read`, however many frames it spans), and the
+/// per-connection sequence counter the protocol stamps on every frame.
+pub(crate) struct Conn {
     stream: TcpStream,
     outbox: Vec<u8>,
     decoder: FrameDecoder,
@@ -65,7 +67,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn dial(addr: SocketAddr) -> io::Result<Conn> {
+    fn dial(addr: impl ToSocketAddrs) -> io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Conn {
@@ -119,11 +121,50 @@ impl Conn {
     }
 
     /// One round trip: send, flush, receive.
-    fn call(&mut self, req: &Request) -> io::Result<Response> {
+    pub(crate) fn call(&mut self, req: &Request) -> io::Result<Response> {
         let seq = self.send(req);
         self.flush()?;
         self.recv(seq)
     }
+}
+
+/// Runs `f` on the connection in `slot`, dialing `addr` first if the slot
+/// is empty: up to `attempts` tries, sleeping `backoff` — doubled per
+/// failure, capped at 100× — between them. Nothing has been sent while
+/// dialing, so retrying is safe. An error from `f` empties the slot: the
+/// conversation is torn, what was sent is never resent, and the next call
+/// redials.
+pub(crate) fn with_dialed<T>(
+    slot: &mut Option<Conn>,
+    addr: impl ToSocketAddrs + Copy,
+    attempts: u32,
+    backoff: Duration,
+    f: impl FnOnce(&mut Conn) -> io::Result<T>,
+) -> io::Result<T> {
+    let conn = match slot {
+        Some(conn) => conn,
+        None => {
+            let mut wait = backoff;
+            let mut attempt = 1;
+            let conn = loop {
+                match Conn::dial(addr) {
+                    Ok(conn) => break conn,
+                    Err(e) if attempt >= attempts => return Err(e),
+                    Err(_) => {
+                        std::thread::sleep(wait);
+                        wait = (wait * 2).min(backoff * 100);
+                        attempt += 1;
+                    }
+                }
+            };
+            slot.insert(conn)
+        }
+    };
+    let result = f(conn);
+    if result.is_err() {
+        *slot = None;
+    }
+    result
 }
 
 /// A [`ProcessCounter`] served over TCP.
@@ -212,45 +253,14 @@ impl RemoteCounter {
         self.cfg.pool
     }
 
-    /// Runs `f` on the slot's live connection, dialing (with backoff) if
-    /// the slot is empty. A failed call tears the connection down so the
-    /// next call redials.
+    /// Runs `f` on `process`'s pool slot ([`with_dialed`]).
     fn with_conn<T>(
         &self,
         process: usize,
         f: impl FnOnce(&mut Conn) -> io::Result<T>,
     ) -> io::Result<T> {
         let mut slot = self.slots[process % self.cfg.pool].lock();
-        if slot.is_none() {
-            let mut backoff = self.cfg.base_backoff;
-            let mut last_err = None;
-            for attempt in 0..self.cfg.max_dial_attempts.max(1) {
-                match Conn::dial(self.addr) {
-                    Ok(conn) => {
-                        *slot = Some(conn);
-                        break;
-                    }
-                    Err(e) => {
-                        last_err = Some(e);
-                        if attempt + 1 < self.cfg.max_dial_attempts.max(1) {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(self.cfg.base_backoff * 100);
-                        }
-                    }
-                }
-            }
-            if slot.is_none() {
-                return Err(last_err.unwrap_or_else(|| {
-                    io::Error::new(io::ErrorKind::NotConnected, "dial failed")
-                }));
-            }
-        }
-        let conn = slot.as_mut().expect("connection dialed above");
-        let result = f(conn);
-        if result.is_err() {
-            *slot = None; // redial on the next call
-        }
-        result
+        with_dialed(&mut slot, self.addr, self.cfg.max_dial_attempts, self.cfg.base_backoff, f)
     }
 
     /// Fallible single increment as `process`.
@@ -573,10 +583,10 @@ mod tests {
         let peer = std::thread::spawn(move || {
             for bad_at in [Some(2u64), None] {
                 let (mut stream, _) = listener.accept().unwrap();
-                let (mut buf, mut out) = (Vec::new(), Vec::new());
+                let (mut decoder, mut out) = (FrameDecoder::new(), Vec::new());
                 for value in 0..4u64 {
-                    let payload = read_frame(&mut stream, &mut buf).unwrap().unwrap();
-                    let (seq, req) = Request::decode(payload).unwrap();
+                    let payload = read_frame(&mut stream, &mut decoder).unwrap().unwrap();
+                    let (seq, req) = Request::decode(&payload).unwrap();
                     assert_eq!(req, Request::Next);
                     let seq = if bad_at == Some(value) { seq.wrapping_add(7) } else { seq };
                     Response::Value { value }.encode(seq, &mut out);

@@ -19,25 +19,34 @@
 //! `k+1`, and the tail blocks on nobody — so the linear chain cannot
 //! deadlock.
 //!
+//! A batch crosses every cut as **one frame**: a node runs the whole
+//! batch through its layers in one sweep
+//! ([`CompiledNetwork::traverse_counts`], one atomic per balancer however
+//! many wires the batch entered on), writes a single
+//! [`Request::ForwardBatch`] carrying the count on each of the cut's `w`
+//! wires, and reads a single `Batch` back — one write and one read per hop
+//! per batch, on a relay in the middle of a chain as on the head. The
+//! timed model charges a token the wire delays it crosses, and the cut is
+//! the slowest wire the fabric has.
+//!
 //! # Exactly-once counting
 //!
-//! The never-retry rule of [`crate::client`] applies per hop: once a
-//! `Forward` frame has been written the hop is never resent (the token
-//! may already be counted downstream), the peer connection is torn down,
-//! and the failure propagates back to the client as
-//! [`ErrorCode::Cluster`](crate::wire::ErrorCode::Cluster). Dialing —
+//! The never-retry rule of [`crate::client`] applies per hop, on the same
+//! connection type: once a forward frame has been written the hop is
+//! never resent (the tokens may already be counted downstream), the peer
+//! connection is torn down, and the failure propagates back to the client
+//! as [`ErrorCode::Cluster`](crate::wire::ErrorCode::Cluster). Dialing —
 //! before anything is sent — retries freely.
 
-use crate::client::response_error;
-use crate::wire::{read_frame, Request, Response};
+use crate::client::{response_error, with_dialed, Conn};
+use crate::wire::{Request, Response};
 use cnet_core::trace::{MergeAuditor, ShardFrontier};
 use cnet_runtime::{CompiledNetwork, ProcessCounter, SharedNetworkCounter};
 use cnet_topology::{Network, Partition, PartitionError};
 use cnet_util::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use cnet_util::sync::{CachePadded, Mutex};
 use std::fmt;
-use std::io::{self, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io;
 use std::time::Duration;
 
 /// Why a cluster node could not be assembled.
@@ -81,53 +90,13 @@ impl From<PartitionError> for ClusterError {
     }
 }
 
-/// One blocking connection to a downstream peer.
-struct PeerConn {
-    stream: TcpStream,
-    /// The outgoing burst, encoded in place and reused across calls.
-    out: Vec<u8>,
-    buf: Vec<u8>,
-    seq: u32,
-}
-
-impl PeerConn {
-    fn dial(addr: &str) -> io::Result<PeerConn> {
-        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "peer address resolved to nothing")
-        })?;
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(PeerConn { stream, out: Vec::new(), buf: Vec::new(), seq: 0 })
-    }
-
-    /// Sends every request, then reads every response, matching sequence
-    /// numbers in order — one write burst per hop even when a batched
-    /// traversal fans out over several cut positions.
-    fn calls(&mut self, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        self.out.clear();
-        let first = self.seq;
-        for req in reqs {
-            req.encode(self.seq, &mut self.out);
-            self.seq = self.seq.wrapping_add(1);
-        }
-        self.stream.write_all(&self.out)?;
-        let mut resps = Vec::with_capacity(reqs.len());
-        for i in 0..reqs.len() {
-            let expect = first.wrapping_add(i as u32);
-            let payload = read_frame(&mut self.stream, &mut self.buf)?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-conversation")
-            })?;
-            let (seq, resp) = Response::decode(payload)?;
-            if seq != expect {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("peer sequence mismatch: sent {expect}, got {seq}"),
-                ));
-            }
-            resps.push(resp);
-        }
-        Ok(resps)
-    }
+/// One slot of the peer link: the connection (dialed lazily) and, beside
+/// it under the same lock, the buffer the relay's batched traversal counts
+/// the cut's wires into — reused batch after batch.
+#[derive(Default)]
+struct Lane {
+    conn: Option<Conn>,
+    cut_counts: Vec<usize>,
 }
 
 /// A pooled client for one downstream node: `lanes` independent
@@ -137,7 +106,7 @@ impl PeerConn {
 /// down without resending (see the module docs).
 pub struct RemoteNode {
     addr: String,
-    lanes: Box<[CachePadded<Mutex<Option<PeerConn>>>]>,
+    lanes: Box<[CachePadded<Mutex<Lane>>]>,
 }
 
 impl fmt::Debug for RemoteNode {
@@ -159,7 +128,7 @@ impl RemoteNode {
     pub fn new(addr: String, lanes: usize) -> RemoteNode {
         RemoteNode {
             addr,
-            lanes: (0..lanes.max(1)).map(|_| CachePadded::new(Mutex::new(None))).collect(),
+            lanes: (0..lanes.max(1)).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -168,55 +137,22 @@ impl RemoteNode {
         &self.addr
     }
 
-    /// Runs one pipelined conversation on `lane`'s connection.
+    /// Runs one conversation on `lane`'s connection, handing `f` the
+    /// lane's cut-count buffer with it.
     fn with_lane<T>(
         &self,
         lane: usize,
-        f: impl FnOnce(&mut PeerConn) -> io::Result<T>,
+        f: impl FnOnce(&mut Conn, &mut Vec<usize>) -> io::Result<T>,
     ) -> io::Result<T> {
-        let mut slot = self.lanes[lane % self.lanes.len()].lock();
-        if slot.is_none() {
-            let mut backoff = PEER_DIAL_BACKOFF;
-            let mut last = None;
-            for attempt in 0..PEER_DIAL_ATTEMPTS {
-                match PeerConn::dial(&self.addr) {
-                    Ok(conn) => {
-                        *slot = Some(conn);
-                        break;
-                    }
-                    Err(e) => {
-                        last = Some(e);
-                        if attempt + 1 < PEER_DIAL_ATTEMPTS {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(PEER_DIAL_BACKOFF * 100);
-                        }
-                    }
-                }
-            }
-            if slot.is_none() {
-                return Err(last.unwrap_or_else(|| {
-                    io::Error::new(io::ErrorKind::NotConnected, "peer dial failed")
-                }));
-            }
-        }
-        let conn = slot.as_mut().expect("dialed above");
-        let result = f(conn);
-        if result.is_err() {
-            *slot = None; // never resend on a torn conversation
-        }
-        result
+        let Lane { conn, cut_counts } = &mut *self.lanes[lane % self.lanes.len()].lock();
+        with_dialed(conn, &self.addr[..], PEER_DIAL_ATTEMPTS, PEER_DIAL_BACKOFF, |conn| {
+            f(conn, cut_counts)
+        })
     }
 
     /// One request, one response, on `lane`.
     pub fn call(&self, lane: usize, req: &Request) -> io::Result<Response> {
-        self.with_lane(lane, |conn| {
-            Ok(conn.calls(std::slice::from_ref(req))?.pop().expect("one response"))
-        })
-    }
-
-    /// Pipelines `reqs` on `lane` and returns the responses in order.
-    pub fn call_many(&self, lane: usize, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        self.with_lane(lane, |conn| conn.calls(reqs))
+        self.with_lane(lane, |conn, _| conn.call(req))
     }
 }
 
@@ -388,71 +324,65 @@ impl ClusterNode {
         }
     }
 
-    /// Runs `n` tokens entering together on cut position `port` — the
-    /// batched counterpart of [`step`](Self::step). A relay node pays at
+    /// Runs a batch that is already inside the fabric, `entering[p]` tokens
+    /// on every cut position `p` — the batched counterpart of
+    /// [`step`](Self::step). The tail hands out all the values in one
+    /// [`SharedNetworkCounter::increment_counts_from`]. A relay pays at
     /// most one atomic per balancer for the whole batch
-    /// ([`CompiledNetwork::traverse_batch`]), then forwards one
-    /// `ForwardBatch` per occupied cut position, pipelined in a single
-    /// write burst. Values come back grouped by cut position; the set is
+    /// ([`CompiledNetwork::traverse_counts`]), then crosses the next cut in
+    /// **one frame**: a single `ForwardBatch` carrying the count on every
+    /// wire, answered by a single `Batch` of as many values as tokens went
+    /// in. Values come back grouped by the tail's output wire; the set is
     /// what matters (a counting network never promises per-token order).
+    ///
+    /// The batch is all-or-nothing at the tail: a refused frame counts no
+    /// token, so a refusal costs the fabric no values (only the balancer
+    /// states the batch already advanced upstream, which no value depends
+    /// on).
     ///
     /// # Errors
     ///
     /// Peer-link I/O failures, downstream refusals, and a downstream
     /// batch of the wrong length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entering.len() != fan()`.
     pub fn step_batch(
         &self,
         lane: usize,
         token: u64,
-        port: usize,
-        n: usize,
+        entering: &[usize],
     ) -> io::Result<Vec<u64>> {
-        assert!(port < self.fan, "cut position {port} out of range");
-        if n == 0 {
+        assert_eq!(entering.len(), self.fan, "one count per cut position");
+        let total: usize = entering.iter().sum();
+        if total == 0 {
             return Ok(Vec::new());
         }
         match &self.stage {
             StageKind::Tail { counter } => {
-                let mut values = Vec::with_capacity(n);
-                counter.increment_batch_from(port, n, &mut values);
+                let mut values = Vec::with_capacity(total);
+                counter.increment_counts_from(entering, &mut values);
                 Ok(values)
             }
             StageKind::Relay { engine, balancers } => {
-                let mut sink_counts = Vec::new();
-                engine.traverse_batch(port, n, balancers, &mut sink_counts);
                 let down = self.downstream.as_ref().expect("relay has a downstream");
-                let node_seq = (self.node + 1) as u32;
-                let mut reqs = Vec::new();
-                let mut offset = 0u64;
-                for (exit, &count) in sink_counts.iter().enumerate() {
-                    if count == 0 {
-                        continue;
-                    }
-                    reqs.push(Request::ForwardBatch {
-                        token: token.wrapping_add(offset),
-                        port: exit as u32,
-                        node_seq,
-                        n: count as u32,
-                    });
-                    offset += count as u64;
+                let resp = down.with_lane(lane, |conn, cut_counts| {
+                    engine.traverse_counts(entering, balancers, cut_counts);
+                    conn.call(&Request::ForwardBatch {
+                        token,
+                        node_seq: (self.node + 1) as u32,
+                        counts: cut_counts.iter().map(|&count| count as u32).collect(),
+                    })
+                })?;
+                match resp {
+                    Response::Batch { values } if values.len() == total => Ok(values),
+                    Response::Batch { values } => Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("forwarded {total} tokens, got {} values", values.len()),
+                    )),
+                    other => Err(response_error(&other)),
                 }
-                let mut values = Vec::with_capacity(n);
-                for (req, resp) in reqs.iter().zip(down.call_many(lane, &reqs)?) {
-                    let Request::ForwardBatch { n: want, .. } = req else { unreachable!() };
-                    match resp {
-                        Response::Batch { values: got } if got.len() == *want as usize => {
-                            values.extend(got);
-                        }
-                        Response::Batch { values: got } => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("forwarded {want} tokens, got {} values", got.len()),
-                            ));
-                        }
-                        other => return Err(response_error(&other)),
-                    }
-                }
-                Ok(values)
             }
         }
     }
@@ -477,7 +407,9 @@ impl ClusterNode {
     /// Same as [`ingress`](Self::ingress).
     pub fn ingress_batch(&self, lane: usize, process: usize, n: usize) -> io::Result<Vec<u64>> {
         let token = self.tokens.fetch_add(n as u64, Ordering::Relaxed);
-        self.step_batch(lane, token, process % self.fan, n)
+        let mut entering = vec![0; self.fan];
+        entering[process % self.fan] = n;
+        self.step_batch(lane, token, &entering)
     }
 }
 
@@ -632,6 +564,65 @@ mod tests {
             (0..24).map(|i| tail.step(0, i as u64, i % 8).unwrap()).collect();
         values.sort_unstable();
         assert_eq!(values, (0..24).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_torn_hop_is_never_resent_and_the_next_batch_redials() {
+        use crate::wire::{read_frame, FrameDecoder};
+        use std::io::Write;
+        use std::net::{Shutdown, TcpListener};
+
+        // A downstream peer that takes the first connection's frame and
+        // hangs up on it unanswered, then answers the second connection's.
+        // It reads each connection to its end, so it sees every frame the
+        // relay ever wrote.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for answer in [false, true] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut decoder = FrameDecoder::new();
+                let mut frames = Vec::new();
+                while let Some(payload) = read_frame(&mut stream, &mut decoder).unwrap() {
+                    let (seq, req) = Request::decode(&payload).unwrap();
+                    if let (true, Request::ForwardBatch { counts, .. }) = (answer, &req) {
+                        let n = counts.iter().map(|&c| u64::from(c)).sum();
+                        let mut out = Vec::new();
+                        Response::Batch { values: (0..n).collect() }.encode(seq, &mut out);
+                        stream.write_all(&out).unwrap();
+                    }
+                    frames.push(req);
+                    stream.shutdown(Shutdown::Write).unwrap();
+                }
+                seen.push(frames);
+            }
+            seen
+        });
+        let net = bitonic(4).unwrap();
+        let head = ClusterNode::new(&net, 0, 2, &[addr], 1).unwrap();
+        let err = head.ingress_batch(0, 0, 5).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(head.ingress_batch(0, 0, 3).unwrap(), [0, 1, 2]);
+        drop(head);
+        let seen = peer.join().unwrap();
+        let tokens: Vec<Vec<(u64, u32)>> = seen
+            .iter()
+            .map(|frames| {
+                frames
+                    .iter()
+                    .map(|req| match req {
+                        Request::ForwardBatch { token, node_seq: 1, counts } => {
+                            (*token, counts.iter().sum())
+                        }
+                        other => panic!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect();
+        // One frame per batch and per connection: the five lost tokens were
+        // not written again, on the torn connection or on the fresh one.
+        assert_eq!(tokens, [vec![(0, 5)], vec![(5, 3)]]);
     }
 
     #[test]

@@ -689,6 +689,9 @@ struct Conn {
     phase: Phase,
     /// Whether the poller currently watches write readiness.
     write_interest: bool,
+    /// A `ForwardBatch` frame's per-wire counts as the traversal takes
+    /// them, reused frame after frame.
+    entering: Vec<usize>,
 }
 
 impl Conn {
@@ -702,6 +705,7 @@ impl Conn {
             out_pos: 0,
             phase: Phase::ReadingHeader,
             write_interest: false,
+            entering: Vec::new(),
         }
     }
 
@@ -1024,28 +1028,34 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
             };
             resp.encode_versioned(seq, version, &mut conn.out);
         }
-        Request::ForwardBatch { token, port, node_seq, n } => {
+        Request::ForwardBatch { token, node_seq, counts } => {
             if shared.stop.load(Ordering::Acquire) {
                 Response::Error(ErrorCode::ShuttingDown)
                     .encode_versioned(seq, version, &mut conn.out);
                 conn.phase = Phase::Closing;
                 return;
             }
-            if n == 0 || n > MAX_BATCH {
-                Response::Error(ErrorCode::BadBatch)
-                    .encode_versioned(seq, version, &mut conn.out);
-                return;
-            }
+            // Everything is checked before a word moves: the frame is for
+            // this node, it has a count for each wire of the cut, and the
+            // counts add up (in `u64`: each alone can be `u32::MAX`) to a
+            // batch one response frame can answer.
+            let total: u64 = counts.iter().map(|&count| u64::from(count)).sum();
             let resp = match &shared.cluster {
-                Some(c) if node_seq as usize == c.node() && (port as usize) < c.fan() => {
-                    conn.phase = Phase::Executing;
-                    match c.step_batch(conn.slot, token, port as usize, n as usize) {
-                        Ok(values) => {
-                            stats.ops.fetch_add(u64::from(n), Ordering::Relaxed);
-                            stats.batches.fetch_add(1, Ordering::Relaxed);
-                            Response::Batch { values }
+                Some(c) if node_seq as usize == c.node() && counts.len() == c.fan() => {
+                    if total == 0 || total > u64::from(MAX_BATCH) {
+                        Response::Error(ErrorCode::BadBatch)
+                    } else {
+                        conn.phase = Phase::Executing;
+                        conn.entering.clear();
+                        conn.entering.extend(counts.iter().map(|&count| count as usize));
+                        match c.step_batch(conn.slot, token, &conn.entering) {
+                            Ok(values) => {
+                                stats.ops.fetch_add(total, Ordering::Relaxed);
+                                stats.batches.fetch_add(1, Ordering::Relaxed);
+                                Response::Batch { values }
+                            }
+                            Err(_) => Response::Error(ErrorCode::Cluster),
                         }
-                        Err(_) => Response::Error(ErrorCode::Cluster),
                     }
                 }
                 _ => Response::Error(ErrorCode::Cluster),
@@ -1249,13 +1259,14 @@ mod tests {
     /// A minimal raw client for exercising the wire directly.
     struct Raw {
         stream: TcpStream,
-        buf: Vec<u8>,
+        decoder: FrameDecoder,
         seq: u32,
     }
 
     impl Raw {
         fn connect(addr: SocketAddr) -> Raw {
-            Raw { stream: TcpStream::connect(addr).unwrap(), buf: Vec::new(), seq: 0 }
+            let stream = TcpStream::connect(addr).unwrap();
+            Raw { stream, decoder: FrameDecoder::new(), seq: 0 }
         }
 
         fn send(&mut self, req: &Request) -> u32 {
@@ -1267,9 +1278,18 @@ mod tests {
             seq
         }
 
+        /// The next frame's payload, version byte and all.
+        fn recv_payload(&mut self) -> Vec<u8> {
+            read_frame(&mut self.stream, &mut self.decoder).unwrap().unwrap()
+        }
+
         fn recv(&mut self) -> (u32, Response) {
-            let payload = read_frame(&mut self.stream, &mut self.buf).unwrap().unwrap();
-            Response::decode(payload).unwrap()
+            Response::decode(&self.recv_payload()).unwrap()
+        }
+
+        /// Asserts the server sent nothing more and closed the connection.
+        fn expect_close(mut self) {
+            assert!(read_frame(&mut self.stream, &mut self.decoder).unwrap().is_none());
         }
     }
 
@@ -1377,7 +1397,6 @@ mod tests {
 
     #[test]
     fn malformed_frames_get_an_error_and_a_close() {
-        use std::io::Read as _;
         let server = fetch_add_server(ServerConfig::default());
         // A syntactically valid frame with a bogus opcode: never assigned
         // (0x6f), or the retired Trace request (0x0A).
@@ -1390,15 +1409,12 @@ mod tests {
             let (_, resp) = c.recv();
             assert_eq!(resp, Response::Error(ErrorCode::Malformed));
             // The server closed the connection after the error.
-            let mut rest = Vec::new();
-            c.stream.read_to_end(&mut rest).unwrap();
-            assert!(rest.is_empty());
+            c.expect_close();
         }
     }
 
     #[test]
     fn corrupt_framing_closes_the_connection() {
-        use std::io::Read as _;
         let server = fetch_add_server(ServerConfig::default());
         let mut c = Raw::connect(server.local_addr());
         // A length word over MAX_FRAME: unrecoverable framing corruption.
@@ -1407,9 +1423,7 @@ mod tests {
             .unwrap();
         let (_, resp) = c.recv();
         assert_eq!(resp, Response::Error(ErrorCode::Malformed));
-        let mut rest = Vec::new();
-        c.stream.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty());
+        c.expect_close();
     }
 
     #[test]
@@ -1530,15 +1544,15 @@ mod tests {
         let server = fetch_add_server(ServerConfig::default());
         let mut c = Raw::connect(server.local_addr());
         c.stream.write_all(&v1_frame(0x03, 7, &[])).unwrap();
-        let payload = read_frame(&mut c.stream, &mut c.buf).unwrap().unwrap();
+        let payload = c.recv_payload();
         assert_eq!(payload[0], 1, "response version must echo the request's");
-        assert_eq!(Response::decode(payload).unwrap(), (7, Response::Pong));
+        assert_eq!(Response::decode(&payload).unwrap(), (7, Response::Pong));
         // Counting works too, still stamped v1.
         c.stream.write_all(&v1_frame(0x01, 8, &[])).unwrap();
-        let payload = read_frame(&mut c.stream, &mut c.buf).unwrap().unwrap();
+        let payload = c.recv_payload();
         assert_eq!(payload[0], 1);
         assert_eq!(
-            Response::decode(payload).unwrap(),
+            Response::decode(&payload).unwrap(),
             (8, Response::Value { value: 0 })
         );
         // A cluster opcode in a v1 frame is malformed: old clients never
@@ -1715,6 +1729,183 @@ mod tests {
     }
 
     #[test]
+    fn forward_batches_fail_closed_against_a_live_tail() {
+        use cnet_topology::construct::bitonic;
+        let net = bitonic(4).unwrap();
+        let tail = Arc::new(ClusterNode::new(&net, 1, 2, &[], 2).unwrap());
+        let server =
+            CounterServer::start_cluster("127.0.0.1:0", tail, None, ServerConfig::default())
+                .unwrap();
+        let mut c = Raw::connect(server.local_addr());
+        let batch = |node_seq: u32, counts: &[u32]| Request::ForwardBatch {
+            token: 0,
+            node_seq,
+            counts: counts.to_vec(),
+        };
+        for (req, code) in [
+            // A count for three or five wires of a four-wire cut.
+            (batch(1, &[1, 1, 1]), ErrorCode::Cluster),
+            (batch(1, &[1, 1, 1, 1, 1]), ErrorCode::Cluster),
+            // Addressed to another node.
+            (batch(2, &[1, 1, 1, 1]), ErrorCode::Cluster),
+            // No token at all, or more than one response frame can answer:
+            // two wires that each fit, and four that would wrap a `u32` sum.
+            (batch(1, &[0, 0, 0, 0]), ErrorCode::BadBatch),
+            (batch(1, &[40_000, 40_000, 0, 0]), ErrorCode::BadBatch),
+            (batch(1, &[u32::MAX; 4]), ErrorCode::BadBatch),
+        ] {
+            let s = c.send(&req);
+            assert_eq!(c.recv(), (s, Response::Error(code)), "{req:?}");
+        }
+        // A frame in the per-wire format (`token, port, node_seq, n`) from
+        // a node one build older: a hop to node 1 is the one such frame
+        // that still parses — as one count on a one-wire cut, addressed to
+        // node `port` — and the fan check refuses it.
+        let mut old = Vec::new();
+        old.extend_from_slice(&((HEADER_LEN + 20) as u32).to_le_bytes());
+        old.extend_from_slice(&[VERSION, 0x07]);
+        old.extend_from_slice(&77u32.to_le_bytes());
+        old.extend_from_slice(&0u64.to_le_bytes());
+        for word in [1u32, 1, 64] {
+            old.extend_from_slice(&word.to_le_bytes());
+        }
+        c.stream.write_all(&old).unwrap();
+        assert_eq!(c.recv(), (77, Response::Error(ErrorCode::Cluster)));
+        // Not one counter word moved for any of them.
+        assert_eq!(server.stats().ops, 0);
+
+        // A correct frame is answered by one `Batch`, a value per token.
+        let s = c.send(&batch(1, &[3, 0, 2, 1]));
+        let (seq, resp) = c.recv();
+        let Response::Batch { mut values } = resp else { panic!("{resp:?}") };
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!((seq, values.len()), (s, 6), "six distinct values: {values:?}");
+        let stats = server.stats();
+        assert_eq!((stats.requests, stats.ops, stats.batches), (8, 6, 1));
+
+        // A plain (non-cluster) server has no cut to receive on.
+        let plain = fetch_add_server(ServerConfig::default());
+        let mut p = Raw::connect(plain.local_addr());
+        let s = p.send(&batch(0, &[1, 1, 1, 1]));
+        assert_eq!(p.recv(), (s, Response::Error(ErrorCode::Cluster)));
+        assert_eq!(plain.stats().ops, 0);
+
+        // Once the node is stopping: one `ShuttingDown`, then the close
+        // (on a connection no reactor owns, so the frame cannot race the
+        // reactors' exit).
+        server.shared.stop.store(true, Ordering::Release);
+        let (mut conn, _peer) = detached_conn();
+        let (mut frame, mut want) = (Vec::new(), Vec::new());
+        batch(1, &[3, 0, 2, 1]).encode(9, &mut frame);
+        conn.decoder.extend(&frame);
+        process_frames(&server.shared, &mut conn);
+        Response::Error(ErrorCode::ShuttingDown).encode(9, &mut want);
+        assert_eq!((&conn.out, conn.phase), (&want, Phase::Closing));
+        assert_eq!(server.stats().ops, 6);
+    }
+
+    #[test]
+    fn a_three_node_chain_forwards_one_frame_per_batch_per_hop() {
+        use crate::client::RemoteCounter;
+        use cnet_topology::construct::bitonic;
+
+        // B(8) is six layers deep: two per node, two reactors per node.
+        let net = bitonic(8).unwrap();
+        let cfg = ServerConfig {
+            max_connections: 8,
+            processes: 8,
+            reactors: 2,
+            ..ServerConfig::default()
+        };
+        let start = |node: usize, peers: &[String]| {
+            let node =
+                Arc::new(ClusterNode::new(&net, node, 3, peers, cfg.max_connections).unwrap());
+            let server =
+                CounterServer::start_cluster("127.0.0.1:0", Arc::clone(&node), None, cfg).unwrap();
+            (node, server)
+        };
+        let (tail, tail_server) = start(2, &[]);
+        let (_, mid_server) = start(1, &[tail_server.local_addr().to_string()]);
+        let (_, head_server) = start(0, &[mid_server.local_addr().to_string()]);
+        let head_addr = head_server.local_addr();
+        let mut servers = [head_server, mid_server, tail_server];
+        fn chain(servers: &[CounterServer; 3]) -> [StatsSnapshot; 3] {
+            servers.each_ref().map(|s| s.stats())
+        }
+        // Let the head's announcement travel the chain first, so no
+        // `Announce` frame lands inside a counted phase below.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while tail.head_addr().is_empty() {
+            assert!(std::time::Instant::now() < deadline, "the announcement never arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // What a phase added to (`requests`, `batches`) on each node.
+        let added = |before: &[StatsSnapshot; 3], after: &[StatsSnapshot; 3]| {
+            [0, 1, 2].map(|k| {
+                (after[k].requests - before[k].requests, after[k].batches - before[k].batches)
+            })
+        };
+        let client = RemoteCounter::connect(head_addr, 2).unwrap();
+        // Each phase runs from both connections at once.
+        let on_both = |call: &(dyn Fn(usize) -> Vec<u64> + Sync)| -> Vec<u64> {
+            std::thread::scope(|s| {
+                let handles = [0, 1].map(|slot| s.spawn(move || call(slot)));
+                handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+            })
+        };
+
+        let mut values =
+            on_both(&|slot| (0..32).map(|_| client.try_next(slot).unwrap()).collect());
+
+        // Batches: 100 from each connection, and a chunked one — four
+        // `NextBatch` frames at the head, so four frames over each cut.
+        let before = chain(&servers);
+        values.extend(on_both(&|slot| {
+            let mut got = client.next_batch(slot, 100).unwrap();
+            if slot == 0 {
+                got.extend(client.next_batch(slot, MAX_BATCH as usize + 7).unwrap());
+            }
+            got
+        }));
+        let batched = added(&before, &chain(&servers));
+        assert_eq!(batched[0].1, 4, "NextBatch frames at the head");
+        for k in 0..2 {
+            assert_eq!(
+                batched[k + 1].0,
+                batched[k].1,
+                "node {} received as many frames as node {k} served batches: {batched:?}",
+                k + 1
+            );
+        }
+
+        // Pipelined runs: the head counts each coalesced run as one
+        // `ingress_batch` (and a frame that arrived alone as a single), so
+        // again every frame the middle node receives goes on as one frame.
+        let before = chain(&servers);
+        values.extend(on_both(&|slot| client.next_pipelined(slot, 300).unwrap()));
+        let piped = added(&before, &chain(&servers));
+        assert_eq!(piped[1], piped[2], "one frame out per frame in: {piped:?}");
+        assert!(piped[1].0 < 600, "runs were coalesced: {piped:?}");
+
+        let n = values.len() as u64;
+        assert_eq!(n, 64 + 200 + u64::from(MAX_BATCH) + 7 + 600);
+        values.sort_unstable();
+        assert!(values.iter().copied().eq(0..n), "the chain handed out exactly 0..{n}");
+        assert_eq!(chain(&servers).map(|s| s.ops), [n; 3], "ops agree along the chain");
+
+        // Kill the tail: the next batch is refused back along the chain —
+        // the middle node wrote its frame, lost the answer, and must not
+        // write it again — and no node counts it as served.
+        servers[2].shutdown();
+        let err = client.next_batch(0, 10).unwrap_err();
+        assert!(err.to_string().contains("Cluster"), "{err}");
+        assert_eq!(chain(&servers).map(|s| s.ops), [n; 3]);
+        // The nodes that are left still answer.
+        client.ping(0).unwrap();
+    }
+
+    #[test]
     fn slow_reader_gets_every_pipelined_response() {
         // Force the Writing phase: pipeline enough batch responses to
         // overrun the socket buffer while the client is not reading, then
@@ -1848,10 +2039,10 @@ mod tests {
         }
         c.stream.write_all(&bytes).unwrap();
         for seq in 0..7u32 {
-            let payload = read_frame(&mut c.stream, &mut c.buf).unwrap().unwrap();
+            let payload = c.recv_payload();
             assert_eq!(payload[0], if seq == 3 { 1 } else { VERSION }, "frame {seq}");
             let value = u64::from(seq);
-            assert_eq!(Response::decode(payload).unwrap(), (seq, Response::Value { value }));
+            assert_eq!(Response::decode(&payload).unwrap(), (seq, Response::Value { value }));
         }
         assert_eq!(server.stats().ops, 7);
     }
@@ -1870,9 +2061,7 @@ mod tests {
             assert_eq!(c.recv(), (seq, Response::Value { value: u64::from(seq) }));
         }
         assert_eq!(c.recv().1, Response::Error(ErrorCode::Malformed));
-        let mut rest = Vec::new();
-        c.stream.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty());
+        c.expect_close();
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! | `0x04` | → server  | [`Request::Stats`] | — |
 //! | `0x05` | → server  | [`Request::Shutdown`] | — |
 //! | `0x06` | → peer    | [`Request::Forward`] | `token: u64`, `port: u32`, `node_seq: u32` |
-//! | `0x07` | → peer    | [`Request::ForwardBatch`] | `token: u64`, `port: u32`, `node_seq: u32`, `n: u32` |
+//! | `0x07` | → peer    | [`Request::ForwardBatch`] | `token: u64`, `node_seq: u32`, `w: u32`, `w × u32` counts |
 //! | `0x08` | → server  | [`Request::NodeInfo`] | — |
 //! | `0x09` | → peer    | [`Request::Announce`] | `node: u32`, `head: u16 LE + UTF-8` |
 //! | `0x0B` | → server  | [`Request::Frontier`] | `shard: u32`, `max: u32` |
@@ -59,7 +59,7 @@
 
 use cnet_core::trace::{RawOp, ShardFrontier};
 use std::fmt;
-use std::io::{self, Read};
+use std::io;
 
 /// Protocol version stamped on newly encoded frames.
 pub const VERSION: u8 = 2;
@@ -112,18 +112,19 @@ pub enum Request {
         /// ([`ErrorCode::Cluster`]).
         node_seq: u32,
     },
-    /// `n` tokens crossing a cut on the same position in one frame (the
-    /// sender's batched traversal groups tokens per exit port); answered
-    /// with [`Response::Batch`] of `n` values.
+    /// A whole batch crossing a cut in one frame: `counts[p]` tokens on
+    /// every cut position `p`, as the sender's batched traversal left
+    /// them; answered with one [`Response::Batch`] carrying a value per
+    /// token. The receiver counts all of them or none.
     ForwardBatch {
-        /// Token id of the first token in the group.
+        /// Token id of the first token in the batch.
         token: u64,
-        /// The shared cut position.
-        port: u32,
         /// The receiving node's expected chain index.
         node_seq: u32,
-        /// Number of tokens in the group (`1..=MAX_BATCH`).
-        n: u32,
+        /// Tokens per cut position, dense: one entry for each of the
+        /// receiver's `w` wires (any other length is refused), summing to
+        /// `1..=MAX_BATCH`.
+        counts: Vec<u32>,
     },
     /// Asks who the server is in the cluster; answered with
     /// [`Response::NodeInfo`]. Clients use it to route to the entry node.
@@ -229,8 +230,9 @@ pub enum ErrorCode {
     Busy = 3,
     /// The server is draining and no longer serves increments.
     ShuttingDown = 4,
-    /// A cluster hop was refused: wrong `node_seq` for this node, a
-    /// forward to a node with no downstream stage, or a broken peer link.
+    /// A cluster hop was refused: wrong `node_seq` for this node, a batch
+    /// not laid out over this node's `w` wires, a forward to a node with
+    /// no downstream stage, or a broken peer link.
     Cluster = 5,
 }
 
@@ -415,12 +417,14 @@ impl Request {
                 out.extend_from_slice(&port.to_le_bytes());
                 out.extend_from_slice(&node_seq.to_le_bytes());
             }
-            Request::ForwardBatch { token, port, node_seq, n } => {
-                put_header(out, VERSION, 0x07, seq, 20);
+            Request::ForwardBatch { token, node_seq, counts } => {
+                put_header(out, VERSION, 0x07, seq, 16 + 4 * counts.len());
                 out.extend_from_slice(&token.to_le_bytes());
-                out.extend_from_slice(&port.to_le_bytes());
                 out.extend_from_slice(&node_seq.to_le_bytes());
-                out.extend_from_slice(&n.to_le_bytes());
+                out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+                for count in counts {
+                    out.extend_from_slice(&count.to_le_bytes());
+                }
             }
             Request::NodeInfo => put_header(out, VERSION, 0x08, seq, 0),
             Request::Announce { node, head } => {
@@ -491,12 +495,20 @@ impl Request {
                 }
             }
             0x07 => {
-                body_exactly(opcode, body, 20)?;
+                if body.len() < 16 {
+                    return Err(WireError::Truncated { opcode, got: body.len(), want: 16 });
+                }
+                // `w` must agree with the bytes that follow before anything
+                // is sized from it.
+                let w = u32::from_le_bytes(body[12..16].try_into().expect("4 bytes")) as usize;
+                body_exactly(opcode, &body[16..], w.saturating_mul(4))?;
                 Request::ForwardBatch {
                     token: u64::from_le_bytes(body[..8].try_into().expect("8 bytes")),
-                    port: u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")),
-                    node_seq: u32::from_le_bytes(body[12..16].try_into().expect("4 bytes")),
-                    n: u32::from_le_bytes(body[16..20].try_into().expect("4 bytes")),
+                    node_seq: u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")),
+                    counts: body[16..]
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                        .collect(),
                 }
             }
             0x08 => {
@@ -742,43 +754,18 @@ impl Response {
     }
 }
 
-/// Reads one frame's payload into `buf` (resized to fit), returning `None`
-/// on a clean end-of-stream at a frame boundary.
+/// The incremental, resumable frame decoder every reader in this crate
+/// frames through.
 ///
-/// # Errors
-///
-/// I/O failures pass through; an out-of-range length word or a stream cut
-/// mid-frame is `InvalidData`/`UnexpectedEof`.
-pub fn read_frame<'a>(
-    r: &mut impl Read,
-    buf: &'a mut Vec<u8>,
-) -> io::Result<Option<&'a [u8]>> {
-    let mut len_bytes = [0u8; 4];
-    // A clean EOF before any length byte is a closed connection, not an
-    // error; EOF mid-prefix or mid-payload is a cut frame.
-    match r.read(&mut len_bytes[..1])? {
-        0 => return Ok(None),
-        _ => r.read_exact(&mut len_bytes[1..])?,
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if !(HEADER_LEN..=MAX_FRAME).contains(&len) {
-        return Err(WireError::BadLength(len).into());
-    }
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
-    Ok(Some(buf.as_slice()))
-}
-
-/// An incremental, resumable frame decoder for nonblocking streams.
-///
-/// The blocking [`read_frame`] can simply block until a whole frame has
-/// arrived; a reactor cannot. A `FrameDecoder` accepts whatever bytes a
-/// nonblocking read produced ([`FrameDecoder::extend`]) and yields
-/// complete frame payloads as they materialize
-/// ([`FrameDecoder::next_frame`]), preserving partial frames across calls
-/// — byte streams may be split at **any** boundary, including inside the
-/// length prefix. Each payload is yielded exactly once: the cursor
-/// advances before the payload is returned, so re-polling never
+/// A reactor cannot block until a whole frame has arrived, and a blocking
+/// reader that asked the socket for one frame at a time would pay a
+/// syscall for the length word and another for the payload. A
+/// `FrameDecoder` accepts whatever bytes a read produced
+/// ([`FrameDecoder::extend`]) and yields complete frame payloads as they
+/// materialize ([`FrameDecoder::next_frame`]), preserving partial frames
+/// across calls — byte streams may be split at **any** boundary, including
+/// inside the length prefix. Each payload is yielded exactly once: the
+/// cursor advances before the payload is returned, so re-polling never
 /// duplicates a frame.
 ///
 /// Length words outside `HEADER_LEN..=MAX_FRAME` are corruption
@@ -899,6 +886,27 @@ impl FrameDecoder {
     }
 }
 
+/// A test client's blocking read of one frame payload through `decoder`:
+/// `None` on a clean end-of-stream at a frame boundary, `UnexpectedEof` on
+/// a stream cut mid-frame.
+#[cfg(test)]
+pub(crate) fn read_frame(
+    r: &mut impl io::Read,
+    decoder: &mut FrameDecoder,
+) -> io::Result<Option<Vec<u8>>> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(payload) = decoder.next_frame()? {
+            return Ok(Some(payload.to_vec()));
+        }
+        match r.read(&mut chunk)? {
+            0 if decoder.buffered() == 0 => return Ok(None),
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => decoder.extend(&chunk[..n]),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,7 +920,8 @@ mod tests {
             Request::Stats,
             Request::Shutdown,
             Request::Forward { token: 7, port: 3, node_seq: 1 },
-            Request::ForwardBatch { token: u64::MAX, port: 0, node_seq: 2, n: 64 },
+            Request::ForwardBatch { token: u64::MAX, node_seq: 2, counts: vec![0, 61, 0, 3] },
+            Request::ForwardBatch { token: 0, node_seq: 1, counts: vec![] },
             Request::NodeInfo,
             Request::Announce { node: 0, head: String::new() },
             Request::Announce { node: 1, head: "127.0.0.1:4040".to_string() },
@@ -1077,6 +1086,11 @@ mod tests {
             Request::decode(&v1_payload(0x06, 1, &body)),
             Err(WireError::BadOpcode(0x06))
         );
+        // A well-formed `ForwardBatch` body (token, node_seq, w = 0).
+        assert_eq!(
+            Request::decode(&v1_payload(0x07, 1, &body)),
+            Err(WireError::BadOpcode(0x07))
+        );
         assert_eq!(
             Request::decode(&v1_payload(0x08, 1, &[])),
             Err(WireError::BadOpcode(0x08))
@@ -1127,6 +1141,73 @@ mod tests {
         ));
     }
 
+    /// A `ForwardBatch` payload (no length prefix) around a hand-built body.
+    fn forward_batch_payload(body: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        put_header(&mut frame, VERSION, 0x07, 7, body.len());
+        frame.extend_from_slice(body);
+        payload(&frame).to_vec()
+    }
+
+    #[test]
+    fn forward_batch_width_must_match_the_counts_that_follow() {
+        let body = |w: u32, counts: usize| {
+            let mut body = Vec::new();
+            body.extend_from_slice(&9u64.to_le_bytes()); // token
+            body.extend_from_slice(&1u32.to_le_bytes()); // node_seq
+            body.extend_from_slice(&w.to_le_bytes());
+            body.resize(body.len() + 4 * counts, 1);
+            forward_batch_payload(&body)
+        };
+        assert!(Request::decode(&body(4, 4)).is_ok());
+        // `w` claims more than the body holds — by one, or by everything a
+        // u32 can say (nothing is allocated from `w`) — or less.
+        for (w, counts) in [(5, 4), (u32::MAX, 4), (u32::MAX, 0)] {
+            assert!(
+                matches!(
+                    Request::decode(&body(w, counts)),
+                    Err(WireError::Truncated { opcode: 0x07, .. })
+                ),
+                "w={w} over {counts} counts"
+            );
+        }
+        for (w, counts) in [(3, 4), (0, 1)] {
+            assert_eq!(Request::decode(&body(w, counts)), Err(WireError::TrailingBytes(0x07)));
+        }
+    }
+
+    #[test]
+    fn forward_batch_frames_in_the_per_wire_format_are_never_counted() {
+        // A node built before the frame carried every wire's count sends
+        // `token, port, node_seq, n`: its `node_seq` lands where `w` is
+        // read now and its `n` is the only count. A mixed cluster must fail
+        // closed. Every such frame is an error here, except a hop to node
+        // 1, which parses as one count on a one-wire cut — and that the
+        // receiver's fan check refuses (`server.rs` pins it against a live
+        // tail: no network has a cut one wire wide).
+        let old = |port: u32, node_seq: u32, n: u32| {
+            let mut body = 9u64.to_le_bytes().to_vec();
+            for word in [port, node_seq, n] {
+                body.extend_from_slice(&word.to_le_bytes());
+            }
+            forward_batch_payload(&body)
+        };
+        assert_eq!(Request::decode(&old(3, 0, 64)), Err(WireError::TrailingBytes(0x07)));
+        for node_seq in [2, 3, u32::MAX] {
+            assert!(
+                matches!(
+                    Request::decode(&old(3, node_seq, 64)),
+                    Err(WireError::Truncated { opcode: 0x07, .. })
+                ),
+                "node_seq={node_seq}"
+            );
+        }
+        assert_eq!(
+            Request::decode(&old(3, 1, 64)),
+            Ok((7, Request::ForwardBatch { token: 9, node_seq: 3, counts: vec![64] }))
+        );
+    }
+
     #[test]
     fn frontier_frames_with_the_seven_word_header_are_rejected() {
         // A node built before the header dropped its two local-lateness
@@ -1168,25 +1249,25 @@ mod tests {
         Request::NextBatch { n: 3 }.encode(1, &mut bytes);
         Request::Shutdown.encode(2, &mut bytes);
         let mut cursor = io::Cursor::new(bytes);
-        let mut buf = Vec::new();
-        let p1 = read_frame(&mut cursor, &mut buf).unwrap().unwrap().to_vec();
+        let mut dec = FrameDecoder::new();
+        let p1 = read_frame(&mut cursor, &mut dec).unwrap().unwrap();
         assert_eq!(Request::decode(&p1).unwrap(), (1, Request::NextBatch { n: 3 }));
-        let p2 = read_frame(&mut cursor, &mut buf).unwrap().unwrap().to_vec();
+        let p2 = read_frame(&mut cursor, &mut dec).unwrap().unwrap();
         assert_eq!(Request::decode(&p2).unwrap(), (2, Request::Shutdown));
-        assert!(read_frame(&mut cursor, &mut buf).unwrap().is_none()); // clean EOF
+        assert!(read_frame(&mut cursor, &mut dec).unwrap().is_none()); // clean EOF
 
         // Oversized length word: rejected before any allocation attempt.
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
         let mut cursor = io::Cursor::new(huge.to_vec());
         assert_eq!(
-            read_frame(&mut cursor, &mut buf).unwrap_err().kind(),
+            read_frame(&mut cursor, &mut FrameDecoder::new()).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
         // Undersized too (a length that cannot hold the header).
         let tiny = 2u32.to_le_bytes();
         let mut cursor = io::Cursor::new(tiny.to_vec());
         assert_eq!(
-            read_frame(&mut cursor, &mut buf).unwrap_err().kind(),
+            read_frame(&mut cursor, &mut FrameDecoder::new()).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
         // A stream cut mid-payload is UnexpectedEof, not a clean close.
@@ -1195,7 +1276,7 @@ mod tests {
         bytes.truncate(bytes.len() - 2);
         let mut cursor = io::Cursor::new(bytes);
         assert_eq!(
-            read_frame(&mut cursor, &mut buf).unwrap_err().kind(),
+            read_frame(&mut cursor, &mut FrameDecoder::new()).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
     }

@@ -119,7 +119,7 @@ pub struct CompiledNetwork {
     /// runs a specialized loop with no fan or offset loads at all.
     uniform_binary: bool,
     /// Balancer indices in topological order (every wire goes from an
-    /// earlier entry to a later one). [`Self::traverse_batch`] sweeps this
+    /// earlier entry to a later one). [`Self::traverse_counts`] sweeps this
     /// order so a balancer's whole sub-batch has accumulated before its
     /// single atomic fires. Networks are validated acyclic at build time,
     /// so the order always exists.
@@ -327,11 +327,13 @@ impl CompiledNetwork {
         })
     }
 
-    /// Routes `k` tokens from `input` through the shared balancer words in
-    /// one sweep, charging **at most one atomic per balancer for the whole
-    /// batch** instead of one per balancer per token. On return,
-    /// `sink_counts[j]` holds how many of the `k` tokens reached counter
-    /// `j` (`sink_counts` is resized to `fan_out()` and overwritten).
+    /// Routes a whole batch — `entering[i]` tokens on every source wire `i`
+    /// at once — through the shared balancer words in one sweep, charging
+    /// **at most one atomic per balancer for the whole batch** instead of
+    /// one per balancer per token. On return, `sink_counts[j]` holds how
+    /// many of the tokens reached counter `j` (`sink_counts` is resized to
+    /// `fan_out()` and overwritten; its spare capacity carries the sweep's
+    /// working counts, so a caller that reuses the `Vec` allocates nothing).
     ///
     /// # Why one atomic suffices
     ///
@@ -350,17 +352,36 @@ impl CompiledNetwork {
     ///
     /// Balancers are visited in topological order, so every upstream
     /// sub-batch has been split before a downstream balancer fires. From a
-    /// quiescent state the resulting per-counter counts equal `k`
-    /// sequential [`Self::traverse`] calls exactly (induction over the
-    /// topological order: same arrival counts and same starting state at
-    /// every balancer imply the same port split). Under concurrency each
-    /// atomic advance claims `n` consecutive round-robin slots, so the
-    /// gap-freedom argument of the single-token path carries over
-    /// unchanged.
+    /// quiescent state the resulting per-counter counts equal the same
+    /// tokens sent through [`Self::traverse`] one by one, in any order
+    /// (induction over the topological order: same arrival counts and same
+    /// starting state at every balancer imply the same port split). Tokens
+    /// entering on several wires together are as legal a batch as tokens
+    /// entering on one: a balancer's split depends only on how many tokens
+    /// reach it, not on the wires they came by, and the step property holds
+    /// for every interleaving of the tokens. Under concurrency each atomic
+    /// advance claims `n` consecutive round-robin slots, so the gap-freedom
+    /// argument of the single-token path carries over unchanged.
     ///
-    /// `k == 0` resets `sink_counts` to zeros and touches no balancer
-    /// word — an empty batch is free, matching the
+    /// An all-zero `entering` resets `sink_counts` to zeros and touches no
+    /// balancer word — an empty batch is free, matching the
     /// `ProcessCounter::next_batch_for` contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entering.len() != fan_in()` or `balancers.len() != size()`.
+    pub fn traverse_counts(
+        &self,
+        entering: &[usize],
+        balancers: &[CachePadded<AtomicUsize>],
+        sink_counts: &mut Vec<usize>,
+    ) {
+        assert_eq!(entering.len(), self.fan_in, "one count per input wire");
+        self.sweep(entering.iter().copied().enumerate(), balancers, sink_counts);
+    }
+
+    /// [`traverse_counts`](Self::traverse_counts) for `k` tokens that all
+    /// enter on source wire `input`.
     ///
     /// # Panics
     ///
@@ -372,24 +393,32 @@ impl CompiledNetwork {
         balancers: &[CachePadded<AtomicUsize>],
         sink_counts: &mut Vec<usize>,
     ) {
-        assert_eq!(balancers.len(), self.fan.len(), "one state word per balancer");
         assert!(input < self.fan_in, "input wire {input} out of range");
+        self.sweep(std::iter::once((input, k)), balancers, sink_counts);
+    }
+
+    /// The wavefront behind both batched traversals: `entering` yields
+    /// `(source wire, tokens)` pairs.
+    fn sweep(
+        &self,
+        entering: impl Iterator<Item = (usize, usize)>,
+        balancers: &[CachePadded<AtomicUsize>],
+        sink_counts: &mut Vec<usize>,
+    ) {
+        assert_eq!(balancers.len(), self.fan.len(), "one state word per balancer");
+        // One buffer, two tables: tokens arrived at each counter, then
+        // tokens waiting at each balancer, accumulated wavefront-style.
+        let waiting = self.fan_out;
+        let slot = |hop: Hop| hop.index() + if hop.is_counter() { 0 } else { waiting };
         sink_counts.clear();
-        sink_counts.resize(self.fan_out, 0);
-        if k == 0 {
-            return;
-        }
-        // Tokens waiting at each balancer, accumulated wavefront-style.
-        let mut waiting = vec![0usize; self.fan.len()];
-        match self.entries[input] {
-            hop if hop.is_counter() => {
-                sink_counts[hop.index()] += k;
-                return;
-            }
-            hop => waiting[hop.index()] = k,
+        sink_counts.resize(waiting + self.fan.len(), 0);
+        let mut total = 0;
+        for (input, k) in entering {
+            sink_counts[slot(self.entries[input])] += k;
+            total += k;
         }
         for &b in &self.topo {
-            let n = waiting[b];
+            let n = sink_counts[waiting + b];
             if n == 0 {
                 continue;
             }
@@ -428,21 +457,14 @@ impl CompiledNetwork {
             let share = n / f;
             for p in 0..f {
                 // Ports s, s+1, …, s+rem−1 (mod f) carry the remainder.
-                let count = share + usize::from((p + f - s) % f < rem);
-                if count == 0 {
-                    continue;
-                }
-                let hop = self.routing[base + p];
-                if hop.is_counter() {
-                    sink_counts[hop.index()] += count;
-                } else {
-                    waiting[hop.index()] += count;
-                }
+                sink_counts[slot(self.routing[base + p])] +=
+                    share + usize::from((p + f - s) % f < rem);
             }
         }
+        sink_counts.truncate(self.fan_out);
         debug_assert_eq!(
             sink_counts.iter().sum::<usize>(),
-            k,
+            total,
             "feed-forward conservation: every token reaches exactly one sink"
         );
     }

@@ -101,7 +101,7 @@ impl SharedNetworkCounter {
 
     /// Shepherds `n` tokens from input wire `input` in one batched sweep —
     /// at most one atomic per balancer (see
-    /// [`CompiledNetwork::traverse_batch`]) plus one `fetch_add` per
+    /// [`CompiledNetwork::traverse_counts`]) plus one `fetch_add` per
     /// reached counter — appending the `n` values obtained to `out`. A
     /// counter reached by `c` of the tokens hands out `c` consecutive
     /// round-robin values with a single `fetch_add(c * fan_out)`. The
@@ -114,8 +114,27 @@ impl SharedNetworkCounter {
     pub fn increment_batch_from(&self, input: usize, n: usize, out: &mut Vec<u64>) {
         let mut sink_counts = Vec::new();
         self.engine.traverse_batch(input, n, &self.balancers, &mut sink_counts);
+        self.claim(&sink_counts, out);
+    }
+
+    /// [`increment_batch_from`](Self::increment_batch_from) for a batch
+    /// spread over the input wires, `entering[i]` tokens on wire `i` — what
+    /// a partition cut delivers to the node that owns the counters. Values
+    /// come out grouped by output wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entering.len() != engine().fan_in()`.
+    pub fn increment_counts_from(&self, entering: &[usize], out: &mut Vec<u64>) {
+        let mut sink_counts = Vec::new();
+        self.engine.traverse_counts(entering, &self.balancers, &mut sink_counts);
+        self.claim(&sink_counts, out);
+    }
+
+    /// Claims `sink_counts[j]` consecutive values from each counter `j`.
+    fn claim(&self, sink_counts: &[usize], out: &mut Vec<u64>) {
         let w = self.engine.fan_out() as u64;
-        out.reserve(n);
+        out.reserve(sink_counts.iter().sum());
         for (sink, &count) in sink_counts.iter().enumerate() {
             if count == 0 {
                 continue;

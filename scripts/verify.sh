@@ -54,12 +54,15 @@ cargo test -q --offline -p cnet-bench
 # one-second runs (exit code nonzero when a check fails) need two CPUs to
 # pin their roles apart, so a host with fewer skips them with a notice
 # instead of failing the whole script: `audit_replay`, the shortest
-# workload, for its verdict checks, and `tcp_pipeline` because its
+# workload, for its verdict checks; `tcp_pipeline` because its
 # `values_are_0_to_n` and `served_equals_received` checks cover some ten
-# million operations counted as coalesced runs.
+# million operations counted as coalesced runs; and `cluster2_batch`
+# because `values_are_0_to_n` and `tail_ops_equal_head_ops` cover a few
+# million tokens crossing the partition cut, every batch as one
+# `ForwardBatch` frame of per-wire counts.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 if [ "$(nproc)" -ge 2 ]; then
-    for workload in audit_replay tcp_pipeline; do
+    for workload in audit_replay tcp_pipeline cluster2_batch; do
         cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
             run --workload "$workload" --seconds 1 | tail -n 8
     done
@@ -344,7 +347,7 @@ fi
 # head), require an exact permutation, then fetch and merge both nodes'
 # trace shards into one cluster-wide audit verdict. The head counts each
 # run of pipelined `Next` frames as one `ingress_batch` (one
-# `ForwardBatch` burst down the chain per run) and hands the values out
+# `ForwardBatch` frame down the chain per run) and hands the values out
 # ascending; on one CPU each slot's runs go through the chain in order,
 # so the merged audit must come back clean; `cnet audit` exits nonzero
 # on violations, so the exit code is the gate.

@@ -16,10 +16,14 @@
 //! deterministically with `CNET_PROPTEST_SEED=<seed>`.
 
 use cnet_runtime::{CompiledNetwork, GraphWalkCounter, SharedNetworkCounter};
-use cnet_topology::construct::{random_counting_network, RandomNetworkConfig};
+use cnet_topology::construct::{
+    bitonic, counting_tree, periodic, random_counting_network, RandomNetworkConfig,
+};
 use cnet_topology::state::NetworkState;
-use cnet_topology::Network;
+use cnet_topology::{LayeredBuilder, Network};
 use cnet_util::proptest::prelude::*;
+use cnet_util::sync::atomic::{AtomicUsize, Ordering};
+use cnet_util::sync::CachePadded;
 
 /// A strategy over random counting networks of modest size: fans 2..=8,
 /// 0..=3 random prefix columns, with and without crossing wires, over
@@ -38,8 +42,110 @@ fn random_network() -> impl Strategy<Value = Network> {
     )
 }
 
+/// Six lines, three layers, each layer one of four ways to cover the
+/// (shuffled) lines with balancers of fan-out 2, 3 and 4 — so a batched
+/// sweep meets the parity-xor, masked-add and CAS updates in one network.
+/// A balancing network, not a counting one: the equivalences below hold
+/// for any feed-forward network.
+fn mixed_fan_network(seed: u64) -> Network {
+    const GROUPINGS: [&[usize]; 4] = [&[3, 3], &[2, 4], &[4, 2], &[2, 2, 2]];
+    let mut x = seed.wrapping_mul(2).wrapping_add(1);
+    let mut draw = |below: usize| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) as usize % below
+    };
+    let mut lb = LayeredBuilder::new(6);
+    for _ in 0..3 {
+        let mut lines: Vec<usize> = (0..6).collect();
+        for i in (1..6).rev() {
+            lines.swap(i, draw(i + 1));
+        }
+        let mut rest = &lines[..];
+        for &fan in GROUPINGS[draw(GROUPINGS.len())] {
+            let (group, tail) = rest.split_at(fan);
+            lb.balancer(group);
+            rest = tail;
+        }
+    }
+    lb.finish().expect("the layered discipline builds")
+}
+
+/// A network for the batched kernel: one of the classic constructions at
+/// fan 2, 4 or 8 (the counting tree has a single input wire), or a
+/// mixed-fan one.
+fn batch_network() -> impl Strategy<Value = Network> {
+    (0usize..4, 1u32..4, 0u64..1_000_000).prop_map(|(family, lgw, seed)| match family {
+        0 => bitonic(1 << lgw).expect("power-of-two fan"),
+        1 => periodic(1 << lgw).expect("power-of-two fan"),
+        2 => counting_tree(1 << lgw).expect("power-of-two fan"),
+        _ => mixed_fan_network(seed),
+    })
+}
+
+/// Every balancer's round-robin position: its state word modulo its
+/// fan-out. (The words themselves may differ by a multiple of the fan-out —
+/// a batch that splits evenly over a balancer skips the atomic that `f`
+/// single tokens would each pay.)
+fn positions(engine: &CompiledNetwork, states: &[CachePadded<AtomicUsize>]) -> Vec<usize> {
+    words(states).iter().enumerate().map(|(b, word)| word % engine.balancer_fan_out(b)).collect()
+}
+
+/// The balancer state words as they stand.
+fn words(states: &[CachePadded<AtomicUsize>]) -> Vec<usize> {
+    states.iter().map(|word| word.load(Ordering::Acquire)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A batch entering on several wires at once is the same batch entered
+    /// wire by wire, and the same tokens entered one by one: from a fresh
+    /// state all three leave every counter with the same number of tokens
+    /// and every balancer at the same round-robin position. An all-zero
+    /// batch moves no word at all.
+    #[test]
+    fn multi_wire_batches_equal_wire_by_wire_and_token_by_token(
+        net in batch_network(),
+        counts in prop::collection::vec((prop::bool::ANY, 0usize..40), 8),
+    ) {
+        let engine = CompiledNetwork::compile(&net);
+        let entering: Vec<usize> = counts[..engine.fan_in()]
+            .iter()
+            .map(|&(empty, count)| if empty { 0 } else { count })
+            .collect();
+
+        let together = engine.new_balancer_states();
+        let mut sinks = Vec::new();
+        engine.traverse_counts(&entering, &together, &mut sinks);
+        prop_assert_eq!(sinks.len(), engine.fan_out());
+
+        let by_wire = engine.new_balancer_states();
+        let mut by_wire_sinks = vec![0usize; engine.fan_out()];
+        let mut scratch = Vec::new();
+        for (wire, &k) in entering.iter().enumerate() {
+            engine.traverse_batch(wire, k, &by_wire, &mut scratch);
+            for (total, n) in by_wire_sinks.iter_mut().zip(&scratch) {
+                *total += n;
+            }
+        }
+        prop_assert_eq!(&sinks, &by_wire_sinks, "wire by wire diverges on {}", net);
+        prop_assert_eq!(positions(&engine, &together), positions(&engine, &by_wire));
+
+        let by_token = engine.new_balancer_states();
+        let mut by_token_sinks = vec![0usize; engine.fan_out()];
+        for (wire, &k) in entering.iter().enumerate() {
+            for _ in 0..k {
+                by_token_sinks[engine.traverse(wire, &by_token)] += 1;
+            }
+        }
+        prop_assert_eq!(&sinks, &by_token_sinks, "token by token diverges on {}", net);
+        prop_assert_eq!(positions(&engine, &together), positions(&engine, &by_token));
+
+        let before = words(&together);
+        engine.traverse_counts(&vec![0; engine.fan_in()], &together, &mut sinks);
+        prop_assert_eq!(words(&together), before, "an empty batch touched a word");
+        prop_assert!(sinks.iter().all(|&n| n == 0));
+    }
 
     /// Under an identical deterministic single-threaded schedule, the
     /// compiled engine, the graph walk, and the reference interpreter

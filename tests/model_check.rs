@@ -17,7 +17,8 @@
 //!      contain the true operation, so widening never fabricates a
 //!      precedence the monitors would rely on;
 //!   4. batched traversal vs. sequential traversals — multiset equality
-//!      of claimed values under all schedules.
+//!      of claimed values under all schedules, for a batch on one input
+//!      wire and for one spread over two.
 //!
 //! `cnet_topology::state::NetworkState` is the sequential oracle here (it
 //! holds no atomics, so there is nothing in it to model-check — the
@@ -346,6 +347,67 @@ fn batched_traversal_equals_sequential_multiset_under_all_schedules() {
     assert!(
         stats.schedules >= 1_000,
         "expected >= 1000 schedules, got {}",
+        stats.schedules
+    );
+}
+
+/// The same race with the batch spread over two input wires — what a
+/// partition cut delivers to the node that owns the counters: one sweep
+/// seeded on several wires still claims each balancer once, so every
+/// schedule hands out exactly `0..n` and leaves the step property.
+#[test]
+fn multi_wire_batch_equals_sequential_multiset_under_all_schedules() {
+    // Wires 0 and 2 feed different first-layer balancers of B(4), and an
+    // odd count on each makes both fire.
+    const ENTERING: [usize; 4] = [3, 0, 1, 0];
+    const BATCH: usize = 4;
+    const K: usize = 3;
+    let stats = model::explore(
+        2,
+        5,
+        || {
+            let net = bitonic(4).expect("B(4) builds");
+            BatchState {
+                counter: SharedNetworkCounter::new(&net),
+                values: Mutex::new(Vec::new()),
+            }
+        },
+        |s, tid| {
+            if tid == 0 {
+                let mut out = Vec::new();
+                s.counter.increment_counts_from(&ENTERING, &mut out);
+                assert_eq!(out.len(), BATCH);
+                s.values.lock().unwrap().extend(out);
+            } else {
+                for _ in 0..K {
+                    let v = s.counter.increment_from(1);
+                    s.values.lock().unwrap().push(v);
+                }
+            }
+        },
+        |s| {
+            let mut values = s.values.lock().unwrap().clone();
+            values.sort_unstable();
+            assert_eq!(
+                values,
+                (0..(BATCH + K) as u64).collect::<Vec<_>>(),
+                "a two-wire batch + sequential traversals must claim the \
+                 same multiset as sequential ones"
+            );
+            let counts = s.counter.output_counts();
+            assert!(
+                has_step_property(&counts),
+                "quiescent counts {counts:?} violate the step property"
+            );
+        },
+    );
+    eprintln!(
+        "model_check: multi_wire_batch_vs_sequential: {} schedules, {} points, depth {}",
+        stats.schedules, stats.points, stats.max_depth
+    );
+    assert!(
+        stats.schedules >= 3_000,
+        "expected >= 3000 schedules, got {}",
         stats.schedules
     );
 }

@@ -8,7 +8,9 @@
 //! un-partitioned network would have produced. This file checks that
 //! identity sequentially (one token in flight at a time, so both sides see
 //! the same arrival order at every balancer) over randomized widths, node
-//! counts, and entry-port sequences.
+//! counts, and entry-port sequences — and batch by batch, the way the
+//! fabric carries a batch: every stage's per-wire counts handed to the
+//! next stage whole.
 
 use cnet_runtime::{CompiledNetwork, SharedNetworkCounter};
 use cnet_topology::construct::{bitonic, periodic};
@@ -101,6 +103,40 @@ proptest! {
                 port = stage.engine.traverse(port, &stage.balancers);
             }
             prop_assert_eq!(tail.increment_from(port), whole.increment_from(p));
+        }
+    }
+
+    /// A batch carried stage to stage as per-wire counts — one
+    /// `traverse_counts` per node, the counts it leaves on the cut entering
+    /// the next node together — is handed the same values as the same batch
+    /// through the whole network, for every node count, batch after batch
+    /// on the same state.
+    #[test]
+    fn batches_chained_over_the_cuts_equal_the_whole_network(
+        wexp in 1u32..4,
+        periodic_core in prop::bool::ANY,
+        batches in prop::collection::vec(prop::collection::vec(0usize..30, 8), 1usize..6),
+    ) {
+        let fan = 1usize << wexp;
+        let net = if periodic_core { periodic(fan) } else { bitonic(fan) }.expect("power-of-two fan");
+        for nodes in 1..=net.depth() {
+            let (upstream, tail) = compile_chain(&net, nodes);
+            let whole = SharedNetworkCounter::new(&net);
+            for batch in &batches {
+                let entering = &batch[..fan];
+                let mut on_cut = entering.to_vec();
+                let mut next = Vec::new();
+                for stage in &upstream {
+                    stage.engine.traverse_counts(&on_cut, &stage.balancers, &mut next);
+                    std::mem::swap(&mut on_cut, &mut next);
+                }
+                let (mut chained, mut direct) = (Vec::new(), Vec::new());
+                tail.increment_counts_from(&on_cut, &mut chained);
+                whole.increment_counts_from(entering, &mut direct);
+                chained.sort_unstable();
+                direct.sort_unstable();
+                prop_assert_eq!(chained, direct, "{} nodes, batch {:?}", nodes, entering);
+            }
         }
     }
 
