@@ -7,7 +7,10 @@
 //! where the contention actually lands: per-layer token traffic and
 //! atomic-CAS retry counts under a saturating threaded workload, for a
 //! width-spread network (bitonic) versus a root-bottlenecked one (the
-//! counting tree).
+//! counting tree). Threads enter by the runtime's entry plan
+//! (`CompiledNetwork::entry_for`), and each layer's row says how many of
+//! the threads can reach each of its balancers — a balancer one thread
+//! reaches is private to it, and its word never leaves that thread's cache.
 //!
 //! Run: `cargo run --release -p cnet-bench --bin exp_contention`
 
@@ -17,31 +20,44 @@ use cnet_topology::construct::{bitonic, counting_tree};
 use cnet_topology::Network;
 use std::thread;
 
-const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 20_000;
 
-fn profile(label: &str, net: &Network) {
+fn profile(label: &str, net: &Network, threads: usize) {
     let counter = InstrumentedNetworkCounter::new(net);
+    let engine = counter.engine();
+    let entries: Vec<usize> = (0..threads).map(|p| engine.entry_for(p)).collect();
     thread::scope(|s| {
-        for p in 0..THREADS {
+        for &wire in &entries {
             let c = &counter;
             s.spawn(move || {
                 for _ in 0..OPS_PER_THREAD {
-                    c.increment_from(p % net.fan_in());
+                    c.increment_from(wire);
                 }
             });
         }
     });
-    let total_ops = (THREADS * OPS_PER_THREAD) as u64;
-    println!("--- {label}: {total_ops} increments across {THREADS} threads ---\n");
+    // sharers[b]: how many of the threads can reach balancer b.
+    let mut sharers = vec![0usize; net.size()];
+    for &wire in &entries {
+        for (b, reached) in engine.reachable_from(wire).into_iter().enumerate() {
+            sharers[b] += usize::from(reached);
+        }
+    }
+    let total_ops = (threads * OPS_PER_THREAD) as u64;
+    println!(
+        "--- {label}: {total_ops} increments across {threads} threads on wires {entries:?} ---\n"
+    );
     let mut table = Table::new(vec![
-        "layer", "balancers", "tokens", "CAS retries", "retries per 1k tokens",
+        "layer", "balancers", "threads reaching each", "tokens", "CAS retries",
+        "retries per 1k tokens",
     ]);
     for (layer, visits, retries) in counter.layer_profile() {
-        let balancers = net.layer(layer).balancers().count();
+        let reaching: Vec<String> =
+            net.layer(layer).balancers().map(|b| sharers[b.index()].to_string()).collect();
         table.row(vec![
             layer.to_string(),
-            balancers.to_string(),
+            reaching.len().to_string(),
+            reaching.join(" "),
             visits.to_string(),
             retries.to_string(),
             format!("{:.2}", 1000.0 * retries as f64 / visits.max(1) as f64),
@@ -57,13 +73,17 @@ fn profile(label: &str, net: &Network) {
 }
 
 fn main() {
-    profile("bitonic B(8)", &bitonic(8).unwrap());
-    profile("counting tree, fan-out 8", &counting_tree(8).unwrap());
+    profile("bitonic B(8)", &bitonic(8).unwrap(), 2);
+    profile("bitonic B(8)", &bitonic(8).unwrap(), 8);
+    profile("counting tree, fan-out 8", &counting_tree(8).unwrap(), 8);
     println!(
         "Reading: the bitonic network spreads each layer's traffic over w/2 balancers, so\n\
-         retries stay uniformly low; the counting tree funnels every token through its\n\
-         root balancer, which concentrates the retries exactly like the single counter\n\
-         the constructions were invented to avoid. (On a single-core host retry counts\n\
-         are near zero everywhere — contention requires true parallelism.)"
+         retries stay uniformly low, and the entry plan keeps the first threads apart:\n\
+         two threads take the two B(4) halves, so layers 1-3 are private to one thread\n\
+         each (a 1 or a 0 under every balancer) and only the merger's three layers are\n\
+         shared. The counting tree funnels every token through its root balancer, which\n\
+         concentrates the retries exactly like the single counter the constructions were\n\
+         invented to avoid. (On a single-core host retry counts are near zero everywhere —\n\
+         contention requires true parallelism.)"
     );
 }

@@ -22,7 +22,9 @@
 //! A batch crosses every cut as **one frame**: a node runs the whole
 //! batch through its layers in one sweep
 //! ([`CompiledNetwork::traverse_counts`], one atomic per balancer however
-//! many wires the batch entered on), writes a single
+//! many wires the batch entered on; the balancers on the cut are terminal
+//! in the node's sub-network, and a relay reads their port and ignores the
+//! rank), writes a single
 //! [`Request::ForwardBatch`] carrying the count on each of the cut's `w`
 //! wires, and reads a single `Batch` back — one write and one read per hop
 //! per batch, on a relay in the middle of a chain as on the head. The
@@ -43,7 +45,7 @@ use crate::wire::{Request, Response};
 use cnet_core::trace::{MergeAuditor, ShardFrontier};
 use cnet_runtime::{CompiledNetwork, ProcessCounter, SharedNetworkCounter};
 use cnet_topology::{Network, Partition, PartitionError};
-use cnet_util::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use cnet_util::sync::atomic::{AtomicU64, Ordering};
 use cnet_util::sync::{CachePadded, Mutex};
 use std::fmt;
 use std::io;
@@ -162,10 +164,15 @@ enum StageKind {
     /// Nodes `0..N-1`: balancer layers only; exits cross the cut.
     Relay {
         engine: CompiledNetwork,
-        balancers: Box<[CachePadded<AtomicUsize>]>,
+        balancers: Box<[CachePadded<AtomicU64>]>,
     },
-    /// Node `N-1`: balancer layers plus the output counters.
-    Tail { counter: SharedNetworkCounter },
+    /// Node `N-1`: balancer layers plus the output counters, and per lane
+    /// the buffer a batched traversal sweeps through — the tail's
+    /// counterpart of a relay lane's `cut_counts`.
+    Tail {
+        counter: SharedNetworkCounter,
+        scratch: Box<[CachePadded<Mutex<Vec<usize>>>]>,
+    },
 }
 
 /// One process of the counting fabric: node `node` of an `N`-node chain
@@ -224,7 +231,9 @@ impl ClusterNode {
         let fan = plan.fan();
         let engine = CompiledNetwork::compile(&plan.sub_network(net, node));
         let (stage, downstream) = if node + 1 == nodes {
-            (StageKind::Tail { counter: SharedNetworkCounter::from_compiled(engine) }, None)
+            let counter = SharedNetworkCounter::from_compiled(engine);
+            let scratch = (0..lanes.max(1)).map(|_| CachePadded::default()).collect();
+            (StageKind::Tail { counter, scratch }, None)
         } else {
             let peer =
                 peers.first().ok_or(ClusterError::MissingPeer { node })?.clone();
@@ -258,6 +267,14 @@ impl ClusterNode {
     /// The network fan `w` (the width of every cut).
     pub fn fan(&self) -> usize {
         self.fan
+    }
+
+    /// This node's compiled share of the network.
+    fn engine(&self) -> &CompiledNetwork {
+        match &self.stage {
+            StageKind::Relay { engine, .. } => engine,
+            StageKind::Tail { counter, .. } => counter.engine(),
+        }
     }
 
     /// Whether this is the entry node clients count through.
@@ -307,9 +324,9 @@ impl ClusterNode {
     pub fn step(&self, lane: usize, token: u64, port: usize) -> io::Result<u64> {
         assert!(port < self.fan, "cut position {port} out of range");
         match &self.stage {
-            StageKind::Tail { counter } => Ok(counter.increment_from(port)),
+            StageKind::Tail { counter, .. } => Ok(counter.increment_from(port)),
             StageKind::Relay { engine, balancers } => {
-                let exit = engine.traverse(port, balancers);
+                let exit = engine.traverse(port, balancers).sink;
                 let down = self.downstream.as_ref().expect("relay has a downstream");
                 let req = Request::Forward {
                     token,
@@ -360,9 +377,10 @@ impl ClusterNode {
             return Ok(Vec::new());
         }
         match &self.stage {
-            StageKind::Tail { counter } => {
+            StageKind::Tail { counter, scratch } => {
                 let mut values = Vec::with_capacity(total);
-                counter.increment_counts_from(entering, &mut values);
+                let scratch = &mut *scratch[lane % scratch.len()].lock();
+                counter.increment_counts_from(entering, scratch, &mut values);
                 Ok(values)
             }
             StageKind::Relay { engine, balancers } => {
@@ -388,7 +406,8 @@ impl ClusterNode {
     }
 
     /// A client operation entering the fabric: stamps a fresh token id and
-    /// runs it from entry port `process % fan`. Call on the head — entry
+    /// runs it from `process`'s entry port in this node's sub-network
+    /// ([`CompiledNetwork::entry_for`]). Call on the head — entry
     /// ports of any other node are interior cut positions, and counting
     /// from them would skip the upstream layers.
     ///
@@ -397,7 +416,7 @@ impl ClusterNode {
     /// Peer-link I/O failures and downstream refusals.
     pub fn ingress(&self, lane: usize, process: usize) -> io::Result<u64> {
         let token = self.tokens.fetch_add(1, Ordering::Relaxed);
-        self.step(lane, token, process % self.fan)
+        self.step(lane, token, self.engine().entry_for(process))
     }
 
     /// `n` client operations entering together on `process`'s entry port.
@@ -408,7 +427,7 @@ impl ClusterNode {
     pub fn ingress_batch(&self, lane: usize, process: usize, n: usize) -> io::Result<Vec<u64>> {
         let token = self.tokens.fetch_add(n as u64, Ordering::Relaxed);
         let mut entering = vec![0; self.fan];
-        entering[process % self.fan] = n;
+        entering[self.engine().entry_for(process)] = n;
         self.step_batch(lane, token, &entering)
     }
 }

@@ -26,54 +26,222 @@
 //! loop, and that loop pays a bounded-spin [`Backoff`] per failure instead
 //! of hammering the line.
 //!
+//! # Fewer shared lines per token
+//!
+//! A token writes every word on its path, so what a traversal costs under
+//! contention is how many of those words another processor wrote last. Two
+//! facts about the topology, both settled at compile time, cut that number:
+//!
+//! * **The entry plan** ([`EntryPlan`]). Which input wire a process enters
+//!   on is free — any assignment counts correctly — so the plan orders the
+//!   wires farthest-first by *where their paths first meet*: wire 0, then
+//!   always the wire whose shallowest common balancer with the wires
+//!   already handed out lies deepest. On `B(8)` that is `0, 4, 2, 6, 1, 3,
+//!   5, 7`: two processes enter the two disjoint `B(4)` halves and share
+//!   nothing above the merger. [`CompiledNetwork::entry_for`] is the one
+//!   process→wire map every runtime uses.
+//! * **Terminal balancers.** A balancer all of whose outputs are sinks is
+//!   the last thing its tokens touch before their counters, and each of
+//!   those counters is fed by nothing else. Its word therefore *counts
+//!   arrivals* instead of cycling: one `fetch_add(1)` returns `t`, the
+//!   port is `t mod f`, and the token is that port's `⌊t/f⌋`-th, so the
+//!   value for sink `j` is `j + w·⌊t/f⌋` — the sinks behind it own no
+//!   counter word at all, and no fan-out needs a CAS loop there. This is
+//!   the Section 2.2 BAL step followed at once by the same token's COUNT
+//!   step, a schedule the model already allows. [`Exit::rank`] carries
+//!   `⌊t/f⌋` out of the traversal; a sink fed by a source wire or by a
+//!   balancer with mixed outputs keeps a counter word of its own
+//!   ([`CompiledNetwork::free_sinks`]).
+//!
 //! The engine is pure routing: it owns no atomics. Counters that traverse
 //! it ([`crate::SharedNetworkCounter`], [`crate::InstrumentedNetworkCounter`],
 //! [`crate::MessagePassingCounter`]) own their own (cache-line-padded)
 //! state words and either call [`CompiledNetwork::traverse`] or walk the
 //! tables themselves.
 
-use cnet_topology::ids::SourceId;
+use cnet_topology::ids::{BalancerId, SourceId};
 use cnet_topology::network::WireEnd;
 use cnet_topology::Network;
+use cnet_util::sync::atomic::{AtomicU64, Ordering};
 use cnet_util::sync::{Backoff, CachePadded};
-use cnet_util::sync::atomic::{AtomicUsize, Ordering};
 
 /// Where a token goes after leaving a balancer output port (or entering on
 /// a source wire): the next balancer, or a final counter.
 ///
-/// Packed into one word — the low bit tags counters — so the routing table
-/// stays dense and a hop is a single load.
+/// Packed into one word — bit 0 tags counters, bit 1 tags terminal
+/// balancers — so the routing table stays dense and a hop is a single load.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Hop(usize);
 
 impl Hop {
+    const COUNTER: usize = 1;
+    const TERMINAL: usize = 2;
+
     fn balancer(index: usize) -> Hop {
-        Hop(index << 1)
+        Hop(index << 2)
     }
 
     fn counter(index: usize) -> Hop {
-        Hop((index << 1) | 1)
+        Hop((index << 2) | Hop::COUNTER)
     }
 
     /// `true` if this hop lands on a counter (ends the traversal).
     #[inline]
     pub fn is_counter(self) -> bool {
-        self.0 & 1 == 1
+        self.0 & Hop::COUNTER != 0
+    }
+
+    /// `true` if this hop lands on a terminal balancer: one all of whose
+    /// outputs are sinks, so its word gives port and value in one step.
+    #[inline]
+    fn is_terminal(self) -> bool {
+        self.0 & Hop::TERMINAL != 0
+    }
+
+    /// `true` if this hop lands on a balancer that is not the last on its
+    /// tokens' paths — the only kind the traversal loop keeps walking from.
+    #[inline]
+    fn is_interior(self) -> bool {
+        self.0 & (Hop::COUNTER | Hop::TERMINAL) == 0
     }
 
     /// The balancer or counter index this hop lands on.
     #[inline]
     pub fn index(self) -> usize {
-        self.0 >> 1
+        self.0 >> 2
     }
 }
 
 impl std::fmt::Debug for Hop {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_counter() {
-            write!(f, "Counter({})", self.index())
+        let kind = if self.is_counter() {
+            "Counter"
+        } else if self.is_terminal() {
+            "Terminal"
         } else {
-            write!(f, "Balancer({})", self.index())
+            "Balancer"
+        };
+        write!(f, "{kind}({})", self.index())
+    }
+}
+
+/// Where a token left the network: the sink it reached and, when a
+/// terminal balancer sent it there, how many tokens that balancer had sent
+/// to the same sink before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Exit {
+    /// The output wire (sink) reached.
+    pub sink: usize,
+    /// `Some(⌊t/f⌋)` for the `t`-th arrival at a terminal balancer of
+    /// fan-out `f`: the token's value is `sink + fan_out() · rank`, and no
+    /// counter word is involved. `None` for a free-standing sink, whose own
+    /// counter hands out the value. A partition's relay nodes ignore it.
+    pub rank: Option<u64>,
+}
+
+/// The process→wire map: a permutation of the input wires, wire 0 first,
+/// then farthest-first by the depth of the shallowest balancer two wires
+/// can both reach (wires that never meet are farthest of all; ties go to
+/// the lower wire). The first `k` processes thereby enter where their
+/// paths meet as late as the topology allows, and share no word above that
+/// depth.
+///
+/// Counting is indifferent to the assignment — the step property holds for
+/// tokens entering anywhere — so this is purely a placement decision. The
+/// simulator (`cnet-sim`) keeps the paper's `p mod w`, which its seeded
+/// traces are recorded against.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EntryPlan(Box<[usize]>);
+
+impl EntryPlan {
+    /// The input wire `process` enters on. Processes beyond the fan-in
+    /// wrap around the plan.
+    #[inline]
+    pub fn entry_for(&self, process: usize) -> usize {
+        self.0[process % self.0.len()]
+    }
+
+    /// The input wires in plan order: `wires()[p]` is process `p`'s.
+    pub fn wires(&self) -> &[usize] {
+        &self.0
+    }
+
+    /// Derives the plan from the compiled tables. `topo` must list the
+    /// balancers by non-decreasing depth. One pass fills the reach masks;
+    /// each wire handed out then costs one scan down `topo` to where its
+    /// masks have met every other wire — `O(fan_in · size)` word operations
+    /// in all, four flat allocations, none per wire.
+    fn derive(
+        net: &Network,
+        entries: &[Hop],
+        route_offset: &[usize],
+        routing: &[Hop],
+        topo: &[usize],
+    ) -> EntryPlan {
+        let fan_in = entries.len();
+        if fan_in == 0 {
+            return EntryPlan(Box::default());
+        }
+        // reach[b]: the set of input wires with a path to balancer `b`, as
+        // `lanes` 64-bit words — one flat allocation, filled in one pass
+        // down the topological order.
+        let lanes = fan_in.div_ceil(64);
+        let mut reach = vec![0u64; topo.len() * lanes];
+        for (wire, hop) in entries.iter().enumerate() {
+            if !hop.is_counter() {
+                reach[hop.index() * lanes + wire / 64] |= 1 << (wire % 64);
+            }
+        }
+        for &b in topo {
+            for hop in &routing[route_offset[b]..route_offset[b + 1]] {
+                if !hop.is_counter() {
+                    let succ = hop.index();
+                    for lane in 0..lanes {
+                        reach[succ * lanes + lane] |= reach[b * lanes + lane];
+                    }
+                }
+            }
+        }
+        // near[x]: the depth at which wire `x` first meets any wire already
+        // in the plan (MAX: never; 0: `x` is in the plan, depths start at 1).
+        let mut near = vec![usize::MAX; fan_in];
+        let mut seen = vec![0u64; lanes];
+        let mut plan = Vec::with_capacity(fan_in);
+        let mut next = 0;
+        loop {
+            plan.push(next);
+            near[next] = 0;
+            if plan.len() == fan_in {
+                return EntryPlan(plan.into());
+            }
+            // Walking the balancers `next` reaches by increasing depth, a
+            // wire's first appearance in their reach sets is at the depth
+            // where it first meets `next`.
+            seen.fill(0);
+            seen[next / 64] = 1 << (next % 64);
+            let mut unseen = fan_in - 1;
+            for &b in topo {
+                if unseen == 0 {
+                    break;
+                }
+                let set = &reach[b * lanes..(b + 1) * lanes];
+                if set[next / 64] & (1 << (next % 64)) == 0 {
+                    continue;
+                }
+                let depth = net.balancer_depth(BalancerId(b));
+                for lane in 0..lanes {
+                    let mut fresh = set[lane] & !seen[lane];
+                    seen[lane] |= fresh;
+                    while fresh != 0 {
+                        let wire = lane * 64 + fresh.trailing_zeros() as usize;
+                        near[wire] = near[wire].min(depth);
+                        fresh &= fresh - 1;
+                        unseen -= 1;
+                    }
+                }
+            }
+            // Farthest first; `>` keeps the lowest wire among equals.
+            next = (0..fan_in).fold(0, |best, x| if near[x] > near[best] { x } else { best });
         }
     }
 }
@@ -97,6 +265,9 @@ impl std::fmt::Debug for Hop {
 ///     hop = engine.hops(hop.index())[0];
 /// }
 /// assert!(hop.index() < 8);
+/// // Processes enter where their paths meet last: 0 and 1 take the two
+/// // B(4) halves.
+/// assert_eq!(engine.entry_plan().wires(), [0, 4, 2, 6, 1, 3, 5, 7]);
 /// # Ok::<(), cnet_topology::BuildError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -118,12 +289,18 @@ pub struct CompiledNetwork {
     /// constructions). Then `route_offset[b] == 2 * b`, and [`Self::traverse`]
     /// runs a specialized loop with no fan or offset loads at all.
     uniform_binary: bool,
-    /// Balancer indices in topological order (every wire goes from an
-    /// earlier entry to a later one). [`Self::traverse_counts`] sweeps this
-    /// order so a balancer's whole sub-batch has accumulated before its
-    /// single atomic fires. Networks are validated acyclic at build time,
-    /// so the order always exists.
+    /// Balancer indices in topological order, by non-decreasing depth
+    /// (every wire goes from an earlier entry to a later one).
+    /// [`Self::traverse_counts`] sweeps this order so a balancer's whole
+    /// sub-batch has accumulated before its single atomic fires. Networks
+    /// are validated acyclic at build time, so the order always exists.
     topo: Vec<usize>,
+    /// Whether balancer `b` is terminal: every output a sink.
+    terminal: Vec<bool>,
+    /// The sinks no terminal balancer feeds, ascending — the only ones that
+    /// own a counter word. Empty on every classic construction.
+    free_sinks: Vec<usize>,
+    plan: EntryPlan,
 }
 
 /// Resolves a wire's terminus to a hop.
@@ -134,8 +311,10 @@ fn hop_of(end: WireEnd) -> Hop {
     }
 }
 
-/// Kahn's algorithm over the balancer→balancer hops: the returned order
-/// visits every balancer after all of its predecessors.
+/// Kahn's algorithm over the balancer→balancer hops, first in first out:
+/// the returned order visits every balancer after all of its predecessors,
+/// and — a balancer joins the queue when its *deepest* predecessor leaves
+/// it — by non-decreasing depth.
 fn topo_order(route_offset: &[usize], routing: &[Hop], size: usize) -> Vec<usize> {
     let mut indegree = vec![0usize; size];
     for hop in routing {
@@ -164,24 +343,52 @@ fn topo_order(route_offset: &[usize], routing: &[Hop], size: usize) -> Vec<usize
 
 impl CompiledNetwork {
     /// Flattens `net` into routing tables. All graph resolution — wire
-    /// lookups, port maps, balancer records — happens here, once.
+    /// lookups, port maps, balancer records, which balancers are terminal,
+    /// the entry plan — happens here, once.
     pub fn compile(net: &Network) -> CompiledNetwork {
-        let entries: Vec<Hop> = (0..net.fan_in())
+        let mut entries: Vec<Hop> = (0..net.fan_in())
             .map(|i| hop_of(net.wire(net.source_wire(SourceId(i))).end))
             .collect();
         let mut route_offset = Vec::with_capacity(net.size() + 1);
         let mut routing = Vec::new();
         let mut fan = Vec::with_capacity(net.size());
+        let mut terminal = Vec::with_capacity(net.size());
+        let mut fused_sinks = 0;
         route_offset.push(0);
         for (_, bal) in net.balancers() {
-            for &wire in bal.outputs() {
-                routing.push(hop_of(net.wire(wire).end));
-            }
+            let base = routing.len();
+            routing.extend(bal.outputs().iter().map(|&wire| hop_of(net.wire(wire).end)));
+            let last = routing[base..].iter().all(|hop| hop.is_counter());
+            fused_sinks += if last { bal.fan_out() } else { 0 };
+            terminal.push(last);
             fan.push(bal.fan_out());
             route_offset.push(routing.len());
         }
         let uniform_binary = fan.iter().all(|&f| f == 2);
         let topo = topo_order(&route_offset, &routing, fan.len());
+        debug_assert!(
+            topo.windows(2).all(|pair| {
+                net.balancer_depth(BalancerId(pair[0])) <= net.balancer_depth(BalancerId(pair[1]))
+            }),
+            "first-in-first-out Kahn order is by depth"
+        );
+        let plan = EntryPlan::derive(net, &entries, &route_offset, &routing, &topo);
+        // Every sink is fed by exactly one wire, so the sinks left over are
+        // those a source wire or a balancer with mixed outputs leads to.
+        let mut free_sinks = Vec::new();
+        if fused_sinks < net.fan_out() {
+            let mixed = (0..fan.len())
+                .filter(|&b| !terminal[b])
+                .flat_map(|b| &routing[route_offset[b]..route_offset[b + 1]]);
+            let to_sinks = entries.iter().chain(mixed).filter(|hop| hop.is_counter());
+            free_sinks.extend(to_sinks.map(|hop| hop.index()));
+            free_sinks.sort_unstable();
+        }
+        for hop in entries.iter_mut().chain(&mut routing) {
+            if !hop.is_counter() && terminal[hop.index()] {
+                hop.0 |= Hop::TERMINAL;
+            }
+        }
         CompiledNetwork {
             fan_in: net.fan_in(),
             fan_out: net.fan_out(),
@@ -192,6 +399,9 @@ impl CompiledNetwork {
             fan,
             uniform_binary,
             topo,
+            terminal,
+            free_sinks,
+            plan,
         }
     }
 
@@ -229,6 +439,17 @@ impl CompiledNetwork {
         self.entries[input]
     }
 
+    /// The input wire `process` enters on, by the [`EntryPlan`].
+    #[inline]
+    pub fn entry_for(&self, process: usize) -> usize {
+        self.plan.entry_for(process)
+    }
+
+    /// The process→wire map, for runtimes that route without the tables.
+    pub fn entry_plan(&self) -> &EntryPlan {
+        &self.plan
+    }
+
     /// Balancer `balancer`'s output hops, in port order.
     #[inline]
     pub fn hops(&self, balancer: usize) -> &[Hop] {
@@ -241,13 +462,44 @@ impl CompiledNetwork {
         self.fan[balancer]
     }
 
+    /// Which balancers a token entering on source wire `input` can visit,
+    /// indexed by balancer: the words a process entering there may write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input >= fan_in()`.
+    pub fn reachable_from(&self, input: usize) -> Vec<bool> {
+        let mut seen = vec![false; self.fan.len()];
+        let mut stack = vec![self.entries[input]];
+        while let Some(hop) = stack.pop() {
+            if !hop.is_counter() && !std::mem::replace(&mut seen[hop.index()], true) {
+                stack.extend(self.hops(hop.index()));
+            }
+        }
+        seen
+    }
+
+    /// Whether balancer `balancer` is terminal — every output a sink — so
+    /// that its word counts arrivals and its sinks own no counter.
+    #[inline]
+    pub fn is_terminal(&self, balancer: usize) -> bool {
+        self.terminal[balancer]
+    }
+
+    /// The sinks that own a counter word, ascending: those fed by a source
+    /// wire or by a balancer with mixed outputs. A counter bank laid out
+    /// over this engine has one word per entry, in this order.
+    pub fn free_sinks(&self) -> &[usize] {
+        &self.free_sinks
+    }
+
     /// Routes one token from source wire `input` to a counter, asking
     /// `choose_port(balancer, fan_out)` for the output port at every
-    /// balancer; returns the counter index reached.
+    /// balancer, terminal or not; returns the counter index reached.
     ///
-    /// This is the generic walk — the closure supplies the balancer-state
-    /// discipline, so the same tight loop serves the atomic counters, the
-    /// instrumented counter (which counts retries), and tests that force
+    /// This is the generic, unfused walk — the closure supplies the
+    /// balancer-state discipline, so the same tight loop serves the
+    /// instrumented counter (which counts retries) and tests that force
     /// fixed ports.
     ///
     /// # Panics
@@ -267,71 +519,74 @@ impl CompiledNetwork {
         hop.index()
     }
 
-    /// Routes one token from `input` through shared atomic balancer words
-    /// to a counter: the lock-free hot path. Returns the counter reached.
+    /// Routes one token from `input` through the shared state words to a
+    /// sink: the lock-free hot path.
     ///
     /// The round-robin update is specialized by fan-out — `fetch_xor` for
     /// 2, masked `fetch_add` for other powers of two (both wait-free), and
-    /// a backoff-paced CAS loop otherwise — so on the classic
-    /// constructions every balancer visit is **one** atomic instruction
-    /// with no retry loop at all.
+    /// a backoff-paced CAS loop otherwise — and a terminal balancer, of any
+    /// fan-out, is one `fetch_add(1)` whose result is both the port and the
+    /// token's [`rank`](Exit::rank). On the classic constructions every
+    /// balancer visit is therefore **one** atomic instruction with no retry
+    /// loop, and the last of them is the counter.
     ///
     /// # Panics
     ///
-    /// Panics if `input >= fan_in()` or `balancers.len() != size()`.
+    /// Panics if `input >= fan_in()` or `words.len() != size()`.
     #[inline]
-    pub fn traverse(&self, input: usize, balancers: &[CachePadded<AtomicUsize>]) -> usize {
-        assert_eq!(balancers.len(), self.fan.len(), "one state word per balancer");
+    pub fn traverse(&self, input: usize, words: &[CachePadded<AtomicU64>]) -> Exit {
+        assert_eq!(words.len(), self.fan.len(), "one state word per balancer");
+        assert!(input < self.fan_in, "input wire {input} out of range");
+        let mut hop = self.entries[input];
         if self.uniform_binary {
             // All-binary network (every classic construction): the CSR
             // offset of balancer `b` is just `2 * b`, so the loop touches
             // only the state word and the routing table — one atomic and
             // one load per hop.
-            assert!(input < self.fan_in, "input wire {input} out of range");
-            let mut hop = self.entries[input];
-            while !hop.is_counter() {
+            while hop.is_interior() {
                 let b = hop.index();
-                let port = balancers[b].fetch_xor(1, Ordering::AcqRel) & 1;
-                hop = self.routing[2 * b + port];
+                let port = words[b].fetch_xor(1, Ordering::AcqRel) & 1;
+                hop = self.routing[2 * b + port as usize];
             }
-            return hop.index();
+            if hop.is_counter() {
+                return Exit { sink: hop.index(), rank: None };
+            }
+            let b = hop.index();
+            let t = words[b].fetch_add(1, Ordering::AcqRel);
+            let sink = self.routing[2 * b + (t & 1) as usize].index();
+            return Exit { sink, rank: Some(t >> 1) };
         }
-        self.route(input, |b, f| {
-            let word = &*balancers[b];
-            if f == 2 {
+        while hop.is_interior() {
+            let b = hop.index();
+            let f = self.fan[b] as u64;
+            let word = &*words[b];
+            let port = if f == 2 {
                 // (s + 1) mod 2 == s xor 1: a single wait-free atomic.
-                word.fetch_xor(1, Ordering::AcqRel)
+                word.fetch_xor(1, Ordering::AcqRel) & 1
             } else if f.is_power_of_two() {
                 // Wrapping add preserves congruence mod a power of two, so
                 // the word may run ahead of the paper's state `s`; the port
                 // handed out is still exactly round-robin.
                 word.fetch_add(1, Ordering::AcqRel) & (f - 1)
             } else {
-                let backoff = Backoff::new();
-                let mut s = word.load(Ordering::Acquire);
-                loop {
-                    match word.compare_exchange_weak(
-                        s,
-                        (s + 1) % f,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(prev) => break prev,
-                        Err(actual) => {
-                            backoff.snooze();
-                            s = actual;
-                        }
-                    }
-                }
-            }
-        })
+                advance_cas(word, 1, f)
+            };
+            hop = self.routing[self.route_offset[b] + port as usize];
+        }
+        if hop.is_counter() {
+            return Exit { sink: hop.index(), rank: None };
+        }
+        let b = hop.index();
+        let t = words[b].fetch_add(1, Ordering::AcqRel);
+        let (rank, port) = div_rem(t, self.fan[b] as u64);
+        Exit { sink: self.hops(b)[port as usize].index(), rank: Some(rank) }
     }
 
     /// Routes a whole batch — `entering[i]` tokens on every source wire `i`
-    /// at once — through the shared balancer words in one sweep, charging
+    /// at once — through the shared state words in one sweep, charging
     /// **at most one atomic per balancer for the whole batch** instead of
     /// one per balancer per token. On return, `sink_counts[j]` holds how
-    /// many of the tokens reached counter `j` (`sink_counts` is resized to
+    /// many of the tokens reached sink `j` (`sink_counts` is resized to
     /// `fan_out()` and overwritten; its spare capacity carries the sweep's
     /// working counts, so a caller that reuses the `Vec` allocates nothing).
     ///
@@ -348,11 +603,13 @@ impl CompiledNetwork {
     /// masked `fetch_add(n)` for other powers of two (congruence mod a
     /// power of two survives wrapping), a backoff-paced CAS advancing by
     /// `n mod f` otherwise — and when `n ≡ 0 (mod f)` the split is uniform
-    /// and the state unchanged, so the balancer is not touched at all.
+    /// and the state unchanged, so the balancer is not touched at all. A
+    /// terminal word is the exception to that last shortcut: it counts
+    /// arrivals, not positions, so it always advances by the full `n`.
     ///
     /// Balancers are visited in topological order, so every upstream
     /// sub-batch has been split before a downstream balancer fires. From a
-    /// quiescent state the resulting per-counter counts equal the same
+    /// quiescent state the resulting per-sink counts equal the same
     /// tokens sent through [`Self::traverse`] one by one, in any order
     /// (induction over the topological order: same arrival counts and same
     /// starting state at every balancer imply the same port split). Tokens
@@ -364,20 +621,20 @@ impl CompiledNetwork {
     /// argument of the single-token path carries over unchanged.
     ///
     /// An all-zero `entering` resets `sink_counts` to zeros and touches no
-    /// balancer word — an empty batch is free, matching the
+    /// state word — an empty batch is free, matching the
     /// `ProcessCounter::next_batch_for` contract.
     ///
     /// # Panics
     ///
-    /// Panics if `entering.len() != fan_in()` or `balancers.len() != size()`.
+    /// Panics if `entering.len() != fan_in()` or `words.len() != size()`.
     pub fn traverse_counts(
         &self,
         entering: &[usize],
-        balancers: &[CachePadded<AtomicUsize>],
+        words: &[CachePadded<AtomicU64>],
         sink_counts: &mut Vec<usize>,
     ) {
         assert_eq!(entering.len(), self.fan_in, "one count per input wire");
-        self.sweep(entering.iter().copied().enumerate(), balancers, sink_counts);
+        self.sweep(entering.iter().copied().enumerate(), words, sink_counts, |_, _, _, _| {});
     }
 
     /// [`traverse_counts`](Self::traverse_counts) for `k` tokens that all
@@ -385,28 +642,35 @@ impl CompiledNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `input >= fan_in()` or `balancers.len() != size()`.
+    /// Panics if `input >= fan_in()` or `words.len() != size()`.
     pub fn traverse_batch(
         &self,
         input: usize,
         k: usize,
-        balancers: &[CachePadded<AtomicUsize>],
+        words: &[CachePadded<AtomicU64>],
         sink_counts: &mut Vec<usize>,
     ) {
         assert!(input < self.fan_in, "input wire {input} out of range");
-        self.sweep(std::iter::once((input, k)), balancers, sink_counts);
+        self.sweep(std::iter::once((input, k)), words, sink_counts, |_, _, _, _| {});
     }
 
-    /// The wavefront behind both batched traversals: `entering` yields
-    /// `(source wire, tokens)` pairs.
-    fn sweep(
+    /// The wavefront behind the batched traversals: `entering` yields
+    /// `(source wire, tokens)` pairs, and `ranked(hops, round, s, counts)`
+    /// is told of each terminal balancer the batch reached — its output
+    /// hops, the arrival count `round·f + s` its word stood at when the
+    /// batch claimed its run of arrivals (so port `p`'s next token has rank
+    /// `round + [p < s]`), and the per-sink counts, in which the balancer's
+    /// sinks now hold their share of that run: all a counter needs to hand
+    /// out the values.
+    pub(crate) fn sweep(
         &self,
         entering: impl Iterator<Item = (usize, usize)>,
-        balancers: &[CachePadded<AtomicUsize>],
+        words: &[CachePadded<AtomicU64>],
         sink_counts: &mut Vec<usize>,
+        mut ranked: impl FnMut(&[Hop], u64, usize, &[usize]),
     ) {
-        assert_eq!(balancers.len(), self.fan.len(), "one state word per balancer");
-        // One buffer, two tables: tokens arrived at each counter, then
+        assert_eq!(words.len(), self.fan.len(), "one state word per balancer");
+        // One buffer, two tables: tokens arrived at each sink, then
         // tokens waiting at each balancer, accumulated wavefront-style.
         let waiting = self.fan_out;
         let slot = |hop: Hop| hop.index() + if hop.is_counter() { 0 } else { waiting };
@@ -423,42 +687,35 @@ impl CompiledNetwork {
                 continue;
             }
             let f = self.fan[b];
-            let rem = n % f;
-            let s = if rem == 0 {
+            let (share, rem) = div_rem(n as u64, f as u64);
+            let (share, rem) = (share as usize, rem as usize);
+            let word = &*words[b];
+            let mut claimed = None;
+            let s = if self.terminal[b] {
+                let (round, s) = div_rem(word.fetch_add(n as u64, Ordering::AcqRel), f as u64);
+                claimed = Some(round);
+                s as usize
+            } else if rem == 0 {
                 // Uniform split, state unchanged: zero atomics.
                 0
             } else if f == 2 {
                 // (s + n) mod 2 == s xor 1 for odd n: one wait-free atomic
                 // that also returns the prior state.
-                balancers[b].fetch_xor(1, Ordering::AcqRel) & 1
+                (word.fetch_xor(1, Ordering::AcqRel) & 1) as usize
             } else if f.is_power_of_two() {
                 // Wrapping add preserves congruence mod a power of two.
-                balancers[b].fetch_add(n, Ordering::AcqRel) & (f - 1)
+                word.fetch_add(n as u64, Ordering::AcqRel) as usize & (f - 1)
             } else {
-                let word = &*balancers[b];
-                let backoff = Backoff::new();
-                let mut cur = word.load(Ordering::Acquire);
-                loop {
-                    match word.compare_exchange_weak(
-                        cur,
-                        (cur + rem) % f,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(prev) => break prev,
-                        Err(actual) => {
-                            backoff.snooze();
-                            cur = actual;
-                        }
-                    }
-                }
+                advance_cas(word, rem as u64, f as u64) as usize
             };
-            let base = self.route_offset[b];
-            let share = n / f;
-            for p in 0..f {
+            let hops = self.hops(b);
+            for (p, &hop) in hops.iter().enumerate() {
                 // Ports s, s+1, …, s+rem−1 (mod f) carry the remainder.
-                sink_counts[slot(self.routing[base + p])] +=
-                    share + usize::from((p + f - s) % f < rem);
+                let ahead = if p >= s { p - s } else { p + f - s };
+                sink_counts[slot(hop)] += share + usize::from(ahead < rem);
+            }
+            if let Some(round) = claimed {
+                ranked(hops, round, s, &sink_counts[..waiting]);
             }
         }
         sink_counts.truncate(self.fan_out);
@@ -469,10 +726,40 @@ impl CompiledNetwork {
         );
     }
 
-    /// A fresh bank of balancer state words, one per balancer, each on its
-    /// own cache line, all in the initial state 0.
-    pub fn new_balancer_states(&self) -> Box<[CachePadded<AtomicUsize>]> {
-        (0..self.fan.len()).map(|_| CachePadded::new(AtomicUsize::new(0))).collect()
+    /// A fresh bank of state words, one per balancer, each on its own
+    /// cache line, all zero: an interior balancer's word is its round-robin
+    /// position (modulo its fan-out), a terminal balancer's the number of
+    /// tokens that have arrived at it.
+    pub fn new_balancer_states(&self) -> Box<[CachePadded<AtomicU64>]> {
+        (0..self.fan.len()).map(|_| CachePadded::new(AtomicU64::new(0))).collect()
+    }
+}
+
+/// `(x / f, x mod f)`, by shift and mask when `f` is a power of two: no
+/// classic construction pays a hardware divide per word.
+#[inline]
+fn div_rem(x: u64, f: u64) -> (u64, u64) {
+    if f.is_power_of_two() {
+        (x >> f.trailing_zeros(), x & (f - 1))
+    } else {
+        (x / f, x % f)
+    }
+}
+
+/// Advances an irregular-fan-out balancer's position by `by` (mod `f`) and
+/// returns the position it stood at: a CAS loop, paced by a bounded-spin
+/// [`Backoff`] per failure.
+fn advance_cas(word: &AtomicU64, by: u64, f: u64) -> u64 {
+    let backoff = Backoff::new();
+    let mut s = word.load(Ordering::Acquire);
+    loop {
+        match word.compare_exchange_weak(s, (s + by) % f, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(prev) => break prev,
+            Err(actual) => {
+                backoff.snooze();
+                s = actual;
+            }
+        }
     }
 }
 
@@ -480,8 +767,26 @@ impl CompiledNetwork {
 mod tests {
     use super::*;
     use cnet_topology::builder::LayeredBuilder;
-    use cnet_topology::construct::{bitonic, counting_tree, periodic};
+    use cnet_topology::construct::{append_adjacent_balancer, bitonic, counting_tree, periodic};
     use cnet_topology::state::NetworkState;
+
+    /// One (3,3)-balancer: terminal, and of a fan-out that is no power of
+    /// two.
+    fn lone_fan3() -> Network {
+        let mut lb = LayeredBuilder::new(3);
+        lb.balancer(&[0, 1, 2]);
+        lb.finish().unwrap()
+    }
+
+    /// A (3,3)-balancer over a (2,2) one: the fan-3 balancer is interior
+    /// (it takes the CAS path) and has mixed outputs, so sink 2 is
+    /// free-standing.
+    fn fan3_over_fan2() -> Network {
+        let mut lb = LayeredBuilder::new(3);
+        lb.balancer(&[0, 1, 2]);
+        lb.balancer(&[0, 1]);
+        lb.finish().unwrap()
+    }
 
     #[test]
     fn tables_mirror_the_graph() {
@@ -503,14 +808,45 @@ mod tests {
                     WireEnd::Balancer { balancer, .. } => {
                         assert!(!hop.is_counter());
                         assert_eq!(hop.index(), balancer.index());
+                        assert_eq!(hop.is_terminal(), engine.is_terminal(balancer.index()));
                     }
                     WireEnd::Sink(s) => {
-                        assert!(hop.is_counter());
+                        assert!(hop.is_counter() && !hop.is_terminal());
                         assert_eq!(hop.index(), s.index());
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_last_layer_is_terminal_and_leaves_no_free_sink() {
+        for net in [bitonic(8).unwrap(), periodic(8).unwrap(), counting_tree(8).unwrap()] {
+            let engine = CompiledNetwork::compile(&net);
+            for (b, _) in net.balancers() {
+                let last = net.balancer_depth(b) == net.depth();
+                assert_eq!(engine.is_terminal(b.index()), last, "{net} {b}");
+            }
+            assert!(engine.free_sinks().is_empty(), "{net}");
+        }
+    }
+
+    #[test]
+    fn sinks_not_behind_a_terminal_balancer_are_free() {
+        // B(4) with a balancer appended across outputs 1 and 2: the two
+        // last-layer balancers of B(4) now have mixed outputs.
+        let net = append_adjacent_balancer(&bitonic(4).unwrap(), 1).unwrap();
+        let engine = CompiledNetwork::compile(&net);
+        assert_eq!(engine.free_sinks(), [0, 3]);
+        assert_eq!((0..engine.size()).filter(|&b| engine.is_terminal(b)).count(), 1);
+        // A line no balancer touches runs from its source straight to its
+        // sink.
+        let mut lb = LayeredBuilder::new(3);
+        lb.balancer(&[0, 1]);
+        let engine = CompiledNetwork::compile(&lb.finish().unwrap());
+        assert_eq!(engine.free_sinks(), [2]);
+        assert!(engine.entry(2).is_counter());
+        assert_eq!(CompiledNetwork::compile(&fan3_over_fan2()).free_sinks(), [2]);
     }
 
     #[test]
@@ -533,29 +869,57 @@ mod tests {
 
     #[test]
     fn traverse_matches_reference_semantics() {
-        for net in [bitonic(8).unwrap(), periodic(8).unwrap(), counting_tree(8).unwrap()] {
+        let extended = append_adjacent_balancer(&bitonic(4).unwrap(), 1).unwrap();
+        for net in [
+            bitonic(8).unwrap(),
+            periodic(8).unwrap(),
+            counting_tree(8).unwrap(),
+            extended,
+            lone_fan3(),
+            fan3_over_fan2(),
+        ] {
             let engine = CompiledNetwork::compile(&net);
             let states = engine.new_balancer_states();
             let mut reference = NetworkState::new(&net);
+            let w = net.fan_out() as u64;
             for k in 0..64usize {
                 let input = k % net.fan_in();
-                let sink = engine.traverse(input, &states);
-                assert_eq!(sink, reference.traverse(&net, input).sink.index(), "{net}");
+                let exit = engine.traverse(input, &states);
+                let expect = reference.traverse(&net, input);
+                assert_eq!(exit.sink, expect.sink.index(), "{net}");
+                // A ranked exit is the value without a counter word.
+                match exit.rank {
+                    Some(rank) => assert_eq!(exit.sink as u64 + w * rank, expect.value, "{net}"),
+                    None => assert!(engine.free_sinks().contains(&exit.sink), "{net}"),
+                }
             }
         }
     }
 
     #[test]
-    fn irregular_fan_outs_use_the_cas_path_correctly() {
-        // A single (3,3)-balancer: fan-out 3 is not a power of two, so the
-        // traversal exercises the CAS fallback. Round-robin must hold.
-        let mut lb = LayeredBuilder::new(3);
-        lb.balancer(&[0, 1, 2]);
-        let net = lb.finish().unwrap();
-        let engine = CompiledNetwork::compile(&net);
+    fn a_terminal_word_counts_arrivals_at_any_fan_out() {
+        // Fan-out 3 is not a power of two, but the balancer is terminal, so
+        // it is one `fetch_add` all the same: port `t mod 3`, rank `⌊t/3⌋`.
+        let engine = CompiledNetwork::compile(&lone_fan3());
         let states = engine.new_balancer_states();
-        let sinks: Vec<usize> = (0..7).map(|_| engine.traverse(0, &states)).collect();
+        let exits: Vec<(usize, Option<u64>)> = (0..7)
+            .map(|_| engine.traverse(0, &states))
+            .map(|exit| (exit.sink, exit.rank))
+            .collect();
+        let expect: Vec<_> = (0..7).map(|t| (t % 3, Some(t as u64 / 3))).collect();
+        assert_eq!(exits, expect);
+        assert_eq!(states[0].load(Ordering::Acquire), 7);
+    }
+
+    #[test]
+    fn interior_irregular_fan_outs_use_the_cas_path_correctly() {
+        let engine = CompiledNetwork::compile(&fan3_over_fan2());
+        let states = engine.new_balancer_states();
+        let sinks: Vec<usize> = (0..7).map(|_| engine.traverse(0, &states).sink).collect();
+        // Round-robin over ports 0,1,2; ports 0 and 1 lead to the fan-2
+        // balancer, which alternates in step.
         assert_eq!(sinks, vec![0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(states[0].load(Ordering::Acquire), 7 % 3, "the CAS keeps a position");
     }
 
     #[test]
@@ -571,11 +935,11 @@ mod tests {
         engine: &CompiledNetwork,
         input: usize,
         k: usize,
-        states: &[CachePadded<AtomicUsize>],
+        states: &[CachePadded<AtomicU64>],
     ) -> Vec<usize> {
         let mut counts = vec![0usize; engine.fan_out()];
         for _ in 0..k {
-            counts[engine.traverse(input, states)] += 1;
+            counts[engine.traverse(input, states).sink] += 1;
         }
         counts
     }
@@ -601,11 +965,9 @@ mod tests {
     fn batch_interleaves_with_single_tokens() {
         // Singles and batches share the same state words, so a batch must
         // pick up the round-robin exactly where the singles left it (and
-        // vice versa) on every specialization: parity xor, masked add, CAS.
-        let mut lb = LayeredBuilder::new(3);
-        lb.balancer(&[0, 1, 2]);
-        let irregular = lb.finish().unwrap();
-        for net in [bitonic(8).unwrap(), counting_tree(8).unwrap(), irregular] {
+        // vice versa) on every specialization: parity xor, masked add, CAS,
+        // and the terminal arrival count.
+        for net in [bitonic(8).unwrap(), counting_tree(8).unwrap(), lone_fan3(), fan3_over_fan2()] {
             let engine = CompiledNetwork::compile(&net);
             let mixed = engine.new_balancer_states();
             let sequential = engine.new_balancer_states();
@@ -616,7 +978,7 @@ mod tests {
                 let input = round % engine.fan_in();
                 if round % 2 == 0 {
                     for _ in 0..k {
-                        mixed_counts[engine.traverse(input, &mixed)] += 1;
+                        mixed_counts[engine.traverse(input, &mixed).sink] += 1;
                     }
                 } else {
                     engine.traverse_batch(input, k, &mixed, &mut scratch);
@@ -636,33 +998,57 @@ mod tests {
 
     #[test]
     fn batch_round_robin_on_the_irregular_cas_path() {
-        // One (3,3)-balancer, batch of 7 from state 0: ports 0,1,2 repeat
-        // so the counts are [3,2,2] and the state ends at 7 mod 3 = 1.
-        let mut lb = LayeredBuilder::new(3);
-        lb.balancer(&[0, 1, 2]);
-        let net = lb.finish().unwrap();
-        let engine = CompiledNetwork::compile(&net);
+        // A batch of 7 from state 0 through the interior (3,3)-balancer:
+        // ports 0,1,2 repeat, so it sends on [3,2,2] and stands at
+        // 7 mod 3 = 1; the five tokens reaching the fan-2 balancer split
+        // [3,2].
+        let engine = CompiledNetwork::compile(&fan3_over_fan2());
         let states = engine.new_balancer_states();
         let mut counts = Vec::new();
         engine.traverse_batch(0, 7, &states, &mut counts);
         assert_eq!(counts, vec![3, 2, 2]);
-        assert_eq!(engine.traverse(0, &states), 1);
+        assert_eq!(states[0].load(Ordering::Acquire), 1);
+        assert_eq!(engine.traverse(0, &states).sink, 1, "port 1, then the fan-2 balancer's port 1");
     }
 
     #[test]
-    fn uniform_batches_leave_balancer_state_untouched() {
-        // A multiple-of-fan batch splits uniformly without an atomic; the
-        // next single token must still come out on the original port.
+    fn a_sweep_reports_each_terminal_claim() {
+        // 5 tokens into B(2)'s one balancer after 3 singles: the batch
+        // claims arrivals 3..8 and is told so.
+        let engine = CompiledNetwork::compile(&bitonic(2).unwrap());
+        let states = engine.new_balancer_states();
+        for _ in 0..3 {
+            engine.traverse(1, &states);
+        }
+        let (mut counts, mut claims) = (Vec::new(), Vec::new());
+        let entering = [(0, 2), (1, 3)].into_iter();
+        engine.sweep(entering, &states, &mut counts, |hops, round, s, counts| {
+            claims.push((hops.len(), round, s, counts.to_vec()));
+        });
+        assert_eq!(claims, [(2, 1, 1, vec![2, 3])], "the word stood at 3 = 1·2 + 1");
+        assert_eq!(counts, [2, 3], "arrivals 3..8 leave by ports 1,0,1,0,1");
+    }
+
+    #[test]
+    fn uniform_batches_skip_interior_words_but_advance_terminal_ones() {
+        // A multiple-of-fan batch splits uniformly over an interior
+        // balancer without an atomic; a terminal word counts arrivals, so it
+        // advances all the same and the next token's rank reflects it.
         let net = bitonic(8).unwrap();
         let engine = CompiledNetwork::compile(&net);
-        let states = engine.new_balancer_states();
-        let first = engine.traverse(0, &states);
+        let first = engine.traverse(0, &engine.new_balancer_states());
         let mut counts = Vec::new();
         let fresh = engine.new_balancer_states();
         engine.traverse_batch(0, 1024, &fresh, &mut counts);
         assert_eq!(counts.iter().sum::<usize>(), 1024);
         assert!(counts.iter().all(|&c| c == 1024 / 8), "uniform split: {counts:?}");
-        assert_eq!(engine.traverse(0, &fresh), first, "state must be unchanged");
+        for b in 0..engine.size() {
+            let expect = if engine.is_terminal(b) { 256 } else { 0 };
+            assert_eq!(fresh[b].load(Ordering::Acquire), expect, "balancer {b}");
+        }
+        let next = engine.traverse(0, &fresh);
+        assert_eq!(next.sink, first.sink, "positions must be unchanged");
+        assert_eq!((first.rank, next.rank), (Some(0), Some(128)));
     }
 
     #[test]
@@ -673,9 +1059,88 @@ mod tests {
         engine.traverse_batch(5, 1, &states, &mut Vec::new());
     }
 
+    /// The depth at which the paths from input wires `a` and `c` first
+    /// meet, by exhaustive walk of the tables: `None` if they never do.
+    fn meeting_depth(net: &Network, engine: &CompiledNetwork, a: usize, c: usize) -> Option<usize> {
+        let (from_a, from_c) = (engine.reachable_from(a), engine.reachable_from(c));
+        (0..engine.size())
+            .filter(|&b| from_a[b] && from_c[b])
+            .map(|b| net.balancer_depth(BalancerId(b)))
+            .min()
+    }
+
+    #[test]
+    fn the_entry_plan_is_a_farthest_first_permutation() {
+        let mut disjoint = LayeredBuilder::new(4);
+        disjoint.balancer(&[0, 1]);
+        disjoint.balancer(&[2, 3]);
+        for net in [
+            bitonic(8).unwrap(),
+            bitonic(16).unwrap(),
+            periodic(8).unwrap(),
+            counting_tree(8).unwrap(),
+            fan3_over_fan2(),
+            disjoint.finish().unwrap(),
+        ] {
+            let engine = CompiledNetwork::compile(&net);
+            let plan = engine.entry_plan().wires();
+            let mut sorted = plan.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..net.fan_in()).collect::<Vec<_>>(), "{net}: a permutation");
+            assert_eq!(engine.entry_for(0), 0, "{net}");
+            assert_eq!(engine.entry_for(net.fan_in() + 1), plan[1 % plan.len()], "{net}: wraps");
+            // Each wire is, among those left, one whose first meeting with
+            // the wires before it lies deepest (never meeting is deepest).
+            let distance = |x: usize, chosen: &[usize]| {
+                chosen
+                    .iter()
+                    .map(|&c| meeting_depth(&net, &engine, x, c).unwrap_or(usize::MAX))
+                    .min()
+            };
+            for k in 1..plan.len() {
+                let best = plan[k..].iter().map(|&x| distance(x, &plan[..k])).max().unwrap();
+                assert_eq!(distance(plan[k], &plan[..k]), best, "{net}: position {k} of {plan:?}");
+            }
+        }
+        // Two disjoint balancers: process 1 goes to the one process 0 is not on.
+        let mut disjoint = LayeredBuilder::new(4);
+        disjoint.balancer(&[0, 1]);
+        disjoint.balancer(&[2, 3]);
+        let engine = CompiledNetwork::compile(&disjoint.finish().unwrap());
+        assert_eq!(engine.entry_plan().wires(), [0, 2, 1, 3]);
+    }
+
+    #[test]
+    fn on_the_bitonic_network_the_first_processes_share_only_the_mergers() {
+        // B(w) is two B(w/2) under a merger, recursively: the first 2^j
+        // processes land in 2^j different B(w/2^j) blocks, so no two of
+        // them share a balancer at or above depth d(B(w/2^j)).
+        for lgw in 1..=5usize {
+            let w = 1 << lgw;
+            let net = bitonic(w).unwrap();
+            let engine = CompiledNetwork::compile(&net);
+            for j in 0..=lgw {
+                let block_depth = bitonic(w >> j).map_or(0, |block| block.depth());
+                let first: Vec<usize> = (0..1 << j).map(|p| engine.entry_for(p)).collect();
+                for (i, &a) in first.iter().enumerate() {
+                    for &c in &first[..i] {
+                        let meet = meeting_depth(&net, &engine, a, c).expect("B(w) counts");
+                        assert!(
+                            meet > block_depth,
+                            "B({w}): wires {a} and {c} of the first {} meet at depth {meet}",
+                            1 << j
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn hop_debug_is_informative() {
         assert_eq!(format!("{:?}", Hop::balancer(3)), "Balancer(3)");
         assert_eq!(format!("{:?}", Hop::counter(1)), "Counter(1)");
+        let engine = CompiledNetwork::compile(&bitonic(2).unwrap());
+        assert_eq!(format!("{:?}", engine.entry(0)), "Terminal(0)");
     }
 }

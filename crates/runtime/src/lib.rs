@@ -5,13 +5,16 @@
 //! process performs an increment by shepherding a token from an input
 //! pointer to a counter, atomically updating each balancer on the way.
 //! [`counter::SharedNetworkCounter`] realizes that design with one
-//! `AtomicUsize` per balancer and one `AtomicU64` per counter, over any
-//! [`cnet_topology::Network`] — flattened at construction by the
-//! [`compiled`] traversal engine into contiguous routing tables, with
-//! every state word padded to its own cache line
+//! `AtomicU64` per balancer — the last balancer on a path doubles as the
+//! counters behind it — over any [`cnet_topology::Network`], flattened at
+//! construction by the [`compiled`] traversal engine into contiguous
+//! routing tables, with every state word padded to its own cache line
 //! (`cnet_util::sync::CachePadded`) so independent balancers really are
-//! independent in the memory system. The pre-compilation form survives as
-//! [`counter::GraphWalkCounter`], the benchmark pipeline's baseline.
+//! independent in the memory system, and with processes entering on the
+//! wires whose paths meet last ([`CompiledNetwork::entry_for`]). The
+//! pre-compilation form — a position per balancer, a counter per sink —
+//! survives as [`counter::GraphWalkCounter`], the benchmark pipeline's
+//! baseline and the equivalence tests' oracle.
 //!
 //! Also provided:
 //!
@@ -86,8 +89,9 @@ pub use stats::InstrumentedNetworkCounter;
 ///
 /// `next_for(process)` performs one increment operation on behalf of the
 /// given process and returns the value obtained. Counting-network
-/// implementations route the process to its statically assigned input wire;
-/// centralized implementations ignore the process id.
+/// implementations route the process to its statically assigned input wire
+/// ([`CompiledNetwork::entry_for`]); centralized implementations ignore the
+/// process id.
 pub trait ProcessCounter: Sync {
     /// Performs one increment for `process` and returns the value.
     fn next_for(&self, process: usize) -> u64;

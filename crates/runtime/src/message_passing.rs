@@ -14,7 +14,7 @@
 //! graph is resolved once into per-balancer hop slices, and each server's
 //! output channels are read straight off them.
 
-use crate::compiled::{CompiledNetwork, Hop};
+use crate::compiled::{CompiledNetwork, EntryPlan, Hop};
 use crate::drain::Drain;
 use crate::ProcessCounter;
 use cnet_topology::Network;
@@ -54,7 +54,8 @@ pub struct MessagePassingCounter {
     /// Server threads, joined on drop (the shared signal-then-join idiom —
     /// see [`Drain`]).
     drain: Drain,
-    fan_in: usize,
+    /// Which input wire each process enters on.
+    plan: EntryPlan,
 }
 
 impl MessagePassingCounter {
@@ -127,7 +128,7 @@ impl MessagePassingCounter {
             .chain(counter_channels.iter().map(|(s, _)| s.clone()))
             .collect();
 
-        MessagePassingCounter { inputs, all_servers, drain, fan_in: engine.fan_in() }
+        MessagePassingCounter { inputs, all_servers, drain, plan: engine.entry_plan().clone() }
     }
 
     /// Injects one token on input wire `input` and blocks until its value
@@ -137,7 +138,7 @@ impl MessagePassingCounter {
     ///
     /// Panics if `input` is out of range or the network was torn down.
     pub fn increment_from(&self, input: usize) -> u64 {
-        assert!(input < self.fan_in, "input wire {input} out of range");
+        assert!(input < self.inputs.len(), "input wire {input} out of range");
         let (reply_tx, reply_rx) = unbounded();
         self.inputs[input]
             .send(Msg::Token { reply: reply_tx })
@@ -148,7 +149,7 @@ impl MessagePassingCounter {
 
 impl ProcessCounter for MessagePassingCounter {
     fn next_for(&self, process: usize) -> u64 {
-        self.increment_from(process % self.fan_in)
+        self.increment_from(self.plan.entry_for(process))
     }
 }
 

@@ -8,14 +8,16 @@
 //! The instrumented counter routes through the same compiled flat tables
 //! as [`crate::SharedNetworkCounter`] (via [`CompiledNetwork::route`]) and
 //! pads its state words identically, but it deliberately keeps the manual
-//! CAS loop at every balancer — the retry count *is* the measurement, and
-//! the wait-free `fetch_xor`/`fetch_add` specializations would hide it.
+//! CAS loop at every balancer and a counter behind every sink — the retry
+//! count *is* the measurement, and the wait-free `fetch_xor`/`fetch_add`
+//! specializations and the fused terminal step would hide it. Processes
+//! enter by the same [`CompiledNetwork::entry_for`] plan.
 
 use crate::compiled::CompiledNetwork;
 use crate::ProcessCounter;
 use cnet_topology::Network;
 use cnet_util::sync::CachePadded;
-use cnet_util::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use cnet_util::sync::atomic::{AtomicU64, Ordering};
 
 /// A [`crate::SharedNetworkCounter`] variant that additionally records
 /// per-balancer traffic and CAS-retry counts.
@@ -24,7 +26,7 @@ pub struct InstrumentedNetworkCounter {
     /// The graph is kept (unlike the plain counter) for layer attribution.
     net: Network,
     engine: CompiledNetwork,
-    balancers: Box<[CachePadded<AtomicUsize>]>,
+    balancers: Box<[CachePadded<AtomicU64>]>,
     counters: Box<[CachePadded<AtomicU64>]>,
     visits: Vec<AtomicU64>,
     retries: Vec<AtomicU64>,
@@ -54,6 +56,11 @@ impl InstrumentedNetworkCounter {
         &self.net
     }
 
+    /// The compiled tables this counter routes through.
+    pub fn engine(&self) -> &CompiledNetwork {
+        &self.engine
+    }
+
     /// Shepherds one token from `input` to a counter, recording per-balancer
     /// visits and retries.
     ///
@@ -68,7 +75,7 @@ impl InstrumentedNetworkCounter {
             let port = loop {
                 match word.compare_exchange_weak(
                     current,
-                    (current + 1) % f,
+                    (current + 1) % f as u64,
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 ) {
@@ -80,7 +87,7 @@ impl InstrumentedNetworkCounter {
                 }
             };
             self.visits[idx].fetch_add(1, Ordering::Relaxed);
-            port
+            port as usize
         });
         self.counters[sink].fetch_add(self.engine.fan_out() as u64, Ordering::AcqRel)
     }
@@ -117,7 +124,7 @@ impl InstrumentedNetworkCounter {
 
 impl ProcessCounter for InstrumentedNetworkCounter {
     fn next_for(&self, process: usize) -> u64 {
-        self.increment_from(process % self.net.fan_in())
+        self.increment_from(self.engine.entry_for(process))
     }
 }
 

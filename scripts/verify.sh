@@ -59,10 +59,14 @@ cargo test -q --offline -p cnet-bench
 # million operations counted as coalesced runs; and `cluster2_batch`
 # because `values_are_0_to_n` and `tail_ops_equal_head_ops` cover a few
 # million tokens crossing the partition cut, every batch as one
-# `ForwardBatch` frame of per-wire counts.
+# `ForwardBatch` frame of per-wire counts; and `mem_token` because its
+# `values_are_0_to_n` and `step_property_at_quiescence` checks are the only
+# exercise, through the public API, of two threads on two CPUs racing on
+# the fused terminal words (the last balancer of a path is its counter) —
+# every other run here counts from one thread at a time.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 if [ "$(nproc)" -ge 2 ]; then
-    for workload in audit_replay tcp_pipeline cluster2_batch; do
+    for workload in audit_replay tcp_pipeline cluster2_batch mem_token; do
         cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
             run --workload "$workload" --seconds 1 | tail -n 8
     done

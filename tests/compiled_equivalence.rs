@@ -10,19 +10,21 @@
 //! - [`GraphWalkCounter`] — the retained pre-compilation shared-memory
 //!   path (per-hop graph lookups, CAS loop);
 //! - [`SharedNetworkCounter`] — the compiled engine (flat routing tables,
-//!   wait-free `fetch_xor`/`fetch_add` specializations).
+//!   wait-free `fetch_xor`/`fetch_add` specializations, the last balancer
+//!   on a path fused with its counters).
 //!
 //! The harness logs its base seed to stderr on start; rerun a failure
 //! deterministically with `CNET_PROPTEST_SEED=<seed>`.
 
 use cnet_runtime::{CompiledNetwork, GraphWalkCounter, SharedNetworkCounter};
 use cnet_topology::construct::{
-    bitonic, counting_tree, periodic, random_counting_network, RandomNetworkConfig,
+    append_adjacent_balancer, bitonic, counting_tree, periodic, random_counting_network,
+    RandomNetworkConfig,
 };
 use cnet_topology::state::NetworkState;
 use cnet_topology::{LayeredBuilder, Network};
 use cnet_util::proptest::prelude::*;
-use cnet_util::sync::atomic::{AtomicUsize, Ordering};
+use cnet_util::sync::atomic::{AtomicU64, Ordering};
 use cnet_util::sync::CachePadded;
 
 /// A strategy over random counting networks of modest size: fans 2..=8,
@@ -42,57 +44,130 @@ fn random_network() -> impl Strategy<Value = Network> {
     )
 }
 
-/// Six lines, three layers, each layer one of four ways to cover the
-/// (shuffled) lines with balancers of fan-out 2, 3 and 4 — so a batched
-/// sweep meets the parity-xor, masked-add and CAS updates in one network.
-/// A balancing network, not a counting one: the equivalences below hold
-/// for any feed-forward network.
-fn mixed_fan_network(seed: u64) -> Network {
-    const GROUPINGS: [&[usize]; 4] = [&[3, 3], &[2, 4], &[4, 2], &[2, 2, 2]];
+/// Ways to cover six lines with balancers of fan-out 2, 3 and 4.
+const GROUPINGS: [&[usize]; 4] = [&[3, 3], &[2, 4], &[4, 2], &[2, 2, 2]];
+
+/// A seeded draw of a number below `below`.
+fn draws(seed: u64) -> impl FnMut(usize) -> usize {
     let mut x = seed.wrapping_mul(2).wrapping_add(1);
-    let mut draw = |below: usize| {
+    move |below| {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         (x >> 33) as usize % below
-    };
+    }
+}
+
+/// Adds one layer to `lb`: balancers of the fan-outs in `grouping` over
+/// lines `0..6`, shuffled. Returns the shuffled lines the grouping left
+/// over.
+fn shuffled_layer(
+    lb: &mut LayeredBuilder,
+    grouping: &[usize],
+    draw: &mut impl FnMut(usize) -> usize,
+) -> Vec<usize> {
+    let mut lines: Vec<usize> = (0..6).collect();
+    for i in (1..6).rev() {
+        lines.swap(i, draw(i + 1));
+    }
+    let mut rest = &lines[..];
+    for &fan in grouping {
+        let (group, tail) = rest.split_at(fan);
+        lb.balancer(group);
+        rest = tail;
+    }
+    rest.to_vec()
+}
+
+/// Six lines, three layers, each layer one of four ways to cover the
+/// (shuffled) lines with balancers of fan-out 2, 3 and 4 — so a batched
+/// sweep meets the parity-xor, masked-add and CAS updates in one network,
+/// and terminal words of every fan-out. A balancing network, not a
+/// counting one: the equivalences below hold for any feed-forward network.
+fn mixed_fan_network(seed: u64) -> Network {
+    let mut draw = draws(seed);
     let mut lb = LayeredBuilder::new(6);
     for _ in 0..3 {
-        let mut lines: Vec<usize> = (0..6).collect();
-        for i in (1..6).rev() {
-            lines.swap(i, draw(i + 1));
-        }
-        let mut rest = &lines[..];
-        for &fan in GROUPINGS[draw(GROUPINGS.len())] {
-            let (group, tail) = rest.split_at(fan);
-            lb.balancer(group);
-            rest = tail;
-        }
+        let grouping = GROUPINGS[draw(GROUPINGS.len())];
+        shuffled_layer(&mut lb, grouping, &mut draw);
     }
     lb.finish().expect("the layered discipline builds")
 }
 
+/// Seven lines with every way a sink can miss a terminal balancer: line 6
+/// is touched by nothing, so its sink is fed straight from its source; two
+/// full layers over lines `0..6` are followed by a fan-3 and a fan-2
+/// balancer that leave one of those lines out, so the balancer that last
+/// drove that line has mixed outputs. Returns the network and the line left
+/// out.
+fn irregular_network(seed: u64) -> (Network, usize) {
+    let mut draw = draws(seed);
+    let mut lb = LayeredBuilder::new(7);
+    for _ in 0..2 {
+        let grouping = GROUPINGS[draw(GROUPINGS.len())];
+        shuffled_layer(&mut lb, grouping, &mut draw);
+    }
+    let left_out = shuffled_layer(&mut lb, &[3, 2], &mut draw);
+    (lb.finish().expect("the layered discipline builds"), left_out[0])
+}
+
+/// A network for the fused step: the classic constructions (every sink
+/// behind a terminal balancer), a bitonic network with a balancer appended
+/// across two adjacent outputs (its last layer turns mixed), or an
+/// irregular one.
+fn fused_network() -> impl Strategy<Value = Network> {
+    (0usize..5, 1u32..4, 0u64..1_000_000).prop_map(|(family, lgw, seed)| {
+        let w = 1usize << lgw;
+        match family {
+            0 => bitonic(w).expect("power-of-two fan"),
+            1 => periodic(w).expect("power-of-two fan"),
+            2 => counting_tree(w).expect("power-of-two fan"),
+            3 => {
+                let base = bitonic(2 * w).expect("power-of-two fan");
+                append_adjacent_balancer(&base, seed as usize % (2 * w - 1))
+                    .expect("an adjacent pair")
+            }
+            _ => irregular_network(seed).0,
+        }
+    })
+}
+
 /// A network for the batched kernel: one of the classic constructions at
-/// fan 2, 4 or 8 (the counting tree has a single input wire), or a
-/// mixed-fan one.
+/// fan 2, 4 or 8 (the counting tree has a single input wire), a mixed-fan
+/// one, or an irregular one.
 fn batch_network() -> impl Strategy<Value = Network> {
-    (0usize..4, 1u32..4, 0u64..1_000_000).prop_map(|(family, lgw, seed)| match family {
+    (0usize..5, 1u32..4, 0u64..1_000_000).prop_map(|(family, lgw, seed)| match family {
         0 => bitonic(1 << lgw).expect("power-of-two fan"),
         1 => periodic(1 << lgw).expect("power-of-two fan"),
         2 => counting_tree(1 << lgw).expect("power-of-two fan"),
-        _ => mixed_fan_network(seed),
+        3 => mixed_fan_network(seed),
+        _ => irregular_network(seed).0,
     })
 }
 
 /// Every balancer's round-robin position: its state word modulo its
-/// fan-out. (The words themselves may differ by a multiple of the fan-out —
-/// a batch that splits evenly over a balancer skips the atomic that `f`
-/// single tokens would each pay.)
-fn positions(engine: &CompiledNetwork, states: &[CachePadded<AtomicUsize>]) -> Vec<usize> {
-    words(states).iter().enumerate().map(|(b, word)| word % engine.balancer_fan_out(b)).collect()
+/// fan-out. (The words themselves are no positions: an interior word may
+/// differ by a multiple of the fan-out — a batch that splits evenly over a
+/// balancer skips the atomic that `f` single tokens would each pay, and a
+/// power-of-two fan-out runs ahead of its position — and a terminal word
+/// counts every arrival, fan-out 2 included.)
+fn positions(engine: &CompiledNetwork, states: &[CachePadded<AtomicU64>]) -> Vec<u64> {
+    words(states)
+        .iter()
+        .enumerate()
+        .map(|(b, word)| word % engine.balancer_fan_out(b) as u64)
+        .collect()
 }
 
 /// The balancer state words as they stand.
-fn words(states: &[CachePadded<AtomicUsize>]) -> Vec<usize> {
+fn words(states: &[CachePadded<AtomicU64>]) -> Vec<u64> {
     states.iter().map(|word| word.load(Ordering::Acquire)).collect()
+}
+
+/// The arrival counts on the terminal words: however the tokens came —
+/// singly, wire by wire, all at once — these must agree exactly, not just
+/// modulo the fan-out.
+fn arrivals(engine: &CompiledNetwork, states: &[CachePadded<AtomicU64>]) -> Vec<u64> {
+    let words = words(states);
+    (0..engine.size()).filter(|&b| engine.is_terminal(b)).map(|b| words[b]).collect()
 }
 
 proptest! {
@@ -130,16 +205,18 @@ proptest! {
         }
         prop_assert_eq!(&sinks, &by_wire_sinks, "wire by wire diverges on {}", net);
         prop_assert_eq!(positions(&engine, &together), positions(&engine, &by_wire));
+        prop_assert_eq!(arrivals(&engine, &together), arrivals(&engine, &by_wire));
 
         let by_token = engine.new_balancer_states();
         let mut by_token_sinks = vec![0usize; engine.fan_out()];
         for (wire, &k) in entering.iter().enumerate() {
             for _ in 0..k {
-                by_token_sinks[engine.traverse(wire, &by_token)] += 1;
+                by_token_sinks[engine.traverse(wire, &by_token).sink] += 1;
             }
         }
         prop_assert_eq!(&sinks, &by_token_sinks, "token by token diverges on {}", net);
         prop_assert_eq!(positions(&engine, &together), positions(&engine, &by_token));
+        prop_assert_eq!(arrivals(&engine, &together), arrivals(&engine, &by_token));
 
         let before = words(&together);
         engine.traverse_counts(&vec![0; engine.fan_in()], &together, &mut sinks);
@@ -178,6 +255,55 @@ proptest! {
         prop_assert_eq!(compiled.tokens_counted(), tokens as u64);
     }
 
+    /// The fused step changes no value: on networks where every sink sits
+    /// behind a terminal balancer, and on networks where some sinks are fed
+    /// by a source wire or by a balancer with mixed outputs, the compiled
+    /// counter (terminal words, counters only where needed), the unfused
+    /// graph walk (a position per balancer, a counter per sink) and the
+    /// reference interpreter agree token by token, single tokens and
+    /// batches interleaved, and read the same counts at the end.
+    #[test]
+    fn fused_compiled_graph_walk_and_reference_agree_token_by_token(
+        net in fused_network(),
+        schedule_seed in 0u64..1_000_000,
+        steps in 1usize..60,
+    ) {
+        let compiled = SharedNetworkCounter::new(&net);
+        let walk = GraphWalkCounter::new(&net);
+        let mut reference = NetworkState::new(&net);
+        let mut draw = draws(schedule_seed);
+        let (mut scratch, mut batch) = (Vec::new(), Vec::new());
+        for step in 0..steps {
+            let input = draw(net.fan_in());
+            if draw(4) == 0 {
+                let k = 1 + draw(9);
+                let mut expect: Vec<u64> =
+                    (0..k).map(|_| reference.traverse(&net, input).value).collect();
+                for _ in 0..k {
+                    walk.increment_from(input);
+                }
+                batch.clear();
+                compiled.increment_batch_from(input, k, &mut scratch, &mut batch);
+                batch.sort_unstable();
+                expect.sort_unstable();
+                prop_assert_eq!(&batch, &expect, "batch of {} at step {} of {}", k, step, net);
+            } else {
+                let expect = reference.traverse(&net, input).value;
+                prop_assert_eq!(
+                    compiled.increment_from(input), expect,
+                    "compiled diverges at step {} on input {} of {}", step, input, net
+                );
+                prop_assert_eq!(
+                    walk.increment_from(input), expect,
+                    "graph walk diverges at step {} on input {} of {}", step, input, net
+                );
+            }
+        }
+        prop_assert_eq!(compiled.output_counts(), reference.output_counts());
+        prop_assert_eq!(walk.output_counts(), reference.output_counts());
+        prop_assert_eq!(compiled.tokens_counted(), reference.output_counts().iter().sum::<u64>());
+    }
+
     /// Batched traversal is observationally a multiset of sequential
     /// traversals: on a random network under a random mixed schedule of
     /// `(input, k)` batches, every `next_batch_for`-claimed batch hands
@@ -193,7 +319,7 @@ proptest! {
         let batched = SharedNetworkCounter::new(&net);
         let mut reference = NetworkState::new(&net);
         let mut x = schedule_seed.wrapping_mul(2).wrapping_add(1);
-        let mut values = Vec::new();
+        let (mut values, mut scratch) = (Vec::new(), Vec::new());
         let mut total = 0u64;
         for step in 0..steps {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -202,7 +328,7 @@ proptest! {
             let mut expect: Vec<u64> =
                 (0..k).map(|_| reference.traverse(&net, input).value).collect();
             values.clear();
-            batched.increment_batch_from(input, k, &mut values);
+            batched.increment_batch_from(input, k, &mut scratch, &mut values);
             values.sort_unstable();
             expect.sort_unstable();
             prop_assert_eq!(
@@ -259,5 +385,38 @@ proptest! {
             let sink = engine.route(input, |_, f| bias % f);
             prop_assert!(sink < net.fan_out());
         }
+        // The entry plan hands every input wire to exactly one of the first
+        // `fan_in` processes, wire 0 to process 0, and wraps after that.
+        let mut entered: Vec<usize> = (0..net.fan_in()).map(|p| engine.entry_for(p)).collect();
+        prop_assert_eq!(entered[0], 0);
+        prop_assert_eq!(engine.entry_for(net.fan_in() + bias), entered[bias % net.fan_in()]);
+        entered.sort_unstable();
+        prop_assert_eq!(entered, (0..net.fan_in()).collect::<Vec<_>>());
+    }
+}
+
+/// The irregular generator really has what the fused-step property needs
+/// it for — a fan-3 terminal balancer, a sink fed straight from a source
+/// wire, and a balancer with mixed outputs — and the engine gives exactly
+/// those two sinks a counter.
+#[test]
+fn irregular_networks_mix_terminal_and_free_standing_sinks() {
+    for seed in 0..32 {
+        let (net, left_out) = irregular_network(seed);
+        let engine = CompiledNetwork::compile(&net);
+        let mut free = vec![left_out, 6];
+        free.sort_unstable();
+        assert_eq!(engine.free_sinks(), free, "seed {seed}: {net}");
+        assert!(engine.entry(6).is_counter(), "seed {seed}: line 6 is a bare wire");
+        let terminal_fans: Vec<usize> = (0..engine.size())
+            .filter(|&b| engine.is_terminal(b))
+            .map(|b| engine.balancer_fan_out(b))
+            .collect();
+        assert_eq!(terminal_fans, [3, 2], "seed {seed}");
+        let mixed = (0..engine.size()).any(|b| {
+            let sinks = engine.hops(b).iter().filter(|hop| hop.is_counter()).count();
+            0 < sinks && sinks < engine.balancer_fan_out(b)
+        });
+        assert!(mixed, "seed {seed}: some balancer drives both a sink and a balancer");
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! The four scenarios from the issue:
 //!   1. two-thread B(4) compiled traversal — gap-free values and the step
-//!      property in the final quiescent state of every schedule;
+//!      property in the final quiescent state of every schedule (a token is
+//!      three op points, one per balancer word: the last of them is the
+//!      terminal word that also hands out the value);
 //!   2. three-thread combining funnel — every caller exactly one value,
 //!      none duplicated or lost, and the served-then-won-lock race both
 //!      reachable and handled;
@@ -18,7 +20,8 @@
 //!      precedence the monitors would rely on;
 //!   4. batched traversal vs. sequential traversals — multiset equality
 //!      of claimed values under all schedules, for a batch on one input
-//!      wire and for one spread over two.
+//!      wire and for one spread over two, and single tokens against batches
+//!      on the one fused terminal word of B(2).
 //!
 //! `cnet_topology::state::NetworkState` is the sequential oracle here (it
 //! holds no atomics, so there is nothing in it to model-check — the
@@ -54,7 +57,10 @@ fn funnel_flag_guard() -> std::sync::MutexGuard<'static, ()> {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 1: two threads, two tokens each, through a compiled B(4).
+// Scenario 1: two threads, three tokens each, through a compiled B(4).
+// Three, not two: each of B(4)'s two terminal words then takes three
+// arrivals, so some token in every schedule is handed rank 1 — with two
+// tokens a thread no terminal word would ever leave rank 0.
 // ---------------------------------------------------------------------
 
 struct TraversalState {
@@ -65,7 +71,7 @@ struct TraversalState {
 #[test]
 fn traversal_b4_step_property_under_all_schedules() {
     const THREADS: usize = 2;
-    const PER_THREAD: usize = 2;
+    const PER_THREAD: usize = 3;
     let stats = model::explore(
         THREADS,
         5,
@@ -296,7 +302,7 @@ struct BatchState {
 
 #[test]
 fn batched_traversal_equals_sequential_multiset_under_all_schedules() {
-    const K: usize = 3;
+    const K: usize = 5;
     let stats = model::explore(
         2,
         5,
@@ -312,11 +318,12 @@ fn batched_traversal_equals_sequential_multiset_under_all_schedules() {
                 // One width-K batched traversal: at most one atomic per
                 // balancer for the whole batch.
                 let mut out = Vec::new();
-                s.counter.increment_batch_from(0, K, &mut out);
+                s.counter.increment_batch_from(0, K, &mut Vec::new(), &mut out);
                 assert_eq!(out.len(), K);
                 s.values.lock().unwrap().extend(out);
             } else {
-                // K sequential single-token traversals racing it.
+                // K sequential single-token traversals racing it, three op
+                // points each.
                 for _ in 0..K {
                     let v = s.counter.increment_from(1);
                     s.values.lock().unwrap().push(v);
@@ -361,7 +368,7 @@ fn multi_wire_batch_equals_sequential_multiset_under_all_schedules() {
     // odd count on each makes both fire.
     const ENTERING: [usize; 4] = [3, 0, 1, 0];
     const BATCH: usize = 4;
-    const K: usize = 3;
+    const K: usize = 5;
     let stats = model::explore(
         2,
         5,
@@ -375,7 +382,7 @@ fn multi_wire_batch_equals_sequential_multiset_under_all_schedules() {
         |s, tid| {
             if tid == 0 {
                 let mut out = Vec::new();
-                s.counter.increment_counts_from(&ENTERING, &mut out);
+                s.counter.increment_counts_from(&ENTERING, &mut Vec::new(), &mut out);
                 assert_eq!(out.len(), BATCH);
                 s.values.lock().unwrap().extend(out);
             } else {
@@ -410,6 +417,67 @@ fn multi_wire_batch_equals_sequential_multiset_under_all_schedules() {
         "expected >= 3000 schedules, got {}",
         stats.schedules
     );
+}
+
+/// Everything on one fused word. B(2) is a single balancer, terminal, so
+/// its word is the whole counter: two single tokens, a batch of three on
+/// one wire, and a batch of one token on each wire — whose two arrivals
+/// split evenly, the case an interior balancer skips and a terminal word
+/// must still advance for — all claim runs of arrivals on it. Every order
+/// of the four `fetch_add`s must hand out exactly `0..7` and leave the
+/// step property.
+#[test]
+fn singles_and_batches_on_one_fused_word_under_all_schedules() {
+    const SINGLES: usize = 2;
+    const BATCH: usize = 3;
+    const EVEN: [usize; 2] = [1, 1];
+    let stats = model::explore(
+        3,
+        4,
+        || {
+            let net = bitonic(2).expect("B(2) builds");
+            BatchState {
+                counter: SharedNetworkCounter::new(&net),
+                values: Mutex::new(Vec::new()),
+            }
+        },
+        |s, tid| {
+            let mut out = Vec::new();
+            match tid {
+                0 => {
+                    for _ in 0..SINGLES {
+                        out.push(s.counter.increment_from(1));
+                    }
+                }
+                1 => s.counter.increment_batch_from(0, BATCH, &mut Vec::new(), &mut out),
+                _ => s.counter.increment_counts_from(&EVEN, &mut Vec::new(), &mut out),
+            }
+            s.values.lock().unwrap().extend(out);
+        },
+        |s| {
+            let mut values = s.values.lock().unwrap().clone();
+            values.sort_unstable();
+            let n = (SINGLES + BATCH + EVEN.iter().sum::<usize>()) as u64;
+            assert_eq!(
+                values,
+                (0..n).collect::<Vec<_>>(),
+                "runs of arrivals claimed on one word must tile 0..n"
+            );
+            let counts = s.counter.output_counts();
+            assert!(
+                has_step_property(&counts),
+                "quiescent counts {counts:?} violate the step property"
+            );
+            assert_eq!(s.counter.tokens_counted(), n);
+        },
+    );
+    eprintln!(
+        "model_check: fused_word: {} schedules, {} points, depth {}",
+        stats.schedules, stats.points, stats.max_depth
+    );
+    // Four op points in all (2 + 1 + 1), two of them ordered within one
+    // thread: 4!/2! = 12 interleavings, all within the preemption bound.
+    assert_eq!(stats.schedules, 12);
 }
 
 // ---------------------------------------------------------------------
@@ -509,8 +577,18 @@ fn total_explored_schedules_meet_the_floor() {
     // Each scenario test asserts its own per-scenario minimum; this
     // checks that those floors together clear the issue's 10,000-
     // schedule total, so weakening one of them cannot silently drop
-    // overall coverage. (Measured counts are much higher: ~2.7k +
-    // ~4.9k + ~23.7k + ~3.8k ≈ 35k schedules; see EXPERIMENTS.md.)
+    // overall coverage.
+    //
+    // A token through the compiled B(4) is three op points, not four:
+    // the terminal word is balancer and counter in one `fetch_add`. At
+    // the same preemption bound the traversal scenarios as first written
+    // (two tokens a thread; K = 3) therefore shrank — 2.8k -> 0.6k,
+    // 3.8k -> 0.5k schedules — and two tokens a thread never took a
+    // terminal word past rank 0. They now run one or two tokens longer
+    // (three a thread; K = 5), which both exercises rank >= 1 in every
+    // schedule and restores the counts, so the floors stand as they
+    // were. (Measured: ~5.3k + ~4.9k + ~13.5k + ~2.1k ≈ 26k schedules,
+    // plus ~4.4k for the multi-wire batch; see EXPERIMENTS.md.)
     let floors = [2_000u64, 3_000, 10_000, 1_000];
     let total: u64 = floors.iter().sum();
     assert!(

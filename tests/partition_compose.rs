@@ -16,13 +16,13 @@ use cnet_runtime::{CompiledNetwork, SharedNetworkCounter};
 use cnet_topology::construct::{bitonic, periodic};
 use cnet_topology::{Network, Partition};
 use cnet_util::proptest::prelude::*;
-use cnet_util::sync::atomic::AtomicUsize;
+use cnet_util::sync::atomic::AtomicU64;
 use cnet_util::sync::CachePadded;
 
 /// One non-final stage: the compiled sub-network plus its balancer states.
 struct Stage {
     engine: CompiledNetwork,
-    balancers: Box<[CachePadded<AtomicUsize>]>,
+    balancers: Box<[CachePadded<AtomicU64>]>,
 }
 
 /// Compiles nodes `0..nodes-1` as forwarding stages and the final node as
@@ -52,7 +52,7 @@ fn assert_composition(net: &Network, nodes: usize, inputs: &[usize]) {
         let p = input % fan;
         let mut port = p;
         for stage in &upstream {
-            port = stage.engine.traverse(port, &stage.balancers);
+            port = stage.engine.traverse(port, &stage.balancers).sink;
         }
         let clustered = tail.increment_from(port);
         let direct = whole.increment_from(p);
@@ -100,7 +100,7 @@ proptest! {
             let p = input % fan;
             let mut port = p;
             for stage in &upstream {
-                port = stage.engine.traverse(port, &stage.balancers);
+                port = stage.engine.traverse(port, &stage.balancers).sink;
             }
             prop_assert_eq!(tail.increment_from(port), whole.increment_from(p));
         }
@@ -131,8 +131,8 @@ proptest! {
                     std::mem::swap(&mut on_cut, &mut next);
                 }
                 let (mut chained, mut direct) = (Vec::new(), Vec::new());
-                tail.increment_counts_from(&on_cut, &mut chained);
-                whole.increment_counts_from(entering, &mut direct);
+                tail.increment_counts_from(&on_cut, &mut next, &mut chained);
+                whole.increment_counts_from(entering, &mut next, &mut direct);
                 chained.sort_unstable();
                 direct.sort_unstable();
                 prop_assert_eq!(chained, direct, "{} nodes, batch {:?}", nodes, entering);
