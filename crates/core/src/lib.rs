@@ -75,6 +75,5 @@ pub use fractions::{non_linearizability_fraction, non_sequential_consistency_fra
 pub use op::Op;
 pub use trace::{
     EventMerger, MergeAuditor, OpEvent, OpSink, ShardFrontier, ShardMonitor, ShardStats,
-    StreamingAuditor, StreamingFractionMeter, StreamingLinMonitor, StreamingQqcMeter,
-    StreamingScMonitor,
+    StreamingAuditor, StreamingFractionMeter, StreamingLinMonitor, StreamingScMonitor,
 };

@@ -15,18 +15,16 @@
 //!   checkers and Section 5.1 fraction meters, one question each; the
 //!   batch functions in [`crate::consistency`] and [`crate::fractions`]
 //!   are thin wrappers over these cores.
-//! * [`StreamingQqcMeter`] — the lateness behind each Section 5.1 flag, as
-//!   a monitor of its own. Unlike the three above it is not a wrapper
-//!   core: nothing wraps it and no audit surface runs it. It is the
-//!   kernel's test reference only — the plain statement of the measure
-//!   that [`StreamingAuditor`]'s lateness profile is tested against.
-//! * [`StreamingAuditor`] — the same four answers from **one pass**: the
-//!   kernel every audit surface runs. An event costs `O(log c)` in the
-//!   concurrency `c` (one push and one pop on a single heap of pending
-//!   operations) plus `O(1)` per-process state; the QQC lateness range
-//!   query is issued only for the events that carry the Section 5.1 flag,
-//!   so a clean run never pays it. Memory is proportional to the run's
-//!   *concurrency* and its number of processes, not its length.
+//! * [`StreamingAuditor`] — the same three answers plus the QQC lateness
+//!   behind each Section 5.1 flag, from **one pass**: the kernel every
+//!   audit surface runs. An event costs `O(log c)` in the concurrency `c`
+//!   (one push and one pop on a single heap of pending operations) plus a
+//!   cached slot lookup for its process; the QQC lateness range query is
+//!   issued only for the events that carry the Section 5.1 flag, so a
+//!   clean run never pays it. Memory is proportional to the run's
+//!   *concurrency*, its number of processes and its value disorder, not
+//!   its length. (The standalone lateness meter it is tested against
+//!   lives with the tests.)
 //! * [`EventMerger`] — turns per-thread (per-shard) event streams, each
 //!   internally ordered by enter time, into the single globally
 //!   enter-ordered stream the monitors require, using per-shard
@@ -47,7 +45,6 @@ use cnet_sim::exec::TimedExecution;
 use cnet_util::hist::LatencyHistogram;
 use cnet_util::json_struct;
 use std::cmp::Reverse;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 
@@ -480,159 +477,142 @@ impl OpSink for StreamingFractionMeter {
     }
 }
 
+/// Values a [`FinishedSet`]'s bitmap window covers above `base` (2^16 words).
+const WINDOW_BITS: u64 = 64 << 16;
+
 /// The multiset of values whose operations have finished, answering "how
 /// many finished with a value above `v`". Counting histories hand out every
 /// value exactly once, so the finished set is eventually an interval: the
-/// dense prefix is compacted to a single integer and only the sparse
-/// out-of-order suffix is kept in a tree, which stays as small as the
-/// stream's disorder.
+/// dense prefix below a 64-aligned `base` is compacted to that integer, the
+/// out-of-order values above it are bits in a window of words, and a tree
+/// holds only duplicate finishes and values [`WINDOW_BITS`] or more above
+/// `base`. A full front word is popped and `base` advances by 64.
+///
+/// Memory follows the stream's disorder as long as every value arrives.
+/// When one never does (a ring drop, a sampling skip), `base` stops below
+/// it: the set then grows by one bit per op up to the window, and after
+/// that by one tree entry per op.
 #[derive(Clone, Debug, Default)]
 struct FinishedSet {
-    /// Every value `< floor` has finished exactly once (interval
-    /// compaction of the dense prefix).
-    floor: u64,
-    /// Finished values not covered by the floor interval: out-of-order
-    /// values `>= floor`, plus duplicate finishes of compacted values.
-    above: BTreeMap<u64, u64>,
+    /// Every value below `base` has finished at least once; a multiple of 64.
+    base: u64,
+    /// Bit `b` of word `i`: value `base + 64 * i + b` has finished.
+    window: VecDeque<u64>,
+    /// Finishes the window does not hold: repeats of a value below `base`
+    /// or already set in the window, and values beyond the window.
+    sparse: BTreeMap<u64, u64>,
 }
 
 impl FinishedSet {
     /// Marks one value as finished (its operation retired from the
     /// pending set).
     fn finish(&mut self, v: u64) {
-        if v != self.floor {
-            *self.above.entry(v).or_insert(0) += 1;
+        if !self.set(v) {
+            *self.sparse.entry(v).or_insert(0) += 1;
             return;
         }
-        self.floor += 1;
-        while let Some(c) = self.above.remove(&self.floor) {
-            if c > 1 {
-                // The extra finishes are duplicates of a now-compacted
-                // value; keep them as explicit entries below the floor.
-                self.above.insert(self.floor, c - 1);
+        while self.window.front() == Some(&u64::MAX) {
+            self.window.pop_front();
+            self.base += 64;
+            if !self.sparse.is_empty() {
+                self.adopt_edge();
             }
-            self.floor += 1;
+        }
+    }
+
+    /// Sets `v`'s bit; `false` when `v` lies outside the window or its bit
+    /// is already set.
+    fn set(&mut self, v: u64) -> bool {
+        let Some(offset) = v.checked_sub(self.base).filter(|&o| o < WINDOW_BITS) else {
+            return false;
+        };
+        let (word, bit) = ((offset / 64) as usize, 1 << (offset % 64));
+        if word >= self.window.len() {
+            self.window.resize(word + 1, 0);
+        }
+        let fresh = self.window[word] & bit == 0;
+        self.window[word] |= bit;
+        fresh
+    }
+
+    /// The window's far edge has just moved up a word: values that
+    /// finished beyond it move in, one finish each.
+    fn adopt_edge(&mut self) {
+        let end = self.base + WINDOW_BITS;
+        let mut from = end - 64;
+        while let Some((&v, &count)) = self.sparse.range(from..end).next() {
+            self.set(v);
+            if count > 1 {
+                self.sparse.insert(v, count - 1);
+            } else {
+                self.sparse.remove(&v);
+            }
+            from = v + 1;
         }
     }
 
     /// Finished operations with a value strictly greater than `v`.
     fn greater(&self, v: u64) -> u64 {
-        let interval = if v < self.floor { self.floor - 1 - v } else { 0 };
-        let sparse: u64 = self.above.range((Excluded(v), Unbounded)).map(|(_, c)| c).sum();
-        interval + sparse
+        let interval = if v < self.base { self.base - 1 - v } else { 0 };
+        // The window's values above `v` start at this offset.
+        let first = v.checked_sub(self.base).map_or(0, |o| o.saturating_add(1));
+        let windowed = if first < 64 * self.window.len() as u64 {
+            let word = (first / 64) as usize;
+            let head = (self.window[word] >> (first % 64)).count_ones();
+            head + self.window.range(word + 1..).map(|w| w.count_ones()).sum::<u32>()
+        } else {
+            0
+        };
+        let sparse: u64 = self.sparse.range((Excluded(v), Unbounded)).map(|(_, c)| c).sum();
+        interval + u64::from(windowed) + sparse
     }
 }
 
-/// Online quantitative-quiescent-consistency meter (Jagadeesan–Riely,
-/// arXiv 1402.4043), specialized to counting.
-///
-/// Where [`StreamingFractionMeter`] reports the *fraction* of operations
-/// carrying the Section 5.1 non-linearizable flag, this meter reports the
-/// *magnitude* behind each flag. The quiescent order of a counting history
-/// is the order of returned values, so an operation's displacement from it
-/// is its **lateness**:
-///
-/// > `lateness(o)` = number of operations that completely precede `o`
-/// > (finished before `o` entered) yet returned a *larger* value.
-///
-/// An operation is non-linearizable in the Section 5.1 sense iff its
-/// lateness is nonzero, so a linearizable stream measures `qqc_max == 0`
-/// exactly; a relaxed backend measures a bounded, nonzero distribution
-/// rather than a clean/violation bit. The meter tracks the maximum, mean,
-/// and p99 of the per-op lateness distribution.
-///
-/// Feed in nondecreasing enter order (same contract as the other
-/// monitors). Each push costs `O(log n + lateness)`: the finished values
-/// live in a floor-compacted set whose tree holds only the sparse
-/// out-of-order suffix.
-#[derive(Clone, Debug, Default)]
-pub struct StreamingQqcMeter {
-    pending: BinaryHeap<Reverse<Pending>>,
-    finished: FinishedSet,
-    last_enter: Option<(u64, usize)>,
-    total: usize,
-    late: usize,
-    max: u64,
-    sum: u128,
-    hist: LatencyHistogram,
+/// Direct-mapped cache entries in front of a [`ProcessTable`]'s tree.
+const PROCESS_CACHE: usize = 64;
+
+/// Per-process state in a `Vec`, indexed by a dense slot. Ids arrive off
+/// the wire, so any id must work: a direct-mapped cache of `(id, slot)` at
+/// `id % 64` answers the steady state with one compare, and the id → slot
+/// tree is consulted only for a new id or when two ids share an entry.
+/// Memory is a fixed 1 KiB plus a slot and a tree entry per distinct id;
+/// ids that collide in the cache pay one tree lookup per event, no more.
+#[derive(Clone, Debug)]
+struct ProcessTable<T> {
+    cache: [(usize, usize); PROCESS_CACHE],
+    slots: BTreeMap<usize, usize>,
+    state: Vec<T>,
 }
 
-impl StreamingQqcMeter {
-    /// A fresh meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes one event and returns its lateness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events arrive out of enter order.
-    pub fn push(&mut self, ev: &OpEvent) -> u64 {
-        let key = ev.enter_key();
-        assert!(
-            self.last_enter.is_none_or(|k| k <= key),
-            "StreamingQqcMeter: events must arrive in nondecreasing enter order"
-        );
-        self.last_enter = Some(key);
-        while let Some(&Reverse(top)) = self.pending.peek() {
-            if (top.exit_ns, top.exit_seq) < key {
-                self.pending.pop();
-                self.finished.finish(top.value);
-            } else {
-                break;
-            }
-        }
-        let lateness = self.finished.greater(ev.value);
-        self.total += 1;
-        self.late += usize::from(lateness > 0);
-        self.max = self.max.max(lateness);
-        self.sum += lateness as u128;
-        self.hist.record(lateness);
-        self.pending.push(Reverse(Pending {
-            exit_ns: ev.exit_ns,
-            exit_seq: ev.exit_seq,
-            arrival: self.total - 1,
-            value: ev.value,
-        }));
-        lateness
-    }
-
-    /// Events consumed so far.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Operations with nonzero lateness (equals the fraction meter's
-    /// non-linearizable count on the same stream).
-    pub fn late_ops(&self) -> usize {
-        self.late
-    }
-
-    /// Maximum lateness observed (0 on an empty or linearizable stream).
-    pub fn qqc_max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean lateness. `0.0` (never `NaN`) on an empty stream — same edge
-    /// contract as [`StreamingFractionMeter::f_nl`].
-    pub fn qqc_mean(&self) -> f64 {
-        match self.total {
-            0 => 0.0,
-            n => self.sum as f64 / n as f64,
+impl<T> Default for ProcessTable<T> {
+    fn default() -> Self {
+        // Entry `i` starts as `(i + 1, 0)`: only ids congruent to `i` look
+        // there, and `i + 1` is not, so an empty entry never matches.
+        ProcessTable {
+            cache: std::array::from_fn(|i| (i + 1, 0)),
+            slots: BTreeMap::new(),
+            state: Vec::new(),
         }
     }
-
-    /// The 99th-percentile lateness (0 on an empty stream). Values below
-    /// 32 are exact; larger ones carry the histogram's ~3.1% bucket error.
-    pub fn qqc_p99(&self) -> u64 {
-        self.hist.quantile(0.99)
-    }
 }
 
-impl OpSink for StreamingQqcMeter {
-    fn record(&mut self, ev: OpEvent) {
-        let _ = self.push(&ev);
+impl<T> ProcessTable<T> {
+    /// The state of process `id`, if it has been [`insert`](Self::insert)ed.
+    #[inline]
+    fn get(&mut self, id: usize) -> Option<&mut T> {
+        let entry = &mut self.cache[id % PROCESS_CACHE];
+        if entry.0 != id {
+            *entry = (id, *self.slots.get(&id)?);
+        }
+        Some(&mut self.state[entry.1])
+    }
+
+    /// Adds process `id`, which [`get`](Self::get) has just not found.
+    fn insert(&mut self, id: usize, state: T) {
+        let slot = self.state.len();
+        self.cache[id % PROCESS_CACHE] = (id, slot);
+        self.slots.insert(id, slot);
+        self.state.push(state);
     }
 }
 
@@ -647,21 +627,27 @@ struct ProcessSlot {
     max: u64,
 }
 
-/// All four monitors' answers from one pass: verdicts, witnesses, running
+/// All monitors' answers from one pass: verdicts, witnesses, running
 /// fractions, and the QQC lateness distribution for a live stream. Feed in
 /// nondecreasing enter order, with each process's events in program order
 /// (a live trace satisfies both).
+///
+/// Lateness is quantitative quiescent consistency (Jagadeesan–Riely, arXiv
+/// 1402.4043) specialized to counting, whose quiescent order is the order
+/// of values: `lateness(o)` is the number of operations that completely
+/// precede `o` (finished before `o` entered) yet returned a larger value.
 ///
 /// One min-heap of pending operations serves every question: each
 /// operation popped from it updates the largest finished value (the
 /// linearizability witness and the Section 5.1 flag) and joins the
 /// finished set (QQC lateness). Lateness is nonzero exactly when the flag
 /// is set, so the finished set is queried only for flagged events. Each
-/// push is `O(log c)` in the concurrency `c`; memory is bounded by `c`, the
-/// number of distinct processes, and the stream's disorder — never by its
-/// length. Every output equals what [`StreamingLinMonitor`],
-/// [`StreamingScMonitor`], [`StreamingFractionMeter`] and
-/// [`StreamingQqcMeter`] report on the same stream.
+/// push is `O(log c)` in the concurrency `c`. Memory is the pending heap
+/// (`c` entries), one slot per distinct process, and one bit per value of
+/// disorder — past a value that never arrives, one bit and then one tree
+/// entry per op. Every output equals what [`StreamingLinMonitor`],
+/// [`StreamingScMonitor`], [`StreamingFractionMeter`] and a standalone
+/// lateness meter report on the same stream.
 #[derive(Clone, Debug, Default)]
 pub struct StreamingAuditor {
     pending: BinaryHeap<Reverse<Pending>>,
@@ -669,10 +655,7 @@ pub struct StreamingAuditor {
     /// value so far (the earliest such operation on equal values).
     max_finished: Option<(u64, usize)>,
     finished: FinishedSet,
-    /// Keyed by process id in a tree: ids arrive off the wire, so the map
-    /// must stay small and fast whatever ids a peer picks. A tree needs no
-    /// hashing, and its memory follows the number of distinct processes.
-    processes: BTreeMap<usize, ProcessSlot>,
+    processes: ProcessTable<ProcessSlot>,
     last_enter: Option<(u64, usize)>,
     total: usize,
     non_linearizable: usize,
@@ -724,13 +707,13 @@ impl StreamingAuditor {
             }
             None => 0,
         };
-        let non_sequentially_consistent = match self.processes.entry(ev.process) {
-            Entry::Vacant(slot) => {
-                slot.insert(ProcessSlot { prev: (ev.value, id), max: ev.value });
+        let non_sequentially_consistent = match self.processes.get(ev.process) {
+            None => {
+                self.processes
+                    .insert(ev.process, ProcessSlot { prev: (ev.value, id), max: ev.value });
                 false
             }
-            Entry::Occupied(slot) => {
-                let slot = slot.into_mut();
+            Some(slot) => {
                 let (pv, pid) = std::mem::replace(&mut slot.prev, (ev.value, id));
                 if pv > ev.value {
                     self.first_sc.get_or_insert(Violation { earlier: pid, later: id });
@@ -943,6 +926,25 @@ impl EventMerger {
         s.buf.push_back(op);
     }
 
+    /// Appends raw events to a shard's stream and returns how many, where
+    /// [`push`](Self::push) would panic clamping regressing enters up to
+    /// the watermark and exits up to their enter (a pure widening).
+    fn append_clamped(&mut self, shard: usize, ops: impl IntoIterator<Item = RawOp>) -> usize {
+        let s = &mut self.shards[shard];
+        assert!(!s.finished, "EventMerger: push after finish on shard {shard}");
+        let before = s.buf.len();
+        let mut floor = s.watermark.unwrap_or(0);
+        s.buf.extend(ops.into_iter().map(|op| {
+            floor = floor.max(op.enter_ns);
+            RawOp { enter_ns: floor, exit_ns: op.exit_ns.max(floor), ..op }
+        }));
+        let appended = s.buf.len() - before;
+        if appended > 0 {
+            s.watermark = Some(floor);
+        }
+        appended
+    }
+
     /// Declares a shard's stream complete (it no longer constrains
     /// release).
     pub fn finish(&mut self, shard: usize) {
@@ -1043,9 +1045,10 @@ pub struct ShardFrontier {
 /// candidate linearizability inversions — while buffering the events for
 /// the lazy global merge. Each event costs `O(log c)` in the shard's own
 /// concurrency `c`, and the state besides the buffered events is the
-/// pending heap (at most `c` entries) and one value per process: nothing
-/// grows with the number of events observed. The lateness distribution is
-/// the [`MergeAuditor`]'s business alone.
+/// pending heap (at most `c` entries) and one value per distinct process
+/// id, in [`StreamingAuditor`]'s process table: nothing grows with the
+/// number of events observed. The lateness distribution is the
+/// [`MergeAuditor`]'s business alone.
 ///
 /// Soundness of the partial verdict: operations recorded on one shard are
 /// in genuine program/real-time order, so any inversion witnessed locally
@@ -1084,8 +1087,7 @@ pub struct ShardMonitor {
     max_finished: u64,
     candidate_non_lin: usize,
     /// Per process: the previous value observed (adjacent-pair SC check).
-    /// A tree, for the reason [`StreamingAuditor`]'s is one.
-    prev: BTreeMap<usize, u64>,
+    prev: ProcessTable<u64>,
     non_sc: usize,
     observed: usize,
 }
@@ -1102,7 +1104,7 @@ impl ShardMonitor {
             pending: BinaryHeap::new(),
             max_finished: 0,
             candidate_non_lin: 0,
-            prev: BTreeMap::new(),
+            prev: ProcessTable::default(),
             non_sc: 0,
             observed: 0,
         }
@@ -1150,9 +1152,12 @@ impl ShardMonitor {
             }
         }
         self.candidate_non_lin += usize::from(self.max_finished > op.value);
-        match self.prev.insert(op.process, op.value) {
-            Some(pv) if pv > op.value => self.non_sc += 1,
-            _ => {}
+        match self.prev.get(op.process) {
+            Some(pv) => {
+                self.non_sc += usize::from(*pv > op.value);
+                *pv = op.value;
+            }
+            None => self.prev.insert(op.process, op.value),
         }
         self.pending.push(Reverse((exit_ns, op.value)));
         self.ops.push(op);
@@ -1252,10 +1257,7 @@ impl MergeAuditor {
     /// Panics if `frontier.shard` is out of range.
     pub fn ingest(&mut self, frontier: ShardFrontier) -> usize {
         let shard = frontier.shard;
-        self.merger.shards[shard].buf.reserve(frontier.ops.len());
-        for op in frontier.ops {
-            self.push(shard, op);
-        }
+        self.stats[shard].observed += self.merger.append_clamped(shard, frontier.ops);
         let st = &mut self.stats[shard];
         st.dropped = frontier.dropped;
         st.skipped = frontier.skipped;
@@ -1271,11 +1273,7 @@ impl MergeAuditor {
     /// are clamped up, a pure widening). Does not merge; call
     /// [`merge`](Self::merge) at the epoch boundary.
     pub fn push(&mut self, shard: usize, op: RawOp) {
-        let floor = self.merger.shards[shard].watermark.unwrap_or(0);
-        let enter_ns = op.enter_ns.max(floor);
-        let exit_ns = op.exit_ns.max(enter_ns);
-        self.stats[shard].observed += 1;
-        self.merger.push(shard, RawOp { enter_ns, exit_ns, ..op });
+        self.stats[shard].observed += self.merger.append_clamped(shard, [op]);
     }
 
     /// Declares a shard's stream complete.
@@ -1461,69 +1459,82 @@ mod tests {
         meter.push(&op(0, 0.0, 1.0, 0));
         assert_eq!(meter.f_nl(), 0.0);
         assert_eq!(meter.f_nsc(), 0.0);
-        let mut qqc = StreamingQqcMeter::new();
-        assert_eq!(qqc.qqc_mean(), 0.0);
-        assert!(qqc.qqc_mean().is_finite());
-        assert_eq!(qqc.qqc_max(), 0);
-        assert_eq!(qqc.qqc_p99(), 0);
-        qqc.push(&op(0, 0.0, 1.0, 0));
-        assert_eq!(qqc.qqc_mean(), 0.0);
+        let mut aud = StreamingAuditor::new();
+        assert_eq!(aud.qqc_mean(), 0.0);
+        assert!(aud.qqc_mean().is_finite() && aud.f_nl().is_finite());
+        assert_eq!(aud.qqc_max(), 0);
+        assert_eq!(aud.qqc_p99(), 0);
+        aud.push(&op(0, 0.0, 1.0, 0));
+        assert_eq!(aud.qqc_mean(), 0.0);
+    }
+
+    /// Finished values above `v` in a plain list: what
+    /// [`FinishedSet::greater`] must answer.
+    fn count_greater(finished: &[u64], v: u64) -> u64 {
+        finished.iter().filter(|&&f| f > v).count() as u64
     }
 
     #[test]
-    fn qqc_meter_is_zero_on_a_linearizable_stream() {
-        // Values arrive in enter order with no overtaking: every op's
-        // lateness is 0 even though some ops overlap.
-        let mut qqc = StreamingQqcMeter::new();
-        qqc.push(&op(0, 0.0, 3.0, 0)); // overlaps the next two
-        qqc.push(&op(1, 1.0, 2.0, 1));
-        qqc.push(&op(1, 4.0, 5.0, 2));
-        qqc.push(&op(0, 6.0, 7.0, 3));
-        assert_eq!(qqc.total(), 4);
-        assert_eq!(qqc.qqc_max(), 0);
-        assert_eq!(qqc.late_ops(), 0);
-        assert_eq!(qqc.qqc_mean(), 0.0);
-    }
-
-    #[test]
-    fn qqc_lateness_counts_every_finished_larger_value() {
-        // Three ops finish with values 5, 6, 7 before a late op returns 1:
-        // its lateness is 3 (the fraction meter would flag it just once).
-        let mut qqc = StreamingQqcMeter::new();
-        qqc.push(&op(0, 0.0, 1.0, 5));
-        qqc.push(&op(1, 0.5, 1.5, 6));
-        qqc.push(&op(2, 0.6, 1.6, 7));
-        let late = qqc.push(&op(3, 2.0, 3.0, 1));
-        assert_eq!(late, 3);
-        assert_eq!(qqc.qqc_max(), 3);
-        assert_eq!(qqc.late_ops(), 1);
-        assert_eq!(qqc.qqc_mean(), 3.0 / 4.0);
-        // An overlapping op is not "finished": a larger value whose op is
-        // still pending contributes nothing.
-        let late = qqc.push(&op(4, 2.5, 4.0, 2));
-        assert_eq!(late, 3, "op 3 (value 1) has not finished at enter 2.5");
-    }
-
-    #[test]
-    fn qqc_meter_agrees_with_the_fraction_meter_flags() {
-        // lateness > 0 iff the Section 5.1 non-linearizable flag: check on
-        // an interleaved stream with duplicate values.
-        let evs = [
-            op(0, 0.0, 1.0, 2),
-            op(1, 0.5, 2.5, 0),
-            op(2, 2.0, 3.0, 1),
-            op(0, 4.0, 5.0, 1), // duplicate value, late
-            op(1, 6.0, 7.0, 4),
-            op(2, 8.0, 9.0, 3),
-        ];
-        let mut meter = StreamingFractionMeter::new();
-        let mut qqc = StreamingQqcMeter::new();
-        for ev in &evs {
-            let flags = meter.push(ev);
-            let late = qqc.push(ev);
-            assert_eq!(flags.non_linearizable, late > 0, "{ev:?}");
+    fn finished_set_base_crosses_word_boundaries() {
+        let mut set = FinishedSet::default();
+        let mut finished = Vec::new();
+        // 0..63 fills the first word except for 63; 64..70 land in the
+        // second word, out of order.
+        for v in (0..63).chain([70, 64, 66, 65]) {
+            set.finish(v);
+            finished.push(v);
         }
-        assert_eq!(qqc.late_ops(), meter.non_linearizable());
+        assert_eq!((set.base, set.window.len()), (0, 2));
+        assert!(set.sparse.is_empty());
+        set.finish(63);
+        finished.push(63);
+        assert_eq!((set.base, set.window.len()), (64, 1), "a full front word is popped");
+        // A duplicate of a compacted value, and one of a windowed value.
+        set.finish(10);
+        set.finish(66);
+        finished.extend([10, 66]);
+        assert_eq!(set.sparse.len(), 2);
+        for v in [0, 9, 10, 11, 62, 63, 64, 65, 66, 69, 70, 71, 127, 128, u64::MAX] {
+            assert_eq!(set.greater(v), count_greater(&finished, v), "greater({v})");
+        }
+        // The second word fills in: base crosses it and the window empties.
+        for v in (67..70).chain(71..128) {
+            set.finish(v);
+            finished.push(v);
+        }
+        assert_eq!((set.base, set.window.len()), (128, 0));
+        for v in [0, 63, 64, 65, 66, 126, 127, 128, u64::MAX - 1] {
+            assert_eq!(set.greater(v), count_greater(&finished, v), "greater({v})");
+        }
+    }
+
+    #[test]
+    fn finished_set_window_edge_moves_far_values_in() {
+        let mut set = FinishedSet::default();
+        let edge = WINDOW_BITS;
+        // The last value the window holds at base 0, the first it does
+        // not (twice), and the top of the range.
+        for v in [edge - 1, edge, edge, u64::MAX] {
+            set.finish(v);
+        }
+        assert_eq!(set.window.len() as u64, WINDOW_BITS / 64);
+        assert_eq!(set.sparse.len(), 2, "{:?}", set.sparse);
+        let mut finished = vec![edge - 1, edge, edge, u64::MAX];
+        for v in [0, edge - 2, edge - 1, edge, u64::MAX - 1, u64::MAX] {
+            assert_eq!(set.greater(v), count_greater(&finished, v), "greater({v})");
+        }
+        // Base crosses one word, so the window's far edge moves past
+        // `edge`: one finish moves into the window, its repeat stays.
+        for v in 0..64 {
+            set.finish(v);
+            finished.push(v);
+        }
+        assert_eq!(set.base, 64);
+        assert_eq!(set.sparse.get(&edge), Some(&1));
+        assert_eq!(set.window.len() as u64, WINDOW_BITS / 64);
+        for v in [0, 63, 64, edge - 1, edge, u64::MAX - 1] {
+            assert_eq!(set.greater(v), count_greater(&finished, v), "greater({v})");
+        }
     }
 
     #[test]
@@ -1696,6 +1707,29 @@ mod tests {
         }
         assert_eq!(mon.observed(), 1 << 20);
         assert_eq!(mon.take_frontier(true).candidate_non_lin, 0);
+    }
+
+    #[test]
+    fn shard_monitor_counts_processes_whose_ids_share_a_cache_entry() {
+        // Ids 0, 64, 128, 1 << 20 and 64 << 26 all map to cache entry 0, and
+        // 5, 69 to entry 5: every event evicts another process's entry.
+        let ids = [0, 64, 5, 128, 1 << 20, 69, 64 << 26];
+        let mut mon = ShardMonitor::new(0);
+        let mut prev: Vec<Option<u64>> = vec![None; ids.len()];
+        let mut expected = 0;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for k in 0..4096u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let p = (x % ids.len() as u64) as usize;
+            let value = (x >> 8) % 64;
+            expected += usize::from(prev[p].is_some_and(|pv| pv > value));
+            prev[p] = Some(value);
+            mon.observe(RawOp { process: ids[p], enter_ns: k, exit_ns: k, value });
+        }
+        assert!(expected > 0);
+        assert_eq!(mon.take_frontier(true).non_sc, expected);
     }
 
     #[test]

@@ -54,8 +54,8 @@
 //! > `lateness ≤ (k−1)·P`.
 //!
 //! The property test in this module drives real schedules through the
-//! [`StreamingQqcMeter`](cnet_core::trace::StreamingQqcMeter) and holds
-//! the measurement to that bound.
+//! [`StreamingAuditor`](cnet_core::trace::StreamingAuditor) and holds
+//! its measured `qqc_max` to that bound.
 
 use crate::counter::SharedNetworkCounter;
 use crate::ProcessCounter;
@@ -340,7 +340,7 @@ impl ProcessCounter for EliminationCounter {
 mod tests {
     use super::*;
     use crate::history::{drive, stream_records, Workload};
-    use cnet_core::trace::StreamingQqcMeter;
+    use cnet_core::trace::StreamingAuditor;
     use cnet_topology::construct::bitonic;
     use cnet_util::proptest::prelude::*;
     use std::thread;
@@ -472,7 +472,7 @@ mod tests {
             values.sort_unstable();
             let n = (threads * per) as u64;
             prop_assert_eq!(values, (0..n).collect::<Vec<_>>());
-            let mut qqc = StreamingQqcMeter::new();
+            let mut qqc = StreamingAuditor::new();
             stream_records(&records, &mut qqc);
             let bound = ((k - 1) * threads) as u64;
             prop_assert!(

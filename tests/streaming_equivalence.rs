@@ -9,9 +9,15 @@
 //! Since the auditor became a one-pass kernel of its own, the same file
 //! holds its contract: on any enter-ordered stream, `StreamingAuditor`
 //! reports exactly what the four standalone monitors report side by side.
+//! The fourth, the lateness meter, lives in `common/qqc.rs`: a test
+//! reference sharing no code with the kernel.
 //!
 //! Failing seeds are logged by the harness; replay with
 //! `CNET_PROPTEST_SEED=<seed>`.
+
+mod common {
+    pub mod qqc;
+}
 
 use cnet_core::consistency::{
     find_linearizability_violation, find_sequential_consistency_violation, is_linearizable,
@@ -21,16 +27,15 @@ use cnet_core::fractions::{
     non_linearizability_fraction, non_linearizable_ops, non_sequential_consistency_fraction,
     non_sequentially_consistent_ops,
 };
-use cnet_core::op::Op;
-use cnet_core::trace::{
-    enter_order, stream_execution, EventMerger, OpEvent, RawOp, StreamingQqcMeter,
-};
+use cnet_core::op::{op, Op};
+use cnet_core::trace::{enter_order, stream_execution, EventMerger, OpEvent, RawOp};
 use cnet_core::{StreamingAuditor, StreamingFractionMeter, StreamingLinMonitor, StreamingScMonitor};
 use cnet_sim::engine::run;
 use cnet_sim::transform::desequentialize;
 use cnet_sim::workload::{generate, WorkloadConfig};
 use cnet_topology::construct::bitonic;
 use cnet_util::proptest::prelude::*;
+use common::qqc::StreamingQqcMeter;
 
 /// Random operation sets: arbitrary processes, overlapping integer-ns
 /// intervals, and values drawn from a small range so collisions and
@@ -301,15 +306,30 @@ proptest! {
     }
 }
 
-/// How far a value may run ahead of its operation's place in enter order:
-/// 1 keeps the stream in order (a clean run), the last scatters values over
-/// more than the stream's length (a wild shuffle). Any spread above 1 makes
-/// duplicate values common.
-const VALUE_SPREADS: [u64; 6] = [1, 2, 4, 16, 64, 4096];
+/// How an operation's value is made from its place `k` in enter order and a
+/// noise draw `n < 2^16`. The first keeps the stream in order (a clean
+/// run); the next run values ahead by up to a spread, and the largest
+/// spread scatters them over more than the stream's length (a wild
+/// shuffle). Any spread makes duplicate values common. The last three
+/// reach the finished set's rare paths: values a few million ahead, past
+/// its bitmap window; repeats of values it has already compacted; and
+/// values at the top of the `u64` range.
+const VALUE_SHAPES: [fn(u64, u64) -> u64; 9] = [
+    |k, _| k,
+    |k, n| k + n % 2,
+    |k, n| k + n % 4,
+    |k, n| k + n % 16,
+    |k, n| k + n % 64,
+    |k, n| k + n % 4096,
+    |k, n| k + ((n % 4) << 21),
+    |k, n| if k >= 64 && n % 4 == 0 { n % 64 } else { k },
+    |k, n| if n % 4 == 0 { u64::MAX - n % 3 } else { k },
+];
 
-/// Process ids as they come off the wire: a few small ones, and the
-/// extremes of the `u32` the frontier codec carries them in.
-const PROCESS_IDS: [usize; 6] = [0, 1, 2, 7, 1 << 20, u32::MAX as usize];
+/// Process ids as they come off the wire: a few small ones, ids that share
+/// a process-table cache entry (0, 64 and `1 << 20`; 63 and `u32::MAX`),
+/// and the extremes of the `u32` the frontier codec carries them in.
+const PROCESS_IDS: [usize; 7] = [0, 1, 2, 63, 64, 1 << 20, u32::MAX as usize];
 
 /// Shards the raw operations are dealt onto before the merge.
 const MERGE_SHARDS: usize = 3;
@@ -331,7 +351,7 @@ fn random_raw_draws() -> impl Strategy<Value = Vec<RawDraw>> {
 /// operations, in nondecreasing enter order, are dealt onto shards and
 /// released by an [`EventMerger`], which assigns the sequence numbers and
 /// with them the rule that a tie reads as overlap.
-fn merged_stream(spread: u64, draws: &[RawDraw]) -> Vec<OpEvent> {
+fn merged_stream(shape: fn(u64, u64) -> u64, draws: &[RawDraw]) -> Vec<OpEvent> {
     let mut merger = EventMerger::new(MERGE_SHARDS);
     let mut t = 0u64;
     for (k, &(delta, duration, noise, process, shard)) in draws.iter().enumerate() {
@@ -340,7 +360,7 @@ fn merged_stream(spread: u64, draws: &[RawDraw]) -> Vec<OpEvent> {
             process: PROCESS_IDS[process],
             enter_ns: t,
             exit_ns: t + duration,
-            value: k as u64 + noise % spread,
+            value: shape(k as u64, noise),
         };
         merger.push(shard, op);
     }
@@ -371,10 +391,10 @@ proptest! {
     /// so it is equal too.
     #[test]
     fn auditor_kernel_matches_the_four_monitor_composition(
-        spread in 0usize..VALUE_SPREADS.len(),
+        shape in 0usize..VALUE_SHAPES.len(),
         draws in random_raw_draws(),
     ) {
-        let events = merged_stream(VALUE_SPREADS[spread], &draws);
+        let events = merged_stream(VALUE_SHAPES[shape], &draws);
         let mut kernel = StreamingAuditor::new();
         let mut reference = Composition::default();
         for (k, ev) in events.iter().enumerate() {
@@ -411,4 +431,65 @@ proptest! {
             reference.lin.is_linearizable() && reference.sc.is_sequentially_consistent()
         );
     }
+}
+
+#[test]
+fn qqc_meter_is_zero_on_a_linearizable_stream() {
+    // Values arrive in enter order with no overtaking: every op's lateness
+    // is 0 even though some ops overlap.
+    let evs = [op(0, 0.0, 3.0, 0), op(1, 1.0, 2.0, 1), op(1, 4.0, 5.0, 2), op(0, 6.0, 7.0, 3)];
+    let mut qqc = StreamingQqcMeter::new();
+    let mut kernel = StreamingAuditor::new();
+    for ev in &evs {
+        qqc.push(ev);
+        kernel.push(ev);
+    }
+    assert_eq!(qqc.total(), 4);
+    assert_eq!((qqc.qqc_max(), qqc.late_ops(), qqc.qqc_mean()), (0, 0, 0.0));
+    assert_eq!((kernel.qqc_max(), kernel.non_linearizable(), kernel.qqc_mean()), (0, 0, 0.0));
+}
+
+#[test]
+fn qqc_lateness_counts_every_finished_larger_value() {
+    // Three ops finish with values 5, 6, 7 before a late op returns 1: its
+    // lateness is 3 (the fraction meter would flag it just once).
+    let mut qqc = StreamingQqcMeter::new();
+    let mut kernel = StreamingAuditor::new();
+    for ev in [op(0, 0.0, 1.0, 5), op(1, 0.5, 1.5, 6), op(2, 0.6, 1.6, 7)] {
+        qqc.push(&ev);
+        kernel.push(&ev);
+    }
+    let late = op(3, 2.0, 3.0, 1);
+    assert_eq!(qqc.push(&late), 3);
+    kernel.push(&late);
+    assert_eq!((qqc.qqc_max(), qqc.late_ops(), qqc.qqc_mean()), (3, 1, 3.0 / 4.0));
+    assert_eq!((kernel.qqc_max(), kernel.non_linearizable(), kernel.qqc_mean()), (3, 1, 0.75));
+    // An overlapping op is not "finished": a larger value whose op is still
+    // pending contributes nothing.
+    let overlapping = op(4, 2.5, 4.0, 2);
+    assert_eq!(qqc.push(&overlapping), 3, "op 3 (value 1) has not finished at enter 2.5");
+    kernel.push(&overlapping);
+    assert_eq!(kernel.qqc_mean(), qqc.qqc_mean());
+}
+
+#[test]
+fn qqc_meter_agrees_with_the_fraction_meter_flags() {
+    // lateness > 0 iff the Section 5.1 non-linearizable flag: check on an
+    // interleaved stream with duplicate values.
+    let evs = [
+        op(0, 0.0, 1.0, 2),
+        op(1, 0.5, 2.5, 0),
+        op(2, 2.0, 3.0, 1),
+        op(0, 4.0, 5.0, 1), // duplicate value, late
+        op(1, 6.0, 7.0, 4),
+        op(2, 8.0, 9.0, 3),
+    ];
+    let mut meter = StreamingFractionMeter::new();
+    let mut qqc = StreamingQqcMeter::new();
+    for ev in &evs {
+        let flags = meter.push(ev);
+        let late = qqc.push(ev);
+        assert_eq!(flags.non_linearizable, late > 0, "{ev:?}");
+    }
+    assert_eq!(qqc.late_ops(), meter.non_linearizable());
 }
