@@ -4,12 +4,11 @@
 //! [`audit`] bundles everything Section 2.4 and Section 5.1 can say about an
 //! execution: both consistency verdicts, the explicit linearization witness
 //! when one exists, the inconsistent token sets, and both fractions —
-//! rendered by `Display` as the report the CLI and examples print.
+//! rendered by `Display` as the report the CLI and examples print. It is
+//! one enter-ordered pass of the audit kernel,
+//! [`crate::trace::StreamingAuditor`].
 
-use crate::consistency::{
-    find_linearizability_violation, find_sequential_consistency_violation, Violation,
-};
-use crate::fractions::{non_linearizable_ops, non_sequentially_consistent_ops};
+use crate::consistency::{audit_slice, Violation};
 use crate::op::Op;
 use std::fmt;
 
@@ -54,19 +53,31 @@ pub struct AuditReport {
 /// assert_eq!(report.non_linearizable, vec![1]);
 /// ```
 pub fn audit(ops: &[Op]) -> AuditReport {
-    let non_linearizable = non_linearizable_ops(ops);
-    let non_sequentially_consistent = non_sequentially_consistent_ops(ops);
-    let n = ops.len().max(1);
+    let mut non_linearizable = Vec::new();
+    let mut non_sequentially_consistent = Vec::new();
+    let (auditor, order) = audit_slice(ops, |i, flags| {
+        if flags.non_linearizable {
+            non_linearizable.push(i);
+        }
+        if flags.non_sequentially_consistent {
+            non_sequentially_consistent.push(i);
+        }
+        true
+    });
+    non_linearizable.sort_unstable();
+    non_sequentially_consistent.sort_unstable();
     AuditReport {
         operations: ops.len(),
-        linearizable: non_linearizable.is_empty(),
-        sequentially_consistent: non_sequentially_consistent.is_empty(),
-        linearizability_violation: find_linearizability_violation(ops),
-        sequential_consistency_violation: find_sequential_consistency_violation(ops),
-        f_nl: non_linearizable.len() as f64 / n as f64,
-        f_nsc: non_sequentially_consistent.len() as f64 / n as f64,
+        linearizable: auditor.is_linearizable(),
+        sequentially_consistent: auditor.is_sequentially_consistent(),
+        linearizability_violation: auditor.linearizability_violation().map(|v| v.in_slice(&order)),
+        sequential_consistency_violation: auditor
+            .sequential_consistency_violation()
+            .map(|v| v.in_slice(&order)),
         non_linearizable,
         non_sequentially_consistent,
+        f_nl: auditor.f_nl(),
+        f_nsc: auditor.f_nsc(),
     }
 }
 
@@ -169,6 +180,17 @@ mod tests {
         assert_eq!(r.non_sequentially_consistent, vec![1]);
         let text = r.to_string();
         assert!(text.contains("witness"));
+    }
+
+    #[test]
+    fn sc_witness_is_the_earliest_inversion_in_time() {
+        // Process 0 decreases at t = 10, process 1 at t = 4. Sorted process
+        // by process, p0's pair comes first; in enter order, p1's does.
+        let ops =
+            vec![op(0, 0.0, 1.0, 5), op(0, 10.0, 11.0, 1), op(1, 2.0, 3.0, 7), op(1, 4.0, 5.0, 2)];
+        let first = Violation { earlier: 2, later: 3 };
+        assert_eq!(crate::consistency::find_sequential_consistency_violation(&ops), Some(first));
+        assert_eq!(audit(&ops).sequential_consistency_violation, Some(first));
     }
 
     #[test]

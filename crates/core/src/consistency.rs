@@ -6,17 +6,17 @@
 //! * an execution is **linearizable** iff no operation completely precedes
 //!   another yet returns a larger value (sorting by value is then the unique
 //!   candidate linearization, and it extends the complete-precedence order);
-//! * an execution is **sequentially consistent** iff each process's
-//!   successive operations return increasing values.
+//! * an execution is **sequentially consistent** iff no process's operation
+//!   returns a smaller value than that process's previous one.
 //!
-//! The functions here are the *batch* forms: they take a finished slice,
-//! sort it once, and run the corresponding online monitor from
-//! [`crate::trace`] over it ([`StreamingLinMonitor`] /
-//! [`StreamingScMonitor`]). Live pipelines should feed the monitors
-//! directly and skip the sort.
+//! The functions here are the *batch* forms: each sorts the finished slice
+//! into enter order once and runs the audit kernel,
+//! [`crate::trace::StreamingAuditor`], over it, mapping the kernel's push
+//! indices back to slice indices. Live pipelines feed the kernel directly
+//! and skip the sort.
 
 use crate::op::Op;
-use crate::trace::{enter_order, StreamingLinMonitor, StreamingScMonitor};
+use crate::trace::{enter_order, EventFlags, StreamingAuditor};
 
 /// A witnessed violation: the `earlier` operation completely precedes (or,
 /// for sequential consistency, precedes at the same process) the `later`
@@ -29,21 +29,41 @@ pub struct Violation {
     pub later: usize,
 }
 
+impl Violation {
+    /// The same pair with push indices mapped through `order` (push index
+    /// → slice index).
+    pub(crate) fn in_slice(self, order: &[usize]) -> Violation {
+        Violation { earlier: order[self.earlier], later: order[self.later] }
+    }
+}
+
+/// The one pass every batch checker makes: feeds `ops` to a fresh
+/// [`StreamingAuditor`] in enter order, handing `visit` each op's slice
+/// index and flags, and stops early when `visit` returns `false`. Returns
+/// the auditor and the enter order, which maps its push indices to slice
+/// indices.
+pub(crate) fn audit_slice(
+    ops: &[Op],
+    mut visit: impl FnMut(usize, EventFlags) -> bool,
+) -> (StreamingAuditor, Vec<usize>) {
+    let order = enter_order(ops);
+    let mut auditor = StreamingAuditor::new();
+    for &i in &order {
+        if !visit(i, auditor.push(&ops[i])) {
+            break;
+        }
+    }
+    (auditor, order)
+}
+
 /// Finds a linearizability violation, if any: a pair where `earlier`
 /// completely precedes `later` but `value(earlier) > value(later)`.
 ///
-/// Runs in `O(n log n)`: sorts by enter key, then drives a
-/// [`StreamingLinMonitor`] over the result and maps its push-order witness
-/// back to slice indices.
+/// Runs in `O(n log n)`: the kernel's first witness, the pass stopping at
+/// the first non-linearizable operation.
 pub fn find_linearizability_violation(ops: &[Op]) -> Option<Violation> {
-    let order = enter_order(ops);
-    let mut mon = StreamingLinMonitor::new();
-    for &i in &order {
-        if let Some(v) = mon.push(&ops[i]) {
-            return Some(Violation { earlier: order[v.earlier], later: order[v.later] });
-        }
-    }
-    None
+    let (auditor, order) = audit_slice(ops, |_, flags| !flags.non_linearizable);
+    auditor.linearizability_violation().map(|v| v.in_slice(&order))
 }
 
 /// Whether the execution is linearizable.
@@ -66,23 +86,18 @@ pub fn is_linearizable(ops: &[Op]) -> bool {
     find_linearizability_violation(ops).is_none()
 }
 
-/// Finds a sequential-consistency violation, if any: a process whose
-/// successive operations return decreasing values. Sorts by
-/// `(process, enter key)` and drives a [`StreamingScMonitor`].
+/// Finds a sequential-consistency violation, if any: two successive
+/// operations of one process whose values decrease. Of all such pairs it
+/// reports the one whose later operation enters first. The first
+/// decreasing pair is also the first operation the Section 5.1 flag marks,
+/// so the pass stops there.
 pub fn find_sequential_consistency_violation(ops: &[Op]) -> Option<Violation> {
-    let mut order: Vec<usize> = (0..ops.len()).collect();
-    order.sort_by_key(|&i| (ops[i].process, ops[i].enter_key()));
-    let mut mon = StreamingScMonitor::new();
-    for &i in &order {
-        if let Some(v) = mon.push(&ops[i]) {
-            return Some(Violation { earlier: order[v.earlier], later: order[v.later] });
-        }
-    }
-    None
+    let (auditor, order) = audit_slice(ops, |_, flags| !flags.non_sequentially_consistent);
+    auditor.sequential_consistency_violation().map(|v| v.in_slice(&order))
 }
 
-/// Whether the execution is sequentially consistent: each process's
-/// successive operations return increasing values.
+/// Whether the execution is sequentially consistent: no process's
+/// successive operations return decreasing values.
 ///
 /// # Example
 ///
@@ -94,7 +109,7 @@ pub fn find_sequential_consistency_violation(ops: &[Op]) -> Option<Violation> {
 /// let a = op(0, 0.0, 1.0, 5);
 /// let b = op(1, 2.0, 3.0, 3);
 /// assert!(is_sequentially_consistent(&[a, b]));
-/// // ...but one process must see increasing values.
+/// // ...but one process must not see its values decrease.
 /// let c = op(0, 2.0, 3.0, 3);
 /// assert!(!is_sequentially_consistent(&[a, c]));
 /// ```
@@ -103,12 +118,12 @@ pub fn is_sequentially_consistent(ops: &[Op]) -> bool {
 }
 
 /// Whether the execution is sequentially consistent *with respect to one
-/// process* (Observation 2.1's building block): that process's operations
-/// return increasing values.
+/// process* (Observation 2.1's building block): the same check as
+/// [`is_sequentially_consistent`] on that process's operations alone, so
+/// an execution is sequentially consistent iff it is so for every process.
 pub fn is_sequentially_consistent_for(ops: &[Op], process: usize) -> bool {
-    let mut mine: Vec<&Op> = ops.iter().filter(|o| o.process == process).collect();
-    mine.sort_by_key(|o| o.enter_key());
-    mine.windows(2).all(|p| p[0].value < p[1].value)
+    let mine: Vec<Op> = ops.iter().filter(|o| o.process == process).copied().collect();
+    is_sequentially_consistent(&mine)
 }
 
 #[cfg(test)]

@@ -10,38 +10,39 @@
 //! Lemma 5.1 proves the absolute non-linearizability fraction equals the
 //! plain one — validated here by [`absolute_non_linearizable_count`], an
 //! exact solver for small instances.
+//!
+//! The token sets and fractions come from one enter-ordered pass of the
+//! audit kernel, [`crate::trace::StreamingAuditor`], whose per-event flags
+//! are exactly these two predicates.
 
+use crate::consistency::audit_slice;
 use crate::op::Op;
-use crate::trace::{enter_order, StreamingFractionMeter};
+use crate::trace::EventFlags;
 
-/// Runs a [`StreamingFractionMeter`] over the slice in enter order and
-/// returns the slice indices whose flags satisfy `pick`.
-fn metered_indices(
-    ops: &[Op],
-    pick: impl Fn(crate::trace::EventFlags) -> bool,
-) -> Vec<usize> {
-    let order = enter_order(ops);
-    let mut meter = StreamingFractionMeter::new();
-    let mut out: Vec<usize> = order
-        .iter()
-        .filter_map(|&i| if pick(meter.push(&ops[i])) { Some(i) } else { None })
-        .collect();
+/// Slice indices, ascending, of the operations whose kernel flags satisfy
+/// `pick`.
+fn flagged(ops: &[Op], pick: impl Fn(EventFlags) -> bool) -> Vec<usize> {
+    let mut out = Vec::new();
+    audit_slice(ops, |i, flags| {
+        if pick(flags) {
+            out.push(i);
+        }
+        true
+    });
     out.sort_unstable();
     out
 }
 
 /// Indices of the non-linearizable operations: those completely preceded by
-/// an operation with a larger value. A batch wrapper over
-/// [`StreamingFractionMeter`].
+/// an operation with a larger value.
 pub fn non_linearizable_ops(ops: &[Op]) -> Vec<usize> {
-    metered_indices(ops, |f| f.non_linearizable)
+    flagged(ops, |f| f.non_linearizable)
 }
 
 /// Indices of the non-sequentially-consistent operations: those preceded, at
-/// the same process, by an operation with a larger value. A batch wrapper
-/// over [`StreamingFractionMeter`].
+/// the same process, by an operation with a larger value.
 pub fn non_sequentially_consistent_ops(ops: &[Op]) -> Vec<usize> {
-    metered_indices(ops, |f| f.non_sequentially_consistent)
+    flagged(ops, |f| f.non_sequentially_consistent)
 }
 
 /// The non-linearizability fraction: `|non-linearizable| / |all|`
@@ -61,21 +62,13 @@ pub fn non_sequentially_consistent_ops(ops: &[Op]) -> Vec<usize> {
 /// assert_eq!(non_linearizability_fraction(&ops), 1.0 / 3.0);
 /// ```
 pub fn non_linearizability_fraction(ops: &[Op]) -> f64 {
-    if ops.is_empty() {
-        0.0
-    } else {
-        non_linearizable_ops(ops).len() as f64 / ops.len() as f64
-    }
+    audit_slice(ops, |_, _| true).0.f_nl()
 }
 
 /// The non-sequential-consistency fraction: `|non-SC| / |all|`
 /// (0 for an empty execution).
 pub fn non_sequential_consistency_fraction(ops: &[Op]) -> f64 {
-    if ops.is_empty() {
-        0.0
-    } else {
-        non_sequentially_consistent_ops(ops).len() as f64 / ops.len() as f64
-    }
+    audit_slice(ops, |_, _| true).0.f_nsc()
 }
 
 /// **Exact** absolute non-linearizability count: the least number of

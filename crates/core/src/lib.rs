@@ -6,13 +6,13 @@
 //!
 //! * [`trace`] — the unified trace layer: the shared event type
 //!   ([`trace::OpEvent`], integer-nanosecond timestamps), the
-//!   [`trace::OpSink`] consumer trait, **online** monitors
-//!   ([`trace::StreamingLinMonitor`], [`trace::StreamingScMonitor`],
-//!   [`trace::StreamingFractionMeter`], [`trace::StreamingAuditor`]) that
-//!   check a live run one event at a time in `O(log n)` amortized with
-//!   memory bounded by concurrency, and the [`trace::EventMerger`] that
-//!   turns per-thread streams into the global enter-ordered stream the
-//!   monitors need.
+//!   [`trace::OpSink`] consumer trait, the **online** audit kernel
+//!   [`trace::StreamingAuditor`] that checks a live run one event at a
+//!   time in `O(log c)` with memory bounded by concurrency `c` (the batch
+//!   checkers in [`consistency`], [`fractions`] and [`audit`](mod@audit) are one
+//!   pass of it), and the [`trace::EventMerger`]
+//!   that turns per-thread streams into the global enter-ordered stream
+//!   the kernel needs.
 //! * [`op`] — a provider-neutral operation record ([`op::Op`], an alias of
 //!   [`trace::OpEvent`]) that both the simulator (`cnet-sim`) and the
 //!   threaded runtime (`cnet-runtime`) produce, carrying a process, a
@@ -75,5 +75,5 @@ pub use fractions::{non_linearizability_fraction, non_sequential_consistency_fra
 pub use op::Op;
 pub use trace::{
     EventMerger, MergeAuditor, OpEvent, OpSink, ShardFrontier, ShardMonitor, ShardStats,
-    StreamingAuditor, StreamingFractionMeter, StreamingLinMonitor, StreamingScMonitor,
+    StreamingAuditor,
 };

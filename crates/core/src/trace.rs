@@ -1,5 +1,5 @@
 //! The unified trace layer: one event language for every execution source,
-//! and online monitors that consume it one event at a time.
+//! and the one online checker that consumes it one event at a time.
 //!
 //! Three producers used to speak three dialects — the simulator's
 //! `TokenRecord`s, the threaded runtime's `RecordedOp`s, and the checkers'
@@ -9,25 +9,22 @@
 //!   enter/exit timestamps with explicit sequence-number tiebreaks, and the
 //!   value returned. (`cnet_core::op::Op` is this type, re-exported.)
 //! * [`OpSink`] — anything that accepts a stream of events: a plain
-//!   `Vec<OpEvent>`, or the monitors below.
-//! * [`StreamingLinMonitor`] / [`StreamingScMonitor`] /
-//!   [`StreamingFractionMeter`] — **incremental** forms of the Section 2.4
-//!   checkers and Section 5.1 fraction meters, one question each; the
-//!   batch functions in [`crate::consistency`] and [`crate::fractions`]
-//!   are thin wrappers over these cores.
-//! * [`StreamingAuditor`] — the same three answers plus the QQC lateness
-//!   behind each Section 5.1 flag, from **one pass**: the kernel every
-//!   audit surface runs. An event costs `O(log c)` in the concurrency `c`
-//!   (one push and one pop on a single heap of pending operations) plus a
-//!   cached slot lookup for its process; the QQC lateness range query is
+//!   `Vec<OpEvent>`, or the auditor below.
+//! * [`StreamingAuditor`] — the Section 2.4 verdicts with their witnesses,
+//!   the Section 5.1 flags and fractions, and the QQC lateness behind each
+//!   flag, from **one pass**: the kernel every audit surface runs, and the
+//!   batch checkers in [`crate::consistency`], [`crate::fractions`] and
+//!   [`crate::audit`](mod@crate::audit) too. An event costs `O(log c)` in
+//!   the concurrency `c` (one push and one pop on a single heap of pending
+//!   operations) plus a cached slot lookup for its process; the QQC
+//!   lateness range query is
 //!   issued only for the events that carry the Section 5.1 flag, so a
 //!   clean run never pays it. Memory is proportional to the run's
 //!   *concurrency*, its number of processes and its value disorder, not
-//!   its length. (The standalone lateness meter it is tested against
-//!   lives with the tests.)
+//!   its length. (It is tested against the brute-force definitions.)
 //! * [`EventMerger`] — turns per-thread (per-shard) event streams, each
 //!   internally ordered by enter time, into the single globally
-//!   enter-ordered stream the monitors require, using per-shard
+//!   enter-ordered stream the auditor requires, using per-shard
 //!   watermarks so events are released exactly when no straggler can
 //!   precede them.
 //!
@@ -45,7 +42,7 @@ use cnet_sim::exec::TimedExecution;
 use cnet_util::hist::LatencyHistogram;
 use cnet_util::json_struct;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
 
 /// One completed increment operation — the shared event type of the whole
@@ -120,7 +117,7 @@ impl OpSink for Vec<OpEvent> {
 }
 
 /// Streams a simulated execution into a sink in **enter order** (the order
-/// the online monitors require), converting times with [`secs_to_ns`] and
+/// the [`StreamingAuditor`] requires), converting times with [`secs_to_ns`] and
 /// keeping the simulator's sequence tiebreaks. Returns the event count.
 pub fn stream_execution(exec: &TimedExecution, sink: &mut impl OpSink) -> usize {
     let mut events: Vec<OpEvent> = exec
@@ -144,14 +141,14 @@ pub fn stream_execution(exec: &TimedExecution, sink: &mut impl OpSink) -> usize 
 }
 
 /// Indices of `ops` sorted by [`OpEvent::enter_key`] (stable), the feed
-/// order for [`StreamingLinMonitor`] and [`StreamingFractionMeter`].
+/// order for [`StreamingAuditor`].
 pub fn enter_order(ops: &[OpEvent]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..ops.len()).collect();
     order.sort_by_key(|&i| ops[i].enter_key());
     order
 }
 
-/// An operation still pending inside a monitor, ordered by completion key
+/// An operation still pending inside the auditor, ordered by completion key
 /// (then by arrival, for deterministic pops on full-key ties).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Pending {
@@ -161,188 +158,7 @@ struct Pending {
     value: u64,
 }
 
-/// Online linearizability checker for counting histories.
-///
-/// Feed events in nondecreasing [`OpEvent::enter_key`] order (the natural
-/// order of a live trace; [`enter_order`] provides it for a batch). Each
-/// [`push`](Self::push) is `O(log n)` amortized; memory is bounded by the
-/// maximum number of simultaneously pending operations, not the history
-/// length.
-///
-/// The algorithm is the batch sweep run incrementally: a min-heap of
-/// pending operations keyed by completion, popped as later operations
-/// enter, tracking the maximum value among completed operations. An
-/// operation entering after a completed operation with a larger value is a
-/// violation (for counting, this pairwise condition *is* linearizability —
-/// see [`crate::consistency`]).
-///
-/// # Example
-///
-/// ```
-/// use cnet_core::op::op;
-/// use cnet_core::trace::StreamingLinMonitor;
-///
-/// let mut mon = StreamingLinMonitor::new();
-/// assert!(mon.push(&op(0, 0.0, 1.0, 5)).is_none());
-/// let v = mon.push(&op(1, 2.0, 3.0, 3)).expect("5 finished before 3 started");
-/// assert_eq!((v.earlier, v.later), (0, 1)); // indices in push order
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct StreamingLinMonitor {
-    pending: BinaryHeap<Reverse<Pending>>,
-    /// `(value, push index)` of the completed operation with the largest
-    /// value so far.
-    max_finished: Option<(u64, usize)>,
-    last_enter: Option<(u64, usize)>,
-    pushed: usize,
-    first: Option<Violation>,
-}
-
-impl StreamingLinMonitor {
-    /// A fresh monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes one event; returns a violation witness if this event's
-    /// value contradicts an already-completed operation. Witness indices
-    /// are **push indices** (0-based order of `push` calls).
-    ///
-    /// # Panics
-    ///
-    /// Panics if events arrive out of enter order.
-    pub fn push(&mut self, ev: &OpEvent) -> Option<Violation> {
-        let key = ev.enter_key();
-        assert!(
-            self.last_enter.is_none_or(|k| k <= key),
-            "StreamingLinMonitor: events must arrive in nondecreasing enter order"
-        );
-        self.last_enter = Some(key);
-        let id = self.pushed;
-        self.pushed += 1;
-        while let Some(&Reverse(top)) = self.pending.peek() {
-            if (top.exit_ns, top.exit_seq) < key {
-                self.pending.pop();
-                if self.max_finished.is_none_or(|(mv, _)| top.value > mv) {
-                    self.max_finished = Some((top.value, top.arrival));
-                }
-            } else {
-                break;
-            }
-        }
-        let verdict = match self.max_finished {
-            Some((mv, mid)) if mv > ev.value => Some(Violation { earlier: mid, later: id }),
-            _ => None,
-        };
-        if let Some(v) = verdict {
-            self.first.get_or_insert(v);
-        }
-        self.pending.push(Reverse(Pending {
-            exit_ns: ev.exit_ns,
-            exit_seq: ev.exit_seq,
-            arrival: id,
-            value: ev.value,
-        }));
-        verdict
-    }
-
-    /// The first violation witnessed, if any (push indices).
-    pub fn first_violation(&self) -> Option<Violation> {
-        self.first
-    }
-
-    /// Whether no violation has been witnessed so far.
-    pub fn is_linearizable(&self) -> bool {
-        self.first.is_none()
-    }
-
-    /// Events consumed so far.
-    pub fn operations(&self) -> usize {
-        self.pushed
-    }
-
-    /// Operations currently pending (the memory bound: maximum concurrency,
-    /// not history length).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-impl OpSink for StreamingLinMonitor {
-    fn record(&mut self, ev: OpEvent) {
-        let _ = self.push(&ev);
-    }
-}
-
-/// Online sequential-consistency checker for counting histories.
-///
-/// Feed each process's events in its program order (any global interleave
-/// of processes is fine — per-process order is all that matters). `O(1)`
-/// per event: only the previous value per process is retained.
-///
-/// # Example
-///
-/// ```
-/// use cnet_core::op::op;
-/// use cnet_core::trace::StreamingScMonitor;
-///
-/// let mut mon = StreamingScMonitor::new();
-/// assert!(mon.push(&op(0, 0.0, 1.0, 5)).is_none());
-/// assert!(mon.push(&op(1, 2.0, 3.0, 3)).is_none()); // other process: fine
-/// assert!(mon.push(&op(0, 4.0, 5.0, 4)).is_some()); // p0 decreased
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct StreamingScMonitor {
-    /// Per process: `(value, push index)` of its previous operation.
-    prev: HashMap<usize, (u64, usize)>,
-    pushed: usize,
-    first: Option<Violation>,
-}
-
-impl StreamingScMonitor {
-    /// A fresh monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes one event; returns a violation witness (push indices) if
-    /// the process's previous operation returned a larger value.
-    pub fn push(&mut self, ev: &OpEvent) -> Option<Violation> {
-        let id = self.pushed;
-        self.pushed += 1;
-        let verdict = match self.prev.insert(ev.process, (ev.value, id)) {
-            Some((pv, pid)) if pv > ev.value => Some(Violation { earlier: pid, later: id }),
-            _ => None,
-        };
-        if let Some(v) = verdict {
-            self.first.get_or_insert(v);
-        }
-        verdict
-    }
-
-    /// The first violation witnessed, if any (push indices).
-    pub fn first_violation(&self) -> Option<Violation> {
-        self.first
-    }
-
-    /// Whether no violation has been witnessed so far.
-    pub fn is_sequentially_consistent(&self) -> bool {
-        self.first.is_none()
-    }
-
-    /// Events consumed so far.
-    pub fn operations(&self) -> usize {
-        self.pushed
-    }
-}
-
-impl OpSink for StreamingScMonitor {
-    fn record(&mut self, ev: OpEvent) {
-        let _ = self.push(&ev);
-    }
-}
-
-/// Per-event verdicts from [`StreamingFractionMeter::push`].
+/// Per-event verdicts from [`StreamingAuditor::push`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventFlags {
     /// Some completed operation with a larger value completely precedes
@@ -351,130 +167,6 @@ pub struct EventFlags {
     /// Some earlier operation *of the same process* returned a larger
     /// value (the non-sequentially-consistent-token predicate).
     pub non_sequentially_consistent: bool,
-}
-
-/// Online Section 5.1 inconsistency-fraction meter.
-///
-/// Feed in nondecreasing enter order (like [`StreamingLinMonitor`]);
-/// `O(log n)` amortized per event, memory bounded by concurrency. Each
-/// push classifies that operation immediately, so running fractions are
-/// available at any instant of a live run.
-///
-/// # Example
-///
-/// ```
-/// use cnet_core::op::op;
-/// use cnet_core::trace::StreamingFractionMeter;
-///
-/// let mut meter = StreamingFractionMeter::new();
-/// meter.push(&op(0, 0.0, 1.0, 5));
-/// let flags = meter.push(&op(1, 2.0, 3.0, 1));
-/// assert!(flags.non_linearizable && !flags.non_sequentially_consistent);
-/// assert_eq!(meter.f_nl(), 0.5);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct StreamingFractionMeter {
-    pending: BinaryHeap<Reverse<Pending>>,
-    max_finished_value: Option<u64>,
-    /// Per process: the running maximum value it has obtained.
-    process_max: HashMap<usize, u64>,
-    last_enter: Option<(u64, usize)>,
-    total: usize,
-    non_linearizable: usize,
-    non_sequentially_consistent: usize,
-}
-
-impl StreamingFractionMeter {
-    /// A fresh meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes one event and classifies it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events arrive out of enter order.
-    pub fn push(&mut self, ev: &OpEvent) -> EventFlags {
-        let key = ev.enter_key();
-        assert!(
-            self.last_enter.is_none_or(|k| k <= key),
-            "StreamingFractionMeter: events must arrive in nondecreasing enter order"
-        );
-        self.last_enter = Some(key);
-        let arrival = self.total;
-        self.total += 1;
-        while let Some(&Reverse(top)) = self.pending.peek() {
-            if (top.exit_ns, top.exit_seq) < key {
-                self.pending.pop();
-                self.max_finished_value =
-                    Some(self.max_finished_value.map_or(top.value, |m| m.max(top.value)));
-            } else {
-                break;
-            }
-        }
-        let non_linearizable = self.max_finished_value.is_some_and(|m| m > ev.value);
-        let non_sequentially_consistent = match self.process_max.get_mut(&ev.process) {
-            None => {
-                self.process_max.insert(ev.process, ev.value);
-                false
-            }
-            Some(max) => {
-                let bad = *max > ev.value;
-                *max = (*max).max(ev.value);
-                bad
-            }
-        };
-        self.non_linearizable += usize::from(non_linearizable);
-        self.non_sequentially_consistent += usize::from(non_sequentially_consistent);
-        self.pending.push(Reverse(Pending {
-            exit_ns: ev.exit_ns,
-            exit_seq: ev.exit_seq,
-            arrival,
-            value: ev.value,
-        }));
-        EventFlags { non_linearizable, non_sequentially_consistent }
-    }
-
-    /// Events consumed so far.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Non-linearizable operations seen so far.
-    pub fn non_linearizable(&self) -> usize {
-        self.non_linearizable
-    }
-
-    /// Non-sequentially-consistent operations seen so far.
-    pub fn non_sequentially_consistent(&self) -> usize {
-        self.non_sequentially_consistent
-    }
-
-    /// The running non-linearizability fraction. An empty (or, trivially,
-    /// single-op) trace has no inconsistent operations, so the fraction is
-    /// exactly `0.0` — never `NaN` from a `0/0`.
-    pub fn f_nl(&self) -> f64 {
-        match self.total {
-            0 => 0.0,
-            n => self.non_linearizable as f64 / n as f64,
-        }
-    }
-
-    /// The running non-sequential-consistency fraction. Same contract as
-    /// [`Self::f_nl`]: `0.0` (not `NaN`) on an empty or single-op trace.
-    pub fn f_nsc(&self) -> f64 {
-        match self.total {
-            0 => 0.0,
-            n => self.non_sequentially_consistent as f64 / n as f64,
-        }
-    }
-}
-
-impl OpSink for StreamingFractionMeter {
-    fn record(&mut self, ev: OpEvent) {
-        let _ = self.push(&ev);
-    }
 }
 
 /// Values a [`FinishedSet`]'s bitmap window covers above `base` (2^16 words).
@@ -627,15 +319,26 @@ struct ProcessSlot {
     max: u64,
 }
 
-/// All monitors' answers from one pass: verdicts, witnesses, running
-/// fractions, and the QQC lateness distribution for a live stream. Feed in
-/// nondecreasing enter order, with each process's events in program order
-/// (a live trace satisfies both).
+/// Every consistency answer about a stream from one pass: the Section 2.4
+/// verdicts with their first witnesses, the Section 5.1 flags and running
+/// fractions, and the QQC lateness distribution. Feed in nondecreasing
+/// enter order, with each process's events in program order (a live trace
+/// satisfies both; [`enter_order`] gives it for a slice).
 ///
-/// Lateness is quantitative quiescent consistency (Jagadeesan–Riely, arXiv
-/// 1402.4043) specialized to counting, whose quiescent order is the order
-/// of values: `lateness(o)` is the number of operations that completely
-/// precede `o` (finished before `o` entered) yet returned a larger value.
+/// For each event `o`:
+/// * `o` is **non-linearizable** iff an operation that completely precedes
+///   it (finished before `o` entered) returned a larger value, and its
+///   **lateness** is the number of such operations. That is quantitative
+///   quiescent consistency (Jagadeesan–Riely, arXiv 1402.4043) specialized
+///   to counting, whose quiescent order is the order of values.
+/// * `o` is **non-sequentially-consistent** iff an earlier operation of its
+///   own process returned a larger value.
+///
+/// Witnesses are push indices. The linearizability witness pairs the first
+/// non-linearizable event with, among the operations completely preceding
+/// it with the largest value, the one that finished first. The SC witness
+/// pairs the first event whose process's previous operation returned a
+/// larger value with that operation.
 ///
 /// One min-heap of pending operations serves every question: each
 /// operation popped from it updates the largest finished value (the
@@ -645,9 +348,22 @@ struct ProcessSlot {
 /// push is `O(log c)` in the concurrency `c`. Memory is the pending heap
 /// (`c` entries), one slot per distinct process, and one bit per value of
 /// disorder — past a value that never arrives, one bit and then one tree
-/// entry per op. Every output equals what [`StreamingLinMonitor`],
-/// [`StreamingScMonitor`], [`StreamingFractionMeter`] and a standalone
-/// lateness meter report on the same stream.
+/// entry per op.
+///
+/// # Example
+///
+/// ```
+/// use cnet_core::op::op;
+/// use cnet_core::trace::StreamingAuditor;
+///
+/// let mut aud = StreamingAuditor::new();
+/// aud.push(&op(0, 0.0, 1.0, 5));
+/// let flags = aud.push(&op(1, 2.0, 3.0, 1)); // 5 finished before 1 entered
+/// assert!(flags.non_linearizable && !flags.non_sequentially_consistent);
+/// let v = aud.linearizability_violation().unwrap();
+/// assert_eq!((v.earlier, v.later), (0, 1)); // push indices
+/// assert_eq!((aud.f_nl(), aud.qqc_max()), (0.5, 1));
+/// ```
 #[derive(Clone, Debug, Default)]
 pub struct StreamingAuditor {
     pending: BinaryHeap<Reverse<Pending>>,
@@ -874,7 +590,7 @@ struct MergeShard {
 
 /// Merges per-shard event streams — each internally ordered by enter time,
 /// as any single thread's operations are — into one globally enter-ordered
-/// [`OpEvent`] stream for the monitors.
+/// [`OpEvent`] stream for the [`StreamingAuditor`].
 ///
 /// A buffered event is released once its enter time is at or below every
 /// unfinished shard's **watermark** (the enter time of that shard's latest
@@ -1126,7 +842,7 @@ impl ShardMonitor {
     }
 
     /// Operations currently pending locally (bounded by the shard's own
-    /// concurrency, like [`StreamingLinMonitor::pending_len`]).
+    /// concurrency, like the [`StreamingAuditor`]'s pending heap).
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
@@ -1335,93 +1051,38 @@ impl MergeAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::consistency::{find_linearizability_violation, is_linearizable};
+    use crate::consistency::is_linearizable;
     use crate::op::op;
 
     #[test]
-    fn lin_monitor_matches_batch_on_a_violating_history() {
-        let ops =
-            vec![op(0, 0.0, 1.0, 5), op(0, 2.0, 3.0, 6), op(1, 4.0, 5.0, 1), op(1, 6.0, 7.0, 2)];
-        let mut mon = StreamingLinMonitor::new();
-        let mut first = None;
-        for o in &ops {
-            if let Some(v) = mon.push(o) {
-                first.get_or_insert(v);
-            }
-        }
-        let batch = find_linearizability_violation(&ops).unwrap();
-        let streamed = first.unwrap();
-        // Ops are already enter-ordered, so push indices == slice indices.
-        assert_eq!(streamed, batch);
-        assert_eq!(mon.first_violation(), Some(streamed));
-        assert!(!mon.is_linearizable());
-    }
-
-    #[test]
-    fn lin_monitor_accepts_consistent_streams() {
-        let mut mon = StreamingLinMonitor::new();
-        for k in 0..100u64 {
-            let o = op(k as usize % 3, k as f64, k as f64 + 0.5, k);
-            assert!(mon.push(&o).is_none(), "op {k}");
-        }
-        assert!(mon.is_linearizable());
-        assert_eq!(mon.operations(), 100);
-    }
-
-    #[test]
-    fn lin_monitor_memory_is_bounded_by_concurrency() {
+    fn auditor_memory_is_bounded_by_concurrency() {
         // Sequential (non-overlapping) ops: the pending heap drains as fast
         // as it fills, never holding more than one element... plus the one
         // just pushed.
-        let mut mon = StreamingLinMonitor::new();
+        let mut aud = StreamingAuditor::new();
         for k in 0..10_000u64 {
-            mon.push(&op(0, 2.0 * k as f64, 2.0 * k as f64 + 1.0, k));
-            assert!(mon.pending_len() <= 2, "at op {k}: {}", mon.pending_len());
+            aud.push(&op(0, 2.0 * k as f64, 2.0 * k as f64 + 1.0, k));
+            assert!(aud.pending.len() <= 2, "at op {k}: {}", aud.pending.len());
         }
+        assert!(aud.is_clean());
     }
 
     #[test]
-    #[should_panic(expected = "nondecreasing enter order")]
-    fn lin_monitor_rejects_out_of_order_feeds() {
-        let mut mon = StreamingLinMonitor::new();
-        mon.push(&op(0, 5.0, 6.0, 0));
-        mon.push(&op(0, 1.0, 2.0, 1));
-    }
-
-    #[test]
-    fn sc_monitor_tracks_adjacent_pairs_per_process() {
-        let mut mon = StreamingScMonitor::new();
-        assert!(mon.push(&op(0, 0.0, 1.0, 5)).is_none());
-        assert!(mon.push(&op(1, 0.5, 1.5, 0)).is_none());
-        let v = mon.push(&op(0, 2.0, 3.0, 3)).unwrap();
+    fn auditor_sc_witness_is_the_adjacent_pair() {
+        let mut aud = StreamingAuditor::new();
+        assert!(!aud.push(&op(0, 0.0, 1.0, 5)).non_sequentially_consistent);
+        assert!(!aud.push(&op(1, 0.5, 1.5, 0)).non_sequentially_consistent);
+        assert!(aud.push(&op(0, 2.0, 3.0, 3)).non_sequentially_consistent);
+        let v = aud.sequential_consistency_violation().unwrap();
         assert_eq!((v.earlier, v.later), (0, 2));
-        // After a decrease, a further increase past the *previous* (not
-        // maximal) value is fine — adjacent-pair semantics.
-        assert!(mon.push(&op(0, 4.0, 5.0, 4)).is_none());
-        assert!(!mon.is_sequentially_consistent());
-        assert_eq!(mon.first_violation(), Some(v));
-    }
-
-    #[test]
-    fn fraction_meter_matches_batch_fractions() {
-        use crate::fractions::{non_linearizable_ops, non_sequentially_consistent_ops};
-        let ops = vec![
-            op(0, 0.0, 1.0, 5),
-            op(0, 2.0, 3.0, 2), // non-SC and non-lin
-            op(1, 4.0, 5.0, 3), // non-lin only
-        ];
-        let mut meter = StreamingFractionMeter::new();
-        let flags: Vec<EventFlags> = ops.iter().map(|o| meter.push(o)).collect();
-        assert!(!flags[0].non_linearizable);
-        assert!(flags[1].non_linearizable && flags[1].non_sequentially_consistent);
-        assert!(flags[2].non_linearizable && !flags[2].non_sequentially_consistent);
-        assert_eq!(meter.non_linearizable(), non_linearizable_ops(&ops).len());
-        assert_eq!(
-            meter.non_sequentially_consistent(),
-            non_sequentially_consistent_ops(&ops).len()
-        );
-        assert_eq!(meter.f_nl(), 2.0 / 3.0);
-        assert_eq!(meter.f_nsc(), 1.0 / 3.0);
+        // After a decrease, an increase past the *previous* value forms no
+        // adjacent inversion; the token is still below the process's
+        // maximum, so the Section 5.1 flag stays set. The witness is the
+        // first inversion.
+        assert!(aud.push(&op(0, 4.0, 5.0, 4)).non_sequentially_consistent);
+        assert!(!aud.push(&op(0, 6.0, 7.0, 6)).non_sequentially_consistent);
+        assert_eq!(aud.sequential_consistency_violation(), Some(v));
+        assert_eq!(aud.non_sequentially_consistent(), 2);
     }
 
     #[test]
@@ -1447,25 +1108,19 @@ mod tests {
     }
 
     #[test]
-    fn fraction_meter_is_zero_not_nan_on_empty_and_single_op_traces() {
+    fn auditor_is_zero_not_nan_on_empty_and_single_op_traces() {
         // Satellite pin: the edge contract is an explicit 0.0, so a
         // regression back to a bare 0/0 division (NaN) cannot land
         // silently. NaN != NaN, so assert_eq alone would not catch a
         // comparison rewrite — check finiteness too.
-        let mut meter = StreamingFractionMeter::new();
-        assert_eq!(meter.f_nl(), 0.0);
-        assert_eq!(meter.f_nsc(), 0.0);
-        assert!(meter.f_nl().is_finite() && meter.f_nsc().is_finite());
-        meter.push(&op(0, 0.0, 1.0, 0));
-        assert_eq!(meter.f_nl(), 0.0);
-        assert_eq!(meter.f_nsc(), 0.0);
         let mut aud = StreamingAuditor::new();
-        assert_eq!(aud.qqc_mean(), 0.0);
-        assert!(aud.qqc_mean().is_finite() && aud.f_nl().is_finite());
-        assert_eq!(aud.qqc_max(), 0);
-        assert_eq!(aud.qqc_p99(), 0);
+        for read in [StreamingAuditor::f_nl, StreamingAuditor::f_nsc, StreamingAuditor::qqc_mean] {
+            assert_eq!(read(&aud), 0.0);
+            assert!(read(&aud).is_finite());
+        }
+        assert_eq!((aud.qqc_max(), aud.qqc_p99()), (0, 0));
         aud.push(&op(0, 0.0, 1.0, 0));
-        assert_eq!(aud.qqc_mean(), 0.0);
+        assert_eq!((aud.f_nl(), aud.f_nsc(), aud.qqc_mean()), (0.0, 0.0, 0.0));
     }
 
     /// Finished values above `v` in a plain list: what

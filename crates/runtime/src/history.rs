@@ -6,9 +6,9 @@
 //! returns [`RecordedOp`]s convertible to [`cnet_core::Op`] — so the
 //! consistency checkers and fraction meters of `cnet-core` apply to real
 //! executions exactly as they do to simulated ones. [`stream_records`]
-//! feeds a finished batch straight into any [`OpSink`] (e.g. the online
-//! monitors); for auditing *while* the run executes, see
-//! [`crate::recorder`].
+//! feeds a finished batch straight into any [`OpSink`] (e.g. the audit
+//! kernel, [`cnet_core::StreamingAuditor`]); for auditing *while* the run
+//! executes, see [`crate::recorder`].
 
 use crate::ProcessCounter;
 use cnet_core::op::Op;
@@ -51,7 +51,7 @@ pub fn to_ops(records: &[RecordedOp]) -> Vec<Op> {
 }
 
 /// Streams a finished batch of records into a sink in enter order (the
-/// order the online monitors require). Returns the event count.
+/// order the audit kernel requires). Returns the event count.
 pub fn stream_records(records: &[RecordedOp], sink: &mut impl OpSink) -> usize {
     let mut ops = to_ops(records);
     ops.sort_by_key(|o| o.enter_key());

@@ -47,8 +47,8 @@ cargo test -q --offline --workspace
 # each harness=false bench target executes its routines once, so this
 # verifies the measurement code paths without paying for a full run.
 cargo test -q --offline -p cnet-bench
-# The audit kernel against its oracle (the standalone monitors) once more,
-# from a second fixed base seed: each gate run checks twice the cases.
+# The audit kernel against its oracle (the brute-force definitions) once
+# more, from a second fixed base seed: each gate run checks twice the cases.
 CNET_PROPTEST_SEED=2718281828 \
     cargo test -q --release --offline -p cnet-bench --test streaming_equivalence
 

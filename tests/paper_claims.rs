@@ -152,3 +152,41 @@ fn theorem_5_11_stage_depths_for_the_classics() {
         assert_eq!(seq.stage_depth(l), 4 - l, "P(16) stage {l}");
     }
 }
+
+#[test]
+fn paper_table_binaries_print_their_golden_tables() {
+    // The simulator-driven `exp_*` binaries are deterministic, so each
+    // reproduced table is pinned byte for byte: a change to a checker, the
+    // simulator or a construction that moves any number fails here. After
+    // an intended change, re-record with `exp_<name> > tests/golden/exp_<name>.txt`.
+    macro_rules! tables {
+        ($($bin:literal),*) => {
+            [$((
+                $bin,
+                env!(concat!("CARGO_BIN_EXE_", $bin)),
+                include_str!(concat!("golden/", $bin, ".txt")),
+            )),*]
+        };
+    }
+    let tables = tables!(
+        "exp_table1",
+        "exp_thm32",
+        "exp_thm41",
+        "exp_thm54",
+        "exp_prop53",
+        "exp_open45",
+        "exp_arbitrary",
+        "exp_thm511"
+    );
+    for (name, exe, golden) in tables {
+        let out = std::process::Command::new(exe).output().expect(name);
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        let printed = String::from_utf8(out.stdout).expect(name);
+        if let Some((k, (got, want))) =
+            printed.lines().zip(golden.lines()).enumerate().find(|(_, (g, w))| g != w)
+        {
+            panic!("{name} line {}:\n   got: {got}\n  want: {want}", k + 1);
+        }
+        assert_eq!(printed, golden, "{name}: output length differs from its golden table");
+    }
+}
