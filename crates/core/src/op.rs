@@ -20,8 +20,7 @@ impl Op {
     /// Converts every token record of a simulated execution into an
     /// [`Op`], in the execution's record order (see
     /// [`crate::trace::stream_execution`] for the enter-ordered streaming
-    /// form). Simulator seconds become nanoseconds via
-    /// [`secs_to_ns`](crate::trace::secs_to_ns).
+    /// form). Simulator seconds become nanoseconds via [`secs_to_ns`].
     ///
     /// # Example
     ///
@@ -53,7 +52,7 @@ impl Op {
 }
 
 /// Builds an [`Op`] from a plain interval **in seconds** (converted with
-/// [`secs_to_ns`](crate::trace::secs_to_ns)), using the value itself as
+/// [`secs_to_ns`]), using the value itself as
 /// the tiebreak (adequate when all times are distinct, as in tests and the
 /// threaded runtime where timestamps come from a monotonic clock).
 pub fn op(process: usize, enter: f64, exit: f64, value: u64) -> Op {

@@ -595,7 +595,7 @@ struct MergeShard {
 /// A buffered event is released once its enter time is at or below every
 /// unfinished shard's **watermark** (the enter time of that shard's latest
 /// event): no straggler can then precede it. Sequence numbers are assigned
-/// at release, with [`EXIT_SEQ_GUARD`]'s conservative tie rule.
+/// at release, with `EXIT_SEQ_GUARD`'s conservative tie rule.
 ///
 /// # Example
 ///

@@ -11,6 +11,10 @@ pub enum SimError {
     /// The engine requires a uniform network (the paper's timing parameters
     /// are defined layer-by-layer over uniform networks).
     NotUniform,
+    /// The network has more wires than a [`Step`](crate::exec::Step) can
+    /// index: its balancer, sink and port fields are `u32`, and each such
+    /// index is below the wire count.
+    NetworkTooLarge,
     /// A token's `step_times` has the wrong length (must be `depth + 1`).
     WrongStepCount {
         /// The offending token.
@@ -63,6 +67,9 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::NotUniform => write!(f, "network is not uniform"),
+            SimError::NetworkTooLarge => {
+                write!(f, "network has more than {} wires, more than a step can index", u32::MAX)
+            }
             SimError::WrongStepCount { token, got, want } => {
                 write!(f, "token {token} has {got} step times, expected {want}")
             }

@@ -6,6 +6,11 @@ use cnet_util::json_struct;
 
 /// A transition step of the execution (Section 2.2): either a token crossing
 /// a balancer or a token obtaining a value at a counter.
+///
+/// Balancer, port and sink indices are `u32`, which keeps a [`TimedStep`]
+/// at 40 bytes; the engine refuses a network with more wires than that
+/// indexes ([`SimError::NetworkTooLarge`](crate::SimError::NetworkTooLarge))
+/// rather than truncate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Step {
     /// The paper's `BAL_p(T, B, i, j)`.
@@ -14,12 +19,12 @@ pub enum Step {
         token: TokenId,
         /// The process shepherding it.
         process: ProcessId,
-        /// The balancer traversed (index into the network).
-        balancer: usize,
+        /// The balancer traversed (its `BalancerId` index in the network).
+        balancer: u32,
         /// Input port entered on.
-        in_port: usize,
+        in_port: u32,
         /// Output port exited on.
-        out_port: usize,
+        out_port: u32,
     },
     /// The paper's `COUNT_p(T, C, v)`.
     Count {
@@ -27,8 +32,8 @@ pub enum Step {
         token: TokenId,
         /// The process shepherding it.
         process: ProcessId,
-        /// The sink (counter) traversed.
-        sink: usize,
+        /// The sink (counter) traversed (its `SinkId` index in the network).
+        sink: u32,
         /// The value assigned.
         value: u64,
     },
@@ -317,6 +322,11 @@ mod tests {
         );
         let back: TimedExecution = json::from_str(&json::to_string(&exec)).unwrap();
         assert_eq!(exec, back);
+    }
+
+    #[test]
+    fn a_timed_step_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<TimedStep>(), 40);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use cnet_util::json_struct;
 /// step at a node in layer `l+1`. For a network of depth `d` the vector has
 /// `d + 1` entries — `d` balancer steps followed by the `COUNT` step.
 ///
-/// Within one [`engine::run`](crate::engine::run) call, ties in time are
-/// broken first by the token's position in the spec slice, then by layer;
+/// Within one [`engine::run`](crate::engine::run) call, ties in time
+/// (−0.0 and 0.0 tie) are broken first by the token's position in the spec
+/// slice, then by layer;
 /// schedule constructions rely on this to place simultaneous steps in a
 /// definite order (e.g. the flushing waves of Theorem 3.2, which must enter
 /// a balancer *immediately before* the token they shadow).

@@ -162,7 +162,7 @@ pub fn desequentialize(
             for ts in exec.steps() {
                 if ts.time < anchor {
                     if let Step::Bal { balancer, .. } = ts.step {
-                        state_at[balancer] += 1;
+                        state_at[balancer as usize] += 1;
                     }
                 }
             }

@@ -16,7 +16,12 @@
 //! 6. the per-balancer **step property** on output-wire counts at
 //!    quiescence, and the network-level step property on the counters;
 //! 7. counter values are the arithmetic the paper prescribes
-//!    (`j, j + w, j + 2w, …` per counter, in order).
+//!    (`j, j + w, j + 2w, …` per counter, in order);
+//! 8. there is one record per token that took steps, and each agrees with
+//!    its token's steps: process, sink, value, `enter_seq`/`exit_seq`,
+//!    enter/exit time and `step_times` (its input placed the token's first
+//!    step). The consistency checkers read only the records, so a record
+//!    must say what the steps did.
 //!
 //! Every test of the engine gains teeth by round-tripping through
 //! [`validate`]; it is also the safety net for hand-built adversarial
@@ -25,7 +30,7 @@
 use crate::error::SimError;
 use crate::exec::{Step, TimedExecution};
 use crate::ids::{ProcessId, TokenId};
-use cnet_topology::ids::{BalancerId, SinkId, WireId};
+use cnet_topology::ids::{BalancerId, SinkId, SourceId, WireId};
 use cnet_topology::network::WireEnd;
 use cnet_topology::state::has_step_property;
 use cnet_topology::Network;
@@ -79,10 +84,18 @@ pub enum ValidationError {
     },
     /// The network-level quiescent counter counts violate the step property.
     NetworkStepProperty,
-    /// The execution references an entity outside the network.
+    /// The execution references an entity outside the network, or a token
+    /// with no record.
     OutOfRange {
         /// Index of the offending step.
         step: usize,
+    },
+    /// A token's record disagrees with its steps, or a record has no steps.
+    RecordMismatch {
+        /// The token whose record it is.
+        token: TokenId,
+        /// The record field that disagrees.
+        field: &'static str,
     },
 }
 
@@ -114,7 +127,10 @@ impl fmt::Display for ValidationError {
                 write!(f, "network output counts violate the step property at quiescence")
             }
             ValidationError::OutOfRange { step } => {
-                write!(f, "step {step} references an entity outside the network")
+                write!(f, "step {step} references an entity outside the network or its records")
+            }
+            ValidationError::RecordMismatch { token, field } => {
+                write!(f, "the record of token {token} disagrees with its steps: {field}")
             }
         }
     }
@@ -166,48 +182,67 @@ pub fn validate(
     let mut counter_next: Vec<u64> = (0..net.fan_out() as u64).collect();
     let mut output_counts: Vec<u64> = vec![0; net.fan_out()];
     let mut input_counts: Vec<u64> = vec![0; net.fan_in()];
-    // Where each token currently is.
-    let mut token_wire: BTreeMap<TokenId, WireId> = BTreeMap::new();
-    let mut done: BTreeMap<TokenId, bool> = BTreeMap::new();
-    // Process interleaving: last active token per process.
+    let records = exec.records();
+    // Per token: the wire it is on (`None` before its first step), the
+    // steps it has taken and whether it has counted.
+    #[derive(Clone, Default)]
+    struct Progress {
+        wire: Option<WireId>,
+        steps: usize,
+        done: bool,
+    }
+    let mut tokens = vec![Progress::default(); records.len()];
+    // Process interleaving: the unfinished token of each process.
     let mut process_active: BTreeMap<ProcessId, TokenId> = BTreeMap::new();
-    let mut process_finished: BTreeMap<ProcessId, Vec<TokenId>> = BTreeMap::new();
 
     for (i, ts) in exec.steps().iter().enumerate() {
         let token = ts.step.token();
         let process = ts.step.process();
+        let Some(record) = records.get(token.index()) else {
+            return Err(Box::new(ValidationError::OutOfRange { step: i }));
+        };
+        let progress = &mut tokens[token.index()];
         // Track per-process token contiguity: a process may only have one
         // unfinished token, and once a token finishes, no further steps of it
         // may appear.
-        if done.get(&token).copied().unwrap_or(false) {
+        if progress.done {
             return Err(Box::new(ValidationError::BrokenRoute {
                 token,
                 what: "steps after its COUNT step",
             }));
         }
+        agree(token, &[(record.process == process, "process")])?;
         match process_active.get(&process) {
             Some(&active) if active != token => {
                 return Err(Box::new(ValidationError::InterleavedProcess { process }));
             }
             Some(_) => {}
             None => {
-                if process_finished.get(&process).is_some_and(|v| v.contains(&token)) {
-                    return Err(Box::new(ValidationError::InterleavedProcess { process }));
-                }
-                process_active.insert(process, token);
-                // New token: it must start on its record's input wire.
-                let record = exec.record(token);
+                // The token's first step (an unfinished token keeps its
+                // process active): it must start on its record's input wire.
                 if record.input >= net.fan_in() {
                     return Err(Box::new(ValidationError::OutOfRange { step: i }));
                 }
+                agree(
+                    token,
+                    &[
+                        (record.token == token, "token"),
+                        (record.enter_seq == i, "enter_seq"),
+                        (record.enter_time == ts.time, "enter_time"),
+                    ],
+                )?;
+                process_active.insert(process, token);
                 input_counts[record.input] += 1;
-                token_wire
-                    .insert(token, net.source_wire(cnet_topology::ids::SourceId(record.input)));
+                progress.wire = Some(net.source_wire(SourceId(record.input)));
             }
         }
-        let wire = *token_wire.get(&token).expect("token registered above");
+        let wire = progress.wire.expect("placed at the token's first step");
+        agree(token, &[(record.step_times.get(progress.steps) == Some(&ts.time), "step_times")])?;
+        progress.steps += 1;
         match ts.step {
             Step::Bal { balancer, in_port, out_port, .. } => {
+                let (balancer, in_port, out_port) =
+                    (balancer as usize, in_port as usize, out_port as usize);
                 if balancer >= net.size() {
                     return Err(Box::new(ValidationError::OutOfRange { step: i }));
                 }
@@ -234,9 +269,10 @@ pub fn validate(
                 // 4. Safety is maintained by construction of this replay:
                 // each BAL step consumes and emits exactly one token, so
                 // emissions never exceed receipts.
-                token_wire.insert(token, bal.output(out_port));
+                progress.wire = Some(bal.output(out_port));
             }
             Step::Count { sink, value, .. } => {
+                let sink = sink as usize;
                 if sink >= net.fan_out() {
                     return Err(Box::new(ValidationError::OutOfRange { step: i }));
                 }
@@ -254,24 +290,36 @@ pub fn validate(
                         want: counter_next[sink],
                     }));
                 }
+                // 8. The record says what the token did.
+                agree(
+                    token,
+                    &[
+                        (record.sink == sink, "sink"),
+                        (record.value == value, "value"),
+                        (record.exit_seq == i, "exit_seq"),
+                        (record.exit_time == ts.time, "exit_time"),
+                        (record.step_times.len() == progress.steps, "step_times"),
+                    ],
+                )?;
                 counter_next[sink] += net.fan_out() as u64;
                 output_counts[sink] += 1;
-                done.insert(token, true);
+                progress.done = true;
                 process_active.remove(&process);
-                process_finished.entry(process).or_default().push(token);
             }
         }
     }
 
     // 5. Quiescence: every token that entered a balancer left it, and every
-    //    started token finished.
+    //    started token finished; 8. every record is of a token that did.
     for (b, _) in net.balancers() {
         if bal_in[b.index()] != bal_out[b.index()] {
             return Err(Box::new(ValidationError::NotQuiescent { balancer: b }));
         }
     }
-    for &token in token_wire.keys() {
-        if !done.get(&token).copied().unwrap_or(false) {
+    for (t, progress) in tokens.iter().enumerate() {
+        let token = TokenId(t);
+        agree(token, &[(progress.wire.is_some(), "it took no steps")])?;
+        if !progress.done {
             return Err(Box::new(ValidationError::BrokenRoute {
                 token,
                 what: "token never reached a counter",
@@ -293,6 +341,17 @@ pub fn validate(
         output_counts,
         input_counts,
     })
+}
+
+/// The first field whose check failed, as a [`ValidationError::RecordMismatch`].
+fn agree(
+    token: TokenId,
+    checks: &[(bool, &'static str)],
+) -> Result<(), Box<dyn Error + Send + Sync>> {
+    match checks.iter().find(|(ok, _)| !ok) {
+        Some(&(_, field)) => Err(Box::new(ValidationError::RecordMismatch { token, field })),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -445,6 +504,38 @@ mod tests {
             err.to_string().contains("never reached a counter"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn tampered_record_value_is_caught() {
+        let net = bitonic(4).unwrap();
+        let specs = vec![
+            TimedTokenSpec::lock_step(ProcessId(0), 0, 0.0, 1.0, 3),
+            TimedTokenSpec::lock_step(ProcessId(1), 1, 10.0, 1.0, 3),
+        ];
+        let exec = run(&net, &specs).unwrap();
+        let forged = tamper(&exec, |v| {
+            let record = &mut v["records"].as_array_mut().unwrap()[0];
+            let old = record["value"].as_u64().unwrap();
+            record["value"] = (old + 4).into();
+        });
+        let err = validate(&net, &forged).unwrap_err();
+        assert_eq!(err.to_string(), "the record of token T0 disagrees with its steps: value");
+    }
+
+    #[test]
+    fn dropped_record_is_caught() {
+        let net = bitonic(2).unwrap();
+        let specs = vec![
+            TimedTokenSpec::lock_step(ProcessId(0), 0, 0.0, 1.0, 1),
+            TimedTokenSpec::lock_step(ProcessId(1), 1, 2.0, 1.0, 1),
+        ];
+        let exec = run(&net, &specs).unwrap();
+        let forged = tamper(&exec, |v| {
+            v["records"].as_array_mut().unwrap().pop();
+        });
+        let err = validate(&net, &forged).unwrap_err();
+        assert!(err.to_string().contains("outside the network or its records"), "{err}");
     }
 
     #[test]

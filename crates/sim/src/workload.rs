@@ -78,11 +78,15 @@ pub fn generate(net: &Network, cfg: &WorkloadConfig, seed: u64) -> Vec<TimedToke
         let input = p % net.fan_in();
         let mut t = sample(&mut rng, 0.0, cfg.start_spread);
         for _ in 0..cfg.tokens_per_process {
-            let delays: Vec<f64> =
-                (0..depth).map(|_| sample(&mut rng, cfg.c_min, cfg.c_max)).collect();
-            let spec = TimedTokenSpec::with_delays(process, input, t, &delays);
-            t = spec.exit_time() + sample(&mut rng, cfg.local_delay, 2.0 * cfg.local_delay);
-            specs.push(spec);
+            // Each wire delay is added as it is drawn, as `with_delays` sums.
+            let mut step_times = Vec::with_capacity(depth + 1);
+            step_times.push(t);
+            for _ in 0..depth {
+                t += sample(&mut rng, cfg.c_min, cfg.c_max);
+                step_times.push(t);
+            }
+            t += sample(&mut rng, cfg.local_delay, 2.0 * cfg.local_delay);
+            specs.push(TimedTokenSpec { process, input, step_times });
         }
     }
     specs

@@ -43,6 +43,10 @@ echo "manifest scan: ok (all dependencies are in-tree path dependencies)"
 # Warnings gate: the release build must be clean under -D warnings.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# Rustdoc gate for the paper-facing crates: a broken or private intra-doc
+# link fails the script. `cnet-util` is left out: its rustdoc still reports
+# nine errors of its own, to be fixed before it joins this list.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p cnet-topology -p cnet-sim -p cnet-core
 # Smoke-run the benchmark pipeline: under `cargo test` (no --bench flag)
 # each harness=false bench target executes its routines once, so this
 # verifies the measurement code paths without paying for a full run.
