@@ -3,9 +3,7 @@
 //! contention claim of \[AHS94\] that motivates the whole line of work
 //! (Section 1.1 of the paper).
 
-use cnet_runtime::{
-    FetchAddCounter, GraphWalkCounter, LockCounter, ProcessCounter, SharedNetworkCounter,
-};
+use cnet_runtime::{FetchAddCounter, LockCounter, ProcessCounter, SharedNetworkCounter};
 use cnet_topology::construct::{bitonic, counting_tree};
 use cnet_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -41,10 +39,6 @@ fn bench_throughput(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("bitonic_8", threads), &threads, |b, &t| {
             let counter = SharedNetworkCounter::new(&b8);
-            b.iter(|| run_threads(&counter, t));
-        });
-        group.bench_with_input(BenchmarkId::new("bitonic_8_graph_walk", threads), &threads, |b, &t| {
-            let counter = GraphWalkCounter::new(&b8);
             b.iter(|| run_threads(&counter, t));
         });
         group.bench_with_input(BenchmarkId::new("bitonic_16", threads), &threads, |b, &t| {

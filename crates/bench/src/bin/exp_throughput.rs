@@ -12,8 +12,8 @@
 
 use cnet_bench::Table;
 use cnet_runtime::{
-    DiffractingTree, FetchAddCounter, GraphWalkCounter, LockCounter, MessagePassingCounter,
-    ProcessCounter, SharedNetworkCounter,
+    DiffractingTree, FetchAddCounter, LockCounter, MessagePassingCounter, ProcessCounter,
+    SharedNetworkCounter,
 };
 use cnet_topology::construct::bitonic;
 use std::time::Instant;
@@ -41,15 +41,14 @@ fn main() {
     let b16 = bitonic(16).unwrap();
     let net8 = SharedNetworkCounter::new(&b8);
     let net16 = SharedNetworkCounter::new(&b16);
-    let walk8 = GraphWalkCounter::new(&b8);
     let fai = FetchAddCounter::new();
     let lock = LockCounter::new();
     let diff8 = DiffractingTree::new(8, 4).expect("power-of-two width");
     let mp8 = MessagePassingCounter::start(&b8);
 
     let mut table = Table::new(vec![
-        "threads", "fetch&add", "lock", "compiled B(8)", "compiled B(16)",
-        "graph-walk B(8)", "diffracting(8)", "msg-passing B(8)",
+        "threads", "fetch&add", "lock", "compiled B(8)", "compiled B(16)", "diffracting(8)",
+        "msg-passing B(8)",
     ]);
     for threads in [1usize, 2, 4, 8, 16] {
         table.row(vec![
@@ -58,7 +57,6 @@ fn main() {
             format!("{:.2}", throughput(&lock, threads)),
             format!("{:.2}", throughput(&net8, threads)),
             format!("{:.2}", throughput(&net16, threads)),
-            format!("{:.2}", throughput(&walk8, threads)),
             format!("{:.2}", throughput(&diff8, threads)),
             format!("{:.2}", throughput(&mp8, threads)),
         ]);
@@ -68,10 +66,8 @@ fn main() {
         "Reading: a single fetch&add word is unbeatable sequentially, but its per-op\n\
          cost grows with contention; the network's cost is ~depth atomic ops, paid on\n\
          disjoint cache lines, so its curve flattens as threads grow. The compiled\n\
-         columns traverse flat routing tables with wait-free balancer updates; the\n\
-         graph-walk column is the retained pre-compilation path (per-hop graph\n\
-         lookups plus a CAS loop), kept as the in-process baseline. The lock\n\
-         serializes everything and trails under pressure. The diffracting tree pays\n\
+         columns traverse flat routing tables with wait-free balancer updates. The\n\
+         lock serializes everything and trails under pressure. The diffracting tree pays\n\
          ~depth CAS hops like the bitonic network (its prisms only win under real\n\
          parallelism); the message-passing deployment pays two thread wakeups per\n\
          hop — the cost of owning state by communication."

@@ -1,15 +1,14 @@
 //! The reproducible throughput sweep behind `BENCH_throughput.json`.
 //!
 //! Races every shared-memory counter — the centralized baselines, the
-//! compiled-traversal [`SharedNetworkCounter`], the retained pre-change
-//! [`GraphWalkCounter`], and the [`DiffractingTree`] — across thread
-//! counts and network families (`B(w)`, `P(w)`, the counting tree), and
-//! reports machine-readable measurements so every PR has a performance
-//! trajectory to defend.
+//! compiled-traversal [`SharedNetworkCounter`], the combining funnel over
+//! it, and the [`DiffractingTree`] — across thread counts and network
+//! families (`B(w)`, `P(w)`, the counting tree), and reports
+//! machine-readable measurements so every PR has a performance trajectory
+//! to defend. `BENCH_throughput.json` still holds `graph_walk` rows from
+//! before the pre-compilation traversal was deleted; no sweep writes them
+//! now.
 //!
-//! One run produces both engines' numbers: the graph-walk rows *are* the
-//! pre-compilation baseline, captured on the same machine in the same
-//! process, so [`ThroughputReport::speedup`] compares like with like.
 //! Invoke via `cnet bench <w> --out BENCH_throughput.json` (see
 //! `crates/cli`) or programmatically through [`run_throughput_sweep`].
 
@@ -17,8 +16,8 @@ use crate::report::Table;
 use cnet_core::trace::{OpEvent, OpSink, StreamingAuditor};
 use cnet_runtime::recorder::{drain_remaining, drive_audited, Traced};
 use cnet_runtime::{
-    CombiningFunnel, DiffractingTree, EliminationCounter, FetchAddCounter, GraphWalkCounter,
-    LockCounter, ProcessCounter, RelaxedCounter, SharedNetworkCounter, TraceRecorder, Workload,
+    CombiningFunnel, DiffractingTree, EliminationCounter, FetchAddCounter, LockCounter,
+    ProcessCounter, RelaxedCounter, SharedNetworkCounter, TraceRecorder, Workload,
 };
 use cnet_topology::construct::{bitonic, counting_tree, periodic};
 use cnet_util::json::{FromJson, JsonError, ToJson, Value};
@@ -64,7 +63,8 @@ impl Default for ThroughputConfig {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Measurement {
     /// Counter implementation: `fetch_add`, `lock`, `compiled`,
-    /// `graph_walk`, or `diffracting`.
+    /// `diffracting`, `combining`, `relaxed` or `elimination` (`graph_walk`
+    /// in rows recorded before that traversal was deleted).
     pub counter: String,
     /// Network family the counter ran over (`-` for centralized counters,
     /// else `bitonic`, `periodic`, or `tree`).
@@ -726,8 +726,8 @@ pub fn run_audit_sweep(cfg: &ThroughputConfig, sub_counters: usize) -> Vec<Measu
     measurements
 }
 
-/// Runs the full sweep: `threads × {fetch_add, lock, compiled, graph_walk,
-/// diffracting, combining} × {B(w), P(w), tree}`, plus audited rows
+/// Runs the full sweep: `threads × {fetch_add, lock, compiled, diffracting,
+/// combining} × {B(w), P(w), tree}`, plus audited rows
 /// (`audited: true`) for the compiled engine on every family and for the
 /// diffracting tree, so the trace recorder's overhead is captured next to
 /// the un-instrumented baselines (compare with
@@ -755,12 +755,6 @@ pub fn run_throughput_sweep(cfg: &ThroughputConfig) -> ThroughputReport {
             measurements.push(measure(
                 ("compiled", family),
                 || SharedNetworkCounter::new(net),
-                threads,
-                cfg,
-            ));
-            measurements.push(measure(
-                ("graph_walk", family),
-                || GraphWalkCounter::new(net),
                 threads,
                 cfg,
             ));
@@ -1035,9 +1029,9 @@ impl ThroughputReport {
     }
 
     /// Throughput ratio `a / b` between two counters on the same network
-    /// and thread count — e.g. `speedup("compiled", "graph_walk",
-    /// "bitonic", 8)` is the compiled engine's gain over the retained
-    /// pre-change traversal.
+    /// and thread count — e.g. `speedup("combining", "compiled",
+    /// "bitonic", 8)` is what the combining funnel gains over the plain
+    /// compiled traversal.
     pub fn speedup(&self, a: &str, b: &str, network: &str, threads: usize) -> Option<f64> {
         let a = self.cell(a, network, threads)?;
         let b = self.cell(b, network, threads)?;
@@ -1149,17 +1143,17 @@ mod tests {
     #[test]
     fn sweep_covers_every_cell() {
         let report = run_throughput_sweep(&tiny());
-        // Per thread count: fetch_add, lock, (compiled + graph_walk) × 3
-        // networks, diffracting, combining, plus audited compiled × 3
-        // networks and audited diffracting.
-        assert_eq!(report.measurements.len(), 2 * 14);
+        // Per thread count: fetch_add, lock, compiled × 3 networks,
+        // diffracting, combining, plus audited compiled × 3 networks and
+        // audited diffracting.
+        assert_eq!(report.measurements.len(), 2 * 11);
         for m in &report.measurements {
             assert_eq!(m.total_ops, m.threads * 200);
             assert!(m.seconds > 0.0, "{m:?}");
             assert!(m.mops > 0.0, "{m:?}");
         }
         assert!(report.cell("compiled", "bitonic", 2).is_some());
-        assert!(report.cell("graph_walk", "periodic", 1).is_some());
+        assert!(report.cell("compiled", "periodic", 1).is_some());
         assert!(report.cell("diffracting", "tree", 2).is_some());
         assert!(report.cell("combining", "bitonic", 2).is_some());
         assert!(report.cell("compiled", "bitonic", 64).is_none());
@@ -1167,7 +1161,7 @@ mod tests {
         assert!(!report.cell("compiled", "bitonic", 2).unwrap().audited);
         assert!(report.audited_cell("compiled", "bitonic", 2).unwrap().audited);
         assert!(report.audited_cell("diffracting", "tree", 1).is_some());
-        assert!(report.audited_cell("graph_walk", "bitonic", 1).is_none());
+        assert!(report.audited_cell("combining", "bitonic", 1).is_none());
     }
 
     #[test]
@@ -1175,7 +1169,7 @@ mod tests {
         let report = run_throughput_sweep(&tiny());
         let r = report.retention("compiled", "bitonic", 2).unwrap();
         assert!(r.is_finite() && r > 0.0, "retention {r}");
-        assert!(report.retention("graph_walk", "bitonic", 2).is_none());
+        assert!(report.retention("combining", "bitonic", 2).is_none());
         assert!(report.retention("compiled", "bitonic", 64).is_none());
         // Schema v7: the audited row stores the paired ratio directly,
         // and the accessor prefers it over re-deriving from separate
@@ -1349,7 +1343,7 @@ mod tests {
         let c = report.consistency_cell("relaxed", "-", 2).unwrap();
         assert!(c.qqc_max.is_some());
         assert!(report.consistency_cell("elimination", "bitonic", 1).is_some());
-        assert!(report.consistency_cell("graph_walk", "bitonic", 1).is_none());
+        assert!(report.consistency_cell("compiled", "periodic", 1).is_none());
         // ...while the plain and audited accessors still resolve to the
         // original rows (no qqc fields).
         assert!(report.cell("compiled", "bitonic", 2).unwrap().qqc_max.is_none());
@@ -1377,7 +1371,7 @@ mod tests {
         });
         // batch=1 maps to the plain rows; batch=8 adds fetch_add +
         // compiled × 3 families per thread count.
-        assert_eq!(report.measurements.len(), 2 * (14 + 4));
+        assert_eq!(report.measurements.len(), 2 * (11 + 4));
         let plain = report.cell("compiled", "bitonic", 2).unwrap();
         assert_eq!(plain.batch, 1);
         let batched = report.batch_cell("compiled", "bitonic", 2, 8).unwrap();
@@ -1466,12 +1460,13 @@ mod tests {
     #[test]
     fn speedup_and_summary_read_the_cells() {
         let report = run_throughput_sweep(&tiny());
-        let s = report.speedup("compiled", "graph_walk", "bitonic", 1).unwrap();
+        let s = report.speedup("combining", "compiled", "bitonic", 1).unwrap();
         assert!(s.is_finite() && s > 0.0);
-        assert!(report.speedup("compiled", "graph_walk", "bitonic", 7).is_none());
+        assert!(report.speedup("combining", "compiled", "bitonic", 7).is_none());
+        assert!(report.speedup("combining", "compiled", "tree", 1).is_none());
         let rendered = report.summary().to_string();
         assert!(rendered.contains("compiled/bitonic"));
-        assert!(rendered.contains("graph_walk/tree"));
+        assert!(rendered.contains("compiled/tree"));
         assert!(rendered.contains("fetch_add"));
         assert!(rendered.contains("compiled/bitonic+audit"));
         assert!(rendered.contains("diffracting/tree+audit"));

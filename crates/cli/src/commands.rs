@@ -411,13 +411,6 @@ fn cmd_bench(args: &[String]) -> Result<String, String> {
         );
     }
     let top = *cfg.threads.iter().max().expect("at least one thread count");
-    if let Some(s) = report.speedup("compiled", "graph_walk", "bitonic", top) {
-        let _ = writeln!(
-            out,
-            "\ncompiled vs graph-walk traversal on bitonic B({}) at {top} threads: {s:.2}x",
-            report.fan
-        );
-    }
     if let Some(r) = report.retention("compiled", "bitonic", top) {
         let _ = writeln!(
             out,
@@ -1919,16 +1912,15 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("compiled/bitonic"));
-        assert!(out.contains("graph_walk/periodic"));
+        assert!(out.contains("compiled/periodic"));
         assert!(out.contains("compiled/bitonic+audit"));
-        assert!(out.contains("compiled vs graph-walk traversal on bitonic B(4) at 2 threads"));
         assert!(out.contains("audited compiled on bitonic B(4) at 2 threads retains"));
         assert!(out.contains(&format!("report written to {path_str}")));
         let text = std::fs::read_to_string(&path).unwrap();
         let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
         assert_eq!(report.fan, 4);
         assert_eq!(report.version, 7);
-        assert_eq!(report.measurements.len(), 2 * 14);
+        assert_eq!(report.measurements.len(), 2 * 11);
         // Schema v7: the audited rows carry their paired retention.
         let audited = report.audited_cell("compiled", "bitonic", 2).unwrap();
         assert!(audited.retention.is_some());
@@ -1957,7 +1949,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
         assert_eq!(report.version, 7);
-        assert_eq!(report.measurements.len(), 2 * 14 + 2 * 7);
+        assert_eq!(report.measurements.len(), 2 * 11 + 2 * 7);
         assert!(report.cell("compiled", "bitonic", 2).is_some());
         let c = report.consistency_cell("relaxed", "-", 2).unwrap();
         assert!(c.qqc_max.is_some() && c.f_nl.is_some());
@@ -1976,10 +1968,10 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
         assert_eq!(report.version, 7);
-        // 28 sweep rows + 14 consistency rows, minus the 2 plain compiled
+        // 22 sweep rows + 14 consistency rows, minus the 2 plain compiled
         // + 2 audited compiled cells the audit sweep replaces, plus
         // 2 × 10 audit-sweep rows.
-        assert_eq!(report.measurements.len(), 2 * 14 + 2 * 7 - 4 + 2 * 10);
+        assert_eq!(report.measurements.len(), 2 * 11 + 2 * 7 - 4 + 2 * 10);
         assert!(report.audit_cell_at("compiled", "bitonic", 2, 2, 8).is_some());
         assert!(report.retention("relaxed", "-", 2).is_some());
         assert!(report.consistency_cell("relaxed", "-", 2).is_some());
@@ -1999,8 +1991,8 @@ mod tests {
         assert!(out.contains("batched traversal (k=8) on bitonic B(4) at 2 threads"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
-        // 14 plain rows + fetch_add and compiled × 3 families at batch=8.
-        assert_eq!(report.measurements.len(), 14 + 4);
+        // 11 plain rows + fetch_add and compiled × 3 families at batch=8.
+        assert_eq!(report.measurements.len(), 11 + 4);
         let row = report.batch_cell("compiled", "bitonic", 2, 8).unwrap();
         assert_eq!(row.batch, 8);
         assert!(report.batch_speedup("compiled", "bitonic", 2, 8).is_some());
@@ -2139,7 +2131,10 @@ mod tests {
         assert!(err.ends_with("elimination, remote, cluster)"), "{err}");
         let err = call(&["serve", "8", "--backend", "remote"]).unwrap_err();
         assert!(err.ends_with("relaxed, elimination)"), "{err}");
-        assert!(usage().contains("graph_walk|combining|"));
+        assert!(usage().contains("compiled|combining|"));
+        // The pre-compilation traversal is gone, and its name with it.
+        let err = call(&["serve", "8", "--backend", "graph_walk"]).unwrap_err();
+        assert!(err.contains("unknown backend") && err.contains("one of: compiled, combining,"), "{err}");
         assert!(call(&["audit", "8", "--bogus", "1"]).unwrap_err().contains("unknown flag"));
         assert!(call(&["audit", "6"]).is_err()); // not a power of two
     }

@@ -7,8 +7,8 @@
 //! socket, which this crate does not know about.)
 
 use crate::{
-    CombiningFunnel, DiffractingTree, EliminationCounter, FetchAddCounter, GraphWalkCounter,
-    LockCounter, ProcessCounter, RelaxedCounter, SharedNetworkCounter,
+    CombiningFunnel, DiffractingTree, EliminationCounter, FetchAddCounter, LockCounter,
+    ProcessCounter, RelaxedCounter, SharedNetworkCounter,
 };
 use cnet_topology::Network;
 use std::sync::Arc;
@@ -21,8 +21,6 @@ const PRISM_WIDTH: usize = 4;
 pub enum Backend {
     /// [`SharedNetworkCounter`]: the compiled traversal.
     Compiled,
-    /// [`GraphWalkCounter`]: the pre-compilation reference traversal.
-    GraphWalk,
     /// [`CombiningFunnel`] over the compiled traversal.
     Combining,
     /// [`DiffractingTree`].
@@ -39,9 +37,8 @@ pub enum Backend {
 
 impl Backend {
     /// Every backend, in the order usage texts list them.
-    pub const ALL: [Backend; 8] = [
+    pub const ALL: [Backend; 7] = [
         Backend::Compiled,
-        Backend::GraphWalk,
         Backend::Combining,
         Backend::Diffracting,
         Backend::FetchAdd,
@@ -59,7 +56,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Compiled => "compiled",
-            Backend::GraphWalk => "graph_walk",
             Backend::Combining => "combining",
             Backend::Diffracting => "diffracting",
             Backend::FetchAdd => "fetch_add",
@@ -71,10 +67,7 @@ impl Backend {
 
     /// Whether [`build`](Self::build) needs a [`Network`] to lay out.
     pub fn uses_network(self) -> bool {
-        matches!(
-            self,
-            Backend::Compiled | Backend::GraphWalk | Backend::Combining | Backend::Elimination
-        )
+        matches!(self, Backend::Compiled | Backend::Combining | Backend::Elimination)
     }
 
     /// Whether an audit of this backend must come back clean. The relaxed
@@ -105,7 +98,6 @@ impl Backend {
         let sub_counters = sub_counters.max(1);
         Ok(match self {
             Backend::Compiled => Arc::new(SharedNetworkCounter::new(net()?)),
-            Backend::GraphWalk => Arc::new(GraphWalkCounter::new(net()?)),
             Backend::Combining => {
                 Arc::new(CombiningFunnel::new(SharedNetworkCounter::new(net()?), width))
             }
@@ -136,5 +128,18 @@ mod tests {
         }
         assert_eq!(Backend::parse("remote"), None);
         assert!(Backend::Diffracting.build(None, 6, 2, 3).is_err());
+    }
+
+    #[test]
+    fn names_are_distinct_and_nothing_else_parses() {
+        // `parse` takes the first match, so a repeated name would shadow a
+        // backend.
+        let mut names = Backend::ALL.map(Backend::name).to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Backend::ALL.len());
+        for name in ["", "Compiled", "fetch-add", "graph_walk", "cluster"] {
+            assert_eq!(Backend::parse(name), None, "{name:?}");
+        }
     }
 }

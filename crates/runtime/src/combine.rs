@@ -89,7 +89,7 @@ pub struct CombiningFunnel<C> {
 pub mod model_bugs {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// When `true`, [`super::CombiningFunnel::next_for`] skips the
+    /// When `true`, [`super::CombiningFunnel`]'s `next_for` skips the
     /// own-slot-DONE recheck after winning the combiner lock.
     pub static SKIP_SERVED_RECHECK: AtomicBool = AtomicBool::new(false);
 

@@ -54,10 +54,13 @@
 //!   ([`CompiledNetwork::free_sinks`]).
 //!
 //! The engine is pure routing: it owns no atomics. Counters that traverse
-//! it ([`crate::SharedNetworkCounter`], [`crate::InstrumentedNetworkCounter`],
-//! [`crate::MessagePassingCounter`]) own their own (cache-line-padded)
-//! state words and either call [`CompiledNetwork::traverse`] or walk the
-//! tables themselves.
+//! it ([`crate::SharedNetworkCounter`], [`crate::MessagePassingCounter`])
+//! own their own (cache-line-padded) state words and either call
+//! [`CompiledNetwork::traverse`] or walk the tables themselves. It is the
+//! one shared-memory walk of a network; `tests/model_check.rs` checks it
+//! against the Section 2.2 model under every bounded schedule (see
+//! DESIGN.md, "The runtime refines the model"), and
+//! `cnet_topology::state::NetworkState` is its sequential oracle.
 
 use cnet_topology::ids::{BalancerId, SourceId};
 use cnet_topology::network::WireEnd;
@@ -493,32 +496,6 @@ impl CompiledNetwork {
         &self.free_sinks
     }
 
-    /// Routes one token from source wire `input` to a counter, asking
-    /// `choose_port(balancer, fan_out)` for the output port at every
-    /// balancer, terminal or not; returns the counter index reached.
-    ///
-    /// This is the generic, unfused walk — the closure supplies the
-    /// balancer-state discipline, so the same tight loop serves the
-    /// instrumented counter (which counts retries) and tests that force
-    /// fixed ports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input >= fan_in()` or the closure returns a port out of
-    /// range.
-    #[inline]
-    pub fn route(&self, input: usize, mut choose_port: impl FnMut(usize, usize) -> usize) -> usize {
-        assert!(input < self.fan_in, "input wire {input} out of range");
-        let mut hop = self.entries[input];
-        while !hop.is_counter() {
-            let b = hop.index();
-            let base = self.route_offset[b];
-            let port = choose_port(b, self.fan[b]);
-            hop = self.routing[base + port];
-        }
-        hop.index()
-    }
-
     /// Routes one token from `input` through the shared state words to a
     /// sink: the lock-free hot path.
     ///
@@ -535,6 +512,20 @@ impl CompiledNetwork {
     /// Panics if `input >= fan_in()` or `words.len() != size()`.
     #[inline]
     pub fn traverse(&self, input: usize, words: &[CachePadded<AtomicU64>]) -> Exit {
+        self.walk(input, words, |_, _, _| {})
+    }
+
+    /// [`traverse`](Self::traverse), telling `claimed(balancer, before, 1)`
+    /// of every balancer-word RMW right after it, with the value the word
+    /// held before it: the hook a claim log hangs on. A no-op hook compiles
+    /// to `traverse` itself.
+    #[inline(always)]
+    pub(crate) fn walk(
+        &self,
+        input: usize,
+        words: &[CachePadded<AtomicU64>],
+        mut claimed: impl FnMut(usize, Option<u64>, usize),
+    ) -> Exit {
         assert_eq!(words.len(), self.fan.len(), "one state word per balancer");
         assert!(input < self.fan_in, "input wire {input} out of range");
         let mut hop = self.entries[input];
@@ -545,14 +536,18 @@ impl CompiledNetwork {
             // one load per hop.
             while hop.is_interior() {
                 let b = hop.index();
-                let port = words[b].fetch_xor(1, Ordering::AcqRel) & 1;
-                hop = self.routing[2 * b + port as usize];
+                let s = words[b].fetch_xor(1, Ordering::AcqRel);
+                claimed(b, Some(s), 1);
+                hop = self.routing[2 * b + (s & 1) as usize];
             }
             if hop.is_counter() {
                 return Exit { sink: hop.index(), rank: None };
             }
             let b = hop.index();
             let t = words[b].fetch_add(1, Ordering::AcqRel);
+            claimed(b, Some(t), 1);
+            #[cfg(feature = "model-check")]
+            let t = t ^ model_bugs::sibling_sink();
             let sink = self.routing[2 * b + (t & 1) as usize].index();
             return Exit { sink, rank: Some(t >> 1) };
         }
@@ -560,17 +555,21 @@ impl CompiledNetwork {
             let b = hop.index();
             let f = self.fan[b] as u64;
             let word = &*words[b];
-            let port = if f == 2 {
+            let (s, port) = if f == 2 {
                 // (s + 1) mod 2 == s xor 1: a single wait-free atomic.
-                word.fetch_xor(1, Ordering::AcqRel) & 1
+                let s = word.fetch_xor(1, Ordering::AcqRel);
+                (s, s & 1)
             } else if f.is_power_of_two() {
                 // Wrapping add preserves congruence mod a power of two, so
                 // the word may run ahead of the paper's state `s`; the port
                 // handed out is still exactly round-robin.
-                word.fetch_add(1, Ordering::AcqRel) & (f - 1)
+                let s = word.fetch_add(1, Ordering::AcqRel);
+                (s, s & (f - 1))
             } else {
-                advance_cas(word, 1, f)
+                let s = advance_cas(word, 1, f);
+                (s, s)
             };
+            claimed(b, Some(s), 1);
             hop = self.routing[self.route_offset[b] + port as usize];
         }
         if hop.is_counter() {
@@ -578,6 +577,7 @@ impl CompiledNetwork {
         }
         let b = hop.index();
         let t = words[b].fetch_add(1, Ordering::AcqRel);
+        claimed(b, Some(t), 1);
         let (rank, port) = div_rem(t, self.fan[b] as u64);
         Exit { sink: self.hops(b)[port as usize].index(), rank: Some(rank) }
     }
@@ -634,7 +634,8 @@ impl CompiledNetwork {
         sink_counts: &mut Vec<usize>,
     ) {
         assert_eq!(entering.len(), self.fan_in, "one count per input wire");
-        self.sweep(entering.iter().copied().enumerate(), words, sink_counts, |_, _, _, _| {});
+        let entering = entering.iter().copied().enumerate();
+        self.sweep(entering, words, sink_counts, |_, _, _, _| {}, |_, _, _| {});
     }
 
     /// [`traverse_counts`](Self::traverse_counts) for `k` tokens that all
@@ -651,7 +652,8 @@ impl CompiledNetwork {
         sink_counts: &mut Vec<usize>,
     ) {
         assert!(input < self.fan_in, "input wire {input} out of range");
-        self.sweep(std::iter::once((input, k)), words, sink_counts, |_, _, _, _| {});
+        let entering = std::iter::once((input, k));
+        self.sweep(entering, words, sink_counts, |_, _, _, _| {}, |_, _, _| {});
     }
 
     /// The wavefront behind the batched traversals: `entering` yields
@@ -661,13 +663,18 @@ impl CompiledNetwork {
     /// batch claimed its run of arrivals (so port `p`'s next token has rank
     /// `round + [p < s]`), and the per-sink counts, in which the balancer's
     /// sinks now hold their share of that run: all a counter needs to hand
-    /// out the values.
+    /// out the values. `claimed(balancer, before, n)` is told of every
+    /// balancer the batch's `n > 0` tokens cross, in sweep order, right
+    /// after the word's RMW with the value it held before — `None` when a
+    /// uniform split left the word untouched — as [`Self::walk`] tells of
+    /// a single token's.
     pub(crate) fn sweep(
         &self,
         entering: impl Iterator<Item = (usize, usize)>,
         words: &[CachePadded<AtomicU64>],
         sink_counts: &mut Vec<usize>,
         mut ranked: impl FnMut(&[Hop], u64, usize, &[usize]),
+        mut claimed: impl FnMut(usize, Option<u64>, usize),
     ) {
         assert_eq!(words.len(), self.fan.len(), "one state word per balancer");
         // One buffer, two tables: tokens arrived at each sink, then
@@ -690,23 +697,33 @@ impl CompiledNetwork {
             let (share, rem) = div_rem(n as u64, f as u64);
             let (share, rem) = (share as usize, rem as usize);
             let word = &*words[b];
-            let mut claimed = None;
+            let mut terminal = None;
             let s = if self.terminal[b] {
-                let (round, s) = div_rem(word.fetch_add(n as u64, Ordering::AcqRel), f as u64);
-                claimed = Some(round);
+                let before = word.fetch_add(n as u64, Ordering::AcqRel);
+                claimed(b, Some(before), n);
+                let (round, s) = div_rem(before, f as u64);
+                terminal = Some(round);
                 s as usize
             } else if rem == 0 {
                 // Uniform split, state unchanged: zero atomics.
+                claimed(b, None, n);
                 0
-            } else if f == 2 {
-                // (s + n) mod 2 == s xor 1 for odd n: one wait-free atomic
-                // that also returns the prior state.
-                (word.fetch_xor(1, Ordering::AcqRel) & 1) as usize
-            } else if f.is_power_of_two() {
-                // Wrapping add preserves congruence mod a power of two.
-                word.fetch_add(n as u64, Ordering::AcqRel) as usize & (f - 1)
             } else {
-                advance_cas(word, rem as u64, f as u64) as usize
+                let (before, s) = if f == 2 {
+                    // (s + n) mod 2 == s xor 1 for odd n: one wait-free
+                    // atomic that also returns the prior state.
+                    let before = word.fetch_xor(1, Ordering::AcqRel);
+                    (before, before as usize & 1)
+                } else if f.is_power_of_two() {
+                    // Wrapping add preserves congruence mod a power of two.
+                    let before = word.fetch_add(n as u64, Ordering::AcqRel);
+                    (before, before as usize & (f - 1))
+                } else {
+                    let before = advance_cas(word, rem as u64, f as u64);
+                    (before, before as usize)
+                };
+                claimed(b, Some(before), n);
+                s
             };
             let hops = self.hops(b);
             for (p, &hop) in hops.iter().enumerate() {
@@ -714,7 +731,7 @@ impl CompiledNetwork {
                 let ahead = if p >= s { p - s } else { p + f - s };
                 sink_counts[slot(hop)] += share + usize::from(ahead < rem);
             }
-            if let Some(round) = claimed {
+            if let Some(round) = terminal {
                 ranked(hops, round, s, &sink_counts[..waiting]);
             }
         }
@@ -732,6 +749,27 @@ impl CompiledNetwork {
     /// tokens that have arrived at it.
     pub fn new_balancer_states(&self) -> Box<[CachePadded<AtomicU64>]> {
         (0..self.fan.len()).map(|_| CachePadded::new(AtomicU64::new(0))).collect()
+    }
+}
+
+/// Deliberately seedable bugs for the model checker's own validation
+/// (`model-check` builds only — see `tests/model_check.rs`), like
+/// `combine::model_bugs`.
+#[cfg(feature = "model-check")]
+pub mod model_bugs {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// When `true`, a single token leaving a terminal balancer of an
+    /// all-binary network through [`super::CompiledNetwork::traverse`] is
+    /// handed the *other* port's sink at its own rank: its value is its
+    /// sibling's. Whenever every terminal word ends on an even count the
+    /// values handed out are still exactly `0..n` and the words still read
+    /// a step, so output checks alone cannot see it; no Section 2.2
+    /// execution hands those values in that order.
+    pub static SIBLING_SINK: AtomicBool = AtomicBool::new(false);
+
+    pub(super) fn sibling_sink() -> u64 {
+        u64::from(SIBLING_SINK.load(Ordering::Relaxed))
     }
 }
 
@@ -847,24 +885,6 @@ mod tests {
         assert_eq!(engine.free_sinks(), [2]);
         assert!(engine.entry(2).is_counter());
         assert_eq!(CompiledNetwork::compile(&fan3_over_fan2()).free_sinks(), [2]);
-    }
-
-    #[test]
-    fn route_agrees_with_walk_to_sink() {
-        for net in [bitonic(8).unwrap(), periodic(4).unwrap(), counting_tree(8).unwrap()] {
-            let engine = CompiledNetwork::compile(&net);
-            for input in 0..net.fan_in() {
-                for fixed_port in 0..2usize {
-                    let compiled = engine.route(input, |_, f| fixed_port.min(f - 1));
-                    let graph = net
-                        .walk_to_sink(net.source_wire(SourceId(input)), |b| {
-                            fixed_port.min(net.balancer(b).fan_out() - 1)
-                        })
-                        .index();
-                    assert_eq!(compiled, graph, "{net} input {input} port {fixed_port}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1020,13 +1040,41 @@ mod tests {
         for _ in 0..3 {
             engine.traverse(1, &states);
         }
-        let (mut counts, mut claims) = (Vec::new(), Vec::new());
+        let (mut counts, mut ranks, mut claims) = (Vec::new(), Vec::new(), Vec::new());
         let entering = [(0, 2), (1, 3)].into_iter();
-        engine.sweep(entering, &states, &mut counts, |hops, round, s, counts| {
-            claims.push((hops.len(), round, s, counts.to_vec()));
-        });
-        assert_eq!(claims, [(2, 1, 1, vec![2, 3])], "the word stood at 3 = 1·2 + 1");
+        engine.sweep(
+            entering,
+            &states,
+            &mut counts,
+            |hops, round, s, counts| ranks.push((hops.len(), round, s, counts.to_vec())),
+            |b, before, n| claims.push((b, before, n)),
+        );
+        assert_eq!(ranks, [(2, 1, 1, vec![2, 3])], "the word stood at 3 = 1·2 + 1");
+        assert_eq!(claims, [(0, Some(3), 5)], "one claim of five arrivals");
         assert_eq!(counts, [2, 3], "arrivals 3..8 leave by ports 1,0,1,0,1");
+    }
+
+    #[test]
+    fn a_walk_reports_each_claim_with_the_word_before_it() {
+        // After one token on wire 0, a second one finds the words its path
+        // shares with the first already moved: each word it writes is
+        // reported once, in path order, with what it held before, and the
+        // last — terminal — word's prior value gives the sink.
+        for net in [bitonic(4).unwrap(), fan3_over_fan2()] {
+            let engine = CompiledNetwork::compile(&net);
+            let states = engine.new_balancer_states();
+            engine.traverse(0, &states);
+            let before: Vec<u64> = states.iter().map(|w| w.load(Ordering::Acquire)).collect();
+            let mut claims = Vec::new();
+            let exit = engine.walk(0, &states, |b, word, n| claims.push((b, word, n)));
+            assert_eq!(claims.len(), net.depth(), "{net}: one claim per layer");
+            for &(b, word, n) in &claims {
+                assert_eq!((word, n), (Some(before[b]), 1), "{net}: balancer {b}");
+            }
+            let last = claims[claims.len() - 1].0;
+            assert!(engine.is_terminal(last) && exit.rank == Some(before[last] / 2), "{net}");
+            assert_eq!(engine.hops(last)[before[last] as usize % 2].index(), exit.sink, "{net}");
+        }
     }
 
     #[test]

@@ -1,30 +1,24 @@
 //! The shared-memory counting network (Section 2.7).
 //!
-//! Two implementations live here:
+//! [`SharedNetworkCounter`] traverses the [`CompiledNetwork`] flat routing
+//! tables with cache-line-padded state words, one per balancer; the last
+//! balancer on a token's path *is* its counter (see
+//! `crates/runtime/src/compiled.rs`, "Fewer shared lines per token", and
+//! DESIGN.md, "Runtime performance"). It sends process `p` in on wire
+//! [`CompiledNetwork::entry_for`]`(p)`, as every other runtime over a
+//! network does.
 //!
-//! * [`SharedNetworkCounter`] — the production path: traverses the
-//!   [`CompiledNetwork`] flat routing tables with cache-line-padded state
-//!   words, one per balancer; the last balancer on a token's path *is* its
-//!   counter (see `crates/runtime/src/compiled.rs`, "Fewer shared lines
-//!   per token", and DESIGN.md, "Runtime performance");
-//! * [`GraphWalkCounter`] — the retained pre-compilation reference: the
-//!   same lock-free protocol, unfused — every balancer a position, every
-//!   sink a counter — resolving every hop through the [`Network`] graph
-//!   with unpadded state vectors. It exists so the benchmark pipeline can
-//!   measure the compiled engine against its own baseline in a single run,
-//!   and so equivalence tests can hold the two traversals against each
-//!   other.
-//!
-//! Both (and every other runtime over a network) send process `p` in on
-//! wire [`CompiledNetwork::entry_for`]`(p)`.
+//! Under the `model-check` feature the counter also keeps a claim log
+//! (`counter::claims`): every claim its traversals make on a state word,
+//! in the order the claims took effect. `tests/model_check.rs` rebuilds the
+//! Section 2.2 execution each explored schedule claims to be and has
+//! `cnet_sim::validate` check it.
 
-use crate::compiled::{CompiledNetwork, EntryPlan};
+use crate::compiled::CompiledNetwork;
 use crate::ProcessCounter;
-use cnet_topology::ids::SourceId;
-use cnet_topology::network::WireEnd;
 use cnet_topology::Network;
 use cnet_util::sync::CachePadded;
-use cnet_util::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use cnet_util::sync::atomic::{AtomicU64, Ordering};
 
 /// A counting network laid out in shared memory: one atomic word per
 /// balancer — every word on its own cache line, routed by compiled flat
@@ -74,6 +68,9 @@ pub struct SharedNetworkCounter {
     /// [`CompiledNetwork::free_sinks`] order; sink `j`'s starts at `j` and
     /// strides by the fan-out. One cache line each.
     counters: Box<[CachePadded<AtomicU64>]>,
+    /// Every claim on the words above, in the order the claims took effect.
+    #[cfg(feature = "model-check")]
+    log: std::sync::Mutex<claims::ClaimLog>,
 }
 
 impl SharedNetworkCounter {
@@ -92,7 +89,13 @@ impl SharedNetworkCounter {
             .iter()
             .map(|&j| CachePadded::new(AtomicU64::new(j as u64)))
             .collect();
-        SharedNetworkCounter { engine, balancers, counters }
+        SharedNetworkCounter {
+            engine,
+            balancers,
+            counters,
+            #[cfg(feature = "model-check")]
+            log: Default::default(),
+        }
     }
 
     /// The compiled routing tables this counter traverses.
@@ -107,9 +110,12 @@ impl SharedNetworkCounter {
     ///
     /// Panics if `input >= engine().fan_in()`.
     pub fn increment_from(&self, input: usize) -> u64 {
-        let exit = self.engine.traverse(input, &self.balancers);
+        let traversal = self.log_enter(std::iter::once((input, 1)));
+        let exit = self.engine.walk(input, &self.balancers, |b, before, n| {
+            self.log_claim(traversal, b, before, n)
+        });
         let w = self.engine.fan_out() as u64;
-        match exit.rank {
+        let value = match exit.rank {
             Some(rank) => exit.sink as u64 + w * rank,
             None => {
                 let slot = self
@@ -117,9 +123,13 @@ impl SharedNetworkCounter {
                     .free_sinks()
                     .binary_search(&exit.sink)
                     .expect("a sink no terminal balancer feeds owns a counter");
-                self.counters[slot].fetch_add(w, Ordering::AcqRel)
+                let value = self.counters[slot].fetch_add(w, Ordering::AcqRel);
+                self.log_claim(traversal, self.engine.size() + exit.sink, Some(value), 1);
+                value
             }
-        }
+        };
+        self.log_values(traversal, &[value]);
+        value
     }
 
     /// Shepherds `n` tokens from input wire `input` in one batched sweep —
@@ -172,26 +182,35 @@ impl SharedNetworkCounter {
     /// `fetch_add`.
     fn claim(
         &self,
-        entering: impl Iterator<Item = (usize, usize)>,
+        entering: impl Iterator<Item = (usize, usize)> + Clone,
         total: usize,
         scratch: &mut Vec<usize>,
         out: &mut Vec<u64>,
     ) {
-        let w = self.engine.fan_out() as u64;
+        let traversal = self.log_enter(entering.clone());
+        let (w, first) = (self.engine.fan_out() as u64, out.len());
         out.reserve(total);
-        self.engine.sweep(entering, &self.balancers, scratch, |hops, round, s, counts| {
-            for (port, hop) in hops.iter().enumerate() {
-                let base = hop.index() as u64 + w * (round + u64::from(port < s));
-                out.extend((0..counts[hop.index()] as u64).map(|i| base + i * w));
-            }
-        });
+        self.engine.sweep(
+            entering,
+            &self.balancers,
+            scratch,
+            |hops, round, s, counts| {
+                for (port, hop) in hops.iter().enumerate() {
+                    let base = hop.index() as u64 + w * (round + u64::from(port < s));
+                    out.extend((0..counts[hop.index()] as u64).map(|i| base + i * w));
+                }
+            },
+            |b, before, n| self.log_claim(traversal, b, before, n),
+        );
         for (counter, &sink) in self.counters.iter().zip(self.engine.free_sinks()) {
             let count = scratch[sink] as u64;
             if count > 0 {
                 let base = counter.fetch_add(count * w, Ordering::AcqRel);
+                self.log_claim(traversal, self.engine.size() + sink, Some(base), count as usize);
                 out.extend((0..count).map(|i| base + i * w));
             }
         }
+        self.log_values(traversal, &out[first..]);
     }
 
     /// The number of tokens that have fully traversed the network so far
@@ -221,6 +240,112 @@ impl SharedNetworkCounter {
     }
 }
 
+/// The claim log's hooks: a traversal enters with its tokens per source
+/// wire, claims words (a balancer's index, or `size()` plus a free-standing
+/// sink's), and hands out its values. Without `model-check` they are empty
+/// and inline away, so a release traversal is the plain one.
+#[cfg(not(feature = "model-check"))]
+impl SharedNetworkCounter {
+    #[inline(always)]
+    fn log_enter(&self, _entering: impl Iterator<Item = (usize, usize)>) -> usize {
+        0
+    }
+
+    #[inline(always)]
+    fn log_claim(&self, _traversal: usize, _word: usize, _before: Option<u64>, _tokens: usize) {}
+
+    #[inline(always)]
+    fn log_values(&self, _traversal: usize, _values: &[u64]) {}
+}
+
+#[cfg(feature = "model-check")]
+impl SharedNetworkCounter {
+    /// A copy of the claim log: every claim on a state word since the
+    /// counter was built, in the order the claims took effect.
+    pub fn claim_log(&self) -> claims::ClaimLog {
+        self.log().clone()
+    }
+
+    // A `std` lock, not a shim one: taking it is no scheduling point, so a
+    // claim is logged before any other thread runs.
+    fn log(&self) -> std::sync::MutexGuard<'_, claims::ClaimLog> {
+        self.log.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn log_enter(&self, entering: impl Iterator<Item = (usize, usize)>) -> usize {
+        let mut log = self.log();
+        log.traversals.push(claims::Traversal {
+            thread: std::thread::current().id(),
+            entering: entering.filter(|&(_, k)| k > 0).collect(),
+            values: Vec::new(),
+        });
+        log.traversals.len() - 1
+    }
+
+    fn log_claim(&self, traversal: usize, word: usize, before: Option<u64>, tokens: usize) {
+        let size = self.engine.size();
+        let word = match word.checked_sub(size) {
+            Some(sink) => claims::Word::Sink(sink),
+            None => claims::Word::Balancer(word),
+        };
+        self.log().claims.push(claims::Claim { traversal, word, before, tokens });
+    }
+
+    fn log_values(&self, traversal: usize, values: &[u64]) {
+        self.log().traversals[traversal].values.extend_from_slice(values);
+    }
+}
+
+/// The claim log a [`SharedNetworkCounter`] keeps under the `model-check`
+/// feature: enough to rebuild the Section 2.2 execution a run claims to be.
+#[cfg(feature = "model-check")]
+pub mod claims {
+    /// A state word: a balancer's, or a free-standing sink's counter.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Word {
+        /// Balancer `b`'s word (its `BalancerId` index).
+        Balancer(usize),
+        /// The counter of sink `j`, one no terminal balancer feeds.
+        Sink(usize),
+    }
+
+    /// One read-modify-write on a word, made for `tokens` of one
+    /// traversal's tokens at once.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Claim {
+        /// The claiming traversal, an index into [`ClaimLog::traversals`].
+        pub traversal: usize,
+        /// The word claimed.
+        pub word: Word,
+        /// What the word held just before; `None` when a batch crossed an
+        /// interior balancer in whole rounds, leaving its word untouched.
+        pub before: Option<u64>,
+        /// How many of the traversal's tokens the claim moved on.
+        pub tokens: usize,
+    }
+
+    /// One single-token or batched traversal.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Traversal {
+        /// The thread that ran it.
+        pub thread: std::thread::ThreadId,
+        /// `(source wire, tokens)` for every wire a token entered on.
+        pub entering: Vec<(usize, usize)>,
+        /// The values handed out, in the order the caller got them.
+        pub values: Vec<u64>,
+    }
+
+    /// Claims in the order they took effect, and the traversals that made
+    /// them.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ClaimLog {
+        /// Every claim, in the order the words were written.
+        pub claims: Vec<Claim>,
+        /// Every traversal, in the order it began.
+        pub traversals: Vec<Traversal>,
+    }
+}
+
 impl ProcessCounter for SharedNetworkCounter {
     #[inline]
     fn next_for(&self, process: usize) -> u64 {
@@ -234,90 +359,11 @@ impl ProcessCounter for SharedNetworkCounter {
     }
 }
 
-/// The pre-compilation shared-memory counter, retained as a measured
-/// baseline and as the unfused oracle: every hop resolves through the
-/// [`Network`] graph (wire lookup, enum match, balancer record, output-port
-/// lookup), balancer updates go through a `fetch_update` CAS loop, every
-/// sink has a counter, and the state words sit unpadded in plain `Vec`s —
-/// so logically independent balancers share cache lines.
-///
-/// Semantically identical to [`SharedNetworkCounter`] (the equivalence
-/// property test holds the two against each other), entry plan included;
-/// only the constant factors differ. `BENCH_throughput.json` records both.
-#[derive(Debug)]
-pub struct GraphWalkCounter {
-    net: Network,
-    plan: EntryPlan,
-    balancers: Vec<AtomicUsize>,
-    counters: Vec<AtomicU64>,
-}
-
-impl GraphWalkCounter {
-    /// Lays the network out in shared memory, graph-walk style.
-    pub fn new(net: &Network) -> Self {
-        GraphWalkCounter {
-            net: net.clone(),
-            plan: CompiledNetwork::compile(net).entry_plan().clone(),
-            balancers: (0..net.size()).map(|_| AtomicUsize::new(0)).collect(),
-            counters: (0..net.fan_out()).map(|j| AtomicU64::new(j as u64)).collect(),
-        }
-    }
-
-    /// The network this counter walks.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    /// Shepherds one token from input wire `input` to a counter and returns
-    /// the value obtained, resolving every hop through the graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input >= network().fan_in()`.
-    pub fn increment_from(&self, input: usize) -> u64 {
-        assert!(input < self.net.fan_in(), "input wire {input} out of range");
-        let mut wire = self.net.source_wire(SourceId(input));
-        loop {
-            match self.net.wire(wire).end {
-                WireEnd::Balancer { balancer, .. } => {
-                    let bal = self.net.balancer(balancer);
-                    let f = bal.fan_out();
-                    let port = self.balancers[balancer.index()]
-                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| {
-                            Some((s + 1) % f)
-                        })
-                        .expect("fetch_update closure always returns Some");
-                    wire = bal.output(port);
-                }
-                WireEnd::Sink(sink) => {
-                    return self.counters[sink.index()]
-                        .fetch_add(self.net.fan_out() as u64, Ordering::AcqRel);
-                }
-            }
-        }
-    }
-
-    /// Per-counter token counts (exact only in quiescent moments).
-    pub fn output_counts(&self) -> Vec<u64> {
-        let w = self.net.fan_out() as u64;
-        self.counters
-            .iter()
-            .enumerate()
-            .map(|(j, c)| (c.load(Ordering::Acquire) - j as u64) / w)
-            .collect()
-    }
-}
-
-impl ProcessCounter for GraphWalkCounter {
-    fn next_for(&self, process: usize) -> u64 {
-        self.increment_from(self.plan.entry_for(process))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnet_topology::construct::{bitonic, counting_tree, periodic};
+    use cnet_topology::builder::LayeredBuilder;
+    use cnet_topology::construct::{append_adjacent_balancer, bitonic, counting_tree, periodic};
     use cnet_topology::state::has_step_property;
     use std::thread;
 
@@ -331,19 +377,6 @@ mod tests {
             assert_eq!(shared.increment_from(input), reference.traverse(&net, input).value);
         }
         assert_eq!(shared.output_counts(), reference.output_counts());
-    }
-
-    #[test]
-    fn compiled_and_graph_walk_agree_sequentially() {
-        for net in [bitonic(8).unwrap(), periodic(8).unwrap(), counting_tree(8).unwrap()] {
-            let compiled = SharedNetworkCounter::new(&net);
-            let walk = GraphWalkCounter::new(&net);
-            for k in 0..96usize {
-                let input = k % net.fan_in();
-                assert_eq!(compiled.increment_from(input), walk.increment_from(input), "{net}");
-            }
-            assert_eq!(compiled.output_counts(), walk.output_counts());
-        }
     }
 
     #[test]
@@ -368,23 +401,6 @@ mod tests {
             assert_eq!(values, (0..n).collect::<Vec<_>>());
             assert_eq!(counter.tokens_counted(), n);
         }
-    }
-
-    #[test]
-    fn graph_walk_concurrent_increments_are_gap_free() {
-        let net = bitonic(8).unwrap();
-        let counter = GraphWalkCounter::new(&net);
-        let mut values: Vec<u64> = thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|p| {
-                    let c = &counter;
-                    s.spawn(move || (0..500).map(|_| c.increment_from(p)).collect::<Vec<u64>>())
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        values.sort_unstable();
-        assert_eq!(values, (0..4000).collect::<Vec<_>>());
     }
 
     #[test]
@@ -502,8 +518,134 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn graph_walk_bad_input_wire_panics() {
+    fn bad_batch_input_wire_panics() {
         let net = bitonic(2).unwrap();
-        GraphWalkCounter::new(&net).increment_from(7);
+        let counter = SharedNetworkCounter::new(&net);
+        counter.increment_batch_from(7, 3, &mut Vec::new(), &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "one count per input wire")]
+    fn spread_batches_need_one_count_per_wire() {
+        let net = bitonic(4).unwrap();
+        let counter = SharedNetworkCounter::new(&net);
+        counter.increment_counts_from(&[1, 2], &mut Vec::new(), &mut Vec::new());
+    }
+
+    /// A (3,3)-balancer over a (2,2) one: the interior fan-3 word takes the
+    /// CAS path, and sink 2 owns a free-standing counter.
+    fn fan3_over_fan2() -> Network {
+        let mut lb = LayeredBuilder::new(3);
+        lb.balancer(&[0, 1, 2]);
+        lb.balancer(&[0, 1]);
+        lb.finish().unwrap()
+    }
+
+    /// The classic constructions, plus networks with free-standing sinks
+    /// and an interior irregular fan-out.
+    fn every_layout() -> Vec<Network> {
+        vec![
+            bitonic(8).unwrap(),
+            periodic(8).unwrap(),
+            counting_tree(8).unwrap(),
+            append_adjacent_balancer(&bitonic(4).unwrap(), 1).unwrap(),
+            fan3_over_fan2(),
+        ]
+    }
+
+    #[test]
+    fn sequential_use_matches_the_reference_on_every_layout() {
+        for net in every_layout() {
+            let shared = SharedNetworkCounter::new(&net);
+            let mut reference = cnet_topology::state::NetworkState::new(&net);
+            for k in 0..96usize {
+                let input = (k * 5) % net.fan_in();
+                let want = reference.traverse(&net, input).value;
+                assert_eq!(shared.increment_from(input), want, "{net} token {k}");
+            }
+            assert_eq!(shared.output_counts(), reference.output_counts(), "{net}");
+        }
+    }
+
+    #[test]
+    fn concurrent_increments_are_gap_free_on_every_layout() {
+        for net in every_layout() {
+            let counter = SharedNetworkCounter::new(&net);
+            let (threads, per_thread) = (4usize, 300usize);
+            let mut values: Vec<u64> = thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|p| {
+                        let c = &counter;
+                        s.spawn(move || (0..per_thread).map(|_| c.next_for(p)).collect::<Vec<_>>())
+                    })
+                    .collect();
+                handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+            });
+            values.sort_unstable();
+            let n = (threads * per_thread) as u64;
+            assert_eq!(values, (0..n).collect::<Vec<_>>(), "{net}");
+            assert_eq!(counter.tokens_counted(), n, "{net}");
+            assert!(has_step_property(&counter.output_counts()), "{net}");
+        }
+    }
+
+    #[test]
+    fn a_spread_batch_hands_out_what_its_tokens_would_one_by_one() {
+        for net in every_layout() {
+            let spread = SharedNetworkCounter::new(&net);
+            let sequential = SharedNetworkCounter::new(&net);
+            let (mut got, mut want, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+            for round in 0..4usize {
+                // Uneven counts, one wire left empty each round.
+                let entering: Vec<usize> = (0..net.fan_in())
+                    .map(|i| if i == round % net.fan_in() { 0 } else { 3 * i + round + 1 })
+                    .collect();
+                spread.increment_counts_from(&entering, &mut scratch, &mut got);
+                for (input, &k) in entering.iter().enumerate() {
+                    want.extend((0..k).map(|_| sequential.increment_from(input)));
+                }
+                assert_eq!(got.len(), want.len(), "{net} round {round}");
+            }
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{net}");
+            assert_eq!(spread.output_counts(), sequential.output_counts(), "{net}");
+        }
+    }
+
+    #[test]
+    fn process_calls_enter_on_the_entry_plan() {
+        let net = bitonic(8).unwrap();
+        let by_process = SharedNetworkCounter::new(&net);
+        let by_wire = SharedNetworkCounter::new(&net);
+        let engine = by_wire.engine();
+        for p in 0..20usize {
+            let want = by_wire.increment_from(engine.entry_for(p));
+            assert_eq!(by_process.next_for(p), want, "process {p}");
+        }
+        let mut want = Vec::new();
+        by_wire.increment_batch_from(engine.entry_for(3), 11, &mut Vec::new(), &mut want);
+        assert_eq!(by_process.next_batch_for(3, 11), want);
+    }
+
+    #[test]
+    fn output_counts_read_terminal_words_by_port_and_free_counters_by_stride() {
+        // One (3,3)-balancer: terminal, so its word counts arrivals and
+        // 7 of them leave by ports 0,1,2,0,1,2,0.
+        let mut lb = LayeredBuilder::new(3);
+        lb.balancer(&[0, 1, 2]);
+        let counter = SharedNetworkCounter::new(&lb.finish().unwrap());
+        let values: Vec<u64> = (0..7).map(|_| counter.increment_from(0)).collect();
+        assert_eq!(values, (0..7).collect::<Vec<_>>());
+        assert_eq!(counter.output_counts(), [3, 2, 2]);
+        // A line no balancer touches: sink 2's counter starts at 2 and
+        // strides by the fan-out.
+        let mut lb = LayeredBuilder::new(3);
+        lb.balancer(&[0, 1]);
+        let counter = SharedNetworkCounter::new(&lb.finish().unwrap());
+        let values: Vec<u64> = (0..3).map(|_| counter.increment_from(2)).collect();
+        assert_eq!(values, [2, 5, 8]);
+        assert_eq!(counter.output_counts(), [0, 0, 3]);
+        assert_eq!(counter.tokens_counted(), 3);
     }
 }

@@ -11,10 +11,11 @@
 //! routing tables, with every state word padded to its own cache line
 //! (`cnet_util::sync::CachePadded`) so independent balancers really are
 //! independent in the memory system, and with processes entering on the
-//! wires whose paths meet last ([`CompiledNetwork::entry_for`]). The
-//! pre-compilation form — a position per balancer, a counter per sink —
-//! survives as [`counter::GraphWalkCounter`], the benchmark pipeline's
-//! baseline and the equivalence tests' oracle.
+//! wires whose paths meet last ([`CompiledNetwork::entry_for`]). It is the
+//! one shared-memory walk of a network: under every bounded schedule,
+//! `tests/model_check.rs` checks that what it does is a Section 2.2
+//! execution, and `cnet_topology::state::NetworkState` is its sequential
+//! oracle.
 //!
 //! Also provided:
 //!
@@ -66,14 +67,13 @@ pub mod message_passing;
 pub mod paced;
 pub mod recorder;
 pub mod relaxed;
-pub mod stats;
 
 pub use backend::Backend;
 pub use baseline::{FetchAddCounter, LockCounter};
 pub use barrier::CounterBarrier;
 pub use combine::CombiningFunnel;
 pub use compiled::CompiledNetwork;
-pub use counter::{GraphWalkCounter, SharedNetworkCounter};
+pub use counter::SharedNetworkCounter;
 pub use diffracting::DiffractingTree;
 pub use drain::Drain;
 pub use history::{drive, RecordedOp, Workload};
@@ -83,7 +83,6 @@ pub use recorder::{
 pub use message_passing::MessagePassingCounter;
 pub use paced::LocallyPacedCounter;
 pub use relaxed::{EliminationCounter, RelaxedCounter, DEFAULT_SUB_COUNTERS};
-pub use stats::InstrumentedNetworkCounter;
 
 /// A shared counter usable concurrently by many processes.
 ///
@@ -101,9 +100,8 @@ pub trait ProcessCounter: Sync {
     ///
     /// The default simply loops [`next_for`](Self::next_for); batching
     /// implementations override it to claim the whole batch with one
-    /// atomic per touched word (see
-    /// [`SharedNetworkCounter`](counter::SharedNetworkCounter) and
-    /// [`FetchAddCounter`](baseline::FetchAddCounter)). Every override
+    /// atomic per touched word (see [`SharedNetworkCounter`] and
+    /// [`FetchAddCounter`]). Every override
     /// must hand out exactly the values `n` sequential `next_for` calls
     /// would have claimed — batching may reorder values *across*
     /// concurrent callers, never invent or drop them.

@@ -29,8 +29,9 @@ const PACE_SHARDS: usize = 64;
 /// a process's operation completes, that process's next operation is held
 /// back until the delay has elapsed.
 ///
-/// Timer state is sharded by process id across [`PACE_SHARDS`] cache-padded
-/// locks: process `p` only ever touches shard `p mod PACE_SHARDS`, so up to
+/// Timer state is sharded by process id across `PACE_SHARDS` (64)
+/// cache-padded locks: process `p` only ever touches shard `p mod
+/// PACE_SHARDS`, so up to
 /// 64 concurrent processes do their pacing bookkeeping with zero
 /// cross-process contention (and beyond that, contention grows 64× slower
 /// than the old single-`Mutex<HashMap>` layout).

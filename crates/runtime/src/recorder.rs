@@ -18,7 +18,7 @@
 //!   reading per *batch* of [`BATCH`] operations, at the batch boundary,
 //!   and every operation in the batch carries the interval
 //!   `[previous boundary stamp, this boundary stamp]`. The stamp pair is
-//!   written **once**, into a per-publish side ring ([`StampEntry`]) the
+//!   written **once**, into a per-publish side ring (`StampEntry`) the
 //!   drainer joins against by slot index — the slots themselves hold only
 //!   the 8-byte value, so a publish is three stores instead of two per
 //!   slot, and a batch of values spans an eighth of the cache lines the

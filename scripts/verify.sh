@@ -43,10 +43,12 @@ echo "manifest scan: ok (all dependencies are in-tree path dependencies)"
 # Warnings gate: the release build must be clean under -D warnings.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# Rustdoc gate for the paper-facing crates: a broken or private intra-doc
-# link fails the script. `cnet-util` is left out: its rustdoc still reports
-# nine errors of its own, to be fixed before it joins this list.
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p cnet-topology -p cnet-sim -p cnet-core
+# Rustdoc gate for the paper-facing crates and the runtime: a broken or
+# private intra-doc link (say, to a deleted type) fails the script.
+# `cnet-util` is left out: its rustdoc still reports nine errors of its
+# own, to be fixed before it joins this list.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p cnet-topology -p cnet-sim -p cnet-core \
+    -p cnet-runtime
 # Smoke-run the benchmark pipeline: under `cargo test` (no --bench flag)
 # each harness=false bench target executes its routines once, so this
 # verifies the measurement code paths without paying for a full run.
@@ -85,8 +87,10 @@ fi
 # Model-check gate: exhaustively enumerate every bounded interleaving of
 # the lock-free core under the shim-atomic scheduler (crates/util/src/
 # model.rs; see DESIGN.md, "Model checking the lock-free core"). The
-# scenario suite asserts >= 10,000 distinct schedules total and that a
-# seeded bug is caught with a replay string. `timeout` bounds the wall
+# scenario suite asserts >= 10,000 distinct schedules total, that every
+# explored run of the compiled traversal is a Section 2.2 execution
+# `cnet_sim::validate` accepts (the refinement check), and that two seeded
+# bugs are caught with a replay string. `timeout` bounds the wall
 # clock — the suite runs in seconds, so hitting the budget means a
 # state-space regression (an unbounded spin loop, a fairness bug), which
 # should fail fast rather than hang the gate.

@@ -7,53 +7,338 @@
 //! bound — the invariants here hold in all of them, not just the lucky
 //! interleavings a stress test happens to sample.
 //!
-//! The four scenarios from the issue:
-//!   1. two-thread B(4) compiled traversal — gap-free values and the step
-//!      property in the final quiescent state of every schedule (a token is
-//!      three op points, one per balancer word: the last of them is the
-//!      terminal word that also hands out the value);
+//! The scenarios:
+//!   1. five traversal scenarios on the compiled engine — two threads of
+//!      single tokens through B(4) (`traversal_b4`); a batch on one wire
+//!      against single tokens (`batch_vs_sequential`); a batch spread over
+//!      two wires against single tokens (`multi_wire_batch_vs_sequential`);
+//!      singles and batches on the one fused terminal word of B(2)
+//!      (`fused_word`); and a batch of one against a single token
+//!      (`batch_of_one`), and the same kinds of traversal on two networks
+//!      off the classic constructions (free-standing sinks, a CAS-path
+//!      balancer). Each checks its outputs (values exactly `0..n`, the
+//!      step property at quiescence) and the **refinement check** below;
 //!   2. three-thread combining funnel — every caller exactly one value,
 //!      none duplicated or lost, and the served-then-won-lock race both
 //!      reachable and handled;
 //!   3. two-writer/one-drainer trace recorder — drained intervals always
 //!      contain the true operation, so widening never fabricates a
 //!      precedence the monitors would rely on;
-//!   4. batched traversal vs. sequential traversals — multiset equality
-//!      of claimed values under all schedules, for a batch on one input
-//!      wire and for one spread over two, and single tokens against batches
-//!      on the one fused terminal word of B(2).
+//!   4. two-thread elimination exchange — exactly-once payment;
+//!   5. two writers and two shard stealers — the parallel audit pipeline's
+//!      steal path;
+//!   6. empty batches create no scheduling point;
+//!   7. seeded bugs — a broken funnel and a broken traversal are caught
+//!      with a replay string.
 //!
-//! `cnet_topology::state::NetworkState` is the sequential oracle here (it
-//! holds no atomics, so there is nothing in it to model-check — the
-//! issue's migration list notwithstanding); `has_step_property` checks
-//! the quiescent counts the scenarios produce.
+//! The refinement check: under `model-check` a `SharedNetworkCounter` logs
+//! every claim its traversals make on a state word, in the order the claims
+//! took effect (the log sits behind a `std` lock, so it adds no scheduling
+//! point). After every explored schedule [`execution_of`] turns the log
+//! into the Section 2.2 step sequence it claims to be — one `BAL` per token
+//! per balancer in claim order, each token of a batch its own process
+//! crossing each balancer with the rest of its batch back to back, a
+//! terminal claim's `COUNT` right after its `BAL`, and every `COUNT`
+//! carrying the value the counter handed that token — and
+//! `cnet_sim::validate` must accept it. The fused terminal step and the
+//! batched sweep are thereby checked to be schedules of the paper's model,
+//! not argued to be.
 //!
-//! Schedule counts are asserted per scenario and must total >= 10,000
-//! across the four (see `EXPERIMENTS.md`). Run with `--nocapture` to see
-//! the per-scenario counts.
+//! `cnet_topology::state::NetworkState` is the sequential oracle elsewhere
+//! (`tests/compiled_equivalence.rs`); `has_step_property` checks the
+//! quiescent counts the scenarios produce.
+//!
+//! Every scenario asserts its own schedule floor, a named constant; the
+//! floors must total at least [`TOTAL_FLOOR`] (a compile-time check, see
+//! `EXPERIMENTS.md`). Run with `--nocapture` to see the per-scenario
+//! counts.
 
 use cnet_core::trace::{EventMerger, OpEvent};
-use cnet_runtime::combine::model_bugs;
+use cnet_runtime::counter::claims::{ClaimLog, Word};
+use cnet_runtime::{combine, compiled};
 use cnet_runtime::{
     CombiningFunnel, FetchAddCounter, ProcessCounter, SharedNetworkCounter,
     TraceRecorder,
 };
+use cnet_sim::validate::validate;
+use cnet_sim::{ProcessId, Step, TimedExecution, TimedStep, TokenId, TokenRecord};
 use cnet_topology::construct::bitonic;
+use cnet_topology::ids::{BalancerId, SourceId, WireId};
+use cnet_topology::network::WireEnd;
 use cnet_topology::state::has_step_property;
+use cnet_topology::Network;
+use cnet_util::json::{self, ToJson, Value};
 use cnet_util::model;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 // Bookkeeping for invariant checks deliberately uses std atomics and
 // mutexes, NOT the shims: the model's threads are serialized, so these
 // never block, and they must not add scheduling points of their own.
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 
-/// Serializes the tests that flip `model_bugs::SKIP_SERVED_RECHECK`
-/// against the other funnel scenarios in this binary.
-static FUNNEL_FLAG: Mutex<()> = Mutex::new(());
+/// Seeded-bug tests flip process-wide flags (`model_bugs`); they take this
+/// for writing, and every scenario a flag could reach takes it for
+/// reading, so no clean scenario ever runs against a seeded bug.
+static BUG_FLAGS: RwLock<()> = RwLock::new(());
 
-fn funnel_flag_guard() -> std::sync::MutexGuard<'static, ()> {
-    FUNNEL_FLAG.lock().unwrap_or_else(|e| e.into_inner())
+fn clean_guard() -> std::sync::RwLockReadGuard<'static, ()> {
+    BUG_FLAGS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn seeded_guard() -> std::sync::RwLockWriteGuard<'static, ()> {
+    BUG_FLAGS.write().unwrap_or_else(|e| e.into_inner())
+}
+
+// ---------------------------------------------------------------------
+// The refinement check.
+// ---------------------------------------------------------------------
+
+/// A token of the rebuilt execution.
+struct Token {
+    traversal: usize,
+    process: usize,
+    input: usize,
+    /// The wire it is on.
+    wire: WireId,
+    /// Its steps' positions in the step sequence; the last is its `COUNT`
+    /// once `value` is set.
+    steps: Vec<usize>,
+    /// `(sink, value)` once it has counted.
+    value: Option<(usize, u64)>,
+}
+
+/// The Section 2.2 execution of `net` a counter's claim log says it ran:
+/// claims in the order they took effect, each the `BAL` steps of the
+/// tokens it moved, back to back, by the round-robin ports the word's prior
+/// value gives; a token off a terminal balancer takes its `COUNT` at once,
+/// one at a free-standing sink at that counter's claim. Each `COUNT`
+/// carries the value the traversal handed out for that sink, in order. The
+/// `i`-th step happens at time `i`.
+///
+/// A single-token traversal's token belongs to its thread's process; every
+/// token of a batch is a process of its own, since a batch's tokens are in
+/// flight together.
+///
+/// # Errors
+///
+/// A claim no token can have made — on a word none of the traversal's
+/// tokens waits at, or for another number of tokens than wait there — a
+/// token that never counts, or a value no token of its traversal earned.
+fn execution_of(net: &Network, log: &ClaimLog) -> Result<TimedExecution, String> {
+    let w = net.fan_out();
+    let mut tokens: Vec<Token> = Vec::new();
+    // Per traversal: its tokens, and the values it handed out per sink.
+    let mut of: Vec<Vec<usize>> = Vec::new();
+    let mut handed: Vec<Vec<VecDeque<u64>>> = Vec::new();
+    let mut threads = HashMap::new();
+    let mut processes = 0;
+    for (t, traversal) in log.traversals.iter().enumerate() {
+        let single = traversal.entering.iter().map(|&(_, k)| k).sum::<usize>() == 1;
+        let mut mine = Vec::new();
+        for &(input, k) in &traversal.entering {
+            for _ in 0..k {
+                let process = if single {
+                    *threads.entry(traversal.thread).or_insert_with(|| {
+                        processes += 1;
+                        processes - 1
+                    })
+                } else {
+                    processes += 1;
+                    processes - 1
+                };
+                mine.push(tokens.len());
+                tokens.push(Token {
+                    traversal: t,
+                    process,
+                    input,
+                    wire: net.source_wire(SourceId(input)),
+                    steps: Vec::new(),
+                    value: None,
+                });
+            }
+        }
+        of.push(mine);
+        let mut per_sink = vec![VecDeque::new(); w];
+        for &v in &traversal.values {
+            per_sink[v as usize % w].push_back(v);
+        }
+        handed.push(per_sink);
+    }
+
+    let mut steps: Vec<Step> = Vec::new();
+    let mut count = |k: usize, tokens: &mut Vec<Token>, steps: &mut Vec<Step>, sink: usize| {
+        let token = &mut tokens[k];
+        let value = handed[token.traversal][sink].pop_front().ok_or_else(|| {
+            format!("traversal {} handed out no value for its token at sink {sink}", token.traversal)
+        })?;
+        token.steps.push(steps.len());
+        token.value = Some((sink, value));
+        steps.push(Step::Count {
+            token: TokenId(k),
+            process: ProcessId(token.process),
+            sink: sink as u32,
+            value,
+        });
+        Ok::<(), String>(())
+    };
+    // The round-robin position of every balancer, for batches that cross
+    // one in whole rounds and leave its word untouched.
+    let mut position = vec![0usize; net.size()];
+    for claim in &log.claims {
+        let t = claim.traversal;
+        let waiting: Vec<usize> = of[t]
+            .iter()
+            .copied()
+            .filter(|&k| {
+                tokens[k].value.is_none()
+                    && match (net.wire(tokens[k].wire).end, claim.word) {
+                        (WireEnd::Balancer { balancer, .. }, Word::Balancer(b)) => {
+                            balancer.index() == b
+                        }
+                        (WireEnd::Sink(sink), Word::Sink(j)) => sink.index() == j,
+                        _ => false,
+                    }
+            })
+            .collect();
+        if waiting.len() != claim.tokens {
+            return Err(format!(
+                "traversal {t} claims {} token(s) at {:?}, but {} of its tokens wait there",
+                claim.tokens,
+                claim.word,
+                waiting.len()
+            ));
+        }
+        let b = match claim.word {
+            Word::Balancer(b) => b,
+            Word::Sink(j) => {
+                for k in waiting {
+                    count(k, &mut tokens, &mut steps, j)?;
+                }
+                continue;
+            }
+        };
+        let balancer = net.balancer(BalancerId(b));
+        let f = balancer.fan_out();
+        let start = match claim.before {
+            Some(before) => (before % f as u64) as usize,
+            None if claim.tokens % f == 0 => position[b],
+            None => return Err(format!("traversal {t} crosses balancer {b} untouched")),
+        };
+        position[b] = (start + claim.tokens) % f;
+        let terminal = balancer
+            .outputs()
+            .iter()
+            .all(|&wire| matches!(net.wire(wire).end, WireEnd::Sink(_)));
+        for (i, k) in waiting.into_iter().enumerate() {
+            let WireEnd::Balancer { port: in_port, .. } = net.wire(tokens[k].wire).end else {
+                unreachable!("a waiting token is on a balancer's input");
+            };
+            let out_port = (start + i) % f;
+            tokens[k].steps.push(steps.len());
+            tokens[k].wire = balancer.output(out_port);
+            steps.push(Step::Bal {
+                token: TokenId(k),
+                process: ProcessId(tokens[k].process),
+                balancer: b as u32,
+                in_port: in_port as u32,
+                out_port: out_port as u32,
+            });
+            if let (true, WireEnd::Sink(sink)) = (terminal, net.wire(tokens[k].wire).end) {
+                count(k, &mut tokens, &mut steps, sink.index())?;
+            }
+        }
+    }
+
+    let mut records = Vec::with_capacity(tokens.len());
+    for (k, token) in tokens.iter().enumerate() {
+        let Some((sink, value)) = token.value else {
+            return Err(format!("a token of traversal {} never counts", token.traversal));
+        };
+        let times: Vec<f64> = token.steps.iter().map(|&i| i as f64).collect();
+        records.push(TokenRecord {
+            token: TokenId(k),
+            process: ProcessId(token.process),
+            input: token.input,
+            enter_time: times[0],
+            exit_time: times[times.len() - 1],
+            enter_seq: token.steps[0],
+            exit_seq: token.steps[token.steps.len() - 1],
+            sink,
+            value,
+            step_times: times,
+        });
+    }
+    if let Some(t) = handed.iter().position(|sinks| sinks.iter().any(|q| !q.is_empty())) {
+        return Err(format!("traversal {t} handed out a value none of its tokens earned"));
+    }
+    let steps: Vec<TimedStep> =
+        steps.into_iter().enumerate().map(|(i, step)| TimedStep { time: i as f64, step }).collect();
+    // `TimedExecution` is built by the simulator only; its JSON form is
+    // public.
+    let exec = Value::Object(vec![
+        ("depth".to_string(), net.depth().to_json()),
+        ("fan_out".to_string(), w.to_json()),
+        ("steps".to_string(), steps.to_json()),
+        ("records".to_string(), records.to_json()),
+    ]);
+    json::from_value(&exec).map_err(|e| e.to_string())
+}
+
+/// The refinement check: the counter's claim log is a Section 2.2
+/// execution of `net` that `cnet_sim::validate` accepts, and the values
+/// logged are the values the callers collected.
+fn refines(net: &Network, counter: &SharedNetworkCounter, values: &[u64]) -> Result<(), String> {
+    let log = counter.claim_log();
+    let mut logged: Vec<u64> = log.traversals.iter().flat_map(|t| t.values.clone()).collect();
+    let mut collected = values.to_vec();
+    logged.sort_unstable();
+    collected.sort_unstable();
+    if logged != collected {
+        return Err(format!("logged values {logged:?}, collected {collected:?}"));
+    }
+    let exec = execution_of(net, &log)?;
+    validate(net, &exec).map(|_| ()).map_err(|e| e.to_string())
+}
+
+// ---------------------------------------------------------------------
+// The traversal scenarios: a compiled counter and the values its callers
+// collected.
+// ---------------------------------------------------------------------
+
+struct CounterState {
+    net: Network,
+    counter: SharedNetworkCounter,
+    values: Mutex<Vec<u64>>,
+}
+
+fn counter_state(w: usize) -> CounterState {
+    let net = bitonic(w).expect("B(w) builds");
+    let counter = SharedNetworkCounter::new(&net);
+    CounterState { net, counter, values: Mutex::new(Vec::new()) }
+}
+
+/// The output checks: the callers got exactly `0..n`, and the quiescent
+/// counts have the step property.
+fn outputs_check(s: &CounterState) {
+    let mut values = s.values.lock().unwrap().clone();
+    values.sort_unstable();
+    let n = values.len() as u64;
+    assert_eq!(values, (0..n).collect::<Vec<_>>(), "values must be exactly 0..n");
+    let counts = s.counter.output_counts();
+    assert!(has_step_property(&counts), "quiescent counts {counts:?} violate the step property");
+    assert_eq!(s.counter.tokens_counted(), n);
+}
+
+/// The refinement check, as a scenario check.
+fn refinement_check(s: &CounterState) {
+    if let Err(e) = refines(&s.net, &s.counter, &s.values.lock().unwrap()) {
+        panic!("no Section 2.2 execution: {e}");
+    }
+}
+
+fn traversal_check(s: &CounterState) {
+    outputs_check(s);
+    refinement_check(s);
 }
 
 // ---------------------------------------------------------------------
@@ -63,46 +348,32 @@ fn funnel_flag_guard() -> std::sync::MutexGuard<'static, ()> {
 // tokens a thread no terminal word would ever leave rank 0.
 // ---------------------------------------------------------------------
 
-struct TraversalState {
-    counter: SharedNetworkCounter,
-    values: Mutex<Vec<u64>>,
+const TRAVERSAL_THREADS: usize = 2;
+const TRAVERSAL_PER_THREAD: usize = 3;
+const TRAVERSAL_B4_FLOOR: u64 = 2_000;
+
+fn traversal_b4_state() -> CounterState {
+    counter_state(4)
+}
+
+fn traversal_b4_run(s: &CounterState, tid: usize) {
+    for _ in 0..TRAVERSAL_PER_THREAD {
+        let v = s.counter.increment_from(tid);
+        s.values.lock().unwrap().push(v);
+    }
 }
 
 #[test]
 fn traversal_b4_step_property_under_all_schedules() {
-    const THREADS: usize = 2;
-    const PER_THREAD: usize = 3;
+    let _clean = clean_guard();
     let stats = model::explore(
-        THREADS,
+        TRAVERSAL_THREADS,
         5,
-        || {
-            let net = bitonic(4).expect("B(4) builds");
-            TraversalState {
-                counter: SharedNetworkCounter::new(&net),
-                values: Mutex::new(Vec::new()),
-            }
-        },
-        |s, tid| {
-            for _ in 0..PER_THREAD {
-                let v = s.counter.increment_from(tid);
-                s.values.lock().unwrap().push(v);
-            }
-        },
+        traversal_b4_state,
+        traversal_b4_run,
         |s| {
-            let mut values = s.values.lock().unwrap().clone();
-            values.sort_unstable();
-            let n = (THREADS * PER_THREAD) as u64;
-            assert_eq!(
-                values,
-                (0..n).collect::<Vec<_>>(),
-                "values must be gap-free and duplicate-free"
-            );
-            let counts = s.counter.output_counts();
-            assert!(
-                has_step_property(&counts),
-                "quiescent counts {counts:?} violate the step property"
-            );
-            assert_eq!(s.counter.tokens_counted(), n);
+            traversal_check(s);
+            assert_eq!(s.values.lock().unwrap().len(), TRAVERSAL_THREADS * TRAVERSAL_PER_THREAD);
         },
     );
     eprintln!(
@@ -110,8 +381,8 @@ fn traversal_b4_step_property_under_all_schedules() {
         stats.schedules, stats.points, stats.max_depth
     );
     assert!(
-        stats.schedules >= 2_000,
-        "expected >= 2000 schedules, got {}",
+        stats.schedules >= TRAVERSAL_B4_FLOOR,
+        "expected >= {TRAVERSAL_B4_FLOOR} schedules, got {}",
         stats.schedules
     );
 }
@@ -148,9 +419,11 @@ fn funnel_check(s: &FunnelState) {
     assert_eq!(s.funnel.combined_ops(), 3);
 }
 
+const FUNNEL_FLOOR: u64 = 3_000;
+
 #[test]
 fn funnel_exactly_once_and_race_reachable_under_all_schedules() {
-    let _guard = funnel_flag_guard();
+    let _guard = clean_guard();
     let race_hits = AtomicU64::new(0);
     let widest = AtomicU64::new(0);
     let stats = model::explore(3, 2, funnel_state, funnel_run, |s| {
@@ -177,8 +450,8 @@ fn funnel_exactly_once_and_race_reachable_under_all_schedules() {
     // Real combining must also occur in some schedule.
     assert!(widest.load(Ordering::Relaxed) >= 2);
     assert!(
-        stats.schedules >= 3_000,
-        "expected >= 3000 schedules, got {}",
+        stats.schedules >= FUNNEL_FLOOR,
+        "expected >= {FUNNEL_FLOOR} schedules, got {}",
         stats.schedules
     );
 }
@@ -276,6 +549,8 @@ fn recorder_check(s: &RecorderState) {
     }
 }
 
+const RECORDER_FLOOR: u64 = 10_000;
+
 #[test]
 fn recorder_drained_intervals_contain_true_ops_under_all_schedules() {
     let stats =
@@ -285,75 +560,53 @@ fn recorder_drained_intervals_contain_true_ops_under_all_schedules() {
         stats.schedules, stats.points, stats.max_depth
     );
     assert!(
-        stats.schedules >= 10_000,
-        "expected >= 10000 schedules, got {}",
+        stats.schedules >= RECORDER_FLOOR,
+        "expected >= {RECORDER_FLOOR} schedules, got {}",
         stats.schedules
     );
 }
 
 // ---------------------------------------------------------------------
-// Scenario 4: one batched traversal vs. k sequential traversals.
+// The batched traversal vs. sequential traversals.
 // ---------------------------------------------------------------------
 
-struct BatchState {
-    counter: SharedNetworkCounter,
-    values: Mutex<Vec<u64>>,
+const BATCH_K: usize = 5;
+const BATCH_VS_SEQUENTIAL_FLOOR: u64 = 1_000;
+
+fn batch_vs_sequential_run(s: &CounterState, tid: usize) {
+    if tid == 0 {
+        // One width-K batched traversal: at most one atomic per balancer
+        // for the whole batch.
+        let mut out = Vec::new();
+        s.counter.increment_batch_from(0, BATCH_K, &mut Vec::new(), &mut out);
+        assert_eq!(out.len(), BATCH_K);
+        s.values.lock().unwrap().extend(out);
+    } else {
+        // K sequential single-token traversals racing it, three op points
+        // each.
+        for _ in 0..BATCH_K {
+            let v = s.counter.increment_from(1);
+            s.values.lock().unwrap().push(v);
+        }
+    }
 }
 
 #[test]
 fn batched_traversal_equals_sequential_multiset_under_all_schedules() {
-    const K: usize = 5;
-    let stats = model::explore(
-        2,
-        5,
-        || {
-            let net = bitonic(4).expect("B(4) builds");
-            BatchState {
-                counter: SharedNetworkCounter::new(&net),
-                values: Mutex::new(Vec::new()),
-            }
-        },
-        |s, tid| {
-            if tid == 0 {
-                // One width-K batched traversal: at most one atomic per
-                // balancer for the whole batch.
-                let mut out = Vec::new();
-                s.counter.increment_batch_from(0, K, &mut Vec::new(), &mut out);
-                assert_eq!(out.len(), K);
-                s.values.lock().unwrap().extend(out);
-            } else {
-                // K sequential single-token traversals racing it, three op
-                // points each.
-                for _ in 0..K {
-                    let v = s.counter.increment_from(1);
-                    s.values.lock().unwrap().push(v);
-                }
-            }
-        },
-        |s| {
-            let mut values = s.values.lock().unwrap().clone();
-            values.sort_unstable();
-            let n = 2 * K as u64;
-            assert_eq!(
-                values,
-                (0..n).collect::<Vec<_>>(),
-                "batched + sequential traversals must claim the same \
-                 multiset as 2K sequential ones"
-            );
-            let counts = s.counter.output_counts();
-            assert!(
-                has_step_property(&counts),
-                "quiescent counts {counts:?} violate the step property"
-            );
-        },
-    );
+    let _clean = clean_guard();
+    let stats = model::explore(2, 5, || counter_state(4), batch_vs_sequential_run, |s| {
+        // The batch and the singles claim the same multiset as 2K
+        // sequential traversals would.
+        traversal_check(s);
+        assert_eq!(s.values.lock().unwrap().len(), 2 * BATCH_K);
+    });
     eprintln!(
         "model_check: batch_vs_sequential: {} schedules, {} points, depth {}",
         stats.schedules, stats.points, stats.max_depth
     );
     assert!(
-        stats.schedules >= 1_000,
-        "expected >= 1000 schedules, got {}",
+        stats.schedules >= BATCH_VS_SEQUENTIAL_FLOOR,
+        "expected >= {BATCH_VS_SEQUENTIAL_FLOOR} schedules, got {}",
         stats.schedules
     );
 }
@@ -368,17 +621,11 @@ fn multi_wire_batch_equals_sequential_multiset_under_all_schedules() {
     // odd count on each makes both fire.
     const ENTERING: [usize; 4] = [3, 0, 1, 0];
     const BATCH: usize = 4;
-    const K: usize = 5;
+    let _clean = clean_guard();
     let stats = model::explore(
         2,
         5,
-        || {
-            let net = bitonic(4).expect("B(4) builds");
-            BatchState {
-                counter: SharedNetworkCounter::new(&net),
-                values: Mutex::new(Vec::new()),
-            }
-        },
+        || counter_state(4),
         |s, tid| {
             if tid == 0 {
                 let mut out = Vec::new();
@@ -386,26 +633,15 @@ fn multi_wire_batch_equals_sequential_multiset_under_all_schedules() {
                 assert_eq!(out.len(), BATCH);
                 s.values.lock().unwrap().extend(out);
             } else {
-                for _ in 0..K {
+                for _ in 0..BATCH_K {
                     let v = s.counter.increment_from(1);
                     s.values.lock().unwrap().push(v);
                 }
             }
         },
         |s| {
-            let mut values = s.values.lock().unwrap().clone();
-            values.sort_unstable();
-            assert_eq!(
-                values,
-                (0..(BATCH + K) as u64).collect::<Vec<_>>(),
-                "a two-wire batch + sequential traversals must claim the \
-                 same multiset as sequential ones"
-            );
-            let counts = s.counter.output_counts();
-            assert!(
-                has_step_property(&counts),
-                "quiescent counts {counts:?} violate the step property"
-            );
+            traversal_check(s);
+            assert_eq!(s.values.lock().unwrap().len(), BATCH + BATCH_K);
         },
     );
     eprintln!(
@@ -413,11 +649,17 @@ fn multi_wire_batch_equals_sequential_multiset_under_all_schedules() {
         stats.schedules, stats.points, stats.max_depth
     );
     assert!(
-        stats.schedules >= 3_000,
-        "expected >= 3000 schedules, got {}",
+        stats.schedules >= MULTI_WIRE_FLOOR,
+        "expected >= {MULTI_WIRE_FLOOR} schedules, got {}",
         stats.schedules
     );
 }
+
+const MULTI_WIRE_FLOOR: u64 = 3_000;
+
+/// Four op points in all (2 + 1 + 1), two of them ordered within one
+/// thread: 4!/2! = 12 interleavings, all within the preemption bound.
+const FUSED_WORD_SCHEDULES: u64 = 12;
 
 /// Everything on one fused word. B(2) is a single balancer, terminal, so
 /// its word is the whole counter: two single tokens, a batch of three on
@@ -431,16 +673,11 @@ fn singles_and_batches_on_one_fused_word_under_all_schedules() {
     const SINGLES: usize = 2;
     const BATCH: usize = 3;
     const EVEN: [usize; 2] = [1, 1];
+    let _clean = clean_guard();
     let stats = model::explore(
         3,
         4,
-        || {
-            let net = bitonic(2).expect("B(2) builds");
-            BatchState {
-                counter: SharedNetworkCounter::new(&net),
-                values: Mutex::new(Vec::new()),
-            }
-        },
+        || counter_state(2),
         |s, tid| {
             let mut out = Vec::new();
             match tid {
@@ -455,56 +692,140 @@ fn singles_and_batches_on_one_fused_word_under_all_schedules() {
             s.values.lock().unwrap().extend(out);
         },
         |s| {
-            let mut values = s.values.lock().unwrap().clone();
-            values.sort_unstable();
-            let n = (SINGLES + BATCH + EVEN.iter().sum::<usize>()) as u64;
-            assert_eq!(
-                values,
-                (0..n).collect::<Vec<_>>(),
-                "runs of arrivals claimed on one word must tile 0..n"
-            );
-            let counts = s.counter.output_counts();
-            assert!(
-                has_step_property(&counts),
-                "quiescent counts {counts:?} violate the step property"
-            );
-            assert_eq!(s.counter.tokens_counted(), n);
+            // Runs of arrivals claimed on one word must tile 0..n.
+            traversal_check(s);
+            let n = SINGLES + BATCH + EVEN.iter().sum::<usize>();
+            assert_eq!(s.values.lock().unwrap().len(), n);
         },
     );
     eprintln!(
         "model_check: fused_word: {} schedules, {} points, depth {}",
         stats.schedules, stats.points, stats.max_depth
     );
-    // Four op points in all (2 + 1 + 1), two of them ordered within one
-    // thread: 4!/2! = 12 interleavings, all within the preemption bound.
-    assert_eq!(stats.schedules, 12);
+    assert_eq!(stats.schedules, FUSED_WORD_SCHEDULES);
 }
 
+/// The refinement check off the classic constructions: a B(4) with a
+/// balancer appended across outputs 1 and 2, so two balancers have mixed
+/// outputs and sinks 0 and 3 own counter words, and a fan-3 balancer over
+/// a fan-2 one, so the interior balancer takes the CAS path and sink 2 owns
+/// a counter. Single tokens, a batch on one wire and a batch over every
+/// wire race on each; every run must be a Section 2.2 execution.
+#[test]
+fn irregular_networks_refine_the_model_under_all_schedules() {
+    use cnet_topology::builder::LayeredBuilder;
+    use cnet_topology::construct::append_adjacent_balancer;
+    let _clean = clean_guard();
+    let mut fan3 = LayeredBuilder::new(3);
+    fan3.balancer(&[0, 1, 2]);
+    fan3.balancer(&[0, 1]);
+    let appended = append_adjacent_balancer(&bitonic(4).expect("B(4) builds"), 1);
+    for net in [appended.expect("appends"), fan3.finish().expect("builds")] {
+        let state = || {
+            let counter = SharedNetworkCounter::new(&net);
+            CounterState { net: net.clone(), counter, values: Mutex::new(Vec::new()) }
+        };
+        let last = net.fan_in() - 1;
+        let stats = model::explore(
+            2,
+            4,
+            state,
+            |s, tid| {
+                let mut out = Vec::new();
+                if tid == 0 {
+                    out.push(s.counter.increment_from(0));
+                    s.counter.increment_batch_from(last, 3, &mut Vec::new(), &mut out);
+                } else {
+                    let every = vec![1; net.fan_in()];
+                    s.counter.increment_counts_from(&every, &mut Vec::new(), &mut out);
+                    out.push(s.counter.increment_from(last));
+                }
+                s.values.lock().unwrap().extend(out);
+            },
+            traversal_check,
+        );
+        eprintln!(
+            "model_check: irregular {net}: {} schedules, {} points, depth {}",
+            stats.schedules, stats.points, stats.max_depth
+        );
+        assert!(
+            stats.schedules >= IRREGULAR_FLOOR,
+            "expected >= {IRREGULAR_FLOOR} schedules, got {}",
+            stats.schedules
+        );
+    }
+}
+
+const IRREGULAR_FLOOR: u64 = 100;
+
 // ---------------------------------------------------------------------
-// Seeded bug: the checker must catch a deliberately broken funnel.
+// Seeded bugs: the checker must catch a deliberately broken funnel and a
+// deliberately broken traversal.
 // ---------------------------------------------------------------------
 
-/// Restores the seeded-bug flag even if the test panics.
-struct BugFlagGuard;
+/// Sets a seeded-bug flag, and restores it even if the test panics.
+struct BugFlagGuard(&'static AtomicBool);
 
 impl BugFlagGuard {
-    fn seed() -> BugFlagGuard {
-        model_bugs::SKIP_SERVED_RECHECK.store(true, Ordering::SeqCst);
-        BugFlagGuard
+    fn seed(flag: &'static AtomicBool) -> BugFlagGuard {
+        flag.store(true, Ordering::SeqCst);
+        BugFlagGuard(flag)
     }
 }
 
 impl Drop for BugFlagGuard {
     fn drop(&mut self) {
-        model_bugs::SKIP_SERVED_RECHECK.store(false, Ordering::SeqCst);
+        self.0.store(false, Ordering::SeqCst);
     }
+}
+
+/// A fused terminal step that hands a single token its sibling port's
+/// value (`compiled::model_bugs::SIBLING_SINK`). In `traversal_b4` every
+/// schedule ends with four arrivals at one terminal word and two at the
+/// other, so the swapped values are still exactly `0..6` and the words
+/// still read a step: the output checks pass the bug under every schedule.
+/// The refinement check fails it on the first one.
+#[test]
+fn seeded_sibling_sink_bug_is_caught_only_by_the_refinement_check() {
+    let _guard = seeded_guard();
+    let explore = |check: fn(&CounterState)| {
+        let (threads, state, run) = (TRAVERSAL_THREADS, traversal_b4_state, traversal_b4_run);
+        model::try_explore(threads, 5, state, run, check)
+    };
+    let (outputs, refinement) = {
+        let _bug = BugFlagGuard::seed(&compiled::model_bugs::SIBLING_SINK);
+        (explore(outputs_check), explore(refinement_check))
+    };
+    let outputs = outputs.expect("the output checks cannot see the sibling-sink bug");
+    let failure = refinement.expect_err("the refinement check must catch the sibling-sink bug");
+    eprintln!(
+        "model_check: seeded sibling-sink bug passed the output checks in all {} schedules; \
+         the refinement check caught it after {} clean schedules\n  message: {}\n  replay:  {}",
+        outputs.schedules, failure.schedules, failure.message, failure.replay
+    );
+    assert!(outputs.schedules >= TRAVERSAL_B4_FLOOR);
+    assert!(failure.message.contains("no Section 2.2 execution"), "{}", failure.message);
+    assert!(failure.replay.starts_with("v1:2:5:"));
+    {
+        let _bug = BugFlagGuard::seed(&compiled::model_bugs::SIBLING_SINK);
+        assert!(
+            model::replay(&failure.replay, traversal_b4_state, traversal_b4_run, refinement_check)
+                .is_err(),
+            "replay must reproduce the seeded failure"
+        );
+    }
+    assert_eq!(
+        model::replay(&failure.replay, traversal_b4_state, traversal_b4_run, traversal_check),
+        Ok(()),
+        "the correct traversal must pass the counterexample schedule"
+    );
 }
 
 #[test]
 fn seeded_missing_recheck_bug_is_caught_with_replay_string() {
-    let _guard = funnel_flag_guard();
+    let _guard = seeded_guard();
     let failure = {
-        let _bug = BugFlagGuard::seed();
+        let _bug = BugFlagGuard::seed(&combine::model_bugs::SKIP_SERVED_RECHECK);
         model::try_explore(3, 2, funnel_state, funnel_run, funnel_check)
             .expect_err("dropping the own-slot-DONE recheck must be caught")
     };
@@ -517,7 +838,7 @@ fn seeded_missing_recheck_bug_is_caught_with_replay_string() {
     // The replay string reproduces the counterexample deterministically
     // while the bug is seeded...
     {
-        let _bug = BugFlagGuard::seed();
+        let _bug = BugFlagGuard::seed(&combine::model_bugs::SKIP_SERVED_RECHECK);
         assert!(
             model::replay(&failure.replay, funnel_state, funnel_run, funnel_check)
                 .is_err(),
@@ -549,7 +870,7 @@ const PINNED_FUNNEL_RACE_REPLAY: &str =
 
 #[test]
 fn pinned_funnel_race_schedule_stays_handled() {
-    let _guard = funnel_flag_guard();
+    let _guard = clean_guard();
     let race_hits = AtomicU64::new(0);
     let result = model::replay(
         PINNED_FUNNEL_RACE_REPLAY,
@@ -569,34 +890,36 @@ fn pinned_funnel_race_schedule_stays_handled() {
 }
 
 // ---------------------------------------------------------------------
-// Total coverage: the four scenarios must explore >= 10,000 schedules.
+// Total coverage: the per-scenario floors must add up.
 // ---------------------------------------------------------------------
 
-#[test]
-fn total_explored_schedules_meet_the_floor() {
-    // Each scenario test asserts its own per-scenario minimum; this
-    // checks that those floors together clear the issue's 10,000-
-    // schedule total, so weakening one of them cannot silently drop
-    // overall coverage.
-    //
-    // A token through the compiled B(4) is three op points, not four:
-    // the terminal word is balancer and counter in one `fetch_add`. At
-    // the same preemption bound the traversal scenarios as first written
-    // (two tokens a thread; K = 3) therefore shrank — 2.8k -> 0.6k,
-    // 3.8k -> 0.5k schedules — and two tokens a thread never took a
-    // terminal word past rank 0. They now run one or two tokens longer
-    // (three a thread; K = 5), which both exercises rank >= 1 in every
-    // schedule and restores the counts, so the floors stand as they
-    // were. (Measured: ~5.3k + ~4.9k + ~13.5k + ~2.1k ≈ 26k schedules,
-    // plus ~4.4k for the multi-wire batch; see EXPERIMENTS.md.)
-    let floors = [2_000u64, 3_000, 10_000, 1_000];
-    let total: u64 = floors.iter().sum();
-    assert!(
-        total >= 10_000,
-        "per-scenario floors no longer reach the documented total"
-    );
-}
+/// What the scenarios' floors must add up to (see EXPERIMENTS.md).
+///
+/// A token through the compiled B(4) is three op points, not four: the
+/// terminal word is balancer and counter in one `fetch_add`. At the same
+/// preemption bound the traversal scenarios as first written (two tokens a
+/// thread; K = 3) therefore shrank — 2.8k -> 0.6k, 3.8k -> 0.5k schedules —
+/// and two tokens a thread never took a terminal word past rank 0. They now
+/// run one or two tokens longer (three a thread; K = 5), which both
+/// exercises rank >= 1 in every schedule and restores the counts, so the
+/// floors stand as they were.
+const TOTAL_FLOOR: u64 = 10_000;
 
+// Every scenario asserts its own floor; lowering any of them far enough
+// fails the build here.
+const _: () = assert!(
+    TRAVERSAL_B4_FLOOR
+        + FUNNEL_FLOOR
+        + RECORDER_FLOOR
+        + BATCH_VS_SEQUENTIAL_FLOOR
+        + MULTI_WIRE_FLOOR
+        + FUSED_WORD_SCHEDULES
+        + BATCH_OF_ONE_SCHEDULES
+        + ELIMINATION_FLOOR
+        + STEAL_FLOOR
+        + IRREGULAR_FLOOR
+        >= TOTAL_FLOOR
+);
 
 // ---------------------------------------------------------------------
 // The n == 0 batch contract, proven rather than assumed: under the
@@ -607,6 +930,7 @@ fn total_explored_schedules_meet_the_floor() {
 
 #[test]
 fn empty_batches_create_no_scheduling_points() {
+    let _clean = clean_guard();
     let stats = model::explore(
         1,
         0,
@@ -633,38 +957,40 @@ fn empty_batches_create_no_scheduling_points() {
     );
 }
 
+/// Two op points, one per thread, each with a choice of who goes first at
+/// the two balancers they share.
+const BATCH_OF_ONE_SCHEDULES: u64 = 14;
+
 /// k = 1 through the batched path claims exactly the value `next_for`
 /// would have: the two paths stay interchangeable under every
 /// interleaving of a concurrent single-token caller.
 #[test]
 fn batch_of_one_is_next_for_under_all_schedules() {
+    let _clean = clean_guard();
     let stats = model::explore(
         2,
         2,
-        || {
-            let net = bitonic(4).expect("B(4) builds");
-            (SharedNetworkCounter::new(&net), Mutex::new(Vec::new()))
-        },
+        || counter_state(4),
         |s, tid| {
             if tid == 0 {
-                let batch = s.0.next_batch_for(0, 1);
+                let batch = s.counter.next_batch_for(0, 1);
                 assert_eq!(batch.len(), 1);
-                s.1.lock().unwrap().push(batch[0]);
+                s.values.lock().unwrap().push(batch[0]);
             } else {
-                let v = s.0.next_for(1);
-                s.1.lock().unwrap().push(v);
+                let v = s.counter.next_for(1);
+                s.values.lock().unwrap().push(v);
             }
         },
         |s| {
-            let mut values = s.1.lock().unwrap().clone();
-            values.sort_unstable();
-            assert_eq!(values, vec![0, 1]);
+            traversal_check(s);
+            assert_eq!(s.values.lock().unwrap().len(), 2);
         },
     );
     eprintln!(
         "model_check: batch_of_one: {} schedules, {} points",
         stats.schedules, stats.points
     );
+    assert_eq!(stats.schedules, BATCH_OF_ONE_SCHEDULES);
 }
 
 // ---------------------------------------------------------------------
@@ -678,9 +1004,12 @@ fn batch_of_one_is_next_for_under_all_schedules() {
 // payment, and exactly-once hinges on it.
 // ---------------------------------------------------------------------
 
+const ELIMINATION_FLOOR: u64 = 500;
+
 #[test]
 fn elimination_exchange_is_exactly_once_under_all_schedules() {
     use cnet_runtime::EliminationCounter;
+    let _clean = clean_guard();
     // Reachability across schedules (std atomics: bookkeeping only).
     let eliminated_reached = AtomicU64::new(0);
     let fell_through_reached = AtomicU64::new(0);
@@ -715,8 +1044,8 @@ fn elimination_exchange_is_exactly_once_under_all_schedules() {
         stats.schedules, stats.points, stats.max_depth
     );
     assert!(
-        stats.schedules >= 500,
-        "expected >= 500 schedules, got {}",
+        stats.schedules >= ELIMINATION_FLOOR,
+        "expected >= {ELIMINATION_FLOOR} schedules, got {}",
         stats.schedules
     );
     assert!(
@@ -842,6 +1171,8 @@ fn steal_check(s: &StealState) {
     }
 }
 
+const STEAL_FLOOR: u64 = 2_000;
+
 #[test]
 fn parallel_steal_pipeline_is_exact_under_all_schedules() {
     let stats = model::explore(4, 2, steal_state, steal_run, steal_check);
@@ -850,8 +1181,8 @@ fn parallel_steal_pipeline_is_exact_under_all_schedules() {
         stats.schedules, stats.points, stats.max_depth
     );
     assert!(
-        stats.schedules >= 2_000,
-        "expected >= 2000 schedules, got {}",
+        stats.schedules >= STEAL_FLOOR,
+        "expected >= {STEAL_FLOOR} schedules, got {}",
         stats.schedules
     );
 }
