@@ -2,11 +2,11 @@
 //! motivating claim of Section 1.1 (after \[AHS94\]): spreading tokens
 //! through a network reduces contention at high thread counts.
 //!
-//! Wall-clock version of the criterion benchmark `throughput`, producing
-//! the shape table recorded in `EXPERIMENTS.md`. Absolute numbers are
-//! machine-dependent; the shape — the single word wins at low concurrency,
-//! the network narrows the gap or wins as threads grow, and the lock trails —
-//! is the reproduced result.
+//! A wall-clock table over 1 to 16 threads, one `fetch_add` word beside
+//! the networks, the lock and the diffracting tree: the shape recorded in
+//! `EXPERIMENTS.md`. Absolute numbers are machine-dependent; the shape —
+//! the single word wins at low concurrency, the network narrows the gap or
+//! wins as threads grow, and the lock trails — is the reproduced result.
 //!
 //! Run: `cargo run --release -p cnet-bench --bin exp_throughput`
 

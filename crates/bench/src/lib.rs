@@ -8,18 +8,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod net;
 pub mod report;
 pub mod search;
 pub mod sweeps;
-pub mod throughput;
 
-pub use net::{run_cluster_net_throughput, run_net_throughput, NetThroughputConfig};
-pub use report::{write_json, Table};
-pub use throughput::{
-    run_audit_sweep, run_consistency_sweep, run_throughput_sweep, Measurement, ThroughputConfig,
-    ThroughputReport, AUDIT_SWEEP_POINTS,
-};
+pub use report::Table;
 pub use search::{maximize, SearchOutcome, SearchSpace};
 pub use sweeps::{
     adversarial_fractions, local_delay_sufficiency, sufficiency_scan, FractionPoint,

@@ -1,9 +1,9 @@
-//! Plain-text table rendering and JSON artifact output for experiments.
+//! Plain-text table rendering for experiments.
+//!
+//! Every `exp_*` binary prints its result as a [`Table`]; [`f3`] is the
+//! three-decimal format of the fractions the paper-table goldens pin.
 
-use cnet_util::json::{self, ToJson};
 use std::fmt;
-use std::io::Write;
-use std::path::Path;
 
 /// A simple aligned text table, printed by every experiment binary.
 ///
@@ -87,16 +87,6 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Serializes `value` with `cnet-util`'s JSON encoder and writes it to
-/// `path`, trailing newline included. All machine-readable benchmark
-/// artifacts (e.g. `BENCH_throughput.json`) go through this single exit
-/// point, so their formatting is uniform and round-trips via
-/// [`cnet_util::json::from_str`].
-pub fn write_json<T: ToJson>(path: &Path, value: &T) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    writeln!(file, "{}", json::to_string_pretty(value))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,20 +120,28 @@ mod tests {
     }
 
     #[test]
-    fn f3_formats() {
-        assert_eq!(f3(1.0 / 3.0), "0.333");
-        assert_eq!(f3(0.5), "0.500");
+    fn empty_table_renders_header_and_rule() {
+        let t = Table::new(vec!["threads", "Mops/s"]);
+        assert_eq!(t.to_string(), "| threads | Mops/s |\n|---------|--------|\n");
     }
 
     #[test]
-    fn write_json_round_trips_through_cnet_util() {
-        let values: Vec<u64> = vec![3, 1, 4, 1, 5];
-        let path = std::env::temp_dir().join("cnet_bench_write_json_test.json");
-        write_json(&path, &values).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.ends_with('\n'));
-        let back: Vec<u64> = cnet_util::json::from_str(&text).unwrap();
-        assert_eq!(back, values);
-        std::fs::remove_file(&path).ok();
+    fn columns_align_by_characters_not_bytes() {
+        // The paper-table goldens carry `≥`, `ℓ` and `·`: multi-byte
+        // characters must pad like one column each.
+        let mut t = Table::new(vec!["ℓ", "bound"]);
+        t.row(vec!["1".into(), "≥ 1/3".into()]);
+        t.row(vec!["12".into(), "d·c".into()]);
+        let s = t.to_string();
+        let widths: Vec<usize> = s.lines().map(|l| l.chars().count()).collect();
+        assert_eq!(widths.len(), 4);
+        assert!(widths.iter().all(|&w| w == widths[0]), "{s}");
+        assert!(s.contains("| ℓ  | bound |"), "{s}");
+    }
+
+    #[test]
+    fn f3_formats() {
+        assert_eq!(f3(1.0 / 3.0), "0.333");
+        assert_eq!(f3(0.5), "0.500");
     }
 }

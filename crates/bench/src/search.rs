@@ -356,4 +356,65 @@ mod tests {
         });
         assert!(outcome.best_score <= theory::thm_5_4_nsc_upper(3) + 1e-9);
     }
+
+    fn small_space() -> SearchSpace {
+        SearchSpace { processes: 3, tokens_per_process: 2, c_min: 1.0, c_max: 6.0, max_gap: 2.0 }
+    }
+
+    #[test]
+    fn a_seed_replays_the_same_search() {
+        let net = bitonic(4).unwrap();
+        let objective = |ops: &[Op]| non_sequential_consistency_fraction(ops);
+        let a = maximize(&net, &small_space(), 5, 3, 40, objective);
+        let b = maximize(&net, &small_space(), 5, 3, 40, objective);
+        assert_eq!(a.best_score, b.best_score);
+        assert_eq!(a.best_specs, b.best_specs);
+        // One evaluation per start plus one per step.
+        assert_eq!(a.evaluations, 3 * (40 + 1));
+    }
+
+    #[test]
+    fn the_best_schedule_scores_what_the_search_reports() {
+        let net = bitonic(4).unwrap();
+        let outcome = maximize(&net, &small_space(), 9, 2, 60, |ops| {
+            non_sequential_consistency_fraction(ops)
+        });
+        assert_eq!(outcome.best_specs.len(), 3 * 2);
+        let exec = run(&net, &outcome.best_specs).unwrap();
+        let rescored = non_sequential_consistency_fraction(&Op::from_execution(&exec));
+        assert_eq!(rescored, outcome.best_score);
+    }
+
+    #[test]
+    fn refine_never_ends_below_its_starting_schedule() {
+        let net = bitonic(4).unwrap();
+        let space = small_space();
+        let objective = |ops: &[Op]| non_sequential_consistency_fraction(ops);
+        let start = maximize(&net, &space, 21, 1, 10, objective);
+        let refined = refine(&net, &space, &start.best_specs, 22, 50, objective);
+        assert!(
+            refined.best_score >= start.best_score,
+            "{} < {}",
+            refined.best_score,
+            start.best_score
+        );
+        assert_eq!(refined.evaluations, 50 + 1);
+        assert_eq!(refined.best_specs.len(), start.best_specs.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "empty search space")]
+    fn an_empty_space_is_rejected() {
+        let net = bitonic(2).unwrap();
+        let space = SearchSpace { processes: 0, ..small_space() };
+        let _ = maximize(&net, &space, 0, 1, 1, |_| 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid envelope")]
+    fn an_inverted_envelope_is_rejected() {
+        let net = bitonic(2).unwrap();
+        let space = SearchSpace { c_min: 3.0, c_max: 2.0, ..small_space() };
+        let _ = maximize(&net, &space, 0, 1, 1, |_| 0.0);
+    }
 }

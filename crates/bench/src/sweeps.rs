@@ -170,4 +170,48 @@ mod tests {
         assert_eq!(report.sequential_consistency_violations, 0);
         assert!(report.schedules_checked > 0);
     }
+
+    #[test]
+    fn scan_accounts_for_every_seed() {
+        // A ratio-4 envelope mostly breaks the ratio-2 condition: those
+        // schedules are skipped, not judged, and none is lost.
+        let net = bitonic(8).unwrap();
+        let cfg = WorkloadConfig {
+            processes: 8,
+            tokens_per_process: 3,
+            c_min: 1.0,
+            c_max: 4.0,
+            local_delay: 0.0,
+            start_spread: 5.0,
+        };
+        let report = sufficiency_scan(&net, &cfg, TimingCondition::RatioAtMostTwo, 20);
+        assert_eq!(report.schedules_checked + report.schedules_skipped, 20);
+        assert!(report.schedules_skipped > 0, "{report:?}");
+        assert!(report.linearizability_violations <= report.schedules_checked);
+        assert!(report.sequential_consistency_violations <= report.linearizability_violations);
+    }
+
+    #[test]
+    fn local_delay_scan_at_ratio_two_is_also_linearizable() {
+        // At c_max = 2·c_min the required pause is zero and the schedules
+        // meet [LSST99]'s ratio-2 condition, so linearizability holds too.
+        let net = bitonic(8).unwrap();
+        let report = local_delay_sufficiency(&net, 2.0, 20);
+        assert_eq!(report.schedules_checked, 20);
+        assert_eq!(report.linearizability_violations, 0);
+        assert_eq!(report.sequential_consistency_violations, 0);
+    }
+
+    #[test]
+    fn adversarial_points_carry_their_parameters() {
+        let net = bitonic(8).unwrap();
+        for ell in 1..=3 {
+            let p = adversarial_fractions(&net, ell);
+            assert_eq!((p.w, p.ell), (8, ell));
+            assert!(p.threshold > 1.0, "{p:?}");
+            assert!((0.0..=1.0).contains(&p.f_nl) && (0.0..=1.0).contains(&p.f_nsc), "{p:?}");
+            // Every non-SC history is non-linearizable as well.
+            assert!(p.f_nsc <= p.f_nl + 1e-12, "{p:?}");
+        }
+    }
 }

@@ -162,4 +162,43 @@ mod tests {
         let opts = Options::parse(&strings(&["--n", "1", "--n", "2"])).unwrap();
         assert_eq!(opts.usize_or("n", 0).unwrap(), 2);
     }
+
+    #[test]
+    fn short_family_names_build_the_same_networks() {
+        for (long, short) in
+            [("bitonic", "b"), ("periodic", "p"), ("tree", "t"), ("block", "l"), ("merger", "m")]
+        {
+            let a = parse_network(long, "8").unwrap();
+            let b = parse_network(short, "8").unwrap();
+            assert_eq!(
+                (a.depth(), a.size(), a.fan_in(), a.fan_out()),
+                (b.depth(), b.size(), b.fan_in(), b.fan_out()),
+                "{long} vs {short}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_arguments_parse_to_no_options() {
+        let opts = Options::parse(&[]).unwrap();
+        assert_eq!(opts.get("seed"), None);
+        assert_eq!(opts.usize_or("threads", 4).unwrap(), 4);
+        assert_eq!(opts.f64_or("ratio", 1.5).unwrap(), 1.5);
+        assert!(opts.allow(&[]).is_ok());
+    }
+
+    #[test]
+    fn typed_accessors_name_the_flag_and_value_on_error() {
+        let opts = Options::parse(&strings(&["--ratio", "fast", "--seed", "-1"])).unwrap();
+        assert_eq!(opts.f64_or("ratio", 1.0).unwrap_err(), "--ratio expects a number, got 'fast'");
+        assert_eq!(opts.u64_or("seed", 0).unwrap_err(), "--seed expects an integer, got '-1'");
+        assert_eq!(
+            Options::parse(&strings(&["--ops", "5", "--check"])).unwrap_err(),
+            "flag --check needs a value"
+        );
+        assert_eq!(
+            Options::parse(&strings(&["--ops", "5", "extra"])).unwrap_err(),
+            "unexpected argument 'extra'"
+        );
+    }
 }

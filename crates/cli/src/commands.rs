@@ -26,7 +26,6 @@ use std::sync::Arc;
 pub fn usage() -> String {
     format!(
         "usage: cnet <command> <family> <w> [--flag value ...]\n\
-     \x20      cnet bench <w> [--flag value ...]\n\
      \x20      cnet audit <w> [--flag value ...]\n\
      \n\
      commands:\n\
@@ -40,13 +39,6 @@ pub fn usage() -> String {
      \x20           --save <file>\n\
      \x20 replay    re-run a saved schedule; flags: --from <file>\n\
      \x20 run       threaded shared-memory run; flags: --threads --ops\n\
-     \x20 bench     throughput sweep over every counter and family; flags:\n\
-     \x20           --threads 1,2,4,8 --batch 1,16,64 --ops --repeats\n\
-     \x20           --out <file.json> --sweep consistency (audited qqc rows:\n\
-     \x20           the throughput-vs-inconsistency frontier, merged into\n\
-     \x20           --out) --sweep audit (retention-vs-audit-cost curve:\n\
-     \x20           off-path drain, live shard stealers, 1-in-k sampling)\n\
-     \x20           --sub-counters K (relaxed bank / elimination slot count)\n\
      \x20 audit     threaded run through the trace recorder with live online\n\
      \x20           consistency monitors; flags: --backend\n\
      \x20           {audit_list}\n\
@@ -67,7 +59,6 @@ pub fn usage() -> String {
      \x20 loadgen   hammer a running serve; flags: --addr HOST:PORT --threads\n\
      \x20           --connections M (pooled, 0 = one per thread) --ops (total)\n\
      \x20           --batch --mode batch|pipeline --check 0/1 --shutdown 0/1\n\
-     \x20           --out <file.json> --label C --network N\n\
      \x20           --cluster 0/1 (route to the head of a counting cluster)\n\
      \x20           (--ops 0 --shutdown 1 sends only the shutdown handshake —\n\
      \x20           the way to drain a relay/tail node that serves no clients)\n\
@@ -101,25 +92,19 @@ fn parse_backend(name: &str, extra: &[&str]) -> Result<Backend, String> {
 /// Returns a user-facing message for any malformed invocation or failed
 /// construction.
 pub fn dispatch(args: &[String]) -> Result<String, String> {
-    // `bench` and `audit` take no family argument — `bench` sweeps every
-    // family at once, `audit` selects one via `--family`.
-    if let [command, rest @ ..] = args {
-        if command == "bench" {
-            return cmd_bench(rest);
-        }
-        if command == "audit" {
-            return cmd_audit(rest);
-        }
-        if command == "serve" {
-            return cmd_serve(rest);
-        }
-        if command == "loadgen" {
-            return cmd_loadgen(rest);
-        }
+    let expected = || "expected: cnet <command> <family> <w> [flags]".to_string();
+    let [command, rest @ ..] = args else { return Err(expected()) };
+    // The name is checked before any argument is read as a network, so a
+    // typo is reported as one. `audit`, `serve` and `loadgen` take no
+    // family argument (`audit` and `serve` select one via `--family`).
+    match command.as_str() {
+        "audit" => return cmd_audit(rest),
+        "serve" => return cmd_serve(rest),
+        "loadgen" => return cmd_loadgen(rest),
+        "info" | "dot" | "simulate" | "waves" | "race" | "replay" | "run" => {}
+        other => return Err(format!("unknown command '{other}'")),
     }
-    let [command, family, w, rest @ ..] = args else {
-        return Err("expected: cnet <command> <family> <w> [flags]".to_string());
-    };
+    let [family, w, rest @ ..] = rest else { return Err(expected()) };
     let net = parse_network(family, w)?;
     let opts = Options::parse(rest)?;
     match command.as_str() {
@@ -136,7 +121,7 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
         "race" => cmd_race(&net, family, w, &opts),
         "replay" => cmd_replay(&net, &opts),
         "run" => cmd_run(&net, &opts),
-        other => Err(format!("unknown command '{other}'")),
+        _ => unreachable!("every network command is listed above"),
     }
 }
 
@@ -308,363 +293,6 @@ fn cmd_run(net: &Network, opts: &Options) -> Result<String, String> {
         workload.threads, workload.increments_per_thread
     );
     let _ = write!(out, "{}", audit(&ops));
-    Ok(out)
-}
-
-/// Parses a comma-separated list of positive integers from `--flag`.
-fn parse_positive_list(
-    opts: &Options,
-    flag: &str,
-    default: Vec<usize>,
-) -> Result<Vec<usize>, String> {
-    match opts.get(flag) {
-        None => Ok(default),
-        Some(list) => list
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&t| t > 0)
-                    .ok_or_else(|| format!("--{flag} expects positive integers, got '{t}'"))
-            })
-            .collect(),
-    }
-}
-
-fn cmd_bench(args: &[String]) -> Result<String, String> {
-    let [w, flags @ ..] = args else {
-        return Err(
-            "expected: cnet bench <w> [--threads 1,2,4,8] [--batch 1,16,64] [--ops N] \
-             [--repeats N] [--out file]"
-                .to_string(),
-        );
-    };
-    let fan: usize = w.parse().map_err(|_| format!("'{w}' is not a valid width"))?;
-    let opts = Options::parse(flags)?;
-    opts.allow(&["threads", "batch", "ops", "repeats", "out", "net", "sweep", "sub-counters"])?;
-    let threads = parse_positive_list(&opts, "threads", vec![1, 2, 4, 8])?;
-    let batches = parse_positive_list(&opts, "batch", Vec::new())?;
-    let cfg = cnet_bench::ThroughputConfig {
-        fan,
-        threads,
-        ops_per_thread: opts.usize_or("ops", 20_000)?.max(1),
-        repeats: opts.usize_or("repeats", 3)?.max(1),
-        batches: batches.clone(),
-    };
-    if !fan.is_power_of_two() || fan < 2 {
-        return Err(format!("unsupported width {fan}: expected a power of two >= 2"));
-    }
-    let sub_counters =
-        opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?.max(1);
-    match opts.get("sweep") {
-        None => {}
-        Some("consistency") => return cmd_bench_consistency(&cfg, sub_counters, &opts),
-        Some("audit") => return cmd_bench_audit(&cfg, sub_counters, &opts),
-        Some(other) => {
-            return Err(format!("--sweep expects 'consistency' or 'audit', got '{other}'"));
-        }
-    }
-    let mut report = cnet_bench::run_throughput_sweep(&cfg);
-    if opts.usize_or("net", 0)? != 0 {
-        // Loopback-TCP rows land in the same artifact (`"transport":
-        // "tcp"`), so the socket tax reads off one file.
-        let net_cfg = cnet_bench::NetThroughputConfig {
-            fan,
-            threads: cfg.threads.clone(),
-            connections: 0,
-            ops_per_thread: cfg.ops_per_thread,
-            batch: 64,
-            mode: cnet_net::LoadGenMode::Pipeline,
-            repeats: cfg.repeats,
-        };
-        let net_rows = cnet_bench::run_net_throughput(&net_cfg)
-            .map_err(|e| format!("networked sweep: {e}"))?;
-        report.measurements.extend(net_rows);
-        // The same compiled bitonic network partitioned across a two-node
-        // loopback chain (`"nodes": 2`, schema v5): the forwarding tax
-        // reads off against the single-server tcp cell above.
-        let cluster_rows = cnet_bench::run_cluster_net_throughput(&net_cfg, 2)
-            .map_err(|e| format!("cluster sweep: {e}"))?;
-        report.measurements.extend(cluster_rows);
-    }
-    let mut out = format!(
-        "== throughput sweep (Mops/s): w={}, {} ops/thread, best of {}, {} cores ==\n\n{}",
-        report.fan,
-        report.ops_per_thread,
-        report.repeats,
-        report.cores,
-        report.summary()
-    );
-    let oversubscribed: Vec<usize> = cfg
-        .threads
-        .iter()
-        .copied()
-        .filter(|&t| t > report.cores)
-        .collect();
-    if !oversubscribed.is_empty() {
-        let _ = writeln!(
-            out,
-            "\nWARNING: thread counts {:?} exceed the host's {} core(s) — those rows are \
-             flagged \"oversubscribed\": true and measure time-slicing, not parallel scaling",
-            oversubscribed, report.cores
-        );
-    }
-    let top = *cfg.threads.iter().max().expect("at least one thread count");
-    if let Some(r) = report.retention("compiled", "bitonic", top) {
-        let _ = writeln!(
-            out,
-            "audited compiled on bitonic B({}) at {top} threads retains {:.1}% of un-audited throughput",
-            report.fan,
-            r * 100.0
-        );
-    }
-    if let Some(&k) = batches.iter().filter(|&&k| k > 1).max() {
-        if let Some(s) = report.batch_speedup("compiled", "bitonic", top, k) {
-            let _ = writeln!(
-                out,
-                "batched traversal (k={k}) on bitonic B({}) at {top} threads: {s:.2}x the \
-                 per-token path",
-                report.fan
-            );
-        }
-    }
-    if let (Some(tcp), Some(mem)) =
-        (report.net_cell("fetch_add", "-", top), report.cell("fetch_add", "-", top))
-    {
-        let _ = writeln!(
-            out,
-            "loopback TCP fetch_add at {top} threads: {:.2} Mops/s ({:.1}% of shared memory)",
-            tcp.mops,
-            tcp.mops / mem.mops * 100.0
-        );
-    }
-    if let (Some(two), Some(one)) = (
-        report.cluster_cell("compiled", "bitonic", top, 2),
-        report.net_cell("compiled", "bitonic", top),
-    ) {
-        let _ = writeln!(
-            out,
-            "two-node partitioned B({}) at {top} threads: {:.2} Mops/s ({:.1}% of the \
-             single-node tcp cell)",
-            report.fan,
-            two.mops,
-            two.mops / one.mops * 100.0
-        );
-    }
-    if let Some(path) = opts.get("out") {
-        cnet_bench::write_json(std::path::Path::new(path), &report)
-            .map_err(|e| format!("write {path}: {e}"))?;
-        let _ = writeln!(out, "report written to {path}");
-    }
-    Ok(out)
-}
-
-/// `cnet bench <w> --sweep audit`: the schema-v7
-/// retention-versus-audit-cost curve. For each thread count the compiled
-/// bitonic engine runs plain and then audited at every
-/// [`cnet_bench::AUDIT_SWEEP_POINTS`] `(audit_threads, sample_k)`
-/// combination — off-path draining, live shard-stealing, and 1-in-k
-/// sampling — with each audited row carrying its paired retention; the
-/// relaxed backends contribute plain/audited pairs so their retention
-/// resolves too. With `--out` the rows are merged into the existing
-/// artifact (replacing prior rows for the same cells) and the report
-/// version is bumped to 7.
-fn cmd_bench_audit(
-    cfg: &cnet_bench::ThroughputConfig,
-    sub_counters: usize,
-    opts: &Options,
-) -> Result<String, String> {
-    let rows = cnet_bench::run_audit_sweep(cfg, sub_counters);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut curve = cnet_bench::Table::new(vec![
-        "threads".to_string(),
-        "backend".to_string(),
-        "audit".to_string(),
-        "sample".to_string(),
-        "Mops/s".to_string(),
-        "retention".to_string(),
-    ]);
-    for m in &rows {
-        let label = if m.network == "-" {
-            m.counter.clone()
-        } else {
-            format!("{}/{}", m.counter, m.network)
-        };
-        curve.row(vec![
-            m.threads.to_string(),
-            label,
-            if !m.audited {
-                "off".to_string()
-            } else if m.audit_threads == 0 {
-                "drain".to_string()
-            } else {
-                format!("live x{}", m.audit_threads)
-            },
-            if m.sample_k > 1 { format!("1/{}", m.sample_k) } else { "all".to_string() },
-            format!("{:.2}", m.mops),
-            m.retention.map_or("-".to_string(), |r| format!("{:.1}%", r * 100.0)),
-        ]);
-    }
-    let mut out = format!(
-        "== audit sweep (retention vs audit cost): w={}, {} ops/thread, best of {}, \
-         {} cores ==\n\n{}",
-        cfg.fan, cfg.ops_per_thread, cfg.repeats, cores, curve
-    );
-    let top = *cfg.threads.iter().max().expect("at least one thread count");
-    if let Some(m) = rows.iter().find(|m| {
-        m.audited
-            && m.audit_threads == 0
-            && m.sample_k == 1
-            && m.counter == "compiled"
-            && m.threads == top
-    }) {
-        if let Some(r) = m.retention {
-            let _ = writeln!(
-                out,
-                "\nfully audited compiled B({}) at {top} threads retains {:.1}% of \
-                 un-audited throughput (paired interleaved measurement)",
-                cfg.fan,
-                r * 100.0,
-            );
-        }
-    }
-    if let Some(path) = opts.get("out") {
-        let p = std::path::Path::new(path);
-        let mut report: cnet_bench::ThroughputReport = match std::fs::read_to_string(p) {
-            Ok(text) => cnet_util::json::from_str(&text)
-                .map_err(|e| format!("{path}: not a throughput report: {e}"))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                cnet_bench::ThroughputReport {
-                    version: 7,
-                    fan: cfg.fan,
-                    ops_per_thread: cfg.ops_per_thread,
-                    repeats: cfg.repeats,
-                    cores,
-                    measurements: Vec::new(),
-                }
-            }
-            Err(e) => return Err(format!("read {path}: {e}")),
-        };
-        // Replace any prior row for the same cell (same counter, network,
-        // threads, audited flag, and audit-pipeline parameters); qqc-
-        // bearing consistency rows and tcp/cluster rows are untouched.
-        report.measurements.retain(|m| {
-            m.qqc_max.is_some()
-                || m.transport != cnet_bench::Measurement::TRANSPORT_MEMORY
-                || !rows.iter().any(|r| {
-                    r.counter == m.counter
-                        && r.network == m.network
-                        && r.threads == m.threads
-                        && r.audited == m.audited
-                        && r.batch == m.batch
-                        && r.audit_threads == m.audit_threads
-                        && r.sample_k == m.sample_k
-                })
-        });
-        report.measurements.extend(rows);
-        report.version = report.version.max(7);
-        cnet_bench::write_json(p, &report).map_err(|e| format!("write {path}: {e}"))?;
-        let _ = writeln!(out, "audit rows merged into {path} (schema v{})", report.version);
-    }
-    Ok(out)
-}
-
-/// `cnet bench <w> --sweep consistency`: the schema-v6
-/// throughput-versus-inconsistency frontier. Every backend — strict and
-/// relaxed — runs audited through the QQC lateness meter, and the rows
-/// carry the measured `qqc_max`/`qqc_mean`/`f_nl` from the same run the
-/// throughput was timed on. With `--out` the rows are merged into the
-/// existing artifact (replacing prior qqc-bearing rows for the same
-/// cells, preserving everything else) and the report version is bumped
-/// to at least 6.
-fn cmd_bench_consistency(
-    cfg: &cnet_bench::ThroughputConfig,
-    sub_counters: usize,
-    opts: &Options,
-) -> Result<String, String> {
-    let rows = cnet_bench::run_consistency_sweep(cfg, sub_counters);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut frontier = cnet_bench::Table::new(vec![
-        "threads".to_string(),
-        "backend".to_string(),
-        "Mops/s".to_string(),
-        "qqc_max".to_string(),
-        "qqc_mean".to_string(),
-        "F_nl".to_string(),
-    ]);
-    for m in &rows {
-        let label = if m.network == "-" {
-            m.counter.clone()
-        } else {
-            format!("{}/{}", m.counter, m.network)
-        };
-        frontier.row(vec![
-            m.threads.to_string(),
-            label,
-            format!("{:.2}", m.mops),
-            m.qqc_max.map_or("-".to_string(), |v| v.to_string()),
-            m.qqc_mean.map_or("-".to_string(), |v| format!("{v:.2}")),
-            m.f_nl.map_or("-".to_string(), |v| format!("{v:.4}")),
-        ]);
-    }
-    let mut out = format!(
-        "== consistency sweep (throughput vs measured inconsistency): w={}, k={}, \
-         {} ops/thread, best of {}, {} cores ==\n\n{}",
-        cfg.fan, sub_counters, cfg.ops_per_thread, cfg.repeats, cores, frontier
-    );
-    let top = *cfg.threads.iter().max().expect("at least one thread count");
-    let strict = rows
-        .iter()
-        .find(|m| m.counter == "compiled" && m.network == "bitonic" && m.threads == top);
-    let relaxed = rows.iter().find(|m| m.counter == "relaxed" && m.threads == top);
-    if let (Some(s), Some(r)) = (strict, relaxed) {
-        let _ = writeln!(
-            out,
-            "\nrelaxed (k={sub_counters}) vs compiled bitonic B({}) at {top} threads: \
-             {:.2}x the throughput at qqc_max {} (vs {})",
-            cfg.fan,
-            r.mops / s.mops,
-            r.qqc_max.unwrap_or(0),
-            s.qqc_max.unwrap_or(0),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "every row handed out the exact multiset 0..n — relaxation shows up only as \
-         reordering (qqc lateness), never as a lost or duplicated value"
-    );
-    if let Some(path) = opts.get("out") {
-        let p = std::path::Path::new(path);
-        let mut report: cnet_bench::ThroughputReport = match std::fs::read_to_string(p) {
-            Ok(text) => cnet_util::json::from_str(&text)
-                .map_err(|e| format!("{path}: not a throughput report: {e}"))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                cnet_bench::ThroughputReport {
-                    version: 7,
-                    fan: cfg.fan,
-                    ops_per_thread: cfg.ops_per_thread,
-                    repeats: cfg.repeats,
-                    cores,
-                    measurements: Vec::new(),
-                }
-            }
-            Err(e) => return Err(format!("read {path}: {e}")),
-        };
-        // Replace any prior consistency rows for the same cells; plain,
-        // batched, tcp, and cluster rows are untouched (regenerating them
-        // is expensive and they carry no qqc fields).
-        report.measurements.retain(|m| {
-            m.qqc_max.is_none()
-                || !rows.iter().any(|r| {
-                    r.counter == m.counter && r.network == m.network && r.threads == m.threads
-                })
-        });
-        report.measurements.extend(rows);
-        report.version = report.version.max(7);
-        cnet_bench::write_json(p, &report).map_err(|e| format!("write {path}: {e}"))?;
-        let _ = writeln!(out, "consistency rows merged into {path} (schema v{})", report.version);
-    }
     Ok(out)
 }
 
@@ -892,8 +520,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
 fn cmd_loadgen(args: &[String]) -> Result<String, String> {
     let opts = Options::parse(args)?;
     opts.allow(&[
-        "addr", "threads", "connections", "ops", "batch", "mode", "check", "shutdown", "out",
-        "label", "network", "cluster", "audit-sample",
+        "addr", "threads", "connections", "ops", "batch", "mode", "check", "shutdown", "cluster",
     ])?;
     let addr = opts.get("addr").ok_or("loadgen needs --addr HOST:PORT")?.to_string();
     let threads = opts.usize_or("threads", 4)?.max(1);
@@ -966,15 +593,6 @@ fn cmd_loadgen(args: &[String]) -> Result<String, String> {
         }
         None => {}
     }
-    // Chain size for the bench row, asked before any shutdown: every node
-    // of a cluster reports the full node count; plain servers say 1.
-    let nodes = if opts.get("out").is_some() {
-        cnet_net::RemoteCounter::connect(&addr as &str, 1)
-            .and_then(|c| c.node_info())
-            .map_or(1, |info| (info.nodes as usize).max(1))
-    } else {
-        1
-    };
     if opts.usize_or("shutdown", 0)? != 0 {
         let client = cnet_net::RemoteCounter::connect(&addr as &str, 1)
             .map_err(|e| format!("shutdown connect {addr}: {e}"))?;
@@ -997,71 +615,7 @@ fn cmd_loadgen(args: &[String]) -> Result<String, String> {
         client.shutdown_server().map_err(|e| format!("shutdown {addr}: {e}"))?;
         let _ = writeln!(out, "server shutdown requested and acknowledged");
     }
-    if let Some(path) = opts.get("out") {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut row = cnet_bench::Measurement::timed(
-            opts.get("label").unwrap_or("fetch_add"),
-            opts.get("network").unwrap_or("-"),
-            threads,
-            report.total_ops as usize,
-            report.seconds,
-        );
-        row.mops = report.ops_per_sec() / 1.0e6;
-        row.transport = cnet_bench::Measurement::TRANSPORT_TCP.to_string();
-        row.batch = match mode {
-            cnet_net::LoadGenMode::Batch => batch,
-            cnet_net::LoadGenMode::Pipeline => 1,
-        };
-        row.oversubscribed = threads > cores;
-        row.connections = report.connections;
-        row.p50_ns = Some(p50);
-        row.p99_ns = Some(p99);
-        row.p999_ns = Some(p999);
-        row.nodes = nodes;
-        // Row metadata only: the sampling stride is a *server-side* knob
-        // (`serve --audit-sample k`); tagging the row keeps the artifact
-        // honest about what the audited server was actually recording.
-        row.sample_k = opts.usize_or("audit-sample", 1)?.max(1);
-        merge_net_row(std::path::Path::new(path), row)?;
-        let _ = writeln!(out, "tcp throughput row merged into {path}");
-    }
     Ok(out)
-}
-
-/// Appends (or replaces) a networked-throughput row in a
-/// `BENCH_throughput.json` report (schema v2 through v7), creating a
-/// minimal v7 report when the file does not exist yet. Row identity
-/// includes the connection count and the cluster node count, so
-/// connection-scaling and node-scaling sweeps keep one row per cell
-/// instead of overwriting.
-fn merge_net_row(
-    path: &std::path::Path,
-    row: cnet_bench::Measurement,
-) -> Result<(), String> {
-    let mut report: cnet_bench::ThroughputReport = match std::fs::read_to_string(path) {
-        Ok(text) => cnet_util::json::from_str(&text)
-            .map_err(|e| format!("{}: not a throughput report: {e}", path.display()))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => cnet_bench::ThroughputReport {
-            version: 7,
-            fan: 0,
-            ops_per_thread: 0,
-            repeats: 1,
-            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            measurements: Vec::new(),
-        },
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-    };
-    report.measurements.retain(|m| {
-        !(m.transport == row.transport
-            && m.counter == row.counter
-            && m.network == row.network
-            && m.threads == row.threads
-            && m.batch == row.batch
-            && m.connections == row.connections
-            && m.nodes == row.nodes)
-    });
-    report.measurements.push(row);
-    cnet_bench::write_json(path, &report).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 /// Drives an audited run through [`drive_audited`], collecting a bounded
@@ -1097,11 +651,12 @@ fn audit_workload<C: ProcessCounter>(
 
 /// The verdict block every audit report ends with: the Section 2.4
 /// conditions with their first witnesses, the Section 5.1 fractions, the
-/// QQC lateness profile, and the one-line verdict. With `enforce` off (the
+/// QQC lateness profile (beside the audited run's wall-clock rate, when
+/// this process drove the run), and the one-line verdict. With `enforce` off (the
 /// deliberately relaxed backends) violations read as a measurement. The
 /// caller fails the process when `!a.is_clean() && enforce` — CI gates
 /// read the exit code, not the transcript.
-fn render_verdict(a: &StreamingAuditor, enforce: bool) -> String {
+fn render_verdict(a: &StreamingAuditor, enforce: bool, ops_per_s: Option<f64>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "linearizable:            {}", a.is_linearizable());
     if let Some(v) = a.linearizability_violation() {
@@ -1120,6 +675,9 @@ fn render_verdict(a: &StreamingAuditor, enforce: bool) -> String {
         a.qqc_mean(),
         a.qqc_p99()
     );
+    if let Some(rate) = ops_per_s {
+        let _ = writeln!(out, "audited rate: {rate:.0} ops/s (wall clock)");
+    }
     let _ = writeln!(
         out,
         "\naudit verdict: {}",
@@ -1321,7 +879,7 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
             collector.merged().skipped()
         );
     }
-    out.push_str(&render_verdict(auditor, true));
+    out.push_str(&render_verdict(auditor, true, None));
     if auditor.is_clean() {
         Ok(out)
     } else {
@@ -1393,7 +951,9 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
             }
         };
     let counter = Traced::new(counter, Arc::clone(&recorder));
+    let started = std::time::Instant::now();
     let (run, batches) = audit_workload(&counter, &recorder, workload, audit_threads, &mut live);
+    let ops_per_s = (threads * ops) as f64 / started.elapsed().as_secs_f64();
     let a = run.auditor.auditor();
     let mut out = format!(
         "== cnet audit: backend={backend} family={shown_family} w={fan}, \
@@ -1443,7 +1003,7 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
         }
     }
     let _ = writeln!(out, "operations audited:      {}", a.operations());
-    out.push_str(&render_verdict(a, enforce));
+    out.push_str(&render_verdict(a, enforce, Some(ops_per_s)));
     if a.is_clean() || !enforce {
         Ok(out)
     } else {
@@ -1535,6 +1095,11 @@ mod tests {
         assert!(call(&["info"]).is_err());
         assert!(call(&["info", "bitonic", "6"]).unwrap_err().contains("unsupported width"));
         assert!(call(&["frobnicate", "bitonic", "8"]).unwrap_err().contains("unknown command"));
+        // The name is checked before the arguments are read as a network.
+        assert!(call(&["frobnicate", "bitonic", "6"]).unwrap_err().contains("unknown command"));
+        assert!(call(&["bench", "8", "--out", "x.json"])
+            .unwrap_err()
+            .contains("unknown command 'bench'"));
         assert!(call(&["simulate", "bitonic", "4", "--bogus", "1"])
             .unwrap_err()
             .contains("unknown flag"));
@@ -1545,11 +1110,12 @@ mod tests {
     fn usage_mentions_every_command() {
         let u = usage();
         for c in [
-            "info", "dot", "simulate", "waves", "race", "replay", "run", "bench", "audit",
-            "serve", "loadgen",
+            "info", "dot", "simulate", "waves", "race", "replay", "run", "audit", "serve",
+            "loadgen",
         ] {
             assert!(u.contains(c), "{c}");
         }
+        assert!(!u.split_whitespace().any(|w| w == "bench"), "{u}");
     }
 
     /// Boots `cnet serve` in a thread, discovers the ephemeral port via
@@ -1600,71 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_merges_a_tcp_row_into_the_artifact() {
-        let port_file = std::env::temp_dir().join("cnet_cli_test_merge.port");
-        let out_file = std::env::temp_dir().join("cnet_cli_test_merge.json");
-        let _ = std::fs::remove_file(&port_file);
-        let _ = std::fs::remove_file(&out_file);
-        let pf = port_file.to_str().unwrap().to_string();
-        let server = std::thread::spawn({
-            let pf = pf.clone();
-            move || call(&["serve", "4", "--backend", "compiled", "--port-file", &pf])
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&port_file) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "serve never wrote the port file");
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
-        let out_str = out_file.to_str().unwrap();
-        // Merge twice: the second run must replace the first row, not
-        // stack. (`--check 0`: against a long-lived server the values are
-        // a later window of the count, not 0..n.)
-        for _ in 0..2 {
-            let out = call(&[
-                "loadgen", "--addr", &addr, "--threads", "2", "--ops", "500", "--check", "0",
-                "--out", out_str, "--label", "compiled", "--network", "bitonic",
-            ])
-            .unwrap();
-            assert!(out.contains("tcp throughput row merged"), "{out}");
-        }
-        // A different pooled-connection count is a new cell, not a replace.
-        let out = call(&[
-            "loadgen", "--addr", &addr, "--threads", "2", "--connections", "6", "--ops", "500",
-            "--check", "0", "--out", out_str, "--label", "compiled", "--network", "bitonic",
-        ])
-        .unwrap();
-        assert!(out.contains("2 threads over 6 connections"), "{out}");
-        call(&["loadgen", "--addr", &addr, "--ops", "1", "--check", "0", "--shutdown", "1"])
-            .unwrap();
-        server.join().unwrap().unwrap();
-        let text = std::fs::read_to_string(&out_file).unwrap();
-        let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
-        let rows: Vec<_> = report
-            .measurements
-            .iter()
-            .filter(|m| m.transport == cnet_bench::Measurement::TRANSPORT_TCP)
-            .collect();
-        // The two 2-connection runs collapsed into one row; the
-        // 6-connection run is its own cell (identity includes the pool).
-        assert_eq!(rows.len(), 2, "{rows:?}");
-        for row in &rows {
-            assert_eq!(row.counter, "compiled");
-            assert_eq!(row.network, "bitonic");
-            assert_eq!(row.threads, 2);
-            assert!(row.p99_ns.unwrap() > 0, "{row:?}");
-        }
-        assert!(report.net_cell_at("compiled", "bitonic", 2, 2).is_some());
-        assert!(report.net_cell_at("compiled", "bitonic", 2, 6).is_some());
-        let _ = std::fs::remove_file(&port_file);
-        let _ = std::fs::remove_file(&out_file);
-    }
-
-    #[test]
     fn serve_and_loadgen_reject_bad_arguments() {
         assert!(call(&["serve"]).unwrap_err().contains("cnet serve <w>"));
         assert!(call(&["serve", "4", "--backend", "quantum"])
@@ -1680,6 +1181,25 @@ mod tests {
         assert!(call(&["loadgen", "--addr", "x", "--bogus", "1"])
             .unwrap_err()
             .contains("unknown flag"));
+    }
+
+    #[test]
+    fn loadgen_takes_no_artifact_row_flags() {
+        // loadgen reports to stdout only; the flags that once tagged and
+        // wrote a row of a JSON artifact are rejected before any dial.
+        for flag in ["out", "label", "network", "audit-sample"] {
+            let err = call(&["loadgen", "--addr", "127.0.0.1:1", &format!("--{flag}"), "x"])
+                .unwrap_err();
+            assert_eq!(err, format!("unknown flag --{flag}"));
+        }
+    }
+
+    #[test]
+    fn loadgen_rejects_an_unknown_mode_before_dialing() {
+        let err = call(&["loadgen", "--addr", "127.0.0.1:1", "--mode", "turbo"]).unwrap_err();
+        assert_eq!(err, "--mode expects batch or pipeline, got 'turbo'");
+        let err = call(&["loadgen", "--addr", "127.0.0.1:1", "--threads", "many"]).unwrap_err();
+        assert!(err.contains("--threads expects an integer"), "{err}");
     }
 
     #[test]
@@ -1904,102 +1424,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_sweeps_and_writes_the_artifact() {
-        let path = std::env::temp_dir().join("cnet_cli_test_bench.json");
-        let path_str = path.to_str().unwrap();
-        let out = call(&[
-            "bench", "4", "--threads", "1,2", "--ops", "200", "--repeats", "1", "--out", path_str,
-        ])
-        .unwrap();
-        assert!(out.contains("compiled/bitonic"));
-        assert!(out.contains("compiled/periodic"));
-        assert!(out.contains("compiled/bitonic+audit"));
-        assert!(out.contains("audited compiled on bitonic B(4) at 2 threads retains"));
-        assert!(out.contains(&format!("report written to {path_str}")));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
-        assert_eq!(report.fan, 4);
-        assert_eq!(report.version, 7);
-        assert_eq!(report.measurements.len(), 2 * 11);
-        // Schema v7: the audited rows carry their paired retention.
-        let audited = report.audited_cell("compiled", "bitonic", 2).unwrap();
-        assert!(audited.retention.is_some());
-        // The consistency sweep merges its qqc rows into the same
-        // artifact without disturbing the plain rows.
-        let out = call(&[
-            "bench",
-            "4",
-            "--threads",
-            "1,2",
-            "--ops",
-            "200",
-            "--repeats",
-            "1",
-            "--sweep",
-            "consistency",
-            "--sub-counters",
-            "4",
-            "--out",
-            path_str,
-        ])
-        .unwrap();
-        assert!(out.contains("consistency sweep"), "{out}");
-        assert!(out.contains("relaxed"), "{out}");
-        assert!(out.contains(&format!("consistency rows merged into {path_str}")), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
-        assert_eq!(report.version, 7);
-        assert_eq!(report.measurements.len(), 2 * 11 + 2 * 7);
-        assert!(report.cell("compiled", "bitonic", 2).is_some());
-        let c = report.consistency_cell("relaxed", "-", 2).unwrap();
-        assert!(c.qqc_max.is_some() && c.f_nl.is_some());
-        assert!(report.consistency_cell("elimination", "bitonic", 1).is_some());
-        // The audit sweep merges the retention-vs-cost curve into the
-        // same artifact: plain cells are replaced in place, qqc and
-        // batched rows survive, live and sampled rows are new cells.
-        let out = call(&[
-            "bench", "4", "--threads", "1,2", "--ops", "200", "--repeats", "1", "--sweep",
-            "audit", "--sub-counters", "4", "--out", path_str,
-        ])
-        .unwrap();
-        assert!(out.contains("audit sweep"), "{out}");
-        assert!(out.contains("retention"), "{out}");
-        assert!(out.contains(&format!("audit rows merged into {path_str}")), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
-        assert_eq!(report.version, 7);
-        // 22 sweep rows + 14 consistency rows, minus the 2 plain compiled
-        // + 2 audited compiled cells the audit sweep replaces, plus
-        // 2 × 10 audit-sweep rows.
-        assert_eq!(report.measurements.len(), 2 * 11 + 2 * 7 - 4 + 2 * 10);
-        assert!(report.audit_cell_at("compiled", "bitonic", 2, 2, 8).is_some());
-        assert!(report.retention("relaxed", "-", 2).is_some());
-        assert!(report.consistency_cell("relaxed", "-", 2).is_some());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn bench_batch_sweep_adds_rows_and_reports_the_speedup() {
-        let path = std::env::temp_dir().join("cnet_cli_test_bench_batch.json");
-        let path_str = path.to_str().unwrap();
-        let out = call(&[
-            "bench", "4", "--threads", "2", "--batch", "1,8", "--ops", "400", "--repeats", "1",
-            "--out", path_str,
-        ])
-        .unwrap();
-        assert!(out.contains("compiled/bitonic x8"), "{out}");
-        assert!(out.contains("batched traversal (k=8) on bitonic B(4) at 2 threads"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let report: cnet_bench::ThroughputReport = cnet_util::json::from_str(&text).unwrap();
-        // 11 plain rows + fetch_add and compiled × 3 families at batch=8.
-        assert_eq!(report.measurements.len(), 11 + 4);
-        let row = report.batch_cell("compiled", "bitonic", 2, 8).unwrap();
-        assert_eq!(row.batch, 8);
-        assert!(report.batch_speedup("compiled", "bitonic", 2, 8).is_some());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
     fn audit_single_thread_is_clean_on_every_backend() {
         // One thread: operations are totally ordered in real time and the
         // values strictly increase, so every backend must audit clean —
@@ -2011,6 +1435,14 @@ mod tests {
             assert!(out.contains("events dropped:          0"), "{backend}: {out}");
             assert!(out.contains("linearizable:            true"), "{backend}: {out}");
             assert!(out.contains("qqc lateness: max 0"), "{backend}: {out}");
+            // The run's rate sits on the line after its lateness: one audited
+            // run gives a point of the throughput-vs-lateness frontier.
+            let rate = out.lines().skip_while(|l| !l.starts_with("qqc lateness:")).nth(1);
+            assert!(
+                rate.is_some_and(|l| l.starts_with("audited rate: ")
+                    && l.ends_with(" ops/s (wall clock)")),
+                "{backend}: {out}"
+            );
             assert!(out.contains("audit verdict: clean (0 violations)"), "{backend}: {out}");
         }
     }
@@ -2137,17 +1569,6 @@ mod tests {
         assert!(err.contains("unknown backend") && err.contains("one of: compiled, combining,"), "{err}");
         assert!(call(&["audit", "8", "--bogus", "1"]).unwrap_err().contains("unknown flag"));
         assert!(call(&["audit", "6"]).is_err()); // not a power of two
-    }
-
-    #[test]
-    fn bench_rejects_bad_arguments() {
-        assert!(call(&["bench"]).unwrap_err().contains("cnet bench <w>"));
-        assert!(call(&["bench", "six"]).unwrap_err().contains("not a valid width"));
-        assert!(call(&["bench", "6"]).unwrap_err().contains("unsupported width"));
-        assert!(call(&["bench", "4", "--threads", "0"])
-            .unwrap_err()
-            .contains("positive integers"));
-        assert!(call(&["bench", "4", "--bogus", "1"]).unwrap_err().contains("unknown flag"));
     }
 
     #[test]

@@ -437,4 +437,97 @@ mod tests {
         server.shutdown();
         assert_eq!(server.stats().total_connections, 2);
     }
+
+    fn report_with(total_ops: u64, values: Vec<u64>) -> LoadGenReport {
+        LoadGenReport {
+            threads: 1,
+            connections: 1,
+            total_ops,
+            seconds: 1.0,
+            latency: LatencyHistogram::new(),
+            values: Some(values),
+        }
+    }
+
+    #[test]
+    fn is_permutation_rejects_gaps_repeats_and_miscounts() {
+        assert_eq!(report_with(4, vec![2, 0, 3, 1]).is_permutation(), Some(true));
+        assert_eq!(report_with(0, vec![]).is_permutation(), Some(true));
+        // A repeated value (and so a missing one).
+        assert_eq!(report_with(4, vec![0, 1, 1, 3]).is_permutation(), Some(false));
+        // A gap: the right count, a value past the end.
+        assert_eq!(report_with(4, vec![0, 1, 2, 4]).is_permutation(), Some(false));
+        // Fewer or more values than operations.
+        assert_eq!(report_with(4, vec![0, 1, 2]).is_permutation(), Some(false));
+        assert_eq!(report_with(3, vec![0, 1, 2, 3]).is_permutation(), Some(false));
+    }
+
+    #[test]
+    fn ops_per_sec_is_zero_without_elapsed_time() {
+        let mut report = report_with(1000, Vec::new());
+        assert_eq!(report.ops_per_sec(), 1000.0);
+        report.seconds = 0.0;
+        assert_eq!(report.ops_per_sec(), 0.0);
+    }
+
+    #[test]
+    fn a_short_final_burst_completes_the_quota() {
+        // 25 ops in bursts of 10: two full bursts and one of 5 per worker.
+        let mut server = CounterServer::start(
+            "127.0.0.1:0",
+            Arc::new(FetchAddCounter::new()),
+            ServerConfig { max_connections: 4, ..ServerConfig::default() },
+        )
+        .unwrap();
+        let report = run_loadgen(
+            server.local_addr(),
+            &LoadGenConfig {
+                threads: 2,
+                ops_per_thread: 25,
+                batch: 10,
+                mode: LoadGenMode::Batch,
+                collect_values: true,
+                ..LoadGenConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(report.total_ops, 50);
+        assert_eq!(report.values.as_ref().map(Vec::len), Some(50));
+        assert_eq!(report.is_permutation(), Some(true));
+        assert_eq!(report.latency.count(), 2 * 3);
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!(stats.ops, 50);
+        assert_eq!(stats.batches, 2 * 3);
+    }
+
+    #[test]
+    fn zero_threads_and_zero_batch_run_as_one() {
+        let mut server = CounterServer::start(
+            "127.0.0.1:0",
+            Arc::new(FetchAddCounter::new()),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let report = run_loadgen(
+            server.local_addr(),
+            &LoadGenConfig {
+                threads: 0,
+                ops_per_thread: 12,
+                batch: 0,
+                mode: LoadGenMode::Pipeline,
+                collect_values: true,
+                ..LoadGenConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(report.threads, 1);
+        assert_eq!(report.connections, 1);
+        assert_eq!(report.total_ops, 12);
+        assert_eq!(report.is_permutation(), Some(true));
+        // A batch of one: one round trip, so one latency sample, per op.
+        assert_eq!(report.latency.count(), 12);
+        server.shutdown();
+        assert_eq!(server.stats().ops, 12);
+    }
 }

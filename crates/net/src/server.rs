@@ -22,7 +22,7 @@
 //!
 //! # Per-connection state machine
 //!
-//! Each connection advances through [`Phase`]s driven by readiness:
+//! Each connection advances through `Phase`s driven by readiness:
 //!
 //! ```text
 //! ReadingHeader ──bytes──▶ ReadingBody ──frame──▶ Executing ──▶ Writing
@@ -32,9 +32,9 @@
 //! ```
 //!
 //! `ReadingHeader`/`ReadingBody` live inside an incremental
-//! [`FrameDecoder`](crate::wire::FrameDecoder) — a nonblocking read may
-//! deliver half a length prefix or ten pipelined frames; the decoder
-//! resumes at any byte boundary and yields each frame exactly once.
+//! [`FrameDecoder`] — a nonblocking read may deliver half a length prefix
+//! or ten pipelined frames; the decoder resumes at any byte boundary and
+//! yields each frame exactly once.
 //! `Executing` runs the backend call on the reactor thread itself
 //! (counter operations are sub-microsecond — a lock-free traversal, not
 //! blocking I/O — so shipping them to a worker pool would cost more than

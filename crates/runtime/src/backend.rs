@@ -113,6 +113,8 @@ impl Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{drain_remaining, drive, TraceRecorder, Traced, Workload};
+    use cnet_core::trace::StreamingAuditor;
     use cnet_topology::construct::bitonic;
 
     #[test]
@@ -125,6 +127,18 @@ mod tests {
             values.sort_unstable();
             assert_eq!(values, (0..12).collect::<Vec<_>>(), "{}", b.name());
             assert_eq!(b.build(None, 4, 2, 3).is_err(), b.uses_network(), "{}", b.name());
+            // Behind the recorder at two threads: still exactly 0..n (a
+            // relaxed backend may reorder, never lose or repeat), and the
+            // audit's two meters agree on what clean means.
+            let workload = Workload { threads: 2, increments_per_thread: 500 };
+            let recorder = Arc::new(TraceRecorder::new(2, 500));
+            let traced = Traced::new(b.build(Some(&net), 4, 2, 3).unwrap(), Arc::clone(&recorder));
+            let mut values: Vec<u64> = drive(&traced, workload).iter().map(|r| r.value).collect();
+            values.sort_unstable();
+            assert_eq!(values, (0..1000).collect::<Vec<_>>(), "{}", b.name());
+            let mut auditor = StreamingAuditor::new();
+            assert_eq!(drain_remaining(&recorder, &mut auditor), 1000, "{}", b.name());
+            assert_eq!(auditor.f_nl() == 0.0, auditor.qqc_max() == 0, "{}", b.name());
         }
         assert_eq!(Backend::parse("remote"), None);
         assert!(Backend::Diffracting.build(None, 6, 2, 3).is_err());
@@ -140,6 +154,37 @@ mod tests {
         assert_eq!(names.len(), Backend::ALL.len());
         for name in ["", "Compiled", "fetch-add", "graph_walk", "cluster"] {
             assert_eq!(Backend::parse(name), None, "{name:?}");
+        }
+    }
+
+    #[test]
+    fn only_the_relaxed_backends_may_reorder() {
+        let exempt: Vec<_> =
+            Backend::ALL.into_iter().filter(|b| !b.enforces_order()).map(Backend::name).collect();
+        assert_eq!(exempt, ["relaxed", "elimination"]);
+    }
+
+    #[test]
+    fn zero_sub_counters_builds_one() {
+        let net = bitonic(4).unwrap();
+        for b in [Backend::Relaxed, Backend::Elimination] {
+            let counter = b.build(Some(&net), 4, 2, 0).unwrap();
+            // One bank (or slot), one process: plain sequential counting.
+            let values: Vec<u64> = (0..8).map(|_| counter.next_for(0)).collect();
+            assert_eq!(values, (0..8).collect::<Vec<_>>(), "{}", b.name());
+        }
+    }
+
+    #[test]
+    fn a_missing_network_is_named_in_the_error() {
+        for b in Backend::ALL.into_iter().filter(|b| b.uses_network()) {
+            let err = b.build(None, 4, 2, 3).err().unwrap();
+            assert_eq!(err, format!("backend {} needs a network", b.name()));
+        }
+        // A network is ignored, not rejected, where none is needed.
+        let net = bitonic(4).unwrap();
+        for b in Backend::ALL.into_iter().filter(|b| !b.uses_network()) {
+            assert!(b.build(Some(&net), 4, 2, 3).is_ok(), "{}", b.name());
         }
     }
 }

@@ -108,10 +108,10 @@ pub trait ProcessCounter: Sync {
     ///
     /// `n == 0` is a no-op by contract: it returns an empty vector
     /// without touching shared state — no atomic operation, no lock
-    /// acquisition, no network round trip. Callers (the bench harness,
-    /// the combining funnel's pass-through) rely on empty batches being
-    /// free, and the model checker counts every shim atomic as a
-    /// scheduling point, so a stray `fetch_add(0)` is observable there.
+    /// acquisition, no network round trip. Callers (the combining
+    /// funnel's pass-through) rely on empty batches being free, and the
+    /// model checker counts every shim atomic as a scheduling point, so a
+    /// stray `fetch_add(0)` is observable there.
     fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
         if n == 0 {
             return Vec::new();

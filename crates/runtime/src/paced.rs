@@ -147,10 +147,13 @@ mod tests {
 
     #[test]
     fn paced_histories_have_measured_local_delay() {
-        // `drive` stamps enter before `next_for` (which includes the wait)
-        // and exit after it returns, so the externally observable guarantee
-        // is on the gap between successive *completions* of one process.
-        // Use a delay large enough to dominate timestamping noise.
+        // `drive` stamps enter before `next_for` and exit after it returns,
+        // while the wrapper's own timer starts between the two. So op `i`'s
+        // timer starts after `enter[i]`, op `i + 1` cannot complete before
+        // that timer expires, and by induction `exit[j] - enter[i]` is at
+        // least `(j - i) · delay` for every `i < j`. The bound holds however
+        // long a thread is preempted between the timer and the exit stamp,
+        // which a gap between two exit stamps does not.
         let delay = Duration::from_millis(2);
         let net = bitonic(8).unwrap();
         let paced = LocallyPacedCounter::new(SharedNetworkCounter::new(&net), delay);
@@ -158,12 +161,16 @@ mod tests {
         for p in 0..2 {
             let mut mine: Vec<_> = records.iter().filter(|r| r.process == p).collect();
             mine.sort_by_key(|r| r.enter_ns);
-            for pair in mine.windows(2) {
-                let gap = pair[1].exit_ns - pair[0].exit_ns;
-                assert!(
-                    gap as f64 >= delay.as_nanos() as f64 * 0.8,
-                    "process {p}: completion gap {gap}ns below the pace"
-                );
+            assert_eq!(mine.len(), 8);
+            for i in 0..mine.len() {
+                for j in i + 1..mine.len() {
+                    let span = mine[j].exit_ns - mine[i].enter_ns;
+                    let paced_for = delay.as_nanos() as u64 * (j - i) as u64;
+                    assert!(
+                        span >= paced_for,
+                        "process {p}: ops {i}..={j} took {span}ns, under {paced_for}ns of pace"
+                    );
+                }
             }
         }
         // The values are still dense and the history auditable.
@@ -225,6 +232,20 @@ mod tests {
         );
         // Values stay dense through the sharded bookkeeping.
         assert_eq!(paced.inner().next(), u64::from(processes * ops));
+    }
+
+    #[test]
+    fn a_batch_is_paced_per_operation() {
+        // The wrapper keeps the default `next_batch_for`, which loops
+        // `next_for`: a batch of four pays three gaps, in claim order.
+        let delay = Duration::from_micros(500);
+        let paced = LocallyPacedCounter::new(FetchAddCounter::new(), delay);
+        let t0 = Instant::now();
+        let values = paced.next_batch_for(3, 4);
+        assert!(t0.elapsed() >= 3 * delay, "{:?}", t0.elapsed());
+        assert_eq!(values, [0, 1, 2, 3]);
+        assert!(paced.next_batch_for(3, 0).is_empty());
+        assert_eq!(paced.inner().next(), 4, "an empty batch claims nothing");
     }
 
     #[test]

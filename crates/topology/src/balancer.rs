@@ -116,4 +116,21 @@ mod tests {
     fn zero_fan_panics() {
         let _ = Balancer::new(vec![], wires(&[0]));
     }
+
+    #[test]
+    fn json_round_trip_keeps_port_order() {
+        let b = Balancer::new(wires(&[4, 1]), wires(&[9, 2, 7]));
+        let text = cnet_util::json::to_string(&b);
+        assert_eq!(text, r#"{"inputs":[4,1],"outputs":[9,2,7]}"#);
+        let back: Balancer = cnet_util::json::from_str(&text).unwrap();
+        assert_eq!(back, b);
+        assert_eq!(back.output(0), WireId(9), "port 0 is still the top wire");
+    }
+
+    #[test]
+    #[should_panic]
+    fn output_port_past_the_fan_out_panics() {
+        let b = Balancer::new(wires(&[0, 1]), wires(&[2, 3]));
+        let _ = b.output(2);
+    }
 }

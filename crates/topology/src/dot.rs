@@ -106,4 +106,18 @@ mod tests {
         // Braces balance.
         assert_eq!(dot.matches('{').count(), dot.matches('}').count());
     }
+
+    #[test]
+    fn one_rank_block_per_layer() {
+        // A bitonic B(8) has depth 6: six `rank=same` blocks, each holding
+        // the w/2 = 4 balancers of its layer.
+        let net = bitonic(8).unwrap();
+        let dot = to_dot(&net, "B8");
+        let blocks: Vec<&str> = dot.split("{ rank=same;").skip(1).collect();
+        assert_eq!(blocks.len(), net.depth());
+        for block in blocks {
+            let body = &block[..block.find('}').unwrap()];
+            assert_eq!(body.matches(" [label=").count(), 4, "{body}");
+        }
+    }
 }

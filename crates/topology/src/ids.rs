@@ -89,4 +89,14 @@ mod tests {
         assert!(BalancerId(1) < BalancerId(2));
         assert_eq!(SinkId(4), SinkId(4));
     }
+
+    #[test]
+    fn ids_serialize_as_bare_indices() {
+        // Saved schedules and networks carry ids as plain numbers.
+        assert_eq!(cnet_util::json::to_string(&WireId(12)), "12");
+        let back: SinkId = cnet_util::json::from_str("3").unwrap();
+        assert_eq!(back, SinkId(3));
+        assert!(cnet_util::json::from_str::<BalancerId>("\"b3\"").is_err());
+        assert_eq!(SourceId::default(), SourceId(0));
+    }
 }

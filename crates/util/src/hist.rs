@@ -1,12 +1,13 @@
 //! A log-bucketed latency histogram for end-to-end percentiles.
 //!
-//! The connection-scaling benchmark needs p50/p99/p999 over millions of
-//! per-burst round-trip times without allocating per sample or paying a
-//! sort at the end. A [`LatencyHistogram`] buckets nanosecond values
-//! HDR-style: exact buckets for 0..32 ns, then 32 geometric sub-buckets
-//! per power of two. With 32 sub-buckets per octave the relative error of
-//! any reported quantile is below 1/32 ≈ 3.1% — far finer than the
-//! run-to-run noise of a networked benchmark — while the whole histogram
+//! `cnet loadgen` reports p50/p99/p999 over millions of per-burst
+//! round-trip times, and the audit keeps a profile of QQC lateness, both
+//! without allocating per sample or paying a sort at the end. A
+//! [`LatencyHistogram`] buckets nanosecond values HDR-style: exact buckets
+//! for 0..32 ns, then 32 geometric sub-buckets per power of two. With 32
+//! sub-buckets per octave the relative error of any reported quantile is
+//! below 1/32 ≈ 3.1% — far finer than the run-to-run noise of a networked
+//! benchmark — while the whole histogram
 //! is a fixed ~2K `u64` array: recording is two shifts and an increment,
 //! merging is element-wise addition, and the memory footprint is
 //! independent of the sample count.
@@ -313,5 +314,74 @@ mod tests {
         h.record(20);
         h.record(33);
         assert_eq!(h.mean(), 21);
+    }
+
+    #[test]
+    fn quantile_clamps_q_outside_the_unit_interval() {
+        let mut h = LatencyHistogram::new();
+        for v in [5u64, 500, 50_000] {
+            h.record(v);
+        }
+        assert_eq!(h.quantile(-1.0), h.quantile(0.0));
+        assert_eq!(h.quantile(7.5), h.quantile(1.0));
+        assert_eq!(h.quantile(0.0), 5, "q=0 is the smallest sample, not below it");
+        assert_eq!(h.quantile(1.0), 50_000);
+    }
+
+    #[test]
+    fn a_single_sample_is_every_quantile() {
+        // The upper bucket edge is clamped to the observed maximum, so a
+        // lone sample is reported exactly, not rounded up to its edge.
+        let mut h = LatencyHistogram::new();
+        h.record(1_000_003);
+        assert!(bucket_upper_edge(bucket_index(1_000_003)) > 1_000_003);
+        for q in [0.0f64, 0.5, 0.99, 0.999, 1.0] {
+            assert_eq!(h.quantile(q), 1_000_003, "q{q}");
+        }
+        assert_eq!(h.mean(), 1_000_003);
+    }
+
+    #[test]
+    fn extreme_values_neither_overflow_nor_lose_the_max() {
+        // The running sum is a u128, so two u64::MAX samples still have an
+        // exact mean; the top octave's edge is u64::MAX itself.
+        let mut h = LatencyHistogram::new();
+        h.record(u64::MAX);
+        h.record(u64::MAX);
+        h.record(0);
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.mean(), ((2 * u64::MAX as u128) / 3) as u64);
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.quantile(1.0), u64::MAX);
+    }
+
+    #[test]
+    fn percentiles_are_the_three_quantiles_in_order() {
+        let mut h = LatencyHistogram::new();
+        for v in 1..=10_000u64 {
+            h.record(v * 100);
+        }
+        let (p50, p99, p999) = h.percentiles();
+        assert_eq!((p50, p99, p999), (h.quantile(0.50), h.quantile(0.99), h.quantile(0.999)));
+        assert!(p50 <= p99 && p99 <= p999 && p999 <= h.max(), "{h:?}");
+        let debug = format!("{h:?}");
+        assert!(debug.contains("count: 10000"), "{debug}");
+        assert!(debug.contains(&format!("p99_ns: {p99}")), "{debug}");
+    }
+
+    #[test]
+    fn merging_an_empty_histogram_changes_nothing() {
+        let mut h = LatencyHistogram::new();
+        for v in [3u64, 300, 30_000, 3_000_000] {
+            h.record(v);
+        }
+        let before = (h.count(), h.max(), h.mean(), h.percentiles());
+        h.merge(&LatencyHistogram::new());
+        assert_eq!((h.count(), h.max(), h.mean(), h.percentiles()), before);
+        // And into an empty one, merging copies.
+        let mut empty = LatencyHistogram::default();
+        empty.merge(&h);
+        assert_eq!((empty.count(), empty.max(), empty.mean(), empty.percentiles()), before);
     }
 }

@@ -14,13 +14,11 @@
 //!   impl macros (replaces `serde` + `serde_json`);
 //! * [`sync`] — a poison-free [`sync::Mutex`], an exponential
 //!   [`sync::Backoff`], a cache-line-aligned [`sync::CachePadded`]
-//!   wrapper, and an unbounded MPMC [`sync::channel`] (replaces
+//!   wrapper, and an unbounded MPMC [`sync::unbounded`] channel (replaces
 //!   `parking_lot` + `crossbeam`);
-//! * [`proptest`] — a deterministic property-testing harness with the
+//! * [`proptest`](mod@proptest) — a deterministic property-testing harness with the
 //!   `proptest!` / `prop_assert!` macro surface, seeded case generation and
 //!   failure-seed reporting (replaces `proptest`);
-//! * [`bench`] — a criterion-compatible timer harness so the `benches/`
-//!   targets compile and run as plain binaries (replaces `criterion`);
 //! * [`time`] — a calibrated monotonic nanosecond clock ([`time::Clock`])
 //!   cheap enough to timestamp individual lock-free operations (`rdtsc` on
 //!   x86_64, `Instant` elsewhere), for the trace recorder in
@@ -30,9 +28,9 @@
 //!   loopback-pair [`poll::Waker`], for the sharded reactor in `cnet-net`
 //!   (replaces `mio`);
 //! * [`hist`] — a fixed-size log-bucketed [`hist::LatencyHistogram`]
-//!   (32 sub-buckets per octave, ≤3.1% quantile error) for the
-//!   end-to-end p50/p99/p999 latency columns in the bench artifact
-//!   (replaces `hdrhistogram`).
+//!   (32 sub-buckets per octave, ≤3.1% quantile error) for `cnet
+//!   loadgen`'s burst-latency percentiles and the audit's QQC lateness
+//!   profile (replaces `hdrhistogram`).
 //!
 //! Determinism is the point, not a side effect: the paper's consistency
 //! checkers only mean something when runs are replayable, so every source
@@ -40,14 +38,13 @@
 //! explicit, logged seed.
 
 //!
-//! With the `model-check` feature, the [`model`] module adds a
+//! With the `model-check` feature, the `model` module adds a
 //! bounded-interleaving model checker: the [`sync::atomic`] shim types
 //! route every operation through a cooperative scheduler that
 //! exhaustively enumerates thread interleavings up to a preemption
 //! bound, with deterministic replay strings for counterexamples. In
 //! normal builds [`sync::atomic`] is a zero-cost `std` re-export.
 
-pub mod bench;
 pub mod hist;
 pub mod json;
 #[cfg(feature = "model-check")]

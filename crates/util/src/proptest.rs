@@ -258,7 +258,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
@@ -340,10 +340,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Drives one property: `config.cases` inputs drawn from `strategy`, each
 /// from a seed derived deterministically from the base seed. On failure,
-/// shrinks within [`SHRINK_BUDGET`] executions and panics with the
+/// shrinks within `SHRINK_BUDGET` executions and panics with the
 /// smallest reproduction found plus replay instructions.
 ///
-/// This is the expansion target of the [`proptest!`](crate::proptest)
+/// This is the expansion target of the [`proptest!`](macro@crate::proptest)
 /// macro; call it directly for custom harnesses.
 pub fn run_with<S: Strategy>(
     name: &str,

@@ -7,7 +7,7 @@
 //!   contended retry loops;
 //! * [`CachePadded`] — aligns a value to its own cache line so logically
 //!   independent atomics never false-share;
-//! * [`channel`] — an unbounded multi-producer **multi-consumer** channel
+//! * [`unbounded`] — an unbounded multi-producer **multi-consumer** channel
 //!   (both ends clonable; `std::sync::mpsc` receivers are not, and the
 //!   message-passing counter shares one receiver per balancer across
 //!   worker threads).
@@ -22,7 +22,7 @@ use std::sync::{Arc, Condvar};
 ///
 /// In normal builds this is a zero-cost re-export of
 /// `std::sync::atomic`. Under the `model-check` feature the same names
-/// resolve to the shims in [`crate::model::atomic`], which route every
+/// resolve to the shims in `crate::model::atomic`, which route every
 /// load/store/RMW through the bounded-interleaving model checker's
 /// cooperative scheduler (and fall back to plain `std` behavior on
 /// threads that are not part of a model scenario). Code that wants to

@@ -172,6 +172,18 @@ mod tests {
     }
 
     #[test]
+    fn conversion_is_linear_in_ticks() {
+        // A millisecond's worth of ticks past the origin converts to a
+        // millisecond, to within rounding, wherever the clock starts.
+        let clock = Clock::new();
+        let one_ms = (clock.ticks_per_ns * 1.0e6) as u64;
+        let first = clock.raw_to_ns(clock.origin + one_ms);
+        assert!(first.abs_diff(1_000_000) <= 1, "{first}");
+        let tenth = clock.raw_to_ns(clock.origin + 10 * one_ms);
+        assert!(tenth.abs_diff(10_000_000) <= 10, "{tenth}");
+    }
+
+    #[test]
     fn distinct_clocks_share_calibration_but_not_origin() {
         let a = Clock::new();
         std::thread::sleep(Duration::from_millis(2));
