@@ -284,13 +284,17 @@ impl RemoteCounter {
     /// costs one flush. A failure mid-way tears the connection down
     /// *without retrying* — already-sent chunks may have executed
     /// server-side, and re-sending them would double-count, breaking the
-    /// permutation guarantee the audits depend on.
+    /// permutation guarantee the audits depend on. `n == 0` returns empty
+    /// without touching (or dialing) the connection.
     ///
     /// # Errors
     ///
     /// I/O failures, server refusals, and a batch echoing the wrong
     /// length.
     pub fn next_batch(&self, process: usize, n: usize) -> io::Result<Vec<u64>> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
         self.with_conn(process, |conn| {
             let mut seqs = Vec::new();
             let mut left = n;
@@ -436,9 +440,6 @@ impl ProcessCounter for RemoteCounter {
     /// of `n` request frames. Panics on I/O or protocol errors — use
     /// [`RemoteCounter::next_batch`] where failures must be handled.
     fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
-        if n == 0 {
-            return Vec::new();
-        }
         match self.next_batch(process, n) {
             Ok(values) => values,
             Err(e) => panic!("remote batch against {} failed: {e}", self.addr),
@@ -571,6 +572,18 @@ mod tests {
         assert_eq!(client.next_pipelined(0, 0).unwrap(), Vec::<u64>::new());
         let stats = server.stats();
         assert_eq!((stats.total_connections, stats.requests), (1, 1));
+    }
+
+    #[test]
+    fn an_empty_batch_dials_nothing_even_against_a_stopped_server() {
+        let mut server = server();
+        let client = RemoteCounter::connect(server.local_addr(), 2).unwrap();
+        server.shutdown();
+        // Slot 1 was never dialed; an empty request must not dial it (which
+        // against a stopped server retries its way to `ConnectionRefused`).
+        assert_eq!(client.next_batch(1, 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(client.next_pipelined(1, 0).unwrap(), Vec::<u64>::new());
+        assert_eq!(client.next_batch_for(1, 0), Vec::<u64>::new());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! | module | what it is |
 //! |---|---|
-//! | [`wire`] | length-prefixed binary frames: `Next`, `NextBatch`, `Ping`, `Stats`, `Shutdown`, plus the v2 cluster opcodes (`Forward`, `NodeInfo`, `Announce`, `Frontier`); incremental [`wire::FrameDecoder`] |
+//! | [`wire`] | length-prefixed binary frames: `Next`, `NextBatch`, `Ping`, `Stats`, `Shutdown`, plus the cluster opcodes (`ForwardBatch`, `NodeInfo`, `Announce`, `Frontier`); incremental [`wire::FrameDecoder`] |
 //! | [`server`] | sharded epoll-reactor [`CounterServer`] (one reactor per core) with backpressure and graceful drain |
 //! | [`router`] | the cluster fabric: [`router::ClusterNode`] — one node's partitioned layer range — and the [`router::RemoteNode`] peer link forwarding tokens downstream |
 //! | [`client`] | pooling, pipelining [`RemoteCounter`] — itself a `ProcessCounter`, cluster-routing to the head |

@@ -12,13 +12,13 @@
 //! no port translation table ever crosses the wire.
 //!
 //! A client operation enters at the **head** (node 0), traverses the
-//! head's layers, and is forwarded ([`Request::Forward`]) hop by hop down
-//! the chain; the **tail** (node `N-1`) owns the output counters and the
-//! value flows back along the reverse path, one nested response per hop.
-//! Forwarding is strictly downstream — node `k` only ever blocks on node
-//! `k+1`, and the tail blocks on nobody — so the linear chain cannot
-//! deadlock.
+//! head's layers, and is forwarded hop by hop down the chain; the **tail**
+//! (node `N-1`) owns the output counters and the values flow back along
+//! the reverse path, one nested response per hop. Forwarding is strictly
+//! downstream — node `k` only ever blocks on node `k+1`, and the tail
+//! blocks on nobody — so the linear chain cannot deadlock.
 //!
+//! Every hop carries a batch, and a single operation is a batch of one.
 //! A batch crosses every cut as **one frame**: a node runs the whole
 //! batch through its layers in one sweep
 //! ([`CompiledNetwork::traverse_counts`], one atomic per balancer however
@@ -189,7 +189,8 @@ pub struct ClusterNode {
     fan: usize,
     stage: StageKind,
     downstream: Option<RemoteNode>,
-    /// Fabric-entry token ids (diagnostic identity carried by `Forward`).
+    /// Fabric-entry token ids (diagnostic identity carried by
+    /// `ForwardBatch`).
     tokens: AtomicU64,
     /// Client-facing address of the head, propagated down the chain by
     /// `Announce`; empty until learned.
@@ -313,37 +314,8 @@ impl ClusterNode {
         }
     }
 
-    /// Runs one token that is already inside the fabric: traverse this
-    /// node's layers from cut position `port`, then count (tail) or
-    /// forward across the next cut carrying `token` (relay). `lane` picks
-    /// the peer connection.
-    ///
-    /// # Errors
-    ///
-    /// Peer-link I/O failures and downstream refusals.
-    pub fn step(&self, lane: usize, token: u64, port: usize) -> io::Result<u64> {
-        assert!(port < self.fan, "cut position {port} out of range");
-        match &self.stage {
-            StageKind::Tail { counter, .. } => Ok(counter.increment_from(port)),
-            StageKind::Relay { engine, balancers } => {
-                let exit = engine.traverse(port, balancers).sink;
-                let down = self.downstream.as_ref().expect("relay has a downstream");
-                let req = Request::Forward {
-                    token,
-                    port: exit as u32,
-                    node_seq: (self.node + 1) as u32,
-                };
-                match down.call(lane, &req)? {
-                    Response::Value { value } => Ok(value),
-                    other => Err(response_error(&other)),
-                }
-            }
-        }
-    }
-
     /// Runs a batch that is already inside the fabric, `entering[p]` tokens
-    /// on every cut position `p` — the batched counterpart of
-    /// [`step`](Self::step). The tail hands out all the values in one
+    /// on every cut position `p`. The tail hands out all the values in one
     /// [`SharedNetworkCounter::increment_counts_from`]. A relay pays at
     /// most one atomic per balancer for the whole batch
     /// ([`CompiledNetwork::traverse_counts`]), then crosses the next cut in
@@ -405,25 +377,15 @@ impl ClusterNode {
         }
     }
 
-    /// A client operation entering the fabric: stamps a fresh token id and
-    /// runs it from `process`'s entry port in this node's sub-network
-    /// ([`CompiledNetwork::entry_for`]). Call on the head — entry
-    /// ports of any other node are interior cut positions, and counting
-    /// from them would skip the upstream layers.
+    /// `n` client operations entering the fabric together: stamps fresh
+    /// token ids and runs them from `process`'s entry port in this node's
+    /// sub-network ([`CompiledNetwork::entry_for`]). Call on the head —
+    /// entry ports of any other node are interior cut positions, and
+    /// counting from them would skip the upstream layers.
     ///
     /// # Errors
     ///
     /// Peer-link I/O failures and downstream refusals.
-    pub fn ingress(&self, lane: usize, process: usize) -> io::Result<u64> {
-        let token = self.tokens.fetch_add(1, Ordering::Relaxed);
-        self.step(lane, token, self.engine().entry_for(process))
-    }
-
-    /// `n` client operations entering together on `process`'s entry port.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ingress`](Self::ingress).
     pub fn ingress_batch(&self, lane: usize, process: usize, n: usize) -> io::Result<Vec<u64>> {
         let token = self.tokens.fetch_add(n as u64, Ordering::Relaxed);
         let mut entering = vec![0; self.fan];
@@ -524,19 +486,14 @@ impl FrontierCollector {
 }
 
 impl ProcessCounter for ClusterNode {
-    /// Panics on peer-link failures — the trait is infallible; the server
-    /// uses the fallible [`ClusterNode::ingress`] path instead.
+    /// A batch of one. Panics on peer-link failures — the trait is
+    /// infallible; the server uses the fallible
+    /// [`ClusterNode::ingress_batch`] path instead.
     fn next_for(&self, process: usize) -> u64 {
-        match self.ingress(process, process) {
-            Ok(value) => value,
-            Err(e) => panic!("cluster hop from node {} failed: {e}", self.node),
-        }
+        self.next_batch_for(process, 1)[0]
     }
 
     fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
-        if n == 0 {
-            return Vec::new();
-        }
         match self.ingress_batch(process, process, n) {
             Ok(values) => values,
             Err(e) => panic!("cluster hop from node {} failed: {e}", self.node),
@@ -577,10 +534,15 @@ mod tests {
         let net = bitonic(8).unwrap();
         let tail = ClusterNode::new(&net, 1, 2, &[], 1).unwrap();
         assert!(tail.is_tail() && !tail.is_head());
-        // Tokens entering the tail on cut positions count through the
-        // final layers; sequentially the values are a permutation.
-        let mut values: Vec<u64> =
-            (0..24).map(|i| tail.step(0, i as u64, i % 8).unwrap()).collect();
+        // Tokens entering the tail one at a time on cut positions count
+        // through the final layers; sequentially the values are a
+        // permutation.
+        let mut values = Vec::new();
+        for i in 0..24 {
+            let mut entering = [0; 8];
+            entering[i % 8] = 1;
+            values.extend(tail.step_batch(0, i as u64, &entering).unwrap());
+        }
         values.sort_unstable();
         assert_eq!(values, (0..24).collect::<Vec<_>>());
     }
@@ -642,6 +604,42 @@ mod tests {
         // One frame per batch and per connection: the five lost tokens were
         // not written again, on the torn connection or on the fresh one.
         assert_eq!(tokens, [vec![(0, 5)], vec![(5, 3)]]);
+    }
+
+    #[test]
+    fn a_single_next_crosses_the_cut_as_a_one_token_forward_batch() {
+        use crate::wire::{read_frame, FrameDecoder};
+        use std::io::Write;
+        use std::net::TcpListener;
+
+        // A downstream peer that answers every frame on one connection with
+        // value 41, and keeps them all.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut decoder = FrameDecoder::new();
+            let mut frames = Vec::new();
+            while let Some(payload) = read_frame(&mut stream, &mut decoder).unwrap() {
+                let (seq, req) = Request::decode(&payload).unwrap();
+                let mut out = Vec::new();
+                Response::Batch { values: vec![41] }.encode(seq, &mut out);
+                stream.write_all(&out).unwrap();
+                frames.push(req);
+            }
+            frames
+        });
+        let net = bitonic(4).unwrap();
+        let head = ClusterNode::new(&net, 0, 2, &[addr], 1).unwrap();
+        assert_eq!(head.next_for(3), 41);
+        drop(head);
+        let frames = peer.join().unwrap();
+        let [Request::ForwardBatch { token: 0, node_seq: 1, counts }] = &frames[..] else {
+            panic!("one ForwardBatch to node 1, got {frames:?}");
+        };
+        assert_eq!(counts.len(), 4, "a count for every wire of the cut");
+        let nonzero: Vec<u32> = counts.iter().copied().filter(|&c| c != 0).collect();
+        assert_eq!(nonzero, [1], "a single count of 1: {counts:?}");
     }
 
     #[test]

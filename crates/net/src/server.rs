@@ -72,15 +72,15 @@
 //! # Run coalescing
 //!
 //! A pipelining client's burst reaches the reactor as many buffered
-//! `Next` frames at once. A run of `k ≥ 2` of them (current version, whole
-//! frames only — [`FrameDecoder::next_run`]) is counted by **one** batched
-//! backend call, the same one a `NextBatch{k}` frame makes: a
-//! counting-network backend pays one atomic per balancer for the run
-//! instead of a full traversal per frame. The `k` values are handed out in
-//! ascending order, one `Value` frame per request, each echoing its own
-//! seq. Only the bytes buffered on the connection decide this; a run of
-//! one, a v1 frame and every other opcode take the per-frame path. Two
-//! arguments make it sound. *Values*: the step property holds for any
+//! `Next` frames at once. A run of `k` of them (whole frames only —
+//! [`FrameDecoder::next_run`]) is counted by **one** batched backend call,
+//! the same one a `NextBatch{k}` frame makes: a counting-network backend
+//! pays one atomic per balancer for the run instead of a full traversal
+//! per frame. The `k` values are handed out in ascending order, one
+//! `Value` frame per request, each echoing its own seq. Only the bytes
+//! buffered on the connection decide where a run ends; a lone `Next` is a
+//! run of one, so every `Next` is counted this way and every other opcode
+//! is decoded and executed frame by frame. Two arguments make it sound. *Values*: the step property holds for any
 //! interleaving of tokens, so `k` tokens of one process entering together
 //! is a legal execution of the network, the handed-out set is still a
 //! gap-free share of the count, and ascending order keeps the connection's
@@ -307,9 +307,10 @@ impl CounterServer {
     }
 
     /// Starts one node of a counting cluster: the node's own layer range
-    /// runs behind the same reactor data path, with [`Request::Forward`]
-    /// hops accepted from upstream peers and (on the head) client
-    /// increments entering the fabric. With a `recorder`, every *client*
+    /// runs behind the same reactor data path, with
+    /// [`Request::ForwardBatch`] hops accepted from upstream peers and (on
+    /// the head) client increments entering the fabric, a lone `Next` as a
+    /// one-token batch. With a `recorder`, every *client*
     /// operation this node serves is recorded — forwarded hops are not
     /// (the head records them once; recording each hop again would
     /// duplicate values in the merged cluster history).
@@ -574,7 +575,7 @@ impl Acceptor {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nodelay(true);
-                    self.parked = admit(shared, poller, conns, stream);
+                    self.parked = admit(shared, poller, conns, stream, false);
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -594,11 +595,10 @@ impl Acceptor {
         conns: &mut HashMap<u64, Conn>,
     ) {
         if let Some(stream) = self.parked.take() {
-            self.parked = admit(shared, poller, conns, stream);
+            self.parked = admit(shared, poller, conns, stream, true);
             if self.parked.is_some() {
                 return;
             }
-            shared.deferred_accepts.fetch_add(1, Ordering::Relaxed);
         }
         if !self.armed {
             self.armed =
@@ -611,12 +611,15 @@ impl Acceptor {
 /// owning that slot — directly when that is reactor 0 itself, otherwise
 /// through the owner's inbox. At the connection limit
 /// [`Backpressure::Reject`] answers `Busy` and drops the stream;
-/// [`Backpressure::Block`] returns it to be parked.
+/// [`Backpressure::Block`] returns it to be parked. A `deferred` stream
+/// (one that was parked) is counted before it is handed over, so its first
+/// response never precedes the count.
 fn admit(
     shared: &Arc<Shared>,
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
     mut stream: TcpStream,
+    deferred: bool,
 ) -> Option<TcpStream> {
     let Some(slot) = acquire_slot(shared) else {
         if shared.cfg.backpressure == Backpressure::Block {
@@ -632,6 +635,9 @@ fn admit(
         return None;
     };
     shared.total_connections.fetch_add(1, Ordering::Relaxed);
+    if deferred {
+        shared.deferred_accepts.fetch_add(1, Ordering::Relaxed);
+    }
     if stream.set_nonblocking(true).is_err() {
         release_slot(shared, slot);
         return None;
@@ -860,21 +866,19 @@ fn process_frames(shared: &Shared, conn: &mut Conn) {
             return;
         }
         let run = conn.decoder.next_run(MAX_BATCH as usize);
-        if run >= 2 {
+        if run >= 1 {
             execute_run(shared, conn, run);
             continue;
         }
         // Decode to owned values before touching `conn` again (the
-        // payload borrows the decoder's buffer). The frame's protocol
-        // version rides along so the response answers in the same
-        // dialect (a v1 client's Ping gets a v1 Pong).
-        let decoded: Result<(u32, u8, Request), _> = match conn.decoder.next_frame() {
-            Ok(Some(payload)) => Request::decode_versioned(payload),
+        // payload borrows the decoder's buffer).
+        let decoded = match conn.decoder.next_frame() {
+            Ok(Some(payload)) => Request::decode(payload),
             Ok(None) => return,
             Err(e) => Err(e),
         };
         match decoded {
-            Ok((seq, version, req)) => execute(shared, conn, seq, version, req),
+            Ok((seq, req)) => execute(shared, conn, seq, req),
             Err(_) => {
                 // Cannot trust anything in the frame, including its seq.
                 Response::Error(ErrorCode::Malformed).encode(0, &mut conn.out);
@@ -888,8 +892,9 @@ fn process_frames(shared: &Shared, conn: &mut Conn) {
 /// Counts `n` operations for `conn` in one batched backend call — a
 /// counting-network backend pays one atomic per balancer for all of them —
 /// and records them under one widened interval (the recorder's
-/// `record_batch` argument keeps that audit-sound). Both a `NextBatch`
-/// frame and a coalesced run of `Next` frames count through here.
+/// `record_batch` argument keeps that audit-sound). A `NextBatch` frame
+/// and a run of `Next` frames, a lone one included, count through here;
+/// nothing else counts a client operation.
 /// `ascending` sorts the values first: a run hands them to `n` separate
 /// requests in request order, so ascending is the program order the client
 /// sees and the recorder must see the same.
@@ -934,8 +939,8 @@ fn count_batch(
 /// Executes the `k` whole `Next` frames at the decoder's cursor as one
 /// batched count and buffers `k` `Value` responses, each echoing its own
 /// request's seq, the values ascending in request order. A refusal is
-/// answered as the per-frame path would: one `ShuttingDown` for the first
-/// frame before the close, one `Cluster` error per frame otherwise.
+/// answered with one `ShuttingDown` for the first frame before the close,
+/// or with one `Cluster` error per frame.
 fn execute_run(shared: &Shared, conn: &mut Conn, k: usize) {
     let answered = match count_batch(shared, conn, k, true) {
         Ok(values) => {
@@ -956,41 +961,19 @@ fn execute_run(shared: &Shared, conn: &mut Conn, k: usize) {
 }
 
 /// Runs one decoded request against the backend and buffers the
-/// response, stamped with the request's protocol `version` so old
-/// clients are answered in their own dialect.
-fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request) {
+/// response.
+fn execute(shared: &Shared, conn: &mut Conn, seq: u32, req: Request) {
     let stats = &shared.slot_stats[conn.slot];
     stats.requests.fetch_add(1, Ordering::Relaxed);
     match req {
+        // `process_frames` counts every `Next` as a run; a decoded one is
+        // still a batch of one.
         Request::Next => {
-            if shared.stop.load(Ordering::Acquire) {
-                Response::Error(ErrorCode::ShuttingDown)
-                    .encode_versioned(seq, version, &mut conn.out);
-                conn.phase = Phase::Closing;
-                return;
-            }
-            conn.phase = Phase::Executing;
-            // A client increment enters the fabric at the head; on any
-            // other cluster node the entry ports are interior cut
-            // positions, so counting from them is refused.
-            let value = match &shared.cluster {
-                None => Ok(shared.backend.next_for(conn.process)),
-                Some(c) if c.is_head() => {
-                    c.ingress(conn.slot, conn.process).map_err(|_| ())
-                }
-                Some(_) => Err(()),
+            let resp = match count_batch(shared, conn, 1, false) {
+                Ok(values) => Response::Value { value: values[0] },
+                Err(code) => Response::Error(code),
             };
-            match value {
-                Ok(value) => {
-                    if let Some(rec) = &shared.recorder {
-                        rec.record(conn.slot, value);
-                    }
-                    stats.ops.fetch_add(1, Ordering::Relaxed);
-                    Response::Value { value }.encode_versioned(seq, version, &mut conn.out);
-                }
-                Err(_) => Response::Error(ErrorCode::Cluster)
-                    .encode_versioned(seq, version, &mut conn.out),
-            }
+            resp.encode(seq, &mut conn.out);
         }
         Request::NextBatch { n } => {
             let resp = match count_batch(shared, conn, n as usize, false) {
@@ -1000,38 +983,11 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
                 }
                 Err(code) => Response::Error(code),
             };
-            resp.encode_versioned(seq, version, &mut conn.out);
-        }
-        Request::Forward { token, port, node_seq } => {
-            if shared.stop.load(Ordering::Acquire) {
-                Response::Error(ErrorCode::ShuttingDown)
-                    .encode_versioned(seq, version, &mut conn.out);
-                conn.phase = Phase::Closing;
-                return;
-            }
-            let resp = match &shared.cluster {
-                Some(c) if node_seq as usize == c.node() && (port as usize) < c.fan() => {
-                    conn.phase = Phase::Executing;
-                    // Forwarded hops are counted in this node's op stats
-                    // but never recorded: the head already recorded the
-                    // client operation, and a second event per hop would
-                    // fabricate duplicates in the merged cluster history.
-                    match c.step(conn.slot, token, port as usize) {
-                        Ok(value) => {
-                            stats.ops.fetch_add(1, Ordering::Relaxed);
-                            Response::Value { value }
-                        }
-                        Err(_) => Response::Error(ErrorCode::Cluster),
-                    }
-                }
-                _ => Response::Error(ErrorCode::Cluster),
-            };
-            resp.encode_versioned(seq, version, &mut conn.out);
+            resp.encode(seq, &mut conn.out);
         }
         Request::ForwardBatch { token, node_seq, counts } => {
             if shared.stop.load(Ordering::Acquire) {
-                Response::Error(ErrorCode::ShuttingDown)
-                    .encode_versioned(seq, version, &mut conn.out);
+                Response::Error(ErrorCode::ShuttingDown).encode(seq, &mut conn.out);
                 conn.phase = Phase::Closing;
                 return;
             }
@@ -1060,7 +1016,7 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
                 }
                 _ => Response::Error(ErrorCode::Cluster),
             };
-            resp.encode_versioned(seq, version, &mut conn.out);
+            resp.encode(seq, &mut conn.out);
         }
         Request::NodeInfo => {
             let shards = shared.recorder.as_ref().map_or(0, |r| r.shards() as u32);
@@ -1082,7 +1038,7 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
                     head: shared.advertise.clone(),
                 },
             };
-            Response::NodeInfo(info).encode_versioned(seq, version, &mut conn.out);
+            Response::NodeInfo(info).encode(seq, &mut conn.out);
         }
         Request::Announce { node: _, head } => {
             // Learn the head's address once and relay it onward; repeat
@@ -1093,7 +1049,7 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
                     let _ = c.announce_downstream(conn.slot);
                 }
             }
-            Response::Pong.encode_versioned(seq, version, &mut conn.out);
+            Response::Pong.encode(seq, &mut conn.out);
         }
         Request::Frontier { shard, max } => {
             let resp = match &shared.recorder {
@@ -1131,14 +1087,14 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, version: u8, req: Request
                 // Shard out of range on an audited server: a client bug.
                 Some(_) => Response::Error(ErrorCode::Malformed),
             };
-            resp.encode_versioned(seq, version, &mut conn.out);
+            resp.encode(seq, &mut conn.out);
         }
-        Request::Ping => Response::Pong.encode_versioned(seq, version, &mut conn.out),
+        Request::Ping => Response::Pong.encode(seq, &mut conn.out),
         Request::Stats => {
-            Response::Stats(snapshot(shared)).encode_versioned(seq, version, &mut conn.out);
+            Response::Stats(snapshot(shared)).encode(seq, &mut conn.out);
         }
         Request::Shutdown => {
-            Response::Bye.encode_versioned(seq, version, &mut conn.out);
+            Response::Bye.encode(seq, &mut conn.out);
             shared.shutdown_requested.store(true, Ordering::Release);
             shared.gate_cv.notify_all();
             conn.phase = Phase::Closing;
@@ -1524,42 +1480,23 @@ mod tests {
         assert_eq!(values, (0..8).collect::<Vec<u64>>());
     }
 
-    /// The bytes a pre-cluster (protocol v1) client actually puts on the
-    /// wire: `[len][version=1][opcode][seq]` + body.
-    fn v1_frame(opcode: u8, seq: u32, body: &[u8]) -> Vec<u8> {
-        let mut f = Vec::new();
-        f.extend_from_slice(&((6 + body.len()) as u32).to_le_bytes());
-        f.push(1); // protocol version 1
-        f.push(opcode);
-        f.extend_from_slice(&seq.to_le_bytes());
-        f.extend_from_slice(body);
-        f
+    /// A `Next` frame stamped with protocol version 1, the pre-cluster
+    /// dialect.
+    fn v1_next(seq: u32) -> Vec<u8> {
+        let mut frame = Vec::new();
+        Request::Next.encode(seq, &mut frame);
+        frame[4] = 1; // the version byte (after the length word)
+        frame
     }
 
     #[test]
-    fn v1_clients_are_answered_in_their_own_dialect() {
-        // Regression: the server must answer a v1 Ping instead of
-        // dropping the connection, and the response must itself be a v1
-        // frame so the old client's strict decoder accepts it.
+    fn a_version_1_frame_gets_malformed_and_a_close() {
         let server = fetch_add_server(ServerConfig::default());
         let mut c = Raw::connect(server.local_addr());
-        c.stream.write_all(&v1_frame(0x03, 7, &[])).unwrap();
-        let payload = c.recv_payload();
-        assert_eq!(payload[0], 1, "response version must echo the request's");
-        assert_eq!(Response::decode(&payload).unwrap(), (7, Response::Pong));
-        // Counting works too, still stamped v1.
-        c.stream.write_all(&v1_frame(0x01, 8, &[])).unwrap();
-        let payload = c.recv_payload();
-        assert_eq!(payload[0], 1);
-        assert_eq!(
-            Response::decode(&payload).unwrap(),
-            (8, Response::Value { value: 0 })
-        );
-        // A cluster opcode in a v1 frame is malformed: old clients never
-        // see half-understood cluster traffic.
-        c.stream.write_all(&v1_frame(0x08, 9, &[])).unwrap();
-        let (_, resp) = c.recv();
-        assert_eq!(resp, Response::Error(ErrorCode::Malformed));
+        c.stream.write_all(&v1_next(8)).unwrap();
+        assert_eq!(c.recv().1, Response::Error(ErrorCode::Malformed));
+        c.expect_close();
+        assert_eq!(server.stats().ops, 0, "the counter did not move");
     }
 
     #[test]
@@ -1587,8 +1524,8 @@ mod tests {
         .unwrap();
         let addr = server.local_addr();
         {
-            // One round trip each, so every frame is a run of one and takes
-            // the single-op `record` path.
+            // One round trip each, so every frame is a run of one, sampled
+            // by operation like any other run.
             let mut c = Raw::connect(addr);
             for _ in 0..20 {
                 c.send(&Request::Next);
@@ -1695,37 +1632,6 @@ mod tests {
         // A client Next against the tail is refused: its entry ports are
         // interior cut positions.
         assert!(tail_client.try_next(0).is_err());
-    }
-
-    #[test]
-    fn forward_hops_validate_their_target_node() {
-        use cnet_topology::construct::bitonic;
-        let net = bitonic(4).unwrap();
-        let tail = Arc::new(ClusterNode::new(&net, 1, 2, &[], 2).unwrap());
-        let server = CounterServer::start_cluster(
-            "127.0.0.1:0",
-            tail,
-            None,
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let mut c = Raw::connect(server.local_addr());
-        // Wrong node_seq: this node is 1, not 2.
-        let s = c.send(&Request::Forward { token: 0, port: 0, node_seq: 2 });
-        assert_eq!(c.recv(), (s, Response::Error(ErrorCode::Cluster)));
-        // Out-of-range cut position.
-        let s = c.send(&Request::Forward { token: 0, port: 99, node_seq: 1 });
-        assert_eq!(c.recv(), (s, Response::Error(ErrorCode::Cluster)));
-        // A correct hop counts.
-        let s = c.send(&Request::Forward { token: 0, port: 2, node_seq: 1 });
-        let (seq, resp) = c.recv();
-        assert_eq!(seq, s);
-        assert!(matches!(resp, Response::Value { .. }), "{resp:?}");
-        // Forwarding to a plain (non-cluster) server is refused too.
-        let plain = fetch_add_server(ServerConfig::default());
-        let mut p = Raw::connect(plain.local_addr());
-        let s = p.send(&Request::Forward { token: 0, port: 0, node_seq: 0 });
-        assert_eq!(p.recv(), (s, Response::Error(ErrorCode::Cluster)));
     }
 
     #[test]
@@ -1855,8 +1761,13 @@ mod tests {
             })
         };
 
+        // Single increments: the head counts each lone `Next` as a run of
+        // one, and it crosses each cut as a one-token `ForwardBatch`.
+        let before = chain(&servers);
         let mut values =
             on_both(&|slot| (0..32).map(|_| client.try_next(slot).unwrap()).collect());
+        let singles = added(&before, &chain(&servers));
+        assert_eq!(singles, [(64, 0), (64, 64), (64, 64)], "requests, batches per node");
 
         // Batches: 100 from each connection, and a chunked one — four
         // `NextBatch` frames at the head, so four frames over each cut.
@@ -2026,25 +1937,24 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_next_inside_a_burst_is_answered_in_v1_and_the_rest_still_count() {
+    fn a_v1_next_inside_a_burst_answers_the_run_before_it_then_closes() {
         let server = fetch_add_server(ServerConfig::default());
         let mut c = Raw::connect(server.local_addr());
         let mut bytes = Vec::new();
         for seq in 0..3 {
             Request::Next.encode(seq, &mut bytes);
         }
-        bytes.extend(v1_frame(0x01, 3, &[]));
+        bytes.extend(v1_next(3));
         for seq in 4..7 {
             Request::Next.encode(seq, &mut bytes);
         }
         c.stream.write_all(&bytes).unwrap();
-        for seq in 0..7u32 {
-            let payload = c.recv_payload();
-            assert_eq!(payload[0], if seq == 3 { 1 } else { VERSION }, "frame {seq}");
-            let value = u64::from(seq);
-            assert_eq!(Response::decode(&payload).unwrap(), (seq, Response::Value { value }));
+        for seq in 0..3u32 {
+            assert_eq!(c.recv(), (seq, Response::Value { value: u64::from(seq) }));
         }
-        assert_eq!(server.stats().ops, 7);
+        assert_eq!(c.recv().1, Response::Error(ErrorCode::Malformed));
+        c.expect_close();
+        assert_eq!(server.stats().ops, 3, "nothing after the v1 frame counted");
     }
 
     #[test]
@@ -2136,6 +2046,33 @@ mod tests {
         let mut recorded = Vec::new();
         recorder.pull_shard(0, |_, _, value| recorded.push(value));
         assert_eq!(recorded, got);
+    }
+
+    #[test]
+    fn a_lone_next_is_a_run_of_one_and_its_event_is_published_at_once() {
+        let recorder = Arc::new(TraceRecorder::new(1, 256));
+        let server = CounterServer::with_recorder(
+            "127.0.0.1:0",
+            Arc::new(FetchAddCounter::new()),
+            Arc::clone(&recorder),
+            ServerConfig { max_connections: 1, reactors: 1, ..ServerConfig::default() },
+        )
+        .unwrap();
+        let (mut conn, _peer) = detached_conn();
+        let (mut bytes, mut want) = (Vec::new(), Vec::new());
+        Request::Next.encode(5, &mut bytes);
+        Request::Ping.encode(6, &mut bytes);
+        conn.decoder.extend(&bytes);
+        process_frames(&server.shared, &mut conn);
+        Response::Value { value: 0 }.encode(5, &mut want);
+        Response::Pong.encode(6, &mut want);
+        assert_eq!(conn.out, want);
+        let stats = server.stats();
+        assert_eq!((stats.requests, stats.ops, stats.batches), (2, 1, 0));
+        // No `flush`: a run is published as it is recorded.
+        let mut recorded = Vec::new();
+        recorder.pull_shard(0, |_, _, value| recorded.push(value));
+        assert_eq!(recorded, [0]);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! | `0x03` | → server  | [`Request::Ping`] | — |
 //! | `0x04` | → server  | [`Request::Stats`] | — |
 //! | `0x05` | → server  | [`Request::Shutdown`] | — |
-//! | `0x06` | → peer    | [`Request::Forward`] | `token: u64`, `port: u32`, `node_seq: u32` |
 //! | `0x07` | → peer    | [`Request::ForwardBatch`] | `token: u64`, `node_seq: u32`, `w: u32`, `w × u32` counts |
 //! | `0x08` | → server  | [`Request::NodeInfo`] | — |
 //! | `0x09` | → peer    | [`Request::Announce`] | `node: u32`, `head: u16 LE + UTF-8` |
@@ -40,32 +39,19 @@
 //! | `0x87` | ← server  | [`Response::NodeInfo`] | 4 × `u32 LE`, `head: u16 LE + UTF-8` |
 //! | `0x89` | ← server  | [`Response::Frontier`] | 49 B header ([`FRONTIER_HEADER_LEN`]), `n ×` ops (28 B) |
 //!
-//! Integers are little-endian throughout. Decoding is strict: unknown
-//! versions and opcodes, truncated bodies, and trailing bytes are all
-//! [`WireError`]s — a server answers them with [`Response::Error`] and
-//! drops the connection rather than guessing.
-//!
-//! # Version negotiation
-//!
-//! Version 2 added the cluster opcodes (`0x06`–`0x0B`, `0x87`–`0x89`;
-//! `0x0A`/`0x88`, the raw trace fetch that `Frontier` superseded, are
-//! retired and decode as unknown opcodes).
-//! Decoding still accepts version-1 frames for the version-1 opcode set,
-//! and a server echoes the request's version in its response
-//! ([`Response::encode_versioned`]), so a v1 client's `Ping` is answered
-//! with a v1 `Pong` instead of a dropped connection. A cluster opcode
-//! inside a v1 frame is a [`WireError::BadOpcode`]: old clients never see
-//! half-understood cluster traffic.
+//! Integers are little-endian throughout. Decoding is strict: any version
+//! but [`VERSION`], unknown opcodes (`0x06`, the retired per-token hop,
+//! and `0x0A`/`0x88`, the retired raw trace fetch, among them), truncated
+//! bodies, and trailing bytes are all [`WireError`]s — a server answers
+//! them with [`Response::Error`] and drops the connection rather than
+//! guessing.
 
 use cnet_core::trace::{RawOp, ShardFrontier};
 use std::fmt;
 use std::io;
 
-/// Protocol version stamped on newly encoded frames.
+/// Protocol version stamped on every frame, and the only one decoded.
 pub const VERSION: u8 = 2;
-
-/// Oldest protocol version still decoded (see "Version negotiation").
-pub const MIN_VERSION: u8 = 1;
 
 /// Fixed payload header: version, opcode, sequence number.
 pub const HEADER_LEN: usize = 6;
@@ -97,29 +83,20 @@ pub enum Request {
     /// Asks the whole server to drain and stop; answered with
     /// [`Response::Bye`] before the connection closes.
     Shutdown,
-    /// A token crossing a partition cut, node `k` to node `k+1`; answered
-    /// with [`Response::Value`] once the chain's final node has counted
-    /// it, the value flowing back along the reverse path.
-    Forward {
-        /// Cluster-unique token id stamped by the entry node (diagnostic
-        /// identity; the counting path never branches on it).
+    /// A batch crossing a partition cut, node `k` to node `k+1`, in one
+    /// frame: `counts[p]` tokens on every cut position `p`, as the
+    /// sender's batched traversal left them; answered with one
+    /// [`Response::Batch`] carrying a value per token once the chain's
+    /// final node has counted them. The receiver counts all of them or
+    /// none. A single client operation crosses as a batch of one.
+    ForwardBatch {
+        /// Cluster-unique id of the first token in the batch, stamped by
+        /// the entry node (diagnostic identity; the counting path never
+        /// branches on it).
         token: u64,
-        /// The cut position the token exits/enters on: sink `port` of the
-        /// sender's sub-network = source `port` of the receiver's.
-        port: u32,
         /// The receiving node's index in the chain; a node refuses a hop
         /// that does not match its own position
         /// ([`ErrorCode::Cluster`]).
-        node_seq: u32,
-    },
-    /// A whole batch crossing a cut in one frame: `counts[p]` tokens on
-    /// every cut position `p`, as the sender's batched traversal left
-    /// them; answered with one [`Response::Batch`] carrying a value per
-    /// token. The receiver counts all of them or none.
-    ForwardBatch {
-        /// Token id of the first token in the batch.
-        token: u64,
-        /// The receiving node's expected chain index.
         node_seq: u32,
         /// Tokens per cut position, dense: one entry for each of the
         /// receiver's `w` wires (any other length is refused), summing to
@@ -344,10 +321,10 @@ impl From<WireError> for io::Error {
     }
 }
 
-fn put_header(out: &mut Vec<u8>, version: u8, opcode: u8, seq: u32, body_len: usize) {
+fn put_header(out: &mut Vec<u8>, opcode: u8, seq: u32, body_len: usize) {
     let len = (HEADER_LEN + body_len) as u32;
     out.extend_from_slice(&len.to_le_bytes());
-    out.push(version);
+    out.push(VERSION);
     out.push(opcode);
     out.extend_from_slice(&seq.to_le_bytes());
 }
@@ -374,18 +351,17 @@ fn take_string(opcode: u8, body: &[u8]) -> Result<(String, &[u8]), WireError> {
     Ok((s, &body[2 + len..]))
 }
 
-/// Splits a decoded payload into `(seq, version, opcode, body)`, checking
-/// the version range and header length. Cluster opcodes (`0x06..` /
-/// `0x87..`) additionally require version 2, enforced by the decoders.
-fn split_payload(payload: &[u8]) -> Result<(u32, u8, u8, &[u8]), WireError> {
+/// Splits a decoded payload into `(seq, opcode, body)`, checking the
+/// header length and that the version is [`VERSION`].
+fn split_payload(payload: &[u8]) -> Result<(u32, u8, &[u8]), WireError> {
     if payload.len() < HEADER_LEN {
         return Err(WireError::TooShort(payload.len()));
     }
-    if !(MIN_VERSION..=VERSION).contains(&payload[0]) {
+    if payload[0] != VERSION {
         return Err(WireError::BadVersion(payload[0]));
     }
     let seq = u32::from_le_bytes(payload[2..6].try_into().expect("4 bytes"));
-    Ok((seq, payload[0], payload[1], &payload[HEADER_LEN..]))
+    Ok((seq, payload[1], &payload[HEADER_LEN..]))
 }
 
 fn body_exactly(opcode: u8, body: &[u8], want: usize) -> Result<(), WireError> {
@@ -403,22 +379,16 @@ impl Request {
     /// with the current [`VERSION`].
     pub fn encode(&self, seq: u32, out: &mut Vec<u8>) {
         match self {
-            Request::Next => put_header(out, VERSION, 0x01, seq, 0),
+            Request::Next => put_header(out, 0x01, seq, 0),
             Request::NextBatch { n } => {
-                put_header(out, VERSION, 0x02, seq, 4);
+                put_header(out, 0x02, seq, 4);
                 out.extend_from_slice(&n.to_le_bytes());
             }
-            Request::Ping => put_header(out, VERSION, 0x03, seq, 0),
-            Request::Stats => put_header(out, VERSION, 0x04, seq, 0),
-            Request::Shutdown => put_header(out, VERSION, 0x05, seq, 0),
-            Request::Forward { token, port, node_seq } => {
-                put_header(out, VERSION, 0x06, seq, 16);
-                out.extend_from_slice(&token.to_le_bytes());
-                out.extend_from_slice(&port.to_le_bytes());
-                out.extend_from_slice(&node_seq.to_le_bytes());
-            }
+            Request::Ping => put_header(out, 0x03, seq, 0),
+            Request::Stats => put_header(out, 0x04, seq, 0),
+            Request::Shutdown => put_header(out, 0x05, seq, 0),
             Request::ForwardBatch { token, node_seq, counts } => {
-                put_header(out, VERSION, 0x07, seq, 16 + 4 * counts.len());
+                put_header(out, 0x07, seq, 16 + 4 * counts.len());
                 out.extend_from_slice(&token.to_le_bytes());
                 out.extend_from_slice(&node_seq.to_le_bytes());
                 out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
@@ -426,14 +396,14 @@ impl Request {
                     out.extend_from_slice(&count.to_le_bytes());
                 }
             }
-            Request::NodeInfo => put_header(out, VERSION, 0x08, seq, 0),
+            Request::NodeInfo => put_header(out, 0x08, seq, 0),
             Request::Announce { node, head } => {
-                put_header(out, VERSION, 0x09, seq, 4 + 2 + head.len());
+                put_header(out, 0x09, seq, 4 + 2 + head.len());
                 out.extend_from_slice(&node.to_le_bytes());
                 put_string(out, head);
             }
             Request::Frontier { shard, max } => {
-                put_header(out, VERSION, 0x0B, seq, 8);
+                put_header(out, 0x0B, seq, 8);
                 out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&max.to_le_bytes());
             }
@@ -441,30 +411,13 @@ impl Request {
     }
 
     /// Decodes a request from a frame payload (length prefix already
-    /// stripped), returning the sequence number alongside. Accepts any
-    /// version in `MIN_VERSION..=VERSION`; see [`Request::decode_versioned`]
-    /// to learn which one arrived.
+    /// stripped), returning the sequence number alongside.
     ///
     /// # Errors
     ///
     /// Any structural defect is a [`WireError`].
     pub fn decode(payload: &[u8]) -> Result<(u32, Request), WireError> {
-        let (seq, _, req) = Request::decode_versioned(payload)?;
-        Ok((seq, req))
-    }
-
-    /// Like [`Request::decode`], but also returns the frame's protocol
-    /// version so a server can answer an old client in its own dialect.
-    ///
-    /// # Errors
-    ///
-    /// Any structural defect is a [`WireError`]; a cluster opcode inside a
-    /// version-1 frame is [`WireError::BadOpcode`].
-    pub fn decode_versioned(payload: &[u8]) -> Result<(u32, u8, Request), WireError> {
-        let (seq, version, opcode, body) = split_payload(payload)?;
-        if version < 2 && opcode > 0x05 {
-            return Err(WireError::BadOpcode(opcode));
-        }
+        let (seq, opcode, body) = split_payload(payload)?;
         let req = match opcode {
             0x01 => {
                 body_exactly(opcode, body, 0)?;
@@ -485,14 +438,6 @@ impl Request {
             0x05 => {
                 body_exactly(opcode, body, 0)?;
                 Request::Shutdown
-            }
-            0x06 => {
-                body_exactly(opcode, body, 16)?;
-                Request::Forward {
-                    token: u64::from_le_bytes(body[..8].try_into().expect("8 bytes")),
-                    port: u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")),
-                    node_seq: u32::from_le_bytes(body[12..16].try_into().expect("4 bytes")),
-                }
             }
             0x07 => {
                 if body.len() < 16 {
@@ -535,47 +480,40 @@ impl Request {
             }
             other => return Err(WireError::BadOpcode(other)),
         };
-        Ok((seq, version, req))
+        Ok((seq, req))
+    }
+
+    /// [`Request::decode`], also returning the frame's protocol version —
+    /// always [`VERSION`], the only one that decodes.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Request::decode`].
+    pub fn decode_versioned(payload: &[u8]) -> Result<(u32, u8, Request), WireError> {
+        let (seq, req) = Request::decode(payload)?;
+        Ok((seq, VERSION, req))
     }
 }
 
 impl Response {
     /// Appends the full frame (length prefix included) to `out`, stamped
-    /// with the current [`VERSION`].
+    /// with [`VERSION`].
     pub fn encode(&self, seq: u32, out: &mut Vec<u8>) {
-        self.encode_versioned(seq, VERSION, out);
-    }
-
-    /// Appends the full frame stamped with `version` — the negotiation
-    /// half of version tolerance: a server answers a request in the
-    /// dialect the request arrived in, so a v1 client gets v1 responses.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if a cluster-only response is stamped with
-    /// a pre-cluster version; a correct server never produces one for a
-    /// v1 request.
-    pub fn encode_versioned(&self, seq: u32, version: u8, out: &mut Vec<u8>) {
-        debug_assert!(
-            version >= 2
-                || !matches!(self, Response::NodeInfo(_) | Response::Frontier { .. }),
-            "cluster response in a v{version} frame"
-        );
         match self {
             Response::Value { value } => {
-                put_header(out, version, 0x81, seq, 8);
+                put_header(out, 0x81, seq, 8);
                 out.extend_from_slice(&value.to_le_bytes());
             }
             Response::Batch { values } => {
-                put_header(out, version, 0x82, seq, 4 + 8 * values.len());
+                put_header(out, 0x82, seq, 4 + 8 * values.len());
                 out.extend_from_slice(&(values.len() as u32).to_le_bytes());
                 for v in values {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
             }
-            Response::Pong => put_header(out, version, 0x83, seq, 0),
+            Response::Pong => put_header(out, 0x83, seq, 0),
             Response::Stats(s) => {
-                put_header(out, version, 0x84, seq, 72);
+                put_header(out, 0x84, seq, 72);
                 for word in [
                     s.active_connections,
                     s.total_connections,
@@ -590,26 +528,20 @@ impl Response {
                     out.extend_from_slice(&word.to_le_bytes());
                 }
             }
-            Response::Bye => put_header(out, version, 0x85, seq, 0),
+            Response::Bye => put_header(out, 0x85, seq, 0),
             Response::Error(code) => {
-                put_header(out, version, 0x86, seq, 1);
+                put_header(out, 0x86, seq, 1);
                 out.push(*code as u8);
             }
             Response::NodeInfo(info) => {
-                put_header(out, version, 0x87, seq, 16 + 2 + info.head.len());
+                put_header(out, 0x87, seq, 16 + 2 + info.head.len());
                 for word in [info.node, info.nodes, info.fan, info.shards] {
                     out.extend_from_slice(&word.to_le_bytes());
                 }
                 put_string(out, &info.head);
             }
             Response::Frontier { frontier: f } => {
-                put_header(
-                    out,
-                    version,
-                    0x89,
-                    seq,
-                    FRONTIER_HEADER_LEN + FRONTIER_OP_LEN * f.ops.len(),
-                );
+                put_header(out, 0x89, seq, FRONTIER_HEADER_LEN + FRONTIER_OP_LEN * f.ops.len());
                 out.extend_from_slice(&(f.shard as u32).to_le_bytes());
                 out.push(u8::from(f.finished) | (u8::from(f.watermark.is_some()) << 1));
                 out.extend_from_slice(&f.watermark.unwrap_or(0).to_le_bytes());
@@ -628,19 +560,22 @@ impl Response {
         }
     }
 
+    /// [`Response::encode`] with the version byte overwritten by
+    /// `version`.
+    pub fn encode_versioned(&self, seq: u32, version: u8, out: &mut Vec<u8>) {
+        let start = out.len();
+        self.encode(seq, out);
+        out[start + 4] = version;
+    }
+
     /// Decodes a response from a frame payload, returning the echoed
-    /// sequence number alongside. Accepts any version in
-    /// `MIN_VERSION..=VERSION`.
+    /// sequence number alongside.
     ///
     /// # Errors
     ///
-    /// Any structural defect is a [`WireError`]; a cluster opcode inside a
-    /// version-1 frame is [`WireError::BadOpcode`].
+    /// Any structural defect is a [`WireError`].
     pub fn decode(payload: &[u8]) -> Result<(u32, Response), WireError> {
-        let (seq, version, opcode, body) = split_payload(payload)?;
-        if version < 2 && opcode > 0x86 {
-            return Err(WireError::BadOpcode(opcode));
-        }
+        let (seq, opcode, body) = split_payload(payload)?;
         let resp = match opcode {
             0x81 => {
                 body_exactly(opcode, body, 8)?;
@@ -774,8 +709,7 @@ impl Response {
 /// (repeated polls keep returning the same error rather than resyncing).
 ///
 /// A pipelining client's burst is mostly one frame repeated: a
-/// current-[`VERSION`] [`Request::Next`], ten bytes that differ only in
-/// `seq`. [`FrameDecoder::next_run`] reports how many such
+/// [`Request::Next`], ten bytes that differ only in `seq`. [`FrameDecoder::next_run`] reports how many such
 /// frames sit whole at the cursor and [`FrameDecoder::take_next_run`]
 /// hands out their seqs, so a server can count the run in one batched
 /// backend call instead of decoding and executing frame by frame. The
@@ -796,7 +730,7 @@ const COMPACT_THRESHOLD: usize = 4096;
 /// Wire size of a [`Request::Next`] frame: length word, header, no body.
 const NEXT_FRAME_LEN: usize = 4 + HEADER_LEN;
 
-/// Everything of a current-[`VERSION`] `Next` frame but its `seq`.
+/// Everything of a `Next` frame but its `seq`.
 const NEXT_FRAME_PREFIX: [u8; 6] = [HEADER_LEN as u8, 0, 0, 0, VERSION, 0x01];
 
 impl FrameDecoder {
@@ -846,9 +780,9 @@ impl FrameDecoder {
     }
 
     /// How many whole frames at the cursor, up to `max`, are byte for byte
-    /// a current-[`VERSION`] [`Request::Next`]. Anything else at the cursor
-    /// — a v1 frame, another opcode, a bad length word, a frame still
-    /// partly in flight — ends the count and is left for
+    /// a [`Request::Next`]. Anything else at the cursor — another version
+    /// byte, another opcode, a bad length word, a frame still partly in
+    /// flight — ends the count and is left for
     /// [`next_frame`](Self::next_frame).
     pub fn next_run(&self, max: usize) -> usize {
         self.buf[self.start..]
@@ -919,7 +853,6 @@ mod tests {
             Request::Ping,
             Request::Stats,
             Request::Shutdown,
-            Request::Forward { token: 7, port: 3, node_seq: 1 },
             Request::ForwardBatch { token: u64::MAX, node_seq: 2, counts: vec![0, 61, 0, 3] },
             Request::ForwardBatch { token: 0, node_seq: 1, counts: vec![] },
             Request::NodeInfo,
@@ -1054,64 +987,41 @@ mod tests {
         );
     }
 
-    /// Hand-builds a version-1 payload (no length prefix): the bytes a
-    /// pre-cluster client actually emits.
-    fn v1_payload(opcode: u8, seq: u32, body: &[u8]) -> Vec<u8> {
-        let mut p = vec![1u8, opcode];
-        p.extend_from_slice(&seq.to_le_bytes());
-        p.extend_from_slice(body);
-        p
+    #[test]
+    fn only_the_current_version_decodes() {
+        // Every frame a pre-cluster (version 1) peer would send or answer,
+        // well formed in every other byte, is refused before its opcode is
+        // read.
+        let mut frames = Vec::new();
+        for (seq, req) in requests().into_iter().enumerate() {
+            let mut frame = Vec::new();
+            req.encode(seq as u32, &mut frame);
+            frames.push((true, frame));
+        }
+        for (seq, resp) in responses().into_iter().enumerate() {
+            let mut frame = Vec::new();
+            resp.encode(seq as u32, &mut frame);
+            frames.push((false, frame));
+        }
+        for (is_request, mut frame) in frames {
+            frame[4] = 1;
+            let p = payload(&frame);
+            let got = if is_request {
+                Request::decode(p).map(|_| ())
+            } else {
+                Response::decode(p).map(|_| ())
+            };
+            assert_eq!(got, Err(WireError::BadVersion(1)), "{p:?}");
+        }
     }
 
     #[test]
-    fn v1_frames_still_decode_for_the_legacy_opcode_set() {
-        assert_eq!(
-            Request::decode_versioned(&v1_payload(0x03, 41, &[])),
-            Ok((41, 1, Request::Ping))
-        );
-        assert_eq!(
-            Request::decode_versioned(&v1_payload(0x02, 9, &5u32.to_le_bytes())),
-            Ok((9, 1, Request::NextBatch { n: 5 }))
-        );
-        assert_eq!(
-            Response::decode(&v1_payload(0x81, 9, &7u64.to_le_bytes())),
-            Ok((9, Response::Value { value: 7 }))
-        );
-    }
-
-    #[test]
-    fn v1_frames_reject_cluster_opcodes() {
-        let body = [0u8; 16];
-        assert_eq!(
-            Request::decode(&v1_payload(0x06, 1, &body)),
-            Err(WireError::BadOpcode(0x06))
-        );
-        // A well-formed `ForwardBatch` body (token, node_seq, w = 0).
-        assert_eq!(
-            Request::decode(&v1_payload(0x07, 1, &body)),
-            Err(WireError::BadOpcode(0x07))
-        );
-        assert_eq!(
-            Request::decode(&v1_payload(0x08, 1, &[])),
-            Err(WireError::BadOpcode(0x08))
-        );
-        assert_eq!(
-            Response::decode(&v1_payload(0x89, 1, &[0u8; FRONTIER_HEADER_LEN])),
-            Err(WireError::BadOpcode(0x89))
-        );
-    }
-
-    #[test]
-    fn responses_can_echo_the_request_version() {
-        let mut out = Vec::new();
-        Response::Pong.encode_versioned(4, 1, &mut out);
-        assert_eq!(out[4], 1, "version byte echoes the request's");
-        let (seq, resp) = Response::decode(payload(&out)).unwrap();
-        assert_eq!((seq, resp), (4, Response::Pong));
-        // The default stamp is the current version.
-        let mut out2 = Vec::new();
-        Response::Pong.encode(4, &mut out2);
-        assert_eq!(out2[4], VERSION);
+    fn the_retired_per_token_hop_is_an_unknown_opcode() {
+        // 0x06 around the body it used to carry: token, port, node_seq.
+        let mut frame = Vec::new();
+        put_header(&mut frame, 0x06, 1, 16);
+        frame.extend_from_slice(&[0; 16]);
+        assert_eq!(Request::decode(payload(&frame)), Err(WireError::BadOpcode(0x06)));
     }
 
     #[test]
@@ -1144,7 +1054,7 @@ mod tests {
     /// A `ForwardBatch` payload (no length prefix) around a hand-built body.
     fn forward_batch_payload(body: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
-        put_header(&mut frame, VERSION, 0x07, 7, body.len());
+        put_header(&mut frame, 0x07, 7, body.len());
         frame.extend_from_slice(body);
         payload(&frame).to_vec()
     }
@@ -1227,7 +1137,7 @@ mod tests {
             body.resize(body.len() + FRONTIER_OP_LEN * ops as usize, 0);
             assert_eq!(body.len(), 65 + FRONTIER_OP_LEN * ops as usize);
             let mut frame = Vec::new();
-            put_header(&mut frame, VERSION, 0x89, 7, body.len());
+            put_header(&mut frame, 0x89, 7, body.len());
             frame.extend_from_slice(&body);
             let got = Response::decode(payload(&frame));
             assert!(got.is_err(), "ops={ops} sixth_word={sixth_word}: decoded as {got:?}");

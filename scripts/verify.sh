@@ -66,10 +66,14 @@ CNET_PROPTEST_SEED=2718281828 \
 # `values_are_0_to_n` and `step_property_at_quiescence` checks are the only
 # exercise, through the public API, of two threads on two CPUs racing on
 # the fused terminal words (the last balancer of a path is its counter) —
-# every other run here counts from one thread at a time.
+# every other run here counts from one thread at a time; and `tcp_token`
+# because it is the only workload that sends single `Next` frames, one per
+# round trip, with full recording and a live audit: each is counted as a
+# run of one, and `values_are_0_to_n`, `audit_saw_every_served_op` and
+# `audit_verdict_clean` check what that path hands out and records.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 if [ "$(nproc)" -ge 2 ]; then
-    for workload in audit_replay tcp_pipeline cluster2_batch mem_token; do
+    for workload in audit_replay tcp_pipeline cluster2_batch mem_token tcp_token; do
         cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
             run --workload "$workload" --seconds 1 | tail -n 8
     done
@@ -355,9 +359,9 @@ fi
 # the *tail* (`--cluster 1` makes the NodeInfo handshake re-dial the
 # head), require an exact permutation, then fetch and merge both nodes'
 # trace shards into one cluster-wide audit verdict. The head counts each
-# run of pipelined `Next` frames as one `ingress_batch` (one
-# `ForwardBatch` frame down the chain per run) and hands the values out
-# ascending; on one CPU each slot's runs go through the chain in order,
+# run of pipelined `Next` frames, a lone frame as a run of one, as one
+# `ingress_batch` (one `ForwardBatch` frame down the chain per run) and
+# hands the values out ascending; on one CPU each slot's runs go through the chain in order,
 # so the merged audit must come back clean; `cnet audit` exits nonzero
 # on violations, so the exit code is the gate.
 # "On one CPU" is a condition, not a given: with two CPUs the four
