@@ -120,19 +120,8 @@ impl OpSink for Vec<OpEvent> {
 /// the [`StreamingAuditor`] requires), converting times with [`secs_to_ns`] and
 /// keeping the simulator's sequence tiebreaks. Returns the event count.
 pub fn stream_execution(exec: &TimedExecution, sink: &mut impl OpSink) -> usize {
-    let mut events: Vec<OpEvent> = exec
-        .records()
-        .iter()
-        .map(|r| OpEvent {
-            process: r.process.index(),
-            enter_ns: secs_to_ns(r.enter_time),
-            enter_seq: r.enter_seq,
-            exit_ns: secs_to_ns(r.exit_time),
-            exit_seq: r.exit_seq,
-            value: r.value,
-        })
-        .collect();
-    events.sort_by_key(|e| e.enter_key());
+    let mut events = OpEvent::from_execution(exec);
+    events.sort_by_key(OpEvent::enter_key);
     let n = events.len();
     for ev in events {
         sink.record(ev);

@@ -6,7 +6,11 @@
 //! position in the spec slice, then by layer), applying the sequential
 //! `BAL`/`COUNT` semantics of [`cnet_topology::state::NetworkState`]. The
 //! result is a [`TimedExecution`] carrying the full step trace and one
-//! [`TokenRecord`] per token.
+//! [`TokenRecord`] per token. Each fact is stored once: a [`Step`] holds the
+//! token, the node and the ports, 24 bytes with its time; the record holds
+//! the token's process, input, value, sink and enter/exit points. A token's
+//! schedule `S(T, ℓ)` is the times of its own steps, and is not copied into
+//! its record.
 //!
 //! Both run one loop over a queue that holds **one pending step per
 //! process**. Execution condition 3 of Section 2.2 says a process's tokens
@@ -52,8 +56,9 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// # Errors
 ///
 /// * [`SimError::NotUniform`] — the network is not uniform.
-/// * [`SimError::NetworkTooLarge`] — the network has more wires than a
-///   [`Step`] can index.
+/// * [`SimError::NetworkTooLarge`] — the network has more wires, or a
+///   balancer more ports, than a [`Step`] can index.
+/// * [`SimError::TooManyTokens`] — more specs than a [`Step`] can index.
 /// * [`SimError::WrongStepCount`], [`SimError::DecreasingStepTimes`],
 ///   [`SimError::NonFiniteTime`], [`SimError::BadInputWire`] — a spec is
 ///   malformed.
@@ -98,12 +103,12 @@ pub fn run(net: &Network, specs: &[TimedTokenSpec]) -> Result<TimedExecution, Si
 ///
 /// * [`SimError::WrongStepCount`] — a token's delay pool is shorter than
 ///   the network depth (its route might be that long).
-/// * [`SimError::NetworkTooLarge`], [`SimError::NonFiniteTime`],
-///   [`SimError::BadInputWire`], [`SimError::DecreasingStepTimes`]
-///   (negative delays), [`SimError::OverlappingProcessTokens`] — as for
-///   [`run`], with the overlap check using each token's *worst-case* exit
-///   time (entry plus all depth delays), so the guarantee is
-///   schedule-independent.
+/// * [`SimError::NetworkTooLarge`], [`SimError::TooManyTokens`],
+///   [`SimError::NonFiniteTime`], [`SimError::BadInputWire`],
+///   [`SimError::DecreasingStepTimes`] (negative delays),
+///   [`SimError::OverlappingProcessTokens`] — as for [`run`], with the
+///   overlap check using each token's *worst-case* exit time (entry plus
+///   all depth delays), so the guarantee is schedule-independent.
 pub fn run_adaptive(
     net: &Network,
     specs: &[AdaptiveTokenSpec],
@@ -193,10 +198,16 @@ impl Schedule for AdaptiveTokenSpec {
 /// The replay loop behind [`run`] and [`run_adaptive`] (see the module
 /// docs).
 fn replay<S: Schedule>(net: &Network, specs: &[S]) -> Result<TimedExecution, SimError> {
-    // Every balancer, sink and port index is below the wire count, so none
-    // is truncated by the `as u32` casts below.
-    if u32::try_from(net.num_wires()).is_err() {
+    // Every balancer and sink index is below the wire count and every port
+    // below its balancer's fan, so none is truncated by the casts below.
+    let max_fan = usize::from(u16::MAX) + 1;
+    if u32::try_from(net.num_wires()).is_err()
+        || net.balancers().any(|(_, b)| b.fan_in() > max_fan || b.fan_out() > max_fan)
+    {
         return Err(SimError::NetworkTooLarge);
+    }
+    if u32::try_from(specs.len()).is_err() {
+        return Err(SimError::TooManyTokens { count: specs.len() });
     }
     let depth = net.depth();
     for (pos, spec) in specs.iter().enumerate() {
@@ -241,7 +252,6 @@ fn replay<S: Schedule>(net: &Network, specs: &[S]) -> Result<TimedExecution, Sim
             exit_seq: 0,
             sink: 0,
             value: 0,
-            step_times: Vec::with_capacity(depth + 1),
         })
         .collect();
 
@@ -250,8 +260,7 @@ fn replay<S: Schedule>(net: &Network, specs: &[S]) -> Result<TimedExecution, Sim
         let lane = &mut lanes[slot];
         let (time, seq) = (lane.time, steps.len());
         let record = &mut records[pos];
-        let (token, process) = (record.token, record.process);
-        record.step_times.push(time);
+        let token = pos as u32;
         if hop == 0 {
             (record.enter_time, record.enter_seq) = (time, seq);
         }
@@ -263,10 +272,9 @@ fn replay<S: Schedule>(net: &Network, specs: &[S]) -> Result<TimedExecution, Sim
                 *pending = Reverse((time_key(lane.time), pos, hop + 1, slot));
                 Step::Bal {
                     token,
-                    process,
                     balancer: balancer.index() as u32,
-                    in_port: port as u32,
-                    out_port: out_port as u32,
+                    in_port: port as u16,
+                    out_port: out_port as u16,
                 }
             }
             WireEnd::Sink(sink) => {
@@ -282,7 +290,7 @@ fn replay<S: Schedule>(net: &Network, specs: &[S]) -> Result<TimedExecution, Sim
                         PeekMut::pop(pending);
                     }
                 }
-                Step::Count { token, process, sink: sink.index() as u32, value }
+                Step::Count { token, sink: sink.index() as u32 }
             }
         };
         steps.push(TimedStep { time, step });
@@ -432,6 +440,30 @@ mod tests {
         assert_eq!(err, SimError::NotUniform);
     }
 
+    /// One `(1, fan_out)`-balancer from the only source to `fan_out` sinks.
+    fn fan_out_balancer(fan_out: usize) -> Network {
+        use cnet_topology::{NetworkBuilder, SinkId, WireStart};
+        let mut nb = NetworkBuilder::new(1, fan_out);
+        let balancer = nb.add_balancer(1, fan_out);
+        nb.connect(WireStart::Source(SourceId(0)), WireEnd::Balancer { balancer, port: 0 })
+            .unwrap();
+        for port in 0..fan_out {
+            let end = WireEnd::Sink(SinkId(port));
+            nb.connect(WireStart::Balancer { balancer, port }, end).unwrap();
+        }
+        nb.finish().unwrap()
+    }
+
+    #[test]
+    fn a_balancer_with_more_ports_than_a_step_holds_is_refused() {
+        // Ports are `u16`: 65,536 of them fit, one more would be truncated.
+        let wide = fan_out_balancer(usize::from(u16::MAX) + 2);
+        assert_eq!(run(&wide, &[spec(0, 0, &[0.0, 1.0])]).unwrap_err(), SimError::NetworkTooLarge);
+        let widest = fan_out_balancer(usize::from(u16::MAX) + 1);
+        let exec = run(&widest, &[spec(0, 0, &[0.0, 1.0])]).unwrap();
+        assert_eq!(exec.records()[0].value, 0);
+    }
+
     #[test]
     fn wrong_step_count_is_rejected() {
         let net = bitonic(4).unwrap();
@@ -550,7 +582,10 @@ mod tests {
         values.sort_unstable();
         assert_eq!(values, (0..20).collect::<Vec<_>>());
         // Tokens routed through the extra balancer took one more hop.
-        let lens: Vec<usize> = exec.records().iter().map(|r| r.step_times.len()).collect();
+        let mut lens = vec![0; specs.len()];
+        for s in exec.steps() {
+            lens[s.step.token().index()] += 1;
+        }
         assert!(lens.iter().any(|&l| l == net.depth() + 1));
         assert!(lens.iter().any(|&l| l == net.depth()));
         // The independent validator accepts the execution.
@@ -649,7 +684,6 @@ mod tests {
                 exit_seq: 0,
                 sink: 0,
                 value: 0,
-                step_times: s.step_times.clone(),
             })
             .collect();
         for (seq, &(_, pos, layer)) in events.iter().enumerate() {
@@ -732,8 +766,17 @@ mod tests {
                 })
                 .collect();
             let (sorted, records) = sorted_reference(&net, &specs);
-            prop_assert_eq!(merged, sorted);
+            prop_assert_eq!(&merged, &sorted);
             prop_assert_eq!(exec.records(), &records[..]);
+            // A token's schedule lives only in its steps: read back from
+            // `steps()`, each token's times are its spec's.
+            let mut times: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
+            for &(token, _, time) in &merged {
+                times[token.index()].push(time);
+            }
+            for (spec, times) in specs.iter().zip(&times) {
+                prop_assert_eq!(&spec.step_times, times);
+            }
             // The identity network does not count: its quiescent outputs
             // need not have the step property the validator requires.
             let validated = crate::validate::validate(&net, &exec).map_err(|e| e.to_string());

@@ -11,10 +11,17 @@ pub enum SimError {
     /// The engine requires a uniform network (the paper's timing parameters
     /// are defined layer-by-layer over uniform networks).
     NotUniform,
-    /// The network has more wires than a [`Step`](crate::exec::Step) can
-    /// index: its balancer, sink and port fields are `u32`, and each such
-    /// index is below the wire count.
+    /// The network has more wires, or a balancer more ports, than a
+    /// [`Step`](crate::exec::Step) can index: its balancer and sink fields
+    /// are `u32`, each such index being below the wire count, and its port
+    /// fields are `u16`.
     NetworkTooLarge,
+    /// There are more token specs than a [`Step`](crate::exec::Step)'s
+    /// `u32` token field can index.
+    TooManyTokens {
+        /// How many specs were supplied.
+        count: usize,
+    },
     /// A token's `step_times` has the wrong length (must be `depth + 1`).
     WrongStepCount {
         /// The offending token.
@@ -67,8 +74,15 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::NotUniform => write!(f, "network is not uniform"),
-            SimError::NetworkTooLarge => {
-                write!(f, "network has more than {} wires, more than a step can index", u32::MAX)
+            SimError::NetworkTooLarge => write!(
+                f,
+                "network has more than {} wires or a balancer with more than {} ports, \
+                 more than a step can index",
+                u32::MAX,
+                u32::from(u16::MAX) + 1
+            ),
+            SimError::TooManyTokens { count } => {
+                write!(f, "{count} tokens, more than the {} a step can index", u32::MAX)
             }
             SimError::WrongStepCount { token, got, want } => {
                 write!(f, "token {token} has {got} step times, expected {want}")

@@ -7,35 +7,34 @@ use cnet_util::json_struct;
 /// A transition step of the execution (Section 2.2): either a token crossing
 /// a balancer or a token obtaining a value at a counter.
 ///
-/// Balancer, port and sink indices are `u32`, which keeps a [`TimedStep`]
-/// at 40 bytes; the engine refuses a network with more wires than that
-/// indexes ([`SimError::NetworkTooLarge`](crate::SimError::NetworkTooLarge))
-/// rather than truncate.
+/// A step says when (its [`TimedStep::time`]) and where. Who took it and
+/// what it returned belong to the token: the process `p` of `BAL_p` and
+/// `COUNT_p` and the value `v` of `COUNT` are the `process` and `value` of
+/// `exec.record(step.token())`. Token, balancer and sink indices are `u32`
+/// and ports `u16`, so a [`TimedStep`] is 24 bytes; the engine refuses
+/// input these cannot index
+/// ([`SimError::TooManyTokens`](crate::SimError::TooManyTokens),
+/// [`SimError::NetworkTooLarge`](crate::SimError::NetworkTooLarge)) rather
+/// than truncate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Step {
     /// The paper's `BAL_p(T, B, i, j)`.
     Bal {
-        /// The token taking the step.
-        token: TokenId,
-        /// The process shepherding it.
-        process: ProcessId,
+        /// The token taking the step (its [`TokenId`] index).
+        token: u32,
         /// The balancer traversed (its `BalancerId` index in the network).
         balancer: u32,
         /// Input port entered on.
-        in_port: u32,
+        in_port: u16,
         /// Output port exited on.
-        out_port: u32,
+        out_port: u16,
     },
     /// The paper's `COUNT_p(T, C, v)`.
     Count {
-        /// The token taking the step.
-        token: TokenId,
-        /// The process shepherding it.
-        process: ProcessId,
+        /// The token taking the step (its [`TokenId`] index).
+        token: u32,
         /// The sink (counter) traversed (its `SinkId` index in the network).
         sink: u32,
-        /// The value assigned.
-        value: u64,
     },
 }
 
@@ -44,23 +43,20 @@ pub enum Step {
 impl ToJson for Step {
     fn to_json(&self) -> Value {
         match *self {
-            Step::Bal { token, process, balancer, in_port, out_port } => Value::Object(vec![(
+            Step::Bal { token, balancer, in_port, out_port } => Value::Object(vec![(
                 "Bal".to_string(),
                 Value::Object(vec![
                     ("token".to_string(), token.to_json()),
-                    ("process".to_string(), process.to_json()),
                     ("balancer".to_string(), balancer.to_json()),
                     ("in_port".to_string(), in_port.to_json()),
                     ("out_port".to_string(), out_port.to_json()),
                 ]),
             )]),
-            Step::Count { token, process, sink, value } => Value::Object(vec![(
+            Step::Count { token, sink } => Value::Object(vec![(
                 "Count".to_string(),
                 Value::Object(vec![
                     ("token".to_string(), token.to_json()),
-                    ("process".to_string(), process.to_json()),
                     ("sink".to_string(), sink.to_json()),
-                    ("value".to_string(), value.to_json()),
                 ]),
             )]),
         }
@@ -72,18 +68,12 @@ impl FromJson for Step {
         if let Some(b) = v.get("Bal") {
             Ok(Step::Bal {
                 token: json::field(b, "token")?,
-                process: json::field(b, "process")?,
                 balancer: json::field(b, "balancer")?,
                 in_port: json::field(b, "in_port")?,
                 out_port: json::field(b, "out_port")?,
             })
         } else if let Some(c) = v.get("Count") {
-            Ok(Step::Count {
-                token: json::field(c, "token")?,
-                process: json::field(c, "process")?,
-                sink: json::field(c, "sink")?,
-                value: json::field(c, "value")?,
-            })
+            Ok(Step::Count { token: json::field(c, "token")?, sink: json::field(c, "sink")? })
         } else {
             Err(JsonError::new(format!("invalid Step: {v:?}")))
         }
@@ -93,15 +83,8 @@ impl FromJson for Step {
 impl Step {
     /// The token taking this step.
     pub fn token(&self) -> TokenId {
-        match self {
-            Step::Bal { token, .. } | Step::Count { token, .. } => *token,
-        }
-    }
-
-    /// The process shepherding the token.
-    pub fn process(&self) -> ProcessId {
-        match self {
-            Step::Bal { process, .. } | Step::Count { process, .. } => *process,
+        match *self {
+            Step::Bal { token, .. } | Step::Count { token, .. } => TokenId(token as usize),
         }
     }
 }
@@ -140,8 +123,6 @@ pub struct TokenRecord {
     pub sink: usize,
     /// The value it obtained.
     pub value: u64,
-    /// Its full schedule: the time it passed each layer.
-    pub step_times: Vec<f64>,
 }
 
 json_struct!(TokenRecord {
@@ -154,7 +135,6 @@ json_struct!(TokenRecord {
     exit_seq,
     sink,
     value,
-    step_times,
 });
 
 impl TokenRecord {
@@ -246,7 +226,6 @@ mod tests {
             exit_seq,
             sink: 0,
             value: 0,
-            step_times: vec![enter, exit],
         }
     }
 
@@ -284,14 +263,8 @@ mod tests {
     fn steps_round_trip_through_json() {
         use cnet_util::json;
         let steps = [
-            Step::Bal {
-                token: TokenId(4),
-                process: ProcessId(2),
-                balancer: 7,
-                in_port: 0,
-                out_port: 1,
-            },
-            Step::Count { token: TokenId(1), process: ProcessId(0), sink: 3, value: 9 },
+            Step::Bal { token: 4, balancer: 7, in_port: 0, out_port: 1 },
+            Step::Count { token: 1, sink: 3 },
         ];
         for s in steps {
             let back: Step = json::from_str(&json::to_string(&s)).unwrap();
@@ -309,15 +282,7 @@ mod tests {
         let exec = TimedExecution::new(
             1,
             2,
-            vec![TimedStep {
-                time: 0.5,
-                step: Step::Count {
-                    token: TokenId(0),
-                    process: ProcessId(0),
-                    sink: 0,
-                    value: 0,
-                },
-            }],
+            vec![TimedStep { time: 0.5, step: Step::Count { token: 0, sink: 0 } }],
             vec![record(0.0, 0.5, 0, 0)],
         );
         let back: TimedExecution = json::from_str(&json::to_string(&exec)).unwrap();
@@ -325,22 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn a_timed_step_is_40_bytes() {
-        assert_eq!(std::mem::size_of::<TimedStep>(), 40);
+    fn a_timed_step_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<TimedStep>(), 24);
+    }
+
+    #[test]
+    fn a_token_record_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<TokenRecord>(), 72);
     }
 
     #[test]
     fn step_accessors() {
-        let s = Step::Bal {
-            token: TokenId(4),
-            process: ProcessId(2),
-            balancer: 0,
-            in_port: 0,
-            out_port: 1,
-        };
+        let s = Step::Bal { token: 4, balancer: 0, in_port: 0, out_port: 1 };
         assert_eq!(s.token(), TokenId(4));
-        assert_eq!(s.process(), ProcessId(2));
-        let c = Step::Count { token: TokenId(1), process: ProcessId(0), sink: 3, value: 7 };
+        let c = Step::Count { token: 1, sink: 3 };
         assert_eq!(c.token(), TokenId(1));
     }
 }

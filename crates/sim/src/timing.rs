@@ -72,31 +72,36 @@ impl TimingParams {
     /// ```
     pub fn measure(exec: &TimedExecution) -> TimingParams {
         let mut params = TimingParams::default();
-        for record in exec.records() {
-            let entry = params.per_process.entry(record.process).or_default();
-            for pair in record.step_times.windows(2) {
-                let delay = pair[1] - pair[0];
-                params.c_min = Some(params.c_min.map_or(delay, |m| m.min(delay)));
-                params.c_max = Some(params.c_max.map_or(delay, |m| m.max(delay)));
-                entry.c_min = Some(entry.c_min.map_or(delay, |m| m.min(delay)));
-            }
-        }
         // Local inter-operation delays: consecutive tokens of each process.
         let mut by_process: BTreeMap<ProcessId, Vec<&TokenRecord>> = BTreeMap::new();
         for record in exec.records() {
             by_process.entry(record.process).or_default().push(record);
         }
         for (process, mut records) in by_process {
+            let entry = params.per_process.entry(process).or_default();
             records.sort_by(|a, b| {
                 a.enter_time.total_cmp(&b.enter_time).then(a.enter_seq.cmp(&b.enter_seq))
             });
             for pair in records.windows(2) {
                 let gap = pair[1].enter_time - pair[0].exit_time;
-                let entry = params.per_process.entry(process).or_default();
                 entry.local_delay = Some(entry.local_delay.map_or(gap, |m| m.min(gap)));
                 params.local_delay =
                     Some(params.local_delay.map_or(gap, |m| m.min(gap)));
             }
+        }
+        // Wire delays: each step's gap to its token's previous step.
+        let mut last: Vec<Option<f64>> = vec![None; exec.records().len()];
+        for ts in exec.steps() {
+            let token = ts.step.token();
+            let Some(prev) = last[token.index()].replace(ts.time) else { continue };
+            let delay = ts.time - prev;
+            params.c_min = Some(params.c_min.map_or(delay, |m| m.min(delay)));
+            params.c_max = Some(params.c_max.map_or(delay, |m| m.max(delay)));
+            let entry = params
+                .per_process
+                .get_mut(&exec.record(token).process)
+                .expect("every record's process has an entry");
+            entry.c_min = Some(entry.c_min.map_or(delay, |m| m.min(delay)));
         }
         params.global_delay = global_delay(exec.records());
         params
@@ -109,73 +114,6 @@ impl TimingParams {
             (Some(min), Some(max)) if min > 0.0 => Some(max / min),
             _ => None,
         }
-    }
-}
-
-/// Concurrency statistics of an execution: how many tokens were inside the
-/// network simultaneously.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub struct ConcurrencyProfile {
-    /// The maximum number of tokens in flight at any instant.
-    pub max_in_flight: usize,
-    /// Time-averaged tokens in flight over the execution's span (0 for an
-    /// empty or instantaneous execution).
-    pub avg_in_flight: f64,
-}
-
-json_struct!(ConcurrencyProfile { max_in_flight, avg_in_flight });
-
-/// Computes the concurrency profile by sweeping token intervals.
-///
-/// Local inter-operation delay is the paper's lever over exactly this
-/// quantity (\[SUZ98\] studies the performance side): larger `C_L` thins the
-/// in-flight population, which is why it can buy consistency.
-///
-/// # Example
-///
-/// ```
-/// use cnet_topology::construct::bitonic;
-/// use cnet_sim::{engine::run, spec::TimedTokenSpec, ids::ProcessId};
-/// use cnet_sim::timing::concurrency_profile;
-///
-/// let net = bitonic(2)?;
-/// let specs = vec![
-///     TimedTokenSpec::lock_step(ProcessId(0), 0, 0.0, 2.0, 1),
-///     TimedTokenSpec::lock_step(ProcessId(1), 1, 1.0, 2.0, 1),
-/// ];
-/// let profile = concurrency_profile(&run(&net, &specs)?);
-/// assert_eq!(profile.max_in_flight, 2); // they overlap on [1, 2]
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn concurrency_profile(exec: &TimedExecution) -> ConcurrencyProfile {
-    let records = exec.records();
-    if records.is_empty() {
-        return ConcurrencyProfile::default();
-    }
-    // Sweep entry/exit events; a token occupies [enter_time, exit_time].
-    let mut events: Vec<(f64, i64)> = Vec::with_capacity(2 * records.len());
-    for r in records {
-        events.push((r.enter_time, 1));
-        events.push((r.exit_time, -1));
-    }
-    // Exits before entries at equal times (half-open intervals).
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let span_start = events.first().expect("non-empty").0;
-    let span_end = events.last().expect("non-empty").0;
-    let mut in_flight: i64 = 0;
-    let mut max_in_flight: i64 = 0;
-    let mut weighted: f64 = 0.0;
-    let mut prev_time = span_start;
-    for (time, delta) in events {
-        weighted += in_flight as f64 * (time - prev_time);
-        prev_time = time;
-        in_flight += delta;
-        max_in_flight = max_in_flight.max(in_flight);
-    }
-    let span = span_end - span_start;
-    ConcurrencyProfile {
-        max_in_flight: max_in_flight as usize,
-        avg_in_flight: if span > 0.0 { weighted / span } else { 0.0 },
     }
 }
 
@@ -276,6 +214,29 @@ mod tests {
     }
 
     #[test]
+    fn wire_delays_follow_each_token_over_routes_of_different_lengths() {
+        use crate::engine::run_adaptive;
+        use crate::spec::AdaptiveTokenSpec;
+        use cnet_topology::construct::append_adjacent_balancer;
+        // Tokens routed through the appended balancer take one more hop.
+        let net = append_adjacent_balancer(&bitonic(4).unwrap(), 1).unwrap();
+        let specs: Vec<AdaptiveTokenSpec> = (0..8)
+            .map(|k| {
+                let delay = if k % 2 == 0 { 1.0 } else { 2.5 };
+                let enter = k as f64 * 10.0;
+                AdaptiveTokenSpec::lock_step(ProcessId(k % 2), k % 4, enter, delay, net.depth())
+            })
+            .collect();
+        let exec = run_adaptive(&net, &specs).unwrap();
+        let steps = exec.steps().len();
+        assert!(8 * net.depth() < steps && steps < 8 * (net.depth() + 1), "{steps}");
+        let p = TimingParams::measure(&exec);
+        assert_eq!((p.c_min, p.c_max), (Some(1.0), Some(2.5)));
+        assert_eq!(p.per_process[&ProcessId(0)].c_min, Some(1.0));
+        assert_eq!(p.per_process[&ProcessId(1)].c_min, Some(2.5));
+    }
+
+    #[test]
     fn overlapping_tokens_do_not_constrain_global_delay() {
         let exec = exec_of(vec![
             TimedTokenSpec::with_delays(ProcessId(0), 0, 0.0, &[1.0, 1.0, 1.0]),
@@ -308,41 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_profile_counts_overlaps() {
-        use super::concurrency_profile;
-        // Three tokens: two overlapping, one later and disjoint.
-        let exec = exec_of(vec![
-            TimedTokenSpec::with_delays(ProcessId(0), 0, 0.0, &[1.0, 1.0, 2.0]), // [0,4]
-            TimedTokenSpec::with_delays(ProcessId(1), 1, 1.0, &[1.0, 1.0, 1.0]), // [1,4]
-            TimedTokenSpec::with_delays(ProcessId(2), 2, 6.0, &[1.0, 1.0, 1.0]), // [6,9]
-        ]);
-        let p = concurrency_profile(&exec);
-        assert_eq!(p.max_in_flight, 2);
-        // Occupancy: [0,1): 1; [1,4): 2; [4,6): 0; [6,9): 3... no: one token
-        // on [6,9). Weighted = 1*1 + 2*3 + 0*2 + 1*3 = 10 over span 9.
-        assert!((p.avg_in_flight - 10.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concurrency_profile_of_serialized_execution_is_one() {
-        use super::concurrency_profile;
-        let exec = exec_of(vec![
-            TimedTokenSpec::with_delays(ProcessId(0), 0, 0.0, &[1.0, 1.0, 1.0]),
-            TimedTokenSpec::with_delays(ProcessId(1), 1, 5.0, &[1.0, 1.0, 1.0]),
-        ]);
-        let p = concurrency_profile(&exec);
-        assert_eq!(p.max_in_flight, 1);
-        assert!(p.avg_in_flight <= 1.0);
-    }
-
-    #[test]
-    fn concurrency_profile_of_empty_execution() {
-        use super::concurrency_profile;
-        let exec = exec_of(vec![]);
-        assert_eq!(concurrency_profile(&exec), super::ConcurrencyProfile::default());
-    }
-
-    #[test]
     fn timing_params_round_trip_through_json() {
         use cnet_util::json;
         let exec = exec_of(vec![
@@ -357,9 +283,6 @@ mod tests {
         let empty: TimingParams =
             json::from_str(&json::to_string(&TimingParams::default())).unwrap();
         assert_eq!(empty, TimingParams::default());
-        let profile = concurrency_profile(&exec);
-        let back: ConcurrencyProfile = json::from_str(&json::to_string(&profile)).unwrap();
-        assert_eq!(profile, back);
     }
 
     #[test]

@@ -108,7 +108,12 @@ pub fn desequentialize(
         return Err(SimError::NoWitnessPair);
     }
     let tp = &records[tp_pos];
-    let anchor_times = &tp.step_times;
+    let anchor_times: Vec<f64> = exec
+        .steps()
+        .iter()
+        .filter(|ts| ts.step.token() == TokenId(tp_pos))
+        .map(|ts| ts.time)
+        .collect();
     if anchor_times.windows(2).any(|p| p[0] >= p[1]) {
         return Err(SimError::InvalidConstruction {
             what: "the later witness token needs strictly increasing step times",
@@ -123,13 +128,11 @@ pub fn desequentialize(
     // The wave steps a whisker before each anchor; no original step may fall
     // inside that whisker, so bound δ by the smallest positive gap between
     // any original step time and any anchor.
-    for r in records {
-        for &t in &r.step_times {
-            for &anchor in anchor_times {
-                let gap = anchor - t;
-                if gap > 0.0 {
-                    min_gap = min_gap.min(gap);
-                }
+    for ts in exec.steps() {
+        for &anchor in &anchor_times {
+            let gap = anchor - ts.time;
+            if gap > 0.0 {
+                min_gap = min_gap.min(gap);
             }
         }
     }

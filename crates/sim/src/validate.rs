@@ -8,7 +8,8 @@
 //! 1. times are non-decreasing;
 //! 2. each token's steps form a contiguous source→counter route
 //!    (wires connect, ports match);
-//! 3. tokens of one process never interleave (execution condition 3);
+//! 3. tokens of one process never interleave (execution condition 3), the
+//!    process being the one the token's record names;
 //! 4. **safety**: no balancer emits more tokens than it received, at every
 //!    prefix of the execution;
 //! 5. **liveness / quiescence**: at the end of a finite execution every
@@ -16,12 +17,14 @@
 //! 6. the per-balancer **step property** on output-wire counts at
 //!    quiescence, and the network-level step property on the counters;
 //! 7. counter values are the arithmetic the paper prescribes
-//!    (`j, j + w, j + 2w, …` per counter, in order);
+//!    (`j, j + w, j + 2w, …` per counter, in order), the value being the
+//!    one the token's record holds, read at its `COUNT` step;
 //! 8. there is one record per token that took steps, and each agrees with
-//!    its token's steps: process, sink, value, `enter_seq`/`exit_seq`,
-//!    enter/exit time and `step_times` (its input placed the token's first
-//!    step). The consistency checkers read only the records, so a record
-//!    must say what the steps did.
+//!    its token's steps: token, sink, `enter_seq`/`exit_seq` and enter/exit
+//!    time (its input placed the token's first step). The consistency
+//!    checkers read only the records, so a record must say what the steps
+//!    did. A record's process and value have no second copy in the steps,
+//!    so checks 3 and 7 are made on them directly.
 //!
 //! Every test of the engine gains teeth by round-tripping through
 //! [`validate`]; it is also the safety net for hand-built adversarial
@@ -183,12 +186,11 @@ pub fn validate(
     let mut output_counts: Vec<u64> = vec![0; net.fan_out()];
     let mut input_counts: Vec<u64> = vec![0; net.fan_in()];
     let records = exec.records();
-    // Per token: the wire it is on (`None` before its first step), the
-    // steps it has taken and whether it has counted.
+    // Per token: the wire it is on (`None` before its first step) and
+    // whether it has counted.
     #[derive(Clone, Default)]
     struct Progress {
         wire: Option<WireId>,
-        steps: usize,
         done: bool,
     }
     let mut tokens = vec![Progress::default(); records.len()];
@@ -197,10 +199,10 @@ pub fn validate(
 
     for (i, ts) in exec.steps().iter().enumerate() {
         let token = ts.step.token();
-        let process = ts.step.process();
         let Some(record) = records.get(token.index()) else {
             return Err(Box::new(ValidationError::OutOfRange { step: i }));
         };
+        let process = record.process;
         let progress = &mut tokens[token.index()];
         // Track per-process token contiguity: a process may only have one
         // unfinished token, and once a token finishes, no further steps of it
@@ -211,7 +213,6 @@ pub fn validate(
                 what: "steps after its COUNT step",
             }));
         }
-        agree(token, &[(record.process == process, "process")])?;
         match process_active.get(&process) {
             Some(&active) if active != token => {
                 return Err(Box::new(ValidationError::InterleavedProcess { process }));
@@ -237,8 +238,6 @@ pub fn validate(
             }
         }
         let wire = progress.wire.expect("placed at the token's first step");
-        agree(token, &[(record.step_times.get(progress.steps) == Some(&ts.time), "step_times")])?;
-        progress.steps += 1;
         match ts.step {
             Step::Bal { balancer, in_port, out_port, .. } => {
                 let (balancer, in_port, out_port) =
@@ -271,7 +270,7 @@ pub fn validate(
                 // emissions never exceed receipts.
                 progress.wire = Some(bal.output(out_port));
             }
-            Step::Count { sink, value, .. } => {
+            Step::Count { sink, .. } => {
                 let sink = sink as usize;
                 if sink >= net.fan_out() {
                     return Err(Box::new(ValidationError::OutOfRange { step: i }));
@@ -282,11 +281,11 @@ pub fn validate(
                         what: "count step does not match the token's wire",
                     }));
                 }
-                // 7. Counter arithmetic.
-                if value != counter_next[sink] {
+                // 7. Counter arithmetic, on the value the record holds.
+                if record.value != counter_next[sink] {
                     return Err(Box::new(ValidationError::BadCounterValue {
                         sink,
-                        got: value,
+                        got: record.value,
                         want: counter_next[sink],
                     }));
                 }
@@ -295,10 +294,8 @@ pub fn validate(
                     token,
                     &[
                         (record.sink == sink, "sink"),
-                        (record.value == value, "value"),
                         (record.exit_seq == i, "exit_seq"),
                         (record.exit_time == ts.time, "exit_time"),
-                        (record.step_times.len() == progress.steps, "step_times"),
                     ],
                 )?;
                 counter_next[sink] += net.fan_out() as u64;
@@ -446,19 +443,40 @@ mod tests {
             TimedTokenSpec::lock_step(ProcessId(1), 1, 10.0, 1.0, 3),
         ];
         let exec = run(&net, &specs).unwrap();
+        // The value lives only in the record; bump it.
         let forged = tamper(&exec, |v| {
-            // Find a Count step and bump its value.
-            for step in v["steps"].as_array_mut().unwrap() {
-                if let Some(count) = step["step"].get_mut("Count") {
-                    let old = count["value"].as_u64().unwrap();
-                    count["value"] = (old + 4).into();
-                    return;
-                }
-            }
-            panic!("no count step found");
+            let record = &mut v["records"].as_array_mut().unwrap()[0];
+            let old = record["value"].as_u64().unwrap();
+            record["value"] = (old + 4).into();
         });
         let err = validate(&net, &forged).unwrap_err();
-        assert!(err.to_string().contains("issued"), "{err}");
+        assert_eq!(
+            err.downcast_ref::<ValidationError>(),
+            Some(&ValidationError::BadCounterValue { sink: 0, got: 4, want: 0 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn relabelled_process_is_caught_interleaving() {
+        // Two overlapping tokens of different processes; relabel the second
+        // as the first's process, and one process has two tokens in flight.
+        let net = bitonic(4).unwrap();
+        let specs = vec![
+            TimedTokenSpec::lock_step(ProcessId(0), 0, 0.0, 1.0, 3),
+            TimedTokenSpec::lock_step(ProcessId(1), 1, 0.5, 1.0, 3),
+        ];
+        let exec = run(&net, &specs).unwrap();
+        validate(&net, &exec).unwrap();
+        let forged = tamper(&exec, |v| {
+            v["records"].as_array_mut().unwrap()[1]["process"] = 0.into();
+        });
+        let err = validate(&net, &forged).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<ValidationError>(),
+            Some(&ValidationError::InterleavedProcess { process: ProcessId(0) }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -507,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn tampered_record_value_is_caught() {
+    fn tampered_record_sink_is_caught() {
         let net = bitonic(4).unwrap();
         let specs = vec![
             TimedTokenSpec::lock_step(ProcessId(0), 0, 0.0, 1.0, 3),
@@ -516,11 +534,11 @@ mod tests {
         let exec = run(&net, &specs).unwrap();
         let forged = tamper(&exec, |v| {
             let record = &mut v["records"].as_array_mut().unwrap()[0];
-            let old = record["value"].as_u64().unwrap();
-            record["value"] = (old + 4).into();
+            let old = record["sink"].as_u64().unwrap();
+            record["sink"] = (old + 1).into();
         });
         let err = validate(&net, &forged).unwrap_err();
-        assert_eq!(err.to_string(), "the record of token T0 disagrees with its steps: value");
+        assert_eq!(err.to_string(), "the record of token T0 disagrees with its steps: sink");
     }
 
     #[test]

@@ -71,11 +71,26 @@ CNET_PROPTEST_SEED=2718281828 \
 # round trip, with full recording and a live audit: each is counted as a
 # run of one, and `values_are_0_to_n`, `audit_saw_every_served_op` and
 # `audit_verdict_clean` check what that path hands out and records.
+# `audit_replay` also gates its memory: the simulator stores each fact of
+# a timed execution once (a 24-byte step, no schedule copy in a token's
+# record), which keeps the set-up peak near 98 MB. The script fails when
+# the `rss_peak_mb` of the run's JSON result line exceeds 110 MB, so the
+# saving cannot regress unnoticed.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 if [ "$(nproc)" -ge 2 ]; then
     for workload in audit_replay tcp_pipeline cluster2_batch mem_token tcp_token; do
-        cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-            run --workload "$workload" --seconds 1 | tail -n 8
+        bench_out=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+            run --workload "$workload" --seconds 1)
+        echo "$bench_out" | tail -n 8
+        if [ "$workload" = audit_replay ]; then
+            rss=$(echo "$bench_out" | tail -n 1 \
+                | grep -o '"rss_peak_mb":{"value":[0-9.e+-]*' | grep -o '[0-9.e+-]*$' || true)
+            if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss + 0 <= 110) }'; then
+                echo "error: audit_replay rss_peak_mb is ${rss:-missing}, over the 110 MB gate" >&2
+                exit 1
+            fi
+            echo "audit_replay rss_peak_mb gate: ${rss} MB <= 110 MB"
+        fi
     done
 else
     echo "benchmark gate: built; run skipped (needs 2 CPUs, this host offers $(nproc))"

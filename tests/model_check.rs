@@ -173,12 +173,7 @@ fn execution_of(net: &Network, log: &ClaimLog) -> Result<TimedExecution, String>
         })?;
         token.steps.push(steps.len());
         token.value = Some((sink, value));
-        steps.push(Step::Count {
-            token: TokenId(k),
-            process: ProcessId(token.process),
-            sink: sink as u32,
-            value,
-        });
+        steps.push(Step::Count { token: k as u32, sink: sink as u32 });
         Ok::<(), String>(())
     };
     // The round-robin position of every balancer, for batches that cross
@@ -237,11 +232,10 @@ fn execution_of(net: &Network, log: &ClaimLog) -> Result<TimedExecution, String>
             tokens[k].steps.push(steps.len());
             tokens[k].wire = balancer.output(out_port);
             steps.push(Step::Bal {
-                token: TokenId(k),
-                process: ProcessId(tokens[k].process),
+                token: k as u32,
                 balancer: b as u32,
-                in_port: in_port as u32,
-                out_port: out_port as u32,
+                in_port: in_port as u16,
+                out_port: out_port as u16,
             });
             if let (true, WireEnd::Sink(sink)) = (terminal, net.wire(tokens[k].wire).end) {
                 count(k, &mut tokens, &mut steps, sink.index())?;
@@ -254,18 +248,17 @@ fn execution_of(net: &Network, log: &ClaimLog) -> Result<TimedExecution, String>
         let Some((sink, value)) = token.value else {
             return Err(format!("a token of traversal {} never counts", token.traversal));
         };
-        let times: Vec<f64> = token.steps.iter().map(|&i| i as f64).collect();
+        let (enter_seq, exit_seq) = (token.steps[0], token.steps[token.steps.len() - 1]);
         records.push(TokenRecord {
             token: TokenId(k),
             process: ProcessId(token.process),
             input: token.input,
-            enter_time: times[0],
-            exit_time: times[times.len() - 1],
-            enter_seq: token.steps[0],
-            exit_seq: token.steps[token.steps.len() - 1],
+            enter_time: enter_seq as f64,
+            exit_time: exit_seq as f64,
+            enter_seq,
+            exit_seq,
             sink,
             value,
-            step_times: times,
         });
     }
     if let Some(t) = handed.iter().position(|sinks| sinks.iter().any(|q| !q.is_empty())) {
