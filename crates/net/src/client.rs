@@ -26,7 +26,7 @@ use crate::wire::{
 };
 use cnet_runtime::ProcessCounter;
 use cnet_util::sync::{CachePadded, Mutex};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -56,9 +56,17 @@ impl Default for ClientConfig {
 /// hold it: a single stream (one file descriptor — a `BufReader` over a
 /// `try_clone` would double the fd cost and halve how many connections fit
 /// under `ulimit -n`), an outgoing byte buffer flushed once per pipelined
-/// burst, an incremental [`FrameDecoder`] for the inbound side (a response
-/// is read in one `read`, however many frames it spans), and the
+/// burst, an incremental [`FrameDecoder`] for the inbound side, and the
 /// per-connection sequence counter the protocol stamps on every frame.
+///
+/// The socket is read with [`FrameDecoder::read_from`], straight into the
+/// decoder's buffer, and only when the decoder holds no whole frame: one
+/// `read` brings in as many frames as have arrived, and frames already
+/// buffered cost no syscall and no copy. A pipelined burst's answers are
+/// taken as a run of `Value` frames in place
+/// ([`FrameDecoder::value_run`]), each frame's seq checked against its
+/// request's; anything else at the cursor goes through
+/// [`Response::decode`].
 pub(crate) struct Conn {
     stream: TcpStream,
     outbox: Vec<u8>,
@@ -97,26 +105,18 @@ impl Conn {
 
     /// Reads one response and checks it echoes `expect_seq`.
     fn recv(&mut self, expect_seq: u32) -> io::Result<Response> {
-        let mut chunk = [0u8; 4096];
         let (seq, resp) = loop {
             if let Some(frame) = self.decoder.next_frame()? {
                 break Response::decode(frame)?;
             }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
+            if self.decoder.read_from(&mut self.stream)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ));
             }
-            self.decoder.extend(&chunk[..n]);
         };
-        if seq != expect_seq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("sequence mismatch: sent {expect_seq}, got {seq}"),
-            ));
-        }
+        check_seq(expect_seq, seq)?;
         Ok(resp)
     }
 
@@ -126,6 +126,18 @@ impl Conn {
         self.flush()?;
         self.recv(seq)
     }
+}
+
+/// Checks that a response echoes `sent`, the seq its request was stamped
+/// with; `got` is the seq it carries.
+fn check_seq(sent: u32, got: u32) -> io::Result<()> {
+    if got == sent {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("sequence mismatch: sent {sent}, got {got}"),
+    ))
 }
 
 /// Runs `f` on the connection in `slot`, dialing `addr` first if the slot
@@ -295,28 +307,35 @@ impl RemoteCounter {
         if n == 0 {
             return Ok(Vec::new());
         }
+        let max = MAX_BATCH as usize;
+        let chunks = (0..n).step_by(max).map(|start| (n - start).min(max));
         self.with_conn(process, |conn| {
-            let mut seqs = Vec::new();
-            let mut left = n;
-            while left > 0 {
-                let chunk = left.min(MAX_BATCH as usize) as u32;
-                seqs.push((conn.send(&Request::NextBatch { n: chunk }), chunk));
-                left -= chunk as usize;
+            // Chunk seqs are consecutive from the first, as in
+            // `next_pipelined`.
+            let first = conn.seq;
+            for chunk in chunks.clone() {
+                conn.send(&Request::NextBatch { n: chunk as u32 });
             }
             conn.flush()?;
-            let mut values = Vec::with_capacity(n);
-            for (seq, chunk) in seqs {
-                match conn.recv(seq)? {
-                    Response::Batch { values: got } if got.len() == chunk as usize => {
-                        values.extend(got);
-                    }
-                    Response::Batch { values: got } => {
+            let mut values = Vec::new();
+            for (i, chunk) in chunks.enumerate() {
+                let got = match conn.recv(first.wrapping_add(i as u32))? {
+                    Response::Batch { values } if values.len() == chunk => values,
+                    Response::Batch { values } => {
                         return Err(io::Error::new(
                             io::ErrorKind::InvalidData,
-                            format!("asked for {chunk} values, got {}", got.len()),
+                            format!("asked for {chunk} values, got {}", values.len()),
                         ));
                     }
                     other => return Err(response_error(&other)),
+                };
+                // The first chunk's vector is the answer's, grown to hold
+                // the rest: a one-chunk batch is returned as decoded.
+                if i == 0 {
+                    values = got;
+                    values.reserve_exact(n - chunk);
+                } else {
+                    values.extend(got);
                 }
             }
             Ok(values)
@@ -344,11 +363,22 @@ impl RemoteCounter {
                 conn.send(&Request::Next);
             }
             conn.flush()?;
+            // Whole `Value` runs are taken in place; whatever else is at
+            // the cursor, a partial frame included, goes through `recv`.
             let mut values = Vec::with_capacity(k);
-            for i in 0..k {
-                match conn.recv(first.wrapping_add(i as u32))? {
-                    Response::Value { value } => values.push(value),
-                    other => return Err(response_error(&other)),
+            while values.len() < k {
+                let done = values.len();
+                let run = conn.decoder.value_run(k - done);
+                if run == 0 {
+                    match conn.recv(first.wrapping_add(done as u32))? {
+                        Response::Value { value } => values.push(value),
+                        other => return Err(response_error(&other)),
+                    }
+                    continue;
+                }
+                for (i, (seq, value)) in conn.decoder.take_value_run(run).enumerate() {
+                    check_seq(first.wrapping_add((done + i) as u32), seq)?;
+                    values.push(value);
                 }
             }
             Ok(values)
@@ -613,5 +643,163 @@ mod tests {
         // The next call redials instead of reading the stale responses.
         assert_eq!(client.next_pipelined(0, 4).unwrap(), [0, 1, 2, 3]);
         peer.join().unwrap();
+    }
+
+    /// How the scripted peer ends a burst early: the frame it sends in
+    /// place of one `Value`, and what the client must make of it.
+    #[derive(Clone, Copy, Debug)]
+    enum Break {
+        ShuttingDown,
+        OtherVersion,
+        BadLength,
+    }
+
+    impl Break {
+        fn encode(self, seq: u32, out: &mut Vec<u8>) {
+            match self {
+                Break::ShuttingDown => Response::Error(ErrorCode::ShuttingDown).encode(seq, out),
+                Break::OtherVersion => Response::Value { value: 1 }.encode_versioned(seq, 1, out),
+                Break::BadLength => {
+                    out.extend_from_slice(&(crate::wire::MAX_FRAME as u32 + 1).to_le_bytes());
+                    out.extend_from_slice(&[0; 14]);
+                }
+            }
+        }
+
+        /// The error kind and a word of the message the client reports.
+        fn reported(self) -> (io::ErrorKind, &'static str) {
+            match self {
+                Break::ShuttingDown => (io::ErrorKind::ConnectionAborted, "shutting down"),
+                Break::OtherVersion => (io::ErrorKind::InvalidData, "version 1"),
+                Break::BadLength => (io::ErrorKind::InvalidData, "length"),
+            }
+        }
+    }
+
+    /// One pipelined burst as the scripted peer answers it: a `Value` per
+    /// request carrying `values[i]`, unless `broken = Some((j, how))`, in
+    /// which case frame `j` is `how`, nothing follows it, and the peer
+    /// closes the connection. The answer bytes are written in pieces cut
+    /// by `cut_seed`.
+    #[derive(Clone, Debug)]
+    struct Burst {
+        values: Vec<u64>,
+        broken: Option<(usize, Break)>,
+        cut_seed: u64,
+    }
+
+    /// Cut points in `1..len` for an answer of 18-byte `Value` frames (the
+    /// break frame, if any, starts on a `Value` boundary too): one inside
+    /// some frame's length word, one inside a seq and one inside a value,
+    /// plus up to three anywhere.
+    fn cut_points(len: usize, seed: u64) -> Vec<usize> {
+        use cnet_util::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let frames = len.div_ceil(18);
+        let mut inside = |from: usize, width: usize| {
+            18 * rng.random_range(0..frames) + from + rng.random_range(1..width)
+        };
+        let mut cuts = vec![inside(0, 4), inside(6, 4), inside(10, 8)];
+        for _ in 0..rng.random_range(0..4usize) {
+            cuts.push(rng.random_range(1..len.max(2)));
+        }
+        cuts.retain(|&cut| (1..len).contains(&cut));
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts
+    }
+
+    /// Every burst size the harness sends clean, across the boundaries of
+    /// one and of a 256-frame burst.
+    const BURSTS: [usize; 5] = [1, 2, 255, 256, 257];
+
+    /// The script for one seed: the five clean bursts on one connection,
+    /// then each way of breaking a run, each followed by a clean burst
+    /// that the client must send on a freshly dialed connection.
+    fn script(seed: u64) -> Vec<Burst> {
+        use cnet_util::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut burst = |k: usize, how: Option<Break>| Burst {
+            values: (0..k).map(|_| rng.next_u64()).collect(),
+            broken: how.map(|how| (rng.random_range(0..k), how)),
+            cut_seed: rng.next_u64(),
+        };
+        let mut script: Vec<Burst> = BURSTS.iter().map(|&k| burst(k, None)).collect();
+        for how in [Break::ShuttingDown, Break::OtherVersion, Break::BadLength] {
+            let k = BURSTS[(seed % 5) as usize];
+            script.push(burst(k, Some(how)));
+            script.push(burst(k, None));
+        }
+        script
+    }
+
+    /// Plays `script` as the server: reads each burst's `Next` frames,
+    /// then writes the answers in cut pieces, pausing between pieces so
+    /// each tends to arrive in a read of its own.
+    fn play(listener: std::net::TcpListener, script: Vec<Burst>) {
+        use crate::wire::read_frame;
+        let mut conn = None;
+        for burst in script {
+            let (stream, decoder) = conn.get_or_insert_with(|| {
+                let (stream, _) = listener.accept().unwrap();
+                stream.set_nodelay(true).unwrap();
+                (stream, FrameDecoder::new())
+            });
+            let mut out = Vec::new();
+            for (i, &value) in burst.values.iter().enumerate() {
+                let payload = read_frame(stream, decoder).unwrap().unwrap();
+                let (seq, req) = Request::decode(&payload).unwrap();
+                assert_eq!(req, Request::Next);
+                match burst.broken {
+                    Some((j, how)) if j == i => how.encode(seq, &mut out),
+                    Some((j, _)) if j < i => {}
+                    _ => Response::Value { value }.encode(seq, &mut out),
+                }
+            }
+            let mut from = 0;
+            for cut in cut_points(out.len(), burst.cut_seed).into_iter().chain([out.len()]) {
+                // The client hangs up as soon as it has read a break, so
+                // the rest of a broken answer may find the socket closed.
+                if let Err(e) = stream.write_all(&out[from..cut]) {
+                    assert!(burst.broken.is_some(), "{e}");
+                    break;
+                }
+                from = cut;
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            if burst.broken.is_some() {
+                conn = None;
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_bursts_survive_any_byte_split_and_broken_runs_tear_down() {
+        // A release build runs this at depth (`scripts/verify.sh`).
+        let seeds = if cfg!(debug_assertions) { 8 } else { 1000 };
+        let base = cnet_util::proptest::base_seed();
+        for i in 0..seeds {
+            let seed = cnet_util::rng::mix_seed(base, i);
+            let script = script(seed);
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let client = RemoteCounter::connect(listener.local_addr().unwrap(), 1).unwrap();
+            let peer = std::thread::spawn({
+                let script = script.clone();
+                move || play(listener, script)
+            });
+            for burst in &script {
+                let got = client.next_pipelined(0, burst.values.len());
+                match burst.broken {
+                    None => assert_eq!(got.unwrap(), burst.values, "seed {seed}"),
+                    Some((j, how)) => {
+                        let err = got.unwrap_err();
+                        let (kind, says) = how.reported();
+                        assert_eq!(err.kind(), kind, "seed {seed}, {how:?} at {j}: {err}");
+                        assert!(err.to_string().contains(says), "seed {seed}: {err}");
+                    }
+                }
+            }
+            peer.join().unwrap_or_else(|_| panic!("seed {seed}: the peer failed"));
+        }
     }
 }

@@ -90,6 +90,13 @@
 //! that covers every operation in it, so the audit can miss an ordering
 //! inside a run but never fabricate one.
 //!
+//! The client reads the answers as a run too, its mirror of the above:
+//! [`FrameDecoder::value_run`] counts the whole current-version `Value`
+//! frames at its cursor, and
+//! [`RemoteCounter::next_pipelined`](crate::client::RemoteCounter::next_pipelined)
+//! takes their `(seq, value)` pairs in place, checking each seq against
+//! its request's. Any other frame goes through `Response::decode`.
+//!
 //! # Shutdown
 //!
 //! [`CounterServer::shutdown`] (also run on drop) drains gracefully: raise

@@ -708,11 +708,20 @@ impl Response {
 /// trustworthy framing left, so callers should drop the connection
 /// (repeated polls keep returning the same error rather than resyncing).
 ///
+/// A blocking reader fills the decoder with [`FrameDecoder::read_from`],
+/// which reads straight into the decoder's own buffer: one chunk is
+/// zeroed and offered to the reader per `read` call, and nothing is
+/// copied a second time.
+///
 /// A pipelining client's burst is mostly one frame repeated: a
 /// [`Request::Next`], ten bytes that differ only in `seq`. [`FrameDecoder::next_run`] reports how many such
 /// frames sit whole at the cursor and [`FrameDecoder::take_next_run`]
 /// hands out their seqs, so a server can count the run in one batched
 /// backend call instead of decoding and executing frame by frame. The
+/// answer is the same shape in the other direction — a [`Response::Value`]
+/// per request, eighteen bytes that differ only in `seq` and `value` — and
+/// [`FrameDecoder::value_run`] / [`FrameDecoder::take_value_run`] are the
+/// client's mirror: they hand out `(seq, value)` pairs read in place. A
 /// report looks only at whole buffered frames, so it never depends on
 /// where the stream was split — a frame cut by a read boundary is simply
 /// not in the run yet.
@@ -733,6 +742,15 @@ const NEXT_FRAME_LEN: usize = 4 + HEADER_LEN;
 /// Everything of a `Next` frame but its `seq`.
 const NEXT_FRAME_PREFIX: [u8; 6] = [HEADER_LEN as u8, 0, 0, 0, VERSION, 0x01];
 
+/// Wire size of a [`Response::Value`] frame: length word, header, value.
+const VALUE_FRAME_LEN: usize = 4 + HEADER_LEN + 8;
+
+/// Everything of a `Value` frame ahead of its `seq`.
+const VALUE_FRAME_PREFIX: [u8; 6] = [(HEADER_LEN + 8) as u8, 0, 0, 0, VERSION, 0x81];
+
+/// Bytes [`FrameDecoder::read_from`] offers the reader per call.
+const READ_CHUNK: usize = 4096;
+
 impl FrameDecoder {
     /// An empty decoder.
     pub fn new() -> FrameDecoder {
@@ -742,6 +760,24 @@ impl FrameDecoder {
     /// Appends bytes received from the stream.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Reads once from `r` straight into the buffer: grows it by one
+    /// zeroed chunk, reads into that tail, and truncates to what arrived.
+    /// Returns the byte count, zero at end of stream. The consumed prefix
+    /// is reclaimed first, as [`next_frame`](Self::next_frame) does on a
+    /// partial frame.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `r.read` returns; the buffered bytes are left as they were.
+    pub fn read_from(&mut self, r: &mut impl io::Read) -> io::Result<usize> {
+        self.compact();
+        let end = self.buf.len();
+        self.buf.resize(end + READ_CHUNK, 0);
+        let got = r.read(&mut self.buf[end..]);
+        self.buf.truncate(end + got.as_ref().map_or(0, |&n| n));
+        got
     }
 
     /// Bytes buffered but not yet consumed by a yielded frame. Zero means
@@ -785,11 +821,7 @@ impl FrameDecoder {
     /// flight — ends the count and is left for
     /// [`next_frame`](Self::next_frame).
     pub fn next_run(&self, max: usize) -> usize {
-        self.buf[self.start..]
-            .chunks_exact(NEXT_FRAME_LEN)
-            .take(max)
-            .take_while(|frame| frame[..NEXT_FRAME_PREFIX.len()] == NEXT_FRAME_PREFIX)
-            .count()
+        self.run(&NEXT_FRAME_PREFIX, NEXT_FRAME_LEN, max)
     }
 
     /// Consumes the first `k` frames of the run [`next_run`](Self::next_run)
@@ -799,11 +831,47 @@ impl FrameDecoder {
     ///
     /// Panics if fewer than `k` whole `Next`-sized frames are buffered.
     pub fn take_next_run(&mut self, k: usize) -> impl Iterator<Item = u32> + '_ {
-        let frames = &self.buf[self.start..self.start + k * NEXT_FRAME_LEN];
-        self.start += frames.len();
-        frames.chunks_exact(NEXT_FRAME_LEN).map(|frame| {
-            u32::from_le_bytes(frame[NEXT_FRAME_PREFIX.len()..].try_into().expect("4 bytes"))
+        self.take_run(NEXT_FRAME_LEN, k).map(seq_of)
+    }
+
+    /// How many whole frames at the cursor, up to `max`, have the length
+    /// word, version and opcode of a [`Response::Value`] — which is all of
+    /// a `Value` but its `seq` and `value`. Anything else at the cursor is
+    /// left for [`next_frame`](Self::next_frame), as in
+    /// [`next_run`](Self::next_run).
+    pub fn value_run(&self, max: usize) -> usize {
+        self.run(&VALUE_FRAME_PREFIX, VALUE_FRAME_LEN, max)
+    }
+
+    /// Consumes the first `k` frames of the run
+    /// [`value_run`](Self::value_run) just reported and yields each one's
+    /// `(seq, value)` in stream order. Checking the seqs is the caller's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `k` whole `Value`-sized frames are buffered.
+    pub fn take_value_run(&mut self, k: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.take_run(VALUE_FRAME_LEN, k).map(|frame| {
+            let value = &frame[VALUE_FRAME_PREFIX.len() + 4..];
+            (seq_of(frame), u64::from_le_bytes(value.try_into().expect("8 bytes")))
         })
+    }
+
+    /// How many whole `len`-byte frames at the cursor, up to `max`, start
+    /// with `prefix`.
+    fn run(&self, prefix: &[u8; 6], len: usize, max: usize) -> usize {
+        self.buf[self.start..]
+            .chunks_exact(len)
+            .take(max)
+            .take_while(|frame| frame[..prefix.len()] == *prefix)
+            .count()
+    }
+
+    /// Consumes `k` whole `len`-byte frames at the cursor, yielding each.
+    fn take_run(&mut self, len: usize, k: usize) -> std::slice::ChunksExact<'_, u8> {
+        let frames = &self.buf[self.start..self.start + k * len];
+        self.start += frames.len();
+        frames.chunks_exact(len)
     }
 
     /// Reclaims the consumed prefix. Free when everything was consumed
@@ -820,6 +888,11 @@ impl FrameDecoder {
     }
 }
 
+/// The `seq` of a whole frame, length word included.
+fn seq_of(frame: &[u8]) -> u32 {
+    u32::from_le_bytes(frame[6..10].try_into().expect("4 bytes"))
+}
+
 /// A test client's blocking read of one frame payload through `decoder`:
 /// `None` on a clean end-of-stream at a frame boundary, `UnexpectedEof` on
 /// a stream cut mid-frame.
@@ -828,15 +901,14 @@ pub(crate) fn read_frame(
     r: &mut impl io::Read,
     decoder: &mut FrameDecoder,
 ) -> io::Result<Option<Vec<u8>>> {
-    let mut chunk = [0u8; 4096];
     loop {
         if let Some(payload) = decoder.next_frame()? {
             return Ok(Some(payload.to_vec()));
         }
-        match r.read(&mut chunk)? {
+        match decoder.read_from(r)? {
             0 if decoder.buffered() == 0 => return Ok(None),
             0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-            n => decoder.extend(&chunk[..n]),
+            _ => {}
         }
     }
 }
@@ -844,6 +916,7 @@ pub(crate) fn read_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnet_util::proptest::prelude::*;
 
     fn requests() -> Vec<Request> {
         vec![
@@ -1321,5 +1394,201 @@ mod tests {
             assert_eq!(dec.take_next_run(2).collect::<Vec<_>>(), [5, 5]);
             assert_eq!(dec.next_run(usize::MAX), 0, "{other:?}");
         }
+    }
+
+    #[test]
+    fn value_run_counts_only_whole_current_version_value_frames() {
+        // Three Value frames whose seqs wrap, then a Pong.
+        let sent = [(u32::MAX - 1, 0), (u32::MAX, u64::MAX), (0, 0x0102_0304_0506_0708)];
+        let mut stream = Vec::new();
+        for (seq, value) in sent {
+            Response::Value { value }.encode(seq, &mut stream);
+        }
+        Response::Pong.encode(1, &mut stream);
+        assert_eq!(stream.len(), 3 * VALUE_FRAME_LEN + 4 + HEADER_LEN);
+        // Fed a byte at a time, the report only ever counts whole frames
+        // and stops at the Pong however many bytes follow.
+        let mut dec = FrameDecoder::new();
+        for (i, byte) in stream.iter().enumerate() {
+            dec.extend(std::slice::from_ref(byte));
+            assert_eq!(dec.value_run(usize::MAX), ((i + 1) / VALUE_FRAME_LEN).min(3), "byte {i}");
+        }
+        assert_eq!(dec.value_run(2), 2, "the cap bounds the report");
+        assert_eq!(dec.take_value_run(3).collect::<Vec<_>>(), sent);
+        assert_eq!(dec.value_run(usize::MAX), 0);
+        let p = dec.next_frame().unwrap().unwrap();
+        assert_eq!(Response::decode(p).unwrap(), (1, Response::Pong));
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn value_run_leaves_every_other_shape_to_next_frame() {
+        let mut value = Vec::new();
+        Response::Value { value: 9 }.encode(5, &mut value);
+        // A v1-stamped Value, a Value-sized frame with another opcode, a
+        // Value with a trailing byte, other responses, and a length word
+        // that is not a Value's each end the run where they sit.
+        let mut v1 = value.clone();
+        v1[4] = 1;
+        let mut other_opcode = value.clone();
+        other_opcode[5] = 0x82;
+        let mut long = Vec::new();
+        put_header(&mut long, 0x81, 5, 9);
+        long.extend_from_slice(&[0; 9]);
+        let [mut batch, mut pong, mut error] = [Vec::new(), Vec::new(), Vec::new()];
+        Response::Batch { values: vec![9] }.encode(5, &mut batch);
+        Response::Pong.encode(5, &mut pong);
+        Response::Error(ErrorCode::ShuttingDown).encode(5, &mut error);
+        let bad_length = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+        for other in [v1, other_opcode, long, batch, pong, error, bad_length] {
+            let mut dec = FrameDecoder::new();
+            dec.extend(&value);
+            dec.extend(&value);
+            dec.extend(&other);
+            dec.extend(&value);
+            assert_eq!(dec.value_run(usize::MAX), 2, "{other:?}");
+            assert_eq!(dec.take_value_run(2).collect::<Vec<_>>(), [(5, 9), (5, 9)]);
+            assert_eq!(dec.value_run(usize::MAX), 0, "{other:?}");
+        }
+    }
+
+    /// Feeds `stream` to a decoder `chunk` bytes at a time and drains it
+    /// after each chunk — with `value_run` runs of at most `cap` frames
+    /// ahead of `next_frame` when `runs` is set, with `next_frame` alone
+    /// otherwise — up to and including the first error.
+    fn drain(
+        stream: &[u8],
+        chunk: usize,
+        runs: Option<usize>,
+    ) -> Vec<Result<(u32, Response), WireError>> {
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for piece in stream.chunks(chunk) {
+            dec.extend(piece);
+            loop {
+                let run = runs.map_or(0, |cap| dec.value_run(cap));
+                if run > 0 {
+                    let taken = dec.take_value_run(run);
+                    got.extend(taken.map(|(seq, value)| Ok((seq, Response::Value { value }))));
+                    continue;
+                }
+                match dec.next_frame() {
+                    Ok(Some(p)) => got.push(Response::decode(p)),
+                    Ok(None) => break,
+                    Err(e) => got.push(Err(e)),
+                }
+                if got.last().is_some_and(Result::is_err) {
+                    return got;
+                }
+            }
+        }
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        fn value_runs_drain_like_next_frame(
+            frames in prop::collection::vec((0u8..6, 0u64..u64::MAX), 0..48),
+            first in 0u32..u32::MAX,
+            chunk in 1usize..48,
+            cap in 1usize..8,
+            v1_tail in proptest::bool::ANY,
+        ) {
+            let mut stream = Vec::new();
+            for (i, &(kind, value)) in frames.iter().enumerate() {
+                let seq = first.wrapping_add(i as u32);
+                match kind {
+                    0..=2 => Response::Value { value },
+                    3 => Response::Batch { values: vec![value; (value % 3) as usize] },
+                    4 => Response::Pong,
+                    _ => Response::Error(ErrorCode::ShuttingDown),
+                }
+                .encode(seq, &mut stream);
+            }
+            if v1_tail {
+                Response::Value { value: 1 }.encode_versioned(first, 1, &mut stream);
+                Response::Value { value: 2 }.encode(first, &mut stream);
+            }
+            let plain = drain(&stream, chunk, None);
+            prop_assert_eq!(plain.len(), frames.len() + usize::from(v1_tail));
+            prop_assert_eq!(drain(&stream, chunk, Some(cap)), plain);
+        }
+    }
+
+    /// A reader handing out `bytes` in seeded chunks of 1..=4096 bytes
+    /// (shorter when the caller's buffer or the stream runs out first).
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        rng: cnet_util::rng::StdRng,
+    }
+
+    impl io::Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            use cnet_util::rng::Rng;
+            let n = self.rng.random_range(1..4097usize).min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_from_yields_the_frames_extend_does() {
+        use cnet_util::rng::{SeedableRng, StdRng};
+        // Runs of Values between frames that span more than one read.
+        let mut stream = Vec::new();
+        for seq in 0..2000u32 {
+            let resp = match seq % 500 {
+                0 => Response::Batch { values: (0..600).collect() },
+                1 => Response::Frontier { frontier: ShardFrontier::default() },
+                2 => Response::Pong,
+                _ => Response::Value { value: u64::from(seq) << 32 },
+            };
+            resp.encode(seq, &mut stream);
+        }
+        let mut whole = FrameDecoder::new();
+        whole.extend(&stream);
+        let mut expect = Vec::new();
+        while let Some(p) = whole.next_frame().unwrap() {
+            expect.push(p.to_vec());
+        }
+        assert_eq!(expect.len(), 2000);
+        for seed in 0..32 {
+            let mut reader = Dribble { bytes: &stream, rng: StdRng::seed_from_u64(seed) };
+            let (mut dec, mut got) = (FrameDecoder::new(), Vec::new());
+            loop {
+                while let Some(p) = dec.next_frame().unwrap() {
+                    got.push(p.to_vec());
+                }
+                if dec.read_from(&mut reader).unwrap() == 0 {
+                    break;
+                }
+            }
+            assert!(got == expect, "seed {seed}: read_from changed the frame stream");
+            assert_eq!(dec.buffered(), 0, "seed {seed}");
+            // The consumed prefix is reclaimed: one chunk, one frame in
+            // flight and the compaction slack bound the buffer.
+            assert!(dec.buf.capacity() <= 4 * READ_CHUNK + 8192, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn read_from_leaves_the_buffer_as_it_was_on_an_error() {
+        struct Failing;
+        impl io::Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::ConnectionReset.into())
+            }
+        }
+        let mut frame = Vec::new();
+        Response::Value { value: 3 }.encode(4, &mut frame);
+        let mut dec = FrameDecoder::new();
+        dec.extend(&frame[..7]);
+        let err = dec.read_from(&mut Failing).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+        assert_eq!(dec.buffered(), 7);
+        assert_eq!(dec.read_from(&mut &frame[7..]).unwrap(), frame.len() - 7);
+        assert_eq!(dec.value_run(usize::MAX), 1);
+        assert_eq!(dec.take_value_run(1).collect::<Vec<_>>(), [(4, 3)]);
     }
 }

@@ -50,6 +50,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # more, from a second fixed base seed: each gate run checks twice the cases.
 CNET_PROPTEST_SEED=2718281828 \
     cargo test -q --release --offline -p cnet-bench --test streaming_equivalence
+# The client's byte-split harness at depth: a release build plays 1000
+# seeded scripts (the debug run in `cargo test` plays 8) of pipelined
+# `Value` bursts cut inside length words, seqs and values, and of runs
+# broken by an error, a stale version and a bad length word, from the
+# same second base seed.
+CNET_PROPTEST_SEED=2718281828 \
+    cargo test -q --release --offline -p cnet-net --lib -- \
+    client::tests::pipelined_bursts_survive_any_byte_split_and_broken_runs_tear_down
 
 # Benchmark gate: `benchmark/` is a package of its own that measures the
 # crates through their public functions, so a crate API change can break
