@@ -321,8 +321,9 @@ impl ClusterNode {
     /// ([`CompiledNetwork::traverse_counts`]), then crosses the next cut in
     /// **one frame**: a single `ForwardBatch` carrying the count on every
     /// wire, answered by a single `Batch` of as many values as tokens went
-    /// in. Values come back grouped by the tail's output wire; the set is
-    /// what matters (a counting network never promises per-token order).
+    /// in. Values come back ascending, the order the tail's sweep hands
+    /// them out in; which token gets which value is not promised (a
+    /// counting network never promises per-token order).
     ///
     /// The batch is all-or-nothing at the tail: a refused frame counts no
     /// token, so a refusal costs the fabric no values (only the balancer

@@ -76,11 +76,14 @@
 //! [`FrameDecoder::next_run`]) is counted by **one** batched backend call,
 //! the same one a `NextBatch{k}` frame makes: a counting-network backend
 //! pays one atomic per balancer for the run instead of a full traversal
-//! per frame. The `k` values are handed out in ascending order, one
-//! `Value` frame per request, each echoing its own seq. Only the bytes
-//! buffered on the connection decide where a run ends; a lone `Next` is a
-//! run of one, so every `Next` is counted this way and every other opcode
-//! is decoded and executed frame by frame. Two arguments make it sound. *Values*: the step property holds for any
+//! per frame. The traversal hands the run out ascending (row `v / w`,
+//! column `v mod w` of the network's `w` sinks), so the sort every batch
+//! goes through finds it sorted in one O(k) pass. The `k` values go out in
+//! that order, one `Value` frame per request, each echoing its own seq.
+//! Only the bytes buffered on the connection decide where a run ends; a
+//! lone `Next` is a run of one, so every `Next` is counted this way and
+//! every other opcode is decoded and executed frame by frame. Two
+//! arguments make it sound. *Values*: the step property holds for any
 //! interleaving of tokens, so `k` tokens of one process entering together
 //! is a legal execution of the network, the handed-out set is still a
 //! gap-free share of the count, and ascending order keeps the connection's
@@ -112,7 +115,7 @@
 use crate::router::ClusterNode;
 use crate::wire::{
     ErrorCode, FrameDecoder, NodeInfo, Request, Response, StatsSnapshot, HEADER_LEN, MAX_BATCH,
-    MAX_FRONTIER_OPS,
+    MAX_FRONTIER_OPS, VALUE_FRAME_LEN,
 };
 use cnet_core::trace::RawOp;
 use cnet_runtime::drain::Drain;
@@ -902,19 +905,15 @@ fn process_frames(shared: &Shared, conn: &mut Conn) {
 /// `record_batch` argument keeps that audit-sound). A `NextBatch` frame
 /// and a run of `Next` frames, a lone one included, count through here;
 /// nothing else counts a client operation.
-/// `ascending` sorts the values first: a run hands them to `n` separate
-/// requests in request order, so ascending is the program order the client
-/// sees and the recorder must see the same.
+/// The values are handed out and recorded ascending, one order for every
+/// batch: it is the program order a run's client sees, and the recorder
+/// must see the same. The network and `fetch_add` already produce it, so
+/// the sort is then one O(n) pass; any other backend is sorted.
 ///
 /// A refusal leaves `conn.phase` at `Closing` when the connection is to be
 /// closed after it. `n` outside `1..=MAX_BATCH` is refused as `BadBatch`
 /// (a `NextBatch` frame can ask for that; a run is capped by its caller).
-fn count_batch(
-    shared: &Shared,
-    conn: &mut Conn,
-    n: usize,
-    ascending: bool,
-) -> Result<Vec<u64>, ErrorCode> {
+fn count_batch(shared: &Shared, conn: &mut Conn, n: usize) -> Result<Vec<u64>, ErrorCode> {
     if shared.stop.load(Ordering::Acquire) {
         conn.phase = Phase::Closing;
         return Err(ErrorCode::ShuttingDown);
@@ -933,9 +932,7 @@ fn count_batch(
         }
         Some(_) => return Err(ErrorCode::Cluster),
     };
-    if ascending {
-        values.sort_unstable();
-    }
+    values.sort_unstable();
     if let Some(rec) = &shared.recorder {
         rec.record_batch(conn.slot, &values);
     }
@@ -949,8 +946,9 @@ fn count_batch(
 /// answered with one `ShuttingDown` for the first frame before the close,
 /// or with one `Cluster` error per frame.
 fn execute_run(shared: &Shared, conn: &mut Conn, k: usize) {
-    let answered = match count_batch(shared, conn, k, true) {
+    let answered = match count_batch(shared, conn, k) {
         Ok(values) => {
+            conn.out.reserve(k * VALUE_FRAME_LEN);
             for (seq, value) in conn.decoder.take_next_run(k).zip(values) {
                 Response::Value { value }.encode(seq, &mut conn.out);
             }
@@ -976,14 +974,14 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, req: Request) {
         // `process_frames` counts every `Next` as a run; a decoded one is
         // still a batch of one.
         Request::Next => {
-            let resp = match count_batch(shared, conn, 1, false) {
+            let resp = match count_batch(shared, conn, 1) {
                 Ok(values) => Response::Value { value: values[0] },
                 Err(code) => Response::Error(code),
             };
             resp.encode(seq, &mut conn.out);
         }
         Request::NextBatch { n } => {
-            let resp = match count_batch(shared, conn, n as usize, false) {
+            let resp = match count_batch(shared, conn, n as usize) {
                 Ok(values) => {
                     stats.batches.fetch_add(1, Ordering::Relaxed);
                     Response::Batch { values }
@@ -2024,9 +2022,8 @@ mod tests {
     fn a_run_through_a_network_is_handed_out_and_recorded_ascending() {
         use cnet_runtime::SharedNetworkCounter;
         use cnet_topology::construct::bitonic;
-        // A batched traversal returns values grouped by output wire; a run
-        // must hand them out ascending (per-process monotone) and the
-        // recorder must see them in that same program order.
+        // A run must hand its values out ascending (per-process monotone)
+        // and the recorder must see them in that same program order.
         let recorder = Arc::new(TraceRecorder::new(1, 256));
         let mut server = CounterServer::with_recorder(
             "127.0.0.1:0",
@@ -2053,6 +2050,60 @@ mod tests {
         let mut recorded = Vec::new();
         recorder.pull_shard(0, |_, _, value| recorded.push(value));
         assert_eq!(recorded, got);
+    }
+
+    /// Three `NextBatch{64}` frames from one client, one after another,
+    /// through `server`: a sequential run, so its recorded trace must
+    /// audit clean. Returns the values in the order they were handed out.
+    fn three_batches_audit_clean(server: &mut CounterServer, recorder: &TraceRecorder) -> Vec<u64> {
+        let mut c = Raw::connect(server.local_addr());
+        let mut got = Vec::new();
+        for _ in 0..3 {
+            let s = c.send(&Request::NextBatch { n: 64 });
+            match c.recv() {
+                (seq, Response::Batch { values }) if seq == s => got.extend(values),
+                other => panic!("{other:?}"),
+            }
+        }
+        drop(c);
+        server.shutdown();
+        let mut auditor = cnet_core::trace::StreamingAuditor::new();
+        assert_eq!(cnet_runtime::recorder::drain_remaining(recorder, &mut auditor), 192);
+        assert!(auditor.is_clean(), "{}", auditor.summary());
+        got
+    }
+
+    #[test]
+    fn a_recorded_network_batch_audits_clean() {
+        use cnet_runtime::SharedNetworkCounter;
+        use cnet_topology::construct::bitonic;
+        let recorder = Arc::new(TraceRecorder::new(1, 256));
+        let mut server = CounterServer::with_recorder(
+            "127.0.0.1:0",
+            Arc::new(SharedNetworkCounter::new(&bitonic(8).unwrap())),
+            Arc::clone(&recorder),
+            ServerConfig { max_connections: 1, ..ServerConfig::default() },
+        )
+        .unwrap();
+        let got = three_batches_audit_clean(&mut server, &recorder);
+        assert_eq!(got, (0..192).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_recorded_cluster_batch_audits_clean() {
+        use cnet_topology::construct::bitonic;
+        let net = bitonic(8).unwrap();
+        let cfg = ServerConfig { max_connections: 1, ..ServerConfig::default() };
+        let tail = Arc::new(ClusterNode::new(&net, 1, 2, &[], 1).unwrap());
+        let tail_server = CounterServer::start_cluster("127.0.0.1:0", tail, None, cfg).unwrap();
+        let peers = vec![tail_server.local_addr().to_string()];
+        let head = Arc::new(ClusterNode::new(&net, 0, 2, &peers, 1).unwrap());
+        let recorder = Arc::new(TraceRecorder::new(1, 256));
+        let mut head_server =
+            CounterServer::start_cluster("127.0.0.1:0", head, Some(Arc::clone(&recorder)), cfg)
+                .unwrap();
+        let got = three_batches_audit_clean(&mut head_server, &recorder);
+        assert_eq!(got, (0..192).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -321,12 +321,19 @@ impl From<WireError> for io::Error {
     }
 }
 
+/// A frame's first bytes: the length word, [`VERSION`], the opcode and
+/// the seq, built on the stack so a frame costs one append, not four.
+fn header(opcode: u8, seq: u32, body_len: usize) -> [u8; 4 + HEADER_LEN] {
+    let mut h = [0; 4 + HEADER_LEN];
+    h[..4].copy_from_slice(&((HEADER_LEN + body_len) as u32).to_le_bytes());
+    h[4] = VERSION;
+    h[5] = opcode;
+    h[6..].copy_from_slice(&seq.to_le_bytes());
+    h
+}
+
 fn put_header(out: &mut Vec<u8>, opcode: u8, seq: u32, body_len: usize) {
-    let len = (HEADER_LEN + body_len) as u32;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(VERSION);
-    out.push(opcode);
-    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&header(opcode, seq, body_len));
 }
 
 /// Appends a length-prefixed UTF-8 string (`u16 LE` length + bytes).
@@ -501,8 +508,11 @@ impl Response {
     pub fn encode(&self, seq: u32, out: &mut Vec<u8>) {
         match self {
             Response::Value { value } => {
-                put_header(out, 0x81, seq, 8);
-                out.extend_from_slice(&value.to_le_bytes());
+                // The run path's only frame: one append of all 18 bytes.
+                let mut frame = [0; VALUE_FRAME_LEN];
+                frame[..4 + HEADER_LEN].copy_from_slice(&header(0x81, seq, 8));
+                frame[4 + HEADER_LEN..].copy_from_slice(&value.to_le_bytes());
+                out.extend_from_slice(&frame);
             }
             Response::Batch { values } => {
                 put_header(out, 0x82, seq, 4 + 8 * values.len());
@@ -743,7 +753,7 @@ const NEXT_FRAME_LEN: usize = 4 + HEADER_LEN;
 const NEXT_FRAME_PREFIX: [u8; 6] = [HEADER_LEN as u8, 0, 0, 0, VERSION, 0x01];
 
 /// Wire size of a [`Response::Value`] frame: length word, header, value.
-const VALUE_FRAME_LEN: usize = 4 + HEADER_LEN + 8;
+pub(crate) const VALUE_FRAME_LEN: usize = 4 + HEADER_LEN + 8;
 
 /// Everything of a `Value` frame ahead of its `seq`.
 const VALUE_FRAME_PREFIX: [u8; 6] = [(HEADER_LEN + 8) as u8, 0, 0, 0, VERSION, 0x81];
@@ -1010,6 +1020,60 @@ mod tests {
             let (got_seq, got) = Response::decode(payload(&frame)).unwrap();
             assert_eq!(got_seq, seq);
             assert_eq!(got, resp);
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every frame of [`requests`] and [`responses`], encoded with seq
+    /// `0x04030201 + i`: the dialect's bytes, pinned so an encoder
+    /// rewrite cannot change what goes on the wire.
+    const GOLDEN_REQUESTS: [&str; 12] = [
+        "06000000020101020304",
+        "0a00000002020202030401000000",
+        "0a00000002020302030400000100",
+        "06000000020304020304",
+        "06000000020405020304",
+        "06000000020506020304",
+        "26000000020707020304ffffffffffffffff0200000004000000000000003d0000000000000003000000",
+        "1600000002070802030400000000000000000100000000000000",
+        "06000000020809020304",
+        "0c00000002090a020304000000000000",
+        "1a00000002090b020304010000000e003132372e302e302e313a34303430",
+        "0e000000020b0c0203040300000000400000",
+    ];
+    const GOLDEN_RESPONSES: [&str; 13] = [
+        "0e0000000281010203040000000000000000",
+        "0e000000028102020304ffffffffffffffff",
+        "0a00000002820302030400000000",
+        "2200000002820402030403000000070000000000000008000000000000000900000000000000",
+        "06000000028305020304",
+        "4e000000028406020304010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000000900000000000000",
+        "06000000028507020304",
+        "0700000002860802030403",
+        "0700000002860902030405",
+        "2600000002870a020304010000000200000008000000040000000e003132372e302e302e313a39303030",
+        "1800000002870b020304000000000000000000000000000000000000",
+        "3700000002890c02030400000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "6f00000002890d02030405000000030f00000000000000020000000000000028000000000000000100000000000000010000000000000002000000050000000a0000000000000014000000000000000300000000000000050000000f0000000000000023000000000000000100000000000000",
+    ];
+
+    #[test]
+    fn every_frame_encodes_to_its_pinned_bytes() {
+        let seq = |i: usize| 0x0403_0201 + i as u32;
+        assert_eq!(requests().len(), GOLDEN_REQUESTS.len());
+        for (i, (req, want)) in requests().iter().zip(GOLDEN_REQUESTS).enumerate() {
+            let mut frame = vec![0xAA];
+            req.encode(seq(i), &mut frame);
+            assert_eq!(hex(&frame[1..]), want, "{req:?}");
+        }
+        assert_eq!(responses().len(), GOLDEN_RESPONSES.len());
+        for (i, (resp, want)) in responses().iter().zip(GOLDEN_RESPONSES).enumerate() {
+            let mut frame = vec![0xAA];
+            resp.encode(seq(i), &mut frame);
+            assert_eq!(hex(&frame[1..]), want, "{resp:?}");
         }
     }
 

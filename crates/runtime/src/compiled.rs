@@ -635,7 +635,8 @@ impl CompiledNetwork {
     ) {
         assert_eq!(entering.len(), self.fan_in, "one count per input wire");
         let entering = entering.iter().copied().enumerate();
-        self.sweep(entering, words, sink_counts, |_, _, _, _| {}, |_, _, _| {});
+        self.sweep(entering, words, sink_counts, |_, _, _| {});
+        sink_counts.truncate(self.fan_out);
     }
 
     /// [`traverse_counts`](Self::traverse_counts) for `k` tokens that all
@@ -653,43 +654,45 @@ impl CompiledNetwork {
     ) {
         assert!(input < self.fan_in, "input wire {input} out of range");
         let entering = std::iter::once((input, k));
-        self.sweep(entering, words, sink_counts, |_, _, _, _| {}, |_, _, _| {});
+        self.sweep(entering, words, sink_counts, |_, _, _| {});
+        sink_counts.truncate(self.fan_out);
     }
 
     /// The wavefront behind the batched traversals: `entering` yields
-    /// `(source wire, tokens)` pairs, and `ranked(hops, round, s, counts)`
-    /// is told of each terminal balancer the batch reached — its output
-    /// hops, the arrival count `round·f + s` its word stood at when the
-    /// batch claimed its run of arrivals (so port `p`'s next token has rank
-    /// `round + [p < s]`), and the per-sink counts, in which the balancer's
-    /// sinks now hold their share of that run: all a counter needs to hand
-    /// out the values. `claimed(balancer, before, n)` is told of every
-    /// balancer the batch's `n > 0` tokens cross, in sweep order, right
-    /// after the word's RMW with the value it held before — `None` when a
-    /// uniform split left the word untouched — as [`Self::walk`] tells of
-    /// a single token's.
+    /// `(source wire, tokens)` pairs, and on return `scratch` holds `2·w`
+    /// slots: `scratch[j]` tokens reached sink `j`, and if a terminal
+    /// balancer feeds that sink, `scratch[w + j]` is the rank of the first
+    /// of them — all a counter needs to hand out the values. A terminal
+    /// word that stood at arrival count `round·f + s` when the batch
+    /// claimed its run of arrivals gives port `p` consecutive ranks from
+    /// `round + [p < s]`. A free-standing sink's rank slot is left 0: its
+    /// counter word knows the rank. `claimed(balancer, before, n)` is told
+    /// of every balancer the batch's `n > 0` tokens cross, in sweep order,
+    /// right after the word's RMW with the value it held before — `None`
+    /// when a uniform split left the word untouched — as [`Self::walk`]
+    /// tells of a single token's.
     pub(crate) fn sweep(
         &self,
         entering: impl Iterator<Item = (usize, usize)>,
         words: &[CachePadded<AtomicU64>],
-        sink_counts: &mut Vec<usize>,
-        mut ranked: impl FnMut(&[Hop], u64, usize, &[usize]),
+        scratch: &mut Vec<usize>,
         mut claimed: impl FnMut(usize, Option<u64>, usize),
     ) {
         assert_eq!(words.len(), self.fan.len(), "one state word per balancer");
-        // One buffer, two tables: tokens arrived at each sink, then
-        // tokens waiting at each balancer, accumulated wavefront-style.
-        let waiting = self.fan_out;
+        // One buffer, three tables: tokens arrived at each sink, each
+        // sink's first rank, then tokens waiting at each balancer,
+        // accumulated wavefront-style.
+        let (ranks, waiting) = (self.fan_out, 2 * self.fan_out);
         let slot = |hop: Hop| hop.index() + if hop.is_counter() { 0 } else { waiting };
-        sink_counts.clear();
-        sink_counts.resize(waiting + self.fan.len(), 0);
+        scratch.clear();
+        scratch.resize(waiting + self.fan.len(), 0);
         let mut total = 0;
         for (input, k) in entering {
-            sink_counts[slot(self.entries[input])] += k;
+            scratch[slot(self.entries[input])] += k;
             total += k;
         }
         for &b in &self.topo {
-            let n = sink_counts[waiting + b];
+            let n = scratch[waiting + b];
             if n == 0 {
                 continue;
             }
@@ -725,19 +728,18 @@ impl CompiledNetwork {
                 claimed(b, Some(before), n);
                 s
             };
-            let hops = self.hops(b);
-            for (p, &hop) in hops.iter().enumerate() {
+            for (p, &hop) in self.hops(b).iter().enumerate() {
                 // Ports s, s+1, …, s+rem−1 (mod f) carry the remainder.
                 let ahead = if p >= s { p - s } else { p + f - s };
-                sink_counts[slot(hop)] += share + usize::from(ahead < rem);
-            }
-            if let Some(round) = terminal {
-                ranked(hops, round, s, &sink_counts[..waiting]);
+                scratch[slot(hop)] += share + usize::from(ahead < rem);
+                if let Some(round) = terminal {
+                    scratch[ranks + hop.index()] = (round + u64::from(p < s)) as usize;
+                }
             }
         }
-        sink_counts.truncate(self.fan_out);
+        scratch.truncate(waiting);
         debug_assert_eq!(
-            sink_counts.iter().sum::<usize>(),
+            scratch[..ranks].iter().sum::<usize>(),
             total,
             "feed-forward conservation: every token reaches exactly one sink"
         );
@@ -1040,18 +1042,14 @@ mod tests {
         for _ in 0..3 {
             engine.traverse(1, &states);
         }
-        let (mut counts, mut ranks, mut claims) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut scratch, mut claims) = (Vec::new(), Vec::new());
         let entering = [(0, 2), (1, 3)].into_iter();
-        engine.sweep(
-            entering,
-            &states,
-            &mut counts,
-            |hops, round, s, counts| ranks.push((hops.len(), round, s, counts.to_vec())),
-            |b, before, n| claims.push((b, before, n)),
-        );
-        assert_eq!(ranks, [(2, 1, 1, vec![2, 3])], "the word stood at 3 = 1·2 + 1");
+        engine.sweep(entering, &states, &mut scratch, |b, before, n| claims.push((b, before, n)));
         assert_eq!(claims, [(0, Some(3), 5)], "one claim of five arrivals");
-        assert_eq!(counts, [2, 3], "arrivals 3..8 leave by ports 1,0,1,0,1");
+        assert_eq!(scratch[..2], [2, 3], "arrivals 3..8 leave by ports 1,0,1,0,1");
+        // The word stood at 3 = 1·2 + 1: port 0's first token has rank
+        // 1 + [0 < 1] = 2, port 1's rank 1 + [1 < 1] = 1.
+        assert_eq!(scratch[2..], [2, 1], "values 4, 6 at sink 0 and 3, 5, 7 at sink 1");
     }
 
     #[test]

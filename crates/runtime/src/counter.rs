@@ -136,11 +136,12 @@ impl SharedNetworkCounter {
     /// at most one atomic per balancer (see
     /// [`CompiledNetwork::traverse_counts`]) plus one `fetch_add` per
     /// reached free-standing counter — appending the `n` values obtained to
-    /// `out`. A word reached by `c` of the tokens hands out `c` consecutive
-    /// round-robin values with a single `fetch_add`. The values are
-    /// gap-free against every concurrent caller, batched or not, because
-    /// each atomic claims its whole sub-batch at once. `scratch` is the
-    /// sweep's working buffer; a caller that keeps it allocates nothing
+    /// `out`, ascending: row `v / w`, column `v mod w`, where `w` is the
+    /// fan-out. A word reached by `c` of the tokens hands out `c`
+    /// consecutive round-robin values with a single `fetch_add`. The values
+    /// are gap-free against every concurrent caller, batched or not,
+    /// because each atomic claims its whole sub-batch at once. `scratch` is
+    /// the sweep's working buffer; a caller that keeps it allocates nothing
     /// here.
     ///
     /// # Panics
@@ -175,11 +176,17 @@ impl SharedNetworkCounter {
         self.claim(entering.iter().copied().enumerate(), total, scratch, out);
     }
 
-    /// Sweeps the batch and appends its `total` values, grouped by sink: a
-    /// terminal word that stood at `round·f + s` gives port `p` consecutive
-    /// ranks from `round + [p < s]`, and a free-standing counter reached
-    /// by `c` of the tokens hands out `c` consecutive values in one
-    /// `fetch_add`.
+    /// Sweeps the batch and appends its `total` values ascending: row
+    /// `v / w`, column `v mod w`. The sweep leaves each sink's count and
+    /// first rank in `scratch`: a terminal word that stood at `round·f + s`
+    /// gives port `p` consecutive ranks from `round + [p < s]`, and a
+    /// free-standing counter reached by `c` of the tokens hands out `c`
+    /// consecutive values in one `fetch_add`, from rank `(base − j)/w`.
+    /// The values are then read off row by row, each row's active sinks
+    /// in index order. Each pass emits at least one value and visits `w`
+    /// sinks, so the merge costs O(total·w) at worst; when the sinks'
+    /// ranks start within a row of each other, as a lone caller's do, it
+    /// emits about `w` values a pass and is linear.
     fn claim(
         &self,
         entering: impl Iterator<Item = (usize, usize)> + Clone,
@@ -188,26 +195,33 @@ impl SharedNetworkCounter {
         out: &mut Vec<u64>,
     ) {
         let traversal = self.log_enter(entering.clone());
-        let (w, first) = (self.engine.fan_out() as u64, out.len());
+        let (w, first) = (self.engine.fan_out(), out.len());
         out.reserve(total);
-        self.engine.sweep(
-            entering,
-            &self.balancers,
-            scratch,
-            |hops, round, s, counts| {
-                for (port, hop) in hops.iter().enumerate() {
-                    let base = hop.index() as u64 + w * (round + u64::from(port < s));
-                    out.extend((0..counts[hop.index()] as u64).map(|i| base + i * w));
-                }
-            },
-            |b, before, n| self.log_claim(traversal, b, before, n),
-        );
+        self.engine.sweep(entering, &self.balancers, scratch, |b, before, n| {
+            self.log_claim(traversal, b, before, n)
+        });
+        let (counts, ranks) = scratch.split_at_mut(w);
         for (counter, &sink) in self.counters.iter().zip(self.engine.free_sinks()) {
-            let count = scratch[sink] as u64;
+            let count = counts[sink] as u64;
             if count > 0 {
-                let base = counter.fetch_add(count * w, Ordering::AcqRel);
+                let base = counter.fetch_add(count * w as u64, Ordering::AcqRel);
                 self.log_claim(traversal, self.engine.size() + sink, Some(base), count as usize);
-                out.extend((0..count).map(|i| base + i * w));
+                ranks[sink] = ((base - sink as u64) / w as u64) as usize;
+            }
+        }
+        let active = |(&count, &rank): (&usize, &usize)| (count > 0).then_some(rank);
+        let mut row = counts.iter().zip(&*ranks).filter_map(active).min();
+        while let Some(r) = row {
+            row = None;
+            for (sink, (count, rank)) in counts.iter_mut().zip(ranks.iter_mut()).enumerate() {
+                if *count > 0 && *rank == r {
+                    out.push((sink + w * r) as u64);
+                    *count -= 1;
+                    *rank += 1;
+                }
+                if *count > 0 {
+                    row = Some(row.map_or(*rank, |next: usize| next.min(*rank)));
+                }
             }
         }
         self.log_values(traversal, &out[first..]);
@@ -365,6 +379,7 @@ mod tests {
     use cnet_topology::builder::LayeredBuilder;
     use cnet_topology::construct::{append_adjacent_balancer, bitonic, counting_tree, periodic};
     use cnet_topology::state::has_step_property;
+    use cnet_util::proptest::prelude::*;
     use std::thread;
 
     #[test]
@@ -610,6 +625,50 @@ mod tests {
             want.sort_unstable();
             assert_eq!(got, want, "{net}");
             assert_eq!(spread.output_counts(), sequential.output_counts(), "{net}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// From any prior state, a batch hands out ascending values that are
+        /// exactly what its tokens would get one by one on a twin counter in
+        /// the same state, and each sink's values in the order that sink's
+        /// tokens would leave it (what the model checker's per-sink replay
+        /// reads).
+        fn a_batch_is_its_tokens_one_by_one_in_ascending_order(
+            layout in 0usize..5,
+            prior in prop::collection::vec(0usize..8, 0..48),
+            entering in prop::collection::vec(0usize..24, 8),
+            one_wire in proptest::bool::ANY,
+        ) {
+            let net = &every_layout()[layout];
+            let (fan_in, w) = (net.fan_in(), net.fan_out() as u64);
+            let batched = SharedNetworkCounter::new(net);
+            let twin = SharedNetworkCounter::new(net);
+            for &p in &prior {
+                prop_assert_eq!(batched.increment_from(p % fan_in), twin.increment_from(p % fan_in));
+            }
+            let mut entering = entering[..fan_in].to_vec();
+            let mut got = Vec::new();
+            if one_wire {
+                let (input, n) = (prior.len() % fan_in, entering[0]);
+                entering.iter_mut().for_each(|k| *k = 0);
+                entering[input] = n;
+                batched.increment_batch_from(input, n, &mut Vec::new(), &mut got);
+            } else {
+                batched.increment_counts_from(&entering, &mut Vec::new(), &mut got);
+            }
+            let mut want = Vec::new();
+            for (input, &k) in entering.iter().enumerate() {
+                want.extend((0..k).map(|_| twin.increment_from(input)));
+            }
+            prop_assert!(got.windows(2).all(|v| v[0] < v[1]), "{} not ascending: {:?}", net, got);
+            for sink in 0..w {
+                let at = |values: &[u64]| values.iter().copied().filter(|v| v % w == sink).collect::<Vec<_>>();
+                prop_assert_eq!(at(&got), at(&want), "{} sink {}", net, sink);
+            }
+            want.sort_unstable();
+            prop_assert_eq!(got, want, "{}", net);
         }
     }
 

@@ -584,8 +584,12 @@ impl<C: ProcessCounter> ProcessCounter for Traced<C> {
         value
     }
 
+    /// The batch is handed out and recorded ascending, the order a
+    /// sequential caller would have seen: a backend's own batch order
+    /// (say, grouped by sink) would record precedences no execution had.
     fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
-        let values = self.inner.next_batch_for(process, n);
+        let mut values = self.inner.next_batch_for(process, n);
+        values.sort_unstable();
         self.recorder.record_batch(process, &values);
         values
     }
@@ -1110,5 +1114,38 @@ mod tests {
         );
         assert_eq!(run.recorded as u64 + run.dropped, 4000);
         assert!(run.auditor.auditor().is_sequentially_consistent());
+    }
+
+    /// A `fetch_add` counter that hands each batch out descending: every
+    /// value it gives is still one a sequential caller would have claimed.
+    struct Descending(FetchAddCounter);
+
+    impl ProcessCounter for Descending {
+        fn next_for(&self, process: usize) -> u64 {
+            self.0.next_for(process)
+        }
+
+        fn next_batch_for(&self, process: usize, n: usize) -> Vec<u64> {
+            let mut values = self.0.next_batch_for(process, n);
+            values.reverse();
+            values
+        }
+    }
+
+    #[test]
+    fn a_batch_is_recorded_in_the_order_it_is_handed_out() {
+        // One process, three batches back to back: a sequential run. Were
+        // a batch recorded in the backend's descending order, each would
+        // read as values going backwards within the process.
+        let recorder = Arc::new(TraceRecorder::new(1, 256));
+        let counter = Traced::new(Descending(FetchAddCounter::new()), Arc::clone(&recorder));
+        let mut got = Vec::new();
+        for _ in 0..3 {
+            got.extend(counter.next_batch_for(0, 16));
+        }
+        assert_eq!(got, (0..48).collect::<Vec<u64>>());
+        let mut auditor = cnet_core::trace::StreamingAuditor::new();
+        assert_eq!(drain_remaining(&recorder, &mut auditor), 48);
+        assert!(auditor.is_clean(), "{}", auditor.summary());
     }
 }

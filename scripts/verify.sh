@@ -252,7 +252,13 @@ echo "parallel-audit smoke: ok (2 stealer workers, 1-in-4 sampling, clean merged
 # ascending), and sampling is by operation, so the frontier audit must see
 # skips — a run recorded whole would leave none — and, with a single
 # client, a clean verdict: a run recorded in traversal order instead of
-# the order handed out would read as non-SC.
+# the order handed out would read as non-SC. A second phase then sends
+# `NextBatch{64}` frames on the same server, whose batches go through the
+# same traversal; the batched smoke above uses fetch_add, whose batches
+# come out ascending whatever the server does with them. Its values start
+# where the first phase's ended, so it is not checked as a permutation of
+# 0..n; instead the audit must account for all 64000 operations of both
+# phases, audited or skipped, and still be clean.
 port_file=$(mktemp)
 rm -f "$port_file"
 cargo run -q --release --offline -p cnet-cli -- \
@@ -279,6 +285,13 @@ if ! echo "$run_out" | grep -q "permutation 0..51200: true"; then
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+cargo run -q --release --offline -p cnet-cli -- \
+    loadgen --addr "$addr" --threads 1 --ops 12800 --mode batch --batch 64 \
+    --check 0 >/dev/null || {
+    echo "error: sampled-run smoke batch phase failed" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
 run_audit=$(cargo run -q --release --offline -p cnet-cli -- \
     audit 8 --backend cluster --addr "$addr") || {
     echo "error: sampled-run audit reported violations (nonzero exit)" >&2
@@ -286,6 +299,13 @@ run_audit=$(cargo run -q --release --offline -p cnet-cli -- \
     exit 1
 }
 echo "$run_audit" | tail -n 4
+audited=$(echo "$run_audit" | awk '/^operations audited:/ {print $3}')
+skipped=$(echo "$run_audit" | awk '/^sampling skipped:/ {print $3}')
+if [ "$((audited + skipped))" -ne 64000 ]; then
+    echo "error: sampled-run audit saw $audited + $skipped operations, not 64000" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
 for line in "sampling skipped:" "audit verdict: clean"; do
     if ! echo "$run_audit" | grep -q "$line"; then
         echo "error: sampled-run audit did not print '$line'" >&2
@@ -310,7 +330,7 @@ if [ "$drained" -ne 1 ]; then
 fi
 wait "$serve_pid" || true
 rm -f "$port_file"
-echo "sampled-run smoke: ok (256-frame runs, 1-in-4 sampling by operation, clean verdict)"
+echo "sampled-run smoke: ok (256-frame runs and 64-op batches, 1-in-4 sampling by operation, clean verdict)"
 
 # Reactor smoke: the sharded epoll reactor must hold 256 mostly-idle
 # pooled connections from 4 loadgen workers and still hand out an exact
