@@ -14,7 +14,6 @@ use cnet_bench::Table;
 use cnet_core::fractions::{
     non_linearizability_fraction, non_sequential_consistency_fraction,
 };
-use cnet_runtime::history::to_ops;
 use cnet_runtime::{drive, LocallyPacedCounter, SharedNetworkCounter, Workload};
 use cnet_topology::construct::bitonic;
 use std::time::Duration;
@@ -41,22 +40,20 @@ fn main() {
             Duration::from_micros(pace_us),
         );
         let start = std::time::Instant::now();
-        let records = drive(&paced, Workload { threads: THREADS, increments_per_thread: OPS });
+        let ops = drive(&paced, Workload { threads: THREADS, increments_per_thread: OPS });
         let elapsed = start.elapsed().as_secs_f64();
         // Median per-process completion gap (robust against timestamping
         // jitter from preemption between the wrapper's internal clock and
         // the driver's).
         let mut gaps: Vec<u64> = Vec::new();
         for p in 0..THREADS {
-            let mut mine: Vec<_> = records.iter().filter(|r| r.process == p).collect();
-            mine.sort_by_key(|r| r.enter_ns);
+            let mine: Vec<_> = ops.iter().filter(|o| o.process == p).collect();
             for pair in mine.windows(2) {
                 gaps.push(pair[1].exit_ns - pair[0].exit_ns);
             }
         }
         gaps.sort_unstable();
         let median_gap_ns = gaps.get(gaps.len() / 2).copied().unwrap_or(0);
-        let ops = to_ops(&records);
         table.row(vec![
             pace_us.to_string(),
             format!("{:.1}", (THREADS * OPS) as f64 / elapsed / 1.0e3),

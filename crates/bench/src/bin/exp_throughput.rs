@@ -12,8 +12,7 @@
 
 use cnet_bench::Table;
 use cnet_runtime::{
-    DiffractingTree, FetchAddCounter, LockCounter, MessagePassingCounter, ProcessCounter,
-    SharedNetworkCounter,
+    DiffractingTree, FetchAddCounter, LockCounter, ProcessCounter, SharedNetworkCounter,
 };
 use cnet_topology::construct::bitonic;
 use std::time::Instant;
@@ -44,11 +43,9 @@ fn main() {
     let fai = FetchAddCounter::new();
     let lock = LockCounter::new();
     let diff8 = DiffractingTree::new(8, 4).expect("power-of-two width");
-    let mp8 = MessagePassingCounter::start(&b8);
 
     let mut table = Table::new(vec![
         "threads", "fetch&add", "lock", "compiled B(8)", "compiled B(16)", "diffracting(8)",
-        "msg-passing B(8)",
     ]);
     for threads in [1usize, 2, 4, 8, 16] {
         table.row(vec![
@@ -58,7 +55,6 @@ fn main() {
             format!("{:.2}", throughput(&net8, threads)),
             format!("{:.2}", throughput(&net16, threads)),
             format!("{:.2}", throughput(&diff8, threads)),
-            format!("{:.2}", throughput(&mp8, threads)),
         ]);
     }
     println!("{table}");
@@ -69,7 +65,6 @@ fn main() {
          columns traverse flat routing tables with wait-free balancer updates. The\n\
          lock serializes everything and trails under pressure. The diffracting tree pays\n\
          ~depth CAS hops like the bitonic network (its prisms only win under real\n\
-         parallelism); the message-passing deployment pays two thread wakeups per\n\
-         hop — the cost of owning state by communication."
+         parallelism)."
     );
 }

@@ -283,9 +283,8 @@ fn cmd_run(net: &Network, opts: &Options) -> Result<String, String> {
         increments_per_thread: opts.usize_or("ops", 1000)?,
     };
     let counter = cnet_runtime::SharedNetworkCounter::new(net);
-    let records = cnet_runtime::drive(&counter, workload);
-    let ops = cnet_runtime::history::to_ops(&records);
-    let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
+    let ops = cnet_runtime::drive(&counter, workload);
+    let mut values: Vec<u64> = ops.iter().map(|o| o.value).collect();
     values.sort_unstable();
     let dense = values == (0..values.len() as u64).collect::<Vec<_>>();
     let mut out = format!(
@@ -484,9 +483,9 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     );
     if let Some(rec) = &recorder {
         if audit_workers.is_empty() {
-            let mut auditor = cnet_core::trace::StreamingAuditor::new();
+            let mut auditor = StreamingAuditor::new();
             cnet_runtime::drain_remaining(rec, &mut auditor);
-            let _ = writeln!(out, "audit: {}", auditor.summary());
+            out.push_str(&served_audit(&auditor, rec.dropped(), rec.skipped(), sample_k));
         } else {
             // Writers are quiescent once `shutdown()` has joined the
             // reactors: settle every partial sampling window and publish
@@ -504,17 +503,35 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
                     merged.ingest(frontier);
                 }
             }
+            merged.merge();
             let _ = writeln!(
                 out,
-                "audit pipeline: {audit_threads} worker(s), {stolen} event(s) stolen live, \
-                 {} dropped, {} skipped by 1-in-{sample_k} sampling",
-                merged.dropped(),
-                merged.skipped(),
+                "audit pipeline: {audit_threads} worker(s), {stolen} event(s) stolen live"
             );
-            let _ = writeln!(out, "audit: {}", merged.summary());
+            out.push_str(&served_audit(merged.auditor(), rec.dropped(), rec.skipped(), sample_k));
         }
     }
     Ok(out)
+}
+
+/// The served audit's coverage and verdict lines. Events a full ring
+/// dropped never reached the auditor, so a clean verdict over them reads
+/// `incomplete` and every verdict names the count. Sampling skips stay
+/// sound — a sampled interval only widens the truth — so they are counted
+/// but leave the verdict alone.
+fn served_audit(a: &StreamingAuditor, dropped: u64, skipped: u64, sample_k: usize) -> String {
+    let summary = a.summary();
+    let verdict = match summary.rsplit_once(" — ") {
+        Some((body, verdict)) if dropped > 0 => {
+            let verdict = if a.is_clean() { "incomplete" } else { verdict };
+            format!("{body} — {verdict} ({dropped} dropped)")
+        }
+        _ => summary,
+    };
+    format!(
+        "audit coverage: {dropped} dropped, {skipped} skipped by 1-in-{sample_k} sampling\n\
+         audit: {verdict}\n"
+    )
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<String, String> {
@@ -1049,6 +1066,34 @@ mod tests {
         dispatch(&v)
     }
 
+    /// Runs `cnet serve <args>` on a thread with a port file named after
+    /// `name`, and returns the thread with the address the server bound.
+    fn spawn_serve(
+        name: &str,
+        args: &[&str],
+    ) -> (std::thread::JoinHandle<Result<String, String>>, String) {
+        let port_file = std::env::temp_dir().join(format!("cnet_cli_test_{name}.port"));
+        let _ = std::fs::remove_file(&port_file);
+        let mut argv = vec!["serve".to_string()];
+        argv.extend(args.iter().map(|a| a.to_string()));
+        argv.extend(["--port-file".to_string(), port_file.to_str().unwrap().to_string()]);
+        let server = std::thread::spawn(move || {
+            call(&argv.iter().map(String::as_str).collect::<Vec<_>>())
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let addr = loop {
+            if let Ok(addr) = std::fs::read_to_string(&port_file) {
+                if !addr.is_empty() {
+                    break addr;
+                }
+            }
+            assert!(std::time::Instant::now() < deadline, "serve {name} never wrote its port");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        let _ = std::fs::remove_file(&port_file);
+        (server, addr)
+    }
+
     #[test]
     fn info_reports_structure() {
         let out = call(&["info", "bitonic", "8"]).unwrap();
@@ -1123,28 +1168,10 @@ mod tests {
     /// and reads both transcripts — the two-terminal quickstart, in-process.
     #[test]
     fn serve_and_loadgen_round_trip_with_audit() {
-        let port_file = std::env::temp_dir().join("cnet_cli_test_serve.port");
-        let _ = std::fs::remove_file(&port_file);
-        let pf = port_file.to_str().unwrap().to_string();
-        let server = std::thread::spawn({
-            let pf = pf.clone();
-            move || {
-                call(&[
-                    "serve", "4", "--backend", "fetch_add", "--audit", "1", "--max-conns", "8",
-                    "--port-file", &pf,
-                ])
-            }
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&port_file) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "serve never wrote the port file");
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
+        let (server, addr) = spawn_serve(
+            "serve",
+            &["4", "--backend", "fetch_add", "--audit", "1", "--max-conns", "8"],
+        );
         let out = call(&[
             "loadgen", "--addr", &addr, "--threads", "4", "--ops", "2000", "--batch", "32",
             "--check", "1", "--shutdown", "1",
@@ -1161,8 +1188,56 @@ mod tests {
         assert!(served.contains("increments:  2000"), "{served}");
         assert!(served.contains("reactor:"), "{served}");
         assert!(served.contains("audit: 2000 ops audited"), "{served}");
-        assert!(served.contains("clean"), "{served}");
-        let _ = std::fs::remove_file(&port_file);
+        assert!(served.contains("audit coverage: 0 dropped, 0 skipped"), "{served}");
+        assert!(served.contains("— clean"), "{served}");
+    }
+
+    /// A served audit whose ring overflowed must not read clean. One
+    /// connection slot is one ring of 65,536 events, so 100,000 pipelined
+    /// increments from one client drop 34,464 of them.
+    #[test]
+    fn served_audit_over_a_ring_overflow_reads_incomplete() {
+        let (server, addr) = spawn_serve(
+            "overflow",
+            &["8", "--backend", "fetch_add", "--audit", "1", "--max-conns", "1"],
+        );
+        let out = call(&[
+            "loadgen", "--addr", &addr, "--threads", "1", "--ops", "100000", "--mode",
+            "pipeline", "--shutdown", "1",
+        ])
+        .unwrap();
+        assert!(out.contains("server shutdown requested and acknowledged"), "{out}");
+        let served = server.join().unwrap().unwrap();
+        assert!(served.contains("increments:  100000"), "{served}");
+        assert!(served.contains("audit coverage: 34464 dropped, 0 skipped"), "{served}");
+        assert!(served.contains("audit: 65536 ops audited"), "{served}");
+        assert!(served.contains("— incomplete (34464 dropped)"), "{served}");
+        assert!(!served.contains("— clean"), "{served}");
+    }
+
+    #[test]
+    fn served_audit_names_drops_in_every_verdict_and_not_skips() {
+        use cnet_core::op::op;
+        use cnet_core::trace::OpSink;
+        let mut clean = StreamingAuditor::new();
+        clean.record(op(0, 0.0, 1.0, 0));
+        clean.record(op(0, 2.0, 3.0, 1));
+        // Sampling skips are counted and change nothing else.
+        let sampled = served_audit(&clean, 0, 6, 4);
+        assert!(sampled.starts_with("audit coverage: 0 dropped, 6 skipped by 1-in-4 sampling\n"));
+        assert!(sampled.ends_with("— clean\n"), "{sampled}");
+        let truncated = served_audit(&clean, 5, 0, 1);
+        assert!(truncated.contains("audit: 2 ops audited"), "{truncated}");
+        assert!(truncated.ends_with("— incomplete (5 dropped)\n"), "{truncated}");
+        // A violation stays a violation, and still names what it missed.
+        let mut violated = StreamingAuditor::new();
+        violated.record(op(0, 0.0, 1.0, 5));
+        violated.record(op(1, 0.5, 1.5, 0));
+        violated.record(op(0, 2.0, 3.0, 3));
+        assert!(!violated.is_clean());
+        assert!(served_audit(&violated, 0, 0, 1).ends_with("— violations detected\n"));
+        let both = served_audit(&violated, 7, 0, 1);
+        assert!(both.ends_with("— violations detected (7 dropped)\n"), "{both}");
     }
 
     #[test]
@@ -1233,44 +1308,15 @@ mod tests {
     /// and a graceful per-node drain via `--ops 0 --shutdown 1`.
     #[test]
     fn cluster_serve_loadgen_and_audit_round_trip() {
-        let tail_pf = std::env::temp_dir().join("cnet_cli_test_cluster_tail.port");
-        let head_pf = std::env::temp_dir().join("cnet_cli_test_cluster_head.port");
-        let _ = std::fs::remove_file(&tail_pf);
-        let _ = std::fs::remove_file(&head_pf);
-        let wait_port = |pf: &std::path::Path| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-            loop {
-                if let Ok(addr) = std::fs::read_to_string(pf) {
-                    if !addr.is_empty() {
-                        break addr;
-                    }
-                }
-                assert!(std::time::Instant::now() < deadline, "serve never wrote {pf:?}");
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        };
         // Tail first: the head dials its downstream peer at startup.
-        let tail = std::thread::spawn({
-            let pf = tail_pf.to_str().unwrap().to_string();
-            move || {
-                call(&[
-                    "serve", "8", "--cluster", "1/2", "--audit", "1", "--max-conns", "8",
-                    "--port-file", &pf,
-                ])
-            }
-        });
-        let tail_addr = wait_port(&tail_pf);
-        let head = std::thread::spawn({
-            let pf = head_pf.to_str().unwrap().to_string();
-            let peers = tail_addr.clone();
-            move || {
-                call(&[
-                    "serve", "8", "--cluster", "0/2", "--peers", &peers, "--audit", "1",
-                    "--max-conns", "8", "--port-file", &pf,
-                ])
-            }
-        });
-        let head_addr = wait_port(&head_pf);
+        let (tail, tail_addr) = spawn_serve(
+            "cluster_tail",
+            &["8", "--cluster", "1/2", "--audit", "1", "--max-conns", "8"],
+        );
+        let (head, head_addr) = spawn_serve(
+            "cluster_head",
+            &["8", "--cluster", "0/2", "--peers", &tail_addr, "--audit", "1", "--max-conns", "8"],
+        );
         // Routed loadgen pointed at the *tail*: the NodeInfo handshake
         // must re-dial the head (retry while the announcement settles).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
@@ -1325,8 +1371,6 @@ mod tests {
         // once forwarded to the tail.
         assert!(head_out.contains("increments:  2000"), "{head_out}");
         assert!(tail_out.contains("increments:  2000"), "{tail_out}");
-        let _ = std::fs::remove_file(&tail_pf);
-        let _ = std::fs::remove_file(&head_pf);
     }
 
     /// The parallel audit pipeline end to end through the CLI: a server
@@ -1334,29 +1378,10 @@ mod tests {
     /// post-shutdown merge of the workers' frontiers covers every op.
     #[test]
     fn serve_with_audit_threads_steals_and_merges_every_op() {
-        let pf = std::env::temp_dir().join("cnet_cli_test_par_audit.port");
-        let _ = std::fs::remove_file(&pf);
-        let server = std::thread::spawn({
-            let pf = pf.to_str().unwrap().to_string();
-            move || {
-                call(&[
-                    "serve", "8", "--audit", "1", "--audit-threads", "2", "--max-conns", "4",
-                    "--port-file", &pf,
-                ])
-            }
-        });
-        let addr = {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-            loop {
-                if let Ok(addr) = std::fs::read_to_string(&pf) {
-                    if !addr.is_empty() {
-                        break addr;
-                    }
-                }
-                assert!(std::time::Instant::now() < deadline, "serve never wrote the port");
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        };
+        let (server, addr) = spawn_serve(
+            "par_audit",
+            &["8", "--audit", "1", "--audit-threads", "2", "--max-conns", "4"],
+        );
         let out = call(&[
             "loadgen", "--addr", &addr, "--threads", "2", "--ops", "2000", "--shutdown", "1",
         ])
@@ -1367,7 +1392,6 @@ mod tests {
         // Everything the workers did not steal live is swept up by the
         // final flush + dry pass: the merged verdict covers all 2000 ops.
         assert!(served.contains("audit: 2000 ops audited"), "{served}");
-        let _ = std::fs::remove_file(&pf);
     }
 
     /// The sticky regression for the audit pipeline: a cluster audit with
@@ -1376,31 +1400,12 @@ mod tests {
     /// the run, and the exit code must go nonzero.
     #[test]
     fn cluster_audit_with_sampling_fails_closed_on_injected_violation() {
-        let pf = std::env::temp_dir().join("cnet_cli_test_inject.port");
-        let _ = std::fs::remove_file(&pf);
-        let server = std::thread::spawn({
-            let pf = pf.to_str().unwrap().to_string();
-            move || {
-                // Twice the loadgen's four connections: the audit dials
-                // while the server may not have reaped those four yet.
-                call(&[
-                    "serve", "8", "--audit", "1", "--audit-sample", "4", "--max-conns", "8",
-                    "--port-file", &pf,
-                ])
-            }
-        });
-        let addr = {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-            loop {
-                if let Ok(addr) = std::fs::read_to_string(&pf) {
-                    if !addr.is_empty() {
-                        break addr;
-                    }
-                }
-                assert!(std::time::Instant::now() < deadline, "serve never wrote the port");
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        };
+        // Twice the loadgen's four connections: the audit dials while the
+        // server may not have reaped those four yet.
+        let (server, addr) = spawn_serve(
+            "inject",
+            &["8", "--audit", "1", "--audit-sample", "4", "--max-conns", "8"],
+        );
         // Pipelined single increments reach the server as coalesced runs;
         // `record_batch` samples by operation inside a run, so the 1-in-4
         // stride skips three values in four however the frames arrive.
@@ -1420,7 +1425,6 @@ mod tests {
         let out = call(&["loadgen", "--addr", &addr, "--ops", "0", "--shutdown", "1"]).unwrap();
         assert!(out.contains("shutdown requested and acknowledged"), "{out}");
         let _ = server.join().unwrap();
-        let _ = std::fs::remove_file(&pf);
     }
 
     #[test]
@@ -1452,23 +1456,8 @@ mod tests {
     #[test]
     fn serve_builds_and_serves_every_backend() {
         for backend in Backend::ALL.map(Backend::name) {
-            let port_file =
-                std::env::temp_dir().join(format!("cnet_cli_test_serve_{backend}.port"));
-            let _ = std::fs::remove_file(&port_file);
-            let pf = port_file.to_str().unwrap().to_string();
-            let server = std::thread::spawn(move || {
-                call(&["serve", "4", "--backend", backend, "--port-file", &pf])
-            });
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-            let addr = loop {
-                if let Ok(addr) = std::fs::read_to_string(&port_file) {
-                    if !addr.is_empty() {
-                        break addr;
-                    }
-                }
-                assert!(std::time::Instant::now() < deadline, "{backend}: no port file");
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            };
+            let (server, addr) =
+                spawn_serve(&format!("serve_{backend}"), &["4", "--backend", backend]);
             let out = call(&[
                 "loadgen", "--addr", &addr, "--threads", "2", "--ops", "400", "--shutdown", "1",
             ])
@@ -1476,7 +1465,6 @@ mod tests {
             assert!(out.contains("permutation 0..400: true"), "{backend}: {out}");
             let served = server.join().unwrap().unwrap();
             assert!(served.contains("increments:  400"), "{backend}: {served}");
-            let _ = std::fs::remove_file(&port_file);
         }
     }
 
@@ -1518,23 +1506,7 @@ mod tests {
     /// live socket: intervals include the wire, every op still accounted.
     #[test]
     fn audit_remote_backend_runs_against_a_live_serve() {
-        let port_file = std::env::temp_dir().join("cnet_cli_test_audit_remote.port");
-        let _ = std::fs::remove_file(&port_file);
-        let pf = port_file.to_str().unwrap().to_string();
-        let server = std::thread::spawn({
-            let pf = pf.clone();
-            move || call(&["serve", "4", "--backend", "fetch_add", "--port-file", &pf])
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&port_file) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "serve never wrote the port file");
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
+        let (server, addr) = spawn_serve("audit_remote", &["4", "--backend", "fetch_add"]);
         let out = call(&[
             "audit", "4", "--backend", "remote", "--addr", &addr, "--threads", "2", "--ops",
             "200",
@@ -1549,7 +1521,6 @@ mod tests {
         assert!(call(&["audit", "4", "--backend", "remote"])
             .unwrap_err()
             .contains("needs --addr"));
-        let _ = std::fs::remove_file(&port_file);
     }
 
     #[test]

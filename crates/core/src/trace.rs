@@ -1,9 +1,8 @@
 //! The unified trace layer: one event language for every execution source,
 //! and the one online checker that consumes it one event at a time.
 //!
-//! Three producers used to speak three dialects — the simulator's
-//! `TokenRecord`s, the threaded runtime's `RecordedOp`s, and the checkers'
-//! `Op` slices. This module gives them a single currency:
+//! The simulator's `TokenRecord`s, the threaded runtime's recordings and
+//! the checkers' inputs all meet in one currency:
 //!
 //! * [`OpEvent`] — one completed increment: process, integer-nanosecond
 //!   enter/exit timestamps with explicit sequence-number tiebreaks, and the

@@ -133,7 +133,7 @@ mod tests {
             let workload = Workload { threads: 2, increments_per_thread: 500 };
             let recorder = Arc::new(TraceRecorder::new(2, 500));
             let traced = Traced::new(b.build(Some(&net), 4, 2, 3).unwrap(), Arc::clone(&recorder));
-            let mut values: Vec<u64> = drive(&traced, workload).iter().map(|r| r.value).collect();
+            let mut values: Vec<u64> = drive(&traced, workload).iter().map(|o| o.value).collect();
             values.sort_unstable();
             assert_eq!(values, (0..1000).collect::<Vec<_>>(), "{}", b.name());
             let mut auditor = StreamingAuditor::new();

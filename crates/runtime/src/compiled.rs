@@ -54,8 +54,9 @@
 //!   ([`CompiledNetwork::free_sinks`]).
 //!
 //! The engine is pure routing: it owns no atomics. Counters that traverse
-//! it ([`crate::SharedNetworkCounter`], [`crate::MessagePassingCounter`])
-//! own their own (cache-line-padded) state words and either call
+//! it ([`crate::SharedNetworkCounter`], and each stage of `cnet-net`'s
+//! cluster chain over its own sub-network) own their own
+//! (cache-line-padded) state words and either call
 //! [`CompiledNetwork::traverse`] or walk the tables themselves. It is the
 //! one shared-memory walk of a network; `tests/model_check.rs` checks it
 //! against the Section 2.2 model under every bounded schedule (see

@@ -353,8 +353,8 @@ mod tests {
         use crate::history::drive;
         use crate::Workload;
         let tree = DiffractingTree::new(8, 4).unwrap();
-        let records = drive(&tree, Workload { threads: 4, increments_per_thread: 250 });
-        let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
+        let ops = drive(&tree, Workload { threads: 4, increments_per_thread: 250 });
+        let mut values: Vec<u64> = ops.iter().map(|o| o.value).collect();
         values.sort_unstable();
         assert_eq!(values, (0..1000).collect::<Vec<_>>());
     }

@@ -1,14 +1,12 @@
-//! A small shutdown idiom shared by every threaded deployment in the
-//! workspace: collect worker [`JoinHandle`]s while spawning, then *drain*
-//! them — join every one, exactly once, swallowing worker panics so one
-//! crashed server thread cannot abort the teardown of its peers.
+//! A small shutdown idiom for threaded deployments: collect worker
+//! [`JoinHandle`]s while spawning, then *drain* them — join every one,
+//! exactly once, swallowing worker panics so one crashed server thread
+//! cannot abort the teardown of its peers.
 //!
-//! Both [`crate::MessagePassingCounter`] (per-balancer server threads) and
-//! `cnet-net`'s `CounterServer` (acceptor + per-connection threads) tear
-//! down the same way: signal the threads through their own channel or flag,
-//! then [`Drain::join_all`]. Keeping the joining half here means the two
-//! deployments cannot drift apart on the subtle parts (idempotence,
-//! panicked-worker handling, drop-time draining).
+//! `cnet-net`'s `CounterServer` tears its reactor threads down this way:
+//! signal them through their own flag or wakeup, then
+//! [`Drain::join_all`]. The subtle parts (idempotence, panicked-worker
+//! handling, drop-time draining) live here, tested once.
 
 use std::thread::JoinHandle;
 

@@ -26,15 +26,20 @@
 //!   synchronization built on *any* counter, which needs only gap-free
 //!   values (and is the motivating example for settling for sequential
 //!   consistency);
-//! * [`history`] — wall-clock operation recording (integer nanoseconds
-//!   from a calibrated monotonic clock), producing [`cnet_core::Op`]s so
-//!   the same checkers that analyze simulated executions analyze real
-//!   threaded runs;
+//! * [`history`] — a threaded workload with one exact interval per
+//!   operation (integer nanoseconds from a calibrated monotonic clock),
+//!   returned as enter-ordered [`cnet_core::Op`]s so the same checkers
+//!   that analyze simulated executions analyze real threaded runs;
 //! * [`recorder`] — the always-on observability path: per-thread sharded
 //!   ring buffers ([`recorder::TraceRecorder`]) capture every increment at
 //!   a few nanoseconds apiece and [`recorder::drive_audited`] streams them
 //!   through `cnet-core`'s online monitors *while the run executes*;
 //! * [`backend`] — the registry that turns a backend name into a counter.
+//!
+//! Section 2.3's other realisation, balancers owned by processes that
+//! pass tokens as messages, is `cnet-net`'s partitioned cluster chain
+//! (`cnet_net::ClusterNode`): each node owns a contiguous range of layers
+//! and hands a batch across each cut in one FIFO message.
 //!
 //! # Example
 //!
@@ -63,7 +68,6 @@ pub mod counter;
 pub mod diffracting;
 pub mod drain;
 pub mod history;
-pub mod message_passing;
 pub mod paced;
 pub mod recorder;
 pub mod relaxed;
@@ -76,11 +80,10 @@ pub use compiled::CompiledNetwork;
 pub use counter::SharedNetworkCounter;
 pub use diffracting::DiffractingTree;
 pub use drain::Drain;
-pub use history::{drive, RecordedOp, Workload};
+pub use history::{drive, Workload};
 pub use recorder::{
     drain_remaining, drive_audited, AuditedRun, ShardStealer, TraceRecorder, Traced,
 };
-pub use message_passing::MessagePassingCounter;
 pub use paced::LocallyPacedCounter;
 pub use relaxed::{EliminationCounter, RelaxedCounter, DEFAULT_SUB_COUNTERS};
 

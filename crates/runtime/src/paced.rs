@@ -122,7 +122,7 @@ impl<C: ProcessCounter> ProcessCounter for LocallyPacedCounter<C> {
 mod tests {
     use super::*;
     use crate::counter::SharedNetworkCounter;
-    use crate::history::{drive, to_ops};
+    use crate::history::drive;
     use crate::{FetchAddCounter, Workload};
     use cnet_core::consistency::is_sequentially_consistent;
     use cnet_topology::construct::bitonic;
@@ -157,10 +157,9 @@ mod tests {
         let delay = Duration::from_millis(2);
         let net = bitonic(8).unwrap();
         let paced = LocallyPacedCounter::new(SharedNetworkCounter::new(&net), delay);
-        let records = drive(&paced, Workload { threads: 2, increments_per_thread: 8 });
+        let ops = drive(&paced, Workload { threads: 2, increments_per_thread: 8 });
         for p in 0..2 {
-            let mut mine: Vec<_> = records.iter().filter(|r| r.process == p).collect();
-            mine.sort_by_key(|r| r.enter_ns);
+            let mine: Vec<_> = ops.iter().filter(|o| o.process == p).collect();
             assert_eq!(mine.len(), 8);
             for i in 0..mine.len() {
                 for j in i + 1..mine.len() {
@@ -174,9 +173,8 @@ mod tests {
             }
         }
         // The values are still dense and the history auditable.
-        let ops = to_ops(&records);
         assert!(is_sequentially_consistent(&ops) || !ops.is_empty());
-        let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
+        let mut values: Vec<u64> = ops.iter().map(|o| o.value).collect();
         values.sort_unstable();
         assert_eq!(values, (0..16).collect::<Vec<_>>());
     }

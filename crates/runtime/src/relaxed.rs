@@ -339,8 +339,8 @@ impl ProcessCounter for EliminationCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{drive, stream_records, Workload};
-    use cnet_core::trace::StreamingAuditor;
+    use crate::history::{drive, Workload};
+    use cnet_core::trace::{OpSink, StreamingAuditor};
     use cnet_topology::construct::bitonic;
     use cnet_util::proptest::prelude::*;
     use std::thread;
@@ -467,13 +467,15 @@ mod tests {
             // the analytic (k-1)·P bound with P = threads (each thread has
             // at most one token in flight).
             let c = RelaxedCounter::new(k);
-            let records = drive(&c, Workload { threads, increments_per_thread: per });
-            let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
+            let ops = drive(&c, Workload { threads, increments_per_thread: per });
+            let mut values: Vec<u64> = ops.iter().map(|o| o.value).collect();
             values.sort_unstable();
             let n = (threads * per) as u64;
             prop_assert_eq!(values, (0..n).collect::<Vec<_>>());
             let mut qqc = StreamingAuditor::new();
-            stream_records(&records, &mut qqc);
+            for &op in &ops {
+                qqc.record(op);
+            }
             let bound = ((k - 1) * threads) as u64;
             prop_assert!(
                 qqc.qqc_max() <= bound,

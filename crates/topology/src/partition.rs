@@ -318,6 +318,21 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_at_every_layer_gives_each_node_one_layer() {
+        // The layer-by-layer message-passing network: as many nodes as
+        // layers, each owning one layer of w/2 balancers.
+        for fan in [4usize, 8] {
+            let net = bitonic(fan).expect("bitonic");
+            let plan = Partition::contiguous(&net, net.depth()).expect("plan");
+            for k in 0..plan.nodes() {
+                assert_eq!(plan.layer_range(k), (k, k + 1), "B({fan}) node {k}");
+                let sub = plan.sub_network(&net, k);
+                assert_eq!((sub.depth(), sub.size()), (1, fan / 2), "B({fan}) node {k}");
+            }
+        }
+    }
+
+    #[test]
     fn adjacent_cuts_agree_on_wire_identity() {
         // Sink j of node k's sub-network and source j of node k+1's must
         // name the same whole-network wire — the gluing invariant the

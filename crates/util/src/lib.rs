@@ -14,7 +14,7 @@
 //!   impl macros (replaces `serde` + `serde_json`);
 //! * [`sync`] — a poison-free [`sync::Mutex`], an exponential
 //!   [`sync::Backoff`], a cache-line-aligned [`sync::CachePadded`]
-//!   wrapper, and an unbounded MPMC [`sync::unbounded`] channel (replaces
+//!   wrapper, and the model-checkable [`sync::atomic`] types (replaces
 //!   `parking_lot` + `crossbeam`);
 //! * [`proptest`](mod@proptest) — a deterministic property-testing harness with the
 //!   `proptest!` / `prop_assert!` macro surface, seeded case generation and

@@ -37,8 +37,8 @@
 //! * Not explored: weak-memory (non-SC) reorderings — shim ops run at
 //!   `SeqCst` regardless of the ordering argument; spurious
 //!   `compare_exchange_weak` failures; `fetch_update` is treated as one
-//!   atomic RMW rather than a load + CAS loop; `Condvar` waits (the
-//!   channel in [`crate::sync`]) are unsupported inside scenarios.
+//!   atomic RMW rather than a load + CAS loop; `Condvar` waits are
+//!   unsupported inside scenarios.
 //!
 //! Yield semantics keep spin loops finite: a thread that parks at a
 //! yield point is ineligible to run until *every* other unfinished

@@ -7,16 +7,12 @@
 //!   contended retry loops;
 //! * [`CachePadded`] — aligns a value to its own cache line so logically
 //!   independent atomics never false-share;
-//! * [`unbounded`] — an unbounded multi-producer **multi-consumer** channel
-//!   (both ends clonable; `std::sync::mpsc` receivers are not, and the
-//!   message-passing counter shares one receiver per balancer across
-//!   worker threads).
+//! * [`atomic`] — the atomic types, routed through the model checker
+//!   under the `model-check` feature.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Condvar};
 
 /// The atomic types used by every lock-free algorithm in the workspace.
 ///
@@ -235,162 +231,10 @@ impl fmt::Debug for Backoff {
     }
 }
 
-/// Sending on a channel with no remaining receivers.
-#[derive(PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-// Like crossbeam, debug-printable regardless of whether `T` is.
-impl<T> fmt::Debug for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SendError(..)")
-    }
-}
-
-impl<T> fmt::Display for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("sending on a disconnected channel")
-    }
-}
-
-/// Receiving on an empty channel with no remaining senders.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecvError;
-
-impl fmt::Display for RecvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("receiving on an empty, disconnected channel")
-    }
-}
-
-impl std::error::Error for RecvError {}
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    senders: usize,
-    receivers: usize,
-}
-
-struct Channel<T> {
-    state: Mutex<ChannelState<T>>,
-    ready: Condvar,
-}
-
-/// The sending half of an unbounded channel; clonable.
-pub struct Sender<T> {
-    chan: Arc<Channel<T>>,
-}
-
-/// The receiving half of an unbounded channel; clonable (multi-consumer —
-/// each message is delivered to exactly one receiver).
-pub struct Receiver<T> {
-    chan: Arc<Channel<T>>,
-}
-
-/// An unbounded MPMC FIFO channel.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let chan = Arc::new(Channel {
-        state: Mutex::new(ChannelState {
-            queue: VecDeque::new(),
-            senders: 1,
-            receivers: 1,
-        }),
-        ready: Condvar::new(),
-    });
-    (
-        Sender { chan: Arc::clone(&chan) },
-        Receiver { chan },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Enqueues a message; fails only when every receiver has dropped.
-    pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        let mut state = self.chan.state.lock();
-        if state.receivers == 0 {
-            return Err(SendError(msg));
-        }
-        state.queue.push_back(msg);
-        drop(state);
-        self.chan.ready.notify_one();
-        Ok(())
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.chan.state.lock().senders += 1;
-        Sender { chan: Arc::clone(&self.chan) }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut state = self.chan.state.lock();
-        state.senders -= 1;
-        let last = state.senders == 0;
-        drop(state);
-        if last {
-            // Wake blocked receivers so they observe the disconnect.
-            self.chan.ready.notify_all();
-        }
-    }
-}
-
-impl<T> fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Sender { .. }")
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Dequeues the next message, blocking while the channel is empty;
-    /// fails once the channel is empty and every sender has dropped.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        // The shim Mutex guard is a std guard, so Condvar::wait composes.
-        let mut state = self.chan.state.lock();
-        loop {
-            if let Some(msg) = state.queue.pop_front() {
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                return Err(RecvError);
-            }
-            state = self
-                .chan
-                .ready
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Dequeues without blocking; `None` when currently empty.
-    pub fn try_recv(&self) -> Option<T> {
-        self.chan.state.lock().queue.pop_front()
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.chan.state.lock().receivers += 1;
-        Receiver { chan: Arc::clone(&self.chan) }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.chan.state.lock().receivers -= 1;
-    }
-}
-
-impl<T> fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Receiver { .. }")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -407,72 +251,27 @@ mod tests {
     }
 
     #[test]
-    fn channel_is_fifo_per_sender() {
-        let (tx, rx) = unbounded();
-        for i in 0..100 {
-            tx.send(i).unwrap();
-        }
-        for i in 0..100 {
-            assert_eq!(rx.recv(), Ok(i));
-        }
-    }
-
-    #[test]
-    fn recv_fails_after_all_senders_drop() {
-        let (tx, rx) = unbounded();
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        drop(tx);
-        tx2.send(2).unwrap();
-        drop(tx2);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn send_fails_after_all_receivers_drop() {
-        let (tx, rx) = unbounded();
-        let rx2 = rx.clone();
-        drop(rx);
-        tx.send(1).unwrap();
-        drop(rx2);
-        assert_eq!(tx.send(2), Err(SendError(2)));
-    }
-
-    #[test]
-    fn cloned_receivers_partition_messages() {
-        let (tx, rx) = unbounded();
-        let rx2 = rx.clone();
-        let n = 1000u64;
-        let consumer = |rx: Receiver<u64>| {
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Ok(v) = rx.recv() {
-                    got.push(v);
-                }
-                got
+    fn mutex_hands_back_the_value_after_a_holder_panics() {
+        let mut m = Mutex::new(vec![1u64]);
+        let _ = thread::scope(|s| {
+            s.spawn(|| {
+                m.lock().push(2);
+                panic!("holder dies");
             })
-        };
-        let h1 = consumer(rx);
-        let h2 = consumer(rx2);
-        for i in 0..n {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let mut all = h1.join().unwrap();
-        all.extend(h2.join().unwrap());
-        all.sort_unstable();
-        assert_eq!(all, (0..n).collect::<Vec<_>>());
+            .join()
+        });
+        m.get_mut().push(3);
+        assert_eq!(m.into_inner(), vec![1, 2, 3]);
     }
 
     #[test]
-    fn blocking_recv_wakes_on_send() {
-        let (tx, rx) = unbounded();
-        let h = thread::spawn(move || rx.recv());
-        thread::sleep(std::time::Duration::from_millis(10));
-        tx.send(42).unwrap();
-        assert_eq!(h.join().unwrap(), Ok(42));
+    fn mutex_debug_shows_the_value_or_that_it_is_held() {
+        let m = Mutex::new(7u8);
+        assert_eq!(format!("{m:?}"), "Mutex(7)");
+        let guard = m.lock();
+        assert_eq!(format!("{m:?}"), "Mutex(<locked>)");
+        drop(guard);
+        assert_eq!(format!("{:?}", Mutex::<u8>::default()), "Mutex(0)");
     }
 
     #[test]

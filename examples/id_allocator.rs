@@ -14,21 +14,19 @@ use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
 use cnet_core::fractions::{
     non_linearizability_fraction, non_sequential_consistency_fraction,
 };
-use cnet_runtime::history::to_ops;
 use cnet_runtime::{drive, FetchAddCounter, LockCounter, ProcessCounter, SharedNetworkCounter, Workload};
 use cnet_topology::construct::bitonic;
 
 fn audit<C: ProcessCounter>(name: &str, backend: &C, workload: Workload) {
-    let records = drive(backend, workload);
-    let total = records.len() as u64;
+    let ops = drive(backend, workload);
+    let total = ops.len() as u64;
 
     // Uniqueness and density.
-    let mut ids: Vec<u64> = records.iter().map(|r| r.value).collect();
+    let mut ids: Vec<u64> = ops.iter().map(|o| o.value).collect();
     ids.sort_unstable();
     let dense = ids == (0..total).collect::<Vec<_>>();
 
     // Consistency audit with the paper's machinery.
-    let ops = to_ops(&records);
     println!(
         "{name:<22} ids dense: {dense}   linearizable: {:<5}  seq. consistent: {:<5}  \
          F_nl = {:.4}  F_nsc = {:.4}",

@@ -138,10 +138,14 @@ fi
 # the port through --port-file, drive it with `cnet loadgen --check`
 # (values must be an exact permutation of 0..n), ask for a remote
 # shutdown, and require the server to drain within a bounded deadline.
-port_file=$(mktemp)
+# The server's own audit must then have seen all 20000 operations and
+# read clean: fetch_add is linearizable, and a ring overflow would read
+# `incomplete` instead.
+port_file=$(mktemp); serve_log=$(mktemp)
 rm -f "$port_file"
 cargo run -q --release --offline -p cnet-cli -- \
-    serve 8 --backend fetch_add --audit 1 --max-conns 8 --port-file "$port_file" &
+    serve 8 --backend fetch_add --audit 1 --max-conns 8 --port-file "$port_file" \
+    > "$serve_log" &
 serve_pid=$!
 for _ in $(seq 1 100); do
     [ -s "$port_file" ] && break
@@ -185,7 +189,16 @@ if [ "$drained" -ne 1 ]; then
     exit 1
 fi
 wait "$serve_pid"
-rm -f "$port_file"
+cat "$serve_log"
+if ! grep -q "audit: 20000 ops audited" "$serve_log"; then
+    echo "error: the served audit did not cover all 20000 operations" >&2
+    exit 1
+fi
+if ! grep -Eq "audit: .* — clean" "$serve_log"; then
+    echo "error: the served audit verdict was not clean" >&2
+    exit 1
+fi
+rm -f "$port_file" "$serve_log"
 
 # Parallel-audit smoke: a served run with `--audit-threads 2` steals ring
 # shards into per-shard monitors *while traffic runs*, then merges the

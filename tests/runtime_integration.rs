@@ -1,18 +1,63 @@
-//! Integration tests for the threaded shared-memory implementation,
-//! audited with the `cnet-core` checkers.
+//! Integration tests for the threaded counting-network implementations,
+//! audited with the `cnet-core` checkers: the shared-memory network, the
+//! diffracting tree, and the message-passing network of Section 2.3 — a
+//! loopback cluster chain whose nodes each own a range of layers and pass
+//! a batch across each cut as one message over a socket.
 
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
 use cnet_core::fractions::{
     non_linearizability_fraction, non_sequential_consistency_fraction,
 };
-use cnet_runtime::history::to_ops;
+use cnet_net::{ClusterNode, CounterServer, RemoteCounter, ServerConfig};
 use cnet_runtime::{
-    drive, CounterBarrier, FetchAddCounter, LockCounter, ProcessCounter,
+    drive, CounterBarrier, DiffractingTree, FetchAddCounter, LockCounter, ProcessCounter,
     SharedNetworkCounter, Workload,
 };
 use cnet_topology::construct::{bitonic, counting_tree, periodic};
-use cnet_topology::state::has_step_property;
+use cnet_topology::state::{has_step_property, NetworkState};
+use cnet_topology::Network;
+use std::sync::Arc;
 use std::thread;
+
+/// A loopback chain of `nodes` cluster nodes over `net`, each served over
+/// TCP: the tail first, then every other node pointed at the one after
+/// it. Returns the head in-process and the servers, the head's last.
+fn loopback_chain(net: &Network, nodes: usize) -> (Arc<ClusterNode>, Vec<CounterServer>) {
+    let cfg =
+        ServerConfig { max_connections: 8, processes: 8, reactors: 1, ..ServerConfig::default() };
+    let mut servers: Vec<CounterServer> = Vec::new();
+    let mut peers: Vec<String> = Vec::new();
+    let mut node = None;
+    for k in (0..nodes).rev() {
+        let n = Arc::new(ClusterNode::new(net, k, nodes, &peers, cfg.max_connections).unwrap());
+        let server =
+            CounterServer::start_cluster("127.0.0.1:0", Arc::clone(&n), None, cfg).unwrap();
+        peers.insert(0, server.local_addr().to_string());
+        servers.push(server);
+        node = Some(n);
+    }
+    (node.expect("at least one node"), servers)
+}
+
+/// 4 client threads × 100 increments through the served head of a
+/// loopback chain: the values are exactly `0..400`, and the history
+/// audits with both fractions in `[0, 1]`. Each client thread issues its
+/// increments one after another, so every non-SC operation is also
+/// non-linearizable.
+fn assert_chain_counts_and_audits(net: &Network, nodes: usize) {
+    let (head, servers) = loopback_chain(net, nodes);
+    assert_eq!((head.node(), head.nodes()), (0, nodes));
+    let client = RemoteCounter::connect(servers.last().unwrap().local_addr(), 4).unwrap();
+    let ops = drive(&client, Workload { threads: 4, increments_per_thread: 100 });
+    let mut values: Vec<u64> = ops.iter().map(|o| o.value).collect();
+    values.sort_unstable();
+    assert_eq!(values, (0..400).collect::<Vec<_>>(), "{net} over {nodes} nodes");
+    let f_nl = non_linearizability_fraction(&ops);
+    let f_nsc = non_sequential_consistency_fraction(&ops);
+    assert!((0.0..=1.0).contains(&f_nl), "{net}: F_nl = {f_nl}");
+    assert!((0.0..=1.0).contains(&f_nsc), "{net}: F_nsc = {f_nsc}");
+    assert!(f_nsc <= f_nl, "every non-SC op is non-linearizable");
+}
 
 #[test]
 fn all_backends_hand_out_dense_unique_ids() {
@@ -29,8 +74,8 @@ fn all_backends_hand_out_dense_unique_ids() {
     let lock = LockCounter::new();
 
     fn check<C: ProcessCounter>(c: &C, workload: Workload, total: u64, label: &str) {
-        let records = drive(c, workload);
-        let mut ids: Vec<u64> = records.iter().map(|r| r.value).collect();
+        let ops = drive(c, workload);
+        let mut ids: Vec<u64> = ops.iter().map(|o| o.value).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..total).collect::<Vec<_>>(), "{label}");
     }
@@ -45,8 +90,7 @@ fn all_backends_hand_out_dense_unique_ids() {
 fn centralized_backends_are_linearizable_in_practice() {
     let workload = Workload { threads: 4, increments_per_thread: 500 };
     let fetch_add = FetchAddCounter::new();
-    let records = drive(&fetch_add, workload);
-    let ops = to_ops(&records);
+    let ops = drive(&fetch_add, workload);
     assert!(is_linearizable(&ops));
     assert!(is_sequentially_consistent(&ops));
     assert_eq!(non_linearizability_fraction(&ops), 0.0);
@@ -57,8 +101,7 @@ fn centralized_backends_are_linearizable_in_practice() {
 fn network_runs_are_auditable_and_fractions_are_bounded() {
     let net = bitonic(8).unwrap();
     let counter = SharedNetworkCounter::new(&net);
-    let records = drive(&counter, Workload { threads: 8, increments_per_thread: 300 });
-    let ops = to_ops(&records);
+    let ops = drive(&counter, Workload { threads: 8, increments_per_thread: 300 });
     let f_nl = non_linearizability_fraction(&ops);
     let f_nsc = non_sequential_consistency_fraction(&ops);
     assert!((0.0..=1.0).contains(&f_nl));
@@ -109,39 +152,115 @@ fn barrier_works_over_every_counter_backend() {
 
 #[test]
 fn all_runtime_variants_agree_with_the_reference_sequentially() {
-    use cnet_runtime::message_passing::MessagePassingCounter;
-    use cnet_runtime::DiffractingTree;
-    // Four implementations of the same counting tree, driven one token at a
+    // Two implementations of the same counting tree, driven one token at a
     // time, must produce the identical value sequence.
     let net = counting_tree(8).unwrap();
     let shm = SharedNetworkCounter::new(&net);
-    let mp = MessagePassingCounter::start(&net);
     let diff = DiffractingTree::new(8, 0).unwrap(); // prisms off: pure toggles
-    let mut reference = cnet_topology::state::NetworkState::new(&net);
+    let mut reference = NetworkState::new(&net);
     for k in 0..100usize {
         let expected = reference.traverse(&net, 0).value;
         assert_eq!(shm.increment_from(0), expected, "shared memory, token {k}");
-        assert_eq!(mp.increment_from(0), expected, "message passing, token {k}");
         assert_eq!(diff.increment(k), expected, "diffracting, token {k}");
     }
 }
 
 #[test]
-fn message_passing_and_diffracting_histories_are_auditable() {
-    use cnet_runtime::message_passing::MessagePassingCounter;
-    use cnet_runtime::DiffractingTree;
-    let net = bitonic(8).unwrap();
-    let mp = MessagePassingCounter::start(&net);
-    let records = drive(&mp, Workload { threads: 4, increments_per_thread: 100 });
-    let ops = to_ops(&records);
-    assert!(non_linearizability_fraction(&ops) <= 1.0);
-    let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
-    values.sort_unstable();
-    assert_eq!(values, (0..400).collect::<Vec<_>>());
+fn a_loopback_chain_agrees_with_the_reference_sequentially() {
+    // One token at a time, every input wire in turn, through B(4) cut at
+    // every layer: the value each token gets after two socket hops is the
+    // one the whole network gives it.
+    let net = bitonic(4).unwrap();
+    let (head, _servers) = loopback_chain(&net, 3);
+    let mut reference = NetworkState::new(&net);
+    for k in 0..64usize {
+        let input = (k * 3 + 1) % 4;
+        let mut entering = vec![0; 4];
+        entering[input] = 1;
+        let values = head.step_batch(0, k as u64, &entering).unwrap();
+        assert_eq!(values, vec![reference.traverse(&net, input).value], "token {k}");
+    }
+}
 
+#[test]
+fn a_loopback_chain_agrees_with_the_whole_network_batch_by_batch() {
+    // A batch spread over the input wires crosses each cut as one
+    // `ForwardBatch` of per-wire counts; batch after batch on the same
+    // state, it is handed the values the whole network hands the same
+    // batch.
+    let net = bitonic(4).unwrap();
+    let (head, _servers) = loopback_chain(&net, 3);
+    let whole = SharedNetworkCounter::new(&net);
+    let mut scratch = Vec::new();
+    let batches = [[3, 0, 2, 1], [0, 5, 0, 0], [1, 1, 1, 1], [7, 2, 0, 4]];
+    for (k, entering) in batches.iter().enumerate() {
+        let mut chained = head.step_batch(0, k as u64, entering).unwrap();
+        let mut direct = Vec::new();
+        whole.increment_counts_from(entering, &mut scratch, &mut direct);
+        chained.sort_unstable();
+        direct.sort_unstable();
+        assert_eq!(chained, direct, "batch {k}: {entering:?}");
+    }
+}
+
+#[test]
+fn a_chain_cut_at_every_layer_counts_and_audits() {
+    // B(4) has three layers: three nodes, one layer each — the
+    // layer-by-layer message-passing network of Section 2.3.
+    assert_chain_counts_and_audits(&bitonic(4).unwrap(), 3);
+}
+
+#[test]
+fn a_two_node_chain_counts_and_audits() {
+    assert_chain_counts_and_audits(&bitonic(8).unwrap(), 2);
+}
+
+#[test]
+fn a_chain_cut_at_every_layer_serves_concurrent_batches() {
+    // Relay to relay to tail, several batches in flight at once: every
+    // value is handed out exactly once.
+    let net = bitonic(4).unwrap();
+    let (_head, servers) = loopback_chain(&net, 3);
+    let client = RemoteCounter::connect(servers.last().unwrap().local_addr(), 4).unwrap();
+    let mut values: Vec<u64> = thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|p| {
+                let c = &client;
+                s.spawn(move || (0..4).flat_map(|_| c.next_batch_for(p, 50)).collect::<Vec<_>>())
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    values.sort_unstable();
+    assert_eq!(values, (0..800).collect::<Vec<_>>());
+}
+
+#[test]
+fn barrier_works_over_a_loopback_chain() {
+    // The Section 1.1 application needs only gap-free values, which the
+    // message-passing network gives as the shared-memory one does.
+    let net = bitonic(4).unwrap();
+    let (head, _servers) = loopback_chain(&net, 2);
+    let barrier = CounterBarrier::new(head, 3);
+    thread::scope(|s| {
+        for p in 0..3 {
+            let b = &barrier;
+            s.spawn(move || {
+                for _ in 0..20 {
+                    b.wait(p);
+                }
+            });
+        }
+    });
+    assert_eq!(barrier.rounds_completed(), 20);
+}
+
+#[test]
+fn diffracting_histories_are_auditable() {
     let tree = DiffractingTree::new(8, 4).unwrap();
-    let records = drive(&tree, Workload { threads: 4, increments_per_thread: 100 });
-    let mut values: Vec<u64> = records.iter().map(|r| r.value).collect();
+    let ops = drive(&tree, Workload { threads: 4, increments_per_thread: 100 });
+    assert!(non_linearizability_fraction(&ops) <= 1.0);
+    let mut values: Vec<u64> = ops.iter().map(|o| o.value).collect();
     values.sort_unstable();
     assert_eq!(values, (0..400).collect::<Vec<_>>());
 }
@@ -152,7 +271,7 @@ fn runtime_agrees_with_simulator_semantics_sequentially() {
     // the sequential reference semantics, for every construction.
     for net in [bitonic(8).unwrap(), periodic(4).unwrap(), counting_tree(4).unwrap()] {
         let counter = SharedNetworkCounter::new(&net);
-        let mut reference = cnet_topology::state::NetworkState::new(&net);
+        let mut reference = NetworkState::new(&net);
         for k in 0..200usize {
             let input = k % net.fan_in();
             assert_eq!(
