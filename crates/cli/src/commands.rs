@@ -42,16 +42,15 @@ pub fn usage() -> String {
      \x20 audit     threaded run through the trace recorder with live online\n\
      \x20           consistency monitors; flags: --backend\n\
      \x20           {audit_list}\n\
-     \x20           --family --threads --ops --sub-counters K\n\
+     \x20           --family --threads --ops\n\
      \x20           --addr HOST:PORT (backend remote audits a live serve;\n\
      \x20           backend cluster fetches and merges every node's trace\n\
      \x20           shards, --addr ADDR1,ADDR2,...); exits nonzero on a\n\
-     \x20           violations verdict, except for the deliberately relaxed\n\
-     \x20           backends, whose measured QQC lateness is the report\n\
+     \x20           violations verdict\n\
      \x20 serve     counting service on a TCP socket; blocks until a client\n\
      \x20           sends Shutdown; flags: --backend\n\
      \x20           {serve_list}\n\
-     \x20           --family --sub-counters K --addr 127.0.0.1:0 --max-conns\n\
+     \x20           --family --addr 127.0.0.1:0 --max-conns\n\
      \x20           --processes --reactors N (0 = one per core) --backpressure\n\
      \x20           reject|block --audit 0/1 --port-file <file>\n\
      \x20           --cluster K/N --peers ADDR (serve layer range K of an N-node\n\
@@ -373,7 +372,6 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         "port-file",
         "cluster",
         "peers",
-        "sub-counters",
     ])?;
     let backend = parse_backend(opts.get("backend").unwrap_or("compiled"), &[])?;
     let family = opts.get("family").unwrap_or("bitonic").to_string();
@@ -428,9 +426,8 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             if opts.get("peers").is_some() {
                 return Err("--peers only makes sense with --cluster K/N".to_string());
             }
-            let sub_counters = opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?;
             let net = backend.uses_network().then(|| parse_network(&family, w)).transpose()?;
-            let counter = backend.build(net.as_ref(), fan, fan, sub_counters)?;
+            let counter = backend.build(net.as_ref(), fan, fan)?;
             match &recorder {
                 Some(rec) => cnet_net::server::CounterServer::with_recorder(
                     &addr as &str,
@@ -484,8 +481,10 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     if let Some(rec) = &recorder {
         if audit_workers.is_empty() {
             let mut auditor = StreamingAuditor::new();
-            cnet_runtime::drain_remaining(rec, &mut auditor);
-            out.push_str(&served_audit(&auditor, rec.dropped(), rec.skipped(), sample_k));
+            let drained = cnet_runtime::drain_remaining(rec, &mut auditor);
+            let taken = rec.pulled() - drained as u64;
+            let (dropped, skipped) = (rec.dropped(), rec.skipped());
+            out.push_str(&served_audit(&auditor, dropped, skipped, taken, sample_k));
         } else {
             // Writers are quiescent once `shutdown()` has joined the
             // reactors: settle every partial sampling window and publish
@@ -508,28 +507,43 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
                 out,
                 "audit pipeline: {audit_threads} worker(s), {stolen} event(s) stolen live"
             );
-            out.push_str(&served_audit(merged.auditor(), rec.dropped(), rec.skipped(), sample_k));
+            let taken = rec.pulled() - stolen as u64;
+            let (dropped, skipped) = (rec.dropped(), rec.skipped());
+            out.push_str(&served_audit(merged.auditor(), dropped, skipped, taken, sample_k));
         }
     }
     Ok(out)
 }
 
 /// The served audit's coverage and verdict lines. Events a full ring
-/// dropped never reached the auditor, so a clean verdict over them reads
-/// `incomplete` and every verdict names the count. Sampling skips stay
-/// sound — a sampled interval only widens the truth — so they are counted
-/// but leave the verdict alone.
-fn served_audit(a: &StreamingAuditor, dropped: u64, skipped: u64, sample_k: usize) -> String {
+/// dropped, and events another puller (a remote `cnet audit --backend
+/// cluster`) `taken` out of the rings, never reached this auditor, so a
+/// clean verdict over them reads `incomplete` and every verdict names the
+/// counts. Sampling skips stay sound — a sampled interval only widens the
+/// truth — so they are counted but leave the verdict alone.
+fn served_audit(
+    a: &StreamingAuditor,
+    dropped: u64,
+    skipped: u64,
+    taken: u64,
+    sample_k: usize,
+) -> String {
+    let missed: Vec<String> = [(dropped, "dropped"), (taken, "taken by another puller")]
+        .iter()
+        .filter(|(n, _)| *n > 0)
+        .map(|(n, what)| format!("{n} {what}"))
+        .collect();
     let summary = a.summary();
     let verdict = match summary.rsplit_once(" — ") {
-        Some((body, verdict)) if dropped > 0 => {
+        Some((body, verdict)) if !missed.is_empty() => {
             let verdict = if a.is_clean() { "incomplete" } else { verdict };
-            format!("{body} — {verdict} ({dropped} dropped)")
+            format!("{body} — {verdict} ({})", missed.join(", "))
         }
         _ => summary,
     };
     format!(
-        "audit coverage: {dropped} dropped, {skipped} skipped by 1-in-{sample_k} sampling\n\
+        "audit coverage: {dropped} dropped, {skipped} skipped by 1-in-{sample_k} sampling, \
+         {taken} taken by another puller\n\
          audit: {verdict}\n"
     )
 }
@@ -669,11 +683,10 @@ fn audit_workload<C: ProcessCounter>(
 /// The verdict block every audit report ends with: the Section 2.4
 /// conditions with their first witnesses, the Section 5.1 fractions, the
 /// QQC lateness profile (beside the audited run's wall-clock rate, when
-/// this process drove the run), and the one-line verdict. With `enforce` off (the
-/// deliberately relaxed backends) violations read as a measurement. The
-/// caller fails the process when `!a.is_clean() && enforce` — CI gates
-/// read the exit code, not the transcript.
-fn render_verdict(a: &StreamingAuditor, enforce: bool, ops_per_s: Option<f64>) -> String {
+/// this process drove the run), and the one-line verdict. The caller
+/// fails the process when `!a.is_clean()` — CI gates read the exit code,
+/// not the transcript.
+fn render_verdict(a: &StreamingAuditor, ops_per_s: Option<f64>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "linearizable:            {}", a.is_linearizable());
     if let Some(v) = a.linearizability_violation() {
@@ -698,16 +711,7 @@ fn render_verdict(a: &StreamingAuditor, enforce: bool, ops_per_s: Option<f64>) -
     let _ = writeln!(
         out,
         "\naudit verdict: {}",
-        if a.is_clean() {
-            "clean (0 violations)".to_string()
-        } else if enforce {
-            "violations detected".to_string()
-        } else {
-            format!(
-                "relaxed backend: reordering measured, qqc_max {} (not a failure)",
-                a.qqc_max()
-            )
-        }
+        if a.is_clean() { "clean (0 violations)" } else { "violations detected" }
     );
     out
 }
@@ -896,7 +900,7 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
             collector.merged().skipped()
         );
     }
-    out.push_str(&render_verdict(auditor, true, None));
+    out.push_str(&render_verdict(auditor, None));
     if auditor.is_clean() {
         Ok(out)
     } else {
@@ -909,7 +913,7 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
         return Err(
             format!(
                 "expected: cnet audit <w> [--backend {}] [--family F] [--threads N] [--ops N] \
-                 [--sub-counters K] [--addr HOST:PORT] [--audit-threads N] [--audit-sample k] \
+                 [--addr HOST:PORT] [--audit-threads N] [--audit-sample k] \
                  [--inject SEED (cluster only)]",
                 backend_names(&["remote", "cluster"], "|")
             ),
@@ -923,7 +927,6 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
         "threads",
         "ops",
         "addr",
-        "sub-counters",
         "audit-threads",
         "audit-sample",
         "inject",
@@ -946,9 +949,7 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
     // `--audit-sample k`, exactly the 1-in-k sound sample of it).
     let recorder = Arc::new(TraceRecorder::with_sampling(threads, ops, sample_k));
     let mut live: Vec<String> = Vec::new();
-    // `enforce`: a violations verdict fails the process, except for the
-    // backends whose contract is the reordering itself.
-    let (counter, enforce, shown_family): (Arc<dyn ProcessCounter + Send + Sync>, _, _) =
+    let (counter, shown_family): (Arc<dyn ProcessCounter + Send + Sync>, _) =
         match backend {
             // Audits a *live socket*: each audit thread drives its own pooled
             // connection to a running `cnet serve`, and the recorded intervals
@@ -957,14 +958,13 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
                 let addr = opts.get("addr").ok_or("backend remote needs --addr HOST:PORT")?;
                 let remote = cnet_net::RemoteCounter::connect(addr, threads)
                     .map_err(|e| format!("connect {addr}: {e}"))?;
-                (Arc::new(remote), true, "-")
+                (Arc::new(remote), "-")
             }
             name => {
                 let b = parse_backend(name, &["remote", "cluster"])?;
-                let sub = opts.usize_or("sub-counters", cnet_runtime::DEFAULT_SUB_COUNTERS)?;
                 let net = b.uses_network().then(|| parse_network(&family, w)).transpose()?;
                 let shown = if b.uses_network() { family.as_str() } else { "-" };
-                (b.build(net.as_ref(), fan, threads, sub)?, b.enforces_order(), shown)
+                (b.build(net.as_ref(), fan, threads)?, shown)
             }
         };
     let counter = Traced::new(counter, Arc::clone(&recorder));
@@ -1020,8 +1020,8 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
         }
     }
     let _ = writeln!(out, "operations audited:      {}", a.operations());
-    out.push_str(&render_verdict(a, enforce, Some(ops_per_s)));
-    if a.is_clean() || !enforce {
+    out.push_str(&render_verdict(a, Some(ops_per_s)));
+    if a.is_clean() {
         Ok(out)
     } else {
         Err(out)
@@ -1163,6 +1163,17 @@ mod tests {
         assert!(!u.split_whitespace().any(|w| w == "bench"), "{u}");
     }
 
+    #[test]
+    fn usage_lists_the_registry_and_exempts_no_backend() {
+        let u = usage();
+        let registry = Backend::ALL.map(Backend::name).join("|");
+        assert!(u.contains(&format!("{registry}|remote|cluster")), "{u}");
+        for gone in ["relaxed", "elimination", "not a failure"] {
+            assert!(!u.contains(gone), "{gone}: {u}");
+        }
+        assert!(u.contains("exits nonzero on a\n") && u.contains("violations verdict\n"), "{u}");
+    }
+
     /// Boots `cnet serve` in a thread, discovers the ephemeral port via
     /// `--port-file`, drives it with `cnet loadgen --check --shutdown`,
     /// and reads both transcripts — the two-terminal quickstart, in-process.
@@ -1223,20 +1234,29 @@ mod tests {
         clean.record(op(0, 0.0, 1.0, 0));
         clean.record(op(0, 2.0, 3.0, 1));
         // Sampling skips are counted and change nothing else.
-        let sampled = served_audit(&clean, 0, 6, 4);
-        assert!(sampled.starts_with("audit coverage: 0 dropped, 6 skipped by 1-in-4 sampling\n"));
+        let sampled = served_audit(&clean, 0, 6, 0, 4);
+        assert!(sampled.starts_with(
+            "audit coverage: 0 dropped, 6 skipped by 1-in-4 sampling, 0 taken by another puller\n"
+        ));
         assert!(sampled.ends_with("— clean\n"), "{sampled}");
-        let truncated = served_audit(&clean, 5, 0, 1);
+        let truncated = served_audit(&clean, 5, 0, 0, 1);
         assert!(truncated.contains("audit: 2 ops audited"), "{truncated}");
         assert!(truncated.ends_with("— incomplete (5 dropped)\n"), "{truncated}");
+        let taken = served_audit(&clean, 0, 0, 9, 1);
+        assert!(taken.ends_with("— incomplete (9 taken by another puller)\n"), "{taken}");
+        let missed = served_audit(&clean, 5, 0, 9, 1);
+        assert!(
+            missed.ends_with("— incomplete (5 dropped, 9 taken by another puller)\n"),
+            "{missed}"
+        );
         // A violation stays a violation, and still names what it missed.
         let mut violated = StreamingAuditor::new();
         violated.record(op(0, 0.0, 1.0, 5));
         violated.record(op(1, 0.5, 1.5, 0));
         violated.record(op(0, 2.0, 3.0, 3));
         assert!(!violated.is_clean());
-        assert!(served_audit(&violated, 0, 0, 1).ends_with("— violations detected\n"));
-        let both = served_audit(&violated, 7, 0, 1);
+        assert!(served_audit(&violated, 0, 0, 0, 1).ends_with("— violations detected\n"));
+        let both = served_audit(&violated, 7, 0, 0, 1);
         assert!(both.ends_with("— violations detected (7 dropped)\n"), "{both}");
     }
 
@@ -1394,6 +1414,72 @@ mod tests {
         assert!(served.contains("audit: 2000 ops audited"), "{served}");
     }
 
+    /// A server whose rings a remote cluster audit already pulled audits
+    /// nothing at shutdown: it must say where the operations went and
+    /// must not read clean over them.
+    #[test]
+    fn served_audit_names_what_a_remote_puller_took() {
+        let (server, addr) = spawn_serve(
+            "remote_pull",
+            &["8", "--backend", "fetch_add", "--audit", "1", "--max-conns", "8"],
+        );
+        let out = call(&["loadgen", "--addr", &addr, "--threads", "2", "--ops", "400"]).unwrap();
+        assert!(out.contains("permutation 0..400: true"), "{out}");
+        let audit = call(&["audit", "8", "--backend", "cluster", "--addr", &addr])
+            .unwrap_or_else(|report| report);
+        assert!(audit.contains("operations audited:      400"), "{audit}");
+        call(&["loadgen", "--addr", &addr, "--ops", "0", "--shutdown", "1"]).unwrap();
+        let served = server.join().unwrap().unwrap();
+        assert!(served.contains("increments:  400"), "{served}");
+        assert!(served.contains("0 dropped, 0 skipped by 1-in-1 sampling, 400 taken"), "{served}");
+        assert!(served.contains("audit: 0 ops audited"), "{served}");
+        assert!(served.ends_with("— incomplete (400 taken by another puller)\n"), "{served}");
+        assert!(!served.contains("— clean"), "{served}");
+    }
+
+    /// A partial remote pull: the served audit covers the rest and names what it missed.
+    #[test]
+    fn served_audit_after_a_partial_remote_pull_names_the_part_it_missed() {
+        let (server, addr) = spawn_serve(
+            "partial_pull",
+            &["8", "--backend", "fetch_add", "--audit", "1", "--max-conns", "8"],
+        );
+        let out = call(&["loadgen", "--addr", &addr, "--threads", "2", "--ops", "300"]).unwrap();
+        assert!(out.contains("permutation 0..300: true"), "{out}");
+        let audit = call(&["audit", "8", "--backend", "cluster", "--addr", &addr])
+            .unwrap_or_else(|report| report);
+        assert!(audit.contains("operations audited:      300"), "{audit}");
+        // These 100 take the values 300..400, so skip the 0..n check.
+        call(&["loadgen", "--addr", &addr, "--ops", "100", "--check", "0", "--shutdown", "1"])
+            .unwrap();
+        let served = server.join().unwrap().unwrap();
+        assert!(served.contains("increments:  400"), "{served}");
+        assert!(served.contains("0 skipped by 1-in-1 sampling, 300 taken by another puller\n"));
+        assert!(served.contains("audit: 100 ops audited"), "{served}");
+        assert!(served.ends_with("— incomplete (300 taken by another puller)\n"), "{served}");
+    }
+
+    #[test]
+    fn a_reordering_reads_as_violations_whatever_its_lateness() {
+        use cnet_core::{op::op, trace::OpSink};
+        // Process 1's 0 starts after process 0's 1 ends: SC, not linearizable,
+        // QQC lateness 1 — and no backend's contract forgives it.
+        let mut late = StreamingAuditor::new();
+        late.record(op(0, 0.0, 1.0, 1));
+        late.record(op(1, 2.0, 3.0, 0));
+        assert!(late.is_sequentially_consistent() && !late.is_linearizable());
+        let verdict = render_verdict(&late, None);
+        assert!(verdict.contains("linearizable:            false"), "{verdict}");
+        assert!(verdict.contains("qqc lateness: max 1"), "{verdict}");
+        assert!(verdict.ends_with("\naudit verdict: violations detected\n"), "{verdict}");
+        let mut clean = StreamingAuditor::new();
+        clean.record(op(0, 0.0, 1.0, 0));
+        clean.record(op(1, 2.0, 3.0, 1));
+        let verdict = render_verdict(&clean, Some(1000.0));
+        assert!(verdict.contains("audited rate: 1000 ops/s (wall clock)\n"), "{verdict}");
+        assert!(verdict.ends_with("\naudit verdict: clean (0 violations)\n"), "{verdict}");
+    }
+
     /// The sticky regression for the audit pipeline: a cluster audit with
     /// server-side sampling must still *fail closed* on a corrupted
     /// history. `--inject SEED` re-stamps one sampled op past the end of
@@ -1469,24 +1555,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_relaxed_backend_reports_lateness_instead_of_failing() {
-        // Multi-threaded relaxed runs may reorder; the audit must report
-        // the measured lateness and still exit zero (Ok) — the relaxed
-        // contract is the exact multiset, not the order.
-        let out = call(&[
-            "audit", "8", "--backend", "relaxed", "--threads", "4", "--ops", "2000",
-            "--sub-counters", "8",
-        ])
-        .unwrap();
-        assert!(out.contains("qqc lateness: max"), "{out}");
-        assert!(
-            out.contains("audit verdict: clean (0 violations)")
-                || out.contains("relaxed backend: reordering measured"),
-            "{out}"
-        );
-    }
-
-    #[test]
     fn audit_reports_fractions_and_family() {
         // Two threads on two CPUs may genuinely overtake (the paper's
         // phenomenon): the report is then the error. Its shape is the
@@ -1531,14 +1599,18 @@ mod tests {
         // `serve` lists the registry alone.
         let err = call(&["audit", "8", "--backend", "quantum"]).unwrap_err();
         assert!(err.contains("unknown backend") && err.contains("combining"), "{err}");
-        assert!(err.ends_with("elimination, remote, cluster)"), "{err}");
+        assert!(err.ends_with("lock, remote, cluster)"), "{err}");
         let err = call(&["serve", "8", "--backend", "remote"]).unwrap_err();
-        assert!(err.ends_with("relaxed, elimination)"), "{err}");
+        assert!(err.ends_with("lock)"), "{err}");
         assert!(usage().contains("compiled|combining|"));
         // The pre-compilation traversal is gone, and its name with it.
         let err = call(&["serve", "8", "--backend", "graph_walk"]).unwrap_err();
         assert!(err.contains("unknown backend") && err.contains("one of: compiled, combining,"), "{err}");
         assert!(call(&["audit", "8", "--bogus", "1"]).unwrap_err().contains("unknown flag"));
+        for command in ["audit", "serve"] {
+            let err = call(&[command, "8", "--sub-counters", "8"]).unwrap_err();
+            assert_eq!(err, "unknown flag --sub-counters", "{command}");
+        }
         assert!(call(&["audit", "6"]).is_err()); // not a power of two
     }
 

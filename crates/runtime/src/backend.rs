@@ -7,8 +7,8 @@
 //! socket, which this crate does not know about.)
 
 use crate::{
-    CombiningFunnel, DiffractingTree, EliminationCounter, FetchAddCounter, LockCounter,
-    ProcessCounter, RelaxedCounter, SharedNetworkCounter,
+    CombiningFunnel, DiffractingTree, FetchAddCounter, LockCounter, ProcessCounter,
+    SharedNetworkCounter,
 };
 use cnet_topology::Network;
 use std::sync::Arc;
@@ -29,22 +29,16 @@ pub enum Backend {
     FetchAdd,
     /// [`LockCounter`].
     Lock,
-    /// [`RelaxedCounter`].
-    Relaxed,
-    /// [`EliminationCounter`] over the compiled traversal.
-    Elimination,
 }
 
 impl Backend {
     /// Every backend, in the order usage texts list them.
-    pub const ALL: [Backend; 7] = [
+    pub const ALL: [Backend; 5] = [
         Backend::Compiled,
         Backend::Combining,
         Backend::Diffracting,
         Backend::FetchAdd,
         Backend::Lock,
-        Backend::Relaxed,
-        Backend::Elimination,
     ];
 
     /// The backend called `name`, if any.
@@ -60,28 +54,17 @@ impl Backend {
             Backend::Diffracting => "diffracting",
             Backend::FetchAdd => "fetch_add",
             Backend::Lock => "lock",
-            Backend::Relaxed => "relaxed",
-            Backend::Elimination => "elimination",
         }
     }
 
     /// Whether [`build`](Self::build) needs a [`Network`] to lay out.
     pub fn uses_network(self) -> bool {
-        matches!(self, Backend::Compiled | Backend::Combining | Backend::Elimination)
-    }
-
-    /// Whether an audit of this backend must come back clean. The relaxed
-    /// backends trade ordering for throughput *on purpose*: reordering is
-    /// their contract, so for them a non-linearizable verdict is a
-    /// measurement (reported as QQC lateness), not a failure.
-    pub fn enforces_order(self) -> bool {
-        !matches!(self, Backend::Relaxed | Backend::Elimination)
+        matches!(self, Backend::Compiled | Backend::Combining)
     }
 
     /// Constructs the backend: over `net` when it
     /// [`uses_network`](Self::uses_network), with `fan` diffracting-tree
-    /// leaves, `width` combining-funnel slots, and `sub_counters` relaxed
-    /// banks or elimination slots (0 is treated as 1).
+    /// leaves and `width` combining-funnel slots.
     ///
     /// # Errors
     ///
@@ -92,10 +75,8 @@ impl Backend {
         net: Option<&Network>,
         fan: usize,
         width: usize,
-        sub_counters: usize,
     ) -> Result<Arc<dyn ProcessCounter + Send + Sync>, String> {
         let net = || net.ok_or_else(|| format!("backend {} needs a network", self.name()));
-        let sub_counters = sub_counters.max(1);
         Ok(match self {
             Backend::Compiled => Arc::new(SharedNetworkCounter::new(net()?)),
             Backend::Combining => {
@@ -104,8 +85,6 @@ impl Backend {
             Backend::Diffracting => Arc::new(DiffractingTree::new(fan, PRISM_WIDTH)?),
             Backend::FetchAdd => Arc::new(FetchAddCounter::new()),
             Backend::Lock => Arc::new(LockCounter::new()),
-            Backend::Relaxed => Arc::new(RelaxedCounter::new(sub_counters)),
-            Backend::Elimination => Arc::new(EliminationCounter::new(net()?, sub_counters)),
         })
     }
 }
@@ -122,17 +101,16 @@ mod tests {
         let net = bitonic(4).unwrap();
         for b in Backend::ALL {
             assert_eq!(Backend::parse(b.name()), Some(b));
-            let counter = b.build(Some(&net), 4, 2, 3).unwrap();
+            let counter = b.build(Some(&net), 4, 2).unwrap();
             let mut values: Vec<u64> = (0..12).map(|p| counter.next_for(p % 2)).collect();
             values.sort_unstable();
             assert_eq!(values, (0..12).collect::<Vec<_>>(), "{}", b.name());
-            assert_eq!(b.build(None, 4, 2, 3).is_err(), b.uses_network(), "{}", b.name());
-            // Behind the recorder at two threads: still exactly 0..n (a
-            // relaxed backend may reorder, never lose or repeat), and the
-            // audit's two meters agree on what clean means.
+            assert_eq!(b.build(None, 4, 2).is_err(), b.uses_network(), "{}", b.name());
+            // Behind the recorder at two threads: still exactly 0..n, and
+            // the audit's two meters agree on what clean means.
             let workload = Workload { threads: 2, increments_per_thread: 500 };
             let recorder = Arc::new(TraceRecorder::new(2, 500));
-            let traced = Traced::new(b.build(Some(&net), 4, 2, 3).unwrap(), Arc::clone(&recorder));
+            let traced = Traced::new(b.build(Some(&net), 4, 2).unwrap(), Arc::clone(&recorder));
             let mut values: Vec<u64> = drive(&traced, workload).iter().map(|o| o.value).collect();
             values.sort_unstable();
             assert_eq!(values, (0..1000).collect::<Vec<_>>(), "{}", b.name());
@@ -141,7 +119,7 @@ mod tests {
             assert_eq!(auditor.f_nl() == 0.0, auditor.qqc_max() == 0, "{}", b.name());
         }
         assert_eq!(Backend::parse("remote"), None);
-        assert!(Backend::Diffracting.build(None, 6, 2, 3).is_err());
+        assert!(Backend::Diffracting.build(None, 6, 2).is_err());
     }
 
     #[test]
@@ -158,33 +136,15 @@ mod tests {
     }
 
     #[test]
-    fn only_the_relaxed_backends_may_reorder() {
-        let exempt: Vec<_> =
-            Backend::ALL.into_iter().filter(|b| !b.enforces_order()).map(Backend::name).collect();
-        assert_eq!(exempt, ["relaxed", "elimination"]);
-    }
-
-    #[test]
-    fn zero_sub_counters_builds_one() {
-        let net = bitonic(4).unwrap();
-        for b in [Backend::Relaxed, Backend::Elimination] {
-            let counter = b.build(Some(&net), 4, 2, 0).unwrap();
-            // One bank (or slot), one process: plain sequential counting.
-            let values: Vec<u64> = (0..8).map(|_| counter.next_for(0)).collect();
-            assert_eq!(values, (0..8).collect::<Vec<_>>(), "{}", b.name());
-        }
-    }
-
-    #[test]
     fn a_missing_network_is_named_in_the_error() {
         for b in Backend::ALL.into_iter().filter(|b| b.uses_network()) {
-            let err = b.build(None, 4, 2, 3).err().unwrap();
+            let err = b.build(None, 4, 2).err().unwrap();
             assert_eq!(err, format!("backend {} needs a network", b.name()));
         }
         // A network is ignored, not rejected, where none is needed.
         let net = bitonic(4).unwrap();
         for b in Backend::ALL.into_iter().filter(|b| !b.uses_network()) {
-            assert!(b.build(Some(&net), 4, 2, 3).is_ok(), "{}", b.name());
+            assert!(b.build(Some(&net), 4, 2).is_ok(), "{}", b.name());
         }
     }
 }

@@ -70,7 +70,6 @@ pub mod drain;
 pub mod history;
 pub mod paced;
 pub mod recorder;
-pub mod relaxed;
 
 pub use backend::Backend;
 pub use baseline::{FetchAddCounter, LockCounter};
@@ -85,7 +84,6 @@ pub use recorder::{
     drain_remaining, drive_audited, AuditedRun, ShardStealer, TraceRecorder, Traced,
 };
 pub use paced::LocallyPacedCounter;
-pub use relaxed::{EliminationCounter, RelaxedCounter, DEFAULT_SUB_COUNTERS};
 
 /// A shared counter usable concurrently by many processes.
 ///

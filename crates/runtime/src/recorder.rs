@@ -475,6 +475,13 @@ impl TraceRecorder {
         self.shards[shard].wr.skipped.load(Ordering::Relaxed)
     }
 
+    /// Total events every puller has moved out of the rings so far
+    /// ([`pull_shard`](Self::pull_shard), by whichever thread). Less what
+    /// one auditor pulled itself, this is what it never saw.
+    pub fn pulled(&self) -> u64 {
+        self.shards.iter().map(|s| s.tail.load(Ordering::Acquire) as u64).sum()
+    }
+
     /// Moves every currently-published event out of **one** shard's ring
     /// into a callback `(enter_ns, exit_ns, value)`, in record order with
     /// nondecreasing enter times, converting raw ticks to nanoseconds.

@@ -523,38 +523,35 @@ wait "$tail_pid" "$head_pid"
 rm -f "$tail_pf" "$head_pf"
 echo "cluster smoke: ok (2-node B(8), 100k ops routed via the tail, clean merged audit)"
 
-# Relaxed-service smoke: a RelaxedCounter-backed serve on an ephemeral
-# port must hand an exact permutation to a concurrent loadgen (ordering
-# may relax across the socket, the multiset may not), and the relaxed
-# audit must report measured lateness with a zero exit code, its run's
-# wall-clock rate beside it: one point of the throughput-vs-lateness
-# frontier.
+# Diffracting-service smoke: a DiffractingTree-backed serve on an
+# ephemeral port must hand an exact permutation to a concurrent pipelined
+# loadgen. Prism pairings reorder values between clients, and the
+# transport may reorder them further; the multiset may not change.
 port_file=$(mktemp)
 rm -f "$port_file"
 cargo run -q --release --offline -p cnet-cli -- \
-    serve 8 --backend relaxed --sub-counters 8 --max-conns 8 \
-    --port-file "$port_file" &
+    serve 8 --backend diffracting --max-conns 8 --port-file "$port_file" &
 serve_pid=$!
 for _ in $(seq 1 100); do
     [ -s "$port_file" ] && break
     if ! kill -0 "$serve_pid" 2>/dev/null; then
-        echo "error: cnet serve (relaxed smoke) exited before binding" >&2
+        echo "error: cnet serve (diffracting smoke) exited before binding" >&2
         exit 1
     fi
     sleep 0.1
 done
 if [ ! -s "$port_file" ]; then
-    echo "error: cnet serve (relaxed smoke) never wrote its port file" >&2
+    echo "error: cnet serve (diffracting smoke) never wrote its port file" >&2
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
 addr=$(cat "$port_file")
-relaxed_out=$(cargo run -q --release --offline -p cnet-cli -- \
+diffracting_out=$(cargo run -q --release --offline -p cnet-cli -- \
     loadgen --addr "$addr" --threads 4 --ops 20000 --batch 64 --mode pipeline \
     --check 1 --shutdown 1)
-echo "$relaxed_out"
-if ! echo "$relaxed_out" | grep -q "permutation 0..20000: true"; then
-    echo "error: relaxed networked values were not a permutation of 0..n" >&2
+echo "$diffracting_out"
+if ! echo "$diffracting_out" | grep -q "permutation 0..20000: true"; then
+    echo "error: diffracting networked values were not a permutation of 0..n" >&2
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
@@ -567,24 +564,12 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 if [ "$drained" -ne 1 ]; then
-    echo "error: cnet serve (relaxed smoke) failed to drain after shutdown" >&2
+    echo "error: cnet serve (diffracting smoke) failed to drain after shutdown" >&2
     kill -9 "$serve_pid" 2>/dev/null || true
     exit 1
 fi
 wait "$serve_pid"
 rm -f "$port_file"
-relaxed_audit=$(cargo run -q --release --offline -p cnet-cli -- \
-    audit 8 --backend relaxed --threads 4 --ops 5000) || {
-    echo "error: relaxed audit must report lateness, not fail the process" >&2
-    exit 1
-}
-echo "$relaxed_audit" | tail -n 4
-for line in "qqc lateness: max" "audited rate: "; do
-    if ! echo "$relaxed_audit" | grep -q "$line"; then
-        echo "error: relaxed audit did not print '$line'" >&2
-        exit 1
-    fi
-done
-echo "relaxed smoke: ok (permutation over tcp, measured-lateness audit with its rate)"
+echo "diffracting smoke: ok (permutation over tcp)"
 
 echo "verify: ok"

@@ -24,11 +24,10 @@
 //!   3. two-writer/one-drainer trace recorder — drained intervals always
 //!      contain the true operation, so widening never fabricates a
 //!      precedence the monitors would rely on;
-//!   4. two-thread elimination exchange — exactly-once payment;
-//!   5. two writers and two shard stealers — the parallel audit pipeline's
+//!   4. two writers and two shard stealers — the parallel audit pipeline's
 //!      steal path;
-//!   6. empty batches create no scheduling point;
-//!   7. seeded bugs — a broken funnel and a broken traversal are caught
+//!   5. empty batches create no scheduling point;
+//!   6. seeded bugs — a broken funnel and a broken traversal are caught
 //!      with a replay string.
 //!
 //! The refinement check: under `model-check` a `SharedNetworkCounter` logs
@@ -908,7 +907,6 @@ const _: () = assert!(
         + MULTI_WIRE_FLOOR
         + FUSED_WORD_SCHEDULES
         + BATCH_OF_ONE_SCHEDULES
-        + ELIMINATION_FLOOR
         + STEAL_FLOOR
         + IRREGULAR_FLOOR
         >= TOTAL_FLOOR
@@ -987,72 +985,7 @@ fn batch_of_one_is_next_for_under_all_schedules() {
 }
 
 // ---------------------------------------------------------------------
-// Elimination exchange: two threads, one token each, one slot. The
-// partner pays the waiter out of a width-2 batched traversal, so the
-// pair must land exactly the values {0, 1} — no value invented for the
-// waiter, none lost when a retract races a claim. Every interleaving of
-// the CAS protocol (offer, spin, retract-vs-claim, payment) is explored,
-// including the tight race where the waiter's retract CAS fails because
-// the partner just committed: the waiter is then *obligated* to take the
-// payment, and exactly-once hinges on it.
-// ---------------------------------------------------------------------
-
-const ELIMINATION_FLOOR: u64 = 500;
-
-#[test]
-fn elimination_exchange_is_exactly_once_under_all_schedules() {
-    use cnet_runtime::EliminationCounter;
-    let _clean = clean_guard();
-    // Reachability across schedules (std atomics: bookkeeping only).
-    let eliminated_reached = AtomicU64::new(0);
-    let fell_through_reached = AtomicU64::new(0);
-    let stats = model::explore(
-        2,
-        3,
-        || {
-            let net = bitonic(2).expect("B(2) builds");
-            (EliminationCounter::new(&net, 1), Mutex::new(Vec::new()))
-        },
-        |s, tid| {
-            let v = s.0.next_for(tid);
-            s.1.lock().unwrap().push(v);
-        },
-        |s| {
-            let mut values = s.1.lock().unwrap().clone();
-            values.sort_unstable();
-            assert_eq!(values, vec![0, 1], "exchange must hand out exactly {{0, 1}}");
-            let (eliminated, fell_through) = s.0.elimination_stats();
-            assert_eq!(
-                eliminated + fell_through,
-                2,
-                "every token is eliminated or falls through, never both or neither"
-            );
-            assert!(eliminated % 2 == 0, "eliminations happen in pairs");
-            eliminated_reached.fetch_add(eliminated, Ordering::Relaxed);
-            fell_through_reached.fetch_add(fell_through, Ordering::Relaxed);
-        },
-    );
-    eprintln!(
-        "model_check: elimination_exchange: {} schedules, {} points, depth {}",
-        stats.schedules, stats.points, stats.max_depth
-    );
-    assert!(
-        stats.schedules >= ELIMINATION_FLOOR,
-        "expected >= {ELIMINATION_FLOOR} schedules, got {}",
-        stats.schedules
-    );
-    assert!(
-        eliminated_reached.load(Ordering::Relaxed) > 0,
-        "some schedule must exercise the elimination (pairing) path"
-    );
-    assert!(
-        fell_through_reached.load(Ordering::Relaxed) > 0,
-        "some schedule must exercise the toggle fallback path"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Scenario 5: two recorder writers and two shard-stealing auditors —
+// Scenario 4: two recorder writers and two shard-stealing auditors —
 // the parallel audit pipeline's steal path under all bounded schedules.
 // ---------------------------------------------------------------------
 

@@ -9,7 +9,8 @@ use cnet_net::loadgen::{run_loadgen, LoadGenConfig, LoadGenMode};
 use cnet_net::server::{Backpressure, CounterServer, ServerConfig};
 use cnet_net::RemoteCounter;
 use cnet_runtime::{
-    drain_remaining, FetchAddCounter, RelaxedCounter, SharedNetworkCounter, TraceRecorder,
+    drain_remaining, CombiningFunnel, DiffractingTree, FetchAddCounter, SharedNetworkCounter,
+    TraceRecorder,
 };
 use cnet_topology::construct::bitonic;
 use std::sync::Arc;
@@ -309,18 +310,18 @@ fn graceful_shutdown_answers_inflight_frames_before_bye() {
     assert_eq!(server.stats().ops, 8);
 }
 
-/// The relaxed backend across the socket: concurrent pipelined clients
-/// against a [`RelaxedCounter`]-backed server still receive exactly the
-/// multiset `0..total` — relaxation reorders values between clients but
-/// never invents, drops, or duplicates one, and the transport preserves
+/// A diffracting tree across the socket: concurrent pipelined clients
+/// against a [`DiffractingTree`]-backed server still receive exactly the
+/// multiset `0..total` — prism pairings reorder values between clients
+/// but never invent, drop, or duplicate one, and the transport preserves
 /// that.
 #[test]
-fn relaxed_backend_over_tcp_hands_out_the_exact_multiset() {
+fn diffracting_backend_over_tcp_hands_out_the_exact_multiset() {
     let threads = 4;
     let ops_per_thread = 2_500;
     let mut server = CounterServer::start(
         "127.0.0.1:0",
-        Arc::new(RelaxedCounter::new(8)),
+        Arc::new(DiffractingTree::new(8, 4).expect("8 is a tree width")),
         ServerConfig { max_connections: threads, processes: threads, ..ServerConfig::default() },
     )
     .expect("bind ephemeral loopback port");
@@ -341,7 +342,46 @@ fn relaxed_backend_over_tcp_hands_out_the_exact_multiset() {
     assert_eq!(
         report.is_permutation(),
         Some(true),
-        "relaxed values over the wire must be exactly 0..{}",
+        "diffracting values over the wire must be exactly 0..{}",
+        report.total_ops
+    );
+    server.shutdown();
+    assert_eq!(server.stats().ops, report.total_ops);
+}
+
+/// A combining funnel across the socket: pipelined batches from
+/// concurrent clients are combined in the funnel and split back out
+/// through the compiled traversal, and the values received are still
+/// exactly the multiset `0..total`.
+#[test]
+fn combining_backend_over_tcp_hands_out_the_exact_multiset() {
+    let threads = 4;
+    let ops_per_thread = 2_500;
+    let net = bitonic(8).expect("8 is a bitonic width");
+    let mut server = CounterServer::start(
+        "127.0.0.1:0",
+        Arc::new(CombiningFunnel::new(SharedNetworkCounter::new(&net), threads)),
+        ServerConfig { max_connections: threads, processes: threads, ..ServerConfig::default() },
+    )
+    .expect("bind ephemeral loopback port");
+    let report = run_loadgen(
+        server.local_addr(),
+        &LoadGenConfig {
+            threads,
+            connections: 0,
+            ops_per_thread,
+            batch: 64,
+            mode: LoadGenMode::Pipeline,
+            collect_values: true,
+            route: false,
+        },
+    )
+    .expect("loadgen completes");
+    assert_eq!(report.total_ops, (threads * ops_per_thread) as u64);
+    assert_eq!(
+        report.is_permutation(),
+        Some(true),
+        "combining values over the wire must be exactly 0..{}",
         report.total_ops
     );
     server.shutdown();

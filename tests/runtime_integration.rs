@@ -2,16 +2,18 @@
 //! audited with the `cnet-core` checkers: the shared-memory network, the
 //! diffracting tree, and the message-passing network of Section 2.3 — a
 //! loopback cluster chain whose nodes each own a range of layers and pass
-//! a batch across each cut as one message over a socket.
+//! a batch across each cut as one message over a socket. Also the backend
+//! registry's counters, and what the trace recorder counts as pulled.
 
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
 use cnet_core::fractions::{
     non_linearizability_fraction, non_sequential_consistency_fraction,
 };
 use cnet_net::{ClusterNode, CounterServer, RemoteCounter, ServerConfig};
+use cnet_core::trace::OpEvent;
 use cnet_runtime::{
-    drive, CounterBarrier, DiffractingTree, FetchAddCounter, LockCounter, ProcessCounter,
-    SharedNetworkCounter, Workload,
+    drain_remaining, drive, Backend, CounterBarrier, DiffractingTree, FetchAddCounter,
+    LockCounter, ProcessCounter, ShardStealer, SharedNetworkCounter, TraceRecorder, Workload,
 };
 use cnet_topology::construct::{bitonic, counting_tree, periodic};
 use cnet_topology::state::{has_step_property, NetworkState};
@@ -281,4 +283,156 @@ fn runtime_agrees_with_simulator_semantics_sequentially() {
             );
         }
     }
+}
+
+#[test]
+fn all_lists_the_five_counters_in_usage_order() {
+    let names = Backend::ALL.map(Backend::name);
+    assert_eq!(names, ["compiled", "combining", "diffracting", "fetch_add", "lock"]);
+    for name in ["relaxed", "elimination"] {
+        assert_eq!(Backend::parse(name), None, "{name}");
+    }
+}
+
+#[test]
+fn one_process_gets_every_backend_in_order_singles_and_batches_alike() {
+    // Alone, each counter is a sequential fetch-and-increment: singles
+    // and batches interleave into 0, 1, 2, … in the order claimed.
+    let net = bitonic(8).unwrap();
+    for b in Backend::ALL {
+        let counter = b.build(Some(&net), 8, 2).unwrap();
+        let mut values = Vec::new();
+        for k in [1, 5, 0, 16, 3] {
+            values.push(counter.next_for(0));
+            values.extend(counter.next_batch_for(0, k));
+        }
+        assert_eq!(values, (0..30).collect::<Vec<_>>(), "{}", b.name());
+    }
+}
+
+#[test]
+fn an_empty_batch_claims_nothing_on_every_backend() {
+    let net = bitonic(4).unwrap();
+    for b in Backend::ALL {
+        let counter = b.build(Some(&net), 4, 2).unwrap();
+        assert!(counter.next_batch_for(1, 0).is_empty(), "{}", b.name());
+        assert_eq!(counter.next_for(1), 0, "{}", b.name());
+        assert!(counter.next_batch_for(0, 0).is_empty(), "{}", b.name());
+        assert_eq!(counter.next_batch_for(0, 2), [1, 2], "{}", b.name());
+    }
+}
+
+#[test]
+fn every_backend_mixes_batches_and_singles_densely_under_contention() {
+    // Four threads each alternate a single with a batch of 1..=7: the
+    // union must be exactly 0..n, and each batch exactly k values.
+    let net = bitonic(8).unwrap();
+    let (threads, rounds) = (4, 150);
+    for b in Backend::ALL {
+        let counter = b.build(Some(&net), 8, threads).unwrap();
+        let mut values: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|p| {
+                    let counter = &counter;
+                    s.spawn(move || {
+                        let mut mine = Vec::new();
+                        for r in 0..rounds {
+                            mine.push(counter.next_for(p));
+                            let k = 1 + (r + p) % 7;
+                            let batch = counter.next_batch_for(p, k);
+                            assert_eq!(batch.len(), k);
+                            mine.extend(batch);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        let n = values.len() as u64;
+        values.sort_unstable();
+        assert_eq!(values, (0..n).collect::<Vec<_>>(), "{}", b.name());
+    }
+}
+
+#[test]
+fn pulled_sums_every_shard_and_only_what_left_the_rings() {
+    let rec = TraceRecorder::new(3, 64);
+    for v in 0..5 {
+        rec.record(0, v);
+    }
+    for v in 5..8 {
+        rec.record(2, v);
+    }
+    // Written but unpublished, then published but not yet pulled.
+    assert_eq!(rec.pulled(), 0);
+    rec.flush(0);
+    rec.flush(2);
+    assert_eq!(rec.pulled(), 0);
+    assert_eq!(rec.pull_shard(0, |_, _, _| {}), 5);
+    assert_eq!(rec.pulled(), 5);
+    let mut events: Vec<OpEvent> = Vec::new();
+    assert_eq!(drain_remaining(&rec, &mut events), 3);
+    assert_eq!(rec.pulled(), 8);
+    // A dry pass moves nothing and counts nothing.
+    assert_eq!(drain_remaining(&rec, &mut events), 0);
+    assert_eq!(rec.pulled(), 8);
+}
+
+#[test]
+fn pulled_counts_neither_drops_nor_sampling_skips() {
+    // 1-in-2 sampling into a 4-slot ring, never pulled while writing:
+    // 20 ops sample 10, of which 4 fit and 6 drop.
+    let rec = TraceRecorder::with_sampling(1, 4, 2);
+    for v in 0..20 {
+        rec.record(0, v);
+    }
+    let mut events: Vec<OpEvent> = Vec::new();
+    let moved = drain_remaining(&rec, &mut events) as u64;
+    assert_eq!((moved, rec.dropped(), rec.skipped()), (4, 6, 10));
+    assert_eq!(rec.pulled(), moved);
+    assert_eq!(rec.pulled() + rec.dropped() + rec.skipped(), 20);
+}
+
+#[test]
+fn pulled_keeps_counting_across_ring_wraparounds() {
+    // An 8-slot ring pulled every 6 ops laps itself 124 times; the
+    // total is a lifetime count, not a ring position.
+    let rec = TraceRecorder::new(1, 8);
+    let mut moved = 0;
+    for round in 0..1000u64 / 6 {
+        for i in 0..6 {
+            assert!(rec.record(0, round * 6 + i));
+        }
+        rec.flush(0);
+        moved += rec.pull_shard(0, |_, _, _| {});
+    }
+    assert_eq!(moved, 996);
+    assert_eq!(rec.pulled(), 996);
+    assert_eq!(rec.dropped(), 0);
+}
+
+#[test]
+fn pulled_less_a_stealers_take_is_what_another_puller_moved() {
+    // One owner steals shard 0 and later drains the rest; in between a
+    // second puller (a remote trace fetch) empties shard 1. What the
+    // owner never saw is exactly the second puller's take.
+    let rec = TraceRecorder::new(2, 256);
+    let mut stealer = ShardStealer::new(0);
+    for v in 0..100 {
+        rec.record(0, 2 * v);
+        rec.record(1, 2 * v + 1);
+    }
+    rec.flush(0);
+    rec.flush(1);
+    let stolen = stealer.steal(&rec);
+    let elsewhere = rec.pull_shard(1, |_, _, _| {});
+    assert_eq!((stolen, elsewhere), (100, 100));
+    for v in 100..130 {
+        rec.record(1, v);
+    }
+    let mut events: Vec<OpEvent> = Vec::new();
+    let drained = drain_remaining(&rec, &mut events);
+    assert_eq!(drained, 30);
+    assert_eq!(rec.pulled() - (stolen + drained) as u64, elsewhere as u64);
 }
