@@ -484,7 +484,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             let drained = cnet_runtime::drain_remaining(rec, &mut auditor);
             let taken = rec.pulled() - drained as u64;
             let (dropped, skipped) = (rec.dropped(), rec.skipped());
-            out.push_str(&served_audit(&auditor, dropped, skipped, taken, sample_k));
+            out.push_str(&served_audit(&auditor, stats.ops, dropped, skipped, taken, sample_k));
         } else {
             // Writers are quiescent once `shutdown()` has joined the
             // reactors: settle every partial sampling window and publish
@@ -509,30 +509,41 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             );
             let taken = rec.pulled() - stolen as u64;
             let (dropped, skipped) = (rec.dropped(), rec.skipped());
-            out.push_str(&served_audit(merged.auditor(), dropped, skipped, taken, sample_k));
+            let a = merged.auditor();
+            out.push_str(&served_audit(a, stats.ops, dropped, skipped, taken, sample_k));
         }
     }
     Ok(out)
 }
 
-/// The served audit's coverage and verdict lines. Events a full ring
-/// dropped, and events another puller (a remote `cnet audit --backend
-/// cluster`) `taken` out of the rings, never reached this auditor, so a
-/// clean verdict over them reads `incomplete` and every verdict names the
+/// The served audit's coverage and verdict lines, checked against the
+/// `served` increments the node counted. Events a full ring dropped,
+/// events another puller (a remote `cnet audit --backend cluster`)
+/// `taken` out of the rings, and served operations this node never
+/// recorded (a cluster node past the head counts forwarded increments
+/// that only the head records) never reached this auditor, so a clean
+/// verdict over them reads `incomplete` and every verdict names the
 /// counts. Sampling skips stay sound — a sampled interval only widens the
 /// truth — so they are counted but leave the verdict alone.
 fn served_audit(
     a: &StreamingAuditor,
+    served: u64,
     dropped: u64,
     skipped: u64,
     taken: u64,
     sample_k: usize,
 ) -> String {
-    let missed: Vec<String> = [(dropped, "dropped"), (taken, "taken by another puller")]
-        .iter()
-        .filter(|(n, _)| *n > 0)
-        .map(|(n, what)| format!("{n} {what}"))
-        .collect();
+    let accounted = a.operations() as u64 + dropped + skipped + taken;
+    let unrecorded = served.saturating_sub(accounted);
+    let missed: Vec<String> = [
+        (dropped, "dropped"),
+        (taken, "taken by another puller"),
+        (unrecorded, "served ops not recorded on this node"),
+    ]
+    .iter()
+    .filter(|(n, _)| *n > 0)
+    .map(|(n, what)| format!("{n} {what}"))
+    .collect();
     let summary = a.summary();
     let verdict = match summary.rsplit_once(" — ") {
         Some((body, verdict)) if !missed.is_empty() => {
@@ -542,8 +553,8 @@ fn served_audit(
         _ => summary,
     };
     format!(
-        "audit coverage: {dropped} dropped, {skipped} skipped by 1-in-{sample_k} sampling, \
-         {taken} taken by another puller\n\
+        "audit coverage: {served} served, {dropped} dropped, {skipped} skipped by \
+         1-in-{sample_k} sampling, {taken} taken by another puller\n\
          audit: {verdict}\n"
     )
 }
@@ -770,10 +781,10 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
     let mut out = format!("== cnet audit: backend=cluster, {chain} node(s) ==\n\n");
     // Fetch each node's shard frontiers until every stream stays dry over
     // a settle delay (the server's close-time flush is asynchronous).
-    // Frontiers carry lifetime totals (drops, sampling skips) and the
-    // shard's locally witnessed partial verdict alongside the buffered
-    // events, so all of them are kept and folded in fetch order — the
-    // MergeAuditor's "latest frontier wins" rule keeps the stats exact.
+    // Frontiers carry lifetime totals (drops, sampling skips) alongside
+    // the buffered events, so all of them are kept and folded in fetch
+    // order — the MergeAuditor's "latest frontier wins" rule keeps the
+    // stats exact.
     let shards_per_node: Vec<usize> =
         members.iter().map(|(info, _, _)| info.shards as usize).collect();
     let mut fetched: Vec<(usize, ShardFrontier)> = Vec::new();
@@ -1199,7 +1210,7 @@ mod tests {
         assert!(served.contains("increments:  2000"), "{served}");
         assert!(served.contains("reactor:"), "{served}");
         assert!(served.contains("audit: 2000 ops audited"), "{served}");
-        assert!(served.contains("audit coverage: 0 dropped, 0 skipped"), "{served}");
+        assert!(served.contains("audit coverage: 2000 served, 0 dropped, 0 skipped"), "{served}");
         assert!(served.contains("— clean"), "{served}");
     }
 
@@ -1220,7 +1231,10 @@ mod tests {
         assert!(out.contains("server shutdown requested and acknowledged"), "{out}");
         let served = server.join().unwrap().unwrap();
         assert!(served.contains("increments:  100000"), "{served}");
-        assert!(served.contains("audit coverage: 34464 dropped, 0 skipped"), "{served}");
+        assert!(
+            served.contains("audit coverage: 100000 served, 34464 dropped, 0 skipped"),
+            "{served}"
+        );
         assert!(served.contains("audit: 65536 ops audited"), "{served}");
         assert!(served.contains("— incomplete (34464 dropped)"), "{served}");
         assert!(!served.contains("— clean"), "{served}");
@@ -1234,30 +1248,36 @@ mod tests {
         clean.record(op(0, 0.0, 1.0, 0));
         clean.record(op(0, 2.0, 3.0, 1));
         // Sampling skips are counted and change nothing else.
-        let sampled = served_audit(&clean, 0, 6, 0, 4);
+        let sampled = served_audit(&clean, 8, 0, 6, 0, 4);
         assert!(sampled.starts_with(
-            "audit coverage: 0 dropped, 6 skipped by 1-in-4 sampling, 0 taken by another puller\n"
+            "audit coverage: 8 served, 0 dropped, 6 skipped by 1-in-4 sampling, \
+             0 taken by another puller\n"
         ));
         assert!(sampled.ends_with("— clean\n"), "{sampled}");
-        let truncated = served_audit(&clean, 5, 0, 0, 1);
+        let truncated = served_audit(&clean, 7, 5, 0, 0, 1);
         assert!(truncated.contains("audit: 2 ops audited"), "{truncated}");
         assert!(truncated.ends_with("— incomplete (5 dropped)\n"), "{truncated}");
-        let taken = served_audit(&clean, 0, 0, 9, 1);
+        let taken = served_audit(&clean, 11, 0, 0, 9, 1);
         assert!(taken.ends_with("— incomplete (9 taken by another puller)\n"), "{taken}");
-        let missed = served_audit(&clean, 5, 0, 9, 1);
+        let missed = served_audit(&clean, 16, 5, 0, 9, 1);
         assert!(
             missed.ends_with("— incomplete (5 dropped, 9 taken by another puller)\n"),
             "{missed}"
         );
+        // Served operations nobody accounts for are named too.
+        let unrecorded = served_audit(&clean, 10, 5, 0, 0, 1);
+        let want = "— incomplete (5 dropped, 3 served ops not recorded on this node)\n";
+        assert!(unrecorded.ends_with(want), "{unrecorded}");
         // A violation stays a violation, and still names what it missed.
         let mut violated = StreamingAuditor::new();
         violated.record(op(0, 0.0, 1.0, 5));
         violated.record(op(1, 0.5, 1.5, 0));
         violated.record(op(0, 2.0, 3.0, 3));
         assert!(!violated.is_clean());
-        assert!(served_audit(&violated, 0, 0, 0, 1).ends_with("— violations detected\n"));
-        let both = served_audit(&violated, 7, 0, 0, 1);
+        assert!(served_audit(&violated, 3, 0, 0, 0, 1).ends_with("— violations detected\n"));
+        let both = served_audit(&violated, 10, 7, 0, 0, 1);
         assert!(both.ends_with("— violations detected (7 dropped)\n"), "{both}");
+
     }
 
     #[test]
@@ -1431,10 +1451,49 @@ mod tests {
         call(&["loadgen", "--addr", &addr, "--ops", "0", "--shutdown", "1"]).unwrap();
         let served = server.join().unwrap().unwrap();
         assert!(served.contains("increments:  400"), "{served}");
+        assert!(served.contains("audit coverage: 400 served, 0 dropped, 0 skipped"), "{served}");
         assert!(served.contains("0 dropped, 0 skipped by 1-in-1 sampling, 400 taken"), "{served}");
         assert!(served.contains("audit: 0 ops audited"), "{served}");
         assert!(served.ends_with("— incomplete (400 taken by another puller)\n"), "{served}");
         assert!(!served.contains("— clean"), "{served}");
+    }
+
+    /// A cluster node past the head counts the increments forwarded to
+    /// it but records none of them (recording is the head's): its served
+    /// audit must say so instead of reading clean over nothing, while the
+    /// head's covers every operation it served.
+    #[test]
+    fn served_audit_on_a_cluster_tail_names_what_it_did_not_record() {
+        let (tail, tail_addr) = spawn_serve(
+            "unrecorded_tail",
+            &["8", "--cluster", "1/2", "--audit", "1", "--max-conns", "8"],
+        );
+        let (head, head_addr) = spawn_serve(
+            "unrecorded_head",
+            &["8", "--cluster", "0/2", "--peers", &tail_addr, "--audit", "1", "--max-conns", "8"],
+        );
+        // One sequential client, so the head's own verdict is clean.
+        let out = call(&[
+            "loadgen", "--addr", &head_addr, "--cluster", "1", "--threads", "1", "--ops", "400",
+            "--batch", "16", "--check", "1",
+        ])
+        .unwrap();
+        assert!(out.contains("permutation 0..400: true"), "{out}");
+        for addr in [&tail_addr, &head_addr] {
+            call(&["loadgen", "--addr", addr, "--ops", "0", "--shutdown", "1"]).unwrap();
+        }
+        let tail_out = tail.join().unwrap().unwrap();
+        let head_out = head.join().unwrap().unwrap();
+        assert!(tail_out.contains("audit coverage: 400 served, 0 dropped"), "{tail_out}");
+        assert!(tail_out.contains("audit: 0 ops audited"), "{tail_out}");
+        assert!(
+            tail_out.ends_with("— incomplete (400 served ops not recorded on this node)\n"),
+            "{tail_out}"
+        );
+        assert!(head_out.contains("audit coverage: 400 served, 0 dropped"), "{head_out}");
+        assert!(head_out.contains("1-in-1 sampling, 0 taken by another puller\n"), "{head_out}");
+        assert!(head_out.contains("audit: 400 ops audited"), "{head_out}");
+        assert!(head_out.ends_with("— clean\n"), "{head_out}");
     }
 
     /// A partial remote pull: the served audit covers the rest and names what it missed.
@@ -1454,6 +1513,7 @@ mod tests {
             .unwrap();
         let served = server.join().unwrap().unwrap();
         assert!(served.contains("increments:  400"), "{served}");
+        assert!(served.contains("audit coverage: 400 served, 0 dropped"), "{served}");
         assert!(served.contains("0 skipped by 1-in-1 sampling, 300 taken by another puller\n"));
         assert!(served.contains("audit: 100 ops audited"), "{served}");
         assert!(served.ends_with("— incomplete (300 taken by another puller)\n"), "{served}");

@@ -714,11 +714,12 @@ impl EventMerger {
 }
 
 /// One shard's contribution to a merged audit: its buffered events (still
-/// raw — no global sequence numbers yet), its release watermark, and the
-/// partial verdict its [`ShardMonitor`] computed locally. This is the unit
-/// a cluster node ships over the wire (instead of raw stamps alone) and
-/// the unit an audit worker hands to the [`MergeAuditor`] at an epoch
-/// boundary.
+/// raw — no global sequence numbers yet), its release watermark and its
+/// drop/skip accounting. This is the unit a cluster node ships over the
+/// wire and the unit an audit worker hands to the [`MergeAuditor`] at an
+/// epoch boundary. It carries no verdict: the Section 2.4 verdicts and the
+/// Section 5.1 flags are properties of the whole merged history, and the
+/// [`MergeAuditor`] alone computes them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardFrontier {
     /// The (merger-)shard index these events belong to.
@@ -735,32 +736,15 @@ pub struct ShardFrontier {
     /// Events deliberately not recorded by the 1-in-k sampling mode (they
     /// widen neighbouring intervals instead; see the recorder docs).
     pub skipped: u64,
-    /// Locally witnessed non-linearizable events (sound lower bound: a
-    /// precedence inside one shard is a genuine real-time precedence).
-    pub candidate_non_lin: usize,
-    /// Locally witnessed per-process value inversions. When sharding is
-    /// per process — the recorder's layout — this is *exact*, not a bound.
-    pub non_sc: usize,
 }
 
-/// The per-shard half of the parallel audit pipeline: consumes one
-/// recorder ring shard **in place** (no global k-way merge on the hot
-/// path) and maintains a local partial verdict — local SC order and
-/// candidate linearizability inversions — while buffering the events for
-/// the lazy global merge. Each event costs `O(log c)` in the shard's own
-/// concurrency `c`, and the state besides the buffered events is the
-/// pending heap (at most `c` entries) and one value per distinct process
-/// id, in [`StreamingAuditor`]'s process table: nothing grows with the
-/// number of events observed. The lateness distribution is the
-/// [`MergeAuditor`]'s business alone.
-///
-/// Soundness of the partial verdict: operations recorded on one shard are
-/// in genuine program/real-time order, so any inversion witnessed locally
-/// is a real violation of the global history too (the converse is not
-/// true — cross-shard inversions only show up in the [`MergeAuditor`]'s
-/// exact pass). With the recorder's one-shard-per-process layout the SC
-/// count is exact, because sequential consistency only constrains
-/// per-process order.
+/// The eager half of the parallel audit pipeline: consumes one recorder
+/// ring shard **in place** (no global k-way merge on the hot path) and
+/// buffers its events, with their release watermark and the shard's
+/// drop/skip accounting, for the lazy global merge. It judges nothing —
+/// every verdict is a property of the merged history and the
+/// [`MergeAuditor`]'s business alone — so an event costs a clamp and a
+/// push, and the state besides the buffered events is a few words.
 ///
 /// # Example
 ///
@@ -771,47 +755,26 @@ pub struct ShardFrontier {
 /// mon.observe(RawOp { process: 0, enter_ns: 0, exit_ns: 1, value: 5 });
 /// mon.observe(RawOp { process: 0, enter_ns: 2, exit_ns: 3, value: 1 });
 /// let f = mon.take_frontier(false);
-/// assert_eq!(f.candidate_non_lin, 1); // 5 finished before 1 entered
-/// assert_eq!(f.non_sc, 1); // same process, value decreased
+/// assert_eq!((f.ops.len(), f.watermark), (2, Some(2)));
 /// let mut merged = MergeAuditor::new(1);
 /// merged.ingest(f);
+/// assert_eq!(merged.auditor().non_linearizable(), 1); // 5 finished before 1 entered
+/// assert_eq!(merged.auditor().non_sequentially_consistent(), 1); // value decreased
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardMonitor {
     shard: usize,
     ops: Vec<RawOp>,
     watermark: Option<u64>,
     dropped: u64,
     skipped: u64,
-    /// Locally pending ops: `(exit_ns, value)` min-heap, popped as later
-    /// ops enter.
-    pending: BinaryHeap<Reverse<(u64, u64)>>,
-    /// The largest locally finished value; 0 (below which no value lies)
-    /// until something finishes.
-    max_finished: u64,
-    candidate_non_lin: usize,
-    /// Per process: the previous value observed (adjacent-pair SC check).
-    prev: ProcessTable<u64>,
-    non_sc: usize,
     observed: usize,
 }
 
 impl ShardMonitor {
     /// A fresh monitor for (merger-)shard `shard`.
     pub fn new(shard: usize) -> ShardMonitor {
-        ShardMonitor {
-            shard,
-            ops: Vec::new(),
-            watermark: None,
-            dropped: 0,
-            skipped: 0,
-            pending: BinaryHeap::new(),
-            max_finished: 0,
-            candidate_non_lin: 0,
-            prev: ProcessTable::default(),
-            non_sc: 0,
-            observed: 0,
-        }
+        ShardMonitor { shard, ..ShardMonitor::default() }
     }
 
     /// The shard index this monitor consumes.
@@ -829,42 +792,17 @@ impl ShardMonitor {
         self.ops.len()
     }
 
-    /// Operations currently pending locally (bounded by the shard's own
-    /// concurrency, like the [`StreamingAuditor`]'s pending heap).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Consumes one raw event from the shard's stream. Enter times that
-    /// regress within the stream (impossible from the recorder, possible
-    /// from a hostile or buggy wire peer) are clamped up to the watermark —
-    /// a pure widening, so no precedence is ever fabricated by the repair.
+    /// Consumes one raw event from the shard's stream. A monitor only ever
+    /// reads a local ring, whose enter times do not regress; a wire peer's
+    /// frontiers are clamped by [`MergeAuditor::ingest`]. The monitor
+    /// clamps too — a regressing enter up to the watermark, an exit up to
+    /// its enter, a pure widening — because the watermark it ships must
+    /// never regress.
     pub fn observe(&mut self, op: RawOp) {
         let enter_ns = op.enter_ns.max(self.watermark.unwrap_or(0));
-        let exit_ns = op.exit_ns.max(enter_ns);
-        let op = RawOp { enter_ns, exit_ns, ..op };
         self.watermark = Some(enter_ns);
         self.observed += 1;
-        // Local partial verdict: pop locally finished ops (strictly earlier
-        // exits only — a tie reads as overlap, same rule as the merger).
-        while let Some(&Reverse((exit, value))) = self.pending.peek() {
-            if exit < enter_ns {
-                self.pending.pop();
-                self.max_finished = self.max_finished.max(value);
-            } else {
-                break;
-            }
-        }
-        self.candidate_non_lin += usize::from(self.max_finished > op.value);
-        match self.prev.get(op.process) {
-            Some(pv) => {
-                self.non_sc += usize::from(*pv > op.value);
-                *pv = op.value;
-            }
-            None => self.prev.insert(op.process, op.value),
-        }
-        self.pending.push(Reverse((exit_ns, op.value)));
-        self.ops.push(op);
+        self.ops.push(RawOp { enter_ns, exit_ns: op.exit_ns.max(enter_ns), ..op });
     }
 
     /// Account `n` events lost to ring overflow on this shard.
@@ -877,10 +815,10 @@ impl ShardMonitor {
         self.skipped += n;
     }
 
-    /// Takes the current frontier: buffered events move out, the partial
-    /// verdict (counts, watermark, drop/skip accounting) is *carried* —
-    /// each frontier reports lifetime totals, so the latest frontier wins
-    /// when the [`MergeAuditor`] folds them in.
+    /// Takes the current frontier: buffered events move out, the
+    /// watermark and the drop/skip accounting are *carried* — each
+    /// frontier reports lifetime totals, so the latest frontier wins when
+    /// the [`MergeAuditor`] folds them in.
     pub fn take_frontier(&mut self, finished: bool) -> ShardFrontier {
         // The next epoch is likely as long as this one: start its buffer
         // at that size instead of regrowing it from nothing.
@@ -892,8 +830,6 @@ impl ShardMonitor {
             finished,
             dropped: self.dropped,
             skipped: self.skipped,
-            candidate_non_lin: self.candidate_non_lin,
-            non_sc: self.non_sc,
         }
     }
 }
@@ -908,14 +844,10 @@ pub struct ShardStats {
     pub dropped: u64,
     /// Events the sampling mode skipped on this shard.
     pub skipped: u64,
-    /// The shard's locally witnessed non-linearizable count (lower bound).
-    pub candidate_non_lin: usize,
-    /// The shard's locally witnessed SC inversions.
-    pub non_sc: usize,
 }
 
 /// The lazy half of the parallel audit pipeline: folds [`ShardFrontier`]s
-/// (or direct per-shard event streams) into one exact global verdict.
+/// into one exact global verdict.
 ///
 /// Internally this is exactly the sequential pipeline — an [`EventMerger`]
 /// feeding a [`StreamingAuditor`] — so the verdict is **bit-identical** to
@@ -952,7 +884,8 @@ impl MergeAuditor {
     }
 
     /// Folds one shard frontier in: its buffered events join the merge
-    /// (with the same regression clamp as [`ShardMonitor::observe`]), its
+    /// (with the same regression clamp as [`ShardMonitor::observe`], the
+    /// one that guards against a hostile or buggy wire peer), its
     /// lifetime totals replace the shard's stats, and every event that has
     /// become safe is released into the auditor.
     ///
@@ -965,19 +898,10 @@ impl MergeAuditor {
         let st = &mut self.stats[shard];
         st.dropped = frontier.dropped;
         st.skipped = frontier.skipped;
-        st.candidate_non_lin = frontier.candidate_non_lin;
-        st.non_sc = frontier.non_sc;
         if frontier.finished {
             self.merger.finish(shard);
         }
         self.merge()
-    }
-
-    /// Appends one raw event to a shard's stream (regressing enter times
-    /// are clamped up, a pure widening). Does not merge; call
-    /// [`merge`](Self::merge) at the epoch boundary.
-    pub fn push(&mut self, shard: usize, op: RawOp) {
-        self.stats[shard].observed += self.merger.append_clamped(shard, [op]);
     }
 
     /// Declares a shard's stream complete.
@@ -1311,23 +1235,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_monitor_partial_verdict_is_local_and_sound() {
+    fn shard_monitor_frontier_moves_events_and_carries_the_watermark() {
         let mut mon = ShardMonitor::new(0);
-        // Two ops of process 0 in order, then a genuine local inversion.
         mon.observe(RawOp { process: 0, enter_ns: 0, exit_ns: 10, value: 4 });
         mon.observe(RawOp { process: 0, enter_ns: 20, exit_ns: 30, value: 7 });
         mon.observe(RawOp { process: 0, enter_ns: 40, exit_ns: 50, value: 2 });
         assert_eq!(mon.observed(), 3);
         let f = mon.take_frontier(false);
-        assert_eq!(f.candidate_non_lin, 1, "7 finished before 2 entered");
-        assert_eq!(f.non_sc, 1, "process 0 decreased");
         assert_eq!(f.watermark, Some(40));
         assert_eq!(f.ops.len(), 3);
         assert!(!f.finished);
-        // The buffer moved out; the verdict carries (lifetime totals).
+        // The buffer moved out; the watermark carries.
         assert_eq!(mon.buffered(), 0);
         let f2 = mon.take_frontier(true);
-        assert_eq!(f2.candidate_non_lin, 1);
+        assert_eq!(f2.watermark, Some(40));
         assert!(f2.finished && f2.ops.is_empty());
     }
 
@@ -1336,60 +1257,64 @@ mod tests {
         // Pins a leak: the monitor used to file every finished value in a
         // local lateness tree whose floor cannot advance on a per-process
         // shard (it sees one value in eight), so it retained one tree entry
-        // per observed event for the life of the server. A sequential
-        // process keeps at most the op just pushed and its predecessor
-        // pending, and an epoch's buffer leaves with its frontier.
+        // per observed event for the life of the server. An epoch's buffer
+        // leaves with its frontier, and nothing else is kept per event.
         let mut mon = ShardMonitor::new(3);
         for k in 0..1u64 << 20 {
             mon.observe(RawOp { process: 3, enter_ns: 10 * k, exit_ns: 10 * k + 5, value: 8 * k });
             if (k + 1) % 1024 == 0 {
                 assert_eq!(mon.take_frontier(false).ops.len(), 1024);
                 assert_eq!(mon.buffered(), 0);
-                assert!(mon.pending_len() <= 2, "after op {k}: {}", mon.pending_len());
             }
         }
         assert_eq!(mon.observed(), 1 << 20);
-        assert_eq!(mon.take_frontier(true).candidate_non_lin, 0);
     }
 
     #[test]
-    fn shard_monitor_counts_processes_whose_ids_share_a_cache_entry() {
+    fn auditor_counts_processes_whose_ids_share_a_cache_entry() {
         // Ids 0, 64, 128, 1 << 20 and 64 << 26 all map to cache entry 0, and
-        // 5, 69 to entry 5: every event evicts another process's entry.
+        // 5, 69 to entry 5: every event evicts another process's entry, so
+        // the per-process state behind the Section 5.1 flag and the SC
+        // witness is found through the table's tree.
         let ids = [0, 64, 5, 128, 1 << 20, 69, 64 << 26];
-        let mut mon = ShardMonitor::new(0);
-        let mut prev: Vec<Option<u64>> = vec![None; ids.len()];
+        let mut aud = StreamingAuditor::new();
+        let mut max: Vec<Option<u64>> = vec![None; ids.len()];
+        let mut prev: Vec<Option<(u64, usize)>> = vec![None; ids.len()];
         let mut expected = 0;
+        let mut first_sc = None;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for k in 0..4096u64 {
+        for k in 0..4096usize {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             let p = (x % ids.len() as u64) as usize;
             let value = (x >> 8) % 64;
-            expected += usize::from(prev[p].is_some_and(|pv| pv > value));
-            prev[p] = Some(value);
-            mon.observe(RawOp { process: ids[p], enter_ns: k, exit_ns: k, value });
+            expected += usize::from(max[p].is_some_and(|m| m > value));
+            max[p] = max[p].max(Some(value));
+            if let Some((_, pk)) = prev[p].filter(|&(pv, _)| pv > value) {
+                first_sc.get_or_insert(Violation { earlier: pk, later: k });
+            }
+            prev[p] = Some((value, k));
+            let ns = k as u64;
+            aud.push(&OpEvent {
+                process: ids[p],
+                enter_ns: ns,
+                enter_seq: k,
+                exit_ns: ns,
+                exit_seq: EXIT_SEQ_GUARD + k,
+                value,
+            });
         }
         assert!(expected > 0);
-        assert_eq!(mon.take_frontier(true).non_sc, expected);
+        assert_eq!(aud.non_sequentially_consistent(), expected);
+        assert_eq!(aud.sequential_consistency_violation(), first_sc);
     }
 
     #[test]
-    fn shard_monitor_tied_stamps_read_as_overlap() {
-        // exit == next enter must NOT count as local precedence (the same
-        // one-nanosecond rule the merger applies globally).
-        let mut mon = ShardMonitor::new(0);
-        mon.observe(RawOp { process: 0, enter_ns: 0, exit_ns: 10, value: 9 });
-        mon.observe(RawOp { process: 1, enter_ns: 10, exit_ns: 20, value: 0 });
-        let f = mon.take_frontier(true);
-        assert_eq!(f.candidate_non_lin, 0);
-    }
-
-    #[test]
-    fn shard_monitor_clamps_regressing_wire_streams() {
-        // A hostile/buggy peer sends a regressing enter: the monitor widens
-        // instead of panicking, and the repaired stream still merges.
+    fn shard_monitor_clamps_regressing_streams() {
+        // A regressing enter is widened instead of panicking, so the
+        // watermark the monitor ships never regresses, and the repaired
+        // stream still merges.
         let mut mon = ShardMonitor::new(0);
         mon.observe(RawOp { process: 0, enter_ns: 50, exit_ns: 60, value: 0 });
         mon.observe(RawOp { process: 0, enter_ns: 10, exit_ns: 20, value: 1 });
@@ -1444,13 +1369,6 @@ mod tests {
         assert_eq!(merged.summary(), seq.summary());
         assert_eq!(merged.operations(), 5);
         assert!(!merged.is_clean());
-        // The local candidates are sound: no shard claims more than the
-        // exact global count.
-        let local: usize =
-            merged.shard_stats().iter().map(|s| s.candidate_non_lin).sum();
-        assert!(local <= merged.auditor().non_linearizable());
-        let local_sc: usize = merged.shard_stats().iter().map(|s| s.non_sc).sum();
-        assert_eq!(local_sc, merged.auditor().non_sequentially_consistent());
     }
 
     #[test]

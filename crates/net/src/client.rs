@@ -411,10 +411,10 @@ impl RemoteCounter {
     }
 
     /// Fetches one shard's audit frontier — up to `max` buffered events
-    /// plus the serving node's partial verdict — for the cluster-wide
-    /// merged audit. An empty `ops` list means the shard is currently
-    /// dry (re-poll until it settles: the server's close-time flush is
-    /// asynchronous).
+    /// plus the shard's watermark and drop/skip totals — for the
+    /// cluster-wide merged audit. An empty `ops` list means the shard is
+    /// currently dry (re-poll until it settles: the server's close-time
+    /// flush is asynchronous).
     ///
     /// # Errors
     ///

@@ -401,11 +401,12 @@ impl ClusterNode {
 /// a disjoint global one (node `k`'s shard `s` becomes `offset(k) + s`).
 ///
 /// This is what "per-node shard monitors merged across the wire" means
-/// concretely: each node ships its monitors' partial verdicts and buffered
-/// events, and the collector's merged verdict is bit-identical to what the
-/// sequential auditor would produce on the concatenated per-shard streams
-/// — the [`MergeAuditor`]'s release rule is deterministic in stream
-/// contents, independent of fetch interleaving.
+/// concretely: each node ships its monitors' buffered events, watermarks
+/// and drop/skip totals, and the collector's merged verdict — the only
+/// one computed — is bit-identical to what the sequential auditor would
+/// produce on the concatenated per-shard streams: the [`MergeAuditor`]'s
+/// release rule is deterministic in stream contents, independent of
+/// fetch interleaving.
 ///
 /// All nodes must share one machine clock for the merged verdict to be
 /// meaningful — the stamps are node-local monotonic nanoseconds.
@@ -699,7 +700,6 @@ mod tests {
             finished: true,
             dropped: 7,
             skipped: 11,
-            ..Default::default()
         };
         collector.ingest(1, f);
         collector.finish();

@@ -190,9 +190,8 @@ struct Gate {
 }
 
 /// One recorder shard's server-side audit state for the frontier protocol
-/// ([`Request::Frontier`]): the shard's stealer (node-local partial
-/// verdict) and the buffered tail a `max`-bounded response could not
-/// carry.
+/// ([`Request::Frontier`]): the shard's stealer and the buffered tail a
+/// `max`-bounded response could not carry.
 #[derive(Debug)]
 struct AuditShard {
     stealer: ShardStealer,
@@ -1517,7 +1516,7 @@ mod tests {
     }
 
     #[test]
-    fn frontier_chunks_carry_the_partial_verdict_over_the_wire() {
+    fn frontier_chunks_carry_skip_accounting_over_the_wire() {
         // Sampling on (1-in-2): the frontier must carry skip accounting.
         let recorder = Arc::new(TraceRecorder::with_sampling(4, 1024, 2));
         let server = CounterServer::with_recorder(

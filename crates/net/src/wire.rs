@@ -37,7 +37,7 @@
 //! | `0x85` | ← server  | [`Response::Bye`] | — |
 //! | `0x86` | ← server  | [`Response::Error`] | `code: u8` ([`ErrorCode`]) |
 //! | `0x87` | ← server  | [`Response::NodeInfo`] | 4 × `u32 LE`, `head: u16 LE + UTF-8` |
-//! | `0x89` | ← server  | [`Response::Frontier`] | 49 B header ([`FRONTIER_HEADER_LEN`]), `n ×` ops (28 B) |
+//! | `0x89` | ← server  | [`Response::Frontier`] | 33 B header ([`FRONTIER_HEADER_LEN`]), `n ×` ops (28 B) |
 //!
 //! Integers are little-endian throughout. Decoding is strict: any version
 //! but [`VERSION`], unknown opcodes (`0x06`, the retired per-token hop,
@@ -118,7 +118,7 @@ pub enum Request {
     },
     /// Fetches one recorder shard's audit frontier — buffered events plus
     /// the node-local [`ShardMonitor`](cnet_core::trace::ShardMonitor)'s
-    /// partial verdict and drop/skip accounting — for the cluster-wide
+    /// watermark and drop/skip accounting — for the cluster-wide
     /// merged audit; answered with [`Response::Frontier`]. Repeated
     /// requests drain the shard; an empty-`ops` frontier means the shard
     /// is currently dry.
@@ -155,11 +155,11 @@ pub enum Response {
     /// Who the server is in the cluster (answer to [`Request::NodeInfo`]).
     NodeInfo(NodeInfo),
     /// One shard's audit frontier (answer to [`Request::Frontier`]): a
-    /// chunk of buffered events in shard order plus the serving node's
-    /// lifetime partial verdict for the shard. Shipping frontiers instead
-    /// of raw stamps lets the client fold each node's local monitoring
-    /// into a [`MergeAuditor`](cnet_core::trace::MergeAuditor) without
-    /// re-deriving the per-shard state.
+    /// chunk of buffered events in shard order plus the shard's watermark
+    /// and lifetime drop/skip accounting on the serving node. The client
+    /// folds the frontiers into a
+    /// [`MergeAuditor`](cnet_core::trace::MergeAuditor), which computes
+    /// the one verdict.
     Frontier {
         /// The shard frontier, `shard` still in the node-local space.
         frontier: ShardFrontier,
@@ -185,9 +185,12 @@ pub struct NodeInfo {
 
 /// Wire size of a [`Response::Frontier`] body before its ops: `shard:
 /// u32`, `flags: u8` (bit 0 = finished, bit 1 = watermark present),
-/// `watermark`, `dropped`, `skipped`, `candidate_non_lin`, `non_sc` (five
-/// `u64`s), `n: u32`.
-pub const FRONTIER_HEADER_LEN: usize = 4 + 1 + 5 * 8 + 4;
+/// `watermark`, `dropped`, `skipped` (three `u64`s), `n: u32`. A frontier
+/// carries events and accounting, no verdict. Frames from builds whose
+/// header was 49 or 65 bytes long never decode under this one, nor the
+/// reverse: the lengths differ by 16 or 32 bytes, neither a multiple of
+/// [`FRONTIER_OP_LEN`], so a mixed-build cluster fails closed.
+pub const FRONTIER_HEADER_LEN: usize = 4 + 1 + 3 * 8 + 4;
 
 /// Wire size of one frontier op: `process: u32`, then three `u64`s.
 pub const FRONTIER_OP_LEN: usize = 28;
@@ -557,8 +560,6 @@ impl Response {
                 out.extend_from_slice(&f.watermark.unwrap_or(0).to_le_bytes());
                 out.extend_from_slice(&f.dropped.to_le_bytes());
                 out.extend_from_slice(&f.skipped.to_le_bytes());
-                out.extend_from_slice(&(f.candidate_non_lin as u64).to_le_bytes());
-                out.extend_from_slice(&(f.non_sc as u64).to_le_bytes());
                 out.extend_from_slice(&(f.ops.len() as u32).to_le_bytes());
                 for op in &f.ops {
                     out.extend_from_slice(&(op.process as u32).to_le_bytes());
@@ -688,8 +689,6 @@ impl Response {
                         finished: flags & 0b01 != 0,
                         dropped: u64_at(13),
                         skipped: u64_at(21),
-                        candidate_non_lin: u64_at(29) as usize,
-                        non_sc: u64_at(37) as usize,
                     },
                 }
             }
@@ -986,8 +985,6 @@ mod tests {
                     finished: true,
                     dropped: 2,
                     skipped: 40,
-                    candidate_non_lin: 1,
-                    non_sc: 1,
                 },
             },
         ]
@@ -1056,12 +1053,15 @@ mod tests {
         "0700000002860902030405",
         "2600000002870a020304010000000200000008000000040000000e003132372e302e302e313a39303030",
         "1800000002870b020304000000000000000000000000000000000000",
-        "3700000002890c02030400000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "6f00000002890d02030405000000030f00000000000000020000000000000028000000000000000100000000000000010000000000000002000000050000000a0000000000000014000000000000000300000000000000050000000f0000000000000023000000000000000100000000000000",
+        "2700000002890c020304000000000000000000000000000000000000000000000000000000000000000000",
+        "5f00000002890d02030405000000030f000000000000000200000000000000280000000000000002000000050000000a0000000000000014000000000000000300000000000000050000000f0000000000000023000000000000000100000000000000",
     ];
 
     #[test]
     fn every_frame_encodes_to_its_pinned_bytes() {
+        // The `Frontier` frames' length prefixes (0x27, 0x5f) pin the
+        // header: shard, flags, watermark, dropped, skipped, `n`.
+        assert_eq!(FRONTIER_HEADER_LEN, 33);
         let seq = |i: usize| 0x0403_0201 + i as u32;
         assert_eq!(requests().len(), GOLDEN_REQUESTS.len());
         for (i, (req, want)) in requests().iter().zip(GOLDEN_REQUESTS).enumerate() {
@@ -1256,28 +1256,32 @@ mod tests {
     }
 
     #[test]
-    fn frontier_frames_with_the_seven_word_header_are_rejected() {
-        // A node built before the header dropped its two local-lateness
-        // words sends 16 more bytes ahead of `n`. A mixed cluster must fail
-        // closed: such a frame is an error, whatever those words held (the
-        // first of them lands where `n` is read now), never a frontier
-        // read at wrong offsets. It cannot decode: the bytes after the
-        // misread `n` are 16 off a multiple of `FRONTIER_OP_LEN`.
-        for (ops, sixth_word) in [(0u32, 0u64), (2, 4), (3, 1), (1, u64::MAX)] {
-            let mut body = Vec::new();
-            body.extend_from_slice(&5u32.to_le_bytes()); // shard
-            body.push(0b11); // finished, watermark present
-            for word in [15u64, 2, 40, 1, 1, sixth_word, 2] {
-                body.extend_from_slice(&word.to_le_bytes());
+    fn frontier_frames_with_an_older_header_are_rejected() {
+        // Older nodes send more words ahead of `n`: the five-word header
+        // (49 bytes) also carried a partial verdict, a local
+        // non-linearizable bound and a local SC count; the seven-word one
+        // (65 bytes) two local-lateness words besides. A mixed cluster must
+        // fail closed: such a frame is an error, whatever those words held
+        // (the first of them lands where `n` is read now), never a
+        // frontier read at wrong offsets. It cannot decode: the bytes after
+        // the misread `n` are 16 or 32 off a multiple of `FRONTIER_OP_LEN`.
+        for extra in [2, 4] {
+            for (ops, misread_n) in [(0u32, 0u64), (2, 4), (3, 1), (1, u64::MAX), (2, 2)] {
+                let mut body = Vec::new();
+                body.extend_from_slice(&5u32.to_le_bytes()); // shard
+                body.push(0b11); // finished, watermark present
+                for word in [15, 2, 40, misread_n].into_iter().chain([1; 4]).take(3 + extra) {
+                    body.extend_from_slice(&word.to_le_bytes());
+                }
+                body.extend_from_slice(&ops.to_le_bytes());
+                body.resize(body.len() + FRONTIER_OP_LEN * ops as usize, 0);
+                assert_eq!(body.len(), 33 + 8 * extra + FRONTIER_OP_LEN * ops as usize);
+                let mut frame = Vec::new();
+                put_header(&mut frame, 0x89, 7, body.len());
+                frame.extend_from_slice(&body);
+                let got = Response::decode(payload(&frame));
+                assert!(got.is_err(), "{extra} extra words, ops={ops}: decoded as {got:?}");
             }
-            body.extend_from_slice(&ops.to_le_bytes());
-            body.resize(body.len() + FRONTIER_OP_LEN * ops as usize, 0);
-            assert_eq!(body.len(), 65 + FRONTIER_OP_LEN * ops as usize);
-            let mut frame = Vec::new();
-            put_header(&mut frame, 0x89, 7, body.len());
-            frame.extend_from_slice(&body);
-            let got = Response::decode(payload(&frame));
-            assert!(got.is_err(), "ops={ops} sixth_word={sixth_word}: decoded as {got:?}");
         }
     }
 

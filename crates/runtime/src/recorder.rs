@@ -57,7 +57,7 @@
 //!   steal from disjoint shards concurrently (the single-writer invariant
 //!   holds per shard on both sides: one recording writer, one pulling
 //!   reader). [`ShardStealer`] is the live consumer built on it — the
-//!   only code that turns a ring shard into monitor state;
+//!   only code that turns a ring shard into frontiers;
 //!   [`drain_into`](TraceRecorder::drain_into) is the sequential
 //!   all-shards form for post-run draining ([`drain_remaining`]).
 //!
@@ -604,7 +604,9 @@ impl<C: ProcessCounter> ProcessCounter for Traced<C> {
 
 /// One recorder shard's live consumer: a [`ShardMonitor`] fed straight
 /// from the ring, plus the shard's drop/skip totals already folded into
-/// it. Every audit surface steals through this type, because the delta
+/// it. It only buffers: the events leave in frontiers, and the
+/// [`MergeAuditor`] they are folded into computes the one verdict. Every
+/// audit surface steals through this type, because the delta
 /// accounting it hides is the part a hand-written loop gets wrong: a
 /// stealer that forgets it reports a "clean" verdict over events nobody
 /// saw. At most one stealer per shard may exist at a time (the recorder's
@@ -651,7 +653,7 @@ impl ShardStealer {
 }
 
 /// The outcome of an audited run: the merged auditor (exact global verdict
-/// plus per-shard partial verdicts) and the recording bookkeeping.
+/// plus per-shard drop/skip totals) and the recording bookkeeping.
 #[derive(Debug)]
 pub struct AuditedRun {
     /// The merged auditor after every frontier has been folded in.
@@ -668,8 +670,8 @@ pub struct AuditedRun {
 /// The audit pipeline: runs `workload` against a counter that records into
 /// `recorder` (wrap it with [`Traced`]) while `audit_threads` workers
 /// (clamped to `1..=shards`) steal ring shards **in place** — each owns a
-/// disjoint set of [`ShardStealer`]s (local partial verdicts, no global
-/// merge on the steal path) and hands frontiers to a shared
+/// disjoint set of [`ShardStealer`]s (buffering only, no global merge
+/// on the steal path) and hands frontiers to a shared
 /// [`MergeAuditor`] at epoch boundaries. The merged verdict is exactly
 /// what one sequential pass over the same streams gives, whatever the
 /// worker count. `on_progress` fires from the driving thread as the merged

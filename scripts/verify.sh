@@ -427,15 +427,18 @@ fi
 # runs unpinned and the clean verdict holds on a 1-core host only.
 # Both nodes drain gracefully via the trafficless `--ops 0 --shutdown`
 # handshake (the tail serves no clients, so a normal loadgen run
-# against it cannot carry the shutdown).
+# against it cannot carry the shutdown). Each node's own served audit
+# must then check its coverage against what it served: the head served
+# all 100000 increments, and the tail, which counts them forwarded but
+# records none (recording is the head's), must not read clean.
 one_cpu=""
 if command -v taskset >/dev/null 2>&1; then
     one_cpu="taskset -c $(taskset -cp $$ | sed -e 's/.*: *//' -e 's/[,-].*//')"
 fi
-tail_pf=$(mktemp); head_pf=$(mktemp)
+tail_pf=$(mktemp); head_pf=$(mktemp); tail_log=$(mktemp); head_log=$(mktemp)
 rm -f "$tail_pf" "$head_pf"
 $one_cpu cargo run -q --release --offline -p cnet-cli -- \
-    serve 8 --cluster 1/2 --audit 1 --max-conns 8 --port-file "$tail_pf" &
+    serve 8 --cluster 1/2 --audit 1 --max-conns 8 --port-file "$tail_pf" > "$tail_log" &
 tail_pid=$!
 for _ in $(seq 1 100); do
     [ -s "$tail_pf" ] && break
@@ -453,7 +456,7 @@ fi
 tail_addr=$(cat "$tail_pf")
 $one_cpu cargo run -q --release --offline -p cnet-cli -- \
     serve 8 --cluster 0/2 --peers "$tail_addr" --audit 1 --max-conns 8 \
-    --port-file "$head_pf" &
+    --port-file "$head_pf" > "$head_log" &
 head_pid=$!
 for _ in $(seq 1 100); do
     [ -s "$head_pf" ] && break
@@ -521,7 +524,18 @@ for pid in "$tail_pid" "$head_pid"; do
 done
 wait "$tail_pid" "$head_pid"
 rm -f "$tail_pf" "$head_pf"
-echo "cluster smoke: ok (2-node B(8), 100k ops routed via the tail, clean merged audit)"
+sed -n 's/^audit/head: audit/p' "$head_log"
+sed -n 's/^audit/tail: audit/p' "$tail_log"
+if ! grep -q "^audit coverage: 100000 served," "$head_log"; then
+    echo "error: the cluster head's served audit did not report 100000 served" >&2
+    exit 1
+fi
+if grep -q "— clean" "$tail_log"; then
+    echo "error: the cluster tail's served audit read clean over operations it never recorded" >&2
+    exit 1
+fi
+rm -f "$tail_log" "$head_log"
+echo "cluster smoke: ok (2-node B(8), 100k ops routed via the tail, clean merged audit, per-node coverage)"
 
 # Diffracting-service smoke: a DiffractingTree-backed serve on an
 # ephemeral port must hand an exact permutation to a concurrent pipelined
