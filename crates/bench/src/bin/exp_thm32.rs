@@ -27,7 +27,7 @@ fn show(params: &TimingParams) -> String {
         params.c_max.unwrap_or(f64::NAN),
         params
             .global_delay
-            .map_or("inf".to_string(), |g| format!("{g:.3}")),
+            .map_or_else(|| "inf".to_string(), |g| format!("{g:.3}")),
     )
 }
 

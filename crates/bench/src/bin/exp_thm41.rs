@@ -94,7 +94,7 @@ fn main() {
         let ops = Op::from_execution(&exec);
         table.row(vec![
             format!("B({w})"),
-            params.local_delay.map_or("inf".into(), |v| format!("{v:.2}")),
+            params.local_delay.map_or_else(|| "inf".into(), |v| format!("{v:.2}")),
             cond.holds(&params).to_string(),
             is_linearizable(&ops).to_string(),
             is_sequentially_consistent(&ops).to_string(),

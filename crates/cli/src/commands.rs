@@ -47,6 +47,7 @@ pub fn usage() -> String {
      \x20           backend cluster fetches and merges every node's trace\n\
      \x20           shards, --addr ADDR1,ADDR2,...); exits nonzero on a\n\
      \x20           violations verdict\n\
+     \x20           and on an incomplete one (a ring dropped events)\n\
      \x20 serve     counting service on a TCP socket; blocks until a client\n\
      \x20           sends Shutdown; flags: --backend\n\
      \x20           {serve_list}\n\
@@ -694,10 +695,13 @@ fn audit_workload<C: ProcessCounter>(
 /// The verdict block every audit report ends with: the Section 2.4
 /// conditions with their first witnesses, the Section 5.1 fractions, the
 /// QQC lateness profile (beside the audited run's wall-clock rate, when
-/// this process drove the run), and the one-line verdict. The caller
-/// fails the process when `!a.is_clean()` — CI gates read the exit code,
-/// not the transcript.
-fn render_verdict(a: &StreamingAuditor, ops_per_s: Option<f64>) -> String {
+/// this process drove the run), and the one-line verdict. Events a full
+/// ring `dropped` never reached the auditor, so a verdict that would read
+/// clean over them reads `incomplete`, and every verdict names them (the
+/// served audit's rule); sampling skips are sound and change nothing. The
+/// caller fails the process unless [`verdict_passes`] — CI gates read the
+/// exit code, not the transcript.
+fn render_verdict(a: &StreamingAuditor, ops_per_s: Option<f64>, dropped: u64) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "linearizable:            {}", a.is_linearizable());
     if let Some(v) = a.linearizability_violation() {
@@ -719,18 +723,27 @@ fn render_verdict(a: &StreamingAuditor, ops_per_s: Option<f64>) -> String {
     if let Some(rate) = ops_per_s {
         let _ = writeln!(out, "audited rate: {rate:.0} ops/s (wall clock)");
     }
-    let _ = writeln!(
-        out,
-        "\naudit verdict: {}",
-        if a.is_clean() { "clean (0 violations)" } else { "violations detected" }
-    );
+    let verdict = match (a.is_clean(), dropped) {
+        (true, 0) => "clean (0 violations)".to_string(),
+        (true, n) => format!("incomplete ({n} dropped)"),
+        (false, 0) => "violations detected".to_string(),
+        (false, n) => format!("violations detected ({n} dropped)"),
+    };
+    let _ = writeln!(out, "\naudit verdict: {verdict}");
     out
+}
+
+/// Whether an audit command exits zero: no violation, and no event lost
+/// to a full ring (see [`render_verdict`]).
+fn verdict_passes(a: &StreamingAuditor, dropped: u64) -> bool {
+    a.is_clean() && dropped == 0
 }
 
 /// Fetches every node's recorded trace shards over the wire, remaps them
 /// into one global shard space, k-way merges them in enter order, and
 /// renders a cluster-wide consistency verdict. Returns `Err` (nonzero
-/// exit) when the merged history shows violations.
+/// exit) when the merged history shows violations or a node's ring
+/// dropped events.
 ///
 /// All nodes must share one machine clock for the merged verdict to be
 /// meaningful — the trace stamps are node-local monotonic nanoseconds.
@@ -875,12 +888,6 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
         collector.ingest(node, frontier);
     }
     collector.finish();
-    let audited_ops: u64 = collector
-        .merged()
-        .shard_stats()
-        .iter()
-        .map(|s| s.observed as u64 + s.dropped + s.skipped)
-        .sum();
     for (node, (info, _, _)) in members.iter().enumerate() {
         let range = collector.offset(node)..collector.offset(node) + info.shards as usize;
         let stats = &collector.merged().shard_stats()[range];
@@ -895,13 +902,6 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
         }
     }
     let dropped = collector.merged().dropped();
-    if dropped * 1000 > audited_ops.max(1) {
-        let _ = writeln!(
-            out,
-            "warning: ring overflow dropped {dropped} of {audited_ops} events (>0.1%) — \
-             a clean verdict covers only the surviving trace"
-        );
-    }
     let auditor = collector.merged().auditor();
     let _ = writeln!(out, "\noperations audited:      {}", auditor.operations());
     if collector.merged().skipped() > 0 {
@@ -911,8 +911,8 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
             collector.merged().skipped()
         );
     }
-    out.push_str(&render_verdict(auditor, None));
-    if auditor.is_clean() {
+    out.push_str(&render_verdict(auditor, None, dropped));
+    if verdict_passes(auditor, dropped) {
         Ok(out)
     } else {
         Err(out)
@@ -1009,7 +1009,7 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
     let _ = writeln!(out, "live drain batches:      {batches}");
     // Coverage accounting: a clean verdict over a silently truncated
     // trace would overstate what was checked, so drops are named per
-    // shard and anything past 0.1% of the workload is called out loud.
+    // shard here and make the verdict `incomplete`.
     if run.dropped > 0 {
         let shards: Vec<String> = run
             .auditor
@@ -1020,19 +1020,10 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
             .map(|(s, st)| format!("shard {s}: {}", st.dropped))
             .collect();
         let _ = writeln!(out, "  per-shard drops:       {}", shards.join(", "));
-        let total_ops = (threads * ops) as u64;
-        if run.dropped * 1000 > total_ops {
-            let _ = writeln!(
-                out,
-                "  warning: ring overflow dropped {} of {total_ops} events (>0.1%) — \
-                 a clean verdict covers only the surviving trace",
-                run.dropped
-            );
-        }
     }
     let _ = writeln!(out, "operations audited:      {}", a.operations());
-    out.push_str(&render_verdict(a, Some(ops_per_s)));
-    if a.is_clean() {
+    out.push_str(&render_verdict(a, Some(ops_per_s), run.dropped));
+    if verdict_passes(a, run.dropped) {
         Ok(out)
     } else {
         Err(out)
@@ -1045,7 +1036,7 @@ fn render_execution(net: &Network, exec: &cnet_sim::TimedExecution) -> String {
     let report = audit(&ops);
     let mut out = String::new();
     let _ = writeln!(out, "\nmeasured timing parameters:");
-    let fmt_opt = |v: Option<f64>| v.map_or("inf".to_string(), |x| format!("{x:.3}"));
+    let fmt_opt = |v: Option<f64>| v.map_or_else(|| "inf".to_string(), |x| format!("{x:.3}"));
     let _ = writeln!(out, "  c_min = {}", fmt_opt(params.c_min));
     let _ = writeln!(out, "  c_max = {}", fmt_opt(params.c_max));
     let _ = writeln!(out, "  C_L   = {}", fmt_opt(params.local_delay));
@@ -1238,6 +1229,29 @@ mod tests {
         assert!(served.contains("audit: 65536 ops audited"), "{served}");
         assert!(served.contains("— incomplete (34464 dropped)"), "{served}");
         assert!(!served.contains("— clean"), "{served}");
+    }
+
+    /// The same overflow seen by a remote cluster audit: it pulls the
+    /// 65,536 events the ring kept, and must read `incomplete` over the
+    /// 34,464 it dropped and exit nonzero, as the server's own audit does.
+    #[test]
+    fn cluster_audit_over_a_ring_overflow_reads_incomplete() {
+        let (server, addr) =
+            spawn_serve("cluster_overflow", &["8", "--audit", "1", "--max-conns", "1"]);
+        let out = call(&[
+            "loadgen", "--addr", &addr, "--threads", "1", "--ops", "100000", "--mode",
+            "pipeline",
+        ])
+        .unwrap();
+        assert!(out.contains("permutation 0..100000: true"), "{out}");
+        let audit = call(&["audit", "8", "--backend", "cluster", "--addr", &addr])
+            .expect_err("an audit over dropped events must exit nonzero");
+        assert!(audit.contains("node 0 coverage: 34464 dropped"), "{audit}");
+        assert!(audit.contains("operations audited:      65536"), "{audit}");
+        assert!(audit.ends_with("\naudit verdict: incomplete (34464 dropped)\n"), "{audit}");
+        call(&["loadgen", "--addr", &addr, "--ops", "0", "--shutdown", "1"]).unwrap();
+        let served = server.join().unwrap().unwrap();
+        assert!(served.contains("increments:  100000"), "{served}");
     }
 
     #[test]
@@ -1528,16 +1542,24 @@ mod tests {
         late.record(op(0, 0.0, 1.0, 1));
         late.record(op(1, 2.0, 3.0, 0));
         assert!(late.is_sequentially_consistent() && !late.is_linearizable());
-        let verdict = render_verdict(&late, None);
+        let verdict = render_verdict(&late, None, 0);
         assert!(verdict.contains("linearizable:            false"), "{verdict}");
         assert!(verdict.contains("qqc lateness: max 1"), "{verdict}");
         assert!(verdict.ends_with("\naudit verdict: violations detected\n"), "{verdict}");
         let mut clean = StreamingAuditor::new();
         clean.record(op(0, 0.0, 1.0, 0));
         clean.record(op(1, 2.0, 3.0, 1));
-        let verdict = render_verdict(&clean, Some(1000.0));
+        let verdict = render_verdict(&clean, Some(1000.0), 0);
         assert!(verdict.contains("audited rate: 1000 ops/s (wall clock)\n"), "{verdict}");
         assert!(verdict.ends_with("\naudit verdict: clean (0 violations)\n"), "{verdict}");
+        // Drops make a clean verdict incomplete and are named in every
+        // verdict; either way the command fails.
+        let verdict = render_verdict(&clean, None, 5);
+        assert!(verdict.ends_with("\naudit verdict: incomplete (5 dropped)\n"), "{verdict}");
+        let verdict = render_verdict(&late, None, 5);
+        assert!(verdict.ends_with("\naudit verdict: violations detected (5 dropped)\n"));
+        assert!(verdict_passes(&clean, 0));
+        assert!(!verdict_passes(&clean, 5) && !verdict_passes(&late, 0));
     }
 
     /// The sticky regression for the audit pipeline: a cluster audit with

@@ -377,7 +377,7 @@ mod tests {
         let cfg = ServerConfig { max_connections: 8, processes: 4, ..ServerConfig::default() };
         let tail = Arc::new(ClusterNode::new(&net, 1, 2, &[], 8).unwrap());
         let tail_server =
-            CounterServer::start_cluster("127.0.0.1:0", Arc::clone(&tail), None, cfg.clone())
+            CounterServer::start_cluster("127.0.0.1:0", Arc::clone(&tail), None, cfg)
                 .unwrap();
         let peers = vec![tail_server.local_addr().to_string()];
         let head = Arc::new(ClusterNode::new(&net, 0, 2, &peers, 8).unwrap());

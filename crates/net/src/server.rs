@@ -771,8 +771,7 @@ fn reactor_loop(
         if let Some(acceptor) = &mut acceptor {
             acceptor.resume(shared, &poller, &mut conns);
         }
-        for i in 0..events.len() {
-            let ev = events[i];
+        for &ev in &events {
             if ev.token == WAKE_TOKEN {
                 me.waker.drain();
                 continue;
@@ -863,7 +862,7 @@ fn handle_ready(shared: &Shared, conn: &mut Conn, scratch: &mut [u8]) -> bool {
     }
     conn.settle_phase();
     // Closing and fully flushed: nothing left to do for this peer.
-    !(conn.phase == Phase::Closing && !conn.pending_out())
+    conn.phase != Phase::Closing || conn.pending_out()
 }
 
 /// Decodes and executes every complete frame buffered on `conn`, a run of

@@ -25,6 +25,9 @@ use std::time::{Duration, Instant};
 /// coordination through its own implementation).
 const PACE_SHARDS: usize = 64;
 
+/// One pacing shard: the last completion time of each process it holds.
+type ExitShard = CachePadded<Mutex<HashMap<usize, Instant>>>;
+
 /// A counter wrapper enforcing a minimum local inter-operation delay: after
 /// a process's operation completes, that process's next operation is held
 /// back until the delay has elapsed.
@@ -55,7 +58,7 @@ pub struct LocallyPacedCounter<C> {
     /// When each process's last operation completed, sharded by process id.
     /// Each shard's lock is held only for the bookkeeping reads and writes,
     /// never across the inner operation or the wait.
-    last_exit: Box<[CachePadded<Mutex<HashMap<usize, Instant>>>]>,
+    last_exit: Box<[ExitShard]>,
 }
 
 impl<C: ProcessCounter> LocallyPacedCounter<C> {

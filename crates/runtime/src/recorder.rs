@@ -52,6 +52,12 @@
 //!   [`dropped_on`](TraceRecorder::dropped_on)) and moves on — recording
 //!   must never throttle the counter it observes. Size rings to the
 //!   workload (`capacity ≥ increments per thread` guarantees zero drops).
+//! * **Ring memory is committed as shards write it.** Each shard's value
+//!   ring and stamp side ring come from one zeroed allocation apiece
+//!   ([`cnet_util::sync::zeroed_slice`]), so the kernel commits a page
+//!   only when the shard first writes it: a recorder sized for many idle
+//!   connections costs address space, not resident memory, until traffic
+//!   fills its rings.
 //! * **Per-shard pull.** [`pull_shard`](TraceRecorder::pull_shard) drains
 //!   one ring with that shard's private cursor, so P audit workers can
 //!   steal from disjoint shards concurrently (the single-writer invariant
@@ -70,7 +76,7 @@
 use crate::{ProcessCounter, Workload};
 use cnet_core::trace::{EventMerger, MergeAuditor, OpSink, RawOp, ShardFrontier, ShardMonitor};
 use cnet_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use cnet_util::sync::CachePadded;
+use cnet_util::sync::{zeroed_slice, CachePadded};
 use cnet_util::time::{raw_ticks, Clock};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -79,26 +85,22 @@ use std::time::Duration;
 /// this many events (capped at the ring capacity for tiny rings).
 pub const BATCH: usize = 64;
 
-/// One ring slot: just the value. The timestamp interval lives in the
-/// per-publish [`StampEntry`] ring.
-#[derive(Debug)]
-struct Slot {
-    value: AtomicU64,
-}
-
 /// One batch boundary: the raw-tick interval shared by every slot index
-/// below `upto` not covered by an earlier entry. Written once per publish
-/// (entry `k` of a shard lives at ring index `k & mask`; entry `k` can
-/// only be overwritten by entry `k + capacity`, which the writer reaches
-/// only after the ring's fullness check has proven entry `k`'s slots —
-/// hence the entry itself — fully consumed).
-#[derive(Debug)]
-struct StampEntry {
-    /// One past the last slot index this stamp covers (absolute index).
-    upto: AtomicUsize,
-    enter: AtomicU64,
-    exit: AtomicU64,
-}
+/// below `[UPTO]` not covered by an earlier entry. Written once per
+/// publish (entry `k` of a shard lives at ring index `k & mask`; entry `k`
+/// can only be overwritten by entry `k + capacity`, which the writer
+/// reaches only after the ring's fullness check has proven entry `k`'s
+/// slots — hence the entry itself — fully consumed). Three plain words
+/// rather than a struct, so the ring comes from one zeroed allocation
+/// ([`cnet_util::sync::zeroed_slice`]); a ring slot is just the value, one
+/// `AtomicU64`.
+type StampEntry = [AtomicU64; 3];
+/// One past the last slot index the entry covers (absolute index).
+const UPTO: usize = 0;
+/// The raw-tick enter bound of every slot the entry covers.
+const ENTER: usize = 1;
+/// The raw-tick exit bound of every slot the entry covers.
+const EXIT: usize = 2;
 
 /// The shard's writer-private state (its own cache line: the hot path
 /// touches nothing shared in the steady state).
@@ -155,7 +157,7 @@ struct Shard {
     dropped: CachePadded<AtomicU64>,
     wr: CachePadded<WriterState>,
     dr: CachePadded<DrainState>,
-    slots: Box<[Slot]>,
+    slots: Box<[AtomicU64]>,
     stamps: Box<[StampEntry]>,
 }
 
@@ -215,14 +217,8 @@ impl TraceRecorder {
                 last_enter_ns: AtomicU64::new(0),
                 stamp_tail: AtomicUsize::new(0),
             }),
-            slots: (0..cap).map(|_| Slot { value: AtomicU64::new(0) }).collect(),
-            stamps: (0..cap)
-                .map(|_| StampEntry {
-                    upto: AtomicUsize::new(0),
-                    enter: AtomicU64::new(0),
-                    exit: AtomicU64::new(0),
-                })
-                .collect(),
+            slots: zeroed_slice(cap),
+            stamps: zeroed_slice(cap),
         };
         TraceRecorder {
             clock,
@@ -284,7 +280,7 @@ impl TraceRecorder {
             // `len - 1` (== `self.mask`) lets the compiler drop the bounds
             // check: `x & (len - 1) < len` for any `x`.
             let slots = &*s.slots;
-            slots[w & (slots.len() - 1)].value.store(value, Ordering::Relaxed);
+            slots[w & (slots.len() - 1)].store(value, Ordering::Relaxed);
             s.wr.wcur.store(w.wrapping_add(1), Ordering::Relaxed);
             return true;
         }
@@ -311,7 +307,7 @@ impl TraceRecorder {
                 return false;
             }
         }
-        s.slots[w & self.mask].value.store(value, Ordering::Relaxed);
+        s.slots[w & self.mask].store(value, Ordering::Relaxed);
         let w = w.wrapping_add(1);
         s.wr.wcur.store(w, Ordering::Relaxed);
         let mut head = s.head.load(Ordering::Relaxed);
@@ -408,7 +404,7 @@ impl TraceRecorder {
             s.dropped.fetch_add((samples - recorded) as u64, Ordering::Relaxed);
         }
         for &value in sampled.take(recorded) {
-            s.slots[w & self.mask].value.store(value, Ordering::Relaxed);
+            s.slots[w & self.mask].store(value, Ordering::Relaxed);
             w = w.wrapping_add(1);
         }
         s.wr.wcur.store(w, Ordering::Relaxed);
@@ -427,9 +423,9 @@ impl TraceRecorder {
         let new_head = head.wrapping_add(pending);
         let si = s.wr.stamp_head.load(Ordering::Relaxed);
         let entry = &s.stamps[si & self.mask];
-        entry.upto.store(new_head, Ordering::Relaxed);
-        entry.enter.store(enter, Ordering::Relaxed);
-        entry.exit.store(now, Ordering::Relaxed);
+        entry[UPTO].store(new_head as u64, Ordering::Relaxed);
+        entry[ENTER].store(enter, Ordering::Relaxed);
+        entry[EXIT].store(now, Ordering::Relaxed);
         s.wr.stamp_head.store(si.wrapping_add(1), Ordering::Relaxed);
         s.wr.last_stamp.store(now, Ordering::Relaxed);
         s.head.store(new_head, Ordering::Release);
@@ -507,21 +503,21 @@ impl TraceRecorder {
         // check keeps the writer from reusing any entry whose slots are
         // not yet consumed (see `StampEntry`).
         let mut entry = &s.stamps[st & self.mask];
-        let mut upto = entry.upto.load(Ordering::Relaxed);
+        let mut upto = entry[UPTO].load(Ordering::Relaxed) as usize;
         while tail != head {
             while upto <= tail {
                 st = st.wrapping_add(1);
                 entry = &s.stamps[st & self.mask];
-                upto = entry.upto.load(Ordering::Relaxed);
+                upto = entry[UPTO].load(Ordering::Relaxed) as usize;
             }
             // Clamp so per-shard enters never regress and intervals stay
             // well-formed even under TSC pathologies.
-            let enter_ns = self.clock.raw_to_ns(entry.enter.load(Ordering::Relaxed));
+            let enter_ns = self.clock.raw_to_ns(entry[ENTER].load(Ordering::Relaxed));
             let enter_ns = enter_ns.max(last_enter);
-            let exit_ns = self.clock.raw_to_ns(entry.exit.load(Ordering::Relaxed)).max(enter_ns);
+            let exit_ns = self.clock.raw_to_ns(entry[EXIT].load(Ordering::Relaxed)).max(enter_ns);
             last_enter = enter_ns;
             while tail != head && tail != upto {
-                let value = s.slots[tail & self.mask].value.load(Ordering::Relaxed);
+                let value = s.slots[tail & self.mask].load(Ordering::Relaxed);
                 f(enter_ns, exit_ns, value);
                 tail = tail.wrapping_add(1);
                 moved += 1;

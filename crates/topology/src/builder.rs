@@ -39,13 +39,45 @@ use crate::network::{Network, Wire, WireEnd, WireStart};
 pub struct NetworkBuilder {
     fan_in: usize,
     fan_out: usize,
-    /// (fan_in, fan_out) of each declared balancer.
-    balancer_fans: Vec<(usize, usize)>,
+    /// Each declared balancer's fans and where its ports sit in `ends`.
+    balancers: Vec<Declared>,
     wires: Vec<Wire>,
-    source_out: Vec<Option<WireId>>,
-    sink_in: Vec<Option<WireId>>,
-    bal_in: Vec<Vec<Option<WireId>>>,
-    bal_out: Vec<Vec<Option<WireId>>>,
+    /// The wire attached to every endpoint, or `None`: the `fan_in`
+    /// sources, then the `fan_out` sinks, then each balancer's input ports
+    /// followed by its output ports, in declaration order. One flat table,
+    /// so declaring a balancer allocates nothing of its own.
+    ends: Vec<Option<WireId>>,
+}
+
+/// A declared balancer: its fans and the index in [`NetworkBuilder`]'s
+/// endpoint table of its input port 0 (its output ports follow the inputs).
+#[derive(Clone, Copy, Debug)]
+struct Declared {
+    f_in: usize,
+    f_out: usize,
+    first_in: usize,
+}
+
+impl Declared {
+    fn first_out(&self) -> usize {
+        self.first_in + self.f_in
+    }
+}
+
+/// How a [`BuildError`] names a wire's start (built only on an error path).
+fn start_name(start: WireStart) -> String {
+    match start {
+        WireStart::Source(s) => format!("{s}"),
+        WireStart::Balancer { balancer, port } => format!("{balancer} output port {port}"),
+    }
+}
+
+/// How a [`BuildError`] names a wire's end (built only on an error path).
+fn end_name(end: WireEnd) -> String {
+    match end {
+        WireEnd::Sink(s) => format!("{s}"),
+        WireEnd::Balancer { balancer, port } => format!("{balancer} input port {port}"),
+    }
 }
 
 impl NetworkBuilder {
@@ -54,23 +86,62 @@ impl NetworkBuilder {
         NetworkBuilder {
             fan_in,
             fan_out,
-            balancer_fans: Vec::new(),
+            balancers: Vec::new(),
             wires: Vec::new(),
-            source_out: vec![None; fan_in],
-            sink_in: vec![None; fan_out],
-            bal_in: Vec::new(),
-            bal_out: Vec::new(),
+            ends: vec![None; fan_in + fan_out],
         }
     }
 
     /// Declares a new `(f_in, f_out)`-balancer and returns its id. Both fans
     /// must be at least 1 (checked at [`finish`](Self::finish)).
     pub fn add_balancer(&mut self, f_in: usize, f_out: usize) -> BalancerId {
-        let id = BalancerId(self.balancer_fans.len());
-        self.balancer_fans.push((f_in, f_out));
-        self.bal_in.push(vec![None; f_in]);
-        self.bal_out.push(vec![None; f_out]);
+        let id = BalancerId(self.balancers.len());
+        self.balancers.push(Declared { f_in, f_out, first_in: self.ends.len() });
+        self.ends.resize(self.ends.len() + f_in + f_out, None);
         id
+    }
+
+    /// The declared balancer `b`.
+    fn declared(&self, b: BalancerId) -> Result<Declared, BuildError> {
+        self.balancers
+            .get(b.index())
+            .copied()
+            .ok_or_else(|| BuildError::IndexOutOfRange { endpoint: format!("{b}") })
+    }
+
+    /// `slot`, if no wire is attached there yet; `name` says which endpoint
+    /// it is in the error.
+    fn free(&self, slot: usize, name: impl FnOnce() -> String) -> Result<usize, BuildError> {
+        match self.ends[slot] {
+            Some(_) => Err(BuildError::DoublyConnected { endpoint: name() }),
+            None => Ok(slot),
+        }
+    }
+
+    /// The endpoint-table index of `start`, which must exist and be free.
+    fn start_slot(&self, start: WireStart) -> Result<usize, BuildError> {
+        let slot = match start {
+            WireStart::Source(s) => (s.index() < self.fan_in).then_some(s.index()),
+            WireStart::Balancer { balancer, port } => {
+                let b = self.declared(balancer)?;
+                (port < b.f_out).then(|| b.first_out() + port)
+            }
+        }
+        .ok_or_else(|| BuildError::IndexOutOfRange { endpoint: start_name(start) })?;
+        self.free(slot, || start_name(start))
+    }
+
+    /// The endpoint-table index of `end`, which must exist and be free.
+    fn end_slot(&self, end: WireEnd) -> Result<usize, BuildError> {
+        let slot = match end {
+            WireEnd::Sink(s) => (s.index() < self.fan_out).then(|| self.fan_in + s.index()),
+            WireEnd::Balancer { balancer, port } => {
+                let b = self.declared(balancer)?;
+                (port < b.f_in).then(|| b.first_in + port)
+            }
+        }
+        .ok_or_else(|| BuildError::IndexOutOfRange { endpoint: end_name(end) })?;
+        self.free(slot, || end_name(end))
     }
 
     /// Connects a wire from `start` to `end`.
@@ -79,77 +150,13 @@ impl NetworkBuilder {
     ///
     /// Returns [`BuildError::IndexOutOfRange`] if either endpoint refers to a
     /// nonexistent node or port, and [`BuildError::DoublyConnected`] if either
-    /// endpoint already has a wire.
+    /// endpoint already has a wire. A failed call claims neither endpoint.
     pub fn connect(&mut self, start: WireStart, end: WireEnd) -> Result<WireId, BuildError> {
+        let from = self.start_slot(start)?;
+        let to = self.end_slot(end)?;
         let id = WireId(self.wires.len());
-        // Validate and claim the start endpoint.
-        match start {
-            WireStart::Source(s) => {
-                let slot = self
-                    .source_out
-                    .get_mut(s.index())
-                    .ok_or(BuildError::IndexOutOfRange { endpoint: format!("{s}") })?;
-                if slot.is_some() {
-                    return Err(BuildError::DoublyConnected { endpoint: format!("{s}") });
-                }
-                *slot = Some(id);
-            }
-            WireStart::Balancer { balancer, port } => {
-                let ports = self
-                    .bal_out
-                    .get_mut(balancer.index())
-                    .ok_or(BuildError::IndexOutOfRange { endpoint: format!("{balancer}") })?;
-                let slot = ports.get_mut(port).ok_or(BuildError::IndexOutOfRange {
-                    endpoint: format!("{balancer} output port {port}"),
-                })?;
-                if slot.is_some() {
-                    return Err(BuildError::DoublyConnected {
-                        endpoint: format!("{balancer} output port {port}"),
-                    });
-                }
-                *slot = Some(id);
-            }
-        }
-        // Validate and claim the end endpoint. On failure, release the start.
-        let end_result: Result<(), BuildError> = (|| {
-            match end {
-                WireEnd::Sink(s) => {
-                    let slot = self
-                        .sink_in
-                        .get_mut(s.index())
-                        .ok_or(BuildError::IndexOutOfRange { endpoint: format!("{s}") })?;
-                    if slot.is_some() {
-                        return Err(BuildError::DoublyConnected { endpoint: format!("{s}") });
-                    }
-                    *slot = Some(id);
-                }
-                WireEnd::Balancer { balancer, port } => {
-                    let ports = self.bal_in.get_mut(balancer.index()).ok_or(
-                        BuildError::IndexOutOfRange { endpoint: format!("{balancer}") },
-                    )?;
-                    let slot = ports.get_mut(port).ok_or(BuildError::IndexOutOfRange {
-                        endpoint: format!("{balancer} input port {port}"),
-                    })?;
-                    if slot.is_some() {
-                        return Err(BuildError::DoublyConnected {
-                            endpoint: format!("{balancer} input port {port}"),
-                        });
-                    }
-                    *slot = Some(id);
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = end_result {
-            // Roll back the claimed start endpoint.
-            match start {
-                WireStart::Source(s) => self.source_out[s.index()] = None,
-                WireStart::Balancer { balancer, port } => {
-                    self.bal_out[balancer.index()][port] = None;
-                }
-            }
-            return Err(e);
-        }
+        self.ends[from] = Some(id);
+        self.ends[to] = Some(id);
         self.wires.push(Wire { start, end });
         Ok(id)
     }
@@ -163,27 +170,30 @@ impl NetworkBuilder {
     ///   has no wire.
     /// * [`BuildError::Cyclic`] if the wires form a directed cycle.
     pub fn finish(self) -> Result<Network, BuildError> {
-        for (i, &(f_in, f_out)) in self.balancer_fans.iter().enumerate() {
-            if f_in == 0 || f_out == 0 {
+        for (i, b) in self.balancers.iter().enumerate() {
+            if b.f_in == 0 || b.f_out == 0 {
                 return Err(BuildError::ZeroFan { balancer: i });
             }
         }
+        let (sources, rest) = self.ends.split_at(self.fan_in);
+        let (sinks, ports) = rest.split_at(self.fan_out);
         let mut source_wires = Vec::with_capacity(self.fan_in);
-        for (i, w) in self.source_out.iter().enumerate() {
+        for (i, w) in sources.iter().enumerate() {
             source_wires.push(w.ok_or_else(|| BuildError::Unconnected {
                 endpoint: format!("{}", SourceId(i)),
             })?);
         }
         let mut sink_wires = Vec::with_capacity(self.fan_out);
-        for (j, w) in self.sink_in.iter().enumerate() {
+        for (j, w) in sinks.iter().enumerate() {
             sink_wires.push(w.ok_or_else(|| BuildError::Unconnected {
                 endpoint: format!("{}", SinkId(j)),
             })?);
         }
-        let mut balancers = Vec::with_capacity(self.balancer_fans.len());
-        for (i, (ins, outs)) in self.bal_in.iter().zip(&self.bal_out).enumerate() {
-            let inputs: Option<Vec<WireId>> = ins.iter().copied().collect();
-            let outputs: Option<Vec<WireId>> = outs.iter().copied().collect();
+        let mut balancers = Vec::with_capacity(self.balancers.len());
+        let mut ports = ports.iter().copied();
+        for (i, b) in self.balancers.iter().enumerate() {
+            let inputs: Option<Vec<WireId>> = ports.by_ref().take(b.f_in).collect();
+            let outputs: Option<Vec<WireId>> = ports.by_ref().take(b.f_out).collect();
             match (inputs, outputs) {
                 (Some(inputs), Some(outputs)) => balancers.push(Balancer::new(inputs, outputs)),
                 _ => {
@@ -207,17 +217,16 @@ impl NetworkBuilder {
     }
 }
 
-/// Kahn's algorithm over the balancer-to-balancer edges.
+/// Kahn's algorithm over the balancer-to-balancer edges. A balancer's
+/// successors are read off its own output wires, so no adjacency lists
+/// are built.
 fn kahn_topo_order(balancers: &[Balancer], wires: &[Wire]) -> Result<Vec<BalancerId>, BuildError> {
     let n = balancers.len();
     let mut indegree = vec![0usize; n];
-    // adjacency: for each balancer, the balancers its outputs feed.
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
     for w in wires {
-        if let (WireStart::Balancer { balancer: from, .. }, WireEnd::Balancer { balancer: to, .. }) =
+        if let (WireStart::Balancer { .. }, WireEnd::Balancer { balancer: to, .. }) =
             (w.start, w.end)
         {
-            succ[from.index()].push(to.index());
             indegree[to.index()] += 1;
         }
     }
@@ -225,10 +234,12 @@ fn kahn_topo_order(balancers: &[Balancer], wires: &[Wire]) -> Result<Vec<Balance
     let mut order = Vec::with_capacity(n);
     while let Some(i) = queue.pop() {
         order.push(BalancerId(i));
-        for &j in &succ[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                queue.push(j);
+        for &w in balancers[i].outputs() {
+            if let WireEnd::Balancer { balancer: j, .. } = wires[w.index()].end {
+                indegree[j.index()] -= 1;
+                if indegree[j.index()] == 0 {
+                    queue.push(j.index());
+                }
             }
         }
     }
@@ -299,10 +310,9 @@ impl LayeredBuilder {
             "line out of range for width {}",
             self.width
         );
-        let mut seen = vec![false; self.width];
-        for &l in lines {
-            assert!(!seen[l], "duplicate line {l} in balancer");
-            seen[l] = true;
+        // A balancer spans a handful of lines: a scan beats a bitmap here.
+        for (k, &l) in lines.iter().enumerate() {
+            assert!(!lines[..k].contains(&l), "duplicate line {l} in balancer");
         }
         let b = self.inner.add_balancer(lines.len(), lines.len());
         for (port, &line) in lines.iter().enumerate() {

@@ -24,8 +24,8 @@
 //!   x86_64, `Instant` elsewhere), for the trace recorder in
 //!   `cnet-runtime`;
 //! * [`poll`] — a minimal level-triggered readiness poller (epoll on
-//!   Linux via direct `extern "C"` declarations — no `libc` crate) plus a
-//!   loopback-pair [`poll::Waker`], for the sharded reactor in `cnet-net`
+//!   Linux via direct `extern "C"` declarations — no `libc` crate) plus an
+//!   `eventfd` [`poll::Waker`], for the sharded reactor in `cnet-net`
 //!   (replaces `mio`);
 //! * [`hist`] — a fixed-size log-bucketed [`hist::LatencyHistogram`]
 //!   (32 sub-buckets per octave, ≤3.1% quantile error) for `cnet

@@ -21,14 +21,17 @@
 //! immediately) but it burns a little CPU per idle connection, so the
 //! Linux path is the one that gets benchmarked.
 //!
-//! A [`Waker`] lets any thread interrupt a blocked [`Poller::wait`]. It is
-//! built on a connected loopback TCP pair from `std::net` — no pipes, no
-//! `eventfd`, hence no extra unsafe — with the read end registered in the
-//! poller under a caller-chosen token and the write end poked with a
-//! single byte by [`Waker::wake`].
+//! A [`Waker`] lets any thread interrupt a blocked [`Poller::wait`]. On
+//! Linux it is one `eventfd`, declared beside the epoll externs and
+//! registered in the poller under a caller-chosen token: [`Waker::wake`]
+//! adds one to its counter, which makes it readable, and
+//! [`Waker::drain`] reads the counter back to zero. One fd and two
+//! syscalls to build, where a socket pair would cost a listener, a
+//! handshake and an ephemeral port. The fallback poller already returns
+//! every few milliseconds and reports the waker's token each time, so its
+//! waker holds no fd at all.
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::Duration;
 
@@ -112,79 +115,46 @@ impl Poller {
 
 /// A cross-thread wakeup handle for a [`Poller`]; see the module docs.
 pub struct Waker {
-    /// Write end: poked by `wake`, from any thread.
-    tx: TcpStream,
-    /// Read end: registered in the poller, drained by the poll loop.
-    rx: TcpStream,
+    inner: sys::Waker,
 }
 
 impl Waker {
-    /// Builds a connected loopback pair and registers the read end in
-    /// `poller` under `token`. Events carrying `token` mean "someone called
-    /// [`Waker::wake`]" — call [`Waker::drain`] and re-check shared state.
+    /// Builds a waker and registers it in `poller` under `token`. Events
+    /// carrying `token` mean "someone called [`Waker::wake`]" — call
+    /// [`Waker::drain`] and re-check shared state.
     pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
-        // A loopback TCP pair stands in for pipe2/eventfd: bind an
-        // ephemeral listener, connect to it, accept the peer, drop the
-        // listener. Nodelay so a 1-byte wake is not Nagle-delayed.
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let tx = TcpStream::connect(listener.local_addr()?)?;
-        let (rx, _) = listener.accept()?;
-        tx.set_nodelay(true)?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        poller.register(&rx, token, Interest::READABLE)?;
-        Ok(Waker { tx, rx })
+        Ok(Waker { inner: sys::Waker::new(&poller.inner, token)? })
     }
 
     /// Wakes the poller. Safe to call from any thread, any number of
-    /// times; wakes coalesce. A full socket buffer (`WouldBlock`) already
-    /// guarantees a pending wakeup, so it is not an error.
+    /// times; wakes coalesce until the next [`drain`](Self::drain).
     pub fn wake(&self) -> io::Result<()> {
-        use std::io::Write;
-        loop {
-            match (&self.tx).write(&[1u8]) {
-                Ok(_) => return Ok(()),
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
+        self.inner.wake()
     }
 
-    /// Consumes pending wake bytes so the (level-triggered) poller stops
+    /// Consumes pending wakes so the (level-triggered) poller stops
     /// reporting the waker as readable. Call on every waker event.
     pub fn drain(&self) {
-        use std::io::Read;
-        let mut sink = [0u8; 64];
-        loop {
-            match (&self.rx).read(&mut sink) {
-                Ok(0) => return,           // peer closed: shutdown path
-                Ok(_) => continue,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,          // WouldBlock: fully drained
-            }
-        }
-    }
-
-    /// The registered read end, for deregistration during teardown.
-    pub fn reader(&self) -> &TcpStream {
-        &self.rx
+        self.inner.drain();
     }
 }
 
 #[cfg(target_os = "linux")]
 mod sys {
-    //! Linux backend: epoll through `extern "C"` declarations against the
-    //! libc `std` already links. This module owns the only `unsafe` in the
-    //! polling layer; everything above it is safe code.
+    //! Linux backend: epoll and eventfd through `extern "C"` declarations
+    //! against the libc `std` already links. This module owns the only
+    //! `unsafe` in the polling layer; everything above it is safe code.
 
     use super::{Event, Interest};
-    use std::io;
+    use std::fs::File;
+    use std::io::{self, Read, Write};
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::os::raw::c_int;
     use std::time::Duration;
 
     const EPOLL_CLOEXEC: c_int = 0o2000000;
+    const EFD_CLOEXEC: c_int = 0o2000000;
+    const EFD_NONBLOCK: c_int = 0o4000;
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_DEL: c_int = 2;
     const EPOLL_CTL_MOD: c_int = 3;
@@ -206,11 +176,12 @@ mod sys {
 
     extern "C" {
         // SAFETY (of the declarations): these signatures match the libc
-        // prototypes for the epoll family on every Linux target; std
-        // links libc, so the symbols are always present.
+        // prototypes for the epoll family and eventfd on every Linux
+        // target; std links libc, so the symbols are always present.
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
         fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+        fn eventfd(initval: u32, flags: c_int) -> c_int;
     }
 
     /// Upper bound on events decoded per `epoll_wait` call. Level-triggered
@@ -323,6 +294,53 @@ mod sys {
             Ok(())
         }
     }
+
+    /// An `eventfd` counter in nonblocking mode, registered readable.
+    pub struct Waker {
+        fd: File,
+    }
+
+    impl Waker {
+        pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
+            // SAFETY: eventfd takes no pointers; a negative return is an
+            // error reported through errno, checked below.
+            #[allow(unsafe_code)]
+            let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            // SAFETY: `fd` is a freshly created eventfd we exclusively own;
+            // wrapping it gives close-on-drop, and the kernel drops its
+            // epoll entry with the last close.
+            #[allow(unsafe_code)]
+            let fd = File::from(unsafe { OwnedFd::from_raw_fd(fd) });
+            poller.register(fd.as_raw_fd(), token, Interest::READABLE)?;
+            Ok(Waker { fd })
+        }
+
+        pub fn wake(&self) -> io::Result<()> {
+            loop {
+                match (&self.fd).write(&1u64.to_ne_bytes()) {
+                    Ok(_) => return Ok(()),
+                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    // The counter is at its maximum: a wake is pending.
+                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+
+        pub fn drain(&self) {
+            // One read returns the whole count and resets it to zero; a
+            // zero counter reports `WouldBlock`.
+            let mut count = [0u8; 8];
+            while let Err(ref e) = (&self.fd).read(&mut count) {
+                if e.kind() != io::ErrorKind::Interrupted {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -386,24 +404,38 @@ mod sys {
             Ok(())
         }
     }
+
+    /// No fd: `wait` returns every slice anyway, so the waker is an
+    /// always-ready entry under its token and waking it is a no-op.
+    pub struct Waker;
+
+    impl Waker {
+        pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
+            poller.register(-1, token, Interest::READABLE)?;
+            Ok(Waker)
+        }
+
+        pub fn wake(&self) -> io::Result<()> {
+            Ok(())
+        }
+
+        pub fn drain(&self) {}
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::os::unix::net::UnixStream;
     use std::time::{Duration, Instant};
 
-    /// A connected nonblocking loopback pair for driving the poller.
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (b, _) = listener.accept().unwrap();
+    /// A connected nonblocking socket pair for driving the poller, which
+    /// watches any fd the same way.
+    fn pair() -> (UnixStream, UnixStream) {
+        let (a, b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
         b.set_nonblocking(true).unwrap();
-        a.set_nodelay(true).unwrap();
-        b.set_nodelay(true).unwrap();
         (a, b)
     }
 
@@ -513,6 +545,19 @@ mod tests {
             poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
             assert!(events.iter().all(|e| e.token != 42), "drain must clear readiness");
         }
+    }
+
+    #[test]
+    fn a_wake_before_the_wait_is_not_lost() {
+        let mut poller = Poller::new().unwrap();
+        let waker = Waker::new(&poller, 11).unwrap();
+        waker.wake().unwrap();
+        let mut events = Vec::new();
+        let start = Instant::now();
+        poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
+        assert!(events.iter().any(|e| e.token == 11 && e.readable), "{events:?}");
+        assert!(start.elapsed() < Duration::from_secs(5), "the wait ran to its timeout");
+        waker.drain();
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * [`CachePadded`] — aligns a value to its own cache line so logically
 //!   independent atomics never false-share;
 //! * [`atomic`] — the atomic types, routed through the model checker
-//!   under the `model-check` feature.
+//!   under the `model-check` feature;
+//! * [`zeroed_slice`] — a boxed slice of zero-valued atomics taken from
+//!   one zeroed allocation, so its pages are committed only when first
+//!   written.
 
 use std::cell::Cell;
 use std::fmt;
@@ -99,6 +102,60 @@ impl<T> From<T> for CachePadded<T> {
 impl<T: fmt::Debug> fmt::Debug for CachePadded<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_tuple("CachePadded").field(&self.value).finish()
+    }
+}
+
+/// Atomic words whose zero value is all-zero bytes, so a slice of them can
+/// come from one zeroed allocation ([`zeroed_slice`]). Sealed: only
+/// [`atomic::AtomicU64`] and arrays of it qualify.
+pub trait Zeroed: sealed::Sealed + Sized {
+    /// The zero value, built the ordinary way.
+    fn zero() -> Self;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::atomic::AtomicU64 {}
+    impl<T: Sealed, const N: usize> Sealed for [T; N] {}
+}
+
+impl Zeroed for atomic::AtomicU64 {
+    fn zero() -> Self {
+        atomic::AtomicU64::new(0)
+    }
+}
+
+impl<T: Zeroed, const N: usize> Zeroed for [T; N] {
+    fn zero() -> Self {
+        std::array::from_fn(|_| T::zero())
+    }
+}
+
+/// `len` zero-valued atomics in one boxed slice.
+///
+/// The slice comes from a single zeroed allocation rather than `len`
+/// constructions, so a large ring costs no page it never writes: the
+/// allocator hands back fresh zero pages, and the kernel commits each one
+/// when it is first stored to. Under the `model-check` feature the shim
+/// atomics are not plain integers, so each element is built with
+/// [`Zeroed::zero`] instead.
+pub fn zeroed_slice<T: Zeroed>(len: usize) -> Box<[T]> {
+    #[cfg(feature = "model-check")]
+    {
+        (0..len).map(|_| T::zero()).collect()
+    }
+    #[cfg(not(feature = "model-check"))]
+    {
+        let zeroed = Box::<[T]>::new_zeroed_slice(len);
+        // SAFETY: without `model-check`, `T` is `std`'s `AtomicU64` or an
+        // array of it (the trait is sealed), and `std` documents
+        // `AtomicU64` as having the same size and bit validity as `u64`;
+        // all-zero bytes are therefore a valid value, the same one
+        // `Zeroed::zero` builds.
+        #[allow(unsafe_code)]
+        unsafe {
+            zeroed.assume_init()
+        }
     }
 }
 
@@ -236,6 +293,18 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+
+    #[test]
+    fn zeroed_slices_read_zero_and_take_stores() {
+        let words: Box<[atomic::AtomicU64]> = zeroed_slice(1 << 16);
+        assert_eq!(words.len(), 1 << 16);
+        assert!(words.iter().all(|w| w.load(atomic::Ordering::Relaxed) == 0));
+        words[4095].store(7, atomic::Ordering::Relaxed);
+        assert_eq!(words[4095].load(atomic::Ordering::Relaxed), 7);
+        let triples: Box<[[atomic::AtomicU64; 3]]> = zeroed_slice(5);
+        assert!(triples.iter().flatten().all(|w| w.load(atomic::Ordering::Relaxed) == 0));
+        assert!(zeroed_slice::<atomic::AtomicU64>(0).is_empty());
+    }
 
     #[test]
     fn mutex_survives_holder_panics() {

@@ -42,6 +42,11 @@ echo "manifest scan: ok (all dependencies are in-tree path dependencies)"
 
 # Warnings gate: the release build must be clean under -D warnings.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
+# Lint gate: every target clean under clippy's defaults, plus
+# `or_fun_call`, so that a value built eagerly for an error path nobody
+# takes (a `format!` inside `ok_or`, a `to_string` inside `map_or`) cannot
+# come back.
+cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::or_fun_call
 cargo test -q --offline --workspace
 # Rustdoc gate for every crate: a broken or private intra-doc link (say,
 # to a deleted type) fails the script.
@@ -133,6 +138,41 @@ if ! echo "$audit_out" | grep -q "audit verdict: clean"; then
     echo "error: cnet audit reported violations on the compiled backend" >&2
     exit 1
 fi
+
+# Idle-memory smoke: an audited server sized for its default connection
+# count reserves one trace ring per slot, but each ring comes from one
+# zeroed allocation, so the kernel commits a page only when a shard first
+# writes it. Idle, the server must hold under 10 MB resident; rings
+# built element by element would commit all 36 MB of them. The binary
+# runs directly, not through `cargo run`, so the pid read is the server's.
+cargo build -q --release --offline -p cnet-cli
+cnet_bin="${CARGO_TARGET_DIR:-target}/release/cnet"
+port_file=$(mktemp)
+rm -f "$port_file"
+"$cnet_bin" serve 8 --audit 1 --port-file "$port_file" > /dev/null &
+serve_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$port_file" ] && break
+    if ! kill -0 "$serve_pid" 2>/dev/null; then
+        echo "error: cnet serve (idle-memory smoke) exited before binding" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+if [ ! -s "$port_file" ]; then
+    echo "error: cnet serve (idle-memory smoke) never wrote its port file" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+idle_kb=$(awk '/^VmRSS:/ {print $2}' "/proc/$serve_pid/status")
+"$cnet_bin" loadgen --addr "$(cat "$port_file")" --ops 0 --shutdown 1 > /dev/null
+wait "$serve_pid"
+rm -f "$port_file"
+if [ -z "$idle_kb" ] || [ "$idle_kb" -gt 10240 ]; then
+    echo "error: an idle 'cnet serve 8 --audit 1' holds ${idle_kb:-?} kB resident, over 10 MB" >&2
+    exit 1
+fi
+echo "idle-memory smoke: ok (idle audited server holds ${idle_kb} kB resident)"
 
 # Service smoke: boot `cnet serve` on an ephemeral loopback port, discover
 # the port through --port-file, drive it with `cnet loadgen --check`
