@@ -23,11 +23,7 @@ use cnet_util::rng::{Rng, SeedableRng, StdRng};
 
 const SEEDS: u64 = 300;
 
-fn random_adaptive_schedule(
-    net: &Network,
-    ratio: f64,
-    seed: u64,
-) -> Vec<AdaptiveTokenSpec> {
+fn random_adaptive_schedule(net: &Network, ratio: f64, seed: u64) -> Vec<AdaptiveTokenSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut specs = Vec::new();
     for p in 0..6usize {

@@ -5,7 +5,7 @@
 
 use cnet_bench::Table;
 use cnet_topology::construct::{
-    block, block_interleaved, bitonic, counting_tree, merger, periodic,
+    bitonic, block, block_interleaved, counting_tree, merger, periodic,
 };
 use cnet_topology::dot::to_dot;
 use cnet_topology::{LayeredBuilder, Network};
@@ -25,10 +25,8 @@ fn figure_2_network() -> Network {
 }
 
 fn main() {
-    let out_dir: PathBuf = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "target/figures".to_string())
-        .into();
+    let out_dir: PathBuf =
+        std::env::args().nth(1).unwrap_or_else(|| "target/figures".to_string()).into();
     fs::create_dir_all(&out_dir).expect("create output directory");
 
     let fig2 = figure_2_network();
@@ -48,9 +46,7 @@ fn main() {
     ];
 
     println!("== Figures 2, 4, 5, 6: network constructions ==\n");
-    let mut table = Table::new(vec![
-        "figure", "fan-in", "fan-out", "size", "depth", "uniform",
-    ]);
+    let mut table = Table::new(vec!["figure", "fan-in", "fan-out", "size", "depth", "uniform"]);
     for (name, title, net) in &nets {
         let path = out_dir.join(format!("{name}.dot"));
         fs::write(&path, to_dot(net, name)).expect("write dot file");

@@ -18,13 +18,11 @@
 use cnet_bench::report::f3;
 use cnet_bench::search::refine;
 use cnet_bench::{maximize, SearchSpace, Table};
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
+use cnet_core::op::Op;
 use cnet_core::theory;
 use cnet_sim::adversary::three_wave;
 use cnet_sim::engine::run;
-use cnet_core::op::Op;
 use cnet_topology::construct::bitonic;
 
 fn main() {
@@ -32,17 +30,16 @@ fn main() {
 
     println!("== Open problem 4: searching for the worst F_nsc under c_max/c_min < l ==\n");
     let mut table = Table::new(vec![
-        "l", "ceiling (l-2)/(l-1)", "best F_nsc found", "evaluations", "gap to ceiling",
+        "l",
+        "ceiling (l-2)/(l-1)",
+        "best F_nsc found",
+        "evaluations",
+        "gap to ceiling",
     ]);
     for ell in [3usize, 4, 6, 10] {
         let c_max = ell as f64 - 0.01;
-        let space = SearchSpace {
-            processes: 8,
-            tokens_per_process: 4,
-            c_min: 1.0,
-            c_max,
-            max_gap: 3.0,
-        };
+        let space =
+            SearchSpace { processes: 8, tokens_per_process: 4, c_min: 1.0, c_max, max_gap: 3.0 };
         // Random restarts…
         let random_outcome = maximize(&net, &space, 2024 + ell as u64, 8, 400, |ops| {
             non_sequential_consistency_fraction(ops)
@@ -118,8 +115,7 @@ fn main() {
             f3(nl_outcome.best_score),
             f3(wave_nsc),
             f3(nsc_outcome.best_score),
-            (nl_outcome.best_score > wave_nl + 1e-9
-                || nsc_outcome.best_score > wave_nsc + 1e-9)
+            (nl_outcome.best_score > wave_nl + 1e-9 || nsc_outcome.best_score > wave_nsc + 1e-9)
                 .to_string(),
         ]);
     }

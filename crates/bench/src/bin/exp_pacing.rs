@@ -11,9 +11,7 @@
 //! Run: `cargo run --release -p cnet-bench --bin exp_pacing`
 
 use cnet_bench::Table;
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
 use cnet_runtime::{drive, LocallyPacedCounter, SharedNetworkCounter, Workload};
 use cnet_topology::construct::bitonic;
 use std::time::Duration;

@@ -10,9 +10,7 @@
 
 use cnet_bench::report::f3;
 use cnet_bench::Table;
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
 use cnet_core::op::Op;
 use cnet_core::theory;
 use cnet_sim::adversary::bitonic_three_wave;
@@ -24,10 +22,7 @@ fn fractions_at(w: usize, ratio: f64) -> (f64, f64) {
     let sched = bitonic_three_wave(&net, 1.0, ratio).unwrap();
     let exec = run(&net, &sched.specs).unwrap();
     let ops = Op::from_execution(&exec);
-    (
-        non_linearizability_fraction(&ops),
-        non_sequential_consistency_fraction(&ops),
-    )
+    (non_linearizability_fraction(&ops), non_sequential_consistency_fraction(&ops))
 }
 
 fn main() {

@@ -24,13 +24,7 @@ use cnet_topology::Network;
 
 const SEEDS: u64 = 300;
 
-fn scan_row(
-    table: &mut Table,
-    label: &str,
-    net: &Network,
-    condition: TimingCondition,
-    c_max: f64,
-) {
+fn scan_row(table: &mut Table, label: &str, net: &Network, condition: TimingCondition, c_max: f64) {
     let cfg = WorkloadConfig {
         processes: net.fan_in().clamp(2, 8),
         tokens_per_process: 4,
@@ -54,7 +48,11 @@ fn main() {
 
     println!("--- Sufficient conditions: random schedules satisfying each condition must show ZERO violations ---\n");
     let mut table = Table::new(vec![
-        "network", "condition (satisfied by measurement)", "sample", "non-lin", "non-SC",
+        "network",
+        "condition (satisfied by measurement)",
+        "sample",
+        "non-lin",
+        "non-SC",
     ]);
     let b8 = bitonic(8).unwrap();
     let b16 = bitonic(16).unwrap();
@@ -76,7 +74,11 @@ fn main() {
 
     println!("--- Necessary conditions: adversarial schedules just above each threshold violate both ---\n");
     let mut table = Table::new(vec![
-        "network", "threshold exceeded", "ratio used", "linearizable?", "seq. consistent?",
+        "network",
+        "threshold exceeded",
+        "ratio used",
+        "linearizable?",
+        "seq. consistent?",
     ]);
 
     // Bitonic / tree necessity at ratio 2 (LSST99 Thms 4.3/4.1), shown tight
@@ -110,7 +112,11 @@ fn main() {
         ]);
     }
     // Deep holding races: any uniform network violates above d+1.
-    for (label, net) in [("B(8)", bitonic(8).unwrap()), ("P(8)", periodic(8).unwrap()), ("Tree(8)", counting_tree(8).unwrap())] {
+    for (label, net) in [
+        ("B(8)", bitonic(8).unwrap()),
+        ("P(8)", periodic(8).unwrap()),
+        ("Tree(8)", counting_tree(8).unwrap()),
+    ] {
         let d = net.depth() as f64;
         let race = holding_race(&net, 1.0, d + 1.01, true).unwrap();
         let exec = run(&net, &race.specs).unwrap();

@@ -25,16 +25,18 @@ fn show(params: &TimingParams) -> String {
         "c_min={:.3} c_max={:.3} C_g={}",
         params.c_min.unwrap_or(f64::NAN),
         params.c_max.unwrap_or(f64::NAN),
-        params
-            .global_delay
-            .map_or_else(|| "inf".to_string(), |g| format!("{g:.3}")),
+        params.global_delay.map_or_else(|| "inf".to_string(), |g| format!("{g:.3}")),
     )
 }
 
 fn main() {
     println!("== Theorem 3.2: the non-distinguishing transformation ==\n");
     let mut table = Table::new(vec![
-        "w", "execution", "timing parameters", "linearizable?", "seq. consistent?",
+        "w",
+        "execution",
+        "timing parameters",
+        "linearizable?",
+        "seq. consistent?",
     ]);
     for w in [8usize, 16, 32] {
         let net = bitonic(w).unwrap();

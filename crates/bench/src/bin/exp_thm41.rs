@@ -29,7 +29,11 @@ const SEEDS: u64 = 200;
 fn main() {
     println!("== Theorem 4.1: d(G)(c_max - 2 c_min) < C_L  =>  sequentially consistent ==\n");
     let mut table = Table::new(vec![
-        "network", "ratio", "schedules satisfying C_L bound", "non-SC", "non-lin observed",
+        "network",
+        "ratio",
+        "schedules satisfying C_L bound",
+        "non-SC",
+        "non-lin observed",
     ]);
     for (label, net) in [
         ("B(8)", bitonic(8).unwrap()),
@@ -56,7 +60,8 @@ fn main() {
     );
 
     println!("== Without the local delay (C_L = 0) the same asynchrony breaks SC ==\n");
-    let mut table = Table::new(vec!["network", "ratio", "C_L", "condition holds?", "seq. consistent?"]);
+    let mut table =
+        Table::new(vec!["network", "ratio", "C_L", "condition holds?", "seq. consistent?"]);
     for w in [8usize, 16] {
         let net = bitonic(w).unwrap();
         let threshold = (w.trailing_zeros() as f64 + 3.0) / 2.0;
@@ -77,7 +82,11 @@ fn main() {
 
     println!("== Corollary 4.5: the condition does NOT imply linearizability ==\n");
     let mut table = Table::new(vec![
-        "network", "C_L (vacuous: one token/process)", "condition holds?", "linearizable?", "seq. consistent?",
+        "network",
+        "C_L (vacuous: one token/process)",
+        "condition holds?",
+        "linearizable?",
+        "seq. consistent?",
     ]);
     for w in [8usize, 16, 32] {
         let net = bitonic(w).unwrap();

@@ -59,10 +59,7 @@ fn main() {
             ("B(32)", bitonic(32).unwrap()),
         ],
     );
-    panel(
-        "Periodic networks",
-        &[("P(8)", periodic(8).unwrap()), ("P(16)", periodic(16).unwrap())],
-    );
+    panel("Periodic networks", &[("P(8)", periodic(8).unwrap()), ("P(16)", periodic(16).unwrap())]);
     println!(
         "Reading: as l grows (stronger asynchrony required), F_nl rises toward 1/2 while\n\
          F_nsc falls toward 0 — the bounds diverge under strong asynchrony and coincide\n\

@@ -45,7 +45,12 @@ fn main() {
     let diff8 = DiffractingTree::new(8, 4).expect("power-of-two width");
 
     let mut table = Table::new(vec![
-        "threads", "fetch&add", "lock", "compiled B(8)", "compiled B(16)", "diffracting(8)",
+        "threads",
+        "fetch&add",
+        "lock",
+        "compiled B(8)",
+        "compiled B(16)",
+        "diffracting(8)",
     ]);
     for threads in [1usize, 2, 4, 8, 16] {
         table.row(vec![

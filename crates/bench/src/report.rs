@@ -27,10 +27,7 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given column headers.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        Table {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
+        Table { headers: headers.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
     /// Appends a row; it must have as many cells as there are headers.

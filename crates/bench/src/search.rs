@@ -110,9 +110,7 @@ impl Genome {
             offsets: (0..space.processes).map(|_| sample(rng, 0.0, space.max_gap)).collect(),
             gaps: (0..space.processes)
                 .map(|_| {
-                    (0..space.tokens_per_process)
-                        .map(|_| sample(rng, 0.0, space.max_gap))
-                        .collect()
+                    (0..space.tokens_per_process).map(|_| sample(rng, 0.0, space.max_gap)).collect()
                 })
                 .collect(),
             delays: (0..space.processes)
@@ -215,8 +213,7 @@ where
 {
     assert!(space.processes > 0 && space.tokens_per_process > 0, "empty search space");
     let mut rng = StdRng::seed_from_u64(seed);
-    let starts: Vec<Genome> =
-        (0..restarts).map(|_| Genome::random(space, net, &mut rng)).collect();
+    let starts: Vec<Genome> = (0..restarts).map(|_| Genome::random(space, net, &mut rng)).collect();
     climb(net, space, starts, &mut rng, steps_per_restart, &mut objective)
 }
 
@@ -307,9 +304,7 @@ mod tests {
             c_max: 2.5,
             max_gap: 3.0,
         };
-        let outcome = maximize(&net, &space, 7, 2, 30, |ops| {
-            non_sequential_consistency_fraction(ops)
-        });
+        let outcome = maximize(&net, &space, 7, 2, 30, non_sequential_consistency_fraction);
         assert!(outcome.evaluations > 0);
         let exec = run(&net, &outcome.best_specs).unwrap();
         let params = TimingParams::measure(&exec);
@@ -330,9 +325,7 @@ mod tests {
             c_max: 20.0,
             max_gap: 4.0,
         };
-        let outcome = maximize(&net, &space, 11, 6, 200, |ops| {
-            non_sequential_consistency_fraction(ops)
-        });
+        let outcome = maximize(&net, &space, 11, 6, 200, non_sequential_consistency_fraction);
         assert!(
             outcome.best_score > 0.0,
             "ratio 20 on B(2) admits non-SC schedules; search found none"
@@ -351,9 +344,7 @@ mod tests {
             c_max: 2.99,
             max_gap: 2.0,
         };
-        let outcome = maximize(&net, &space, 3, 4, 150, |ops| {
-            non_sequential_consistency_fraction(ops)
-        });
+        let outcome = maximize(&net, &space, 3, 4, 150, non_sequential_consistency_fraction);
         assert!(outcome.best_score <= theory::thm_5_4_nsc_upper(3) + 1e-9);
     }
 

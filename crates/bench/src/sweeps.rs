@@ -2,9 +2,7 @@
 
 use cnet_core::conditions::TimingCondition;
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
 use cnet_core::op::Op;
 use cnet_sim::adversary::three_wave;
 use cnet_sim::engine::run;
@@ -152,14 +150,8 @@ mod tests {
         let net = bitonic(16).unwrap();
         for ell in 1..=4 {
             let p = adversarial_fractions(&net, ell);
-            assert!(
-                p.f_nl >= theory::thm_5_11_nl_lower(ell) - 1e-9,
-                "ell={ell}: {p:?}"
-            );
-            assert!(
-                p.f_nsc >= theory::thm_5_11_nsc_lower(ell) - 1e-9,
-                "ell={ell}: {p:?}"
-            );
+            assert!(p.f_nl >= theory::thm_5_11_nl_lower(ell) - 1e-9, "ell={ell}: {p:?}");
+            assert!(p.f_nsc >= theory::thm_5_11_nsc_lower(ell) - 1e-9, "ell={ell}: {p:?}");
         }
     }
 

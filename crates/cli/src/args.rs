@@ -11,9 +11,7 @@ use cnet_topology::Network;
 /// Returns a user-facing message for unknown families or unsupported
 /// widths.
 pub fn parse_network(family: &str, w_str: &str) -> Result<Network, String> {
-    let w: usize = w_str
-        .parse()
-        .map_err(|_| format!("'{w_str}' is not a valid width"))?;
+    let w: usize = w_str.parse().map_err(|_| format!("'{w_str}' is not a valid width"))?;
     let built = match family {
         "bitonic" | "b" => bitonic(w),
         "periodic" | "p" => periodic(w),
@@ -47,12 +45,9 @@ impl Options {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let key = flag
-                .strip_prefix("--")
-                .ok_or_else(|| format!("unexpected argument '{flag}'"))?;
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
+            let key =
+                flag.strip_prefix("--").ok_or_else(|| format!("unexpected argument '{flag}'"))?;
+            let value = it.next().ok_or_else(|| format!("flag --{key} needs a value"))?;
             pairs.push((key.to_string(), value.clone()));
         }
         Ok(Options { pairs })

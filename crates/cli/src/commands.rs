@@ -6,15 +6,15 @@ use cnet_core::audit::audit;
 use cnet_core::conditions::TimingCondition;
 use cnet_core::op::Op;
 use cnet_core::trace::{ShardFrontier, StreamingAuditor};
+use cnet_runtime::{
+    drive_audited, AuditedRun, Backend, ProcessCounter, ShardStealer, TraceRecorder, Traced,
+    Workload,
+};
 use cnet_sim::adversary::{holding_race, three_wave};
 use cnet_sim::engine::run;
 use cnet_sim::timing::TimingParams;
 use cnet_sim::validate::validate;
 use cnet_sim::workload::{generate, WorkloadConfig};
-use cnet_runtime::{
-    drive_audited, AuditedRun, Backend, ProcessCounter, ShardStealer, TraceRecorder, Traced,
-    Workload,
-};
 use cnet_topology::analysis::split::split_sequence;
 use cnet_topology::analysis::{influence_radius, Valencies};
 use cnet_topology::Network;
@@ -141,8 +141,7 @@ fn maybe_save(
         note: note.to_string(),
         specs: specs.to_vec(),
     };
-    std::fs::write(path, artifact.to_json()?)
-        .map_err(|e| format!("write {path}: {e}"))?;
+    std::fs::write(path, artifact.to_json()?).map_err(|e| format!("write {path}: {e}"))?;
     Ok(format!("schedule saved to {path}\n"))
 }
 
@@ -180,11 +179,8 @@ fn cmd_info(net: &Network) -> Result<String, String> {
             seq.is_continuously_uniformly_splittable()
         );
     }
-    let _ = writeln!(
-        out,
-        "  Theorem 4.1 local-delay bound: C_L > {}·(c_max − 2·c_min)",
-        net.depth()
-    );
+    let _ =
+        writeln!(out, "  Theorem 4.1 local-delay bound: C_L > {}·(c_max − 2·c_min)", net.depth());
     Ok(out)
 }
 
@@ -349,13 +345,11 @@ fn spawn_audit_workers(
 
 fn cmd_serve(args: &[String]) -> Result<String, String> {
     let [w, flags @ ..] = args else {
-        return Err(
-            "expected: cnet serve <w> [--backend B] [--family F] [--addr HOST:PORT] \
+        return Err("expected: cnet serve <w> [--backend B] [--family F] [--addr HOST:PORT] \
              [--max-conns N] [--processes N] [--reactors N] [--backpressure reject|block] \
              [--audit 0/1] [--audit-threads N] [--audit-sample k] [--port-file file] \
              [--cluster K/N --peers ADDR]"
-                .to_string(),
-        );
+            .to_string());
     };
     let fan: usize = w.parse().map_err(|_| format!("'{w}' is not a valid width"))?;
     let opts = Options::parse(flags)?;
@@ -563,7 +557,15 @@ fn served_audit(
 fn cmd_loadgen(args: &[String]) -> Result<String, String> {
     let opts = Options::parse(args)?;
     opts.allow(&[
-        "addr", "threads", "connections", "ops", "batch", "mode", "check", "shutdown", "cluster",
+        "addr",
+        "threads",
+        "connections",
+        "ops",
+        "batch",
+        "mode",
+        "check",
+        "shutdown",
+        "cluster",
     ])?;
     let addr = opts.get("addr").ok_or("loadgen needs --addr HOST:PORT")?.to_string();
     let threads = opts.usize_or("threads", 4)?.max(1);
@@ -921,14 +923,12 @@ fn cmd_audit_cluster(opts: &Options) -> Result<String, String> {
 
 fn cmd_audit(args: &[String]) -> Result<String, String> {
     let [w, flags @ ..] = args else {
-        return Err(
-            format!(
-                "expected: cnet audit <w> [--backend {}] [--family F] [--threads N] [--ops N] \
+        return Err(format!(
+            "expected: cnet audit <w> [--backend {}] [--family F] [--threads N] [--ops N] \
                  [--addr HOST:PORT] [--audit-threads N] [--audit-sample k] \
                  [--inject SEED (cluster only)]",
-                backend_names(&["remote", "cluster"], "|")
-            ),
-        );
+            backend_names(&["remote", "cluster"], "|")
+        ));
     };
     let fan: usize = w.parse().map_err(|_| format!("'{w}' is not a valid width"))?;
     let opts = Options::parse(flags)?;
@@ -960,24 +960,23 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
     // `--audit-sample k`, exactly the 1-in-k sound sample of it).
     let recorder = Arc::new(TraceRecorder::with_sampling(threads, ops, sample_k));
     let mut live: Vec<String> = Vec::new();
-    let (counter, shown_family): (Arc<dyn ProcessCounter + Send + Sync>, _) =
-        match backend {
-            // Audits a *live socket*: each audit thread drives its own pooled
-            // connection to a running `cnet serve`, and the recorded intervals
-            // are the client-observed ones (network delay included).
-            "remote" => {
-                let addr = opts.get("addr").ok_or("backend remote needs --addr HOST:PORT")?;
-                let remote = cnet_net::RemoteCounter::connect(addr, threads)
-                    .map_err(|e| format!("connect {addr}: {e}"))?;
-                (Arc::new(remote), "-")
-            }
-            name => {
-                let b = parse_backend(name, &["remote", "cluster"])?;
-                let net = b.uses_network().then(|| parse_network(&family, w)).transpose()?;
-                let shown = if b.uses_network() { family.as_str() } else { "-" };
-                (b.build(net.as_ref(), fan, threads)?, shown)
-            }
-        };
+    let (counter, shown_family): (Arc<dyn ProcessCounter + Send + Sync>, _) = match backend {
+        // Audits a *live socket*: each audit thread drives its own pooled
+        // connection to a running `cnet serve`, and the recorded intervals
+        // are the client-observed ones (network delay included).
+        "remote" => {
+            let addr = opts.get("addr").ok_or("backend remote needs --addr HOST:PORT")?;
+            let remote = cnet_net::RemoteCounter::connect(addr, threads)
+                .map_err(|e| format!("connect {addr}: {e}"))?;
+            (Arc::new(remote), "-")
+        }
+        name => {
+            let b = parse_backend(name, &["remote", "cluster"])?;
+            let net = b.uses_network().then(|| parse_network(&family, w)).transpose()?;
+            let shown = if b.uses_network() { family.as_str() } else { "-" };
+            (b.build(net.as_ref(), fan, threads)?, shown)
+        }
+    };
     let counter = Traced::new(counter, Arc::clone(&recorder));
     let started = std::time::Instant::now();
     let (run, batches) = audit_workload(&counter, &recorder, workload, audit_threads, &mut live);
@@ -997,11 +996,8 @@ fn cmd_audit(args: &[String]) -> Result<String, String> {
     let _ = writeln!(out, "events recorded:         {}", run.recorded);
     let _ = writeln!(out, "events dropped:          {}", run.dropped);
     if sample_k > 1 {
-        let _ = writeln!(
-            out,
-            "events skipped:          {} (1-in-{sample_k} sampling)",
-            run.skipped
-        );
+        let _ =
+            writeln!(out, "events skipped:          {} (1-in-{sample_k} sampling)", run.skipped);
     }
     if audit_threads > 0 {
         let _ = writeln!(out, "audit workers:           {audit_threads}");
@@ -1052,7 +1048,8 @@ fn render_execution(net: &Network, exec: &cnet_sim::TimedExecution) -> String {
         conditions.push(c);
     }
     for c in conditions {
-        let _ = writeln!(out, "  [{}] {c}  —  {}", if c.holds(&params) { "x" } else { " " }, c.role());
+        let _ =
+            writeln!(out, "  [{}] {c}  —  {}", if c.holds(&params) { "x" } else { " " }, c.role());
     }
     let _ = writeln!(out, "\nconsistency audit:");
     let _ = write!(out, "{report}");
@@ -1079,9 +1076,8 @@ mod tests {
         let mut argv = vec!["serve".to_string()];
         argv.extend(args.iter().map(|a| a.to_string()));
         argv.extend(["--port-file".to_string(), port_file.to_str().unwrap().to_string()]);
-        let server = std::thread::spawn(move || {
-            call(&argv.iter().map(String::as_str).collect::<Vec<_>>())
-        });
+        let server =
+            std::thread::spawn(move || call(&argv.iter().map(String::as_str).collect::<Vec<_>>()));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         let addr = loop {
             if let Ok(addr) = std::fs::read_to_string(&port_file) {
@@ -1186,8 +1182,19 @@ mod tests {
             &["4", "--backend", "fetch_add", "--audit", "1", "--max-conns", "8"],
         );
         let out = call(&[
-            "loadgen", "--addr", &addr, "--threads", "4", "--ops", "2000", "--batch", "32",
-            "--check", "1", "--shutdown", "1",
+            "loadgen",
+            "--addr",
+            &addr,
+            "--threads",
+            "4",
+            "--ops",
+            "2000",
+            "--batch",
+            "32",
+            "--check",
+            "1",
+            "--shutdown",
+            "1",
         ])
         .unwrap();
         assert!(out.contains("= 2000 increments"), "{out}");
@@ -1215,8 +1222,17 @@ mod tests {
             &["8", "--backend", "fetch_add", "--audit", "1", "--max-conns", "1"],
         );
         let out = call(&[
-            "loadgen", "--addr", &addr, "--threads", "1", "--ops", "100000", "--mode",
-            "pipeline", "--shutdown", "1",
+            "loadgen",
+            "--addr",
+            &addr,
+            "--threads",
+            "1",
+            "--ops",
+            "100000",
+            "--mode",
+            "pipeline",
+            "--shutdown",
+            "1",
         ])
         .unwrap();
         assert!(out.contains("server shutdown requested and acknowledged"), "{out}");
@@ -1239,7 +1255,14 @@ mod tests {
         let (server, addr) =
             spawn_serve("cluster_overflow", &["8", "--audit", "1", "--max-conns", "1"]);
         let out = call(&[
-            "loadgen", "--addr", &addr, "--threads", "1", "--ops", "100000", "--mode",
+            "loadgen",
+            "--addr",
+            &addr,
+            "--threads",
+            "1",
+            "--ops",
+            "100000",
+            "--mode",
             "pipeline",
         ])
         .unwrap();
@@ -1291,7 +1314,6 @@ mod tests {
         assert!(served_audit(&violated, 3, 0, 0, 0, 1).ends_with("— violations detected\n"));
         let both = served_audit(&violated, 10, 7, 0, 0, 1);
         assert!(both.ends_with("— violations detected (7 dropped)\n"), "{both}");
-
     }
 
     #[test]
@@ -1317,8 +1339,8 @@ mod tests {
         // loadgen reports to stdout only; the flags that once tagged and
         // wrote a row of a JSON artifact are rejected before any dial.
         for flag in ["out", "label", "network", "audit-sample"] {
-            let err = call(&["loadgen", "--addr", "127.0.0.1:1", &format!("--{flag}"), "x"])
-                .unwrap_err();
+            let err =
+                call(&["loadgen", "--addr", "127.0.0.1:1", &format!("--{flag}"), "x"]).unwrap_err();
             assert_eq!(err, format!("unknown flag --{flag}"));
         }
     }
@@ -1333,9 +1355,7 @@ mod tests {
 
     #[test]
     fn cluster_flags_are_validated() {
-        assert!(call(&["serve", "4", "--cluster", "2"])
-            .unwrap_err()
-            .contains("expects K/N"));
+        assert!(call(&["serve", "4", "--cluster", "2"]).unwrap_err().contains("expects K/N"));
         assert!(call(&["serve", "4", "--cluster", "2/2"])
             .unwrap_err()
             .contains("below the node count"));
@@ -1376,8 +1396,21 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
         let out = loop {
             match call(&[
-                "loadgen", "--addr", &tail_addr, "--cluster", "1", "--threads", "4", "--ops",
-                "2000", "--batch", "32", "--mode", "pipeline", "--check", "1",
+                "loadgen",
+                "--addr",
+                &tail_addr,
+                "--cluster",
+                "1",
+                "--threads",
+                "4",
+                "--ops",
+                "2000",
+                "--batch",
+                "32",
+                "--mode",
+                "pipeline",
+                "--check",
+                "1",
             ]) {
                 Ok(out) => break out,
                 Err(e) => {
@@ -1396,7 +1429,11 @@ mod tests {
         // smoke, not here), but the merge must cover every operation, and a
         // violations verdict must come back as an error (nonzero exit).
         let audit = match call(&[
-            "audit", "8", "--backend", "cluster", "--addr",
+            "audit",
+            "8",
+            "--backend",
+            "cluster",
+            "--addr",
             &format!("{head_addr},{tail_addr}"),
         ]) {
             Ok(report) => {
@@ -1413,8 +1450,7 @@ mod tests {
         assert!(audit.contains("operations audited:      2000"), "{audit}");
         // Graceful drain, one node at a time, no traffic required.
         for addr in [&tail_addr, &head_addr] {
-            let out =
-                call(&["loadgen", "--addr", addr, "--ops", "0", "--shutdown", "1"]).unwrap();
+            let out = call(&["loadgen", "--addr", addr, "--ops", "0", "--shutdown", "1"]).unwrap();
             assert!(out.contains("shutdown requested and acknowledged"), "{out}");
         }
         let tail_out = tail.join().unwrap().unwrap();
@@ -1437,7 +1473,15 @@ mod tests {
             &["8", "--audit", "1", "--audit-threads", "2", "--max-conns", "4"],
         );
         let out = call(&[
-            "loadgen", "--addr", &addr, "--threads", "2", "--ops", "2000", "--shutdown", "1",
+            "loadgen",
+            "--addr",
+            &addr,
+            "--threads",
+            "2",
+            "--ops",
+            "2000",
+            "--shutdown",
+            "1",
         ])
         .unwrap();
         assert!(out.contains("permutation 0..2000: true"), "{out}");
@@ -1488,8 +1532,19 @@ mod tests {
         );
         // One sequential client, so the head's own verdict is clean.
         let out = call(&[
-            "loadgen", "--addr", &head_addr, "--cluster", "1", "--threads", "1", "--ops", "400",
-            "--batch", "16", "--check", "1",
+            "loadgen",
+            "--addr",
+            &head_addr,
+            "--cluster",
+            "1",
+            "--threads",
+            "1",
+            "--ops",
+            "400",
+            "--batch",
+            "16",
+            "--check",
+            "1",
         ])
         .unwrap();
         assert!(out.contains("permutation 0..400: true"), "{out}");
@@ -1578,14 +1633,21 @@ mod tests {
         // `record_batch` samples by operation inside a run, so the 1-in-4
         // stride skips three values in four however the frames arrive.
         let out = call(&[
-            "loadgen", "--addr", &addr, "--threads", "4", "--ops", "2000", "--mode", "pipeline",
+            "loadgen",
+            "--addr",
+            &addr,
+            "--threads",
+            "4",
+            "--ops",
+            "2000",
+            "--mode",
+            "pipeline",
         ])
         .unwrap();
         assert!(out.contains("permutation 0..2000: true"), "{out}");
-        let report = call(&[
-            "audit", "8", "--backend", "cluster", "--addr", &addr, "--inject", "42",
-        ])
-        .unwrap_err();
+        let report =
+            call(&["audit", "8", "--backend", "cluster", "--addr", &addr, "--inject", "42"])
+                .unwrap_err();
         assert!(report.contains("fault injection (seed 42)"), "{report}");
         assert!(report.contains("audit verdict: violations detected"), "{report}");
         // 1-in-4 sampling really was on server-side: skips crossed the wire.
@@ -1601,8 +1663,7 @@ mod tests {
         // values strictly increase, so every backend must audit clean —
         // this is the deterministic smoke `scripts/verify.sh` relies on.
         for backend in Backend::ALL.map(Backend::name) {
-            let out =
-                call(&["audit", "8", "--backend", backend, "--ops", "300"]).unwrap();
+            let out = call(&["audit", "8", "--backend", backend, "--ops", "300"]).unwrap();
             assert!(out.contains("events recorded:         300"), "{backend}: {out}");
             assert!(out.contains("events dropped:          0"), "{backend}: {out}");
             assert!(out.contains("linearizable:            true"), "{backend}: {out}");
@@ -1611,8 +1672,9 @@ mod tests {
             // run gives a point of the throughput-vs-lateness frontier.
             let rate = out.lines().skip_while(|l| !l.starts_with("qqc lateness:")).nth(1);
             assert!(
-                rate.is_some_and(|l| l.starts_with("audited rate: ")
-                    && l.ends_with(" ops/s (wall clock)")),
+                rate.is_some_and(
+                    |l| l.starts_with("audited rate: ") && l.ends_with(" ops/s (wall clock)")
+                ),
                 "{backend}: {out}"
             );
             assert!(out.contains("audit verdict: clean (0 violations)"), "{backend}: {out}");
@@ -1627,7 +1689,15 @@ mod tests {
             let (server, addr) =
                 spawn_serve(&format!("serve_{backend}"), &["4", "--backend", backend]);
             let out = call(&[
-                "loadgen", "--addr", &addr, "--threads", "2", "--ops", "400", "--shutdown", "1",
+                "loadgen",
+                "--addr",
+                &addr,
+                "--threads",
+                "2",
+                "--ops",
+                "400",
+                "--shutdown",
+                "1",
             ])
             .unwrap();
             assert!(out.contains("permutation 0..400: true"), "{backend}: {out}");
@@ -1641,10 +1711,8 @@ mod tests {
         // Two threads on two CPUs may genuinely overtake (the paper's
         // phenomenon): the report is then the error. Its shape is the
         // subject here, not its verdict.
-        let out = call(&[
-            "audit", "4", "--family", "periodic", "--threads", "2", "--ops", "200",
-        ])
-        .unwrap_or_else(|report| report);
+        let out = call(&["audit", "4", "--family", "periodic", "--threads", "2", "--ops", "200"])
+            .unwrap_or_else(|report| report);
         assert!(out.contains("backend=compiled family=periodic w=4, 2 threads x 200 ops"));
         assert!(out.contains("events recorded:         400"));
         assert!(out.contains("F_nl  ="));
@@ -1658,7 +1726,15 @@ mod tests {
     fn audit_remote_backend_runs_against_a_live_serve() {
         let (server, addr) = spawn_serve("audit_remote", &["4", "--backend", "fetch_add"]);
         let out = call(&[
-            "audit", "4", "--backend", "remote", "--addr", &addr, "--threads", "2", "--ops",
+            "audit",
+            "4",
+            "--backend",
+            "remote",
+            "--addr",
+            &addr,
+            "--threads",
+            "2",
+            "--ops",
             "200",
         ])
         .unwrap();
@@ -1668,9 +1744,7 @@ mod tests {
         call(&["loadgen", "--addr", &addr, "--ops", "1", "--check", "0", "--shutdown", "1"])
             .unwrap();
         server.join().unwrap().unwrap();
-        assert!(call(&["audit", "4", "--backend", "remote"])
-            .unwrap_err()
-            .contains("needs --addr"));
+        assert!(call(&["audit", "4", "--backend", "remote"]).unwrap_err().contains("needs --addr"));
     }
 
     #[test]
@@ -1687,7 +1761,10 @@ mod tests {
         assert!(usage().contains("compiled|combining|"));
         // The pre-compilation traversal is gone, and its name with it.
         let err = call(&["serve", "8", "--backend", "graph_walk"]).unwrap_err();
-        assert!(err.contains("unknown backend") && err.contains("one of: compiled, combining,"), "{err}");
+        assert!(
+            err.contains("unknown backend") && err.contains("one of: compiled, combining,"),
+            "{err}"
+        );
         assert!(call(&["audit", "8", "--bogus", "1"]).unwrap_err().contains("unknown flag"));
         for command in ["audit", "serve"] {
             let err = call(&[command, "8", "--sub-counters", "8"]).unwrap_err();

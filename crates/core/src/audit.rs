@@ -86,7 +86,12 @@ impl fmt::Display for AuditReport {
         writeln!(f, "operations:              {}", self.operations)?;
         writeln!(f, "linearizable:            {}", self.linearizable)?;
         writeln!(f, "sequentially consistent: {}", self.sequentially_consistent)?;
-        writeln!(f, "non-linearizable ops:    {} (F_nl = {:.4})", self.non_linearizable.len(), self.f_nl)?;
+        writeln!(
+            f,
+            "non-linearizable ops:    {} (F_nl = {:.4})",
+            self.non_linearizable.len(),
+            self.f_nl
+        )?;
         writeln!(
             f,
             "non-SC ops:              {} (F_nsc = {:.4})",
@@ -203,11 +208,7 @@ mod tests {
 
     #[test]
     fn linearization_is_value_order_when_consistent() {
-        let ops = vec![
-            op(0, 0.0, 1.0, 2),
-            op(1, 0.5, 1.5, 0),
-            op(2, 0.2, 1.9, 1),
-        ];
+        let ops = vec![op(0, 0.0, 1.0, 2), op(1, 0.5, 1.5, 0), op(2, 0.2, 1.9, 1)];
         assert_eq!(linearization(&ops), Some(vec![1, 2, 0]));
     }
 

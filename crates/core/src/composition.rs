@@ -163,10 +163,7 @@ mod tests {
         // Each object alone is sequentially consistent:
         for object in [0usize, 1] {
             let proj: Vec<SystemOp> = h.iter().copied().filter(|s| s.object == object).collect();
-            assert!(
-                system_is_sequentially_consistent(&proj),
-                "object {object} alone must be SC"
-            );
+            assert!(system_is_sequentially_consistent(&proj), "object {object} alone must be SC");
         }
         // The system is not.
         assert!(!system_is_sequentially_consistent(&h));

@@ -65,10 +65,7 @@ impl TimingCondition {
 
     /// Builds the [MPT97, Thm. 4.1] sufficient condition for a network.
     pub fn mpt_sufficient(net: &Network) -> Self {
-        TimingCondition::MptSufficient {
-            shallowness: net.shallowness(),
-            depth: net.depth(),
-        }
+        TimingCondition::MptSufficient { shallowness: net.shallowness(), depth: net.depth() }
     }
 
     /// Builds the [MPT97, Thm. 3.1] necessary condition for a uniform
@@ -145,8 +142,7 @@ impl TimingCondition {
             }
             TimingCondition::MptNecessary { depth, influence_radius } => {
                 influence_radius > 0
-                    && c_max * influence_radius as f64
-                        <= (depth + influence_radius) as f64 * c_min
+                    && c_max * influence_radius as f64 <= (depth + influence_radius) as f64 * c_min
             }
             TimingCondition::LocalDelay { depth } => {
                 let lhs = depth as f64 * (c_max - 2.0 * c_min);
@@ -171,9 +167,7 @@ impl TimingCondition {
             TimingCondition::MptSufficient { .. } => {
                 "sufficient for linearizability (MPT97 Thm 4.1)"
             }
-            TimingCondition::MptNecessary { .. } => {
-                "necessary for linearizability (MPT97 Thm 3.1)"
-            }
+            TimingCondition::MptNecessary { .. } => "necessary for linearizability (MPT97 Thm 3.1)",
             TimingCondition::LocalDelay { .. } => {
                 "sufficient for sequential consistency, not linearizability (Thm 4.1 / Cor 4.5)"
             }
@@ -231,7 +225,7 @@ mod tests {
         assert!(c.holds(&params(1.0, 5.0, None, Some(10.0))));
         assert!(!c.holds(&params(1.0, 5.0, None, Some(9.0))));
         assert!(c.holds(&params(1.0, 5.0, None, None))); // C_g = +inf
-        // c_max < 2 c_min: lhs negative, holds for any C_g >= 0.
+                                                         // c_max < 2 c_min: lhs negative, holds for any C_g >= 0.
         assert!(c.holds(&params(1.0, 1.5, None, Some(0.0))));
     }
 
@@ -280,14 +274,10 @@ mod tests {
         // Process 0 paces itself: c_min^P = 2 (its own tokens are slower),
         // so the bound is d (5 - 4) = d; with C_L^P above that it holds.
         let d = 3usize;
-        p.per_process.insert(
-            ProcessId(0),
-            ProcessTiming { c_min: Some(2.0), local_delay: Some(3.5) },
-        );
-        p.per_process.insert(
-            ProcessId(1),
-            ProcessTiming { c_min: Some(1.0), local_delay: Some(0.0) },
-        );
+        p.per_process
+            .insert(ProcessId(0), ProcessTiming { c_min: Some(2.0), local_delay: Some(3.5) });
+        p.per_process
+            .insert(ProcessId(1), ProcessTiming { c_min: Some(1.0), local_delay: Some(0.0) });
         assert!(TimingCondition::lemma_4_4_holds_for(d, &p, ProcessId(0)));
         assert!(!TimingCondition::lemma_4_4_holds_for(d, &p, ProcessId(1)));
         // Unknown process: vacuous.

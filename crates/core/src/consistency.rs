@@ -143,9 +143,8 @@ mod tests {
     #[test]
     fn linearizable_implies_sequentially_consistent() {
         // A set of sequential ops with increasing values.
-        let ops: Vec<_> = (0..10)
-            .map(|k| op(k % 3, k as f64 * 2.0, k as f64 * 2.0 + 1.0, k as u64))
-            .collect();
+        let ops: Vec<_> =
+            (0..10).map(|k| op(k % 3, k as f64 * 2.0, k as f64 * 2.0 + 1.0, k as u64)).collect();
         assert!(is_linearizable(&ops));
         assert!(is_sequentially_consistent(&ops));
     }

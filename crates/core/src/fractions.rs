@@ -84,8 +84,7 @@ pub fn non_sequential_consistency_fraction(ops: &[Op]) -> f64 {
 pub fn absolute_non_linearizable_count(ops: &[Op]) -> usize {
     let candidates = non_linearizable_ops(ops);
     assert!(candidates.len() <= 24, "exact search limited to 24 non-linearizable tokens");
-    let keepers: Vec<usize> =
-        (0..ops.len()).filter(|i| !candidates.contains(i)).collect();
+    let keepers: Vec<usize> = (0..ops.len()).filter(|i| !candidates.contains(i)).collect();
     // Search subsets of candidates to KEEP, largest first.
     let k = candidates.len();
     let mut best_removed = k;
@@ -167,9 +166,7 @@ pub fn lemma_5_1_holds(ops: &[Op]) -> bool {
     let bad = non_linearizable_ops(ops);
     let good: Vec<usize> = (0..ops.len()).filter(|i| !bad.contains(i)).collect();
     bad.iter().all(|&t| {
-        good.iter().any(|&g| {
-            ops[g].completely_precedes(&ops[t]) && ops[g].value > ops[t].value
-        })
+        good.iter().any(|&g| ops[g].completely_precedes(&ops[t]) && ops[g].value > ops[t].value)
     })
 }
 
@@ -186,8 +183,7 @@ mod tests {
 
     #[test]
     fn consistent_execution_has_zero_fractions() {
-        let ops: Vec<_> =
-            (0..6).map(|k| op(k % 2, k as f64, k as f64 + 0.5, k as u64)).collect();
+        let ops: Vec<_> = (0..6).map(|k| op(k % 2, k as f64, k as f64 + 0.5, k as u64)).collect();
         assert!(non_linearizable_ops(&ops).is_empty());
         assert!(non_sequentially_consistent_ops(&ops).is_empty());
     }
@@ -208,22 +204,15 @@ mod tests {
         for t in &nsc {
             assert!(nl.contains(t));
         }
-        assert!(
-            non_linearizability_fraction(&ops)
-                >= non_sequential_consistency_fraction(&ops)
-        );
+        assert!(non_linearizability_fraction(&ops) >= non_sequential_consistency_fraction(&ops));
     }
 
     #[test]
     fn later_small_value_does_not_condemn_earlier_tokens() {
         // The definition deliberately blames the LATER token: a single tiny
         // value cannot make all earlier tokens non-linearizable.
-        let ops = vec![
-            op(0, 0.0, 1.0, 10),
-            op(1, 2.0, 3.0, 11),
-            op(2, 4.0, 5.0, 12),
-            op(3, 6.0, 7.0, 0),
-        ];
+        let ops =
+            vec![op(0, 0.0, 1.0, 10), op(1, 2.0, 3.0, 11), op(2, 4.0, 5.0, 12), op(3, 6.0, 7.0, 0)];
         assert_eq!(non_linearizable_ops(&ops), vec![3]);
         assert_eq!(non_linearizability_fraction(&ops), 0.25);
     }
@@ -236,12 +225,7 @@ mod tests {
             // chain: 5 -> 3 -> 4 (both later ones non-lin)
             vec![op(0, 0.0, 1.0, 5), op(1, 2.0, 3.0, 3), op(2, 4.0, 5.0, 4)],
             // fan: one big early value, three small followers
-            vec![
-                op(0, 0.0, 1.0, 9),
-                op(1, 2.0, 3.0, 1),
-                op(2, 2.5, 3.5, 2),
-                op(3, 4.0, 5.0, 3),
-            ],
+            vec![op(0, 0.0, 1.0, 9), op(1, 2.0, 3.0, 1), op(2, 2.5, 3.5, 2), op(3, 4.0, 5.0, 3)],
             // consistent
             vec![op(0, 0.0, 1.0, 1), op(1, 2.0, 3.0, 2)],
         ];
@@ -288,12 +272,7 @@ mod tests {
         // minimal removal among non-SC tokens is all of them.
         let cases: Vec<Vec<Op>> = vec![
             vec![op(0, 0.0, 1.0, 5), op(0, 2.0, 3.0, 1), op(0, 4.0, 5.0, 2)],
-            vec![
-                op(0, 0.0, 1.0, 9),
-                op(0, 2.0, 3.0, 1),
-                op(1, 0.0, 1.0, 8),
-                op(1, 2.0, 3.0, 2),
-            ],
+            vec![op(0, 0.0, 1.0, 9), op(0, 2.0, 3.0, 1), op(1, 0.0, 1.0, 8), op(1, 2.0, 3.0, 2)],
             vec![op(0, 0.0, 1.0, 1), op(0, 2.0, 3.0, 2)],
         ];
         for ops in cases {
@@ -395,12 +374,8 @@ mod tests {
     fn nsc_counts_one_per_decreasing_position() {
         // p0 issues values 5, 1, 2, 6: tokens 1 and 2 are non-SC (preceded by
         // 5); token 3 is fine.
-        let ops = vec![
-            op(0, 0.0, 1.0, 5),
-            op(0, 2.0, 3.0, 1),
-            op(0, 4.0, 5.0, 2),
-            op(0, 6.0, 7.0, 6),
-        ];
+        let ops =
+            vec![op(0, 0.0, 1.0, 5), op(0, 2.0, 3.0, 1), op(0, 4.0, 5.0, 2), op(0, 6.0, 7.0, 6)];
         assert_eq!(non_sequentially_consistent_ops(&ops), vec![1, 2]);
     }
 
@@ -416,10 +391,7 @@ mod tests {
             let sched = bitonic_three_wave(&net, 1.0, (lgw + 3.0) / 2.0 + 0.01).unwrap();
             let exec = run(&net, &sched.specs).unwrap();
             let ops = crate::op::Op::from_execution(&exec);
-            assert!(
-                non_sequential_consistency_fraction(&ops) >= 1.0 / 3.0,
-                "B({w}): F_nsc"
-            );
+            assert!(non_sequential_consistency_fraction(&ops) >= 1.0 / 3.0, "B({w}): F_nsc");
             assert!(non_linearizability_fraction(&ops) >= 1.0 / 3.0, "B({w}): F_nl");
         }
     }

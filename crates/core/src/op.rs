@@ -108,9 +108,7 @@ mod tests {
         use cnet_sim::{engine::run, ids::ProcessId, spec::TimedTokenSpec};
         use cnet_topology::construct::bitonic;
         let net = bitonic(2).unwrap();
-        let specs = vec![
-            TimedTokenSpec::lock_step(ProcessId(7), 1, 2.0, 3.0, 1),
-        ];
+        let specs = vec![TimedTokenSpec::lock_step(ProcessId(7), 1, 2.0, 3.0, 1)];
         let exec = run(&net, &specs).unwrap();
         let ops = Op::from_execution(&exec);
         assert_eq!(ops[0].process, 7);

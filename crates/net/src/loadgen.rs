@@ -123,10 +123,7 @@ impl LoadGenReport {
         let values = self.values.as_ref()?;
         let mut sorted = values.clone();
         sorted.sort_unstable();
-        Some(
-            sorted.len() as u64 == self.total_ops
-                && sorted.iter().copied().eq(0..self.total_ops),
-        )
+        Some(sorted.len() as u64 == self.total_ops && sorted.iter().copied().eq(0..self.total_ops))
     }
 }
 
@@ -180,8 +177,7 @@ pub fn run_loadgen(addr: impl ToSocketAddrs, cfg: &LoadGenConfig) -> io::Result<
                 // Dial and warm every owned connection, then wait for the
                 // other workers — unconditionally, so a warmup failure
                 // cannot strand the main thread at the barrier.
-                let warmup: io::Result<()> =
-                    mine.iter().try_for_each(|&slot| client.ping(slot));
+                let warmup: io::Result<()> = mine.iter().try_for_each(|&slot| client.ping(slot));
                 barrier.wait();
                 warmup?;
                 let mut values_out = Vec::with_capacity(if collect { ops } else { 0 });
@@ -222,9 +218,8 @@ pub fn run_loadgen(addr: impl ToSocketAddrs, cfg: &LoadGenConfig) -> io::Result<
             }
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
-                first_err = first_err.or_else(|| {
-                    Some(io::Error::other("load-generator worker panicked"))
-                });
+                first_err =
+                    first_err.or_else(|| Some(io::Error::other("load-generator worker panicked")));
             }
         }
     }
@@ -377,12 +372,10 @@ mod tests {
         let cfg = ServerConfig { max_connections: 8, processes: 4, ..ServerConfig::default() };
         let tail = Arc::new(ClusterNode::new(&net, 1, 2, &[], 8).unwrap());
         let tail_server =
-            CounterServer::start_cluster("127.0.0.1:0", Arc::clone(&tail), None, cfg)
-                .unwrap();
+            CounterServer::start_cluster("127.0.0.1:0", Arc::clone(&tail), None, cfg).unwrap();
         let peers = vec![tail_server.local_addr().to_string()];
         let head = Arc::new(ClusterNode::new(&net, 0, 2, &peers, 8).unwrap());
-        let _head_server =
-            CounterServer::start_cluster("127.0.0.1:0", head, None, cfg).unwrap();
+        let _head_server = CounterServer::start_cluster("127.0.0.1:0", head, None, cfg).unwrap();
 
         // Point the generator at the *tail*; routing must land it on the
         // head (poll briefly: the head announces itself asynchronously).

@@ -128,10 +128,7 @@ const PEER_DIAL_BACKOFF: Duration = Duration::from_millis(5);
 impl RemoteNode {
     /// A pool of `lanes` connection slots toward `addr` (dialed lazily).
     pub fn new(addr: String, lanes: usize) -> RemoteNode {
-        RemoteNode {
-            addr,
-            lanes: (0..lanes.max(1)).map(|_| CachePadded::default()).collect(),
-        }
+        RemoteNode { addr, lanes: (0..lanes.max(1)).map(|_| CachePadded::default()).collect() }
     }
 
     /// The downstream address this link dials.
@@ -162,17 +159,11 @@ impl RemoteNode {
 /// forward, the tail traverses and counts.
 enum StageKind {
     /// Nodes `0..N-1`: balancer layers only; exits cross the cut.
-    Relay {
-        engine: CompiledNetwork,
-        balancers: Box<[CachePadded<AtomicU64>]>,
-    },
+    Relay { engine: CompiledNetwork, balancers: Box<[CachePadded<AtomicU64>]> },
     /// Node `N-1`: balancer layers plus the output counters, and per lane
     /// the buffer a batched traversal sweeps through — the tail's
     /// counterpart of a relay lane's `cut_counts`.
-    Tail {
-        counter: SharedNetworkCounter,
-        scratch: Box<[CachePadded<Mutex<Vec<usize>>>]>,
-    },
+    Tail { counter: SharedNetworkCounter, scratch: Box<[CachePadded<Mutex<Vec<usize>>>]> },
 }
 
 /// One process of the counting fabric: node `node` of an `N`-node chain
@@ -236,13 +227,9 @@ impl ClusterNode {
             let scratch = (0..lanes.max(1)).map(|_| CachePadded::default()).collect();
             (StageKind::Tail { counter, scratch }, None)
         } else {
-            let peer =
-                peers.first().ok_or(ClusterError::MissingPeer { node })?.clone();
+            let peer = peers.first().ok_or(ClusterError::MissingPeer { node })?.clone();
             let balancers = engine.new_balancer_states();
-            (
-                StageKind::Relay { engine, balancers },
-                Some(RemoteNode::new(peer, lanes)),
-            )
+            (StageKind::Relay { engine, balancers }, Some(RemoteNode::new(peer, lanes)))
         };
         Ok(ClusterNode {
             node,
@@ -338,12 +325,7 @@ impl ClusterNode {
     /// # Panics
     ///
     /// Panics if `entering.len() != fan()`.
-    pub fn step_batch(
-        &self,
-        lane: usize,
-        token: u64,
-        entering: &[usize],
-    ) -> io::Result<Vec<u64>> {
+    pub fn step_batch(&self, lane: usize, token: u64, entering: &[usize]) -> io::Result<Vec<u64>> {
         assert_eq!(entering.len(), self.fan, "one count per cut position");
         let total: usize = entering.iter().sum();
         if total == 0 {
@@ -653,12 +635,7 @@ mod tests {
             let mut mon = ShardMonitor::new(shard);
             for i in 0..50u64 {
                 let t = base + 4 * i;
-                mon.observe(RawOp {
-                    process: shard,
-                    enter_ns: t,
-                    exit_ns: t + 2,
-                    value: base + i,
-                });
+                mon.observe(RawOp { process: shard, enter_ns: t, exit_ns: t + 2, value: base + i });
             }
             mon.take_frontier(true)
         };
@@ -676,10 +653,7 @@ mod tests {
         for g in 0..4usize {
             for i in 0..50u64 {
                 let t = g as u64 + 4 * i;
-                seq.push(
-                    g,
-                    RawOp { process: g, enter_ns: t, exit_ns: t + 2, value: g as u64 + i },
-                );
+                seq.push(g, RawOp { process: g, enter_ns: t, exit_ns: t + 2, value: g as u64 + i });
             }
             seq.finish(g);
         }

@@ -357,12 +357,8 @@ impl CounterServer {
             n => n,
         }
         .clamp(1, max_connections);
-        let cfg = ServerConfig {
-            max_connections,
-            processes: cfg.processes.max(1),
-            reactors,
-            ..cfg
-        };
+        let cfg =
+            ServerConfig { max_connections, processes: cfg.processes.max(1), reactors, ..cfg };
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -597,12 +593,7 @@ impl Acceptor {
     /// Runs at the top of every pass of reactor 0: gives a parked stream
     /// the slot a release freed (a deferred accept) and puts a disarmed
     /// listener back in the poller.
-    fn resume(
-        &mut self,
-        shared: &Arc<Shared>,
-        poller: &Poller,
-        conns: &mut HashMap<u64, Conn>,
-    ) {
+    fn resume(&mut self, shared: &Arc<Shared>, poller: &Poller, conns: &mut HashMap<u64, Conn>) {
         if let Some(stream) = self.parked.take() {
             self.parked = admit(shared, poller, conns, stream, true);
             if self.parked.is_some() {
@@ -610,8 +601,7 @@ impl Acceptor {
             }
         }
         if !self.armed {
-            self.armed =
-                poller.modify(&self.listener, LISTEN_TOKEN, Interest::READABLE).is_ok();
+            self.armed = poller.modify(&self.listener, LISTEN_TOKEN, Interest::READABLE).is_ok();
         }
     }
 }
@@ -797,14 +787,8 @@ fn reactor_loop(
 }
 
 /// Registers the connections reactor 0 accepted into this reactor's slots.
-fn adopt_inbox(
-    shared: &Arc<Shared>,
-    r: usize,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-) {
-    let fresh: Vec<(usize, TcpStream)> =
-        std::mem::take(&mut *shared.reactors[r].inbox.lock());
+fn adopt_inbox(shared: &Arc<Shared>, r: usize, poller: &Poller, conns: &mut HashMap<u64, Conn>) {
+    let fresh: Vec<(usize, TcpStream)> = std::mem::take(&mut *shared.reactors[r].inbox.lock());
     for (slot, stream) in fresh {
         debug_assert_eq!(slot % shared.cfg.reactors, r, "slot routed to wrong reactor");
         adopt(shared, poller, conns, slot, stream);
@@ -1033,13 +1017,9 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, req: Request) {
                 },
                 // A plain server is its own one-node cluster; fan 0 means
                 // "not partitioned".
-                None => NodeInfo {
-                    node: 0,
-                    nodes: 1,
-                    fan: 0,
-                    shards,
-                    head: shared.advertise.clone(),
-                },
+                None => {
+                    NodeInfo { node: 0, nodes: 1, fan: 0, shards, head: shared.advertise.clone() }
+                }
             };
             Response::NodeInfo(info).encode(seq, &mut conn.out);
         }
@@ -1067,8 +1047,7 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, req: Request) {
                     state.stealer.steal(rec);
                     let mut f = state.stealer.take_frontier(false);
                     state.pending.extend(f.ops.drain(..));
-                    let take =
-                        (max.min(MAX_FRONTIER_OPS) as usize).min(state.pending.len());
+                    let take = (max.min(MAX_FRONTIER_OPS) as usize).min(state.pending.len());
                     f.ops = state.pending.drain(..take).collect();
                     if !state.pending.is_empty() {
                         // Ops held back for the next response bound what
@@ -1131,8 +1110,7 @@ fn flush_out(conn: &mut Conn) -> bool {
 fn update_interest(poller: &Poller, conn: &mut Conn) {
     let want_write = conn.pending_out();
     if want_write != conn.write_interest {
-        let interest =
-            if want_write { Interest::READABLE_WRITABLE } else { Interest::READABLE };
+        let interest = if want_write { Interest::READABLE_WRITABLE } else { Interest::READABLE };
         if poller.modify(&conn.stream, conn.slot as u64, interest).is_ok() {
             conn.write_interest = want_write;
         }
@@ -1198,8 +1176,7 @@ fn drain_reactor(
 /// had already stopped (they were never registered, so closing the stream
 /// by drop is all the teardown they need).
 fn drain_inbox_slots(shared: &Shared, r: usize) {
-    let leftovers: Vec<(usize, TcpStream)> =
-        std::mem::take(&mut *shared.reactors[r].inbox.lock());
+    let leftovers: Vec<(usize, TcpStream)> = std::mem::take(&mut *shared.reactors[r].inbox.lock());
     for (slot, _stream) in leftovers {
         release_slot(shared, slot);
     }
@@ -1377,9 +1354,7 @@ mod tests {
         let server = fetch_add_server(ServerConfig::default());
         let mut c = Raw::connect(server.local_addr());
         // A length word over MAX_FRAME: unrecoverable framing corruption.
-        c.stream
-            .write_all(&(((crate::wire::MAX_FRAME + 1) as u32).to_le_bytes()))
-            .unwrap();
+        c.stream.write_all(&(((crate::wire::MAX_FRAME + 1) as u32).to_le_bytes())).unwrap();
         let (_, resp) = c.recv();
         assert_eq!(resp, Response::Error(ErrorCode::Malformed));
         c.expect_close();
@@ -1469,8 +1444,7 @@ mod tests {
             processes: 8,
             reactors: 3,
         });
-        let mut clients: Vec<Raw> =
-            (0..8).map(|_| Raw::connect(server.local_addr())).collect();
+        let mut clients: Vec<Raw> = (0..8).map(|_| Raw::connect(server.local_addr())).collect();
         let seqs: Vec<u32> = clients.iter_mut().map(|c| c.send(&Request::Next)).collect();
         let mut values = Vec::new();
         for (c, s) in clients.iter_mut().zip(seqs) {
@@ -1593,7 +1567,12 @@ mod tests {
         use cnet_topology::construct::bitonic;
 
         let net = bitonic(8).unwrap();
-        let cfg = ServerConfig { max_connections: 8, processes: 8, reactors: 2, ..ServerConfig::default() };
+        let cfg = ServerConfig {
+            max_connections: 8,
+            processes: 8,
+            reactors: 2,
+            ..ServerConfig::default()
+        };
         // Tail first (it owns the counters and needs no peer), then the
         // head pointed at it — the verify-script startup order.
         let tail = Arc::new(ClusterNode::new(&net, 1, 2, &[], cfg.max_connections).unwrap());
@@ -1767,8 +1746,7 @@ mod tests {
         // Single increments: the head counts each lone `Next` as a run of
         // one, and it crosses each cut as a one-token `ForwardBatch`.
         let before = chain(&servers);
-        let mut values =
-            on_both(&|slot| (0..32).map(|_| client.try_next(slot).unwrap()).collect());
+        let mut values = on_both(&|slot| (0..32).map(|_| client.try_next(slot).unwrap()).collect());
         let singles = added(&before, &chain(&servers));
         assert_eq!(singles, [(64, 0), (64, 64), (64, 64)], "requests, batches per node");
 
@@ -1828,8 +1806,7 @@ mod tests {
         let mut c = Raw::connect(server.local_addr());
         let burst = 64u32;
         let per = 4096u32;
-        let seqs: Vec<u32> =
-            (0..burst).map(|_| c.send(&Request::NextBatch { n: per })).collect();
+        let seqs: Vec<u32> = (0..burst).map(|_| c.send(&Request::NextBatch { n: per })).collect();
         std::thread::sleep(Duration::from_millis(100)); // let responses pile up
         let mut all = Vec::new();
         for s in seqs {

@@ -376,9 +376,7 @@ fn split_payload(payload: &[u8]) -> Result<(u32, u8, &[u8]), WireError> {
 
 fn body_exactly(opcode: u8, body: &[u8], want: usize) -> Result<(), WireError> {
     match body.len().cmp(&want) {
-        std::cmp::Ordering::Less => {
-            Err(WireError::Truncated { opcode, got: body.len(), want })
-        }
+        std::cmp::Ordering::Less => Err(WireError::Truncated { opcode, got: body.len(), want }),
         std::cmp::Ordering::Greater => Err(WireError::TrailingBytes(opcode)),
         std::cmp::Ordering::Equal => Ok(()),
     }
@@ -660,22 +658,18 @@ impl Response {
                         want: FRONTIER_HEADER_LEN,
                     });
                 }
-                let u64_at = |i: usize| {
-                    u64::from_le_bytes(body[i..i + 8].try_into().expect("8 bytes"))
-                };
+                let u64_at =
+                    |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().expect("8 bytes"));
                 let shard = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
                 let flags = body[4];
                 let n = u32::from_le_bytes(
-                    body[FRONTIER_HEADER_LEN - 4..FRONTIER_HEADER_LEN]
-                        .try_into()
-                        .expect("4 bytes"),
+                    body[FRONTIER_HEADER_LEN - 4..FRONTIER_HEADER_LEN].try_into().expect("4 bytes"),
                 ) as usize;
                 body_exactly(opcode, &body[FRONTIER_HEADER_LEN..], FRONTIER_OP_LEN * n)?;
                 let ops = body[FRONTIER_HEADER_LEN..]
                     .chunks_exact(FRONTIER_OP_LEN)
                     .map(|c| RawOp {
-                        process: u32::from_le_bytes(c[..4].try_into().expect("4 bytes"))
-                            as usize,
+                        process: u32::from_le_bytes(c[..4].try_into().expect("4 bytes")) as usize,
                         enter_ns: u64::from_le_bytes(c[4..12].try_into().expect("8 bytes")),
                         exit_ns: u64::from_le_bytes(c[12..20].try_into().expect("8 bytes")),
                         value: u64::from_le_bytes(c[20..28].try_into().expect("8 bytes")),
@@ -808,9 +802,7 @@ impl FrameDecoder {
             self.compact();
             return Ok(None);
         }
-        let len_bytes: [u8; 4] = self.buf[self.start..self.start + 4]
-            .try_into()
-            .expect("4 bytes");
+        let len_bytes: [u8; 4] = self.buf[self.start..self.start + 4].try_into().expect("4 bytes");
         let len = u32::from_le_bytes(len_bytes) as usize;
         if !(HEADER_LEN..=MAX_FRAME).contains(&len) {
             return Err(WireError::BadLength(len));
@@ -1118,10 +1110,7 @@ mod tests {
         assert_eq!(Response::decode(&p), Err(WireError::BadOpcode(0x01)));
         let mut rframe = Vec::new();
         Response::Pong.encode(3, &mut rframe);
-        assert_eq!(
-            Request::decode(payload(&rframe)),
-            Err(WireError::BadOpcode(0x83))
-        );
+        assert_eq!(Request::decode(payload(&rframe)), Err(WireError::BadOpcode(0x83)));
     }
 
     #[test]
@@ -1182,10 +1171,7 @@ mod tests {
         let mut p = payload(&frame).to_vec();
         // Claim 3 values while carrying 2.
         p[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(
-            Response::decode(&p),
-            Err(WireError::Truncated { opcode: 0x82, .. })
-        ));
+        assert!(matches!(Response::decode(&p), Err(WireError::Truncated { opcode: 0x82, .. })));
     }
 
     /// A `ForwardBatch` payload (no length prefix) around a hand-built body.
@@ -1405,11 +1391,7 @@ mod tests {
             assert!(dec.next_frame().unwrap().is_none());
             dec.extend(&one[cut..]);
             let p = dec.next_frame().unwrap().expect("complete frame");
-            assert_eq!(
-                Request::decode(p).unwrap(),
-                (0, Request::NextBatch { n: 5 }),
-                "round {i}"
-            );
+            assert_eq!(Request::decode(p).unwrap(), (0, Request::NextBatch { n: 5 }), "round {i}");
         }
         assert_eq!(dec.buffered(), 0);
     }

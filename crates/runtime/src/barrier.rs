@@ -50,11 +50,7 @@ impl<C: ProcessCounter> CounterBarrier<C> {
     /// Panics if `parties` is zero.
     pub fn new(counter: C, parties: usize) -> Self {
         assert!(parties > 0, "a barrier needs at least one party");
-        CounterBarrier {
-            counter,
-            parties: parties as u64,
-            generation: AtomicU64::new(0),
-        }
+        CounterBarrier { counter, parties: parties as u64, generation: AtomicU64::new(0) }
     }
 
     /// Blocks until all parties of the current round have arrived. Returns

@@ -6,8 +6,8 @@
 //! [`crate::SharedNetworkCounter`].
 
 use crate::ProcessCounter;
-use cnet_util::sync::Mutex;
 use cnet_util::sync::atomic::{AtomicU64, Ordering};
+use cnet_util::sync::Mutex;
 
 /// A single-word fetch-and-increment counter — linearizable by
 /// construction, but every operation contends on one cache line.
@@ -104,9 +104,7 @@ mod tests {
         let mut values: Vec<u64> = thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|p| {
-                    s.spawn(move || {
-                        (0..per_thread).map(|_| c.next_for(p)).collect::<Vec<u64>>()
-                    })
+                    s.spawn(move || (0..per_thread).map(|_| c.next_for(p)).collect::<Vec<u64>>())
                 })
                 .collect();
             handles.into_iter().flat_map(|h| h.join().unwrap()).collect()

@@ -23,8 +23,8 @@
 //! [`CompiledNetwork::traverse_batch`]: crate::compiled::CompiledNetwork::traverse_batch
 
 use crate::ProcessCounter;
-use cnet_util::sync::{Backoff, CachePadded};
 use cnet_util::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use cnet_util::sync::{Backoff, CachePadded};
 
 /// Slot states of the publication array.
 const FREE: usize = 0;
@@ -258,9 +258,7 @@ mod tests {
             let handles: Vec<_> = (0..8usize)
                 .map(|p| {
                     let f = &funnel;
-                    s.spawn(move || {
-                        (0..per_thread).map(|_| f.next_for(p)).collect::<Vec<u64>>()
-                    })
+                    s.spawn(move || (0..per_thread).map(|_| f.next_for(p)).collect::<Vec<u64>>())
                 })
                 .collect();
             handles.into_iter().flat_map(|h| h.join().unwrap()).collect()

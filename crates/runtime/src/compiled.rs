@@ -350,9 +350,8 @@ impl CompiledNetwork {
     /// lookups, port maps, balancer records, which balancers are terminal,
     /// the entry plan — happens here, once.
     pub fn compile(net: &Network) -> CompiledNetwork {
-        let mut entries: Vec<Hop> = (0..net.fan_in())
-            .map(|i| hop_of(net.wire(net.source_wire(SourceId(i))).end))
-            .collect();
+        let mut entries: Vec<Hop> =
+            (0..net.fan_in()).map(|i| hop_of(net.wire(net.source_wire(SourceId(i))).end)).collect();
         let mut route_offset = Vec::with_capacity(net.size() + 1);
         let mut routing = Vec::new();
         let mut fan = Vec::with_capacity(net.size());

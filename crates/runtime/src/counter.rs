@@ -17,8 +17,8 @@
 use crate::compiled::CompiledNetwork;
 use crate::ProcessCounter;
 use cnet_topology::Network;
-use cnet_util::sync::CachePadded;
 use cnet_util::sync::atomic::{AtomicU64, Ordering};
+use cnet_util::sync::CachePadded;
 
 /// A counting network laid out in shared memory: one atomic word per
 /// balancer — every word on its own cache line, routed by compiled flat
@@ -111,9 +111,9 @@ impl SharedNetworkCounter {
     /// Panics if `input >= engine().fan_in()`.
     pub fn increment_from(&self, input: usize) -> u64 {
         let traversal = self.log_enter(std::iter::once((input, 1)));
-        let exit = self.engine.walk(input, &self.balancers, |b, before, n| {
-            self.log_claim(traversal, b, before, n)
-        });
+        let exit = self
+            .engine
+            .walk(input, &self.balancers, |b, before, n| self.log_claim(traversal, b, before, n));
         let w = self.engine.fan_out() as u64;
         let value = match exit.rank {
             Some(rank) => exit.sink as u64 + w * rank,

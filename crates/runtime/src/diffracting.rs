@@ -20,8 +20,8 @@
 //!   retraction CAS fails, a partner just signaled — the collision counts.
 
 use crate::ProcessCounter;
-use cnet_util::sync::CachePadded;
 use cnet_util::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use cnet_util::sync::CachePadded;
 
 const EMPTY: usize = 0;
 const WAITING: usize = 1;
@@ -56,9 +56,7 @@ struct Node {
 impl Node {
     fn new(prism_width: usize) -> Node {
         Node {
-            prism: (0..prism_width)
-                .map(|_| CachePadded::new(AtomicUsize::new(EMPTY)))
-                .collect(),
+            prism: (0..prism_width).map(|_| CachePadded::new(AtomicUsize::new(EMPTY))).collect(),
             toggle: CachePadded::new(AtomicUsize::new(0)),
             diffracted: AtomicU64::new(0),
             toggled: AtomicU64::new(0),
@@ -81,10 +79,7 @@ impl Node {
         if self.probe_prism(slot_hint) {
             let slot = &self.prism[slot_hint % self.prism.len()];
             // Try to become the waiter.
-            if slot
-                .compare_exchange(EMPTY, WAITING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            if slot.compare_exchange(EMPTY, WAITING, Ordering::AcqRel, Ordering::Acquire).is_ok() {
                 for _ in 0..SPIN_LIMIT {
                     if slot.load(Ordering::Acquire) == SIGNALED {
                         slot.store(EMPTY, Ordering::Release);
@@ -164,9 +159,7 @@ impl DiffractingTree {
         let depth = width.trailing_zeros() as usize;
         Ok(DiffractingTree {
             nodes: (0..width - 1).map(|_| Node::new(prism_width)).collect(),
-            counters: (0..width)
-                .map(|j| CachePadded::new(AtomicU64::new(j as u64)))
-                .collect(),
+            counters: (0..width).map(|j| CachePadded::new(AtomicU64::new(j as u64))).collect(),
             salt: CachePadded::new(AtomicU64::new(0)),
             width,
             depth,
@@ -259,20 +252,14 @@ mod tests {
                     .map(|p| {
                         let t = &tree;
                         s.spawn(move || {
-                            (0..500)
-                                .map(|k| t.increment(p * 10_007 + k))
-                                .collect::<Vec<u64>>()
+                            (0..500).map(|k| t.increment(p * 10_007 + k)).collect::<Vec<u64>>()
                         })
                     })
                     .collect();
                 handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
             });
             values.sort_unstable();
-            assert_eq!(
-                values,
-                (0..3000).collect::<Vec<_>>(),
-                "prism width {prism_width}"
-            );
+            assert_eq!(values, (0..3000).collect::<Vec<_>>(), "prism width {prism_width}");
         }
     }
 
@@ -289,9 +276,7 @@ mod tests {
                 .map(|p| {
                     let t = &tree;
                     s.spawn(move || {
-                        (0..per_thread)
-                            .map(|k| t.increment(p * 10_007 + k))
-                            .collect::<Vec<u64>>()
+                        (0..per_thread).map(|k| t.increment(p * 10_007 + k)).collect::<Vec<u64>>()
                     })
                 })
                 .collect();

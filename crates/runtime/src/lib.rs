@@ -60,8 +60,8 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod baseline;
 pub mod barrier;
+pub mod baseline;
 pub mod combine;
 pub mod compiled;
 pub mod counter;
@@ -72,18 +72,18 @@ pub mod paced;
 pub mod recorder;
 
 pub use backend::Backend;
-pub use baseline::{FetchAddCounter, LockCounter};
 pub use barrier::CounterBarrier;
+pub use baseline::{FetchAddCounter, LockCounter};
 pub use combine::CombiningFunnel;
 pub use compiled::CompiledNetwork;
 pub use counter::SharedNetworkCounter;
 pub use diffracting::DiffractingTree;
 pub use drain::Drain;
 pub use history::{drive, Workload};
+pub use paced::LocallyPacedCounter;
 pub use recorder::{
     drain_remaining, drive_audited, AuditedRun, ShardStealer, TraceRecorder, Traced,
 };
-pub use paced::LocallyPacedCounter;
 
 /// A shared counter usable concurrently by many processes.
 ///

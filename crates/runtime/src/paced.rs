@@ -103,8 +103,7 @@ impl<C: ProcessCounter> LocallyPacedCounter<C> {
 
 impl<C: ProcessCounter> ProcessCounter for LocallyPacedCounter<C> {
     fn next_for(&self, process: usize) -> u64 {
-        let release =
-            self.shard(process).lock().get(&process).map(|&t| t + self.local_delay);
+        let release = self.shard(process).lock().get(&process).map(|&t| t + self.local_delay);
         if let Some(release) = release {
             // Spin-wait with yields: the delays in question are micro-scale,
             // and the yield keeps waiting processes from monopolizing a core

@@ -790,8 +790,7 @@ mod tests {
         assert_eq!(n, 3);
         // Globally enter-ordered; shard index is the process.
         assert!(events.windows(2).all(|w| w[0].enter_key() <= w[1].enter_key()));
-        let mine: Vec<u64> =
-            events.iter().filter(|e| e.process == 0).map(|e| e.value).collect();
+        let mine: Vec<u64> = events.iter().filter(|e| e.process == 0).map(|e| e.value).collect();
         assert_eq!(mine, vec![0, 2]);
         assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.skipped(), 0);
@@ -902,9 +901,7 @@ mod tests {
         // interval, which also covers every skipped op between them —
         // sound widening.
         let first = &events[0];
-        assert!(events
-            .iter()
-            .all(|e| e.enter_ns == first.enter_ns && e.exit_ns == first.exit_ns));
+        assert!(events.iter().all(|e| e.enter_ns == first.enter_ns && e.exit_ns == first.exit_ns));
     }
 
     /// Flushes shard 0 and pulls everything published on it.

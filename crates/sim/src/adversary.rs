@@ -265,13 +265,7 @@ pub fn holding_race(
     let chaser_wire = if shared_process { wire(w - 1) } else { wire(0) };
     specs.push(TimedTokenSpec::lock_step(chaser_process, chaser_wire, wave_exit, c_min, d));
 
-    Ok(HoldingRace {
-        specs,
-        holder: 0,
-        wave: 1..w,
-        chaser: w,
-        required_ratio: d as f64 + 1.0,
-    })
+    Ok(HoldingRace { specs, holder: 0, wave: 1..w, chaser: w, required_ratio: d as f64 + 1.0 })
 }
 
 #[cfg(test)]
@@ -342,11 +336,7 @@ mod tests {
             let mut wave3_values: Vec<u64> =
                 sched.wave3.clone().map(|i| exec.records()[i].value).collect();
             wave3_values.sort_unstable();
-            assert_eq!(
-                wave3_values,
-                (0..n1 as u64).collect::<Vec<_>>(),
-                "wave 3 at ell={ell}"
-            );
+            assert_eq!(wave3_values, (0..n1 as u64).collect::<Vec<_>>(), "wave 3 at ell={ell}");
         }
     }
 

@@ -365,10 +365,7 @@ mod tests {
     fn time_order_determines_values() {
         let net = bitonic(2).unwrap();
         // Token 1 (listed second) runs earlier in time, so it gets value 0.
-        let specs = vec![
-            spec(0, 0, &[5.0, 6.0]),
-            spec(1, 1, &[0.0, 1.0]),
-        ];
+        let specs = vec![spec(0, 0, &[5.0, 6.0]), spec(1, 1, &[0.0, 1.0])];
         let exec = run(&net, &specs).unwrap();
         assert_eq!(exec.records()[0].value, 1);
         assert_eq!(exec.records()[1].value, 0);
@@ -377,10 +374,7 @@ mod tests {
     #[test]
     fn ties_broken_by_slice_position() {
         let net = bitonic(2).unwrap();
-        let specs = vec![
-            spec(0, 0, &[0.0, 1.0]),
-            spec(1, 1, &[0.0, 1.0]),
-        ];
+        let specs = vec![spec(0, 0, &[0.0, 1.0]), spec(1, 1, &[0.0, 1.0])];
         let exec = run(&net, &specs).unwrap();
         // Same times: position 0 steps first at each node.
         assert_eq!(exec.records()[0].value, 0);
@@ -421,9 +415,8 @@ mod tests {
     #[test]
     fn tree_round_robins_under_time_order() {
         let net = counting_tree(4).unwrap(); // depth 2
-        let specs: Vec<_> = (0..8)
-            .map(|k| spec(k, 0, &[k as f64, k as f64 + 0.5, k as f64 + 1.0]))
-            .collect();
+        let specs: Vec<_> =
+            (0..8).map(|k| spec(k, 0, &[k as f64, k as f64 + 0.5, k as f64 + 1.0])).collect();
         let exec = run(&net, &specs).unwrap();
         for (k, r) in exec.records().iter().enumerate() {
             assert_eq!(r.value, k as u64);
@@ -495,10 +488,7 @@ mod tests {
     #[test]
     fn overlapping_tokens_of_one_process_are_rejected() {
         let net = bitonic(2).unwrap();
-        let specs = vec![
-            spec(0, 0, &[0.0, 10.0]),
-            spec(0, 0, &[5.0, 6.0]),
-        ];
+        let specs = vec![spec(0, 0, &[0.0, 10.0]), spec(0, 0, &[5.0, 6.0])];
         let err = run(&net, &specs).unwrap_err();
         assert!(matches!(err, SimError::OverlappingProcessTokens { .. }));
     }
@@ -508,10 +498,7 @@ mod tests {
         let net = bitonic(2).unwrap();
         // Second token enters exactly when the first exits; position order
         // resolves the tie.
-        let specs = vec![
-            spec(0, 0, &[0.0, 1.0]),
-            spec(0, 0, &[1.0, 2.0]),
-        ];
+        let specs = vec![spec(0, 0, &[0.0, 1.0]), spec(0, 0, &[1.0, 2.0])];
         let exec = run(&net, &specs).unwrap();
         assert!(exec.records()[0].completely_precedes(&exec.records()[1]));
     }
@@ -568,13 +555,7 @@ mod tests {
         assert!(!net.is_uniform());
         let specs: Vec<AdaptiveTokenSpec> = (0..20)
             .map(|k| {
-                AdaptiveTokenSpec::lock_step(
-                    ProcessId(k),
-                    k % 4,
-                    k as f64 * 0.3,
-                    1.0,
-                    net.depth(),
-                )
+                AdaptiveTokenSpec::lock_step(ProcessId(k), k % 4, k as f64 * 0.3, 1.0, net.depth())
             })
             .collect();
         let exec = run_adaptive(&net, &specs).unwrap();

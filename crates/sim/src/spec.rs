@@ -46,7 +46,13 @@ impl TimedTokenSpec {
 
     /// Builds a lock-step spec: enter at `start` and cross every wire with
     /// the same `delay`, through a network of depth `depth`.
-    pub fn lock_step(process: ProcessId, input: usize, start: f64, delay: f64, depth: usize) -> Self {
+    pub fn lock_step(
+        process: ProcessId,
+        input: usize,
+        start: f64,
+        delay: f64,
+        depth: usize,
+    ) -> Self {
         TimedTokenSpec::with_delays(process, input, start, &vec![delay; depth])
     }
 

@@ -85,8 +85,7 @@ impl TimingParams {
             for pair in records.windows(2) {
                 let gap = pair[1].enter_time - pair[0].exit_time;
                 entry.local_delay = Some(entry.local_delay.map_or(gap, |m| m.min(gap)));
-                params.local_delay =
-                    Some(params.local_delay.map_or(gap, |m| m.min(gap)));
+                params.local_delay = Some(params.local_delay.map_or(gap, |m| m.min(gap)));
             }
         }
         // Wire delays: each step's gap to its token's previous step.
@@ -129,13 +128,10 @@ fn global_delay(records: &[TokenRecord]) -> Option<f64> {
     // b's enter key grows, eligibility only grows, and the binding gap for a
     // given b comes from the eligible a with the largest exit time.
     let mut by_enter: Vec<&TokenRecord> = records.iter().collect();
-    by_enter.sort_by(|a, b| {
-        a.enter_time.total_cmp(&b.enter_time).then(a.enter_seq.cmp(&b.enter_seq))
-    });
+    by_enter
+        .sort_by(|a, b| a.enter_time.total_cmp(&b.enter_time).then(a.enter_seq.cmp(&b.enter_seq)));
     let mut by_exit: Vec<&TokenRecord> = records.iter().collect();
-    by_exit.sort_by(|a, b| {
-        a.exit_time.total_cmp(&b.exit_time).then(a.exit_seq.cmp(&b.exit_seq))
-    });
+    by_exit.sort_by(|a, b| a.exit_time.total_cmp(&b.exit_time).then(a.exit_seq.cmp(&b.exit_seq)));
 
     let mut best: Option<f64> = None;
     let mut max_exit: Option<f64> = None;
@@ -257,12 +253,8 @@ mod tests {
 
     #[test]
     fn zero_c_min_has_no_ratio() {
-        let exec = exec_of(vec![TimedTokenSpec::with_delays(
-            ProcessId(0),
-            0,
-            0.0,
-            &[0.0, 1.0, 1.0],
-        )]);
+        let exec =
+            exec_of(vec![TimedTokenSpec::with_delays(ProcessId(0), 0, 0.0, &[0.0, 1.0, 1.0])]);
         let p = TimingParams::measure(&exec);
         assert_eq!(p.c_min, Some(0.0));
         assert_eq!(p.ratio(), None);

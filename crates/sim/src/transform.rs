@@ -150,8 +150,7 @@ pub fn desequentialize(
     // recover each balancer's state at the wave's insertion point.
     // steps_before[l][b] = number of original steps at balancer b with time
     // strictly below anchor_times[l].
-    let mut wave_wire: Vec<WireId> =
-        (0..w).map(|i| net.source_wire(SourceId(i))).collect();
+    let mut wave_wire: Vec<WireId> = (0..w).map(|i| net.source_wire(SourceId(i))).collect();
     let mut wave_times: Vec<Vec<f64>> = vec![Vec::with_capacity(depth + 1); w];
 
     for (layer, &anchor) in anchor_times.iter().enumerate() {
@@ -230,13 +229,11 @@ pub fn desequentialize(
     }
 
     // The steered token must now sit on the wire into the target counter.
-    let steered = (0..w)
-        .find(|&tok| {
-            wave_wire[tok] == net.sink_wire(SinkId(target_sink))
-        })
-        .ok_or(SimError::InvalidConstruction {
+    let steered = (0..w).find(|&tok| wave_wire[tok] == net.sink_wire(SinkId(target_sink))).ok_or(
+        SimError::InvalidConstruction {
             what: "steering failed to deliver a wave token to the target counter",
-        })?;
+        },
+    )?;
     if steered != witness_wire {
         return Err(SimError::InvalidConstruction {
             what: "steering delivered the wrong wave token to the target counter",
@@ -283,7 +280,9 @@ mod tests {
 
     /// A non-linearizable execution on B(4): a token finishing early gets a
     /// large value because a slow token is holding a small counter value.
-    fn non_linearizable_exec(net: &cnet_topology::Network) -> (Vec<TimedTokenSpec>, TimedExecution) {
+    fn non_linearizable_exec(
+        net: &cnet_topology::Network,
+    ) -> (Vec<TimedTokenSpec>, TimedExecution) {
         // Token A crawls: passes all balancers fast (taking value slot at
         // sink 0) but counts very late.
         // Token B runs later but entirely within A's lifetime... we need a
@@ -344,11 +343,8 @@ mod tests {
         assert!(!is_seq_consistent(&new_exec), "transformed execution must violate SC");
 
         // The witness process sees decreasing values.
-        let witness_records: Vec<_> = new_exec
-            .records()
-            .iter()
-            .filter(|r| r.process == outcome.witness_process)
-            .collect();
+        let witness_records: Vec<_> =
+            new_exec.records().iter().filter(|r| r.process == outcome.witness_process).collect();
         assert_eq!(witness_records.len(), 2);
         let wave = new_exec.record(outcome.wave_witness_token);
         assert!(wave.value < outcome.earlier_value);
@@ -391,9 +387,6 @@ mod tests {
     fn irregular_network_is_rejected() {
         let net = cnet_topology::construct::counting_tree(4).unwrap();
         let exec = run(&net, &[]).unwrap();
-        assert_eq!(
-            desequentialize(&net, &[], &exec),
-            Err(SimError::TransformNeedsRegularFan)
-        );
+        assert_eq!(desequentialize(&net, &[], &exec), Err(SimError::TransformNeedsRegularFan));
     }
 }

@@ -180,8 +180,7 @@ pub fn validate(
     let mut bal_in: Vec<u64> = vec![0; net.size()];
     let mut bal_out: Vec<u64> = vec![0; net.size()];
     // Per-balancer per-output-port counts, for the balancer step property.
-    let mut port_out: Vec<Vec<u64>> =
-        net.balancers().map(|(_, b)| vec![0; b.fan_out()]).collect();
+    let mut port_out: Vec<Vec<u64>> = net.balancers().map(|(_, b)| vec![0; b.fan_out()]).collect();
     let mut counter_next: Vec<u64> = (0..net.fan_out() as u64).collect();
     let mut output_counts: Vec<u64> = vec![0; net.fan_out()];
     let mut input_counts: Vec<u64> = vec![0; net.fan_in()];
@@ -249,9 +248,7 @@ pub fn validate(
                 let bal = net.balancer(bid);
                 // 2. Route continuity: the token's wire must end at this
                 // balancer, on this port.
-                if net.wire(wire).end
-                    != (WireEnd::Balancer { balancer: bid, port: in_port })
-                {
+                if net.wire(wire).end != (WireEnd::Balancer { balancer: bid, port: in_port }) {
                     return Err(Box::new(ValidationError::BrokenRoute {
                         token,
                         what: "balancer step does not match the token's wire",
@@ -333,11 +330,7 @@ pub fn validate(
         return Err(Box::new(ValidationError::NetworkStepProperty));
     }
 
-    Ok(QuiescenceSummary {
-        tokens: output_counts.iter().sum(),
-        output_counts,
-        input_counts,
-    })
+    Ok(QuiescenceSummary { tokens: output_counts.iter().sum(), output_counts, input_counts })
 }
 
 /// The first field whose check failed, as a [`ValidationError::RecordMismatch`].
@@ -518,10 +511,7 @@ mod tests {
             v["steps"].as_array_mut().unwrap().pop();
         });
         let err = validate(&net, &forged).unwrap_err();
-        assert!(
-            err.to_string().contains("never reached a counter"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("never reached a counter"), "{err}");
     }
 
     #[test]

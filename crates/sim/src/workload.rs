@@ -64,10 +64,7 @@ pub struct WorkloadConfig {
 /// # Ok::<(), cnet_topology::BuildError>(())
 /// ```
 pub fn generate(net: &Network, cfg: &WorkloadConfig, seed: u64) -> Vec<TimedTokenSpec> {
-    assert!(
-        cfg.c_min >= 0.0 && cfg.c_max >= cfg.c_min,
-        "need 0 <= c_min <= c_max"
-    );
+    assert!(cfg.c_min >= 0.0 && cfg.c_max >= cfg.c_min, "need 0 <= c_min <= c_max");
     assert!(cfg.local_delay >= 0.0, "local_delay must be non-negative");
     assert!(cfg.start_spread >= 0.0, "start_spread must be non-negative");
     let mut rng = StdRng::seed_from_u64(seed);

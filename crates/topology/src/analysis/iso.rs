@@ -82,7 +82,10 @@ impl Signatures {
                 (WireStart::Source(_), WireEnd::Balancer { balancer, .. }) => {
                     source_inputs[balancer.index()] += 1;
                 }
-                (WireStart::Balancer { balancer: from, .. }, WireEnd::Balancer { balancer: to, .. }) => {
+                (
+                    WireStart::Balancer { balancer: from, .. },
+                    WireEnd::Balancer { balancer: to, .. },
+                ) => {
                     preds[to.index()].push(from);
                 }
                 (WireStart::Balancer { balancer, .. }, WireEnd::Sink(_)) => {
@@ -164,10 +167,7 @@ mod tests {
     #[test]
     fn herlihy_tirthapura_block_is_isomorphic_to_merger() {
         for w in [2usize, 4, 8, 16] {
-            assert!(
-                are_isomorphic(&block(w).unwrap(), &merger(w).unwrap()),
-                "L({w}) ≅ M({w})"
-            );
+            assert!(are_isomorphic(&block(w).unwrap(), &merger(w).unwrap()), "L({w}) ≅ M({w})");
         }
     }
 

@@ -110,10 +110,7 @@ mod tests {
     #[test]
     fn single_output_is_rejected() {
         let net = counting_tree(1).unwrap();
-        assert!(matches!(
-            influence_radius(&net),
-            Err(TopologyError::Precondition { .. })
-        ));
+        assert!(matches!(influence_radius(&net), Err(TopologyError::Precondition { .. })));
     }
 
     #[test]
@@ -124,9 +121,6 @@ mod tests {
         lb.balancer(&[0, 1]);
         lb.balancer(&[2, 3]);
         let net = lb.finish().unwrap();
-        assert!(matches!(
-            influence_radius(&net),
-            Err(TopologyError::Precondition { .. })
-        ));
+        assert!(matches!(influence_radius(&net), Err(TopologyError::Precondition { .. })));
     }
 }

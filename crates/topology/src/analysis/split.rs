@@ -84,19 +84,13 @@ impl SplitSequence {
     /// Whether `G` is **continuously complete**: every stage but the last is
     /// complete.
     pub fn is_continuously_complete(&self) -> bool {
-        self.stages
-            .iter()
-            .take(self.stages.len().saturating_sub(1))
-            .all(|s| s.complete)
+        self.stages.iter().take(self.stages.len().saturating_sub(1)).all(|s| s.complete)
     }
 
     /// Whether `G` is **continuously uniformly splittable**: every stage but
     /// the last is uniformly splittable.
     pub fn is_continuously_uniformly_splittable(&self) -> bool {
-        self.stages
-            .iter()
-            .take(self.stages.len().saturating_sub(1))
-            .all(|s| s.uniformly_splittable)
+        self.stages.iter().take(self.stages.len().saturating_sub(1)).all(|s| s.uniformly_splittable)
     }
 }
 
@@ -216,10 +210,9 @@ fn bottom_split_network(
     };
     // Boundary wires become source wires.
     for (src_idx, &(_, end)) in boundary.iter().enumerate() {
-        nb.connect(WireStart::Source(crate::ids::SourceId(src_idx)), map_end(end))
-            .map_err(|_| TopologyError::Precondition {
-                what: "bottom split network wiring failed",
-            })?;
+        nb.connect(WireStart::Source(crate::ids::SourceId(src_idx)), map_end(end)).map_err(
+            |_| TopologyError::Precondition { what: "bottom split network wiring failed" },
+        )?;
     }
     // Internal wires.
     for (_, wire) in net.wires() {
@@ -245,7 +238,6 @@ mod tests {
     use super::*;
     use crate::construct::{bitonic, counting_tree, merger, periodic};
 
-
     #[test]
     fn proposition_5_6_bitonic_split_depth() {
         // sd(B(w)) = (lg²w − lg w + 2) / 2, and B(w) is complete and
@@ -258,10 +250,7 @@ mod tests {
             assert_eq!(sd, (lgw * lgw - lgw + 2) / 2, "sd(B({w}))");
             let layer = net.layer(sd);
             assert!(val.layer_is_complete(&net, layer), "B({w}) complete");
-            assert!(
-                val.layer_is_uniformly_splittable(&net, layer),
-                "B({w}) uniformly splittable"
-            );
+            assert!(val.layer_is_uniformly_splittable(&net, layer), "B({w}) uniformly splittable");
         }
     }
 

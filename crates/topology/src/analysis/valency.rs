@@ -217,10 +217,7 @@ mod tests {
             let top = val.output_port(&net, b, 0);
             let bottom = val.output_port(&net, b, 1);
             assert_eq!(top.iter().collect::<Vec<_>>(), (0..w / 2).collect::<Vec<_>>());
-            assert_eq!(
-                bottom.iter().collect::<Vec<_>>(),
-                (w / 2..w).collect::<Vec<_>>()
-            );
+            assert_eq!(bottom.iter().collect::<Vec<_>>(), (w / 2..w).collect::<Vec<_>>());
             assert!(val.is_totally_ordering(&net, b));
             assert!(val.is_complete(&net, b));
             assert!(val.is_uniformly_splittable(&net, b));

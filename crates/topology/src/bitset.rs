@@ -35,10 +35,7 @@ json_struct!(BitSet { universe, words });
 impl BitSet {
     /// Creates an empty set over the universe `0..universe`.
     pub fn new(universe: usize) -> Self {
-        BitSet {
-            universe,
-            words: vec![0; universe.div_ceil(64)],
-        }
+        BitSet { universe, words: vec![0; universe.div_ceil(64)] }
     }
 
     /// Creates the full set `{0, …, universe-1}`.
@@ -155,11 +152,7 @@ impl BitSet {
 
     /// Iterates over elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            front: 0,
-            back: self.universe,
-        }
+        Iter { set: self, front: 0, back: self.universe }
     }
 
     /// Returns `true` if every element of `self` is strictly less than every

@@ -179,15 +179,15 @@ impl NetworkBuilder {
         let (sinks, ports) = rest.split_at(self.fan_out);
         let mut source_wires = Vec::with_capacity(self.fan_in);
         for (i, w) in sources.iter().enumerate() {
-            source_wires.push(w.ok_or_else(|| BuildError::Unconnected {
-                endpoint: format!("{}", SourceId(i)),
-            })?);
+            source_wires.push(
+                w.ok_or_else(|| BuildError::Unconnected { endpoint: format!("{}", SourceId(i)) })?,
+            );
         }
         let mut sink_wires = Vec::with_capacity(self.fan_out);
         for (j, w) in sinks.iter().enumerate() {
-            sink_wires.push(w.ok_or_else(|| BuildError::Unconnected {
-                endpoint: format!("{}", SinkId(j)),
-            })?);
+            sink_wires.push(
+                w.ok_or_else(|| BuildError::Unconnected { endpoint: format!("{}", SinkId(j)) })?,
+            );
         }
         let mut balancers = Vec::with_capacity(self.balancers.len());
         let mut ports = ports.iter().copied();
@@ -375,10 +375,9 @@ impl LayeredBuilder {
         let resolve_start = |wire_start: WireStart| -> WireStart {
             match wire_start {
                 WireStart::Source(s) => entry_heads[s.index()],
-                WireStart::Balancer { balancer, port } => WireStart::Balancer {
-                    balancer: bal_map[balancer.index()],
-                    port,
-                },
+                WireStart::Balancer { balancer, port } => {
+                    WireStart::Balancer { balancer: bal_map[balancer.index()], port }
+                }
             }
         };
         for (_, wire) in sub.wires() {
@@ -434,8 +433,7 @@ mod tests {
         let b = nb.add_balancer(1, 2);
         nb.connect(WireStart::Source(SourceId(0)), WireEnd::Balancer { balancer: b, port: 0 })
             .unwrap();
-        nb.connect(WireStart::Balancer { balancer: b, port: 0 }, WireEnd::Sink(SinkId(0)))
-            .unwrap();
+        nb.connect(WireStart::Balancer { balancer: b, port: 0 }, WireEnd::Sink(SinkId(0))).unwrap();
         // output port 1 dangling
         let err = nb.finish().unwrap_err();
         assert!(matches!(err, BuildError::Unconnected { .. }));
@@ -454,10 +452,8 @@ mod tests {
         // The failed connect must not have consumed source 1.
         nb.connect(WireStart::Source(SourceId(1)), WireEnd::Balancer { balancer: b, port: 1 })
             .unwrap();
-        nb.connect(WireStart::Balancer { balancer: b, port: 0 }, WireEnd::Sink(SinkId(0)))
-            .unwrap();
-        nb.connect(WireStart::Balancer { balancer: b, port: 1 }, WireEnd::Sink(SinkId(1)))
-            .unwrap();
+        nb.connect(WireStart::Balancer { balancer: b, port: 0 }, WireEnd::Sink(SinkId(0))).unwrap();
+        nb.connect(WireStart::Balancer { balancer: b, port: 1 }, WireEnd::Sink(SinkId(1))).unwrap();
         assert!(nb.finish().is_ok());
     }
 
@@ -484,8 +480,7 @@ mod tests {
             WireEnd::Balancer { balancer: b, port: 1 },
         )
         .unwrap();
-        nb.connect(WireStart::Balancer { balancer: b, port: 1 }, WireEnd::Sink(SinkId(0)))
-            .unwrap();
+        nb.connect(WireStart::Balancer { balancer: b, port: 1 }, WireEnd::Sink(SinkId(0))).unwrap();
         let err = nb.finish().unwrap_err();
         assert_eq!(err, BuildError::Cyclic);
     }
@@ -501,9 +496,7 @@ mod tests {
     #[test]
     fn index_out_of_range_is_reported() {
         let mut nb = NetworkBuilder::new(1, 1);
-        let err = nb
-            .connect(WireStart::Source(SourceId(5)), WireEnd::Sink(SinkId(0)))
-            .unwrap_err();
+        let err = nb.connect(WireStart::Source(SourceId(5)), WireEnd::Sink(SinkId(0))).unwrap_err();
         assert!(matches!(err, BuildError::IndexOutOfRange { .. }));
     }
 

@@ -102,20 +102,11 @@ pub fn build_merger(lb: &mut LayeredBuilder, lines: &[usize]) -> Vec<usize> {
     let k = w / 2;
     let (x, y) = lines.split_at(k);
     // Merger A: even positions of x, odd positions of y.
-    let a_lines: Vec<usize> = x
-        .iter()
-        .step_by(2)
-        .chain(y.iter().skip(1).step_by(2))
-        .copied()
-        .collect();
+    let a_lines: Vec<usize> =
+        x.iter().step_by(2).chain(y.iter().skip(1).step_by(2)).copied().collect();
     // Merger B: odd positions of x, even positions of y.
-    let b_lines: Vec<usize> = x
-        .iter()
-        .skip(1)
-        .step_by(2)
-        .chain(y.iter().step_by(2))
-        .copied()
-        .collect();
+    let b_lines: Vec<usize> =
+        x.iter().skip(1).step_by(2).chain(y.iter().step_by(2)).copied().collect();
     let a_out = build_merger(lb, &a_lines);
     let b_out = build_merger(lb, &b_lines);
     // Final column: balancer i joins the i-th outputs of A and B, producing

@@ -113,12 +113,8 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let cfg = RandomNetworkConfig {
-            fan: 8,
-            prefix_columns: 2,
-            crossing: true,
-            periodic_core: false,
-        };
+        let cfg =
+            RandomNetworkConfig { fan: 8, prefix_columns: 2, crossing: true, periodic_core: false };
         let a = random_counting_network(&cfg, 5).unwrap();
         let b = random_counting_network(&cfg, 5).unwrap();
         assert_eq!(a.size(), b.size());

@@ -102,10 +102,8 @@ mod tests {
 
     #[test]
     fn build_error_messages_are_lowercase_and_specific() {
-        let e = BuildError::UnsupportedWidth {
-            width: 3,
-            requirement: "fan must be a power of two",
-        };
+        let e =
+            BuildError::UnsupportedWidth { width: 3, requirement: "fan must be a power of two" };
         assert_eq!(e.to_string(), "unsupported width 3: fan must be a power of two");
         let e = BuildError::Cyclic;
         assert!(e.to_string().contains("cycle"));

@@ -24,9 +24,7 @@ pub enum WireStart {
 impl ToJson for WireStart {
     fn to_json(&self) -> Value {
         match self {
-            WireStart::Source(s) => {
-                Value::Object(vec![("Source".to_string(), s.to_json())])
-            }
+            WireStart::Source(s) => Value::Object(vec![("Source".to_string(), s.to_json())]),
             WireStart::Balancer { balancer, port } => Value::Object(vec![(
                 "Balancer".to_string(),
                 Value::Object(vec![
@@ -122,9 +120,7 @@ pub enum NodeRef {
 impl ToJson for NodeRef {
     fn to_json(&self) -> Value {
         match self {
-            NodeRef::Balancer(b) => {
-                Value::Object(vec![("Balancer".to_string(), b.to_json())])
-            }
+            NodeRef::Balancer(b) => Value::Object(vec![("Balancer".to_string(), b.to_json())]),
             NodeRef::Sink(s) => Value::Object(vec![("Sink".to_string(), s.to_json())]),
         }
     }
@@ -246,18 +242,10 @@ impl Network {
         // Wires from sources have depth 0; balancers in topological order.
         for &b in topo_order {
             let bal = &balancers[b.index()];
-            let in_max = bal
-                .inputs()
-                .iter()
-                .map(|w| wire_depth[w.index()])
-                .max()
-                .expect("fan-in >= 1");
-            let in_min = bal
-                .inputs()
-                .iter()
-                .map(|w| wire_min_depth[w.index()])
-                .min()
-                .expect("fan-in >= 1");
+            let in_max =
+                bal.inputs().iter().map(|w| wire_depth[w.index()]).max().expect("fan-in >= 1");
+            let in_min =
+                bal.inputs().iter().map(|w| wire_min_depth[w.index()]).min().expect("fan-in >= 1");
             for &w in bal.outputs() {
                 wire_depth[w.index()] = in_max + 1;
                 wire_min_depth[w.index()] = in_min + 1;
@@ -266,11 +254,7 @@ impl Network {
         }
 
         let depth = balancer_depth.iter().copied().max().unwrap_or(0);
-        let shallowness = sink_wires
-            .iter()
-            .map(|w| wire_min_depth[w.index()])
-            .min()
-            .unwrap_or(0);
+        let shallowness = sink_wires.iter().map(|w| wire_min_depth[w.index()]).min().unwrap_or(0);
 
         // Uniform: every source→sink path has the same length. Equivalent to
         // all wires having equal longest- and shortest-path depth and every
@@ -279,9 +263,8 @@ impl Network {
             && sink_wires.iter().all(|w| wire_depth[w.index()] == depth);
 
         // Layers 1..=depth+1 (1-based). Sinks sit one past their feeding wire.
-        let mut layers: Vec<Layer> = (1..=depth + 1)
-            .map(|index| Layer { index, nodes: Vec::new() })
-            .collect();
+        let mut layers: Vec<Layer> =
+            (1..=depth + 1).map(|index| Layer { index, nodes: Vec::new() }).collect();
         for (i, &d) in balancer_depth.iter().enumerate() {
             layers[d - 1].nodes.push(NodeRef::Balancer(BalancerId(i)));
         }
@@ -448,11 +431,7 @@ impl Network {
     /// Panics unless `1 <= l <= depth() + 1`.
     #[inline]
     pub fn layer(&self, l: usize) -> &Layer {
-        assert!(
-            (1..=self.depth + 1).contains(&l),
-            "layer {l} out of range 1..={}",
-            self.depth + 1
-        );
+        assert!((1..=self.depth + 1).contains(&l), "layer {l} out of range 1..={}", self.depth + 1);
         &self.layers[l - 1]
     }
 
@@ -460,8 +439,7 @@ impl Network {
     /// feeding it). Derived from depths, which the builder computed from a
     /// true topological order.
     pub fn topo_order(&self) -> Vec<BalancerId> {
-        let mut order: Vec<BalancerId> =
-            (0..self.balancers.len()).map(BalancerId).collect();
+        let mut order: Vec<BalancerId> = (0..self.balancers.len()).map(BalancerId).collect();
         order.sort_by_key(|b| self.balancer_depth[b.index()]);
         order
     }
@@ -469,7 +447,11 @@ impl Network {
     /// Follows wires forward from `wire` choosing output port `port_choice`
     /// at every balancer, returning the sink eventually reached. Used by
     /// tests and by path-construction helpers.
-    pub fn walk_to_sink(&self, mut wire: WireId, mut port_choice: impl FnMut(BalancerId) -> usize) -> SinkId {
+    pub fn walk_to_sink(
+        &self,
+        mut wire: WireId,
+        mut port_choice: impl FnMut(BalancerId) -> usize,
+    ) -> SinkId {
         loop {
             match self.wire(wire).end {
                 WireEnd::Sink(s) => return s,
@@ -600,7 +582,9 @@ mod tests {
     fn serde_round_trip_preserves_structure() {
         use crate::construct::{bitonic, counting_tree, periodic};
         use crate::state::NetworkState;
-        for net in [two_column(), bitonic(8).unwrap(), periodic(4).unwrap(), counting_tree(8).unwrap()] {
+        for net in
+            [two_column(), bitonic(8).unwrap(), periodic(4).unwrap(), counting_tree(8).unwrap()]
+        {
             let json = json::to_string(&net);
             let back: Network = json::from_str(&json).expect("networks deserialize");
             assert_eq!(back.fan_in(), net.fan_in());

@@ -26,10 +26,10 @@
 //! different lengths through it), so each cut has exactly `w` wires and
 //! every token crosses each boundary exactly once.
 
+use crate::builder::NetworkBuilder;
 use crate::error::BuildError;
 use crate::ids::{SinkId, SourceId, WireId};
 use crate::network::{Network, WireEnd, WireStart};
-use crate::builder::NetworkBuilder;
 use std::error::Error;
 use std::fmt;
 
@@ -309,8 +309,12 @@ mod tests {
         let depth = net.depth();
         for nodes in 1..=depth.min(4) {
             let plan = Partition::contiguous(&net, nodes).expect("plan");
-            let mut sizes: Vec<usize> =
-                (0..nodes).map(|k| { let (lo, hi) = plan.layer_range(k); hi - lo }).collect();
+            let mut sizes: Vec<usize> = (0..nodes)
+                .map(|k| {
+                    let (lo, hi) = plan.layer_range(k);
+                    hi - lo
+                })
+                .collect();
             assert_eq!(sizes.iter().sum::<usize>(), depth);
             sizes.sort_unstable();
             assert!(sizes[sizes.len() - 1] - sizes[0] <= 1, "balanced: {sizes:?}");

@@ -73,12 +73,7 @@ pub struct NetworkState {
     tokens_out: Vec<u64>,
 }
 
-json_struct!(NetworkState {
-    balancer_state,
-    counter_state,
-    tokens_in,
-    tokens_out,
-});
+json_struct!(NetworkState { balancer_state, counter_state, tokens_in, tokens_out });
 
 impl NetworkState {
     /// The initial network state: all balancers at state 0, counter `j`
@@ -151,12 +146,8 @@ impl NetworkState {
         let mut remaining: Vec<u64> = counts.to_vec();
         let mut out = Vec::new();
         loop {
-            let pending: Vec<usize> = remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &r)| r > 0)
-                .map(|(i, _)| i)
-                .collect();
+            let pending: Vec<usize> =
+                remaining.iter().enumerate().filter(|&(_, &r)| r > 0).map(|(i, _)| i).collect();
             if pending.is_empty() {
                 return out;
             }
@@ -206,7 +197,8 @@ impl NetworkState {
 /// assert!(!has_step_property(&[3, 1, 3, 2])); // gap of 2, and rising
 /// ```
 pub fn has_step_property(counts: &[u64]) -> bool {
-    counts.windows(2).all(|w| w[0] >= w[1]) && counts.first().zip(counts.last()).is_none_or(|(f, l)| f - l <= 1)
+    counts.windows(2).all(|w| w[0] >= w[1])
+        && counts.first().zip(counts.last()).is_none_or(|(f, l)| f - l <= 1)
 }
 
 #[cfg(test)]
@@ -225,8 +217,7 @@ mod tests {
     fn balancer_round_robins_top_to_bottom() {
         let net = single_balancer(3);
         let mut st = NetworkState::new(&net);
-        let sinks: Vec<usize> =
-            (0..7).map(|_| st.traverse(&net, 0).sink.index()).collect();
+        let sinks: Vec<usize> = (0..7).map(|_| st.traverse(&net, 0).sink.index()).collect();
         assert_eq!(sinks, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 

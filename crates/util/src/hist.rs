@@ -62,8 +62,8 @@ fn bucket_upper_edge(idx: usize) -> u64 {
     let sub = ((idx - SUB) % SUB) as u64;
     let base = 1u64 << (octave + SUB_BITS);
     let width = 1u64 << octave; // values per sub-bucket in this octave
-    // Summed as (base - 1) + ... so the top octave's edge (u64::MAX)
-    // does not overflow mid-expression.
+                                // Summed as (base - 1) + ... so the top octave's edge (u64::MAX)
+                                // does not overflow mid-expression.
     (base - 1) + (sub + 1) * width
 }
 
@@ -185,8 +185,23 @@ mod tests {
         // Every probed value must land in a bucket whose upper edge is
         // >= the value and within 1/32 relative error above it.
         let probes = [
-            0u64, 1, 31, 32, 33, 63, 64, 100, 1_000, 4_095, 4_096, 65_535,
-            1_000_000, 123_456_789, u64::MAX / 2, u64::MAX - 1, u64::MAX,
+            0u64,
+            1,
+            31,
+            32,
+            33,
+            63,
+            64,
+            100,
+            1_000,
+            4_095,
+            4_096,
+            65_535,
+            1_000_000,
+            123_456_789,
+            u64::MAX / 2,
+            u64::MAX - 1,
+            u64::MAX,
         ];
         for &v in &probes {
             let idx = bucket_index(v);

@@ -52,9 +52,7 @@ impl JsonError {
 
     /// Prefixes the message with a field/element context.
     pub fn in_context(self, ctx: &str) -> Self {
-        JsonError {
-            msg: format!("{}: {}", ctx, self.msg),
-        }
+        JsonError { msg: format!("{}: {}", ctx, self.msg) }
     }
 }
 
@@ -152,8 +150,7 @@ impl std::ops::Index<&str> for Value {
     type Output = Value;
 
     fn index(&self, key: &str) -> &Value {
-        self.get(key)
-            .unwrap_or_else(|| panic!("no member {key:?} in {self:?}"))
+        self.get(key).unwrap_or_else(|| panic!("no member {key:?} in {self:?}"))
     }
 }
 
@@ -272,8 +269,7 @@ impl ToJson for f64 {
 
 impl FromJson for f64 {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        v.as_f64()
-            .ok_or_else(|| JsonError::new(format!("expected number, found {v:?}")))
+        v.as_f64().ok_or_else(|| JsonError::new(format!("expected number, found {v:?}")))
     }
 }
 
@@ -285,8 +281,7 @@ impl ToJson for bool {
 
 impl FromJson for bool {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        v.as_bool()
-            .ok_or_else(|| JsonError::new(format!("expected bool, found {v:?}")))
+        v.as_bool().ok_or_else(|| JsonError::new(format!("expected bool, found {v:?}")))
     }
 }
 
@@ -341,9 +336,7 @@ impl<T: FromJson> FromJson for Vec<T> {
             Value::Array(items) => items
                 .iter()
                 .enumerate()
-                .map(|(i, item)| {
-                    T::from_json(item).map_err(|e| e.in_context(&format!("[{i}]")))
-                })
+                .map(|(i, item)| T::from_json(item).map_err(|e| e.in_context(&format!("[{i}]"))))
                 .collect(),
             other => Err(JsonError::new(format!("expected array, found {other:?}"))),
         }
@@ -381,8 +374,7 @@ impl JsonMapKey for usize {
     }
 
     fn from_key(s: &str) -> Result<Self, JsonError> {
-        s.parse()
-            .map_err(|_| JsonError::new(format!("invalid integer key {s:?}")))
+        s.parse().map_err(|_| JsonError::new(format!("invalid integer key {s:?}")))
     }
 }
 
@@ -392,8 +384,7 @@ impl JsonMapKey for u64 {
     }
 
     fn from_key(s: &str) -> Result<Self, JsonError> {
-        s.parse()
-            .map_err(|_| JsonError::new(format!("invalid integer key {s:?}")))
+        s.parse().map_err(|_| JsonError::new(format!("invalid integer key {s:?}")))
     }
 }
 
@@ -409,11 +400,7 @@ impl JsonMapKey for String {
 
 impl<K: JsonMapKey, V: ToJson> ToJson for BTreeMap<K, V> {
     fn to_json(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_json()))
-                .collect(),
-        )
+        Value::Object(self.iter().map(|(k, v)| (k.to_key(), v.to_json())).collect())
     }
 }
 
@@ -422,12 +409,7 @@ impl<K: JsonMapKey, V: FromJson> FromJson for BTreeMap<K, V> {
         match v {
             Value::Object(fields) => fields
                 .iter()
-                .map(|(k, v)| {
-                    Ok((
-                        K::from_key(k)?,
-                        V::from_json(v).map_err(|e| e.in_context(k))?,
-                    ))
-                })
+                .map(|(k, v)| Ok((K::from_key(k)?, V::from_json(v).map_err(|e| e.in_context(k))?)))
                 .collect(),
             other => Err(JsonError::new(format!("expected object, found {other:?}"))),
         }
@@ -449,9 +431,9 @@ pub fn field<T: FromJson>(v: &Value, name: &str) -> Result<T, JsonError> {
                 T::from_json(member).map_err(|e| e.in_context(name))
             }
         }
-        other => Err(JsonError::new(format!(
-            "expected object with field {name:?}, found {other:?}"
-        ))),
+        other => {
+            Err(JsonError::new(format!("expected object with field {name:?}, found {other:?}")))
+        }
     }
 }
 
@@ -486,18 +468,12 @@ pub fn from_str<T: FromJson>(s: &str) -> Result<T, JsonError> {
 
 /// Parses a JSON document into a [`Value`] tree.
 pub fn parse(s: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(JsonError::new(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
+        return Err(JsonError::new(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(v)
 }
@@ -637,10 +613,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(JsonError::new(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
+            Err(JsonError::new(format!("expected {:?} at byte {}", b as char, self.pos)))
         }
     }
 
@@ -707,10 +680,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Array(items));
                 }
                 _ => {
-                    return Err(JsonError::new(format!(
-                        "expected ',' or ']' at byte {}",
-                        self.pos
-                    )))
+                    return Err(JsonError::new(format!("expected ',' or ']' at byte {}", self.pos)))
                 }
             }
         }
@@ -813,8 +783,7 @@ impl<'a> Parser<'a> {
         }
         let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
             .map_err(|_| JsonError::new("invalid \\u escape"))?;
-        let cp =
-            u32::from_str_radix(s, 16).map_err(|_| JsonError::new("invalid \\u escape"))?;
+        let cp = u32::from_str_radix(s, 16).map_err(|_| JsonError::new("invalid \\u escape"))?;
         self.pos += 4;
         Ok(cp)
     }
@@ -921,9 +890,7 @@ macro_rules! json_newtype {
         }
 
         impl $crate::json::FromJson for $name {
-            fn from_json(
-                v: &$crate::json::Value,
-            ) -> Result<Self, $crate::json::JsonError> {
+            fn from_json(v: &$crate::json::Value) -> Result<Self, $crate::json::JsonError> {
                 <$inner as $crate::json::FromJson>::from_json(v).map($name)
             }
         }
@@ -951,10 +918,7 @@ mod tests {
         let s = "a \"quote\" and \\ backslash\nand\ttabs \u{1F600} ok";
         let doc = Value::Str(s.to_string()).to_json_string();
         assert_eq!(parse(&doc).unwrap(), Value::Str(s.to_string()));
-        assert_eq!(
-            parse(r#""Aé😀""#).unwrap(),
-            Value::Str("Aé😀".to_string())
-        );
+        assert_eq!(parse(r#""Aé😀""#).unwrap(), Value::Str("Aé😀".to_string()));
     }
 
     #[test]
@@ -1018,11 +982,7 @@ mod tests {
 
             impl Secret {
                 pub fn new() -> Self {
-                    Secret {
-                        a: 7,
-                        b: None,
-                        c: vec!["x".into()],
-                    }
+                    Secret { a: 7, b: None, c: vec!["x".into()] }
                 }
 
                 pub fn parts(&self) -> (u32, Option<f64>, &[String]) {

@@ -164,9 +164,7 @@ pub fn thread_is_modeled() -> bool {
 }
 
 fn with_ctx(f: impl FnOnce(&Sched, usize)) {
-    let ctx = CTX.with(|c| {
-        c.borrow().as_ref().map(|x| (Arc::clone(&x.sched), x.tid))
-    });
+    let ctx = CTX.with(|c| c.borrow().as_ref().map(|x| (Arc::clone(&x.sched), x.tid)));
     if let Some((sched, tid)) = ctx {
         f(&sched, tid);
     }
@@ -330,13 +328,10 @@ impl Sched {
     /// thread whose park triggered this decision (`None` at the start
     /// barrier).
     fn decide(&self, core: &mut Core, prev: Option<usize>) -> Result<(), String> {
-        let ops: Vec<usize> = (0..self.threads)
-            .filter(|&t| core.status[t] == Status::Parked(Point::Op))
-            .collect();
+        let ops: Vec<usize> =
+            (0..self.threads).filter(|&t| core.status[t] == Status::Parked(Point::Op)).collect();
         let eligible: Vec<usize> = if ops.is_empty() {
-            (0..self.threads)
-                .filter(|&t| core.status[t] == Status::Parked(Point::Yield))
-                .collect()
+            (0..self.threads).filter(|&t| core.status[t] == Status::Parked(Point::Yield)).collect()
         } else {
             ops
         };
@@ -349,13 +344,12 @@ impl Sched {
         // A switch away from a thread that still has an operation
         // pending is a preemption and is bounded; switches at yield or
         // finish points are free.
-        let contended =
-            prev.filter(|&p| core.status[p] == Status::Parked(Point::Op));
+        let contended = prev.filter(|&p| core.status[p] == Status::Parked(Point::Op));
         let alts: Vec<usize> = match contended {
             Some(p) if core.preemptions >= self.bound => vec![p],
-            Some(p) => std::iter::once(p)
-                .chain(eligible.iter().copied().filter(|&t| t != p))
-                .collect(),
+            Some(p) => {
+                std::iter::once(p).chain(eligible.iter().copied().filter(|&t| t != p)).collect()
+            }
             None => eligible,
         };
         let next = self.choose(core, alts)?;
@@ -459,10 +453,7 @@ impl std::fmt::Display for Failure {
 }
 
 fn replay_string(threads: usize, bound: usize, path: &[Decision]) -> String {
-    let choices: Vec<String> = path
-        .iter()
-        .map(|d| d.alternatives[d.chosen].to_string())
-        .collect();
+    let choices: Vec<String> = path.iter().map(|d| d.alternatives[d.chosen].to_string()).collect();
     format!("v1:{threads}:{bound}:{}", choices.join("."))
 }
 
@@ -550,10 +541,7 @@ where
             let sched = Arc::clone(&sched);
             let state = &state;
             scope.spawn(move || {
-                CTX.with(|c| {
-                    *c.borrow_mut() =
-                        Some(Ctx { sched: Arc::clone(&sched), tid })
-                });
+                CTX.with(|c| *c.borrow_mut() = Some(Ctx { sched: Arc::clone(&sched), tid }));
                 let result = panic::catch_unwind(AssertUnwindSafe(|| {
                     sched.announce_start(tid);
                     run(state, tid);
@@ -571,17 +559,11 @@ where
             });
         }
     });
-    let sched = Arc::try_unwrap(sched)
-        .ok()
-        .expect("all model threads have exited");
-    let mut core =
-        sched.core.into_inner().unwrap_or_else(|e| e.into_inner());
+    let sched = Arc::try_unwrap(sched).ok().expect("all model threads have exited");
+    let mut core = sched.core.into_inner().unwrap_or_else(|e| e.into_inner());
     if core.failed.is_none() {
         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| check(&state))) {
-            core.failed = Some(format!(
-                "check failed: {}",
-                payload_message(payload.as_ref())
-            ));
+            core.failed = Some(format!("check failed: {}", payload_message(payload.as_ref())));
         }
     }
     (core.failed, core.path, core.depth, core.steps as u64)
@@ -609,10 +591,7 @@ where
     R: Fn(&S, usize) + Sync,
     C: Fn(&S),
 {
-    assert!(
-        (1..=8).contains(&threads),
-        "model: thread count must be in 1..=8"
-    );
+    assert!((1..=8).contains(&threads), "model: thread count must be in 1..=8");
     install_quiet_hook();
     let mut path: Vec<Decision> = Vec::new();
     let mut schedules = 0u64;
@@ -636,9 +615,7 @@ where
         // Backtrack: advance the deepest unexhausted branch decision.
         loop {
             match path.last_mut() {
-                None => {
-                    return Ok(Explored { schedules, points, max_depth })
-                }
+                None => return Ok(Explored { schedules, points, max_depth }),
                 Some(d) if d.chosen + 1 < d.alternatives.len() => {
                     d.chosen += 1;
                     break;
@@ -653,13 +630,7 @@ where
 
 /// Like [`try_explore`], but panics with the failure message and replay
 /// string on a counterexample. This is the main test entry point.
-pub fn explore<S, M, R, C>(
-    threads: usize,
-    bound: usize,
-    make: M,
-    run: R,
-    check: C,
-) -> Explored
+pub fn explore<S, M, R, C>(threads: usize, bound: usize, make: M, run: R, check: C) -> Explored
 where
     S: Sync,
     M: Fn() -> S,
@@ -680,24 +651,18 @@ where
 /// Against *changed* (e.g. fixed) code the scenario may branch
 /// differently; from the first divergent point on, unrunnable forced
 /// choices fall back to the first runnable thread.
-pub fn replay<S, M, R, C>(
-    spec: &str,
-    make: M,
-    run: R,
-    check: C,
-) -> Result<(), String>
+pub fn replay<S, M, R, C>(spec: &str, make: M, run: R, check: C) -> Result<(), String>
 where
     S: Sync,
     M: Fn() -> S,
     R: Fn(&S, usize) + Sync,
     C: Fn(&S),
 {
-    let parsed = parse_replay(spec)
-        .unwrap_or_else(|e| panic!("model: bad replay string {spec:?}: {e}"));
+    let parsed =
+        parse_replay(spec).unwrap_or_else(|e| panic!("model: bad replay string {spec:?}: {e}"));
     let (threads, bound, forced) = parsed;
     install_quiet_hook();
-    let (failed, _, _, _) =
-        run_once(threads, bound, Vec::new(), Some(forced), &make, &run, &check);
+    let (failed, _, _, _) = run_once(threads, bound, Vec::new(), Some(forced), &make, &run, &check);
     match failed {
         Some(msg) => Err(msg),
         None => Ok(()),
@@ -705,9 +670,7 @@ where
 }
 
 fn parse_replay(spec: &str) -> Result<(usize, usize, Vec<usize>), String> {
-    let rest = spec
-        .strip_prefix("v1:")
-        .ok_or_else(|| "missing v1: prefix".to_string())?;
+    let rest = spec.strip_prefix("v1:").ok_or_else(|| "missing v1: prefix".to_string())?;
     let mut parts = rest.splitn(3, ':');
     let threads: usize = parts
         .next()
@@ -1028,8 +991,7 @@ mod tests {
         let check = |a: &AtomicU64| {
             assert_eq!(a.load(SC), 2, "an increment was lost");
         };
-        let failure =
-            try_explore(2, 8, make, run, check).expect_err("bug must be found");
+        let failure = try_explore(2, 8, make, run, check).expect_err("bug must be found");
         assert!(
             failure.message.contains("an increment was lost"),
             "unexpected message: {}",

@@ -86,7 +86,12 @@ impl Poller {
     /// Starts watching `source` for `interest`, tagging future events with
     /// `token`. The source must already be in nonblocking mode; tokens are
     /// caller-chosen and need not be unique (the reactor uses slot ids).
-    pub fn register(&self, source: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub fn register(
+        &self,
+        source: &impl AsRawFd,
+        token: u64,
+        interest: Interest,
+    ) -> io::Result<()> {
         self.inner.register(source.as_raw_fd(), token, interest)
     }
 
@@ -106,7 +111,11 @@ impl Poller {
     /// elapses (`None` = wait forever), or a [`Waker`] fires. Clears
     /// `events` and fills it with the ready set; returns the event count.
     /// A signal interruption reports as zero events rather than an error.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         events.clear();
         self.inner.wait(events, timeout)?;
         Ok(events.len())
@@ -180,7 +189,12 @@ mod sys {
         // target; std links libc, so the symbols are always present.
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+        fn epoll_wait(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
         fn eventfd(initval: u32, flags: c_int) -> c_int;
     }
 
@@ -241,18 +255,30 @@ mod sys {
         }
 
         pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, Some(EpollEvent { events: interest_bits(interest), data: token }))
+            self.ctl(
+                EPOLL_CTL_ADD,
+                fd,
+                Some(EpollEvent { events: interest_bits(interest), data: token }),
+            )
         }
 
         pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, Some(EpollEvent { events: interest_bits(interest), data: token }))
+            self.ctl(
+                EPOLL_CTL_MOD,
+                fd,
+                Some(EpollEvent { events: interest_bits(interest), data: token }),
+            )
         }
 
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, None)
         }
 
-        pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(
+            &mut self,
+            events: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             let timeout_ms: c_int = match timeout {
                 None => -1,
                 // Round up so a 100µs timeout does not busy-spin as 0ms.
@@ -389,7 +415,11 @@ mod sys {
             Ok(())
         }
 
-        pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(
+            &mut self,
+            events: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             std::thread::sleep(match timeout {
                 Some(t) => t.min(SLICE),
                 None => SLICE,
@@ -445,9 +475,7 @@ mod tests {
         let mut events = Vec::new();
         for _ in 0..500 {
             poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
-            if let Some(ev) = events
-                .iter()
-                .find(|e| e.token == token && (!readable || e.readable))
+            if let Some(ev) = events.iter().find(|e| e.token == token && (!readable || e.readable))
             {
                 return *ev;
             }

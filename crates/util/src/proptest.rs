@@ -252,10 +252,7 @@ pub mod collection {
     /// A vector whose length is drawn from a [`SizeRange`] and whose
     /// elements come from an inner strategy.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy {
-            element,
-            size: size.into(),
-        }
+        VecStrategy { element, size: size.into() }
     }
 
     /// See [`vec()`].
@@ -316,10 +313,7 @@ enum CaseOutcome {
     Panic(Box<dyn std::any::Any + Send>),
 }
 
-fn run_one<V>(
-    test: &mut impl FnMut(V) -> Result<(), String>,
-    input: V,
-) -> CaseOutcome {
+fn run_one<V>(test: &mut impl FnMut(V) -> Result<(), String>, input: V) -> CaseOutcome {
     match catch_unwind(AssertUnwindSafe(|| test(input))) {
         Ok(Ok(())) => CaseOutcome::Pass,
         Ok(Err(msg)) => CaseOutcome::Fail(msg),
@@ -417,11 +411,11 @@ pub fn repanic(payload: Box<dyn std::any::Any + Send>) -> ! {
 /// the module itself under both `proptest` and `prop` so existing
 /// `proptest::bool::ANY` / `prop::collection::vec` paths keep resolving.
 pub mod prelude {
-    pub use crate::proptest::{ProptestConfig, Strategy};
     #[doc(no_inline)]
     pub use crate::proptest;
     #[doc(no_inline)]
     pub use crate::proptest as prop;
+    pub use crate::proptest::{ProptestConfig, Strategy};
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne};
 }
 

@@ -29,14 +29,10 @@ use std::ops::{Deref, DerefMut};
 /// — a pure rename.
 pub mod atomic {
     #[cfg(not(feature = "model-check"))]
-    pub use std::sync::atomic::{
-        AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-    };
+    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
     #[cfg(feature = "model-check")]
-    pub use crate::model::atomic::{
-        AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-    };
+    pub use crate::model::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }
 
 /// Pads and aligns a value to the size of a cache line (64 bytes — the
@@ -168,9 +164,7 @@ pub struct Mutex<T: ?Sized> {
 impl<T> Mutex<T> {
     /// A new lock owning `value`.
     pub fn new(value: T) -> Self {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
+        Mutex { inner: std::sync::Mutex::new(value) }
     }
 
     /// Consumes the lock, returning the value.
@@ -196,12 +190,8 @@ impl<T: ?Sized> Mutex<T> {
                 crate::model::op_point();
                 match self.inner.try_lock() {
                     Ok(guard) => return guard,
-                    Err(std::sync::TryLockError::Poisoned(p)) => {
-                        return p.into_inner()
-                    }
-                    Err(std::sync::TryLockError::WouldBlock) => {
-                        crate::model::yield_point()
-                    }
+                    Err(std::sync::TryLockError::Poisoned(p)) => return p.into_inner(),
+                    Err(std::sync::TryLockError::WouldBlock) => crate::model::yield_point(),
                 }
             }
         }

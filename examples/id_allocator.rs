@@ -11,10 +11,10 @@
 //! Run: `cargo run --release -p cnet-bench --example id_allocator`
 
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
+use cnet_runtime::{
+    drive, FetchAddCounter, LockCounter, ProcessCounter, SharedNetworkCounter, Workload,
 };
-use cnet_runtime::{drive, FetchAddCounter, LockCounter, ProcessCounter, SharedNetworkCounter, Workload};
 use cnet_topology::construct::bitonic;
 
 fn audit<C: ProcessCounter>(name: &str, backend: &C, workload: Workload) {

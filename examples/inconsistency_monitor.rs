@@ -10,9 +10,7 @@
 //! Run: `cargo run --release -p cnet-bench --example inconsistency_monitor`
 
 use cnet_core::conditions::TimingCondition;
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
 use cnet_core::op::Op;
 use cnet_core::theory;
 use cnet_sim::adversary::bitonic_three_wave;

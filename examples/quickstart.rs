@@ -23,9 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let handles: Vec<_> = (0..8)
             .map(|p| {
                 let counter = &counter;
-                s.spawn(move || {
-                    (0..1000).map(|_| counter.increment_from(p)).collect::<Vec<u64>>()
-                })
+                s.spawn(move || (0..1000).map(|_| counter.increment_from(p)).collect::<Vec<u64>>())
             })
             .collect();
         handles.into_iter().flat_map(|h| h.join().unwrap()).collect()

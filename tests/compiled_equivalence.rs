@@ -35,12 +35,8 @@ use cnet_util::sync::CachePadded;
 fn random_network() -> impl Strategy<Value = Network> {
     (1usize..4, 0usize..4, prop::bool::ANY, prop::bool::ANY, 0u64..1_000_000).prop_map(
         |(lgw, prefix_columns, crossing, periodic_core, seed)| {
-            let cfg = RandomNetworkConfig {
-                fan: 1 << lgw,
-                prefix_columns,
-                crossing,
-                periodic_core,
-            };
+            let cfg =
+                RandomNetworkConfig { fan: 1 << lgw, prefix_columns, crossing, periodic_core };
             random_counting_network(&cfg, seed).expect("valid config")
         },
     )

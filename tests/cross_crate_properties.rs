@@ -2,9 +2,7 @@
 //! and the invariants that must survive their composition.
 
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
-use cnet_core::fractions::{
-    non_linearizable_ops, non_sequentially_consistent_ops,
-};
+use cnet_core::fractions::{non_linearizable_ops, non_sequentially_consistent_ops};
 use cnet_core::op::Op;
 use cnet_sim::engine::run;
 use cnet_sim::spec::TimedTokenSpec;

@@ -3,14 +3,12 @@
 //! must produce identical results on every run. This is what makes a logged
 //! seed sufficient to reproduce any failure.
 
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
 use cnet_core::op::Op;
 use cnet_sim::engine::run;
 use cnet_sim::workload::{generate, WorkloadConfig};
-use cnet_util::json;
 use cnet_topology::construct::{bitonic, periodic};
+use cnet_util::json;
 
 fn cfg() -> WorkloadConfig {
     WorkloadConfig {

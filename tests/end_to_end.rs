@@ -3,9 +3,7 @@
 
 use cnet_core::conditions::TimingCondition;
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
 use cnet_core::op::Op;
 use cnet_core::theory;
 use cnet_sim::adversary::{bitonic_three_wave, holding_race, three_wave};
@@ -91,10 +89,7 @@ fn theorem_4_1_local_delay_guarantees_sc_at_high_asynchrony() {
             let exec = run(&net, &specs).unwrap();
             let params = TimingParams::measure(&exec);
             assert!(cond.holds(&params), "{net} seed {seed}: generator must satisfy the bound");
-            assert!(
-                is_sequentially_consistent(&Op::from_execution(&exec)),
-                "{net} seed {seed}"
-            );
+            assert!(is_sequentially_consistent(&Op::from_execution(&exec)), "{net} seed {seed}");
         }
     }
 }
@@ -122,10 +117,7 @@ fn proposition_5_3_exact_one_third_on_every_fan() {
         let sched = bitonic_three_wave(&net, 1.0, threshold + 0.01).unwrap();
         let ops = exec_ops(&net, &sched.specs);
         assert!((non_linearizability_fraction(&ops) - 1.0 / 3.0).abs() < 1e-9, "w={w}");
-        assert!(
-            (non_sequential_consistency_fraction(&ops) - 1.0 / 3.0).abs() < 1e-9,
-            "w={w}"
-        );
+        assert!((non_sequential_consistency_fraction(&ops) - 1.0 / 3.0).abs() < 1e-9, "w={w}");
     }
 }
 

@@ -56,8 +56,7 @@ use cnet_core::trace::{EventMerger, OpEvent};
 use cnet_runtime::counter::claims::{ClaimLog, Word};
 use cnet_runtime::{combine, compiled};
 use cnet_runtime::{
-    CombiningFunnel, FetchAddCounter, ProcessCounter, SharedNetworkCounter,
-    TraceRecorder,
+    CombiningFunnel, FetchAddCounter, ProcessCounter, SharedNetworkCounter, TraceRecorder,
 };
 use cnet_sim::validate::validate;
 use cnet_sim::{ProcessId, Step, TimedExecution, TimedStep, TokenId, TokenRecord};
@@ -168,7 +167,10 @@ fn execution_of(net: &Network, log: &ClaimLog) -> Result<TimedExecution, String>
     let mut count = |k: usize, tokens: &mut Vec<Token>, steps: &mut Vec<Step>, sink: usize| {
         let token = &mut tokens[k];
         let value = handed[token.traversal][sink].pop_front().ok_or_else(|| {
-            format!("traversal {} handed out no value for its token at sink {sink}", token.traversal)
+            format!(
+                "traversal {} handed out no value for its token at sink {sink}",
+                token.traversal
+            )
         })?;
         token.steps.push(steps.len());
         token.value = Some((sink, value));
@@ -219,10 +221,8 @@ fn execution_of(net: &Network, log: &ClaimLog) -> Result<TimedExecution, String>
             None => return Err(format!("traversal {t} crosses balancer {b} untouched")),
         };
         position[b] = (start + claim.tokens) % f;
-        let terminal = balancer
-            .outputs()
-            .iter()
-            .all(|&wire| matches!(net.wire(wire).end, WireEnd::Sink(_)));
+        let terminal =
+            balancer.outputs().iter().all(|&wire| matches!(net.wire(wire).end, WireEnd::Sink(_)));
         for (i, k) in waiting.into_iter().enumerate() {
             let WireEnd::Balancer { port: in_port, .. } = net.wire(tokens[k].wire).end else {
                 unreachable!("a waiting token is on a balancer's input");
@@ -358,16 +358,10 @@ fn traversal_b4_run(s: &CounterState, tid: usize) {
 #[test]
 fn traversal_b4_step_property_under_all_schedules() {
     let _clean = clean_guard();
-    let stats = model::explore(
-        TRAVERSAL_THREADS,
-        5,
-        traversal_b4_state,
-        traversal_b4_run,
-        |s| {
-            traversal_check(s);
-            assert_eq!(s.values.lock().unwrap().len(), TRAVERSAL_THREADS * TRAVERSAL_PER_THREAD);
-        },
-    );
+    let stats = model::explore(TRAVERSAL_THREADS, 5, traversal_b4_state, traversal_b4_run, |s| {
+        traversal_check(s);
+        assert_eq!(s.values.lock().unwrap().len(), TRAVERSAL_THREADS * TRAVERSAL_PER_THREAD);
+    });
     eprintln!(
         "model_check: traversal_b4: {} schedules, {} points, depth {}",
         stats.schedules, stats.points, stats.max_depth
@@ -511,9 +505,8 @@ fn recorder_check(s: &RecorderState) {
 
     let mut values: Vec<u64> = sink.iter().map(|e| e.value).collect();
     values.sort_unstable();
-    let expected: Vec<u64> = (0..WRITERS as u64)
-        .flat_map(|w| (0..OPS_PER_WRITER).map(move |i| w * 100 + i))
-        .collect();
+    let expected: Vec<u64> =
+        (0..WRITERS as u64).flat_map(|w| (0..OPS_PER_WRITER).map(move |i| w * 100 + i)).collect();
     assert_eq!(values, expected, "every recorded op drained exactly once");
 
     let spans = s.spans.lock().unwrap();
@@ -545,8 +538,7 @@ const RECORDER_FLOOR: u64 = 10_000;
 
 #[test]
 fn recorder_drained_intervals_contain_true_ops_under_all_schedules() {
-    let stats =
-        model::explore(WRITERS + 1, 2, recorder_state, recorder_run, recorder_check);
+    let stats = model::explore(WRITERS + 1, 2, recorder_state, recorder_run, recorder_check);
     eprintln!(
         "model_check: recorder_2w1d: {} schedules, {} points, depth {}",
         stats.schedules, stats.points, stats.max_depth
@@ -586,12 +578,18 @@ fn batch_vs_sequential_run(s: &CounterState, tid: usize) {
 #[test]
 fn batched_traversal_equals_sequential_multiset_under_all_schedules() {
     let _clean = clean_guard();
-    let stats = model::explore(2, 5, || counter_state(4), batch_vs_sequential_run, |s| {
-        // The batch and the singles claim the same multiset as 2K
-        // sequential traversals would.
-        traversal_check(s);
-        assert_eq!(s.values.lock().unwrap().len(), 2 * BATCH_K);
-    });
+    let stats = model::explore(
+        2,
+        5,
+        || counter_state(4),
+        batch_vs_sequential_run,
+        |s| {
+            // The batch and the singles claim the same multiset as 2K
+            // sequential traversals would.
+            traversal_check(s);
+            assert_eq!(s.values.lock().unwrap().len(), 2 * BATCH_K);
+        },
+    );
     eprintln!(
         "model_check: batch_vs_sequential: {} schedules, {} points, depth {}",
         stats.schedules, stats.points, stats.max_depth
@@ -832,8 +830,7 @@ fn seeded_missing_recheck_bug_is_caught_with_replay_string() {
     {
         let _bug = BugFlagGuard::seed(&combine::model_bugs::SKIP_SERVED_RECHECK);
         assert!(
-            model::replay(&failure.replay, funnel_state, funnel_run, funnel_check)
-                .is_err(),
+            model::replay(&failure.replay, funnel_state, funnel_run, funnel_check).is_err(),
             "replay must reproduce the seeded failure"
         );
     }
@@ -857,23 +854,16 @@ fn seeded_missing_recheck_bug_is_caught_with_replay_string() {
 /// that trips when `served_then_won_lock() > 0`. Pinned so this exact
 /// interleaving keeps passing against the correct funnel without
 /// re-exploring.
-const PINNED_FUNNEL_RACE_REPLAY: &str =
-    "v1:3:2:0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.2.2.2.1";
+const PINNED_FUNNEL_RACE_REPLAY: &str = "v1:3:2:0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.2.2.2.1";
 
 #[test]
 fn pinned_funnel_race_schedule_stays_handled() {
     let _guard = clean_guard();
     let race_hits = AtomicU64::new(0);
-    let result = model::replay(
-        PINNED_FUNNEL_RACE_REPLAY,
-        funnel_state,
-        funnel_run,
-        |s| {
-            funnel_check(s);
-            race_hits
-                .fetch_add(s.funnel.served_then_won_lock(), Ordering::Relaxed);
-        },
-    );
+    let result = model::replay(PINNED_FUNNEL_RACE_REPLAY, funnel_state, funnel_run, |s| {
+        funnel_check(s);
+        race_hits.fetch_add(s.funnel.served_then_won_lock(), Ordering::Relaxed);
+    });
     assert_eq!(result, Ok(()), "pinned counterexample schedule regressed");
     assert!(
         race_hits.load(Ordering::Relaxed) > 0,
@@ -942,10 +932,7 @@ fn empty_batches_create_no_scheduling_points() {
     );
     // The lone thread parks exactly once (its finish point); any atomic
     // fetch_add, lock acquisition, or balancer CAS would add op points.
-    assert_eq!(
-        stats.points, 1,
-        "an empty batch must not touch an atomic or a lock"
-    );
+    assert_eq!(stats.points, 1, "an empty batch must not touch an atomic or a lock");
 }
 
 /// Two op points, one per thread, each with a choice of who goes first at
@@ -977,10 +964,7 @@ fn batch_of_one_is_next_for_under_all_schedules() {
             assert_eq!(s.values.lock().unwrap().len(), 2);
         },
     );
-    eprintln!(
-        "model_check: batch_of_one: {} schedules, {} points",
-        stats.schedules, stats.points
-    );
+    eprintln!("model_check: batch_of_one: {} schedules, {} points", stats.schedules, stats.points);
     assert_eq!(stats.schedules, BATCH_OF_ONE_SCHEDULES);
 }
 

@@ -122,11 +122,7 @@ fn counting_network_violations_are_counted_not_fatal() {
         },
     )
     .expect("loadgen completes against a counting network");
-    assert_eq!(
-        report.is_permutation(),
-        Some(true),
-        "the step property must survive the transport"
-    );
+    assert_eq!(report.is_permutation(), Some(true), "the step property must survive the transport");
     server.shutdown();
     let mut auditor = StreamingAuditor::new();
     drain_remaining(&recorder, &mut auditor);
@@ -532,10 +528,8 @@ mod decoder_fuzz {
                 0 => Request::Next.encode(seq, &mut frame),
                 1 => Request::NextBatch { n: shape }.encode(seq, &mut frame),
                 2 => Response::Value { value: u64::from(shape) }.encode(seq, &mut frame),
-                3 => Response::Batch {
-                    values: (0..u64::from(shape % 7)).collect(),
-                }
-                .encode(seq, &mut frame),
+                3 => Response::Batch { values: (0..u64::from(shape % 7)).collect() }
+                    .encode(seq, &mut frame),
                 _ => Request::Stats.encode(seq, &mut frame),
             }
             payloads.push(frame[4..].to_vec());

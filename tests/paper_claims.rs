@@ -5,7 +5,9 @@
 use cnet_core::theory;
 use cnet_topology::analysis::split::split_sequence;
 use cnet_topology::analysis::{are_isomorphic, influence_radius, split_depth, Valencies};
-use cnet_topology::construct::{block, block_interleaved, bitonic, counting_tree, merger, periodic};
+use cnet_topology::construct::{
+    bitonic, block, block_interleaved, counting_tree, merger, periodic,
+};
 
 #[test]
 fn section_2_6_1_bitonic_depth() {
@@ -76,11 +78,7 @@ fn proposition_5_6_bitonic_split_depth() {
         let w = 1 << lgw;
         let net = bitonic(w).unwrap();
         let val = Valencies::compute(&net);
-        assert_eq!(
-            split_depth(&net, &val).unwrap(),
-            theory::bitonic_split_depth(w),
-            "sd(B({w}))"
-        );
+        assert_eq!(split_depth(&net, &val).unwrap(), theory::bitonic_split_depth(w), "sd(B({w}))");
         let layer = net.layer(theory::bitonic_split_depth(w));
         assert!(val.layer_is_complete(&net, layer));
         assert!(val.layer_is_uniformly_splittable(&net, layer));
@@ -93,11 +91,7 @@ fn proposition_5_8_periodic_split_depth() {
         let w = 1 << lgw;
         let net = periodic(w).unwrap();
         let val = Valencies::compute(&net);
-        assert_eq!(
-            split_depth(&net, &val).unwrap(),
-            theory::periodic_split_depth(w),
-            "sd(P({w}))"
-        );
+        assert_eq!(split_depth(&net, &val).unwrap(), theory::periodic_split_depth(w), "sd(P({w}))");
     }
 }
 

@@ -6,14 +6,12 @@
 //! registry's counters, and what the trace recorder counts as pulled.
 
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
-use cnet_core::fractions::{
-    non_linearizability_fraction, non_sequential_consistency_fraction,
-};
-use cnet_net::{ClusterNode, CounterServer, RemoteCounter, ServerConfig};
+use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
 use cnet_core::trace::OpEvent;
+use cnet_net::{ClusterNode, CounterServer, RemoteCounter, ServerConfig};
 use cnet_runtime::{
-    drain_remaining, drive, Backend, CounterBarrier, DiffractingTree, FetchAddCounter,
-    LockCounter, ProcessCounter, ShardStealer, SharedNetworkCounter, TraceRecorder, Workload,
+    drain_remaining, drive, Backend, CounterBarrier, DiffractingTree, FetchAddCounter, LockCounter,
+    ProcessCounter, ShardStealer, SharedNetworkCounter, TraceRecorder, Workload,
 };
 use cnet_topology::construct::{bitonic, counting_tree, periodic};
 use cnet_topology::state::{has_step_property, NetworkState};

@@ -35,10 +35,7 @@ fn check_sequential(net: &Network, tokens: usize) {
     // COUNT step per token.
     assert_eq!(exec.records().len(), tokens);
     assert!(exec.steps().len() >= tokens);
-    assert!(exec
-        .steps()
-        .windows(2)
-        .all(|w| w[0].time <= w[1].time));
+    assert!(exec.steps().windows(2).all(|w| w[0].time <= w[1].time));
 
     // Every prefix of a sequential execution is quiescent between tokens, so
     // the output counts after all tokens must have the step property...
