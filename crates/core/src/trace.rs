@@ -26,6 +26,11 @@
 //!   enter-ordered stream the auditor requires, using per-shard
 //!   watermarks so events are released exactly when no straggler can
 //!   precede them.
+//! * [`ShardMonitor`] and [`MergeAuditor`] — the eager and lazy halves of
+//!   the parallel audit. A monitor buffers one shard's events; its
+//!   [`ShardFrontier`] is handed to the merged auditor, whose merger
+//!   adopts the frontier's buffer as a run of that shard: the events are
+//!   clamped in place and never copied on their way to the verdict.
 //!
 //! # Time and ties
 //!
@@ -568,12 +573,65 @@ pub struct RawOp {
 /// fabricates a complete-precedence edge the clock cannot certify.
 const EXIT_SEQ_GUARD: usize = usize::MAX / 2;
 
+/// One input stream of an [`EventMerger`]: the events awaiting release are
+/// `cur[pos..]` followed by every run in `runs`, in that order.
 #[derive(Clone, Debug, Default)]
 struct MergeShard {
-    buf: VecDeque<RawOp>,
+    /// The active run; the release scan reads its front at `pos`.
+    cur: Vec<RawOp>,
+    /// Events of `cur` already released.
+    pos: usize,
+    /// Runs queued behind the active one, each nonempty. Empty whenever
+    /// the active run is used up.
+    runs: VecDeque<Vec<RawOp>>,
     /// Enter time of the last event pushed (future events are ≥ this).
     watermark: Option<u64>,
     finished: bool,
+}
+
+impl MergeShard {
+    /// The earliest event awaiting release.
+    #[inline]
+    fn front(&self) -> Option<&RawOp> {
+        self.cur.get(self.pos)
+    }
+
+    /// Releases the front event: the next queued run takes the place of
+    /// a used-up active run, or the used-up run is cleared for reuse.
+    #[inline]
+    fn pop_front(&mut self) -> RawOp {
+        let op = self.cur[self.pos];
+        self.pos += 1;
+        if self.pos == self.cur.len() {
+            match self.runs.pop_front() {
+                Some(next) => self.cur = next,
+                None => self.cur.clear(),
+            }
+            self.pos = 0;
+        }
+        op
+    }
+
+    /// Appends one event to the last run. When that is the active run
+    /// and more than half of it is released, the released prefix is
+    /// dropped first, so the run holds at most twice what it buffers.
+    fn push(&mut self, op: RawOp) {
+        match self.runs.back_mut() {
+            Some(last) => last.push(op),
+            None => {
+                if 2 * self.pos > self.cur.len() {
+                    self.cur.drain(..self.pos);
+                    self.pos = 0;
+                }
+                self.cur.push(op);
+            }
+        }
+    }
+
+    /// Events awaiting release.
+    fn buffered(&self) -> usize {
+        self.cur.len() - self.pos + self.runs.iter().map(Vec::len).sum::<usize>()
+    }
 }
 
 /// Merges per-shard event streams — each internally ordered by enter time,
@@ -584,6 +642,14 @@ struct MergeShard {
 /// unfinished shard's **watermark** (the enter time of that shard's latest
 /// event): no straggler can then precede it. Sequence numbers are assigned
 /// at release, with `EXIT_SEQ_GUARD`'s conservative tie rule.
+///
+/// A shard buffers its events as **runs**: an active run read through a
+/// cursor, with later runs queued behind it. A frontier folded in by
+/// [`MergeAuditor::ingest`] becomes a run as it is, without a copy; a
+/// single [`push`](Self::push) appends to the last run. When the active
+/// run is used up, the next queued run takes its place, so releasing an
+/// event is a cursor step and buffered memory stays proportional to the
+/// events buffered.
 ///
 /// # Example
 ///
@@ -627,26 +693,34 @@ impl EventMerger {
             "EventMerger: enter times regressed within shard {shard}"
         );
         s.watermark = Some(op.enter_ns);
-        s.buf.push_back(op);
+        s.push(op);
     }
 
-    /// Appends raw events to a shard's stream and returns how many, where
-    /// [`push`](Self::push) would panic clamping regressing enters up to
-    /// the watermark and exits up to their enter (a pure widening).
-    fn append_clamped(&mut self, shard: usize, ops: impl IntoIterator<Item = RawOp>) -> usize {
+    /// Queues `ops` whole as a run of a shard's stream and returns how
+    /// many events it holds. Where [`push`](Self::push) would panic, the
+    /// events are clamped in place instead: a regressing enter up to the
+    /// watermark and an exit up to its enter (a pure widening).
+    fn append_clamped(&mut self, shard: usize, mut ops: Vec<RawOp>) -> usize {
         let s = &mut self.shards[shard];
         assert!(!s.finished, "EventMerger: push after finish on shard {shard}");
-        let before = s.buf.len();
-        let mut floor = s.watermark.unwrap_or(0);
-        s.buf.extend(ops.into_iter().map(|op| {
-            floor = floor.max(op.enter_ns);
-            RawOp { enter_ns: floor, exit_ns: op.exit_ns.max(floor), ..op }
-        }));
-        let appended = s.buf.len() - before;
-        if appended > 0 {
-            s.watermark = Some(floor);
+        if ops.is_empty() {
+            return 0;
         }
-        appended
+        let mut floor = s.watermark.unwrap_or(0);
+        for op in &mut ops {
+            floor = floor.max(op.enter_ns);
+            op.enter_ns = floor;
+            op.exit_ns = op.exit_ns.max(floor);
+        }
+        s.watermark = Some(floor);
+        let n = ops.len();
+        if s.front().is_none() {
+            s.cur = ops;
+            s.pos = 0;
+        } else {
+            s.runs.push_back(ops);
+        }
+        n
     }
 
     /// Declares a shard's stream complete (it no longer constrains
@@ -662,7 +736,7 @@ impl EventMerger {
 
     /// Events currently buffered awaiting release.
     pub fn buffered(&self) -> usize {
-        self.shards.iter().map(|s| s.buf.len()).sum()
+        self.shards.iter().map(MergeShard::buffered).sum()
     }
 
     /// Releases every event no straggler can precede, in enter order, into
@@ -686,7 +760,7 @@ impl EventMerger {
             // The earliest buffered front (ties: lowest shard index).
             let mut best: Option<(u64, usize)> = None;
             for (i, s) in self.shards.iter().enumerate() {
-                if let Some(front) = s.buf.front() {
+                if let Some(front) = s.front() {
                     if best.is_none_or(|(e, _)| front.enter_ns < e) {
                         best = Some((front.enter_ns, i));
                     }
@@ -696,7 +770,7 @@ impl EventMerger {
             if enter > threshold {
                 break;
             }
-            let op = self.shards[shard].buf.pop_front().expect("front observed above");
+            let op = self.shards[shard].pop_front();
             let k = self.emitted;
             self.emitted += 1;
             sink.record(OpEvent {
@@ -765,10 +839,12 @@ pub struct ShardFrontier {
 pub struct ShardMonitor {
     shard: usize,
     ops: Vec<RawOp>,
-    watermark: Option<u64>,
+    /// Enter time of the latest event; 0 until the first.
+    watermark: u64,
+    /// Events shipped in earlier frontiers.
+    taken: usize,
     dropped: u64,
     skipped: u64,
-    observed: usize,
 }
 
 impl ShardMonitor {
@@ -782,9 +858,10 @@ impl ShardMonitor {
         self.shard
     }
 
-    /// Events observed over the monitor's lifetime.
+    /// Events observed over the monitor's lifetime: those shipped in
+    /// frontiers plus those buffered.
     pub fn observed(&self) -> usize {
-        self.observed
+        self.taken + self.ops.len()
     }
 
     /// Events currently buffered for the next frontier.
@@ -797,11 +874,13 @@ impl ShardMonitor {
     /// frontiers are clamped by [`MergeAuditor::ingest`]. The monitor
     /// clamps too — a regressing enter up to the watermark, an exit up to
     /// its enter, a pure widening — because the watermark it ships must
-    /// never regress.
+    /// never regress. An event costs that clamp and a push, inlined into
+    /// the caller's loop; no count is kept, since
+    /// [`observed`](Self::observed) is derived from the buffer.
+    #[inline]
     pub fn observe(&mut self, op: RawOp) {
-        let enter_ns = op.enter_ns.max(self.watermark.unwrap_or(0));
-        self.watermark = Some(enter_ns);
-        self.observed += 1;
+        let enter_ns = op.enter_ns.max(self.watermark);
+        self.watermark = enter_ns;
         self.ops.push(RawOp { enter_ns, exit_ns: op.exit_ns.max(enter_ns), ..op });
     }
 
@@ -818,15 +897,18 @@ impl ShardMonitor {
     /// Takes the current frontier: buffered events move out, the
     /// watermark and the drop/skip accounting are *carried* — each
     /// frontier reports lifetime totals, so the latest frontier wins when
-    /// the [`MergeAuditor`] folds them in.
+    /// the [`MergeAuditor`] folds them in. The watermark is `None` until
+    /// the first event.
     pub fn take_frontier(&mut self, finished: bool) -> ShardFrontier {
+        let watermark = (self.observed() > 0).then_some(self.watermark);
+        self.taken += self.ops.len();
         // The next epoch is likely as long as this one: start its buffer
         // at that size instead of regrowing it from nothing.
         let next = Vec::with_capacity(self.ops.len());
         ShardFrontier {
             shard: self.shard,
             ops: std::mem::replace(&mut self.ops, next),
-            watermark: self.watermark,
+            watermark,
             finished,
             dropped: self.dropped,
             skipped: self.skipped,
@@ -883,11 +965,12 @@ impl MergeAuditor {
         self.stats.len()
     }
 
-    /// Folds one shard frontier in: its buffered events join the merge
-    /// (with the same regression clamp as [`ShardMonitor::observe`], the
-    /// one that guards against a hostile or buggy wire peer), its
-    /// lifetime totals replace the shard's stats, and every event that has
-    /// become safe is released into the auditor.
+    /// Folds one shard frontier in: the merger adopts its buffer of
+    /// events as the shard's next run, clamped in place with the same
+    /// regression clamp as [`ShardMonitor::observe`] (the one that guards
+    /// against a hostile or buggy wire peer) and never copied; its
+    /// lifetime totals replace the shard's stats; and every event that
+    /// has become safe is released into the auditor.
     ///
     /// # Panics
     ///
@@ -1237,19 +1320,95 @@ mod tests {
     #[test]
     fn shard_monitor_frontier_moves_events_and_carries_the_watermark() {
         let mut mon = ShardMonitor::new(0);
+        // No watermark before the first event; after one entered at 0,
+        // a watermark of 0.
+        assert_eq!(mon.take_frontier(false).watermark, None);
         mon.observe(RawOp { process: 0, enter_ns: 0, exit_ns: 10, value: 4 });
+        assert_eq!(mon.take_frontier(false).watermark, Some(0));
         mon.observe(RawOp { process: 0, enter_ns: 20, exit_ns: 30, value: 7 });
         mon.observe(RawOp { process: 0, enter_ns: 40, exit_ns: 50, value: 2 });
         assert_eq!(mon.observed(), 3);
         let f = mon.take_frontier(false);
         assert_eq!(f.watermark, Some(40));
-        assert_eq!(f.ops.len(), 3);
+        assert_eq!(f.ops.len(), 2);
         assert!(!f.finished);
         // The buffer moved out; the watermark carries.
         assert_eq!(mon.buffered(), 0);
-        let f2 = mon.take_frontier(true);
+        let f2 = mon.take_frontier(false);
         assert_eq!(f2.watermark, Some(40));
-        assert!(f2.finished && f2.ops.is_empty());
+        assert!(!f2.finished && f2.ops.is_empty());
+        // The lifetime count spans frontiers.
+        mon.observe(RawOp { process: 0, enter_ns: 60, exit_ns: 70, value: 9 });
+        assert_eq!((mon.observed(), mon.buffered()), (4, 1));
+        let f3 = mon.take_frontier(true);
+        assert_eq!((f3.watermark, f3.ops.len(), mon.observed()), (Some(60), 1, 4));
+        assert!(f3.finished);
+    }
+
+    #[test]
+    fn merger_memory_stays_bounded_under_single_event_pushes() {
+        // Shard 1 always lags shard 0 by three events, so shard 0's active
+        // run is never used up: without compaction it would keep every
+        // released event. A million events pass; the buffered count and the
+        // active runs' capacity stay small.
+        const LAG: u64 = 3;
+        let mut m = EventMerger::new(2);
+        let mut out: Vec<OpEvent> = Vec::new();
+        let mut released = 0;
+        let n = 500_000u64;
+        for k in 0..n {
+            m.push(0, RawOp { process: 0, enter_ns: 2 * k, exit_ns: 2 * k + 1, value: 2 * k });
+            if k >= LAG {
+                let j = k - LAG;
+                m.push(
+                    1,
+                    RawOp { process: 1, enter_ns: 2 * j + 1, exit_ns: 2 * j + 2, value: 2 * j + 1 },
+                );
+            }
+            released += m.drain_into(&mut out);
+            out.clear();
+            assert!(m.buffered() <= 2 * LAG as usize + 2, "at {k}: {} buffered", m.buffered());
+            for s in &m.shards {
+                assert!(s.runs.is_empty());
+                assert!(s.cur.capacity() <= 32, "at {k}: capacity {}", s.cur.capacity());
+            }
+        }
+        m.finish(0);
+        m.finish(1);
+        released += m.drain_into(&mut out);
+        assert_eq!((m.emitted(), m.buffered()), (2 * n as usize - LAG as usize, 0));
+        assert_eq!(released, m.emitted());
+    }
+
+    #[test]
+    fn merger_adopts_frontiers_as_runs_behind_the_active_one() {
+        // Two frontiers queue behind a partly released run, then a single
+        // push lands on the last of them; release order is stream order.
+        let op = |enter_ns: u64| RawOp { process: 0, enter_ns, exit_ns: enter_ns, value: enter_ns };
+        let mut merged = MergeAuditor::new(2);
+        merged.ingest(ShardFrontier {
+            shard: 0,
+            ops: vec![op(1), op(2), op(3)],
+            ..Default::default()
+        });
+        merged.ingest(ShardFrontier { shard: 1, ops: vec![op(2)], ..Default::default() });
+        // Threshold 2: shard 0's 1 and 2 go, then shard 1's 2 (ties go to
+        // the lower shard); shard 0's 3 waits.
+        assert_eq!((merged.operations(), merged.buffered()), (3, 1));
+        merged.ingest(ShardFrontier { shard: 0, ops: vec![op(4), op(5)], ..Default::default() });
+        merged.ingest(ShardFrontier { shard: 0, ops: vec![], ..Default::default() });
+        merged.ingest(ShardFrontier { shard: 0, ops: vec![op(6)], ..Default::default() });
+        let shard = &merged.merger.shards[0];
+        assert_eq!((shard.pos, shard.cur.len(), shard.runs.len()), (2, 3, 2));
+        merged.merger.push(0, op(7));
+        assert_eq!(merged.merger.shards[0].runs.back().map(Vec::len), Some(2));
+        merged.finish_shard(0);
+        merged.finish_shard(1);
+        merged.merge();
+        assert_eq!((merged.operations(), merged.buffered()), (8, 0));
+        assert!(merged.is_clean());
+        let shard = &merged.merger.shards[0];
+        assert!(shard.runs.is_empty() && shard.cur.is_empty());
     }
 
     #[test]

@@ -47,6 +47,8 @@ RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 # takes (a `format!` inside `ok_or`, a `to_string` inside `map_or`) cannot
 # come back.
 cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::or_fun_call
+# Format gate: every workspace file in the layout of the root rustfmt.toml.
+cargo fmt --all --check
 cargo test -q --offline --workspace
 # Rustdoc gate for every crate: a broken or private intra-doc link (say,
 # to a deleted type) fails the script.
