@@ -31,6 +31,9 @@
 //!   [`ShardFrontier`] is handed to the merged auditor, whose merger
 //!   adopts the frontier's buffer as a run of that shard: the events are
 //!   clamped in place and never copied on their way to the verdict.
+//! * [`Coverage`] — what an audit covered of the operations that were
+//!   served: the one rule that makes it complete or not, and the one
+//!   rendering of its coverage line and verdict word.
 //!
 //! # Time and ties
 //!
@@ -1043,6 +1046,95 @@ impl MergeAuditor {
     }
 }
 
+/// What an audit covered of the `served` operations: each was `audited`,
+/// lost to a full ring (`dropped`), left out by 1-in-k sampling
+/// (`skipped`) or shipped to another puller (`taken`); the rest were
+/// [`unrecorded`](Self::unrecorded) for this audit. A verdict describes
+/// the whole history only when nothing was dropped, taken or unrecorded;
+/// skips are sound, since they only widen neighbouring intervals.
+/// `Display` renders the coverage line.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Coverage {
+    /// Operations the audited service handed out.
+    pub served: u64,
+    /// Operations the auditor consumed.
+    pub audited: u64,
+    /// Operations a full recorder ring lost.
+    pub dropped: u64,
+    /// Operations the 1-in-k sampling mode did not record.
+    pub skipped: u64,
+    /// Operations another puller consumed from the same rings.
+    pub taken: u64,
+}
+
+impl Coverage {
+    /// The coverage of `merged` against `served` operations, `taken` of
+    /// which went to another puller.
+    pub fn of(merged: &MergeAuditor, served: u64, taken: u64) -> Coverage {
+        Coverage {
+            served,
+            audited: merged.operations() as u64,
+            dropped: merged.dropped(),
+            skipped: merged.skipped(),
+            taken,
+        }
+    }
+
+    /// Served operations nothing above accounts for: never recorded where
+    /// this audit read, or consumed by a puller it cannot count. Saturates
+    /// at zero.
+    pub fn unrecorded(&self) -> u64 {
+        let accounted = [self.audited, self.dropped, self.skipped, self.taken]
+            .into_iter()
+            .fold(0u64, u64::saturating_add);
+        self.served.saturating_sub(accounted)
+    }
+
+    /// The verdict word over `auditor`'s history, naming every miss:
+    /// `clean`, `incomplete (…)` for a clean history with misses, or
+    /// `violations detected`, with ` (…)` when there were misses.
+    pub fn verdict(&self, auditor: &StreamingAuditor) -> String {
+        let missed: Vec<String> = [
+            (self.dropped, "dropped"),
+            (self.taken, "taken by another puller"),
+            (self.unrecorded(), "served ops not recorded for this audit"),
+        ]
+        .iter()
+        .filter(|(n, _)| *n > 0)
+        .map(|(n, what)| format!("{n} {what}"))
+        .collect();
+        let word = match (auditor.is_clean(), missed.is_empty()) {
+            (true, true) => "clean",
+            (true, false) => "incomplete",
+            (false, _) => "violations detected",
+        };
+        if missed.is_empty() {
+            word.to_string()
+        } else {
+            format!("{word} ({})", missed.join(", "))
+        }
+    }
+
+    /// Whether an audit with this coverage over `auditor`'s history
+    /// passes (the exit status): no violation, and nothing dropped, taken
+    /// or unrecorded.
+    pub fn passes(&self, auditor: &StreamingAuditor) -> bool {
+        auditor.is_clean() && self.dropped == 0 && self.taken == 0 && self.unrecorded() == 0
+    }
+}
+
+impl std::fmt::Display for Coverage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Coverage { served, audited, dropped, skipped, taken } = self;
+        let unrecorded = self.unrecorded();
+        write!(
+            f,
+            "{served} served, {audited} audited, {dropped} dropped, {skipped} skipped by \
+             sampling, {taken} taken by another puller, {unrecorded} not recorded"
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1205,6 +1297,84 @@ mod tests {
             "3 ops audited: non-linearizable 1 (F_nl=0.3333), non-SC 0 (F_nsc=0.0000), \
              qqc max 1 mean 0.33 p99 1 — violations detected"
         );
+    }
+
+    #[test]
+    fn coverage_names_every_miss_in_every_verdict_and_not_skips() {
+        let mut clean = StreamingAuditor::new();
+        clean.push(&op(0, 0.0, 1.0, 0));
+        clean.push(&op(0, 2.0, 3.0, 1));
+        // Process 1's 0 starts after process 0's 1 ends: SC, not
+        // linearizable, and a violation whatever its lateness.
+        let mut late = StreamingAuditor::new();
+        late.push(&op(0, 0.0, 1.0, 1));
+        late.push(&op(1, 2.0, 3.0, 0));
+        assert!(late.is_sequentially_consistent() && !late.is_linearizable());
+        let mut violated = StreamingAuditor::new();
+        violated.push(&op(0, 0.0, 1.0, 5));
+        violated.push(&op(1, 0.5, 1.5, 0));
+        violated.push(&op(0, 2.0, 3.0, 3));
+        let cov = |served, audited, dropped, skipped, taken| Coverage {
+            served,
+            audited,
+            dropped,
+            skipped,
+            taken,
+        };
+        // The coverage line, byte for byte; sampling skips are counted
+        // and change nothing else.
+        let sampled = cov(8, 2, 0, 6, 0);
+        assert_eq!(
+            sampled.to_string(),
+            "8 served, 2 audited, 0 dropped, 6 skipped by sampling, \
+             0 taken by another puller, 0 not recorded"
+        );
+        assert_eq!(sampled.verdict(&clean), "clean");
+        // Each miss is named, in every verdict.
+        let cases = [
+            (cov(7, 2, 5, 0, 0), &clean, "incomplete (5 dropped)"),
+            (cov(11, 2, 0, 0, 9), &clean, "incomplete (9 taken by another puller)"),
+            (cov(16, 2, 5, 0, 9), &clean, "incomplete (5 dropped, 9 taken by another puller)"),
+            (
+                cov(10, 2, 5, 0, 0),
+                &clean,
+                "incomplete (5 dropped, 3 served ops not recorded for this audit)",
+            ),
+            (cov(2, 2, 0, 0, 0), &late, "violations detected"),
+            (cov(2, 2, 5, 0, 0), &late, "violations detected (5 dropped)"),
+            (cov(3, 3, 0, 0, 0), &violated, "violations detected"),
+            (cov(10, 3, 7, 0, 0), &violated, "violations detected (7 dropped)"),
+        ];
+        for (c, a, want) in cases {
+            assert_eq!(c.verdict(a), want, "{c:?}");
+        }
+        // `unrecorded` saturates: more accounted than served is none
+        // unrecorded, and counts off the wire cannot overflow the sum.
+        assert_eq!(cov(1, 2, 0, 0, 0).unrecorded(), 0);
+        assert_eq!(cov(5, 1, u64::MAX, 1, 1).unrecorded(), 0);
+        // `passes` decides the exit status: clean and complete only.
+        assert!(cov(2, 2, 0, 0, 0).passes(&clean));
+        assert!(cov(8, 2, 0, 6, 0).passes(&clean));
+        assert!(!cov(7, 2, 5, 0, 0).passes(&clean));
+        assert!(!cov(11, 2, 0, 0, 9).passes(&clean));
+        assert!(!cov(3, 2, 0, 0, 0).passes(&clean));
+        assert!(!cov(2, 2, 0, 0, 0).passes(&late));
+    }
+
+    #[test]
+    fn coverage_of_a_merged_auditor_reads_its_three_counts() {
+        let mut merged = MergeAuditor::new(1);
+        merged.ingest(ShardFrontier {
+            shard: 0,
+            ops: vec![RawOp { process: 0, enter_ns: 0, exit_ns: 1, value: 0 }],
+            watermark: Some(0),
+            finished: true,
+            dropped: 3,
+            skipped: 4,
+        });
+        let cov = Coverage::of(&merged, 10, 2);
+        assert_eq!(cov, Coverage { served: 10, audited: 1, dropped: 3, skipped: 4, taken: 2 });
+        assert_eq!(cov.unrecorded(), 0);
     }
 
     #[test]

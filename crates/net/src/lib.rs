@@ -33,5 +33,5 @@ pub mod wire;
 pub use client::{ClientConfig, RemoteCounter};
 pub use loadgen::{run_loadgen, LoadGenConfig, LoadGenMode, LoadGenReport};
 pub use router::{ClusterError, ClusterNode, FrontierCollector, RemoteNode};
-pub use server::{Backpressure, CounterServer, ServerConfig};
+pub use server::{AuditTable, Backpressure, CounterServer, ServerConfig};
 pub use wire::{Request, Response, StatsSnapshot};

@@ -117,7 +117,7 @@ use crate::wire::{
     ErrorCode, FrameDecoder, NodeInfo, Request, Response, StatsSnapshot, HEADER_LEN, MAX_BATCH,
     MAX_FRONTIER_OPS, VALUE_FRAME_LEN,
 };
-use cnet_core::trace::RawOp;
+use cnet_core::trace::{RawOp, ShardFrontier};
 use cnet_runtime::drain::Drain;
 use cnet_runtime::{ProcessCounter, ShardStealer, TraceRecorder};
 use cnet_util::poll::{Interest, Poller, Waker};
@@ -189,18 +189,80 @@ struct Gate {
     accept_parked: bool,
 }
 
-/// One recorder shard's server-side audit state for the frontier protocol
-/// ([`Request::Frontier`]): the shard's stealer and the buffered tail a
-/// `max`-bounded response could not carry.
+/// One shard's row of the [`AuditTable`]: its stealer, and stolen events
+/// a `max`-bounded frontier could not yet carry.
 #[derive(Debug)]
 struct AuditShard {
     stealer: ShardStealer,
     pending: VecDeque<RawOp>,
 }
 
-impl AuditShard {
-    fn new(shard: usize) -> AuditShard {
-        AuditShard { stealer: ShardStealer::new(shard), pending: VecDeque::new() }
+/// A served recorder's only consumer: one [`ShardStealer`] per shard,
+/// each behind its own lock (the recorder's one-puller-per-shard
+/// contract). [`Request::Frontier`] and the serving process's own audit
+/// both read it through [`frontier`](Self::frontier), so every recorded
+/// event leaves in exactly one frontier and [`taken`](Self::taken), the
+/// remote part, is exact.
+#[derive(Debug)]
+pub struct AuditTable {
+    recorder: Arc<TraceRecorder>,
+    shards: Box<[Mutex<AuditShard>]>,
+    /// Events shipped in `Frontier` responses.
+    taken: AtomicU64,
+}
+
+impl AuditTable {
+    fn new(recorder: Arc<TraceRecorder>) -> AuditTable {
+        let shards = (0..recorder.shards())
+            .map(|s| {
+                Mutex::new(AuditShard { stealer: ShardStealer::new(s), pending: VecDeque::new() })
+            })
+            .collect();
+        AuditTable { recorder, shards, taken: AtomicU64::new(0) }
+    }
+
+    /// Recorder shards in the table.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Steals what shard `shard` has published (a live shard's partial
+    /// batch arrives on a later call: only its writer may flush it),
+    /// queues it behind the events an earlier call held back, and hands
+    /// the oldest `max` out as the shard's next frontier. While events
+    /// are held back, only the last *shipped* enter is a sound watermark
+    /// and the frontier is not `finished`. Pass `finished` only once the
+    /// server has shut down and every shard is flushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn frontier(&self, shard: usize, max: usize, finished: bool) -> ShardFrontier {
+        let state = &mut *self.shards[shard].lock();
+        state.stealer.steal(&self.recorder);
+        let mut f = state.stealer.take_frontier(finished);
+        state.pending.extend(f.ops.drain(..));
+        let take = max.min(state.pending.len());
+        f.ops = state.pending.drain(..take).collect();
+        if !state.pending.is_empty() {
+            f.watermark = f.ops.last().map(|op| op.enter_ns);
+            f.finished = false;
+        }
+        f
+    }
+
+    /// Events shipped in `Frontier` responses so far: the part of the
+    /// stream a remote puller took.
+    pub fn taken(&self) -> u64 {
+        self.taken.load(Ordering::Relaxed)
+    }
+
+    /// The `Frontier` request's answer, counted as taken.
+    #[inline(never)]
+    fn ship(&self, shard: usize, max: u32) -> ShardFrontier {
+        let f = self.frontier(shard, max.min(MAX_FRONTIER_OPS) as usize, false);
+        self.taken.fetch_add(f.ops.len() as u64, Ordering::Relaxed);
+        f
     }
 }
 
@@ -227,11 +289,8 @@ struct Shared {
     cluster: Option<Arc<ClusterNode>>,
     /// This server's own client-facing address (learned at bind).
     advertise: String,
-    /// Per-shard monitors for the frontier protocol ([`Request::Frontier`]);
-    /// one entry per recorder shard (empty when auditing is off). Each
-    /// shard's lock serializes its pullers (the recorder's
-    /// one-puller-per-shard contract).
-    audit_shards: Box<[Mutex<AuditShard>]>,
+    /// The recorder's only consumer, when auditing.
+    audit: Option<Arc<AuditTable>>,
     cfg: ServerConfig,
     /// Stop serving: reactors exit, handlers refuse increments.
     stop: AtomicBool,
@@ -390,16 +449,13 @@ impl CounterServer {
                 });
             }
         }
-        let audit_shards = recorder
-            .as_ref()
-            .map(|r| (0..r.shards()).map(|s| Mutex::new(AuditShard::new(s))).collect())
-            .unwrap_or_default();
+        let audit = recorder.as_ref().map(|r| Arc::new(AuditTable::new(Arc::clone(r))));
         let shared = Arc::new(Shared {
             backend,
             recorder,
             cluster,
             advertise: addr.to_string(),
-            audit_shards,
+            audit,
             cfg,
             stop: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
@@ -431,9 +487,10 @@ impl CounterServer {
         self.addr
     }
 
-    /// The recorder increments are streamed into, when auditing.
-    pub fn recorder(&self) -> Option<&Arc<TraceRecorder>> {
-        self.shared.recorder.as_ref()
+    /// The recorder's audit table, when auditing: the one way to consume
+    /// what this server records.
+    pub fn audit(&self) -> Option<&Arc<AuditTable>> {
+        self.shared.audit.as_ref()
     }
 
     /// Aggregates the per-slot statistics into one snapshot.
@@ -1035,32 +1092,14 @@ fn execute(shared: &Shared, conn: &mut Conn, seq: u32, req: Request) {
             Response::Pong.encode(seq, &mut conn.out);
         }
         Request::Frontier { shard, max } => {
-            let resp = match &shared.recorder {
-                Some(rec) if (shard as usize) < shared.audit_shards.len() => {
-                    let sh = shard as usize;
-                    let state = &mut *shared.audit_shards[sh].lock();
-                    // Steals published events only — shards of closed
-                    // connections were flushed in `close_conn`, a live
-                    // shard's partial batch arrives on a later pull (a
-                    // live shard must not be flushed from this thread:
-                    // the recorder's single-writer contract).
-                    state.stealer.steal(rec);
-                    let mut f = state.stealer.take_frontier(false);
-                    state.pending.extend(f.ops.drain(..));
-                    let take = (max.min(MAX_FRONTIER_OPS) as usize).min(state.pending.len());
-                    f.ops = state.pending.drain(..take).collect();
-                    if !state.pending.is_empty() {
-                        // Ops held back for the next response bound what
-                        // the peer may assume about the future: only the
-                        // last *shipped* enter is a sound watermark.
-                        f.watermark = f.ops.last().map(|op| op.enter_ns);
-                    }
-                    Response::Frontier { frontier: f }
+            let resp = match &shared.audit {
+                Some(table) if (shard as usize) < table.shards() => {
+                    Response::Frontier { frontier: table.ship(shard as usize, max) }
                 }
                 // Auditing off: an empty, finished frontier tells the
                 // puller it will never see events from this shard.
                 None => Response::Frontier {
-                    frontier: cnet_core::trace::ShardFrontier {
+                    frontier: ShardFrontier {
                         shard: shard as usize,
                         finished: true,
                         ..Default::default()
@@ -1544,6 +1583,77 @@ mod tests {
         c.send(&Request::Frontier { shard: 99, max: 4 });
         let (_, resp) = c.recv();
         assert!(matches!(resp, Response::Error(ErrorCode::Malformed)), "{resp:?}");
+    }
+
+    #[test]
+    fn the_audit_table_holds_back_what_a_bounded_frontier_cannot_carry() {
+        let recorder = Arc::new(TraceRecorder::new(1, 64));
+        for v in 0..10 {
+            recorder.record(0, v);
+        }
+        recorder.flush(0);
+        let table = AuditTable::new(Arc::clone(&recorder));
+        // Six events stay behind: the frontier is not finished, and only
+        // the last shipped enter bounds what follows.
+        let first = table.frontier(0, 4, true);
+        assert_eq!(first.ops.len(), 4);
+        assert!(!first.finished);
+        assert_eq!(first.watermark, first.ops.last().map(|op| op.enter_ns));
+        // A `Frontier` request ships the next three and counts them taken.
+        let shipped = table.ship(0, 3);
+        assert_eq!((shipped.ops.len(), table.taken()), (3, 3));
+        let last = table.frontier(0, usize::MAX, true);
+        assert!(last.finished);
+        let values: Vec<u64> =
+            [first, shipped, last].iter().flat_map(|f| f.ops.iter().map(|op| op.value)).collect();
+        assert_eq!(values, (0..10).collect::<Vec<u64>>());
+        assert_eq!(table.taken(), 3);
+    }
+
+    #[test]
+    fn frontier_requests_and_the_servers_own_audit_split_one_stream() {
+        let recorder = Arc::new(TraceRecorder::new(2, 1024));
+        let mut server = CounterServer::with_recorder(
+            "127.0.0.1:0",
+            Arc::new(FetchAddCounter::new()),
+            Arc::clone(&recorder),
+            ServerConfig { max_connections: 2, ..ServerConfig::default() },
+        )
+        .unwrap();
+        assert!(CounterServer::start(
+            "127.0.0.1:0",
+            Arc::new(FetchAddCounter::new()),
+            ServerConfig::default()
+        )
+        .unwrap()
+        .audit()
+        .is_none());
+        let table = Arc::clone(server.audit().expect("a recording server has a table"));
+        {
+            let mut c = Raw::connect(server.local_addr());
+            for _ in 0..100 {
+                c.send(&Request::Next);
+                c.recv();
+            }
+        } // disconnect flushes the slot's shard
+        let mut remote = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while remote.len() < 40 && std::time::Instant::now() < deadline {
+            let mut c = Raw::connect(server.local_addr());
+            c.send(&Request::Frontier { shard: 0, max: 40 - remote.len() as u32 });
+            let (_, resp) = c.recv();
+            let Response::Frontier { frontier } = resp else { panic!("{resp:?}") };
+            remote.extend(frontier.ops.iter().map(|op| op.value));
+        }
+        server.shutdown();
+        let local: Vec<u64> = (0..table.shards())
+            .flat_map(|sh| table.frontier(sh, usize::MAX, true).ops)
+            .map(|op| op.value)
+            .collect();
+        assert_eq!((remote.len(), table.taken()), (40, 40));
+        let mut all: Vec<u64> = remote.into_iter().chain(local).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..100).collect::<Vec<u64>>(), "each event reaches one side");
     }
 
     #[test]

@@ -93,7 +93,30 @@ mod tests {
     use std::thread;
 
     /// All parties must be inside round r before anyone starts round r+1.
-    fn check_barrier<C: ProcessCounter>(counter: C, parties: usize, rounds: usize) {
+    /// The rounds run on a thread of their own, so that a hang fails by
+    /// name within a minute (a run takes milliseconds) instead of spinning
+    /// until the test run is killed.
+    fn check_barrier<C: ProcessCounter + Send + Sync + 'static>(
+        name: &str,
+        counter: C,
+        parties: usize,
+        rounds: usize,
+    ) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = thread::spawn(move || {
+            barrier_rounds(counter, parties, rounds);
+            let _ = done.send(());
+        });
+        let limit = std::time::Duration::from_secs(60);
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+            panic!("{parties}-party barrier over {name}: no result within {limit:?}");
+        }
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    fn barrier_rounds<C: ProcessCounter>(counter: C, parties: usize, rounds: usize) {
         let barrier = CounterBarrier::new(counter, parties);
         let in_round = AtomicUsize::new(0);
         let leaders = AtomicUsize::new(0);
@@ -123,13 +146,13 @@ mod tests {
 
     #[test]
     fn barrier_over_fetch_add() {
-        check_barrier(FetchAddCounter::new(), 4, 25);
+        check_barrier("fetch_add", FetchAddCounter::new(), 4, 25);
     }
 
     #[test]
     fn barrier_over_counting_network() {
         let net = bitonic(8).unwrap();
-        check_barrier(SharedNetworkCounter::new(&net), 6, 25);
+        check_barrier("bitonic(8)", SharedNetworkCounter::new(&net), 6, 25);
     }
 
     #[test]

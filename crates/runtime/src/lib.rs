@@ -81,9 +81,7 @@ pub use diffracting::DiffractingTree;
 pub use drain::Drain;
 pub use history::{drive, Workload};
 pub use paced::LocallyPacedCounter;
-pub use recorder::{
-    drain_remaining, drive_audited, AuditedRun, ShardStealer, TraceRecorder, Traced,
-};
+pub use recorder::{drain_remaining, drive_audited, ShardStealer, TraceRecorder, Traced};
 
 /// A shared counter usable concurrently by many processes.
 ///

@@ -471,13 +471,6 @@ impl TraceRecorder {
         self.shards[shard].wr.skipped.load(Ordering::Relaxed)
     }
 
-    /// Total events every puller has moved out of the rings so far
-    /// ([`pull_shard`](Self::pull_shard), by whichever thread). Less what
-    /// one auditor pulled itself, this is what it never saw.
-    pub fn pulled(&self) -> u64 {
-        self.shards.iter().map(|s| s.tail.load(Ordering::Acquire) as u64).sum()
-    }
-
     /// Moves every currently-published event out of **one** shard's ring
     /// into a callback `(enter_ns, exit_ns, value)`, in record order with
     /// nondecreasing enter times, converting raw ticks to nanoseconds.
@@ -486,7 +479,10 @@ impl TraceRecorder {
     /// This is the audit workers' steal API: each shard has its own
     /// cursors, so different shards may be pulled by different threads
     /// concurrently — but at most one thread may pull a given shard at a
-    /// time.
+    /// time. Two unsynchronised pullers of one shard read the same slots,
+    /// so one event can reach both; that is why every consumer of a served
+    /// recorder goes through the server's one table of [`ShardStealer`]s,
+    /// locked per shard.
     pub fn pull_shard(&self, shard: usize, mut f: impl FnMut(u64, u64, u64)) -> usize {
         let s = &self.shards[shard];
         let head = s.head.load(Ordering::Acquire);
@@ -606,7 +602,10 @@ impl<C: ProcessCounter> ProcessCounter for Traced<C> {
 /// accounting it hides is the part a hand-written loop gets wrong: a
 /// stealer that forgets it reports a "clean" verdict over events nobody
 /// saw. At most one stealer per shard may exist at a time (the recorder's
-/// one-puller-per-shard contract).
+/// one-puller-per-shard contract): [`drive_audited`] builds one per shard
+/// of its own recorder, and a served recorder's only stealers are the
+/// server's shard table (`cnet_net::AuditTable`), which both the
+/// server's own audit workers and remote frontier pulls go through.
 #[derive(Debug)]
 pub struct ShardStealer {
     monitor: ShardMonitor,
@@ -648,21 +647,6 @@ impl ShardStealer {
     }
 }
 
-/// The outcome of an audited run: the merged auditor (exact global verdict
-/// plus per-shard drop/skip totals) and the recording bookkeeping.
-#[derive(Debug)]
-pub struct AuditedRun {
-    /// The merged auditor after every frontier has been folded in.
-    pub auditor: MergeAuditor,
-    /// Events that reached the exact auditor.
-    pub recorded: usize,
-    /// Events lost to full rings (0 when `capacity ≥ increments per
-    /// thread`).
-    pub dropped: u64,
-    /// Events skipped by the sampling mode.
-    pub skipped: u64,
-}
-
 /// The audit pipeline: runs `workload` against a counter that records into
 /// `recorder` (wrap it with [`Traced`]) while `audit_threads` workers
 /// (clamped to `1..=shards`) steal ring shards **in place** — each owns a
@@ -671,7 +655,9 @@ pub struct AuditedRun {
 /// [`MergeAuditor`] at epoch boundaries. The merged verdict is exactly
 /// what one sequential pass over the same streams gives, whatever the
 /// worker count. `on_progress` fires from the driving thread as the merged
-/// operation count grows, the last time after the final merge.
+/// operation count grows, the last time after the final merge. The merged
+/// auditor is returned: its `operations`, `dropped` and `skipped` are the
+/// run's coverage counts.
 ///
 /// # Panics
 ///
@@ -683,7 +669,7 @@ pub fn drive_audited<C: ProcessCounter>(
     workload: Workload,
     audit_threads: usize,
     mut on_progress: impl FnMut(&MergeAuditor),
-) -> AuditedRun {
+) -> MergeAuditor {
     assert!(
         recorder.shards() >= workload.threads,
         "recorder has {} shards for {} threads",
@@ -750,12 +736,7 @@ pub fn drive_audited<C: ProcessCounter>(
     if auditor.operations() > last {
         on_progress(&auditor);
     }
-    AuditedRun {
-        recorded: auditor.operations(),
-        dropped: auditor.dropped(),
-        skipped: auditor.skipped(),
-        auditor,
-    }
+    auditor
 }
 
 /// Flushes partial batches and drains whatever remains in `recorder` into
@@ -1011,9 +992,9 @@ mod tests {
             2,
             |_| {},
         );
-        assert_eq!(run.recorded as u64 + run.skipped + run.dropped, 2000);
-        assert!(run.skipped > 0);
-        assert!(run.auditor.is_clean(), "{}", run.auditor.auditor().summary());
+        assert_eq!(run.operations() as u64 + run.skipped() + run.dropped(), 2000);
+        assert!(run.skipped() > 0);
+        assert!(run.is_clean(), "{}", run.auditor().summary());
     }
 
     #[test]
@@ -1030,14 +1011,14 @@ mod tests {
             1,
             |_| progress_calls += 1,
         );
-        assert_eq!(run.recorded, threads * per_thread);
-        assert_eq!(run.dropped, 0);
+        assert_eq!(run.operations(), threads * per_thread);
+        assert_eq!(run.dropped(), 0);
         assert!(progress_calls >= 1);
         // A fetch-and-add word under a monotone global clock audits clean:
         // recorded intervals only widen the true ones, so a recorded
         // precedence is a real-time precedence, which implies the earlier
         // op's fetch_add happened first, hence the smaller value.
-        let aud = run.auditor.auditor();
+        let aud = run.auditor();
         assert!(aud.is_linearizable());
         assert!(aud.is_sequentially_consistent());
         assert_eq!(aud.f_nl(), 0.0);
@@ -1050,24 +1031,23 @@ mod tests {
         let per_thread = 800;
         let recorder = Arc::new(TraceRecorder::new(threads, per_thread));
         let counter = Traced::new(FetchAddCounter::new(), Arc::clone(&recorder));
-        let run = drive_audited(
+        let mut run = drive_audited(
             &counter,
             &recorder,
             Workload { threads, increments_per_thread: per_thread },
             2,
             |_| {},
         );
-        assert_eq!(run.recorded, threads * per_thread);
-        assert_eq!(run.dropped, 0);
-        assert_eq!(run.skipped, 0);
-        assert!(run.auditor.is_clean());
-        let aud = run.auditor.auditor();
+        assert_eq!(run.operations(), threads * per_thread);
+        assert_eq!(run.dropped(), 0);
+        assert_eq!(run.skipped(), 0);
+        assert!(run.is_clean());
+        let aud = run.auditor();
         assert_eq!(aud.f_nl(), 0.0);
         assert_eq!(aud.f_nsc(), 0.0);
         // Per-shard accounting covered every shard.
-        let mut auditor = run.auditor;
-        assert_eq!(auditor.shard_stats().iter().map(|s| s.observed).sum::<usize>(), 3200);
-        assert!(auditor.summary().ends_with("clean"));
+        assert_eq!(run.shard_stats().iter().map(|s| s.observed).sum::<usize>(), 3200);
+        assert!(run.summary().ends_with("clean"));
     }
 
     #[test]
@@ -1082,8 +1062,8 @@ mod tests {
             1,
             |_| {},
         );
-        assert_eq!(run.recorded, 100);
-        assert!(run.auditor.auditor().is_linearizable());
+        assert_eq!(run.operations(), 100);
+        assert!(run.auditor().is_linearizable());
     }
 
     #[test]
@@ -1097,8 +1077,8 @@ mod tests {
             16,
             |_| {},
         );
-        assert_eq!(run.recorded, 200);
-        assert!(run.auditor.is_clean());
+        assert_eq!(run.operations(), 200);
+        assert!(run.is_clean());
     }
 
     #[test]
@@ -1114,8 +1094,8 @@ mod tests {
             1,
             |_| {},
         );
-        assert_eq!(run.recorded as u64 + run.dropped, 4000);
-        assert!(run.auditor.auditor().is_sequentially_consistent());
+        assert_eq!(run.operations() as u64 + run.dropped(), 4000);
+        assert!(run.auditor().is_sequentially_consistent());
     }
 
     /// A `fetch_add` counter that hands each batch out descending: every

@@ -232,11 +232,11 @@ if [ "$drained" -ne 1 ]; then
 fi
 wait "$serve_pid"
 cat "$serve_log"
-if ! grep -q "audit: 20000 ops audited" "$serve_log"; then
+if ! grep -q "^audit coverage: 20000 served, 20000 audited," "$serve_log"; then
     echo "error: the served audit did not cover all 20000 operations" >&2
     exit 1
 fi
-if ! grep -Eq "audit: .* — clean" "$serve_log"; then
+if ! grep -qx "audit verdict: clean" "$serve_log"; then
     echo "error: the served audit verdict was not clean" >&2
     exit 1
 fi
@@ -294,7 +294,7 @@ if ! grep -q "audit pipeline: 2 worker(s)" "$serve_log"; then
     echo "error: serve did not run the 2-worker parallel audit pipeline" >&2
     exit 1
 fi
-if ! grep -Eq "audit: .* — clean" "$serve_log"; then
+if ! grep -qx "audit verdict: clean" "$serve_log"; then
     echo "error: parallel-audit merged verdict was not clean" >&2
     exit 1
 fi
@@ -354,20 +354,25 @@ run_audit=$(cargo run -q --release --offline -p cnet-cli -- \
     exit 1
 }
 echo "$run_audit" | tail -n 4
-audited=$(echo "$run_audit" | awk '/^operations audited:/ {print $3}')
-skipped=$(echo "$run_audit" | awk '/^sampling skipped:/ {print $3}')
+# The coverage line: `audit coverage: N served, A audited, D dropped, S
+# skipped by sampling, …`.
+audited=$(echo "$run_audit" | awk '/^audit coverage:/ {print $5}')
+skipped=$(echo "$run_audit" | awk '/^audit coverage:/ {print $9}')
 if [ "$((audited + skipped))" -ne 64000 ]; then
     echo "error: sampled-run audit saw $audited + $skipped operations, not 64000" >&2
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
-for line in "sampling skipped:" "audit verdict: clean"; do
-    if ! echo "$run_audit" | grep -q "$line"; then
-        echo "error: sampled-run audit did not print '$line'" >&2
-        kill "$serve_pid" 2>/dev/null || true
-        exit 1
-    fi
-done
+if [ "$skipped" -le 0 ]; then
+    echo "error: sampled-run audit reported no sampling skips" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+if ! echo "$run_audit" | grep -qx "audit verdict: clean"; then
+    echo "error: sampled-run audit verdict was not clean" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
 cargo run -q --release --offline -p cnet-cli -- \
     loadgen --addr "$addr" --ops 0 --shutdown 1 >/dev/null
 drained=0
@@ -386,6 +391,69 @@ fi
 wait "$serve_pid" || true
 rm -f "$port_file"
 echo "sampled-run smoke: ok (256-frame runs and 64-op batches, 1-in-4 sampling by operation, clean verdict)"
+
+# Unaudited-server smoke: a cluster audit of a server running without
+# `--audit` has recorded none of what the server handed out, so it must
+# read incomplete against the server's served count and exit nonzero,
+# not read clean over an empty history.
+port_file=$(mktemp)
+rm -f "$port_file"
+cargo run -q --release --offline -p cnet-cli -- \
+    serve 8 --max-conns 8 --port-file "$port_file" > /dev/null &
+serve_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$port_file" ] && break
+    if ! kill -0 "$serve_pid" 2>/dev/null; then
+        echo "error: cnet serve (unaudited smoke) exited before binding" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+if [ ! -s "$port_file" ]; then
+    echo "error: cnet serve (unaudited smoke) never wrote its port file" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+addr=$(cat "$port_file")
+cargo run -q --release --offline -p cnet-cli -- \
+    loadgen --addr "$addr" --threads 1 --ops 10000 --check 1 >/dev/null || {
+    echo "error: unaudited smoke loadgen failed" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
+# A failing audit prints its report on stderr.
+if unaudited_out=$(cargo run -q --release --offline -p cnet-cli -- \
+    audit 8 --backend cluster --addr "$addr" 2>&1); then
+    echo "$unaudited_out"
+    echo "error: a cluster audit of an unaudited server exited zero" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+echo "$unaudited_out" | tail -n 1
+if ! echo "$unaudited_out" | grep -qx \
+    "audit verdict: incomplete (10000 served ops not recorded for this audit)"; then
+    echo "error: the unaudited cluster audit did not name the 10000 unrecorded ops" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+cargo run -q --release --offline -p cnet-cli -- \
+    loadgen --addr "$addr" --ops 0 --shutdown 1 >/dev/null
+drained=0
+for _ in $(seq 1 100); do
+    if ! kill -0 "$serve_pid" 2>/dev/null; then
+        drained=1
+        break
+    fi
+    sleep 0.1
+done
+if [ "$drained" -ne 1 ]; then
+    echo "error: cnet serve (unaudited smoke) failed to drain" >&2
+    kill -9 "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+wait "$serve_pid" || true
+rm -f "$port_file"
+echo "unaudited-server smoke: ok (cluster audit exits nonzero, 10000 served ops not recorded)"
 
 # Reactor smoke: the sharded epoll reactor must hold 256 mostly-idle
 # pooled connections from 4 loadgen workers and still hand out an exact
@@ -540,8 +608,16 @@ audit_out=$(cargo run -q --release --offline -p cnet-cli -- \
     exit 1
 }
 echo "$audit_out" | tail -n 3
-if ! echo "$audit_out" | grep -q "audit verdict: clean"; then
+if ! echo "$audit_out" | grep -qx "audit verdict: clean"; then
     echo "error: cluster-wide audit verdict was not clean" >&2
+    kill "$tail_pid" "$head_pid" 2>/dev/null || true
+    exit 1
+fi
+# Its own coverage, against what the head served: every one of the
+# 100000 operations audited, none dropped, taken or unrecorded.
+if ! echo "$audit_out" | grep -qx "audit coverage: 100000 served, 100000 audited, 0 dropped, \
+0 skipped by sampling, 0 taken by another puller, 0 not recorded"; then
+    echo "error: the cluster-wide audit's coverage was not 100000 served, all audited" >&2
     kill "$tail_pid" "$head_pid" 2>/dev/null || true
     exit 1
 fi
@@ -572,7 +648,7 @@ if ! grep -q "^audit coverage: 100000 served," "$head_log"; then
     echo "error: the cluster head's served audit did not report 100000 served" >&2
     exit 1
 fi
-if grep -q "— clean" "$tail_log"; then
+if grep -q "^audit verdict: clean" "$tail_log"; then
     echo "error: the cluster tail's served audit read clean over operations it never recorded" >&2
     exit 1
 fi

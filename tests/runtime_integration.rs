@@ -3,21 +3,43 @@
 //! diffracting tree, and the message-passing network of Section 2.3 — a
 //! loopback cluster chain whose nodes each own a range of layers and pass
 //! a batch across each cut as one message over a socket. Also the backend
-//! registry's counters, and what the trace recorder counts as pulled.
+//! registry's counters.
 
 use cnet_core::consistency::{is_linearizable, is_sequentially_consistent};
 use cnet_core::fractions::{non_linearizability_fraction, non_sequential_consistency_fraction};
-use cnet_core::trace::OpEvent;
 use cnet_net::{ClusterNode, CounterServer, RemoteCounter, ServerConfig};
 use cnet_runtime::{
-    drain_remaining, drive, Backend, CounterBarrier, DiffractingTree, FetchAddCounter, LockCounter,
-    ProcessCounter, ShardStealer, SharedNetworkCounter, TraceRecorder, Workload,
+    drive, Backend, CounterBarrier, DiffractingTree, FetchAddCounter, LockCounter, ProcessCounter,
+    SharedNetworkCounter, Workload,
 };
 use cnet_topology::construct::{bitonic, counting_tree, periodic};
 use cnet_topology::state::{has_step_property, NetworkState};
 use cnet_topology::Network;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
+
+/// How long a barrier test may run before it fails as hung. Each takes
+/// well under a second; a hang used to spin until the test run was killed.
+const BARRIER_LIMIT: Duration = Duration::from_secs(60);
+
+/// Runs `f` on a thread of its own, so that a threaded test whose
+/// parties could wait for each other forever fails by name within `limit`
+/// instead of spinning until it is killed. An overrunning thread is left
+/// running until the process ends; a panic of `f` is passed on.
+fn within(what: &str, limit: Duration, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+        panic!("{what}: no result within {limit:?}");
+    }
+    if let Err(panic) = body.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
 
 /// A loopback chain of `nodes` cluster nodes over `net`, each served over
 /// TCP: the tail first, then every other node pointed at the one after
@@ -128,26 +150,28 @@ fn quiescent_runtime_satisfies_the_step_property() {
 
 #[test]
 fn barrier_works_over_every_counter_backend() {
-    fn rounds<C: ProcessCounter>(c: C) {
-        let barrier = CounterBarrier::new(c, 5);
-        thread::scope(|s| {
-            for p in 0..5 {
-                let b = &barrier;
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        b.wait(p);
-                    }
-                });
-            }
+    fn rounds<C: ProcessCounter + Send + Sync + 'static>(name: &str, c: C) {
+        within(&format!("5-party barrier over {name}"), BARRIER_LIMIT, move || {
+            let barrier = CounterBarrier::new(c, 5);
+            thread::scope(|s| {
+                for p in 0..5 {
+                    let b = &barrier;
+                    s.spawn(move || {
+                        for _ in 0..50 {
+                            b.wait(p);
+                        }
+                    });
+                }
+            });
+            assert_eq!(barrier.rounds_completed(), 50);
         });
-        assert_eq!(barrier.rounds_completed(), 50);
     }
-    rounds(FetchAddCounter::new());
-    rounds(LockCounter::new());
+    rounds("fetch_add", FetchAddCounter::new());
+    rounds("lock", LockCounter::new());
     let net = bitonic(8).unwrap();
-    rounds(SharedNetworkCounter::new(&net));
+    rounds("bitonic(8)", SharedNetworkCounter::new(&net));
     let tree = counting_tree(8).unwrap();
-    rounds(SharedNetworkCounter::new(&tree));
+    rounds("counting_tree(8)", SharedNetworkCounter::new(&tree));
 }
 
 #[test]
@@ -239,20 +263,22 @@ fn a_chain_cut_at_every_layer_serves_concurrent_batches() {
 fn barrier_works_over_a_loopback_chain() {
     // The Section 1.1 application needs only gap-free values, which the
     // message-passing network gives as the shared-memory one does.
-    let net = bitonic(4).unwrap();
-    let (head, _servers) = loopback_chain(&net, 2);
-    let barrier = CounterBarrier::new(head, 3);
-    thread::scope(|s| {
-        for p in 0..3 {
-            let b = &barrier;
-            s.spawn(move || {
-                for _ in 0..20 {
-                    b.wait(p);
-                }
-            });
-        }
+    within("3-party barrier over a 2-node bitonic(4) chain", BARRIER_LIMIT, || {
+        let net = bitonic(4).unwrap();
+        let (head, _servers) = loopback_chain(&net, 2);
+        let barrier = CounterBarrier::new(head, 3);
+        thread::scope(|s| {
+            for p in 0..3 {
+                let b = &barrier;
+                s.spawn(move || {
+                    for _ in 0..20 {
+                        b.wait(p);
+                    }
+                });
+            }
+        });
+        assert_eq!(barrier.rounds_completed(), 20);
     });
-    assert_eq!(barrier.rounds_completed(), 20);
 }
 
 #[test]
@@ -351,86 +377,4 @@ fn every_backend_mixes_batches_and_singles_densely_under_contention() {
         values.sort_unstable();
         assert_eq!(values, (0..n).collect::<Vec<_>>(), "{}", b.name());
     }
-}
-
-#[test]
-fn pulled_sums_every_shard_and_only_what_left_the_rings() {
-    let rec = TraceRecorder::new(3, 64);
-    for v in 0..5 {
-        rec.record(0, v);
-    }
-    for v in 5..8 {
-        rec.record(2, v);
-    }
-    // Written but unpublished, then published but not yet pulled.
-    assert_eq!(rec.pulled(), 0);
-    rec.flush(0);
-    rec.flush(2);
-    assert_eq!(rec.pulled(), 0);
-    assert_eq!(rec.pull_shard(0, |_, _, _| {}), 5);
-    assert_eq!(rec.pulled(), 5);
-    let mut events: Vec<OpEvent> = Vec::new();
-    assert_eq!(drain_remaining(&rec, &mut events), 3);
-    assert_eq!(rec.pulled(), 8);
-    // A dry pass moves nothing and counts nothing.
-    assert_eq!(drain_remaining(&rec, &mut events), 0);
-    assert_eq!(rec.pulled(), 8);
-}
-
-#[test]
-fn pulled_counts_neither_drops_nor_sampling_skips() {
-    // 1-in-2 sampling into a 4-slot ring, never pulled while writing:
-    // 20 ops sample 10, of which 4 fit and 6 drop.
-    let rec = TraceRecorder::with_sampling(1, 4, 2);
-    for v in 0..20 {
-        rec.record(0, v);
-    }
-    let mut events: Vec<OpEvent> = Vec::new();
-    let moved = drain_remaining(&rec, &mut events) as u64;
-    assert_eq!((moved, rec.dropped(), rec.skipped()), (4, 6, 10));
-    assert_eq!(rec.pulled(), moved);
-    assert_eq!(rec.pulled() + rec.dropped() + rec.skipped(), 20);
-}
-
-#[test]
-fn pulled_keeps_counting_across_ring_wraparounds() {
-    // An 8-slot ring pulled every 6 ops laps itself 124 times; the
-    // total is a lifetime count, not a ring position.
-    let rec = TraceRecorder::new(1, 8);
-    let mut moved = 0;
-    for round in 0..1000u64 / 6 {
-        for i in 0..6 {
-            assert!(rec.record(0, round * 6 + i));
-        }
-        rec.flush(0);
-        moved += rec.pull_shard(0, |_, _, _| {});
-    }
-    assert_eq!(moved, 996);
-    assert_eq!(rec.pulled(), 996);
-    assert_eq!(rec.dropped(), 0);
-}
-
-#[test]
-fn pulled_less_a_stealers_take_is_what_another_puller_moved() {
-    // One owner steals shard 0 and later drains the rest; in between a
-    // second puller (a remote trace fetch) empties shard 1. What the
-    // owner never saw is exactly the second puller's take.
-    let rec = TraceRecorder::new(2, 256);
-    let mut stealer = ShardStealer::new(0);
-    for v in 0..100 {
-        rec.record(0, 2 * v);
-        rec.record(1, 2 * v + 1);
-    }
-    rec.flush(0);
-    rec.flush(1);
-    let stolen = stealer.steal(&rec);
-    let elsewhere = rec.pull_shard(1, |_, _, _| {});
-    assert_eq!((stolen, elsewhere), (100, 100));
-    for v in 100..130 {
-        rec.record(1, v);
-    }
-    let mut events: Vec<OpEvent> = Vec::new();
-    let drained = drain_remaining(&rec, &mut events);
-    assert_eq!(drained, 30);
-    assert_eq!(rec.pulled() - (stolen + drained) as u64, elsewhere as u64);
 }
